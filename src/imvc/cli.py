@@ -6,10 +6,11 @@ import argparse
 import sys
 from dataclasses import replace
 
-from .dataset import build_indicators, load_dataset, normalize_views
+from .dataset import load_dataset, normalize_views
 from .harness import (
     ABLATIONS,
     ExperimentConfig,
+    knn_problems,
     run_ablation,
     run_experiment,
     run_sweep,
@@ -96,8 +97,8 @@ def _cmd_trace(args) -> int:
 
 
 def _cmd_validate_data(args) -> int:
-    if args.config:
-        cfg = ExperimentConfig.from_file(args.config)
+    cfg = ExperimentConfig.from_file(args.config) if args.config else None
+    if cfg is not None:
         views, avail, labels = cfg.view_paths, cfg.availability_paths, cfg.label_path
         normalize = cfg.normalize
     else:
@@ -109,9 +110,13 @@ def _cmd_validate_data(args) -> int:
     try:
         ds = load_dataset(views, avail, labels)
         ds = normalize_views(ds, normalize)
-        build_indicators(ds)
+        problems = knn_problems(cfg, ds) if cfg is not None else []
     except ValueError as exc:
         print(f"INVALID: {exc}", file=sys.stderr)
+        return 1
+    for problem in problems:
+        print(f"INVALID: {problem}", file=sys.stderr)
+    if problems:
         return 1
     print(f"OK: {ds.n_views} views, {ds.n} samples")
     for view, ids in zip(ds.views, ds.availability):

@@ -1,4 +1,4 @@
-"""Incomplete multi-view data: containers, indicator matrices, masking, and I/O.
+"""Incomplete multi-view data: containers, masking, and I/O.
 
 A dataset holds one feature matrix per view (features x available instances)
 together with an availability list per view that maps each instance column to
@@ -137,35 +137,6 @@ class MultiViewDataset:
 
 
 @dataclass(frozen=True)
-class IndicatorMatrix:
-    """Binary n x n_v matrix mapping available instances to sample slots.
-
-    Column j has a single 1 in the row of the sample that instance j belongs
-    to; rows of samples missing from the view are all zero.
-    """
-
-    view_id: int
-    g: np.ndarray
-
-    def __post_init__(self):
-        g = np.asarray(self.g, dtype=np.int64)
-        if g.ndim != 2:
-            raise ValueError("indicator matrix must be 2-D")
-        if not np.isin(g, (0, 1)).all():
-            raise ValueError("indicator matrix must be binary")
-        if np.any(g.sum(axis=0) != 1):
-            raise ValueError("each indicator column must contain exactly one 1")
-        if np.any(g.sum(axis=1) > 1):
-            raise ValueError("each indicator row may contain at most one 1")
-        object.__setattr__(self, "g", _readonly(g))
-
-    @property
-    def sample_ids(self) -> np.ndarray:
-        """Global sample id of each instance column."""
-        return np.argmax(self.g, axis=0)
-
-
-@dataclass(frozen=True)
 class MaskSpec:
     """Incompleteness-simulation request: protocol, rate, and seed."""
 
@@ -180,30 +151,6 @@ class MaskSpec:
             )
         if not 0.0 <= self.rate <= 1.0:
             raise ValueError(f"rate must lie in [0, 1], got {self.rate}")
-
-
-def build_indicator(availability: Sequence[int], n: int, view_id: int = 0) -> IndicatorMatrix:
-    """Build the binary indicator matrix for one view's availability list.
-
-    g[i, j] = 1 iff instance column j belongs to sample i.
-    """
-    ids = np.asarray(availability, dtype=np.int64)
-    if ids.ndim != 1 or ids.size < 1:
-        raise ValueError("availability must be a non-empty 1-D sequence of sample ids")
-    if ids.min() < 0 or ids.max() >= n:
-        raise ValueError(f"invalid availability: sample ids must lie in 0..{n - 1}")
-    if np.unique(ids).size != ids.size:
-        raise ValueError("invalid availability: duplicate sample id")
-    g = np.zeros((n, ids.size), dtype=np.int64)
-    g[ids, np.arange(ids.size)] = 1
-    return IndicatorMatrix(view_id=view_id, g=g)
-
-
-def build_indicators(ds: MultiViewDataset) -> tuple[IndicatorMatrix, ...]:
-    return tuple(
-        build_indicator(ids, ds.n, view_id=view.view_id)
-        for view, ids in zip(ds.views, ds.availability)
-    )
 
 
 def _round_half_up(x: float) -> int:

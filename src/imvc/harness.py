@@ -2,9 +2,9 @@
 
 A declarative JSON config describes the dataset files, the masking protocol
 (rates x repeats), the solver parameter grid, and the scoring setup. Each
-trial runs the full pipeline (mask, indicators, graphs, solver, k-means,
-scores) and lands as one row in trials.csv; per-grid-point aggregates go to
-aggregate.csv and the resolved config to manifest.json. Given one machine and
+trial runs the full pipeline (mask, graphs, solver, k-means, scores) and
+lands as one row in trials.csv; per-grid-point aggregates go to aggregate.csv
+and the resolved config to manifest.json. Given one machine and
 one master seed, trials.csv is byte-identical across runs.
 """
 
@@ -26,13 +26,12 @@ from .dataset import (
     MaskSpec,
     MultiViewDataset,
     apply_mask,
-    build_indicators,
     load_dataset,
     normalize_views,
 )
 from .graph import build_fused_graphs
 from .metrics import evaluate_clustering
-from .solver import SolverConfig, SolverState, fit
+from .solver import SolverConfig, SolverState, fit, write_trace
 
 ABLATIONS = ("weight", "sparsity", "graph")
 
@@ -181,6 +180,10 @@ def derive_seed(*parts) -> int:
     return int.from_bytes(hashlib.blake2b(key, digest_size=8).digest(), "big") >> 1
 
 
+def _mask_seed(cfg: ExperimentConfig, rate: float, repeat: int) -> int:
+    return derive_seed(cfg.master_seed, "mask", float(rate), repeat)
+
+
 def _aggregate(trials: Sequence[TrialOutcome]) -> RunRecord:
     first = trials[0]
     ok = [t for t in trials if not t.error]
@@ -228,7 +231,6 @@ def _run_trial(
         masked = apply_mask(
             base, MaskSpec(protocol=cfg.protocol, rate=outcome.rate, seed=outcome.mask_seed)
         )
-        indicators = build_indicators(masked)
         graphs = build_fused_graphs(masked, k=outcome.knn, gamma=outcome.gamma)
         n_components = cfg.n_components or base.n_classes
         solver_cfg = SolverConfig(
@@ -243,7 +245,7 @@ def _run_trial(
             sparsity_on=outcome.variant != "no-sparsity",
             graph_on=outcome.variant != "no-graph",
         )
-        state = fit(masked, graphs, indicators, solver_cfg)
+        state = fit(masked, graphs, solver_cfg)
         scores = evaluate_clustering(
             state.consensus,
             base.labels,
@@ -277,6 +279,26 @@ def _load_base_dataset(cfg: ExperimentConfig) -> MultiViewDataset:
     if cfg.n_components is None and ds.n_classes is None:
         raise ValueError("set 'clusters' in the config or provide labels")
     return ds
+
+
+def knn_problems(cfg: ExperimentConfig, base: MultiViewDataset) -> list[str]:
+    """Check every configured mask up front: one message per (rate, repeat,
+    view) whose masked view has too few instances for the largest k.
+
+    The masks are the ones run_sweep draws, from the same seeds.
+    """
+    k = max(cfg.knn_grid)
+    problems = []
+    for rate in cfg.rates:
+        for rep in range(cfg.repeats):
+            spec = MaskSpec(protocol=cfg.protocol, rate=rate, seed=_mask_seed(cfg, rate, rep))
+            for view in apply_mask(base, spec).views:
+                if k >= view.n_available:
+                    problems.append(
+                        f"rate {rate!r}, repeat {rep}, view {view.view_id}: k={k} needs at "
+                        f"least {k + 1} available instances, the mask leaves {view.n_available}"
+                    )
+    return problems
 
 
 def _grid(cfg: ExperimentConfig):
@@ -314,7 +336,7 @@ def run_sweep(
                         protocol=cfg.protocol,
                         rate=float(rate),
                         repeat=rep,
-                        mask_seed=derive_seed(cfg.master_seed, "mask", float(rate), rep),
+                        mask_seed=_mask_seed(cfg, rate, rep),
                         solver_seed=derive_seed(
                             cfg.master_seed, "solver", grid_key, float(rate), rep
                         ),
@@ -358,14 +380,6 @@ def run_ablation(
     if which not in ABLATIONS:
         raise ValueError(f"unknown ablation {which!r}; expected one of {ABLATIONS}")
     return run_sweep(cfg, variant=f"no-{which}", workers=workers, keep_states=keep_states)
-
-
-def emit_convergence_trace(state: SolverState, path: str | Path) -> None:
-    """Write (iteration, objective) rows; header only for an empty trace."""
-    lines = ["iteration,objective"]
-    for t, value in enumerate(state.objective_trace):
-        lines.append(f"{t},{repr(float(value))}")
-    Path(path).write_text("\n".join(lines) + "\n")
 
 
 _TRIAL_COLUMNS = (
@@ -504,7 +518,8 @@ def write_results(records: Sequence[RunRecord], out_dir: str | Path, cfg: Experi
 
 
 def write_traces(records: Sequence[RunRecord], out_dir: str | Path) -> list[str]:
-    """One trace_<runid>.csv per kept solver state."""
+    """One trace_<runid>.csv per kept solver state, as written by
+    solver.write_trace (iteration, objective, e_v..., alpha_v...)."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     paths = []
@@ -512,6 +527,6 @@ def write_traces(records: Sequence[RunRecord], out_dir: str | Path) -> list[str]
         for t in rec.trials:
             if t.state is not None:
                 p = out / f"trace_{t.run_id}.csv"
-                emit_convergence_trace(t.state, p)
+                write_trace(t.state, p)
                 paths.append(str(p))
     return paths

@@ -13,6 +13,17 @@ through that view's fused graph W. The total cost is
 with simplex view weights a (smoothed by the exponent r > 1). Each of the four
 blocks (consensus Q, bases U, codes P, weights a) has a closed-form minimizer,
 so one sweep per iteration never increases the cost.
+
+Samples are addressed through each view's availability ids (ds.availability):
+Q gathered to view v is Q[:, ids_v], and the consensus solve scatters back
+through the same ids. W is a sparse CSR matrix with about k nonzeros per row,
+used only through products W @ M, so one sweep costs O(nnz(W) c) in the graph
+and no n_v x n_v array is formed. The two cost terms use expansions that need
+no residual or distance matrix:
+
+    ||X - U P||_F^2 = ||X||^2 - 2 <U^T X, P> + <(U^T U) P, P>    (any U)
+    sum_ij W_ij ||p_i - q_j||^2 = d . ||P||^2_col + d . ||Q_v||^2_col
+                                  - 2 <W P^T, Q_v^T>           (W = W^T, d = W 1)
 """
 
 from __future__ import annotations
@@ -23,9 +34,8 @@ from pathlib import Path
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
-from .dataset import MultiViewDataset, IndicatorMatrix
+from .dataset import MultiViewDataset
 from .graph import FusedGraph, identity_fused_graph
 
 
@@ -103,6 +113,11 @@ def _effective_beta(cfg: SolverConfig) -> float:
     return cfg.beta if cfg.sparsity_on else 0.0
 
 
+def _times_w(graph: FusedGraph, m: np.ndarray) -> np.ndarray:
+    """W @ m for an n_v x c matrix m, skipping the product when W = I."""
+    return m if graph.is_identity else graph.w @ m
+
+
 def update_basis(x: np.ndarray, codes: np.ndarray) -> np.ndarray:
     """Orthonormal basis maximizing trace(U^T X P^T): U = M N^T from the thin
     SVD X P^T = M diag(s) N^T."""
@@ -117,21 +132,20 @@ def update_codes(
     x: np.ndarray,
     basis: np.ndarray,
     consensus: np.ndarray,
-    indicator: IndicatorMatrix,
+    ids: np.ndarray,
     graph: FusedGraph,
     lam: float,
     beta: float,
 ) -> np.ndarray:
     """Closed-form sparse codes via per-column soft thresholding.
 
-    With h_i = 1 + lam * degree_i and b_i the i-th row of
-    B = X^T U + lam * W * (Q gathered to this view)^T, column i of the result
-    is the soft threshold of b_i / h_i at beta / (2 h_i).
+    ids are the view's availability ids. With h_i = 1 + lam * degree_i and
+    b_i the i-th row of B = X^T U + lam * W * (Q[:, ids])^T, column i of the
+    result is the soft threshold of b_i / h_i at beta / (2 h_i).
     """
-    ids = indicator.sample_ids
     gathered = consensus[:, ids]  # c x n_v
     h = 1.0 + lam * graph.degree
-    b = x.T @ basis + lam * (graph.w @ gathered.T)  # n_v x c
+    b = x.T @ basis + lam * _times_w(graph, gathered.T)  # n_v x c
     v = b.T / h
     if beta == 0.0:
         return v
@@ -142,24 +156,24 @@ def update_codes(
 def update_consensus(
     codes: Sequence[np.ndarray],
     graphs: Sequence[FusedGraph],
-    indicators: Sequence[IndicatorMatrix],
+    availability: Sequence[np.ndarray],
+    n: int,
     weights: np.ndarray,
     r: float,
 ) -> np.ndarray:
     """Minimize the graph-coupling term over the consensus matrix.
 
-    The normal matrix sum_v a_v^r G D G^T is diagonal (each sample collects
-    its own degree from the views it appears in), so the solve is a columnwise
+    availability holds each view's sample ids and n is the sample count. The
+    normal matrix sum_v a_v^r G D G^T is diagonal (each sample collects its
+    own degree from the views it appears in), so the solve is a columnwise
     division instead of a general inverse.
     """
     c = codes[0].shape[0]
-    n = indicators[0].g.shape[0]
     numer = np.zeros((c, n))
     denom = np.zeros(n)
-    for p, graph, ind, a in zip(codes, graphs, indicators, weights):
+    for p, graph, ids, a in zip(codes, graphs, availability, weights):
         ar = a**r
-        ids = ind.sample_ids
-        numer[:, ids] += ar * (p @ graph.w)
+        numer[:, ids] += ar * _times_w(graph, p.T).T  # P W, as W is symmetric
         denom[ids] += ar * graph.degree
     if np.any(denom <= 0.0):
         bad = int(np.flatnonzero(denom <= 0.0)[0])
@@ -186,36 +200,50 @@ def update_weights(costs: np.ndarray, r: float) -> np.ndarray:
     return scaled / scaled.sum()
 
 
-def _graph_cost(p: np.ndarray, gathered: np.ndarray, graph: FusedGraph) -> float:
-    """sum_ij W[i, j] * ||p[:, i] - gathered[:, j]||^2.
+def _reconstruction_cost(x: np.ndarray, u: np.ndarray, p: np.ndarray) -> float:
+    """||X - U P||_F^2 = ||X||^2 - 2 <U^T X, P> + <(U^T U) P, P>, for any U.
 
-    The identity-graph case reduces algebraically to the plain squared
-    Frobenius difference, which is also the cheap way to evaluate it.
+    ||X||^2 is an einsum rather than a BLAS dot: the threaded BLAS dot over
+    the whole view stalls when the harness runs trials on several threads.
     """
-    if graph.is_identity:
+    xx = np.einsum("ij,ij->", x, x)
+    return float(xx - 2.0 * np.vdot(u.T @ x, p) + np.vdot((u.T @ u) @ p, p))
+
+
+def _graph_cost(p: np.ndarray, gathered: np.ndarray, graph: Optional[FusedGraph]) -> float:
+    """sum_ij W[i, j] * ||p[:, i] - gathered[:, j]||^2 (graph=None: W = I).
+
+    For symmetric W with degrees d this is
+    d . ||p||^2_col + d . ||gathered||^2_col - 2 <W p^T, gathered^T>. The
+    identity-graph case reduces algebraically to the plain squared Frobenius
+    difference, which is also the cheap way to evaluate it.
+    """
+    if graph is None or graph.is_identity:
         return float(np.sum((p - gathered) ** 2))
-    sq = cdist(p.T, gathered.T, metric="sqeuclidean")
-    return float(np.vdot(graph.w, sq))
+    d = graph.degree
+    return float(
+        d @ np.einsum("ij,ij->j", p, p)
+        + d @ np.einsum("ij,ij->j", gathered, gathered)
+        - 2.0 * np.vdot(graph.w @ p.T, gathered.T)
+    )
 
 
 def view_costs(
     ds: MultiViewDataset,
     graphs: Sequence[FusedGraph],
-    indicators: Sequence[IndicatorMatrix],
     state: SolverState,
     cfg: SolverConfig,
 ) -> np.ndarray:
     """Per-view cost e_v = reconstruction + beta * l1 + lam * graph term."""
-    graphs = _effective_graphs(graphs, cfg)
     beta = _effective_beta(cfg)
     costs = np.empty(ds.n_views)
-    for v, (view, graph, ind) in enumerate(zip(ds.views, graphs, indicators)):
+    for v, (view, graph, ids) in enumerate(zip(ds.views, graphs, ds.availability)):
         u, p = state.bases[v], state.codes[v]
-        gathered = state.consensus[:, ind.sample_ids]
+        gathered = state.consensus[:, ids]
         costs[v] = (
-            np.sum((view.data - u @ p) ** 2)
+            _reconstruction_cost(view.data, u, p)
             + beta * np.abs(p).sum()
-            + cfg.lam * _graph_cost(p, gathered, graph)
+            + cfg.lam * _graph_cost(p, gathered, graph if cfg.graph_on else None)
         )
     return costs
 
@@ -223,12 +251,11 @@ def view_costs(
 def objective(
     ds: MultiViewDataset,
     graphs: Sequence[FusedGraph],
-    indicators: Sequence[IndicatorMatrix],
     state: SolverState,
     cfg: SolverConfig,
 ) -> float:
     """Weighted total cost sum_v a_v^r e_v."""
-    costs = view_costs(ds, graphs, indicators, state, cfg)
+    costs = view_costs(ds, graphs, state, cfg)
     total = 0.0
     for a, e in zip(state.weights, costs):
         total += a**cfg.r * e
@@ -263,7 +290,6 @@ def initialize(ds: MultiViewDataset, cfg: SolverConfig) -> SolverState:
 def fit(
     ds: MultiViewDataset,
     graphs: Sequence[FusedGraph],
-    indicators: Sequence[IndicatorMatrix],
     cfg: SolverConfig,
     init_state: Optional[SolverState] = None,
     callback: Optional[Callable] = None,
@@ -275,13 +301,11 @@ def fit(
     cfg.max_iter sweeps. callback, if given, is invoked after every sweep as
     callback(iteration, bases, codes, consensus, weights).
     """
-    if len(graphs) != ds.n_views or len(indicators) != ds.n_views:
-        raise ValueError("need exactly one fused graph and one indicator per view")
-    for view, graph, ind in zip(ds.views, graphs, indicators):
-        if graph.n != view.n_available or ind.g.shape != (ds.n, view.n_available):
-            raise ValueError(
-                f"view {view.view_id}: graph or indicator shape does not match the data"
-            )
+    if len(graphs) != ds.n_views:
+        raise ValueError("need exactly one fused graph per view")
+    for view, graph in zip(ds.views, graphs):
+        if graph.n != view.n_available:
+            raise ValueError(f"view {view.view_id}: graph shape does not match the data")
     state = initialize(ds, cfg) if init_state is None else init_state
     graphs_eff = _effective_graphs(graphs, cfg)
     beta = _effective_beta(cfg)
@@ -300,20 +324,22 @@ def fit(
             weights=weights,
         )
 
-    costs = view_costs(ds, graphs, indicators, current(), cfg)
+    costs = view_costs(ds, graphs, current(), cfg)
     trace = [float(sum(a**cfg.r * e for a, e in zip(weights, costs)))]
     cost_rows = [costs]
     weight_rows = [weights]
 
     for it in range(1, cfg.max_iter + 1):
-        consensus = update_consensus(codes, graphs_eff, indicators, weights, cfg.r)
+        consensus = update_consensus(
+            codes, graphs_eff, ds.availability, ds.n, weights, cfg.r
+        )
         for v in range(ds.n_views):
             bases[v] = update_basis(xs[v], codes[v])
         for v in range(ds.n_views):
             codes[v] = update_codes(
-                xs[v], bases[v], consensus, indicators[v], graphs_eff[v], cfg.lam, beta
+                xs[v], bases[v], consensus, ds.availability[v], graphs_eff[v], cfg.lam, beta
             )
-        costs = view_costs(ds, graphs, indicators, current(), cfg)
+        costs = view_costs(ds, graphs, current(), cfg)
         if cfg.weight_on:
             weights = update_weights(costs, cfg.r)
         value = float(sum(a**cfg.r * e for a, e in zip(weights, costs)))

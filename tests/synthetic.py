@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from imvc import MultiViewDataset, ViewMatrix, build_indicators
+from imvc import MultiViewDataset, ViewMatrix
 from imvc.dataset import MaskSpec, apply_random_missing_mask
 from imvc.graph import build_fused_graphs
 
@@ -79,11 +79,11 @@ def multiview_moons(n=300, dims=(4, 5, 6), noise=0.06, seed=0):
 
 
 def masked_problem(full, rate=0.3, mask_seed=0, k=5, gamma=1.0):
-    """Mask a complete dataset and build its indicators and fused graphs."""
+    """Mask a complete dataset and build its fused graphs."""
     masked = apply_random_missing_mask(
         full, MaskSpec("random-missing", rate, seed=mask_seed)
     )
-    return masked, build_fused_graphs(masked, k=k, gamma=gamma), build_indicators(masked)
+    return masked, build_fused_graphs(masked, k=k, gamma=gamma)
 
 
 def random_problem(seed, l=2, n=6, c=2, dims=None, rate=0.3, k=2, gamma=1.0):
@@ -94,7 +94,7 @@ def random_problem(seed, l=2, n=6, c=2, dims=None, rate=0.3, k=2, gamma=1.0):
     full = _complete_dataset(data)
     if rate:
         return masked_problem(full, rate=rate, mask_seed=seed + 1, k=k, gamma=gamma)
-    return full, build_fused_graphs(full, k=k, gamma=gamma), build_indicators(full)
+    return full, build_fused_graphs(full, k=k, gamma=gamma)
 
 
 def random_state(ds, c, seed, zero=False):

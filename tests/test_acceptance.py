@@ -16,7 +16,6 @@ import pytest
 
 from imvc import (
     SolverConfig,
-    build_indicators,
     fit,
     load_dataset,
     normalize_views,
@@ -28,9 +27,10 @@ from imvc import (
     update_weights,
 )
 from imvc.cli import main as cli_main
-from imvc.dataset import MaskSpec, apply_random_missing_mask, build_indicator
+from imvc.dataset import MaskSpec, apply_random_missing_mask
 from imvc.graph import build_fused_graphs, fuse_graph, gaussian_knn_graph, identity_fused_graph
 from imvc.metrics import evaluate_clustering
+from imvc.solver import _reconstruction_cost
 
 from synthetic import masked_problem, multiview_blobs, multiview_moons, random_problem, random_state
 from test_metrics import counter_nmi, counter_purity, exhaustive_accuracy
@@ -59,7 +59,7 @@ def monotone_runs():
     runs = []
     for seed in range(20):
         l, n, c = combos[seed % len(combos)]
-        ds, graphs, inds = random_problem(
+        ds, graphs = random_problem(
             seed, l=l, n=n, c=c, dims=tuple(c + 3 for _ in range(l)), rate=0.3, k=4
         )
         diag = {"ortho": [], "simplex": [], "alpha_min": []}
@@ -77,7 +77,7 @@ def monotone_runs():
         cfg = SolverConfig(
             lam=1.0, beta=0.01, r=3.0, n_components=c, seed=seed, max_iter=80
         )
-        state = fit(ds, graphs, inds, cfg, callback=check)
+        state = fit(ds, graphs, cfg, callback=check)
         runs.append((state, diag))
     return runs, time.perf_counter() - start
 
@@ -131,7 +131,7 @@ def test_criterion_02_update_rule_oracles():
     assert basis_dev <= 1e-8
 
     # codes update: 100 scalar problems against a 1e-4 grid prox
-    ind1 = build_indicator([0], n=1)
+    ids1 = np.array([0])
     eye1 = identity_fused_graph(1)
     codes_dev = 0.0
     for _ in range(100):
@@ -140,7 +140,7 @@ def test_criterion_02_update_rule_oracles():
         beta = float(rng.uniform(0.0, 4.0))
         p = update_codes(
             np.array([[b]]), np.array([[1.0]]), np.array([[0.0]]),
-            ind1, eye1, lam=h - 1.0, beta=beta,
+            ids1, eye1, lam=h - 1.0, beta=beta,
         )
         codes_dev = max(codes_dev, abs(float(p[0, 0]) - grid_prox(b / h, beta / (2 * h))))
     assert codes_dev <= 1e-4
@@ -148,10 +148,10 @@ def test_criterion_02_update_rule_oracles():
     # consensus update: finite-difference gradient vanishes
     grad_dev = 0.0
     for seed in range(20):
-        ds, graphs, inds = random_problem(seed + 300, l=2, n=5, c=2, k=2)
+        ds, graphs = random_problem(seed + 300, l=2, n=5, c=2, k=2)
         codes = [rng.normal(size=(2, v.n_available)) for v in ds.views]
         weights = np.array([0.4, 0.6])
-        q = update_consensus(codes, graphs, inds, weights, r=2.5)
+        q = update_consensus(codes, graphs, ds.availability, ds.n, weights, r=2.5)
         h = 1e-5
         for i in range(q.shape[0]):
             for j in range(q.shape[1]):
@@ -159,8 +159,8 @@ def test_criterion_02_update_rule_oracles():
                 qp[i, j] += h
                 qm[i, j] -= h
                 grad = (
-                    consensus_term(qp, codes, graphs, inds, weights, 2.5)
-                    - consensus_term(qm, codes, graphs, inds, weights, 2.5)
+                    consensus_term(qp, codes, graphs, ds.availability, weights, 2.5)
+                    - consensus_term(qm, codes, graphs, ds.availability, weights, 2.5)
                 ) / (2 * h)
                 grad_dev = max(grad_dev, abs(grad))
     assert grad_dev <= 1e-6
@@ -205,16 +205,21 @@ def test_criterion_02_update_rule_oracles():
 # ----------------------------------------------------------------- criterion 3
 
 
-def model6_objective(ds, inds, state, lam, beta, r):
-    """The no-graph model's cost: reconstruction + l1 + consensus tie."""
+def model6_objective(ds, state, lam, beta, r):
+    """The no-graph model's cost: reconstruction + l1 + consensus tie.
+
+    The reconstruction term is the library's own expansion (checked against
+    the residual form in test_reference.py), so the bitwise comparison
+    isolates what this criterion is about: the gamma=0 graph term.
+    """
     total = 0.0
-    for view, ind, u, p, a in zip(
-        ds.views, inds, state.bases, state.codes, state.weights
+    for view, ids, u, p, a in zip(
+        ds.views, ds.availability, state.bases, state.codes, state.weights
     ):
         x = view.data
-        gathered = state.consensus[:, ind.sample_ids]
+        gathered = state.consensus[:, ids]
         total += a**r * (
-            np.sum((x - u @ p) ** 2)
+            _reconstruction_cost(x, u, p)
             + beta * np.abs(p).sum()
             + lam * float(np.sum((p - gathered) ** 2))
         )
@@ -224,14 +229,14 @@ def model6_objective(ds, inds, state, lam, beta, r):
 def test_criterion_03_degradation_identity():
     mismatches = 0
     for seed in range(10):
-        ds, _, inds = random_problem(seed + 500, l=2, n=7, c=2, k=2)
+        ds, _ = random_problem(seed + 500, l=2, n=7, c=2, k=2)
         graphs = tuple(
             fuse_graph(gaussian_knn_graph(v, k=2), gamma=0.0) for v in ds.views
         )
         state = random_state(ds, 2, seed=seed)
         cfg = SolverConfig(lam=1.3, beta=0.4, r=2.0, n_components=2)
-        got = objective(ds, graphs, inds, state, cfg)
-        want = model6_objective(ds, inds, state, lam=1.3, beta=0.4, r=2.0)
+        got = objective(ds, graphs, state, cfg)
+        want = model6_objective(ds, state, lam=1.3, beta=0.4, r=2.0)
         if got != want:
             mismatches += 1
     report(
@@ -250,13 +255,13 @@ def test_criterion_05_synthetic_recovery():
     full = multiview_blobs(n=300, n_clusters=3, dims=(6, 8, 10), noise=0.5, seed=42)
     accs, nmis = [], []
     for mask_seed in range(5):
-        masked, graphs, inds = masked_problem(
+        masked, graphs = masked_problem(
             full, rate=0.3, mask_seed=100 + mask_seed, k=5, gamma=1.0
         )
         cfg = SolverConfig(
             lam=1.0, beta=0.001, r=3.0, n_components=3, seed=mask_seed
         )
-        state = fit(masked, graphs, inds, cfg)
+        state = fit(masked, graphs, cfg)
         scores = evaluate_clustering(
             state.consensus, full.labels, k=3, restarts=20, seed=mask_seed
         )
@@ -281,14 +286,14 @@ def test_criterion_06_graph_ablation_direction():
     def mean_acc(graph_on):
         accs = []
         for mask_seed in range(5):
-            masked, graphs, inds = masked_problem(
+            masked, graphs = masked_problem(
                 full, rate=0.3, mask_seed=200 + mask_seed, k=5, gamma=1.0
             )
             cfg = SolverConfig(
                 lam=10.0, beta=0.001, r=3.0, n_components=2, seed=mask_seed,
                 max_iter=150, graph_on=graph_on,
             )
-            state = fit(masked, graphs, inds, cfg)
+            state = fit(masked, graphs, cfg)
             scores = evaluate_clustering(
                 state.consensus, full.labels, k=2, restarts=20, seed=mask_seed
             )
@@ -335,12 +340,11 @@ def test_criterion_07_handwritten_reproduction():
             masked = apply_random_missing_mask(
                 ds, MaskSpec("random-missing", 0.3, seed=900 + mask_seed)
             )
-            inds = build_indicators(masked)
             graphs = build_fused_graphs(masked, k=k, gamma=1.0)
             cfg = SolverConfig(
                 lam=lam, beta=beta, r=r, n_components=10, seed=mask_seed, max_iter=60
             )
-            state = fit(masked, graphs, inds, cfg)
+            state = fit(masked, graphs, cfg)
             scores = evaluate_clustering(
                 state.consensus, ds.labels, k=10, restarts=10, seed=mask_seed
             )
@@ -372,29 +376,47 @@ def test_criterion_07_handwritten_reproduction():
 # ----------------------------------------------------------------- criterion 8
 
 
-def test_criterion_08_complexity_scaling():
-    def per_iter_seconds(m_total):
-        masked, graphs, inds = random_problem(
-            3, l=2, n=100, c=3, dims=(m_total // 2, m_total // 2), rate=0.3, k=5
-        )
-        cfg = SolverConfig(
-            lam=1.0, beta=0.01, r=3.0, n_components=3, seed=0, max_iter=20, tol=0.0
-        )
-        best = np.inf
-        for _ in range(3):
+def _per_iter_ratio(small, big):
+    """Time per iteration of the big (n, dims) problem over that of the small
+    one. Each gets one untimed warm-up fit, then the best of 5 timed fits;
+    the two take turns, so both sample the same stretches of a host whose
+    speed drifts."""
+    problems = [
+        random_problem(3, l=2, n=n, c=3, dims=dims, rate=0.3, k=5) for n, dims in (small, big)
+    ]
+    cfg = SolverConfig(
+        lam=1.0, beta=0.01, r=3.0, n_components=3, seed=0, max_iter=20, tol=0.0
+    )
+    for masked, graphs in problems:
+        fit(masked, graphs, cfg)
+    best = [np.inf, np.inf]
+    for _ in range(5):
+        for i, (masked, graphs) in enumerate(problems):
             t0 = time.perf_counter()
-            state = fit(masked, graphs, inds, cfg)
-            best = min(best, (time.perf_counter() - t0) / state.n_iterations)
-        return best
+            state = fit(masked, graphs, cfg)
+            best[i] = min(best[i], (time.perf_counter() - t0) / state.n_iterations)
+    return best[1] / best[0]
 
-    small = per_iter_seconds(3000)
-    big = per_iter_seconds(6000)
-    ratio = big / small
+
+def test_criterion_08_complexity_scaling():
+    ratio = _per_iter_ratio((100, (1500, 1500)), (100, (3000, 3000)))
     report(
         8,
         "per-iteration time scales linearly in total feature dim",
         1.3 <= ratio <= 3.0,
         f"doubling features: x{ratio:.2f} per iteration",
+    )
+
+
+def test_criterion_08_scaling_in_samples():
+    # the kNN graphs keep about k nonzeros per row, so an iteration costs
+    # O(n) at fixed k and feature dimension, not O(n^2)
+    ratio = _per_iter_ratio((2000, (100, 100)), (4000, (100, 100)))
+    report(
+        8,
+        "per-iteration time scales linearly in the sample count",
+        1.3 <= ratio <= 3.0,
+        f"doubling samples: x{ratio:.2f} per iteration",
     )
 
 

@@ -67,7 +67,7 @@ def test_cli_trace(workspace, tmp_path, capsys):
     traces = list((tmp_path / "tr").glob("trace_*.csv"))
     assert len(traces) == 1
     lines = traces[0].read_text().strip().splitlines()
-    assert lines[0] == "iteration,objective"
+    assert lines[0] == "iteration,objective,e_0,e_1,alpha_0,alpha_1"
     assert len(lines) > 2
 
 
@@ -104,3 +104,20 @@ def test_cli_run_determinism_bytes(workspace, tmp_path):
     assert (tmp_path / "r1" / "trials.csv").read_bytes() == (
         tmp_path / "r2" / "trials.csv"
     ).read_bytes()
+
+
+def test_cli_validate_data_config_checks_k_against_masks(workspace, tmp_path, capsys):
+    root, cfg_path, _ = workspace
+    assert main(["validate-data", "--config", str(cfg_path)]) == 0
+    assert "OK: 2 views, 24 samples" in capsys.readouterr().out
+    # a 30% mask leaves every view of the 24 samples with fewer than 24
+    config = json.loads(cfg_path.read_text())
+    config["solver"]["k"] = [5, 24]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(config))
+    assert main(["validate-data", "--config", str(bad)]) == 1
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert [line.split(":")[1] for line in lines] == [
+        f" rate 0.3, repeat {rep}, view {v}" for rep in (0, 1) for v in (0, 1)
+    ]
+    assert all(line.startswith("INVALID: ") and "k=24" in line for line in lines)

@@ -5,15 +5,15 @@ import pytest
 
 from imvc import (
     ExperimentConfig,
-    emit_convergence_trace,
     initialize,
     run_ablation,
     run_experiment,
     save_dataset,
     write_results,
+    write_traces,
 )
 from imvc.harness import derive_seed
-from imvc.solver import SolverConfig
+from imvc.solver import SolverConfig, write_trace
 
 from synthetic import multiview_blobs
 
@@ -203,10 +203,9 @@ def test_trace_file_shape_and_roundtrip(data_dir, tmp_path):
     cfg = make_config(paths, tmp_path / "out", mask={"rates": [0.3], "repeats": 1})
     records = run_experiment(cfg, keep_states=True)
     state = records[0].trials[0].state
-    path = tmp_path / "trace.csv"
-    emit_convergence_trace(state, path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "iteration,objective"
+    (path,) = write_traces(records, tmp_path / "traces")
+    lines = open(path).read().strip().splitlines()
+    assert lines[0] == "iteration,objective,e_0,e_1,alpha_0,alpha_1"
     assert len(lines) - 1 == state.n_iterations + 1
     values = [float(line.split(",")[1]) for line in lines[1:]]
     assert values == [float(v) for v in state.objective_trace]  # bit-exact roundtrip
@@ -218,8 +217,8 @@ def test_trace_header_only_for_fresh_state(data_dir, tmp_path):
     cfg = SolverConfig(lam=1.0, beta=0.01, r=2.0, n_components=2, seed=0)
     state = initialize(full, cfg)
     path = tmp_path / "empty.csv"
-    emit_convergence_trace(state, path)
-    assert path.read_text() == "iteration,objective\n"
+    write_trace(state, path)
+    assert path.read_text() == "iteration,objective,e_0,alpha_0\n"
 
 
 # --------------------------------------------------------------------- config

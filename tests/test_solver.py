@@ -21,11 +21,11 @@ from imvc.graph import identity_fused_graph
 from synthetic import masked_problem, multiview_blobs, random_problem, random_state
 
 
-def naive_objective(ds, graphs, inds, state, lam, beta, r):
+def naive_objective(ds, graphs, state, lam, beta, r):
     """Triple-loop evaluation of the weighted cost, straight from the formula."""
     total = 0.0
-    for view, graph, ind, u, p, a in zip(
-        ds.views, graphs, inds, state.bases, state.codes, state.weights
+    for view, graph, ids, u, p, a in zip(
+        ds.views, graphs, ds.availability, state.bases, state.codes, state.weights
     ):
         x = view.data
         recon = x - u @ p
@@ -37,11 +37,11 @@ def naive_objective(ds, graphs, inds, state, lam, beta, r):
         for i in range(p.shape[0]):
             for j in range(p.shape[1]):
                 l1 += abs(p[i, j])
-        ids = ind.sample_ids
+        wmat = graph.w.toarray()
         gr = 0.0
         for i in range(p.shape[1]):
             for j in range(p.shape[1]):
-                w = graph.w[i, j]
+                w = wmat[i, j]
                 if w != 0.0:
                     d = 0.0
                     for kk in range(p.shape[0]):
@@ -51,13 +51,13 @@ def naive_objective(ds, graphs, inds, state, lam, beta, r):
     return total
 
 
-def consensus_term(qmat, codes, graphs, inds, weights, r):
+def consensus_term(qmat, codes, graphs, availability, weights, r):
     """The part of the cost that depends on the consensus matrix."""
     total = 0.0
-    for p, graph, ind, a in zip(codes, graphs, inds, weights):
-        gathered = qmat[:, ind.sample_ids]
+    for p, graph, ids, a in zip(codes, graphs, availability, weights):
+        gathered = qmat[:, ids]
         sq = ((p[:, :, None] - gathered[:, None, :]) ** 2).sum(axis=0)
-        total += a**r * float((graph.w * sq).sum())
+        total += a**r * float((graph.w.toarray() * sq).sum())
     return total
 
 
@@ -72,7 +72,7 @@ def grid_prox(target, threshold, step=1e-4):
 
 
 def test_objective_zero_state_is_zero():
-    ds, graphs, inds = random_problem(0, l=2, n=6, c=2)
+    ds, graphs = random_problem(0, l=2, n=6, c=2)
     state = random_state(ds, 2, seed=1, zero=True)
     cfg = SolverConfig(lam=2.0, beta=0.5, r=3.0, n_components=2)
     # bases are arbitrary orthonormal; codes, consensus, data terms all vanish
@@ -84,11 +84,11 @@ def test_objective_zero_state_is_zero():
         n=ds.n,
         availability=ds.availability,
     )
-    assert objective(zero_ds, graphs, inds, state, cfg) == 0.0
+    assert objective(zero_ds, graphs, state, cfg) == 0.0
 
 
 def test_objective_single_view_reduces_to_two_terms():
-    ds, _, inds = random_problem(2, l=1, n=7, c=2, rate=0.0, k=3)
+    ds, _ = random_problem(2, l=1, n=7, c=2, rate=0.0, k=3)
     graphs = (identity_fused_graph(ds.views[0].n_available),)
     state = random_state(ds, 2, seed=3)
     state = SolverState(
@@ -99,27 +99,27 @@ def test_objective_single_view_reduces_to_two_terms():
     )
     cfg = SolverConfig(lam=1.7, beta=0.0, r=2.0, n_components=2)
     x, u, p = ds.views[0].data, state.bases[0], state.codes[0]
-    gathered = state.consensus[:, inds[0].sample_ids]
+    gathered = state.consensus[:, ds.availability[0]]
     expect = np.sum((x - u @ p) ** 2) + 1.7 * np.sum((p - gathered) ** 2)
-    assert objective(ds, graphs, inds, state, cfg) == pytest.approx(expect, rel=1e-14)
+    assert objective(ds, graphs, state, cfg) == pytest.approx(expect, rel=1e-14)
     # with a single view and unit weight the objective is the view cost itself
-    assert view_costs(ds, graphs, inds, state, cfg)[0] == objective(
-        ds, graphs, inds, state, cfg
+    assert view_costs(ds, graphs, state, cfg)[0] == objective(
+        ds, graphs, state, cfg
     )
 
 
 def test_objective_matches_triple_loop_oracle():
     for seed in range(5):
-        ds, graphs, inds = random_problem(seed, l=2, n=6, c=2, k=2)
+        ds, graphs = random_problem(seed, l=2, n=6, c=2, k=2)
         state = random_state(ds, 2, seed=seed + 10)
         cfg = SolverConfig(lam=0.9, beta=0.3, r=2.5, n_components=2)
-        got = objective(ds, graphs, inds, state, cfg)
-        want = naive_objective(ds, graphs, inds, state, lam=0.9, beta=0.3, r=2.5)
+        got = objective(ds, graphs, state, cfg)
+        want = naive_objective(ds, graphs, state, lam=0.9, beta=0.3, r=2.5)
         assert got == pytest.approx(want, rel=1e-12)
 
 
 def test_view_costs_zero_state():
-    ds, graphs, inds = random_problem(4, l=3, n=8, c=2, k=2)
+    ds, graphs = random_problem(4, l=3, n=8, c=2, k=2)
     zero_ds = type(ds)(
         views=tuple(
             type(v)(view_id=v.view_id, data=np.zeros_like(v.data)) for v in ds.views
@@ -129,17 +129,17 @@ def test_view_costs_zero_state():
     )
     state = random_state(zero_ds, 2, seed=0, zero=True)
     cfg = SolverConfig(lam=1.0, beta=1.0, r=2.0, n_components=2)
-    assert np.array_equal(view_costs(zero_ds, graphs, inds, state, cfg), np.zeros(3))
+    assert np.array_equal(view_costs(zero_ds, graphs, state, cfg), np.zeros(3))
 
 
 def test_objective_is_weighted_sum_of_view_costs():
     for seed in range(5):
-        ds, graphs, inds = random_problem(seed + 20, l=3, n=7, c=2, k=2)
+        ds, graphs = random_problem(seed + 20, l=3, n=7, c=2, k=2)
         state = random_state(ds, 2, seed=seed)
         cfg = SolverConfig(lam=1.3, beta=0.2, r=4.0, n_components=2)
-        costs = view_costs(ds, graphs, inds, state, cfg)
+        costs = view_costs(ds, graphs, state, cfg)
         expect = sum(a**4.0 * e for a, e in zip(state.weights, costs))
-        assert objective(ds, graphs, inds, state, cfg) == pytest.approx(expect, rel=1e-10)
+        assert objective(ds, graphs, state, cfg) == pytest.approx(expect, rel=1e-10)
 
 
 # -------------------------------------------------------------- basis update
@@ -189,22 +189,24 @@ def test_basis_rejects_non_finite():
 # -------------------------------------------------------------- codes update
 
 
-def build_hb(x, u, q, ind, graph, lam):
-    gathered = q[:, ind.sample_ids]
+def build_hb(x, u, q, ids, graph, lam):
+    gathered = q[:, ids]
     h = 1.0 + lam * graph.degree
+    w = graph.w.toarray()
     b_rows = []
     for i in range(x.shape[1]):
-        b_rows.append(x[:, i] @ u + lam * (graph.w[i] @ gathered.T))
+        b_rows.append(x[:, i] @ u + lam * (w[i] @ gathered.T))
     return h, np.array(b_rows)
 
 
 def test_codes_beta_zero_is_plain_ridge():
-    ds, graphs, inds = random_problem(6, l=1, n=8, c=3, dims=(5,), rate=0.0, k=3)
+    ds, graphs = random_problem(6, l=1, n=8, c=3, dims=(5,), rate=0.0, k=3)
     rng = np.random.default_rng(2)
     u, _ = np.linalg.qr(rng.normal(size=(5, 3)))
     q = rng.normal(size=(3, ds.n))
-    p = update_codes(ds.views[0].data, u, q, inds[0], graphs[0], lam=1.4, beta=0.0)
-    h, b = build_hb(ds.views[0].data, u, q, inds[0], graphs[0], lam=1.4)
+    ids = ds.availability[0]
+    p = update_codes(ds.views[0].data, u, q, ids, graphs[0], lam=1.4, beta=0.0)
+    h, b = build_hb(ds.views[0].data, u, q, ids, graphs[0], lam=1.4)
     assert np.allclose(p, b.T / h, rtol=1e-12, atol=1e-14)
 
 
@@ -216,11 +218,9 @@ def test_codes_scalar_cases_match_grid_prox():
         beta = float(rng.uniform(0.0, 3.0))
         lam = h - 1.0
         graph = identity_fused_graph(1)
-        from imvc import build_indicator
-
-        ind = build_indicator([0], n=1)
         p = update_codes(
-            np.array([[b]]), np.array([[1.0]]), np.array([[0.0]]), ind, graph, lam, beta
+            np.array([[b]]), np.array([[1.0]]), np.array([[0.0]]), np.array([0]), graph,
+            lam, beta,
         )
         want = grid_prox(b / h, beta / (2 * h))
         assert abs(float(p[0, 0]) - want) <= 1e-4
@@ -229,25 +229,22 @@ def test_codes_scalar_cases_match_grid_prox():
 def test_codes_threshold_dead_zone_outputs_zero():
     # |b/h| below beta/(2h) lands at exactly zero
     graph = identity_fused_graph(1)
-    from imvc import build_indicator
-
-    ind = build_indicator([0], n=1)
     p = update_codes(
-        np.array([[0.3]]), np.array([[1.0]]), np.array([[0.0]]), ind, graph,
+        np.array([[0.3]]), np.array([[1.0]]), np.array([[0.0]]), np.array([0]), graph,
         lam=0.0001, beta=1.0,
     )
     assert p[0, 0] == 0.0
 
 
 def test_codes_local_optimality_probe():
-    ds, graphs, inds = random_problem(7, l=1, n=4, c=3, dims=(6,), rate=0.0, k=2)
+    ds, graphs = random_problem(7, l=1, n=4, c=3, dims=(6,), rate=0.0, k=2)
     rng = np.random.default_rng(4)
     u, _ = np.linalg.qr(rng.normal(size=(6, 3)))
     q = rng.normal(size=(3, ds.n))
     lam, beta = 0.8, 0.6
     x = ds.views[0].data
-    p_star = update_codes(x, u, q, inds[0], graphs[0], lam, beta)
-    h, b = build_hb(x, u, q, inds[0], graphs[0], lam)
+    p_star = update_codes(x, u, q, ds.availability[0], graphs[0], lam, beta)
+    h, b = build_hb(x, u, q, ds.availability[0], graphs[0], lam)
 
     def cost(p):
         return float(np.trace(p @ np.diag(h) @ p.T) + beta * np.abs(p).sum() - 2 * np.trace(p @ b))
@@ -263,29 +260,29 @@ def test_codes_local_optimality_probe():
 
 
 def test_consensus_single_complete_view_returns_codes():
-    ds, _, inds = random_problem(8, l=1, n=6, c=2, rate=0.0, k=2)
+    ds, _ = random_problem(8, l=1, n=6, c=2, rate=0.0, k=2)
     graphs = (identity_fused_graph(6),)
     p = np.random.default_rng(5).normal(size=(2, 6))
-    q = update_consensus([p], graphs, inds, np.array([1.0]), r=2.0)
+    q = update_consensus([p], graphs, ds.availability, ds.n, np.array([1.0]), r=2.0)
     assert np.array_equal(q, p)
 
 
 def test_consensus_two_views_equal_weights_average():
-    ds, _, inds = random_problem(9, l=2, n=5, c=2, rate=0.0, k=2)
+    ds, _ = random_problem(9, l=2, n=5, c=2, rate=0.0, k=2)
     graphs = (identity_fused_graph(5), identity_fused_graph(5))
     rng = np.random.default_rng(6)
     p1, p2 = rng.normal(size=(2, 5)), rng.normal(size=(2, 5))
-    q = update_consensus([p1, p2], graphs, inds, np.array([0.5, 0.5]), r=1.0)
+    q = update_consensus([p1, p2], graphs, ds.availability, ds.n, np.array([0.5, 0.5]), r=1.0)
     assert np.allclose(q, (p1 + p2) / 2, rtol=1e-15, atol=0)
 
 
 def test_consensus_zeroes_gradient():
     for seed in range(5):
-        ds, graphs, inds = random_problem(seed + 30, l=2, n=5, c=2, k=2)
+        ds, graphs = random_problem(seed + 30, l=2, n=5, c=2, k=2)
         rng = np.random.default_rng(seed)
         codes = [rng.normal(size=(2, v.n_available)) for v in ds.views]
         weights = np.array([0.3, 0.7])
-        q = update_consensus(codes, graphs, inds, weights, r=2.0)
+        q = update_consensus(codes, graphs, ds.availability, ds.n, weights, r=2.0)
         h = 1e-5
         grad = np.zeros_like(q)
         for i in range(q.shape[0]):
@@ -294,20 +291,20 @@ def test_consensus_zeroes_gradient():
                 q_plus[i, j] += h
                 q_minus[i, j] -= h
                 grad[i, j] = (
-                    consensus_term(q_plus, codes, graphs, inds, weights, 2.0)
-                    - consensus_term(q_minus, codes, graphs, inds, weights, 2.0)
+                    consensus_term(q_plus, codes, graphs, ds.availability, weights, 2.0)
+                    - consensus_term(q_minus, codes, graphs, ds.availability, weights, 2.0)
                 ) / (2 * h)
         assert np.max(np.abs(grad)) <= 1e-6
 
 
 def test_consensus_rejects_uncovered_sample():
-    ds, graphs, inds = random_problem(10, l=2, n=6, c=2, k=2)
+    ds, graphs = random_problem(10, l=2, n=6, c=2, k=2)
     codes = [np.zeros((2, v.n_available)) for v in ds.views]
     # zero weight on one view starves the samples that live only there
     only_in_second = set(ds.availability[1]) - set(ds.availability[0])
     assert only_in_second  # the mask left at least one such sample
     with pytest.raises(ValueError, match="no positive weight"):
-        update_consensus(codes, graphs, inds, np.array([1.0, 0.0]), r=2.0)
+        update_consensus(codes, graphs, ds.availability, ds.n, np.array([1.0, 0.0]), r=2.0)
 
 
 # ------------------------------------------------------------- weight update
@@ -364,7 +361,7 @@ def test_weights_stay_on_simplex():
 
 
 def test_initialize_orthonormal_and_deterministic():
-    ds, _, _ = random_problem(11, l=3, n=10, c=3, dims=(5, 6, 7), k=3)
+    ds, _ = random_problem(11, l=3, n=10, c=3, dims=(5, 6, 7), k=3)
     cfg = SolverConfig(lam=1.0, beta=0.1, r=2.0, n_components=3, seed=42)
     a = initialize(ds, cfg)
     b = initialize(ds, cfg)
@@ -379,14 +376,14 @@ def test_initialize_orthonormal_and_deterministic():
 
 
 def test_initialize_rejects_c_larger_than_view_dim():
-    ds, _, _ = random_problem(12, l=2, n=8, c=2, dims=(3, 4), k=2)
+    ds, _ = random_problem(12, l=2, n=8, c=2, dims=(3, 4), k=2)
     cfg = SolverConfig(lam=1.0, beta=0.1, r=2.0, n_components=4)
     with pytest.raises(ValueError, match="n_components"):
         initialize(ds, cfg)
 
 
 def test_initialize_ones_flag_sets_raw_weights():
-    ds, _, _ = random_problem(13, l=2, n=8, c=2, k=2)
+    ds, _ = random_problem(13, l=2, n=8, c=2, k=2)
     cfg = SolverConfig(lam=1.0, beta=0.1, r=2.0, n_components=2, alpha_init="ones")
     state = initialize(ds, cfg)
     assert np.array_equal(state.weights, np.ones(2))
@@ -397,9 +394,9 @@ def test_initialize_ones_flag_sets_raw_weights():
 
 def test_fit_blobs_monotone_and_converges():
     full = multiview_blobs(n=150, n_clusters=3, dims=(6, 8, 10), noise=0.5, seed=10)
-    masked, graphs, inds = masked_problem(full, rate=0.3, mask_seed=11)
+    masked, graphs = masked_problem(full, rate=0.3, mask_seed=11)
     cfg = SolverConfig(lam=1.0, beta=0.001, r=3.0, n_components=3, seed=0)
-    state = fit(masked, graphs, inds, cfg)
+    state = fit(masked, graphs, cfg)
     trace = state.objective_trace
     assert state.n_iterations < 200
     assert np.all(trace[1:] <= trace[:-1] * (1 + 1e-9))
@@ -407,12 +404,12 @@ def test_fit_blobs_monotone_and_converges():
 
 
 def test_fit_beats_random_states_on_plain_model():
-    ds, graphs, inds = random_problem(14, l=2, n=12, c=2, k=3)
+    ds, graphs = random_problem(14, l=2, n=12, c=2, k=3)
     cfg = SolverConfig(
         lam=0.5, beta=0.0, r=2.0, n_components=2, seed=1,
         weight_on=False, sparsity_on=False, graph_on=False,
     )
-    state = fit(ds, graphs, inds, cfg)
+    state = fit(ds, graphs, cfg)
     final = state.objective_trace[-1]
     for seed in range(50):
         rand = random_state(ds, 2, seed=seed)
@@ -420,31 +417,31 @@ def test_fit_beats_random_states_on_plain_model():
             bases=rand.bases, codes=rand.codes, consensus=rand.consensus,
             weights=np.full(2, 0.5),
         )
-        assert final <= objective(ds, graphs, inds, rand, cfg)
+        assert final <= objective(ds, graphs, rand, cfg)
 
 
 def test_fit_graph_off_equals_explicit_identity_graphs():
-    ds, graphs, inds = random_problem(15, l=2, n=9, c=2, k=3)
+    ds, graphs = random_problem(15, l=2, n=9, c=2, k=3)
     base = dict(lam=1.2, beta=0.05, r=2.0, n_components=2, seed=3, max_iter=40)
-    off = fit(ds, graphs, inds, SolverConfig(graph_on=False, **base))
+    off = fit(ds, graphs, SolverConfig(graph_on=False, **base))
     eye = tuple(identity_fused_graph(g.n, g.view_id) for g in graphs)
-    on = fit(ds, eye, inds, SolverConfig(**base))
+    on = fit(ds, eye, SolverConfig(**base))
     assert np.array_equal(off.objective_trace, on.objective_trace)
     assert np.array_equal(off.consensus, on.consensus)
 
 
 def test_fit_weight_off_keeps_weights_uniform():
-    ds, graphs, inds = random_problem(16, l=3, n=10, c=2, k=3)
+    ds, graphs = random_problem(16, l=3, n=10, c=2, k=3)
     cfg = SolverConfig(
         lam=1.0, beta=0.01, r=2.0, n_components=2, seed=0, max_iter=20, weight_on=False
     )
-    state = fit(ds, graphs, inds, cfg)
+    state = fit(ds, graphs, cfg)
     assert np.allclose(state.weights, np.full(3, 1 / 3), rtol=0, atol=0)
     assert np.all(state.weight_trace == 1 / 3)
 
 
 def test_fit_constraints_hold_every_iteration():
-    ds, graphs, inds = random_problem(17, l=2, n=10, c=3, dims=(6, 7), k=3)
+    ds, graphs = random_problem(17, l=2, n=10, c=3, dims=(6, 7), k=3)
     cfg = SolverConfig(lam=1.0, beta=0.02, r=3.0, n_components=3, seed=5, max_iter=30)
     seen = []
 
@@ -455,26 +452,26 @@ def test_fit_constraints_hold_every_iteration():
         assert weights.min() >= 0.0
         seen.append(it)
 
-    fit(ds, graphs, inds, cfg, callback=check)
+    fit(ds, graphs, cfg, callback=check)
     assert seen and seen == list(range(1, len(seen) + 1))
 
 
 def test_fit_alpha_ones_start_costs_sum():
-    ds, graphs, inds = random_problem(18, l=2, n=8, c=2, k=2)
+    ds, graphs = random_problem(18, l=2, n=8, c=2, k=2)
     cfg = SolverConfig(
         lam=1.0, beta=0.01, r=2.0, n_components=2, seed=2, max_iter=5, alpha_init="ones"
     )
     state0 = initialize(ds, cfg)
-    costs0 = view_costs(ds, graphs, inds, state0, cfg)
-    state = fit(ds, graphs, inds, cfg)
+    costs0 = view_costs(ds, graphs, state0, cfg)
+    state = fit(ds, graphs, cfg)
     assert state.objective_trace[0] == pytest.approx(costs0.sum(), rel=1e-14)
 
 
 def test_fit_warm_start_continues_descending():
-    ds, graphs, inds = random_problem(19, l=2, n=10, c=2, k=3)
+    ds, graphs = random_problem(19, l=2, n=10, c=2, k=3)
     cfg = SolverConfig(lam=1.0, beta=0.01, r=2.0, n_components=2, seed=0, max_iter=10)
-    first = fit(ds, graphs, inds, cfg)
-    second = fit(ds, graphs, inds, cfg, init_state=first)
+    first = fit(ds, graphs, cfg)
+    second = fit(ds, graphs, cfg, init_state=first)
     assert second.objective_trace[0] <= first.objective_trace[-1] * (1 + 1e-12)
     assert second.objective_trace[-1] <= second.objective_trace[0] * (1 + 1e-9)
 
@@ -482,14 +479,14 @@ def test_fit_warm_start_continues_descending():
 def test_doubling_lam_never_shrinks_graph_share():
     # e_v(lam) = rest_v + lam * g_v, so two evaluations isolate both parts
     for seed in range(5):
-        ds, graphs, inds = random_problem(seed + 40, l=2, n=8, c=2, k=2)
+        ds, graphs = random_problem(seed + 40, l=2, n=8, c=2, k=2)
         state = random_state(ds, 2, seed=seed)
         lam1, lam2 = 0.7, 1.4
         e1 = view_costs(
-            ds, graphs, inds, state, SolverConfig(lam=lam1, beta=0.1, r=2.0, n_components=2)
+            ds, graphs, state, SolverConfig(lam=lam1, beta=0.1, r=2.0, n_components=2)
         )
         e2 = view_costs(
-            ds, graphs, inds, state, SolverConfig(lam=lam2, beta=0.1, r=2.0, n_components=2)
+            ds, graphs, state, SolverConfig(lam=lam2, beta=0.1, r=2.0, n_components=2)
         )
         g = (e2 - e1) / (lam2 - lam1)
         rest = e1 - lam1 * g
@@ -503,9 +500,9 @@ def test_doubling_lam_never_shrinks_graph_share():
 
 
 def test_state_roundtrip_bit_exact(tmp_path):
-    ds, graphs, inds = random_problem(21, l=2, n=9, c=2, k=3)
+    ds, graphs = random_problem(21, l=2, n=9, c=2, k=3)
     cfg = SolverConfig(lam=1.0, beta=0.02, r=2.0, n_components=2, seed=4, max_iter=15)
-    state = fit(ds, graphs, inds, cfg)
+    state = fit(ds, graphs, cfg)
     save_state(state, tmp_path / "state")
     back = load_state(tmp_path / "state")
     for a, b in zip(state.bases, back.bases):
@@ -518,18 +515,18 @@ def test_state_roundtrip_bit_exact(tmp_path):
 
 
 def test_warm_start_from_disk(tmp_path):
-    ds, graphs, inds = random_problem(22, l=2, n=9, c=2, k=3)
+    ds, graphs = random_problem(22, l=2, n=9, c=2, k=3)
     cfg = SolverConfig(lam=1.0, beta=0.02, r=2.0, n_components=2, seed=4, max_iter=8)
-    state = fit(ds, graphs, inds, cfg)
+    state = fit(ds, graphs, cfg)
     save_state(state, tmp_path / "warm")
-    resumed = fit(ds, graphs, inds, cfg, init_state=load_state(tmp_path / "warm"))
+    resumed = fit(ds, graphs, cfg, init_state=load_state(tmp_path / "warm"))
     assert resumed.objective_trace[0] <= state.objective_trace[-1] * (1 + 1e-12)
 
 
 def test_write_trace_roundtrip(tmp_path):
-    ds, graphs, inds = random_problem(23, l=2, n=8, c=2, k=2)
+    ds, graphs = random_problem(23, l=2, n=8, c=2, k=2)
     cfg = SolverConfig(lam=1.0, beta=0.01, r=2.0, n_components=2, seed=1, max_iter=10)
-    state = fit(ds, graphs, inds, cfg)
+    state = fit(ds, graphs, cfg)
     path = tmp_path / "trace.csv"
     write_trace(state, path)
     lines = path.read_text().strip().splitlines()
@@ -546,13 +543,13 @@ def test_write_trace_roundtrip(tmp_path):
 
 
 def test_fit_rejects_mismatched_inputs():
-    ds, graphs, inds = random_problem(24, l=2, n=8, c=2, k=2)
+    ds, graphs = random_problem(24, l=2, n=8, c=2, k=2)
     cfg = SolverConfig(lam=1.0, beta=0.01, r=2.0, n_components=2)
     with pytest.raises(ValueError, match="one fused graph"):
-        fit(ds, graphs[:1], inds, cfg)
+        fit(ds, graphs[:1], cfg)
     wrong = tuple(identity_fused_graph(3, g.view_id) for g in graphs)
     with pytest.raises(ValueError, match="does not match"):
-        fit(ds, wrong, inds, cfg)
+        fit(ds, wrong, cfg)
 
 
 def test_config_validation():
