@@ -51,18 +51,12 @@ def _report(records, paths) -> None:
 
 
 def _cmd_run(args) -> int:
+    """`run` (which=None) and `ablate --which`."""
     cfg = _load_config(args)
-    records = run_experiment(cfg, workers=args.workers, keep_states=args.traces)
-    paths = write_results(records, cfg.output_dir, cfg)
-    if args.traces:
-        write_traces(records, cfg.output_dir)
-    _report(records, paths)
-    return 0
-
-
-def _cmd_ablate(args) -> int:
-    cfg = _load_config(args)
-    records = run_ablation(cfg, args.which, workers=args.workers, keep_states=args.traces)
+    if args.which is None:
+        records = run_experiment(cfg, workers=args.workers, keep_states=args.traces)
+    else:
+        records = run_ablation(cfg, args.which, workers=args.workers, keep_states=args.traces)
     paths = write_results(records, cfg.output_dir, cfg)
     if args.traces:
         write_traces(records, cfg.output_dir)
@@ -138,12 +132,12 @@ def main(argv=None) -> int:
 
     p_run = sub.add_parser("run", help="run the configured sweep")
     _add_common(p_run)
-    p_run.set_defaults(func=_cmd_run)
+    p_run.set_defaults(func=_cmd_run, which=None)
 
     p_abl = sub.add_parser("ablate", help="run the sweep with one component off")
     _add_common(p_abl)
     p_abl.add_argument("--which", required=True, choices=ABLATIONS)
-    p_abl.set_defaults(func=_cmd_ablate)
+    p_abl.set_defaults(func=_cmd_run)
 
     p_trace = sub.add_parser("trace", help="one fit, objective trace to CSV")
     _add_common(p_trace)

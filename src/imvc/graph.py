@@ -3,7 +3,8 @@
 A per-view graph is built in two steps: a Gaussian-kernel k-nearest-neighbor
 similarity matrix S (zero diagonal, symmetrized with an elementwise max), and
 a fused matrix W = gamma * S + I whose row sums form the degree vector used by
-the solver. gamma = 0 turns the graph off: W collapses to the identity.
+the solver. gamma = 0 turns the graph off: W collapses to the identity, and
+build_fused_graphs then skips the neighbor search.
 
 Both matrices are stored as read-only scipy.sparse CSR arrays, with at most
 2k (S) or 2k + 1 (W) nonzeros per row, so no n_v x n_v array is ever held.
@@ -21,7 +22,7 @@ from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.spatial.distance import cdist, pdist
+from scipy.spatial.distance import cdist
 
 from .dataset import ViewMatrix, _readonly
 
@@ -98,35 +99,12 @@ class FusedGraph:
         return self.gamma == 0.0
 
 
-def _sigma_sample(n: int, max_instances: int) -> np.ndarray:
+def _sigma_sample(n: int) -> np.ndarray:
     """Ids of the instances whose pairwise distances set the automatic sigma:
-    all of them, or max_instances evenly spaced ones."""
-    if n > max_instances:
-        return np.linspace(0, n - 1, max_instances).astype(np.int64)
+    all of them, or _SIGMA_INSTANCES evenly spaced ones."""
+    if n > _SIGMA_INSTANCES:
+        return np.linspace(0, n - 1, _SIGMA_INSTANCES).astype(np.int64)
     return np.arange(n)
-
-
-def _median_sigma(dists: np.ndarray, view_id: int) -> float:
-    """Median of the pairwise distances (reordering dists in place)."""
-    sigma = float(np.median(dists, overwrite_input=True))
-    if sigma == 0.0:
-        raise ValueError(
-            f"view {view_id}: degenerate sigma (median pairwise distance is "
-            "zero; are the instances all identical?)"
-        )
-    return sigma
-
-
-def auto_sigma(view: ViewMatrix, max_instances: int = _SIGMA_INSTANCES) -> float:
-    """Median pairwise Euclidean distance between instances (kernel scale).
-
-    Views larger than max_instances are evenly subsampled before taking the
-    median, keeping the estimate deterministic.
-    """
-    pts = view.data.T[_sigma_sample(view.n_available, max_instances)]
-    if pts.shape[0] < 2:
-        raise ValueError("auto sigma needs at least two instances")
-    return _median_sigma(pdist(pts), view.view_id)
 
 
 def gaussian_knn_graph(
@@ -136,8 +114,9 @@ def gaussian_knn_graph(
 
     s[i, j] = exp(-||x_i - x_j||^2 / (2 sigma^2)) whenever j is among the k
     nearest neighbors of i or vice versa, 0 elsewhere; the diagonal is 0.
-    sigma=None picks the median pairwise distance (as auto_sigma does), read
-    off the distances the neighbor search computes anyway.
+    sigma=None picks the median pairwise Euclidean distance, read off the
+    distances the neighbor search computes anyway; views above 2000 instances
+    take it over 2000 evenly spaced ones, which keeps it deterministic.
     """
     n = view.n_available
     if not 1 <= k < n:
@@ -146,7 +125,7 @@ def gaussian_knn_graph(
         raise ValueError("sigma must be positive")
 
     pts = np.ascontiguousarray(view.data.T)  # cdist would copy it per block
-    sample = _sigma_sample(n, _SIGMA_INSTANCES)
+    sample = _sigma_sample(n)
     neighbors = np.empty((n, k), dtype=np.int64)
     sq_knn = np.empty((n, k))
     pairs = []
@@ -165,7 +144,12 @@ def gaussian_knn_graph(
         sq_knn[lo:hi] = np.take_along_axis(sq, nb, axis=1)
     if sigma is None:
         dists = np.concatenate(pairs)
-        sigma = _median_sigma(np.sqrt(dists, out=dists), view.view_id)
+        sigma = float(np.median(np.sqrt(dists, out=dists), overwrite_input=True))
+        if sigma == 0.0:
+            raise ValueError(
+                f"view {view.view_id}: degenerate sigma (median pairwise distance "
+                "is zero; are the instances all identical?)"
+            )
 
     kernel = np.exp(-sq_knn / (2.0 * sigma * sigma))
     indptr = np.arange(0, n * k + 1, k)  # row i holds its k neighbors
@@ -191,5 +175,11 @@ def identity_fused_graph(n: int, view_id: int = 0) -> FusedGraph:
 
 
 def build_fused_graphs(ds, k: int = 5, gamma: float = 1.0, sigma: Optional[float] = None):
-    """Per-view fused graphs for a dataset (sigma=None: auto per view)."""
+    """Per-view fused graphs for a dataset (sigma=None: auto per view).
+
+    gamma = 0 gives identity graphs (0 * S + I = I) without a neighbor search,
+    so k and sigma are not used.
+    """
+    if gamma == 0.0:
+        return tuple(identity_fused_graph(v.n_available, v.view_id) for v in ds.views)
     return tuple(fuse_graph(gaussian_knn_graph(v, k=k, sigma=sigma), gamma) for v in ds.views)

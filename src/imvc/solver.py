@@ -36,7 +36,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .dataset import MultiViewDataset
-from .graph import FusedGraph, identity_fused_graph
+from .graph import FusedGraph
 
 
 @dataclass(frozen=True)
@@ -45,9 +45,10 @@ class SolverConfig:
 
     lam weights the graph-coupling term, beta the l1 sparsity penalty, r > 1
     smooths the view weights, and n_components is the latent dimension (the
-    number of clusters). Ablation switches: weight_on keeps the adaptive view
-    weights (off: uniform, never updated), sparsity_on keeps the l1 term, and
-    graph_on keeps the fused graphs (off: identity graphs everywhere).
+    number of clusters). weight_on is the one switch: off keeps the view
+    weights uniform and never updates them. The other terms are turned off
+    through the model's own weights: beta = 0 drops the l1 term, and fused
+    graphs built with gamma = 0 are identities.
     """
 
     lam: float
@@ -58,9 +59,6 @@ class SolverConfig:
     tol: float = 1e-6
     seed: int = 0
     weight_on: bool = True
-    sparsity_on: bool = True
-    graph_on: bool = True
-    alpha_init: str = "uniform"  # or "ones": raw all-ones start
 
     def __post_init__(self):
         if self.lam <= 0:
@@ -75,8 +73,6 @@ class SolverConfig:
             raise ValueError("max_iter must be at least 1")
         if self.tol < 0:
             raise ValueError("tol must be non-negative")
-        if self.alpha_init not in ("uniform", "ones"):
-            raise ValueError("alpha_init must be 'uniform' or 'ones'")
 
 
 @dataclass(frozen=True)
@@ -101,16 +97,6 @@ class SolverState:
     @property
     def n_iterations(self) -> int:
         return max(len(self.objective_trace) - 1, 0)
-
-
-def _effective_graphs(graphs: Sequence[FusedGraph], cfg: SolverConfig):
-    if cfg.graph_on:
-        return tuple(graphs)
-    return tuple(identity_fused_graph(g.n, view_id=g.view_id) for g in graphs)
-
-
-def _effective_beta(cfg: SolverConfig) -> float:
-    return cfg.beta if cfg.sparsity_on else 0.0
 
 
 def _times_w(graph: FusedGraph, m: np.ndarray) -> np.ndarray:
@@ -210,15 +196,15 @@ def _reconstruction_cost(x: np.ndarray, u: np.ndarray, p: np.ndarray) -> float:
     return float(xx - 2.0 * np.vdot(u.T @ x, p) + np.vdot((u.T @ u) @ p, p))
 
 
-def _graph_cost(p: np.ndarray, gathered: np.ndarray, graph: Optional[FusedGraph]) -> float:
-    """sum_ij W[i, j] * ||p[:, i] - gathered[:, j]||^2 (graph=None: W = I).
+def _graph_cost(p: np.ndarray, gathered: np.ndarray, graph: FusedGraph) -> float:
+    """sum_ij W[i, j] * ||p[:, i] - gathered[:, j]||^2.
 
     For symmetric W with degrees d this is
     d . ||p||^2_col + d . ||gathered||^2_col - 2 <W p^T, gathered^T>. The
     identity-graph case reduces algebraically to the plain squared Frobenius
     difference, which is also the cheap way to evaluate it.
     """
-    if graph is None or graph.is_identity:
+    if graph.is_identity:
         return float(np.sum((p - gathered) ** 2))
     d = graph.degree
     return float(
@@ -235,17 +221,25 @@ def view_costs(
     cfg: SolverConfig,
 ) -> np.ndarray:
     """Per-view cost e_v = reconstruction + beta * l1 + lam * graph term."""
-    beta = _effective_beta(cfg)
     costs = np.empty(ds.n_views)
     for v, (view, graph, ids) in enumerate(zip(ds.views, graphs, ds.availability)):
         u, p = state.bases[v], state.codes[v]
         gathered = state.consensus[:, ids]
         costs[v] = (
             _reconstruction_cost(view.data, u, p)
-            + beta * np.abs(p).sum()
-            + cfg.lam * _graph_cost(p, gathered, graph if cfg.graph_on else None)
+            + cfg.beta * np.abs(p).sum()
+            + cfg.lam * _graph_cost(p, gathered, graph)
         )
     return costs
+
+
+def _weighted_total(weights: np.ndarray, costs: np.ndarray, r: float) -> float:
+    """sum_v a_v^r e_v, added left to right from 0 (the objective trace
+    compares these sums bitwise)."""
+    total = 0.0
+    for a, e in zip(weights, costs):
+        total += a**r * e
+    return float(total)
 
 
 def objective(
@@ -255,11 +249,7 @@ def objective(
     cfg: SolverConfig,
 ) -> float:
     """Weighted total cost sum_v a_v^r e_v."""
-    costs = view_costs(ds, graphs, state, cfg)
-    total = 0.0
-    for a, e in zip(state.weights, costs):
-        total += a**cfg.r * e
-    return total
+    return _weighted_total(state.weights, view_costs(ds, graphs, state, cfg), cfg.r)
 
 
 def initialize(ds: MultiViewDataset, cfg: SolverConfig) -> SolverState:
@@ -277,13 +267,11 @@ def initialize(ds: MultiViewDataset, cfg: SolverConfig) -> SolverState:
         q, _ = np.linalg.qr(rng.standard_normal((view.n_features, cfg.n_components)))
         bases.append(q)
         codes.append(q.T @ view.data)
-    l = ds.n_views
-    weights = np.ones(l) if cfg.alpha_init == "ones" else np.full(l, 1.0 / l)
     return SolverState(
         bases=tuple(bases),
         codes=tuple(codes),
         consensus=np.zeros((cfg.n_components, ds.n)),
-        weights=weights,
+        weights=np.full(ds.n_views, 1.0 / ds.n_views),
     )
 
 
@@ -307,8 +295,6 @@ def fit(
         if graph.n != view.n_available:
             raise ValueError(f"view {view.view_id}: graph shape does not match the data")
     state = initialize(ds, cfg) if init_state is None else init_state
-    graphs_eff = _effective_graphs(graphs, cfg)
-    beta = _effective_beta(cfg)
     xs = [view.data for view in ds.views]
 
     bases = list(state.bases)
@@ -325,24 +311,24 @@ def fit(
         )
 
     costs = view_costs(ds, graphs, current(), cfg)
-    trace = [float(sum(a**cfg.r * e for a, e in zip(weights, costs)))]
+    trace = [_weighted_total(weights, costs, cfg.r)]
     cost_rows = [costs]
     weight_rows = [weights]
 
     for it in range(1, cfg.max_iter + 1):
         consensus = update_consensus(
-            codes, graphs_eff, ds.availability, ds.n, weights, cfg.r
+            codes, graphs, ds.availability, ds.n, weights, cfg.r
         )
         for v in range(ds.n_views):
             bases[v] = update_basis(xs[v], codes[v])
         for v in range(ds.n_views):
             codes[v] = update_codes(
-                xs[v], bases[v], consensus, ds.availability[v], graphs_eff[v], cfg.lam, beta
+                xs[v], bases[v], consensus, ds.availability[v], graphs[v], cfg.lam, cfg.beta
             )
         costs = view_costs(ds, graphs, current(), cfg)
         if cfg.weight_on:
             weights = update_weights(costs, cfg.r)
-        value = float(sum(a**cfg.r * e for a, e in zip(weights, costs)))
+        value = _weighted_total(weights, costs, cfg.r)
         if not np.isfinite(value):
             raise ArithmeticError(f"objective diverged to {value} at iteration {it}")
         trace.append(value)
@@ -383,7 +369,8 @@ def write_trace(state: SolverState, path: str | Path) -> None:
 
 
 def save_state(state: SolverState, directory: str | Path) -> None:
-    """Serialize a state as one CSV per matrix plus a small manifest."""
+    """Serialize a state as one CSV per matrix, write_trace's trace.csv and a
+    small manifest."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     manifest = {
@@ -401,10 +388,7 @@ def save_state(state: SolverState, directory: str | Path) -> None:
         np.savetxt(directory / f"codes_{v}.csv", p, delimiter=",", fmt=fmt)
     np.savetxt(directory / "consensus.csv", state.consensus, delimiter=",", fmt=fmt)
     np.savetxt(directory / "weights.csv", state.weights, delimiter=",", fmt=fmt)
-    trace = np.column_stack(
-        [state.objective_trace, state.cost_trace, state.weight_trace]
-    ) if state.objective_trace.size else np.empty((0, 0))
-    np.savetxt(directory / "trace.csv", trace, delimiter=",", fmt=fmt)
+    write_trace(state, directory / "trace.csv")
 
 
 def load_state(directory: str | Path) -> SolverState:
@@ -421,21 +405,18 @@ def load_state(directory: str | Path) -> SolverState:
     )
     consensus = np.loadtxt(directory / "consensus.csv", delimiter=",", ndmin=2)
     weights = np.loadtxt(directory / "weights.csv", delimiter=",", ndmin=1)
-    trace = np.loadtxt(directory / "trace.csv", delimiter=",", ndmin=2)
-    if trace.size:
-        objective_trace = trace[:, 0]
-        cost_trace = trace[:, 1 : 1 + l]
-        weight_trace = trace[:, 1 + l :]
-    else:
-        objective_trace = np.empty(0)
-        cost_trace = np.empty((0, 0))
-        weight_trace = np.empty((0, 0))
+    # write_trace's format: a header, then iteration, objective, e_v..., alpha_v...
+    header, *rows = (directory / "trace.csv").read_text().splitlines()
+    if not header.startswith("iteration,objective"):
+        raise ValueError(f"{directory / 'trace.csv'}: no write_trace header row")
+    traces = {}
+    if rows:  # a fresh state's file holds the header only
+        trace = np.loadtxt(rows, delimiter=",", ndmin=2)
+        traces = dict(
+            objective_trace=trace[:, 1],
+            cost_trace=trace[:, 2 : 2 + l],
+            weight_trace=trace[:, 2 + l :],
+        )
     return SolverState(
-        bases=bases,
-        codes=codes,
-        consensus=consensus,
-        weights=weights,
-        objective_trace=objective_trace,
-        cost_trace=cost_trace,
-        weight_trace=weight_trace,
+        bases=bases, codes=codes, consensus=consensus, weights=weights, **traces
     )

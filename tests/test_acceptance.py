@@ -283,15 +283,15 @@ def test_criterion_05_synthetic_recovery():
 def test_criterion_06_graph_ablation_direction():
     full = multiview_moons(n=300, dims=(4, 5, 6), noise=0.06, seed=7)
 
-    def mean_acc(graph_on):
+    def mean_acc(gamma):
         accs = []
         for mask_seed in range(5):
             masked, graphs = masked_problem(
-                full, rate=0.3, mask_seed=200 + mask_seed, k=5, gamma=1.0
+                full, rate=0.3, mask_seed=200 + mask_seed, k=5, gamma=gamma
             )
             cfg = SolverConfig(
                 lam=10.0, beta=0.001, r=3.0, n_components=2, seed=mask_seed,
-                max_iter=150, graph_on=graph_on,
+                max_iter=150,
             )
             state = fit(masked, graphs, cfg)
             scores = evaluate_clustering(
@@ -300,8 +300,8 @@ def test_criterion_06_graph_ablation_direction():
             accs.append(scores.acc)
         return float(np.mean(accs))
 
-    with_graph = mean_acc(True)
-    without_graph = mean_acc(False)
+    with_graph = mean_acc(1.0)
+    without_graph = mean_acc(0.0)
     gap = with_graph - without_graph
     report(
         6,

@@ -121,3 +121,6 @@ def test_cli_validate_data_config_checks_k_against_masks(workspace, tmp_path, ca
         f" rate 0.3, repeat {rep}, view {v}" for rep in (0, 1) for v in (0, 1)
     ]
     assert all(line.startswith("INVALID: ") and "k=24" in line for line in lines)
+    config["solver"]["gamma"] = 0.0  # identity graphs: no neighbor search
+    bad.write_text(json.dumps(config))
+    assert main(["validate-data", "--config", str(bad)]) == 0

@@ -3,11 +3,12 @@ import pytest
 
 from imvc import (
     ViewMatrix,
-    auto_sigma,
     fuse_graph,
     gaussian_knn_graph,
     identity_fused_graph,
 )
+
+from synthetic import random_problem
 
 
 def view_from_points(points):
@@ -111,15 +112,19 @@ def test_symmetry_is_exact():
 # ---------------------------------------------------------------- auto sigma
 
 
+def auto_sigma(points):
+    return gaussian_knn_graph(view_from_points(points), k=1).sigma
+
+
 def test_auto_sigma_two_points():
     pts = [[0.0, 0.0], [3.0, 4.0]]
-    assert auto_sigma(view_from_points(pts)) == pytest.approx(5.0)
+    assert auto_sigma(pts) == pytest.approx(5.0)
 
 
 def test_auto_sigma_three_distances():
     # collinear at 0, 1, 3: pairwise distances {1, 2, 3}, median 2
     pts = [[0.0], [1.0], [3.0]]
-    assert auto_sigma(view_from_points(pts)) == pytest.approx(2.0)
+    assert auto_sigma(pts) == pytest.approx(2.0)
 
 
 def test_auto_sigma_matches_full_median():
@@ -130,15 +135,12 @@ def test_auto_sigma_matches_full_median():
         for i in range(40)
         for j in range(i + 1, 40)
     ]
-    assert auto_sigma(view_from_points(pts)) == pytest.approx(np.median(dists), rel=1e-12)
+    assert auto_sigma(pts) == pytest.approx(np.median(dists), rel=1e-12)
 
 
 def test_auto_sigma_degenerate_points():
-    pts = np.zeros((4, 2))
     with pytest.raises(ValueError, match="degenerate sigma"):
-        auto_sigma(view_from_points(pts))
-    with pytest.raises(ValueError, match="degenerate sigma"):
-        gaussian_knn_graph(view_from_points(pts), k=1)
+        auto_sigma(np.zeros((4, 2)))
 
 
 # -------------------------------------------------------------------- fusion
@@ -190,6 +192,15 @@ def test_identity_fused_graph():
     assert fused.is_identity and fused.view_id == 3
     assert np.array_equal(fused.w.toarray(), np.eye(5))
     assert np.array_equal(fused.degree, np.ones(5))
+
+
+def test_build_fused_graphs_gamma_zero_is_identity_for_any_k():
+    # k = n is too large for a neighbor search, but gamma = 0 needs none
+    ds, graphs = random_problem(11, l=2, n=6, c=2, k=6, gamma=0.0)
+    for view, fused in zip(ds.views, graphs):
+        assert fused.is_identity and fused.view_id == view.view_id
+        assert np.array_equal(fused.w.toarray(), np.eye(view.n_available))
+        assert np.array_equal(fused.degree, np.ones(view.n_available))
 
 
 def test_graphs_are_read_only_csr():

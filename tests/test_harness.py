@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -186,6 +187,21 @@ def test_ablation_rows_carry_variant_label(data_dir, tmp_path):
     write_results(records, cfg.output_dir, cfg)
     rows = read_rows(tmp_path / "out" / "trials.csv")
     assert all(row["variant"] == "no-graph" for row in rows)
+
+
+def test_graph_ablation_is_gamma_zero_and_needs_no_knn(data_dir, tmp_path):
+    root, paths = data_dir
+    # k = 29 leaves too few instances in the masked views for a kNN graph
+    cfg = make_config(paths, tmp_path / "out", solver={"k": [29]})
+    assert all(t.error for rec in run_experiment(cfg) for t in rec.trials)
+    ablated = run_ablation(cfg, "graph")
+    plain = run_experiment(replace(cfg, gamma=0.0))
+    for ar, pr in zip(ablated, plain, strict=True):
+        for at, pt in zip(ar.trials, pr.trials, strict=True):
+            assert not at.error and at.gamma == cfg.gamma
+            assert (at.acc, at.nmi, at.purity, at.iterations) == (
+                pt.acc, pt.nmi, pt.purity, pt.iterations
+            )
 
 
 def test_unknown_ablation_rejected(data_dir, tmp_path):

@@ -114,9 +114,9 @@ def test_view_costs_match_reference():
 
 
 def test_view_costs_graph_off_match_reference():
-    ds, graphs = random_problem(70, l=2, n=15, c=2, k=3)
+    ds, graphs = random_problem(70, l=2, n=15, c=2, k=3, gamma=0.0)
     state = random_state(ds, 2, seed=1)
-    cfg = SolverConfig(lam=1.1, beta=0.3, r=2.0, n_components=2, graph_on=False)
+    cfg = SolverConfig(lam=1.1, beta=0.3, r=2.0, n_components=2)
     eyes = [np.eye(v.n_available) for v in ds.views]
     want = reference.view_costs(ds, eyes, state, lam=1.1, beta=0.3)
     np.testing.assert_allclose(view_costs(ds, graphs, state, cfg), want, rtol=1e-12, atol=0)

@@ -382,13 +382,6 @@ def test_initialize_rejects_c_larger_than_view_dim():
         initialize(ds, cfg)
 
 
-def test_initialize_ones_flag_sets_raw_weights():
-    ds, _ = random_problem(13, l=2, n=8, c=2, k=2)
-    cfg = SolverConfig(lam=1.0, beta=0.1, r=2.0, n_components=2, alpha_init="ones")
-    state = initialize(ds, cfg)
-    assert np.array_equal(state.weights, np.ones(2))
-
-
 # ----------------------------------------------------------------------- fit
 
 
@@ -404,10 +397,10 @@ def test_fit_blobs_monotone_and_converges():
 
 
 def test_fit_beats_random_states_on_plain_model():
-    ds, graphs = random_problem(14, l=2, n=12, c=2, k=3)
+    ds, graphs = random_problem(14, l=2, n=12, c=2, k=3, gamma=0.0)
+    assert all(g.is_identity for g in graphs)
     cfg = SolverConfig(
-        lam=0.5, beta=0.0, r=2.0, n_components=2, seed=1,
-        weight_on=False, sparsity_on=False, graph_on=False,
+        lam=0.5, beta=0.0, r=2.0, n_components=2, seed=1, weight_on=False
     )
     state = fit(ds, graphs, cfg)
     final = state.objective_trace[-1]
@@ -418,16 +411,6 @@ def test_fit_beats_random_states_on_plain_model():
             weights=np.full(2, 0.5),
         )
         assert final <= objective(ds, graphs, rand, cfg)
-
-
-def test_fit_graph_off_equals_explicit_identity_graphs():
-    ds, graphs = random_problem(15, l=2, n=9, c=2, k=3)
-    base = dict(lam=1.2, beta=0.05, r=2.0, n_components=2, seed=3, max_iter=40)
-    off = fit(ds, graphs, SolverConfig(graph_on=False, **base))
-    eye = tuple(identity_fused_graph(g.n, g.view_id) for g in graphs)
-    on = fit(ds, eye, SolverConfig(**base))
-    assert np.array_equal(off.objective_trace, on.objective_trace)
-    assert np.array_equal(off.consensus, on.consensus)
 
 
 def test_fit_weight_off_keeps_weights_uniform():
@@ -456,15 +439,11 @@ def test_fit_constraints_hold_every_iteration():
     assert seen and seen == list(range(1, len(seen) + 1))
 
 
-def test_fit_alpha_ones_start_costs_sum():
+def test_fit_trace_starts_at_initial_objective():
     ds, graphs = random_problem(18, l=2, n=8, c=2, k=2)
-    cfg = SolverConfig(
-        lam=1.0, beta=0.01, r=2.0, n_components=2, seed=2, max_iter=5, alpha_init="ones"
-    )
-    state0 = initialize(ds, cfg)
-    costs0 = view_costs(ds, graphs, state0, cfg)
+    cfg = SolverConfig(lam=1.0, beta=0.01, r=2.0, n_components=2, seed=2, max_iter=5)
     state = fit(ds, graphs, cfg)
-    assert state.objective_trace[0] == pytest.approx(costs0.sum(), rel=1e-14)
+    assert state.objective_trace[0] == objective(ds, graphs, initialize(ds, cfg), cfg)
 
 
 def test_fit_warm_start_continues_descending():
@@ -512,6 +491,25 @@ def test_state_roundtrip_bit_exact(tmp_path):
     assert np.array_equal(state.consensus, back.consensus)
     assert np.array_equal(state.weights, back.weights)
     assert np.array_equal(state.objective_trace, back.objective_trace)
+    assert np.array_equal(state.cost_trace, back.cost_trace)
+    assert np.array_equal(state.weight_trace, back.weight_trace)
+
+
+def test_state_roundtrip_fresh_state(tmp_path):
+    ds, _ = random_problem(25, l=2, n=9, c=2, k=3)
+    state = initialize(ds, SolverConfig(lam=1.0, beta=0.02, r=2.0, n_components=2))
+    save_state(state, tmp_path / "fresh")
+    back = load_state(tmp_path / "fresh")
+    for a, b in zip(state.bases + state.codes, back.bases + back.codes):
+        assert np.array_equal(a, b)
+    assert np.array_equal(state.consensus, back.consensus)
+    assert np.array_equal(state.weights, back.weights)
+    assert back.n_iterations == 0 and back.objective_trace.size == 0
+    # a headerless trace (the format before write_trace's) is refused, not
+    # read with its first row dropped
+    (tmp_path / "fresh" / "trace.csv").write_text("1.0,2.0,3.0,0.5,0.5\n")
+    with pytest.raises(ValueError, match="no write_trace header"):
+        load_state(tmp_path / "fresh")
 
 
 def test_warm_start_from_disk(tmp_path):
@@ -561,5 +559,3 @@ def test_config_validation():
         SolverConfig(lam=1.0, beta=0.1, r=1.0, n_components=2)
     with pytest.raises(ValueError, match="n_components"):
         SolverConfig(lam=1.0, beta=0.1, r=2.0, n_components=0)
-    with pytest.raises(ValueError, match="alpha_init"):
-        SolverConfig(lam=1.0, beta=0.1, r=2.0, n_components=2, alpha_init="zeros")
