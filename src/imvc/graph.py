@@ -8,11 +8,19 @@ build_fused_graphs then skips the neighbor search.
 
 Both matrices are stored as read-only scipy.sparse CSR arrays, with at most
 2k (S) or 2k + 1 (W) nonzeros per row, so no n_v x n_v array is ever held.
-The kNN search computes exact squared distances one block of rows at a time
-(the block sized from a fixed byte budget), keeps the k nearest ids of each
-row together with their squared distances, and takes the automatic sigma from
-the same block distances. The kernel is evaluated on the n_v * k kNN pairs
-only.
+
+The kNN search gives the same S and sigma, bit for bit, as exact cdist
+distances over all pairs would, without computing all of them exactly. It
+centres the points and screens one block of rows at a time (sized from a
+fixed byte budget) with a GEMM, ||c_i||^2 + ||c_j||^2 - 2 c_i . c_j, whose
+error against cdist's squared distance is proven below a slack of
+8 (m + 3) eps max_i ||c_i||^2 for m features. The kNN candidates of a row
+(screened within twice the slack of its k-th smallest value) and the sampled
+pairs in a band around sigma's middle ranks are then recomputed exactly,
+feature by feature, in cdist's own order of summation. A row whose k-th and
+(k+1)-th exact candidates tie falls back to a full cdist row and
+argpartition, so ties are broken as the plain search breaks them. The kernel
+is evaluated on the n_v * k kNN pairs only.
 """
 
 from __future__ import annotations
@@ -26,8 +34,8 @@ from scipy.spatial.distance import cdist
 
 from .dataset import ViewMatrix, _readonly
 
-# bytes of one block of squared distances in the kNN search
-_BLOCK_BYTES = 8 << 20
+# bytes of one block of screened squared distances in the kNN search
+_BLOCK_BYTES = 1 << 20
 # instances whose pairwise distances set the automatic sigma
 _SIGMA_INSTANCES = 2000
 
@@ -85,6 +93,11 @@ class FusedGraph:
             raise ValueError(
                 f"view {self.view_id}: fused graph must be exactly symmetric (W == W^T)"
             )
+        if self.gamma == 0.0 and (w != sp.eye_array(w.shape[0], format="csr")).nnz:
+            raise ValueError(
+                f"view {self.view_id}: a fused graph with gamma = 0 must be the identity "
+                "(W = 0 * S + I)"
+            )
         object.__setattr__(self, "w", w)
         object.__setattr__(
             self, "degree", _readonly(np.asarray(self.degree, dtype=np.float64))
@@ -107,6 +120,98 @@ def _sigma_sample(n: int) -> np.ndarray:
     return np.arange(n)
 
 
+def _sq_distances(data: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Exact squared distances between instance columns rows[p] and cols[p]
+    of a features x instances matrix.
+
+    The squared differences are summed in feature order, one feature at a
+    time, which is cdist's own arithmetic bit for bit; memory stays at a few
+    arrays of one value per pair.
+    """
+    out = np.zeros(rows.size)
+    for x in data:
+        d = x[rows] - x[cols]
+        d *= d
+        out += d
+    return out
+
+
+def _screened_block(cen: np.ndarray, sqn: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """Squared distances from rows lo:hi to all rows of the centred points,
+    by one GEMM: ||c_i||^2 + ||c_j||^2 - 2 c_i . c_j."""
+    a = (-2.0 * cen[lo:hi]) @ cen.T  # scaling by -2 is exact
+    a += sqn
+    a += sqn[lo:hi, None]
+    return a
+
+
+def _candidates(a: np.ndarray, lo: int, k: int, slack: float):
+    """(row, column) pairs that may hold the k nearest neighbors of rows
+    lo:lo+len(a), given screened squared distances a (own column +inf) within
+    slack of the exact ones.
+
+    Every j whose exact distance is at most the k-th smallest exact one has
+    a[i, j] <= (k-th smallest of a[i]) + 2 slack.
+    """
+    kth = np.partition(a, k - 1, axis=1)[:, k - 1]
+    rows, cols = np.nonzero(a <= (kth + 2.0 * slack)[:, None])
+    rows += lo
+    other = cols != rows  # own column: a candidate only if the k-th is +inf
+    return rows[other], cols[other]
+
+
+def _nearest(data, pts, rows, cols, lo, hi, k):
+    """The k nearest neighbors of rows lo:hi and their exact squared
+    distances, from candidate pairs (rows, cols) that hold them.
+
+    A row whose k-th and (k+1)-th exact candidates tie redoes the full row
+    with cdist and argpartition, so the tie is broken as argpartition over
+    all exact distances breaks it.
+    """
+    exact = _sq_distances(data, rows, cols)
+    order = np.lexsort((exact, rows))
+    cols, exact = cols[order], exact[order]
+    counts = np.bincount(rows - lo, minlength=hi - lo)
+    first = np.cumsum(counts) - counts
+    take = first[:, None] + np.arange(k)
+    nb, sq = cols[take], exact[take]
+    after = exact[np.minimum(first + k, exact.size - 1)]
+    for i in np.flatnonzero((counts > k) & (after == sq[:, -1])):
+        row = cdist(pts[lo + i : lo + i + 1], pts, metric="sqeuclidean")
+        row[0, lo + i] = np.inf
+        nb[i] = np.argpartition(row, k - 1, axis=1)[0, :k]
+        sq[i] = row[0, nb[i]]
+    return nb, sq
+
+
+def _median_distance(data, sample, approx, slack) -> float:
+    """The exact median pairwise distance of the sampled instances, given the
+    screened squared distances of their upper-triangle pairs (row by row)
+    within slack of the exact ones.
+
+    Pairs screened below the band around the middle ranks are below them
+    exactly too, so only the band is re-checked; the result equals
+    np.median over all exact distances.
+    """
+    size = approx.size
+    upper = size // 2
+    ranks = np.unique([(size - 1) // 2, upper])  # one rank if size is odd
+    part = np.partition(approx, upper)
+    # with two middle ranks, the lower one is the largest value before the upper
+    a_low = part[:upper].max() if ranks.size > 1 else part[upper]
+    low, high = a_low - 2.0 * slack, part[upper] + 2.0 * slack
+    del part
+    below = np.count_nonzero(approx < low)
+    band = np.flatnonzero((approx >= low) & (approx <= high))
+    # flat upper-triangle position -> sample positions t < u
+    t = np.arange(sample.size)
+    offsets = t * (sample.size - 1) - t * (t - 1) // 2
+    ti = np.searchsorted(offsets, band, side="right") - 1
+    ui = band - offsets[ti] + ti + 1
+    exact = np.sort(_sq_distances(data, sample[ti], sample[ui]))
+    return float(np.mean(np.sqrt(exact[ranks - below])))
+
+
 def gaussian_knn_graph(
     view: ViewMatrix, k: int = 5, sigma: Optional[float] = None
 ) -> SimilarityGraph:
@@ -114,9 +219,17 @@ def gaussian_knn_graph(
 
     s[i, j] = exp(-||x_i - x_j||^2 / (2 sigma^2)) whenever j is among the k
     nearest neighbors of i or vice versa, 0 elsewhere; the diagonal is 0.
-    sigma=None picks the median pairwise Euclidean distance, read off the
-    distances the neighbor search computes anyway; views above 2000 instances
-    take it over 2000 evenly spaced ones, which keeps it deterministic.
+    sigma=None picks the median pairwise Euclidean distance; views above 2000
+    instances take it over 2000 evenly spaced ones, which keeps it
+    deterministic.
+
+    S and sigma equal, bit for bit, what exact cdist distances over all
+    pairs give. A GEMM over the centred points screens each block of rows
+    within a proven slack of cdist; the kNN candidates and the pairs near
+    sigma's middle ranks are recomputed exactly; a row whose k-th place is
+    tied is redone with a full cdist row and argpartition. Data so large
+    that the screen's squares would overflow is screened with cdist itself,
+    at zero slack.
     """
     n = view.n_available
     if not 1 <= k < n:
@@ -124,27 +237,52 @@ def gaussian_knn_graph(
     if sigma is not None and sigma <= 0:
         raise ValueError("sigma must be positive")
 
-    pts = np.ascontiguousarray(view.data.T)  # cdist would copy it per block
-    sample = _sigma_sample(n)
+    data = view.data
+    pts = np.ascontiguousarray(data.T)  # cdist would copy it per call
+    cen = pts - pts.mean(axis=0)
+    sqn = np.einsum("ij,ij->i", cen, cen)
+    r2 = float(sqn.max())
+    # With u = eps / 2 and R^2 = max ||c_i||^2, the GEMM value is within
+    # (4 m + 7) u R^2 of the exact ||c_i - c_j||^2, rounding in the centring
+    # moves that by at most 8 u R^2, and cdist's sum is within (m + 2) u * 4 R^2
+    # of the exact ||x_i - x_j||^2: (8 m + 23) u R^2 in all, which the slack
+    # covers twice over (the tiny term covers underflow).
+    screened = np.isfinite(8.0 * r2)
+    fin = np.finfo(np.float64)
+    slack = 8.0 * (data.shape[0] + 3) * (fin.eps * r2 + fin.tiny) if screened else 0.0
+
+    if sigma is None:
+        sample = _sigma_sample(n)
+        approx = np.empty(sample.size * (sample.size - 1) // 2)
+        filled = 0
     neighbors = np.empty((n, k), dtype=np.int64)
     sq_knn = np.empty((n, k))
-    pairs = []
+    cand, done = [], 0  # candidate pairs of rows done:lo, not yet re-checked
     step = max(1, _BLOCK_BYTES // (8 * n))
     for lo in range(0, n, step):
         hi = min(lo + step, n)
-        sq = cdist(pts[lo:hi], pts, metric="sqeuclidean")
+        if screened:
+            a = _screened_block(cen, sqn, lo, hi)
+        else:
+            a = cdist(pts[lo:hi], pts, metric="sqeuclidean")
         if sigma is None:
             # this block's share of the sampled upper-triangle pairs
-            a, b = np.searchsorted(sample, (lo, hi))
-            upper = np.arange(a, b)[:, None] < np.arange(sample.size)
-            pairs.append(sq[sample[a:b] - lo][:, sample][upper])
-        sq[np.arange(hi - lo), np.arange(lo, hi)] = np.inf  # never pick yourself
-        nb = np.argpartition(sq, k - 1, axis=1)[:, :k]
-        neighbors[lo:hi] = nb
-        sq_knn[lo:hi] = np.take_along_axis(sq, nb, axis=1)
+            ta, tb = np.searchsorted(sample, (lo, hi))
+            upper = np.arange(ta, tb)[:, None] < np.arange(sample.size)
+            sub = a if sample.size == n else a[sample[ta:tb] - lo][:, sample]
+            share = sub[upper]
+            approx[filled : filled + share.size] = share
+            filled += share.size
+        a[np.arange(hi - lo), np.arange(lo, hi)] = np.inf  # never pick yourself
+        cand.append(_candidates(a, lo, k, slack))
+        # re-check the candidates of several blocks at once: one pass over
+        # the features per batch of pairs
+        if hi == n or sum(r.size for r, _ in cand) >= _BLOCK_BYTES // 8:
+            rows, cols = (np.concatenate(c) for c in zip(*cand))
+            neighbors[done:hi], sq_knn[done:hi] = _nearest(data, pts, rows, cols, done, hi, k)
+            cand, done = [], hi
     if sigma is None:
-        dists = np.concatenate(pairs)
-        sigma = float(np.median(np.sqrt(dists, out=dists), overwrite_input=True))
+        sigma = _median_distance(data, sample, approx, slack)
         if sigma == 0.0:
             raise ValueError(
                 f"view {view.view_id}: degenerate sigma (median pairwise distance "

@@ -6,6 +6,12 @@ trial runs the full pipeline (mask, graphs, solver, k-means, scores) and
 lands as one row in trials.csv; per-grid-point aggregates go to aggregate.csv
 and the resolved config to manifest.json. Given one machine and
 one master seed, trials.csv is byte-identical across runs.
+
+The mask depends only on (rate, repeat) and the graphs only on the mask and
+k, so run_sweep builds them once per (rate, repeat, k) group and runs the
+group's (lam, beta, r) grid on them back to back; rows, run ids and seeds
+keep the sweep order. A group whose build fails gives each of its trials
+the build's error.
 """
 
 from __future__ import annotations
@@ -13,6 +19,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, asdict, replace
@@ -125,6 +132,11 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class TrialOutcome:
+    """One trial's row. wall_seconds is its wall time, kept off the output
+    files; the trial that builds its group's shared mask and graphs (the
+    group's first in sweep order, unless pool threads race for it) counts
+    that build, and the others count any wait for it."""
+
     run_id: str
     variant: str
     protocol: str
@@ -220,24 +232,60 @@ def _aggregate(trials: Sequence[TrialOutcome]) -> RunRecord:
     )
 
 
+class _SharedProblem:
+    """The masked dataset and fused graphs shared by the trials of one
+    (rate, repeat, k) group.
+
+    The first trial to ask builds them, holding the lock, so the others of
+    the group wait for that one build; a failed build is kept and raised to
+    every trial of the group. The group's last trial drops them.
+    """
+
+    def __init__(self, n_trials: int):
+        self._lock = threading.Lock()
+        self._left = n_trials
+        self._built = None  # (masked dataset, graphs), or the build's exception
+
+    def get(self, base: MultiViewDataset, cfg: ExperimentConfig, outcome: TrialOutcome):
+        with self._lock:
+            if self._built is None:
+                try:
+                    masked = apply_mask(
+                        base,
+                        MaskSpec(protocol=cfg.protocol, rate=outcome.rate, seed=outcome.mask_seed),
+                    )
+                    # the graph ablation switches the term off through gamma;
+                    # the row keeps the configured gamma
+                    gamma = 0.0 if outcome.variant == "no-graph" else outcome.gamma
+                    self._built = masked, build_fused_graphs(masked, k=outcome.knn, gamma=gamma)
+                except Exception as exc:
+                    self._built = exc
+            built = self._built
+        if isinstance(built, Exception):
+            raise built.with_traceback(None)
+        return built
+
+    def release(self) -> None:
+        with self._lock:
+            self._left -= 1
+            if not self._left:
+                self._built = None
+
+
 def _run_trial(
     base: MultiViewDataset,
     cfg: ExperimentConfig,
     outcome: TrialOutcome,
     keep_state: bool,
+    problem: _SharedProblem,
 ) -> TrialOutcome:
     start = time.perf_counter()
     try:
-        masked = apply_mask(
-            base, MaskSpec(protocol=cfg.protocol, rate=outcome.rate, seed=outcome.mask_seed)
-        )
-        # the ablations switch a term off through its own weight; the row
-        # keeps the configured beta and gamma
-        gamma = 0.0 if outcome.variant == "no-graph" else outcome.gamma
-        graphs = build_fused_graphs(masked, k=outcome.knn, gamma=gamma)
+        masked, graphs = problem.get(base, cfg, outcome)
         n_components = cfg.n_components or base.n_classes
         solver_cfg = SolverConfig(
             lam=outcome.lam,
+            # the sparsity ablation runs at beta = 0; the row keeps the configured beta
             beta=0.0 if outcome.variant == "no-sparsity" else outcome.beta,
             r=outcome.r,
             n_components=n_components,
@@ -270,6 +318,8 @@ def _run_trial(
             error=message,
             wall_seconds=time.perf_counter() - start,
         )
+    finally:
+        problem.release()
 
 
 def _load_base_dataset(cfg: ExperimentConfig) -> MultiViewDataset:
@@ -323,8 +373,9 @@ def run_sweep(
 ) -> list[RunRecord]:
     """Run every (grid point x rate x repeat) trial and aggregate the repeats.
 
-    Trials are independent; with workers > 1 they execute on a thread pool,
-    but rows are always collected in sweep order so the output is identical.
+    Trials run group by group, each (rate, repeat, k) group on one shared
+    mask and graph set; with workers > 1 they execute on a thread pool, but
+    rows are always collected in sweep order so the output is identical.
     """
     base = _load_base_dataset(cfg)
     grid = _grid(cfg)
@@ -352,13 +403,26 @@ def run_sweep(
                     )
                 )
 
+    groups: dict[tuple, list[int]] = {}  # (rate, repeat, k) -> trial indices
+    for i, t in enumerate(pending):
+        groups.setdefault((t.rate, t.repeat, t.knn), []).append(i)
+    order = []
+    for ids in groups.values():
+        problem = _SharedProblem(len(ids))
+        order += [(i, problem) for i in ids]
+
+    def run(item):
+        i, problem = item
+        return _run_trial(base, cfg, pending[i], keep_states, problem)
+
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            done = list(
-                pool.map(lambda t: _run_trial(base, cfg, t, keep_states), pending)
-            )
+            results = list(pool.map(run, order))
     else:
-        done = [_run_trial(base, cfg, t, keep_states) for t in pending]
+        results = [run(item) for item in order]
+    done = [None] * len(pending)
+    for (i, _), outcome in zip(order, results):
+        done[i] = outcome
 
     records = []
     for start in range(0, len(done), cfg.repeats):

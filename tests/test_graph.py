@@ -226,3 +226,19 @@ def test_fused_graph_rejects_non_square_or_asymmetric():
         FusedGraph(view_id=2, w=w, gamma=1.0, degree=w.sum(axis=1))
     ok = FusedGraph(view_id=2, w=np.maximum(w, w.T), gamma=1.0, degree=np.ones(2))
     assert ok.n == 2
+
+
+def test_fused_graph_gamma_zero_must_be_identity():
+    from imvc import FusedGraph
+    from imvc.solver import _graph_cost
+
+    w = np.array([[1.0, 0.5], [0.5, 1.0]])
+    p, q = np.array([[1.0, 2.0]]), np.zeros((1, 2))
+    # at gamma = 0 this W used to be costed as the identity: 5.0, not 7.5
+    with pytest.raises(ValueError, match="view 4: a fused graph with gamma = 0 must be the identity"):
+        FusedGraph(view_id=4, w=w, gamma=0.0, degree=w.sum(axis=1))
+    fused = FusedGraph(view_id=4, w=w, gamma=1.0, degree=w.sum(axis=1))
+    assert _graph_cost(p, q, fused) == 7.5
+    # 0 * S + I keeps S's pattern as explicit zeros and is still accepted
+    sim = gaussian_knn_graph(view_from_points([[0.0], [1.0], [3.0]]), k=1)
+    assert fuse_graph(sim, gamma=0.0).is_identity

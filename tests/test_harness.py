@@ -1,9 +1,13 @@
+import csv
 import json
+import sys
+import threading
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import imvc.harness
 from imvc import (
     ExperimentConfig,
     initialize,
@@ -148,6 +152,84 @@ def test_failed_trials_recorded_and_sweep_continues(data_dir, tmp_path):
     assert len(manifest["failed_runs"]) == 2
     rows = read_rows(tmp_path / "out" / "trials.csv")
     assert sum(1 for row in rows if row["error"]) == 2
+
+
+def test_sweep_builds_mask_and_graphs_once_per_group(data_dir, tmp_path, monkeypatch):
+    root, paths = data_dir
+    calls = []
+    build = imvc.harness.build_fused_graphs
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs["k"])
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(imvc.harness, "build_fused_graphs", counted)
+    solver = {"lam": [0.5, 2.0], "beta": [0.001], "r": [2.0, 3.0], "k": [3, 5], "max_iter": 20}
+    trials = []
+    for workers in (1, 3):
+        calls.clear()
+        out = tmp_path / f"workers{workers}"
+        cfg = make_config(paths, out, mask={"rates": [0.2, 0.4], "repeats": 2}, solver=solver)
+        write_results(run_experiment(cfg, workers=workers), cfg.output_dir, cfg)
+        # one build per (rate, repeat, k): 8 for the sweep's 32 trials
+        assert len(calls) == len(cfg.rates) * cfg.repeats * len(cfg.knn_grid)
+        trials.append((out / "trials.csv").read_bytes())
+    assert trials[0] == trials[1]
+
+
+def test_failed_group_build_gives_each_trial_its_error(data_dir, tmp_path):
+    root, paths = data_dir
+    solver = {"lam": [0.5, 2.0], "beta": [0.001], "r": [3.0], "k": [5, 40, 22], "max_iter": 30}
+    # the texts each trial recorded when every trial built its own graphs
+    want = {
+        ("5", "0"): "",
+        ("5", "1"): "",
+        ("40", "0"): "ValueError: k must satisfy 1 <= k < n_available=21, got 40",
+        ("40", "1"): "ValueError: k must satisfy 1 <= k < n_available=23, got 40",
+        ("22", "0"): "ValueError: k must satisfy 1 <= k < n_available=21, got 22",
+        ("22", "1"): "ValueError: k must satisfy 1 <= k < n_available=22, got 22",
+    }
+    for workers in (1, 3):
+        cfg = make_config(paths, tmp_path / f"workers{workers}", solver=solver)
+        write_results(run_experiment(cfg, workers=workers), cfg.output_dir, cfg)
+        with open(tmp_path / f"workers{workers}" / "trials.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))  # the error texts hold commas
+        assert len(rows) == 12
+        for row in rows:
+            assert row["error"] == want[row["k"], row["repeat"]]
+
+
+def test_shared_builds_hold_under_thread_contention(data_dir, tmp_path, monkeypatch):
+    root, paths = data_dir
+    calls = []
+    build = imvc.harness.build_fused_graphs
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs["k"])  # list.append is atomic
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(imvc.harness, "build_fused_graphs", counted)
+    solver = {"lam": [0.5, 1.0, 2.0], "beta": [0.001, 0.01], "r": [3.0], "k": [3, 5], "max_iter": 5}
+    cfg = make_config(paths, tmp_path / "out", solver=solver, metrics={"restarts": 1})
+    serial = run_experiment(cfg, workers=1)
+    calls.clear()
+    threaded = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        # more workers than cores, and a thread switch every microsecond
+        runner = threading.Thread(
+            target=lambda: threaded.extend(run_experiment(cfg, workers=8)), daemon=True
+        )
+        runner.start()
+        runner.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not runner.is_alive()
+    # a second build of a group, or a group dropped while in use, breaks these
+    assert sorted(calls) == [3, 3, 5, 5]
+    key = lambda rec: [(t.run_id, t.acc, t.nmi, t.iterations, t.error) for t in rec.trials]
+    assert [key(r) for r in threaded] == [key(r) for r in serial]
 
 
 # ------------------------------------------------------------------ ablations
