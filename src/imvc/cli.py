@@ -23,7 +23,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", required=True, help="experiment config (JSON)")
     parser.add_argument("--output", help="output directory (overrides the config)")
     parser.add_argument("--seed", type=int, help="master seed (overrides the config)")
-    parser.add_argument("--workers", type=int, default=1, help="parallel trial workers")
+    parser.add_argument("--workers", type=int, default=1, help="parallel trial processes")
     parser.add_argument(
         "--traces", action="store_true", help="also write trace_<runid>.csv per trial"
     )

@@ -8,10 +8,12 @@ and the resolved config to manifest.json. Given one machine and
 one master seed, trials.csv is byte-identical across runs.
 
 The mask depends only on (rate, repeat) and the graphs only on the mask and
-k, so run_sweep builds them once per (rate, repeat, k) group and runs the
-group's (lam, beta, r) grid on them back to back; rows, run ids and seeds
-keep the sweep order. A group whose build fails gives each of its trials
-the build's error.
+k, so run_sweep runs the trials group by group, one (rate, repeat, k) group's
+(lam, beta, r) grid after another, and each process keeps the last group it
+built: a process builds a group once for all the trials of it that it runs.
+With workers > 1 the trials run on a pool of worker processes; rows, run
+ids and seeds keep the sweep order whichever process ran a trial. A group
+whose build fails gives each of its trials the build's error.
 """
 
 from __future__ import annotations
@@ -19,9 +21,9 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
-import threading
+import multiprocessing
 import time
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, asdict, replace
 from pathlib import Path
 from typing import Optional, Sequence
@@ -133,9 +135,8 @@ class ExperimentConfig:
 @dataclass(frozen=True)
 class TrialOutcome:
     """One trial's row. wall_seconds is its wall time, kept off the output
-    files; the trial that builds its group's shared mask and graphs (the
-    group's first in sweep order, unless pool threads race for it) counts
-    that build, and the others count any wait for it."""
+    files; the first trial of a group that a process runs counts that
+    process's build of the group's mask and graphs."""
 
     run_id: str
     variant: str
@@ -232,44 +233,36 @@ def _aggregate(trials: Sequence[TrialOutcome]) -> RunRecord:
     )
 
 
-class _SharedProblem:
-    """The masked dataset and fused graphs shared by the trials of one
-    (rate, repeat, k) group.
+# The last problem this process built, as (base, cfg, group, built): group is
+# (rate, repeat, k, variant) and built is that group's masked dataset and
+# fused graphs, or the build's exception. Each process keeps its own;
+# run_sweep drops the parent's when it ends.
+_last_problem = None
 
-    The first trial to ask builds them, holding the lock, so the others of
-    the group wait for that one build; a failed build is kept and raised to
-    every trial of the group. The group's last trial drops them.
-    """
 
-    def __init__(self, n_trials: int):
-        self._lock = threading.Lock()
-        self._left = n_trials
-        self._built = None  # (masked dataset, graphs), or the build's exception
-
-    def get(self, base: MultiViewDataset, cfg: ExperimentConfig, outcome: TrialOutcome):
-        with self._lock:
-            if self._built is None:
-                try:
-                    masked = apply_mask(
-                        base,
-                        MaskSpec(protocol=cfg.protocol, rate=outcome.rate, seed=outcome.mask_seed),
-                    )
-                    # the graph ablation switches the term off through gamma;
-                    # the row keeps the configured gamma
-                    gamma = 0.0 if outcome.variant == "no-graph" else outcome.gamma
-                    self._built = masked, build_fused_graphs(masked, k=outcome.knn, gamma=gamma)
-                except Exception as exc:
-                    self._built = exc
-            built = self._built
-        if isinstance(built, Exception):
-            raise built.with_traceback(None)
-        return built
-
-    def release(self) -> None:
-        with self._lock:
-            self._left -= 1
-            if not self._left:
-                self._built = None
+def _problem(base: MultiViewDataset, cfg: ExperimentConfig, outcome: TrialOutcome):
+    """The masked dataset and fused graphs of the outcome's group, rebuilt
+    only when the group differs from the last one this process built. A
+    failed build is kept and raised again to every trial of its group."""
+    global _last_problem
+    group = (outcome.rate, outcome.repeat, outcome.knn, outcome.variant)
+    last = _last_problem
+    if last is None or last[0] is not base or last[1] is not cfg or last[2] != group:
+        try:
+            masked = apply_mask(
+                base, MaskSpec(protocol=cfg.protocol, rate=outcome.rate, seed=outcome.mask_seed)
+            )
+            # the graph ablation switches the term off through gamma; the
+            # row keeps the configured gamma
+            gamma = 0.0 if outcome.variant == "no-graph" else outcome.gamma
+            built = masked, build_fused_graphs(masked, k=outcome.knn, gamma=gamma)
+        except Exception as exc:
+            built = exc
+        last = _last_problem = (base, cfg, group, built)
+    built = last[3]
+    if isinstance(built, Exception):
+        raise built.with_traceback(None)
+    return built
 
 
 def _run_trial(
@@ -277,11 +270,10 @@ def _run_trial(
     cfg: ExperimentConfig,
     outcome: TrialOutcome,
     keep_state: bool,
-    problem: _SharedProblem,
 ) -> TrialOutcome:
     start = time.perf_counter()
     try:
-        masked, graphs = problem.get(base, cfg, outcome)
+        masked, graphs = _problem(base, cfg, outcome)
         n_components = cfg.n_components or base.n_classes
         solver_cfg = SolverConfig(
             lam=outcome.lam,
@@ -318,8 +310,21 @@ def _run_trial(
             error=message,
             wall_seconds=time.perf_counter() - start,
         )
-    finally:
-        problem.release()
+
+
+# (base, cfg, keep_states) of the sweep a worker process serves, set once per
+# process by the pool initializer
+_worker_sweep = None
+
+
+def _init_worker(base: MultiViewDataset, cfg: ExperimentConfig, keep_states: bool) -> None:
+    global _worker_sweep
+    _worker_sweep = (base, cfg, keep_states)
+
+
+def _worker_trial(outcome: TrialOutcome) -> TrialOutcome:
+    base, cfg, keep_states = _worker_sweep
+    return _run_trial(base, cfg, outcome, keep_states)
 
 
 def _load_base_dataset(cfg: ExperimentConfig) -> MultiViewDataset:
@@ -373,10 +378,17 @@ def run_sweep(
 ) -> list[RunRecord]:
     """Run every (grid point x rate x repeat) trial and aggregate the repeats.
 
-    Trials run group by group, each (rate, repeat, k) group on one shared
-    mask and graph set; with workers > 1 they execute on a thread pool, but
-    rows are always collected in sweep order so the output is identical.
+    Trials run group by group, and a process builds each (rate, repeat, k)
+    group's mask and graphs once for the trials of that group it runs. With
+    workers > 1 the trials are handed out in group order, one at a time, to
+    min(workers, trials) worker processes (forked where the platform allows,
+    else spawned); one worker, or one trial, runs in this process. A group's
+    build is deterministic and rows are collected in sweep order, so the
+    output does not depend on workers.
     """
+    global _last_problem
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
     base = _load_base_dataset(cfg)
     grid = _grid(cfg)
     pending: list[TrialOutcome] = []
@@ -406,22 +418,29 @@ def run_sweep(
     groups: dict[tuple, list[int]] = {}  # (rate, repeat, k) -> trial indices
     for i, t in enumerate(pending):
         groups.setdefault((t.rate, t.repeat, t.knn), []).append(i)
-    order = []
-    for ids in groups.values():
-        problem = _SharedProblem(len(ids))
-        order += [(i, problem) for i in ids]
+    order = [i for ids in groups.values() for i in ids]
+    outcomes = [pending[i] for i in order]
 
-    def run(item):
-        i, problem = item
-        return _run_trial(base, cfg, pending[i], keep_states, problem)
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run, order))
+    processes = min(workers, len(pending))
+    if processes > 1:
+        # fork where the platform has it: a forked worker starts at once with
+        # this process's imports and dataset, a spawned one first re-imports
+        # numpy, scipy and imvc
+        method = "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
+        with ProcessPoolExecutor(
+            max_workers=processes,
+            mp_context=multiprocessing.get_context(method),
+            initializer=_init_worker,
+            initargs=(base, cfg, keep_states),
+        ) as pool:
+            results = list(pool.map(_worker_trial, outcomes))
     else:
-        results = [run(item) for item in order]
+        try:
+            results = [_run_trial(base, cfg, t, keep_states) for t in outcomes]
+        finally:
+            _last_problem = None
     done = [None] * len(pending)
-    for (i, _), outcome in zip(order, results):
+    for i, outcome in zip(order, results):
         done[i] = outcome
 
     records = []

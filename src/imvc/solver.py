@@ -163,8 +163,11 @@ def update_consensus(
         denom[ids] += ar * graph.degree
     if np.any(denom <= 0.0):
         bad = int(np.flatnonzero(denom <= 0.0)[0])
+        # a_v^r is 0 for a zero weight, or where a small weight underflows
+        zero = ", ".join(str(v) for v, a in enumerate(weights) if a**r == 0.0)
+        why = f" (a_v^r is 0 at r={r!r} for view(s) {zero})" if zero else ""
         raise ValueError(
-            f"sample {bad} carries no positive weight in any view; the "
+            f"sample {bad} carries no positive weight in any view{why}; the "
             "consensus update is infeasible"
         )
     return numer / denom
@@ -189,8 +192,9 @@ def update_weights(costs: np.ndarray, r: float) -> np.ndarray:
 def _reconstruction_cost(x: np.ndarray, u: np.ndarray, p: np.ndarray) -> float:
     """||X - U P||_F^2 = ||X||^2 - 2 <U^T X, P> + <(U^T U) P, P>, for any U.
 
-    ||X||^2 is an einsum rather than a BLAS dot: the threaded BLAS dot over
-    the whole view stalls when the harness runs trials on several threads.
+    ||X||^2 is an einsum rather than a BLAS dot because the two sum in
+    different orders and can differ in the last bit; the einsum's sums are
+    the ones every recorded trials.csv rests on.
     """
     xx = np.einsum("ij,ij->", x, x)
     return float(xx - 2.0 * np.vdot(u.T @ x, p) + np.vdot((u.T @ u) @ p, p))

@@ -378,9 +378,10 @@ def test_criterion_07_handwritten_reproduction():
 
 def _per_iter_ratio(small, big):
     """Time per iteration of the big (n, dims) problem over that of the small
-    one. Each gets one untimed warm-up fit, then the best of 5 timed fits;
+    one. Each gets one untimed warm-up fit, then the best of 15 timed fits;
     the two take turns, so both sample the same stretches of a host whose
-    speed drifts."""
+    speed drifts, and 15 turns span enough of them that both find a quiet
+    one."""
     problems = [
         random_problem(3, l=2, n=n, c=3, dims=dims, rate=0.3, k=5) for n, dims in (small, big)
     ]
@@ -390,7 +391,7 @@ def _per_iter_ratio(small, big):
     for masked, graphs in problems:
         fit(masked, graphs, cfg)
     best = [np.inf, np.inf]
-    for _ in range(5):
+    for _ in range(15):
         for i, (masked, graphs) in enumerate(problems):
             t0 = time.perf_counter()
             state = fit(masked, graphs, cfg)

@@ -124,3 +124,12 @@ def test_cli_validate_data_config_checks_k_against_masks(workspace, tmp_path, ca
     config["solver"]["gamma"] = 0.0  # identity graphs: no neighbor search
     bad.write_text(json.dumps(config))
     assert main(["validate-data", "--config", str(bad)]) == 0
+
+
+@pytest.mark.parametrize("command", [["run"], ["ablate", "--which", "weight"]])
+def test_cli_rejects_fewer_than_one_worker(workspace, tmp_path, command):
+    root, cfg_path, _ = workspace
+    argv = command + ["--config", str(cfg_path), "--output", str(tmp_path / "x"), "--workers", "0"]
+    with pytest.raises(ValueError, match="workers must be at least 1, got 0"):
+        main(argv)
+    assert not (tmp_path / "x").exists()

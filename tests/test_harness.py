@@ -1,7 +1,6 @@
 import csv
 import json
-import sys
-import threading
+import multiprocessing
 from dataclasses import replace
 
 import numpy as np
@@ -156,25 +155,33 @@ def test_failed_trials_recorded_and_sweep_continues(data_dir, tmp_path):
 
 def test_sweep_builds_mask_and_graphs_once_per_group(data_dir, tmp_path, monkeypatch):
     root, paths = data_dir
-    calls = []
+    log = tmp_path / "builds.log"
     build = imvc.harness.build_fused_graphs
 
     def counted(*args, **kwargs):
-        calls.append(kwargs["k"])
+        # an O_APPEND file, as forked workers cannot append to the test's lists
+        with open(log, "a") as fh:
+            fh.write(f"{kwargs['k']}\n")
         return build(*args, **kwargs)
 
     monkeypatch.setattr(imvc.harness, "build_fused_graphs", counted)
     solver = {"lam": [0.5, 2.0], "beta": [0.001], "r": [2.0, 3.0], "k": [3, 5], "max_iter": 20}
-    trials = []
-    for workers in (1, 3):
-        calls.clear()
+    outputs = []
+    for workers in (1, 2, 3):
+        log.write_text("")
         out = tmp_path / f"workers{workers}"
         cfg = make_config(paths, out, mask={"rates": [0.2, 0.4], "repeats": 2}, solver=solver)
         write_results(run_experiment(cfg, workers=workers), cfg.output_dir, cfg)
-        # one build per (rate, repeat, k): 8 for the sweep's 32 trials
-        assert len(calls) == len(cfg.rates) * cfg.repeats * len(cfg.knn_grid)
-        trials.append((out / "trials.csv").read_bytes())
-    assert trials[0] == trials[1]
+        builds = len(log.read_text().split())
+        # 8 (rate, repeat, k) groups for the sweep's 32 trials: one build each
+        # in-process, at most one per group and worker process otherwise
+        groups = len(cfg.rates) * cfg.repeats * len(cfg.knn_grid)
+        if workers == 1:
+            assert builds == groups
+        else:
+            assert groups <= builds <= groups * workers
+        outputs.append([(out / name).read_bytes() for name in ("trials.csv", "aggregate.csv")])
+    assert outputs[0] == outputs[1] == outputs[2]
 
 
 def test_failed_group_build_gives_each_trial_its_error(data_dir, tmp_path):
@@ -189,47 +196,53 @@ def test_failed_group_build_gives_each_trial_its_error(data_dir, tmp_path):
         ("22", "0"): "ValueError: k must satisfy 1 <= k < n_available=21, got 22",
         ("22", "1"): "ValueError: k must satisfy 1 <= k < n_available=22, got 22",
     }
-    for workers in (1, 3):
-        cfg = make_config(paths, tmp_path / f"workers{workers}", solver=solver)
+    outputs = []
+    for workers in (1, 2, 3):
+        out = tmp_path / f"workers{workers}"
+        cfg = make_config(paths, out, solver=solver)
         write_results(run_experiment(cfg, workers=workers), cfg.output_dir, cfg)
-        with open(tmp_path / f"workers{workers}" / "trials.csv", newline="") as fh:
+        with open(out / "trials.csv", newline="") as fh:
             rows = list(csv.DictReader(fh))  # the error texts hold commas
         assert len(rows) == 12
         for row in rows:
             assert row["error"] == want[row["k"], row["repeat"]]
+        outputs.append([(out / name).read_bytes() for name in ("trials.csv", "aggregate.csv")])
+    assert outputs[0] == outputs[1] == outputs[2]
 
 
-def test_shared_builds_hold_under_thread_contention(data_dir, tmp_path, monkeypatch):
+def test_worker_processes_return_the_serial_states(data_dir, tmp_path):
     root, paths = data_dir
-    calls = []
-    build = imvc.harness.build_fused_graphs
+    solver = {"lam": [0.5, 2.0], "beta": [0.001], "r": [3.0], "k": [5], "max_iter": 30}
+    cfg = make_config(paths, tmp_path / "out", solver=solver)
+    serial, pooled = (
+        [t for rec in run_experiment(cfg, workers=w, keep_states=True) for t in rec.trials]
+        for w in (1, 2)
+    )
+    assert [t.run_id for t in pooled] == [t.run_id for t in serial]
+    for s, p in zip(serial, pooled):
+        assert p.state is not None
+        assert np.array_equal(p.state.objective_trace, s.state.objective_trace)
+        assert np.array_equal(p.state.consensus, s.state.consensus)
 
-    def counted(*args, **kwargs):
-        calls.append(kwargs["k"])  # list.append is atomic
-        return build(*args, **kwargs)
 
-    monkeypatch.setattr(imvc.harness, "build_fused_graphs", counted)
-    solver = {"lam": [0.5, 1.0, 2.0], "beta": [0.001, 0.01], "r": [3.0], "k": [3, 5], "max_iter": 5}
-    cfg = make_config(paths, tmp_path / "out", solver=solver, metrics={"restarts": 1})
-    serial = run_experiment(cfg, workers=1)
-    calls.clear()
-    threaded = []
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        # more workers than cores, and a thread switch every microsecond
-        runner = threading.Thread(
-            target=lambda: threaded.extend(run_experiment(cfg, workers=8)), daemon=True
-        )
-        runner.start()
-        runner.join(timeout=120)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not runner.is_alive()
-    # a second build of a group, or a group dropped while in use, breaks these
-    assert sorted(calls) == [3, 3, 5, 5]
-    key = lambda rec: [(t.run_id, t.acc, t.nmi, t.iterations, t.error) for t in rec.trials]
-    assert [key(r) for r in threaded] == [key(r) for r in serial]
+def test_spawned_workers_match_serial(data_dir, tmp_path, monkeypatch):
+    # where the platform has no fork, the workers are spawned
+    root, paths = data_dir
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    outputs = []
+    for workers in (1, 2):
+        cfg = make_config(paths, tmp_path / f"workers{workers}", metrics={"restarts": 1})
+        write_results(run_experiment(cfg, workers=workers), cfg.output_dir, cfg)
+        outputs.append((tmp_path / f"workers{workers}" / "trials.csv").read_bytes())
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("workers", [0, -2])
+def test_sweep_rejects_fewer_than_one_worker(data_dir, tmp_path, workers):
+    root, paths = data_dir
+    cfg = make_config(paths, tmp_path / "out")
+    with pytest.raises(ValueError, match=f"workers must be at least 1, got {workers}"):
+        run_experiment(cfg, workers=workers)
 
 
 # ------------------------------------------------------------------ ablations

@@ -276,6 +276,20 @@ def test_consensus_two_views_equal_weights_average():
     assert np.allclose(q, (p1 + p2) / 2, rtol=1e-15, atol=0)
 
 
+def test_consensus_infeasible_names_the_underflowed_views():
+    # (1e-40)^9 underflows to 0, so sample 2, held by view 1 alone, has no weight
+    graphs = (identity_fused_graph(2, view_id=0), identity_fused_graph(2, view_id=1))
+    availability = (np.array([0, 1]), np.array([1, 2]))
+    codes = [np.ones((2, 2)), np.ones((2, 2))]
+    weights = np.array([1.0 - 1e-40, 1e-40])
+    with pytest.raises(ValueError) as err:
+        update_consensus(codes, graphs, availability, 3, weights, r=9.0)
+    assert str(err.value) == (
+        "sample 2 carries no positive weight in any view (a_v^r is 0 at r=9.0 "
+        "for view(s) 1); the consensus update is infeasible"
+    )
+
+
 def test_consensus_zeroes_gradient():
     for seed in range(5):
         ds, graphs = random_problem(seed + 30, l=2, n=5, c=2, k=2)
