@@ -16,11 +16,8 @@ from .dataset import (
 )
 from .graph import (
     FusedGraph,
-    SimilarityGraph,
     build_fused_graphs,
-    fuse_graph,
     gaussian_knn_graph,
-    identity_fused_graph,
 )
 from .solver import (
     SolverConfig,
@@ -66,11 +63,8 @@ __all__ = [
     "normalize_views",
     "save_dataset",
     "FusedGraph",
-    "SimilarityGraph",
     "build_fused_graphs",
-    "fuse_graph",
     "gaussian_knn_graph",
-    "identity_fused_graph",
     "SolverConfig",
     "SolverState",
     "fit",

@@ -23,6 +23,11 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", required=True, help="experiment config (JSON)")
     parser.add_argument("--output", help="output directory (overrides the config)")
     parser.add_argument("--seed", type=int, help="master seed (overrides the config)")
+
+
+def _add_sweep(parser: argparse.ArgumentParser) -> None:
+    """Options of the commands that run a whole sweep (run, ablate)."""
+    _add_common(parser)
     parser.add_argument("--workers", type=int, default=1, help="parallel trial processes")
     parser.add_argument(
         "--traces", action="store_true", help="also write trace_<runid>.csv per trial"
@@ -131,11 +136,11 @@ def main(argv=None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_run = sub.add_parser("run", help="run the configured sweep")
-    _add_common(p_run)
+    _add_sweep(p_run)
     p_run.set_defaults(func=_cmd_run, which=None)
 
     p_abl = sub.add_parser("ablate", help="run the sweep with one component off")
-    _add_common(p_abl)
+    _add_sweep(p_abl)
     p_abl.add_argument("--which", required=True, choices=ABLATIONS)
     p_abl.set_defaults(func=_cmd_run)
 

@@ -1,10 +1,13 @@
 """Similarity graphs over a view's available instances.
 
-A per-view graph is built in two steps: a Gaussian-kernel k-nearest-neighbor
-similarity matrix S (zero diagonal, symmetrized with an elementwise max), and
-a fused matrix W = gamma * S + I whose row sums form the degree vector used by
-the solver. gamma = 0 turns the graph off: W collapses to the identity, and
-build_fused_graphs then skips the neighbor search.
+A per-view graph is built in two steps: gaussian_knn_graph returns the
+Gaussian-kernel k-nearest-neighbor similarity matrix S (zero diagonal,
+symmetrized with an elementwise max) with its kernel width sigma, and
+build_fused_graphs fuses it into W = gamma * S + I. FusedGraph, the one graph
+type the solver takes, holds W and reads its degree vector d = W 1 and
+whether it is the identity off W itself. gamma = 0 turns the graph off: W
+collapses to the identity, and build_fused_graphs then skips the neighbor
+search.
 
 Both matrices are stored as read-only scipy.sparse CSR arrays, with at most
 2k (S) or 2k + 1 (W) nonzeros per row, so no n_v x n_v array is ever held.
@@ -25,7 +28,7 @@ is evaluated on the n_v * k kNN pairs only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -53,35 +56,19 @@ def _frozen_csr(m) -> sp.csr_array:
 
 
 @dataclass(frozen=True)
-class SimilarityGraph:
-    """Symmetric kNN Gaussian similarity matrix (sparse CSR) with zero diagonal."""
-
-    view_id: int
-    s: sp.csr_array
-    k: int
-    sigma: float
-
-    def __post_init__(self):
-        s = _frozen_csr(self.s)
-        if s.ndim != 2 or s.shape[0] != s.shape[1]:
-            raise ValueError("similarity matrix must be square")
-        if self.sigma <= 0:
-            raise ValueError("sigma must be positive")
-        object.__setattr__(self, "s", s)
-
-
-@dataclass(frozen=True)
 class FusedGraph:
-    """Fused graph W = gamma * S + I (sparse CSR) together with its degree vector.
+    """Fused graph W = gamma * S + I of one view (sparse CSR).
 
     W must be square and exactly symmetric: the solver's graph-cost identity
-    and its consensus update both rely on W = W^T.
+    and its consensus update both rely on W = W^T. The degree vector d = W 1
+    and whether W is exactly the identity (explicit zeros allowed) are read
+    off W here, once.
     """
 
     view_id: int
     w: sp.csr_array
-    gamma: float
-    degree: np.ndarray
+    degree: np.ndarray = field(init=False)
+    is_identity: bool = field(init=False)
 
     def __post_init__(self):
         w = _frozen_csr(self.w)
@@ -93,23 +80,14 @@ class FusedGraph:
             raise ValueError(
                 f"view {self.view_id}: fused graph must be exactly symmetric (W == W^T)"
             )
-        if self.gamma == 0.0 and (w != sp.eye_array(w.shape[0], format="csr")).nnz:
-            raise ValueError(
-                f"view {self.view_id}: a fused graph with gamma = 0 must be the identity "
-                "(W = 0 * S + I)"
-            )
+        identity = np.count_nonzero(w.data) == w.shape[0] and np.all(w.diagonal() == 1.0)
         object.__setattr__(self, "w", w)
-        object.__setattr__(
-            self, "degree", _readonly(np.asarray(self.degree, dtype=np.float64))
-        )
+        object.__setattr__(self, "degree", _readonly(w.sum(axis=1)))
+        object.__setattr__(self, "is_identity", bool(identity))
 
     @property
     def n(self) -> int:
         return self.w.shape[0]
-
-    @property
-    def is_identity(self) -> bool:
-        return self.gamma == 0.0
 
 
 def _sigma_sample(n: int) -> np.ndarray:
@@ -214,8 +192,9 @@ def _median_distance(data, sample, approx, slack) -> float:
 
 def gaussian_knn_graph(
     view: ViewMatrix, k: int = 5, sigma: Optional[float] = None
-) -> SimilarityGraph:
-    """Gaussian-kernel similarity restricted to k-nearest-neighbor pairs.
+) -> tuple[sp.csr_array, float]:
+    """Gaussian-kernel similarity restricted to k-nearest-neighbor pairs, as
+    (S, sigma): S is a read-only CSR array and sigma the kernel width used.
 
     s[i, j] = exp(-||x_i - x_j||^2 / (2 sigma^2)) whenever j is among the k
     nearest neighbors of i or vice versa, 0 elsewhere; the diagonal is 0.
@@ -292,32 +271,21 @@ def gaussian_knn_graph(
     kernel = np.exp(-sq_knn / (2.0 * sigma * sigma))
     indptr = np.arange(0, n * k + 1, k)  # row i holds its k neighbors
     knn = sp.csr_array((kernel.reshape(-1), neighbors.reshape(-1), indptr), shape=(n, n))
-    return SimilarityGraph(
-        view_id=view.view_id, s=knn.maximum(knn.T), k=k, sigma=float(sigma)
-    )
+    return _frozen_csr(knn.maximum(knn.T)), float(sigma)
 
 
-def fuse_graph(sim: SimilarityGraph, gamma: float = 1.0) -> FusedGraph:
-    """Fuse a similarity graph with the identity: W = gamma * S + I."""
-    if gamma < 0:
-        raise ValueError(f"gamma must be non-negative, got {gamma}")
-    w = gamma * sim.s + sp.eye_array(sim.s.shape[0], format="csr")
-    return FusedGraph(view_id=sim.view_id, w=w, gamma=float(gamma), degree=w.sum(axis=1))
-
-
-def identity_fused_graph(n: int, view_id: int = 0) -> FusedGraph:
-    """The graph-off fused graph: W = I, unit degrees."""
-    return FusedGraph(
-        view_id=view_id, w=sp.eye_array(n, format="csr"), gamma=0.0, degree=np.ones(n)
-    )
-
-
-def build_fused_graphs(ds, k: int = 5, gamma: float = 1.0, sigma: Optional[float] = None):
-    """Per-view fused graphs for a dataset (sigma=None: auto per view).
+def build_fused_graphs(ds, k: int = 5, gamma: float = 1.0) -> tuple[FusedGraph, ...]:
+    """Per-view fused graphs W = gamma * S + I of a dataset, sigma chosen
+    per view.
 
     gamma = 0 gives identity graphs (0 * S + I = I) without a neighbor search,
-    so k and sigma are not used.
+    so k is not used.
     """
-    if gamma == 0.0:
-        return tuple(identity_fused_graph(v.n_available, v.view_id) for v in ds.views)
-    return tuple(fuse_graph(gaussian_knn_graph(v, k=k, sigma=sigma), gamma) for v in ds.views)
+    if gamma < 0:
+        raise ValueError(f"gamma must be non-negative, got {gamma}")
+    graphs = []
+    for view in ds.views:
+        eye = sp.eye_array(view.n_available, format="csr")
+        w = eye if gamma == 0.0 else gamma * gaussian_knn_graph(view, k=k)[0] + eye
+        graphs.append(FusedGraph(view_id=view.view_id, w=w))
+    return tuple(graphs)

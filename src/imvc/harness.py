@@ -52,16 +52,49 @@ DEFAULT_R_GRID = (2.0, 5.0, 9.0)
 DEFAULT_KNN_GRID = (5,)
 
 
+# The config file's keys: each section's keys, and the top-level ones that
+# are not sections, map to (ExperimentConfig field, conversion or None).
+_CONFIG_SECTIONS = {
+    "dataset": {
+        "views": ("view_paths", tuple),
+        "availability": ("availability_paths", lambda paths: tuple(paths) if paths else None),
+        "labels": ("label_path", None),
+        "normalize": ("normalize", None),
+    },
+    "mask": {
+        "protocol": ("protocol", None),
+        "rates": ("rates", tuple),
+        "repeats": ("repeats", int),
+    },
+    "solver": {
+        "lam": ("lam_grid", tuple),
+        "beta": ("beta_grid", tuple),
+        "r": ("r_grid", tuple),
+        "k": ("knn_grid", tuple),
+        "gamma": ("gamma", float),
+        "max_iter": ("max_iter", int),
+        "tol": ("tol", float),
+    },
+    "metrics": {"restarts": ("kmeans_restarts", int)},
+}
+_CONFIG_TOP_LEVEL = {
+    "clusters": ("n_components", None),
+    "output": ("output_dir", None),
+    "master_seed": ("master_seed", int),
+}
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Everything one sweep needs, resolvable from a JSON file."""
+    """Everything one sweep needs, resolvable from a JSON file. rates=None
+    takes the protocol's DEFAULT_RATES."""
 
-    view_paths: tuple[str, ...]
+    view_paths: tuple[str, ...] = ()
     availability_paths: Optional[tuple[str, ...]] = None
     label_path: Optional[str] = None
     normalize: str = "none"
     protocol: str = "random-missing"
-    rates: tuple[float, ...] = DEFAULT_RATES["random-missing"]
+    rates: Optional[tuple[float, ...]] = None
     repeats: int = 5
     lam_grid: tuple[float, ...] = DEFAULT_LAM_GRID
     beta_grid: tuple[float, ...] = DEFAULT_BETA_GRID
@@ -80,6 +113,8 @@ class ExperimentConfig:
             raise ValueError("config needs at least one view file")
         if self.protocol not in MASK_PROTOCOLS:
             raise ValueError(f"unknown protocol {self.protocol!r}")
+        if self.rates is None:
+            object.__setattr__(self, "rates", DEFAULT_RATES[self.protocol])
         if not self.rates:
             raise ValueError("config needs at least one mask rate")
         if self.repeats < 1:
@@ -95,37 +130,23 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
-        ds = raw.get("dataset", {})
-        mask = raw.get("mask", {})
-        solver = raw.get("solver", {})
-        metrics = raw.get("metrics", {})
-        protocol = mask.get("protocol", "random-missing")
-        known = {"dataset", "mask", "solver", "metrics", "clusters", "output", "master_seed"}
-        unknown = set(raw) - known
-        if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        return cls(
-            view_paths=tuple(ds.get("views", ())),
-            availability_paths=(
-                tuple(ds["availability"]) if ds.get("availability") else None
-            ),
-            label_path=ds.get("labels"),
-            normalize=ds.get("normalize", "none"),
-            protocol=protocol,
-            rates=tuple(mask.get("rates", DEFAULT_RATES[protocol])),
-            repeats=int(mask.get("repeats", 5)),
-            lam_grid=tuple(solver.get("lam", DEFAULT_LAM_GRID)),
-            beta_grid=tuple(solver.get("beta", DEFAULT_BETA_GRID)),
-            r_grid=tuple(solver.get("r", DEFAULT_R_GRID)),
-            knn_grid=tuple(solver.get("k", DEFAULT_KNN_GRID)),
-            gamma=float(solver.get("gamma", 1.0)),
-            n_components=raw.get("clusters"),
-            max_iter=int(solver.get("max_iter", 300)),
-            tol=float(solver.get("tol", 1e-6)),
-            kmeans_restarts=int(metrics.get("restarts", 20)),
-            output_dir=raw.get("output", "imvc-out"),
-            master_seed=int(raw.get("master_seed", 0)),
-        )
+        """The config of a parsed JSON file. Keys left out take the field
+        defaults; an unknown key, at the top level or in a section, is an
+        error."""
+        top = {key: value for key, value in raw.items() if key not in _CONFIG_SECTIONS}
+        parts = [("", top, _CONFIG_TOP_LEVEL)]
+        parts += [
+            (f" in section {s!r}", raw.get(s, {}), keys) for s, keys in _CONFIG_SECTIONS.items()
+        ]
+        fields = {}
+        for where, values, keys in parts:
+            unknown = set(values) - set(keys)
+            if unknown:
+                raise ValueError(f"unknown config keys{where}: {sorted(unknown)}")
+            for key, value in values.items():
+                name, convert = keys[key]
+                fields[name] = value if convert is None else convert(value)
+        return cls(**fields)
 
     @classmethod
     def from_file(cls, path: str | Path) -> "ExperimentConfig":

@@ -99,11 +99,6 @@ class SolverState:
         return max(len(self.objective_trace) - 1, 0)
 
 
-def _times_w(graph: FusedGraph, m: np.ndarray) -> np.ndarray:
-    """W @ m for an n_v x c matrix m, skipping the product when W = I."""
-    return m if graph.is_identity else graph.w @ m
-
-
 def update_basis(x: np.ndarray, codes: np.ndarray) -> np.ndarray:
     """Orthonormal basis maximizing trace(U^T X P^T): U = M N^T from the thin
     SVD X P^T = M diag(s) N^T."""
@@ -131,7 +126,7 @@ def update_codes(
     """
     gathered = consensus[:, ids]  # c x n_v
     h = 1.0 + lam * graph.degree
-    b = x.T @ basis + lam * _times_w(graph, gathered.T)  # n_v x c
+    b = x.T @ basis + lam * (graph.w @ gathered.T)  # n_v x c
     v = b.T / h
     if beta == 0.0:
         return v
@@ -159,7 +154,7 @@ def update_consensus(
     denom = np.zeros(n)
     for p, graph, ids, a in zip(codes, graphs, availability, weights):
         ar = a**r
-        numer[:, ids] += ar * _times_w(graph, p.T).T  # P W, as W is symmetric
+        numer[:, ids] += ar * (graph.w @ p.T).T  # P W, as W is symmetric
         denom[ids] += ar * graph.degree
     if np.any(denom <= 0.0):
         bad = int(np.flatnonzero(denom <= 0.0)[0])

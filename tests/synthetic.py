@@ -3,10 +3,16 @@
 from __future__ import annotations
 
 import numpy as np
+import scipy.sparse as sp
 
 from imvc import MultiViewDataset, ViewMatrix
 from imvc.dataset import MaskSpec, apply_random_missing_mask
-from imvc.graph import build_fused_graphs
+from imvc.graph import FusedGraph, build_fused_graphs
+
+
+def identity_graph(n, view_id=0):
+    """The graph-off fused graph of a view with n instances: W = I."""
+    return FusedGraph(view_id=view_id, w=sp.eye_array(n, format="csr"))
 
 
 def _complete_dataset(per_view_data, labels=None):

@@ -13,6 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from imvc import (
     SolverConfig,
@@ -28,11 +29,18 @@ from imvc import (
 )
 from imvc.cli import main as cli_main
 from imvc.dataset import MaskSpec, apply_random_missing_mask
-from imvc.graph import build_fused_graphs, fuse_graph, gaussian_knn_graph, identity_fused_graph
+from imvc.graph import FusedGraph, build_fused_graphs, gaussian_knn_graph
 from imvc.metrics import evaluate_clustering
 from imvc.solver import _reconstruction_cost
 
-from synthetic import masked_problem, multiview_blobs, multiview_moons, random_problem, random_state
+from synthetic import (
+    identity_graph,
+    masked_problem,
+    multiview_blobs,
+    multiview_moons,
+    random_problem,
+    random_state,
+)
 from test_metrics import counter_nmi, counter_purity, exhaustive_accuracy
 from test_solver import consensus_term, grid_prox
 
@@ -132,7 +140,7 @@ def test_criterion_02_update_rule_oracles():
 
     # codes update: 100 scalar problems against a 1e-4 grid prox
     ids1 = np.array([0])
-    eye1 = identity_fused_graph(1)
+    eye1 = identity_graph(1)
     codes_dev = 0.0
     for _ in range(100):
         h = float(rng.uniform(1.05, 4.0))
@@ -231,7 +239,11 @@ def test_criterion_03_degradation_identity():
     for seed in range(10):
         ds, _ = random_problem(seed + 500, l=2, n=7, c=2, k=2)
         graphs = tuple(
-            fuse_graph(gaussian_knn_graph(v, k=2), gamma=0.0) for v in ds.views
+            FusedGraph(
+                view_id=v.view_id,
+                w=0.0 * gaussian_knn_graph(v, k=2)[0] + sp.eye_array(v.n_available),
+            )
+            for v in ds.views
         )
         state = random_state(ds, 2, seed=seed)
         cfg = SolverConfig(lam=1.3, beta=0.4, r=2.0, n_components=2)

@@ -133,3 +133,14 @@ def test_cli_rejects_fewer_than_one_worker(workspace, tmp_path, command):
     with pytest.raises(ValueError, match="workers must be at least 1, got 0"):
         main(argv)
     assert not (tmp_path / "x").exists()
+
+
+def test_cli_trace_has_no_sweep_flags(workspace, tmp_path, capsys):
+    # trace runs one trial in the calling process and always writes its trace
+    root, cfg_path, _ = workspace
+    for flag in (["--workers", "2"], ["--traces"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["trace", "--config", str(cfg_path), "--output", str(tmp_path / "t")] + flag)
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+    assert not (tmp_path / "t").exists()

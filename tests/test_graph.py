@@ -1,12 +1,10 @@
 import numpy as np
 import pytest
 
-from imvc import (
-    ViewMatrix,
-    fuse_graph,
-    gaussian_knn_graph,
-    identity_fused_graph,
-)
+import scipy.sparse as sp
+
+from imvc import FusedGraph, MultiViewDataset, ViewMatrix, build_fused_graphs, gaussian_knn_graph
+from imvc.solver import _graph_cost
 
 from synthetic import random_problem
 
@@ -34,23 +32,23 @@ def brute_force_knn_kernel(points, k, sigma):
 
 def test_identical_neighbors_have_unit_similarity():
     pts = [[0.0, 0.0], [0.0, 0.0], [5.0, 5.0]]
-    s = gaussian_knn_graph(view_from_points(pts), k=1, sigma=1.0).s.toarray()
+    s = gaussian_knn_graph(view_from_points(pts), k=1, sigma=1.0)[0].toarray()
     assert s[0, 1] == 1.0 and s[1, 0] == 1.0
 
 
 def test_kernel_value_at_sigma_sqrt2():
     d = np.sqrt(2.0)
     pts = [[0.0], [d]]
-    s = gaussian_knn_graph(view_from_points(pts), k=1, sigma=1.0).s.toarray()
+    s = gaussian_knn_graph(view_from_points(pts), k=1, sigma=1.0)[0].toarray()
     assert s[0, 1] == pytest.approx(np.exp(-1.0), rel=1e-12)
 
 
 def test_collinear_points_match_brute_force():
     pts = [[0.0], [1.0], [2.2], [3.6], [5.2]]
     sigma = 1.3
-    g = gaussian_knn_graph(view_from_points(pts), k=1, sigma=sigma)
+    s, _ = gaussian_knn_graph(view_from_points(pts), k=1, sigma=sigma)
     expect = brute_force_knn_kernel(pts, k=1, sigma=sigma)
-    assert np.allclose(g.s.toarray(), expect, rtol=1e-14, atol=1e-15)
+    assert np.allclose(s.toarray(), expect, rtol=1e-14, atol=1e-15)
 
 
 def test_random_cloud_matches_brute_force():
@@ -58,15 +56,15 @@ def test_random_cloud_matches_brute_force():
     for k in (1, 3, 6):
         pts = rng.normal(size=(14, 3))
         sigma = 0.8
-        g = gaussian_knn_graph(view_from_points(pts), k=k, sigma=sigma)
+        s, _ = gaussian_knn_graph(view_from_points(pts), k=k, sigma=sigma)
         expect = brute_force_knn_kernel(pts, k=k, sigma=sigma)
-        assert np.allclose(g.s.toarray(), expect, rtol=1e-13, atol=1e-15)
+        assert np.allclose(s.toarray(), expect, rtol=1e-13, atol=1e-15)
 
 
 def test_graph_zero_diagonal_and_range():
     rng = np.random.default_rng(1)
     pts = rng.normal(size=(20, 4))
-    s = gaussian_knn_graph(view_from_points(pts), k=4).s.toarray()
+    s = gaussian_knn_graph(view_from_points(pts), k=4)[0].toarray()
     assert np.all(np.diag(s) == 0.0)
     assert s.min() >= 0.0 and s.max() <= 1.0
 
@@ -76,15 +74,15 @@ def test_collinear_rows_have_at_most_2k_nonzeros():
     rng = np.random.default_rng(2)
     pts = np.sort(rng.uniform(0, 10, size=24)).reshape(-1, 1)
     for k in (1, 2, 4):
-        g = gaussian_knn_graph(view_from_points(pts), k=k, sigma=1.0)
-        nonzeros = (g.s.toarray() > 0).sum(axis=1)
+        s, _ = gaussian_knn_graph(view_from_points(pts), k=k, sigma=1.0)
+        nonzeros = (s.toarray() > 0).sum(axis=1)
         assert nonzeros.max() <= 2 * k
 
 
 def test_kernel_monotone_in_distance():
     rng = np.random.default_rng(3)
     pts = rng.normal(size=(15, 2))
-    s = gaussian_knn_graph(view_from_points(pts), k=4, sigma=1.1).s.toarray()
+    s = gaussian_knn_graph(view_from_points(pts), k=4, sigma=1.1)[0].toarray()
     ii, jj = np.nonzero(s)
     dist = np.linalg.norm(pts[ii] - pts[jj], axis=1)
     order = np.argsort(dist)
@@ -105,7 +103,7 @@ def test_invalid_k_rejected():
 def test_symmetry_is_exact():
     rng = np.random.default_rng(5)
     pts = rng.normal(size=(30, 5))
-    s = gaussian_knn_graph(view_from_points(pts), k=5).s.toarray()
+    s = gaussian_knn_graph(view_from_points(pts), k=5)[0].toarray()
     assert np.array_equal(s, s.T)
 
 
@@ -113,7 +111,7 @@ def test_symmetry_is_exact():
 
 
 def auto_sigma(points):
-    return gaussian_knn_graph(view_from_points(points), k=1).sigma
+    return gaussian_knn_graph(view_from_points(points), k=1)[1]
 
 
 def test_auto_sigma_two_points():
@@ -146,99 +144,98 @@ def test_auto_sigma_degenerate_points():
 # -------------------------------------------------------------------- fusion
 
 
+def fused(w, view_id=0):
+    return FusedGraph(view_id=view_id, w=w)
+
+
+def eye(n):
+    return sp.eye_array(n, format="csr")
+
+
 def test_fuse_gamma_zero_gives_identity():
     rng = np.random.default_rng(7)
-    pts = rng.normal(size=(9, 2))
-    sim = gaussian_knn_graph(view_from_points(pts), k=2)
-    fused = fuse_graph(sim, gamma=0.0)
-    assert np.array_equal(fused.w.toarray(), np.eye(9))
-    assert np.array_equal(fused.degree, np.ones(9))
-    assert fused.is_identity
+    s, _ = gaussian_knn_graph(view_from_points(rng.normal(size=(9, 2))), k=2)
+    g = fused(0.0 * s + eye(9))
+    assert np.array_equal(g.w.toarray(), np.eye(9))
+    assert np.array_equal(g.degree, np.ones(9))
+    assert g.is_identity
+    # explicit zeros off the diagonal do not make W anything but I
+    explicit = sp.csr_array((np.array([1.0, 0.0, 0.0, 1.0]), [0, 1, 0, 1], [0, 2, 4]))
+    assert explicit.nnz == 4 and fused(explicit).is_identity
+    assert not fused(s + eye(9)).is_identity
+    assert not fused(2.0 * eye(3)).is_identity
 
 
 def test_fuse_small_analytic_case():
-    from imvc import SimilarityGraph
-
-    sim = SimilarityGraph(
-        view_id=0, s=np.array([[0.0, 0.5], [0.5, 0.0]]), k=1, sigma=1.0
-    )
-    fused = fuse_graph(sim, gamma=1.0)
-    assert np.array_equal(fused.w.toarray(), np.array([[1.0, 0.5], [0.5, 1.0]]))
-    assert np.array_equal(fused.degree, np.array([1.5, 1.5]))
+    # two points at distance d: sigma = d, so S[0, 1] = exp(-1/2)
+    view = view_from_points([[0.0, 0.0], [3.0, 4.0]])
+    ds = MultiViewDataset(views=(view,), n=2, availability=(np.arange(2),))
+    (g,) = build_fused_graphs(ds, k=1, gamma=2.0)
+    off = 2.0 * np.exp(-0.5)
+    assert np.array_equal(g.w.toarray(), np.array([[1.0, off], [off, 1.0]]))
+    assert np.array_equal(g.degree, np.array([1.0 + off, 1.0 + off]))
+    assert not g.is_identity
 
 
 def test_fuse_degree_equals_row_and_column_sums():
     rng = np.random.default_rng(8)
     pts = rng.normal(size=(25, 3))
-    sim = gaussian_knn_graph(view_from_points(pts), k=4)
-    fused = fuse_graph(sim, gamma=1.7)
-    assert np.array_equal(fused.degree, fused.w.sum(axis=1))
+    s, _ = gaussian_knn_graph(view_from_points(pts), k=4)
+    g = fused(1.7 * s + eye(25))
+    assert np.array_equal(g.degree, g.w.sum(axis=1))
     # column sums see the same values in the same order once w.T is laid out
     # like w (w is exactly symmetric), so the equality is exact too
-    assert np.array_equal(fused.degree, fused.w.T.tocsr().sum(axis=1))
-    assert fused.degree.min() >= 1.0
+    assert np.array_equal(g.degree, g.w.T.tocsr().sum(axis=1))
+    assert g.degree.min() >= 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        g.degree[0] = 0.0
 
 
 def test_fuse_rejects_negative_gamma():
-    sim = gaussian_knn_graph(
-        view_from_points(np.random.default_rng(9).normal(size=(6, 2))), k=2
-    )
-    with pytest.raises(ValueError, match="gamma"):
-        fuse_graph(sim, gamma=-0.1)
-
-
-def test_identity_fused_graph():
-    fused = identity_fused_graph(5, view_id=3)
-    assert fused.is_identity and fused.view_id == 3
-    assert np.array_equal(fused.w.toarray(), np.eye(5))
-    assert np.array_equal(fused.degree, np.ones(5))
+    ds, _ = random_problem(9, l=2, n=6, c=2, k=2, gamma=0.0)
+    with pytest.raises(ValueError, match="gamma must be non-negative, got -0.1"):
+        build_fused_graphs(ds, k=2, gamma=-0.1)
 
 
 def test_build_fused_graphs_gamma_zero_is_identity_for_any_k():
     # k = n is too large for a neighbor search, but gamma = 0 needs none
     ds, graphs = random_problem(11, l=2, n=6, c=2, k=6, gamma=0.0)
-    for view, fused in zip(ds.views, graphs):
-        assert fused.is_identity and fused.view_id == view.view_id
-        assert np.array_equal(fused.w.toarray(), np.eye(view.n_available))
-        assert np.array_equal(fused.degree, np.ones(view.n_available))
+    for view, g in zip(ds.views, graphs):
+        assert g.is_identity and g.view_id == view.view_id
+        assert np.array_equal(g.w.toarray(), np.eye(view.n_available))
+        assert np.array_equal(g.degree, np.ones(view.n_available))
 
 
 def test_graphs_are_read_only_csr():
     rng = np.random.default_rng(10)
-    sim = gaussian_knn_graph(view_from_points(rng.normal(size=(12, 2))), k=3)
-    fused = fuse_graph(sim, gamma=1.0)
-    for m in (sim.s, fused.w, identity_fused_graph(4).w):
+    s, _ = gaussian_knn_graph(view_from_points(rng.normal(size=(12, 2))), k=3)
+    g = fused(s + eye(12))
+    for m in (s, g.w, fused(eye(4)).w):
         assert m.format == "csr"
         with pytest.raises(ValueError, match="read-only"):
             m.data[0] = 2.0
     # every row holds its k neighbors, at most k more that chose it, and W's
     # unit diagonal
-    assert np.diff(fused.w.indptr).max() <= 2 * 3 + 1
+    assert np.diff(g.w.indptr).max() <= 2 * 3 + 1
 
 
 def test_fused_graph_rejects_non_square_or_asymmetric():
-    from imvc import FusedGraph
-
     with pytest.raises(ValueError, match="must be square"):
-        FusedGraph(view_id=2, w=np.ones((2, 3)), gamma=1.0, degree=np.ones(2))
+        FusedGraph(view_id=2, w=np.ones((2, 3)))
     w = np.array([[1.0, 0.5], [np.nextafter(0.5, 1.0), 1.0]])  # one ulp off
     with pytest.raises(ValueError, match="view 2: fused graph must be exactly symmetric"):
-        FusedGraph(view_id=2, w=w, gamma=1.0, degree=w.sum(axis=1))
-    ok = FusedGraph(view_id=2, w=np.maximum(w, w.T), gamma=1.0, degree=np.ones(2))
+        FusedGraph(view_id=2, w=w)
+    ok = FusedGraph(view_id=2, w=np.maximum(w, w.T))
     assert ok.n == 2
 
 
-def test_fused_graph_gamma_zero_must_be_identity():
-    from imvc import FusedGraph
-    from imvc.solver import _graph_cost
-
+def test_fused_graph_reads_degree_and_identity_off_w():
     w = np.array([[1.0, 0.5], [0.5, 1.0]])
     p, q = np.array([[1.0, 2.0]]), np.zeros((1, 2))
-    # at gamma = 0 this W used to be costed as the identity: 5.0, not 7.5
-    with pytest.raises(ValueError, match="view 4: a fused graph with gamma = 0 must be the identity"):
-        FusedGraph(view_id=4, w=w, gamma=0.0, degree=w.sum(axis=1))
-    fused = FusedGraph(view_id=4, w=w, gamma=1.0, degree=w.sum(axis=1))
-    assert _graph_cost(p, q, fused) == 7.5
-    # 0 * S + I keeps S's pattern as explicit zeros and is still accepted
-    sim = gaussian_knn_graph(view_from_points([[0.0], [1.0], [3.0]]), k=1)
-    assert fuse_graph(sim, gamma=0.0).is_identity
+    g = FusedGraph(view_id=4, w=w)
+    # degree and identity follow W, so no caller can hand in ones that disagree
+    assert np.array_equal(g.degree, [1.5, 1.5]) and not g.is_identity
+    assert _graph_cost(p, q, g) == 7.5 == np.vdot(w, (p.T - q) ** 2)
+    assert _graph_cost(p, q, FusedGraph(view_id=4, w=np.eye(2))) == 5.0
+    with pytest.raises(TypeError):
+        FusedGraph(view_id=4, w=w, degree=np.ones(2))

@@ -14,7 +14,9 @@ from hypothesis import strategies as st
 
 import imvc.graph
 import reference
-from imvc import ViewMatrix, fuse_graph, gaussian_knn_graph
+import scipy.sparse as sp
+
+from imvc import FusedGraph, ViewMatrix, gaussian_knn_graph
 
 KINDS = ("normal", "integer", "offset", "duplicates", "outlier")
 
@@ -60,14 +62,15 @@ def check_graph(view, k, sigma):
             gaussian_knn_graph(view, k=k, sigma=sigma)
         assert str(got.value) == str(want)
         return
-    g = gaussian_knn_graph(view, k=k, sigma=sigma)
-    assert g.sigma == want_sigma
-    assert np.array_equal(g.s.toarray(), s)
+    got, got_sigma = gaussian_knn_graph(view, k=k, sigma=sigma)
+    assert got_sigma == want_sigma
+    assert np.array_equal(got.toarray(), s)
     # a valid similarity graph: symmetric, zero diagonal, and every fused
     # degree at least 1 (a far outlier's kernel values may underflow to 0)
-    assert (g.s != g.s.T).nnz == 0
-    assert np.all(g.s.diagonal() == 0.0)
-    assert fuse_graph(g, gamma=1.0).degree.min() >= 1.0
+    assert (got != got.T).nnz == 0
+    assert np.all(got.diagonal() == 0.0)
+    fused = FusedGraph(view_id=0, w=got + sp.eye_array(got.shape[0]))
+    assert fused.degree.min() >= 1.0
 
 
 @examples(150)

@@ -347,6 +347,33 @@ def test_config_defaults_and_unknown_keys(data_dir):
         ExperimentConfig.from_dict({"dataset": {"views": ["x.csv"]}, "typo": 1})
 
 
+def test_config_rejects_unknown_keys_in_sections():
+    for section, key, value in (
+        ("solver", "lamda", [5.0]),
+        ("dataset", "lables", "labels.csv"),
+        ("mask", "rate", [0.9]),
+        ("metrics", "restart", 3),
+    ):
+        raw = {"dataset": {"views": ["x.csv"]}}
+        raw.setdefault(section, {})[key] = value
+        with pytest.raises(
+            ValueError, match=f"unknown config keys in section '{section}': \\['{key}'\\]"
+        ):
+            ExperimentConfig.from_dict(raw)
+
+
+def test_config_rates_default_to_the_protocol():
+    # built directly or from a file, an unset rates takes the protocol's defaults
+    for protocol, rates in (
+        ("random-missing", (0.1, 0.3, 0.5)),
+        ("paired-sample", (0.3, 0.5, 0.7)),
+    ):
+        assert ExperimentConfig(view_paths=("a",), protocol=protocol).rates == rates
+        raw = {"dataset": {"views": ["a"]}, "mask": {"protocol": protocol}}
+        assert ExperimentConfig.from_dict(raw).rates == rates
+    assert ExperimentConfig(view_paths=("a",), rates=(0.2,)).rates == (0.2,)
+
+
 def test_config_validation_errors():
     with pytest.raises(ValueError, match="at least one view"):
         ExperimentConfig(view_paths=())

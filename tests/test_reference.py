@@ -26,10 +26,10 @@ def random_view(n, m, seed):
 
 
 def assert_graph_matches_reference(view, k, sigma=None):
-    got = gaussian_knn_graph(view, k=k, sigma=sigma)
+    got, got_sigma = gaussian_knn_graph(view, k=k, sigma=sigma)
     s, want_sigma = reference.gaussian_knn_graph(view.data, k, sigma=sigma)
-    assert got.sigma == want_sigma
-    assert np.array_equal(got.s.toarray(), s)
+    assert got_sigma == want_sigma
+    assert np.array_equal(got.toarray(), s)
 
 
 # ------------------------------------------------------------------ kNN graph

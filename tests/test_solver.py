@@ -16,9 +16,14 @@ from imvc import (
     view_costs,
     write_trace,
 )
-from imvc.graph import identity_fused_graph
 
-from synthetic import masked_problem, multiview_blobs, random_problem, random_state
+from synthetic import (
+    identity_graph,
+    masked_problem,
+    multiview_blobs,
+    random_problem,
+    random_state,
+)
 
 
 def naive_objective(ds, graphs, state, lam, beta, r):
@@ -89,7 +94,7 @@ def test_objective_zero_state_is_zero():
 
 def test_objective_single_view_reduces_to_two_terms():
     ds, _ = random_problem(2, l=1, n=7, c=2, rate=0.0, k=3)
-    graphs = (identity_fused_graph(ds.views[0].n_available),)
+    graphs = (identity_graph(ds.views[0].n_available),)
     state = random_state(ds, 2, seed=3)
     state = SolverState(
         bases=state.bases,
@@ -217,7 +222,7 @@ def test_codes_scalar_cases_match_grid_prox():
         b = float(rng.uniform(-4.0, 4.0))
         beta = float(rng.uniform(0.0, 3.0))
         lam = h - 1.0
-        graph = identity_fused_graph(1)
+        graph = identity_graph(1)
         p = update_codes(
             np.array([[b]]), np.array([[1.0]]), np.array([[0.0]]), np.array([0]), graph,
             lam, beta,
@@ -228,7 +233,7 @@ def test_codes_scalar_cases_match_grid_prox():
 
 def test_codes_threshold_dead_zone_outputs_zero():
     # |b/h| below beta/(2h) lands at exactly zero
-    graph = identity_fused_graph(1)
+    graph = identity_graph(1)
     p = update_codes(
         np.array([[0.3]]), np.array([[1.0]]), np.array([[0.0]]), np.array([0]), graph,
         lam=0.0001, beta=1.0,
@@ -261,7 +266,7 @@ def test_codes_local_optimality_probe():
 
 def test_consensus_single_complete_view_returns_codes():
     ds, _ = random_problem(8, l=1, n=6, c=2, rate=0.0, k=2)
-    graphs = (identity_fused_graph(6),)
+    graphs = (identity_graph(6),)
     p = np.random.default_rng(5).normal(size=(2, 6))
     q = update_consensus([p], graphs, ds.availability, ds.n, np.array([1.0]), r=2.0)
     assert np.array_equal(q, p)
@@ -269,7 +274,7 @@ def test_consensus_single_complete_view_returns_codes():
 
 def test_consensus_two_views_equal_weights_average():
     ds, _ = random_problem(9, l=2, n=5, c=2, rate=0.0, k=2)
-    graphs = (identity_fused_graph(5), identity_fused_graph(5))
+    graphs = (identity_graph(5), identity_graph(5))
     rng = np.random.default_rng(6)
     p1, p2 = rng.normal(size=(2, 5)), rng.normal(size=(2, 5))
     q = update_consensus([p1, p2], graphs, ds.availability, ds.n, np.array([0.5, 0.5]), r=1.0)
@@ -278,7 +283,7 @@ def test_consensus_two_views_equal_weights_average():
 
 def test_consensus_infeasible_names_the_underflowed_views():
     # (1e-40)^9 underflows to 0, so sample 2, held by view 1 alone, has no weight
-    graphs = (identity_fused_graph(2, view_id=0), identity_fused_graph(2, view_id=1))
+    graphs = (identity_graph(2, view_id=0), identity_graph(2, view_id=1))
     availability = (np.array([0, 1]), np.array([1, 2]))
     codes = [np.ones((2, 2)), np.ones((2, 2))]
     weights = np.array([1.0 - 1e-40, 1e-40])
@@ -559,7 +564,7 @@ def test_fit_rejects_mismatched_inputs():
     cfg = SolverConfig(lam=1.0, beta=0.01, r=2.0, n_components=2)
     with pytest.raises(ValueError, match="one fused graph"):
         fit(ds, graphs[:1], cfg)
-    wrong = tuple(identity_fused_graph(3, g.view_id) for g in graphs)
+    wrong = tuple(identity_graph(3, g.view_id) for g in graphs)
     with pytest.raises(ValueError, match="does not match"):
         fit(ds, wrong, cfg)
 
