@@ -43,7 +43,9 @@ def _load_config(args) -> ExperimentConfig:
     return cfg
 
 
-def _report(records, paths) -> None:
+def _report(records, paths) -> int:
+    """Print the output paths and the trial tally; return how many trials
+    succeeded."""
     failed = [t.run_id for r in records for t in r.trials if t.error]
     print(f"wrote {paths['trials']}")
     print(f"wrote {paths['aggregate']}")
@@ -53,10 +55,12 @@ def _report(records, paths) -> None:
     print(f"{total - len(failed)}/{total} trials succeeded in {wall:.1f}s")
     for run_id in failed:
         print(f"  failed: {run_id}")
+    return total - len(failed)
 
 
 def _cmd_run(args) -> int:
-    """`run` (which=None) and `ablate --which`."""
+    """`run` (which=None) and `ablate --which`. Exit status 1 when no trial
+    succeeded; the rows of failed trials are written either way."""
     cfg = _load_config(args)
     if args.which is None:
         records = run_experiment(cfg, workers=args.workers, keep_states=args.traces)
@@ -65,8 +69,7 @@ def _cmd_run(args) -> int:
     paths = write_results(records, cfg.output_dir, cfg)
     if args.traces:
         write_traces(records, cfg.output_dir)
-    _report(records, paths)
-    return 0
+    return 0 if _report(records, paths) else 1
 
 
 def _cmd_trace(args) -> int:
@@ -96,7 +99,11 @@ def _cmd_trace(args) -> int:
 
 
 def _cmd_validate_data(args) -> int:
-    cfg = ExperimentConfig.from_file(args.config) if args.config else None
+    try:
+        cfg = ExperimentConfig.from_file(args.config) if args.config else None
+    except ValueError as exc:
+        print(f"INVALID: {exc}", file=sys.stderr)
+        return 1
     if cfg is not None:
         views, avail, labels = cfg.view_paths, cfg.availability_paths, cfg.label_path
         normalize = cfg.normalize

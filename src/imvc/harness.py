@@ -127,6 +127,18 @@ class ExperimentConfig:
         ):
             if not grid:
                 raise ValueError(f"empty {name} grid")
+        if min(self.knn_grid) < 1:
+            raise ValueError(f"k must be at least 1, got {min(self.knn_grid)}")
+        if self.gamma < 0:
+            raise ValueError(f"gamma must be non-negative, got {self.gamma}")
+        if self.kmeans_restarts < 1:
+            raise ValueError(f"restarts must be at least 1, got {self.kmeans_restarts}")
+        # the solver's own checks of lam, beta, r, max_iter and tol, on every
+        # grid point; the cluster count may come from the labels later
+        for lam, beta, r in itertools.product(self.lam_grid, self.beta_grid, self.r_grid):
+            SolverConfig(
+                lam=lam, beta=beta, r=r, n_components=1, max_iter=self.max_iter, tol=self.tol
+            )
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":

@@ -1,9 +1,12 @@
 """Cluster the consensus representation and score the result.
 
 kmeans runs restarted Lloyd iterations with k-means++ seeding on the columns
-of the representation. accuracy uses the optimal one-to-one cluster-to-class
-assignment, nmi normalizes mutual information by the geometric mean of the two
-entropies, and purity is the majority-class fraction per predicted cluster.
+of the representation. The restarts run in lockstep, one stacked distance
+computation per Lloyd step, and give the same labels and inertia, bit for
+bit, as running them one at a time. accuracy uses the optimal one-to-one
+cluster-to-class assignment, nmi normalizes mutual information by the
+geometric mean of the two entropies, and purity is the majority-class
+fraction per predicted cluster.
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.optimize import linear_sum_assignment
 from scipy.spatial.distance import cdist
 
@@ -120,37 +124,24 @@ def _kmeans_pp_init(pts: np.ndarray, k: int, rng: np.random.Generator) -> np.nda
     return centers
 
 
-def _lloyd(
-    pts: np.ndarray,
-    k: int,
-    rng: np.random.Generator,
-    max_iter: int,
-    history: Optional[list] = None,
-) -> tuple[np.ndarray, float]:
-    centers = _kmeans_pp_init(pts, k, rng)
-    labels = np.full(pts.shape[0], -1)
-    for _ in range(max_iter):
-        dist = cdist(pts, centers, metric="sqeuclidean")
-        new_labels = dist.argmin(axis=1)
-        point_cost = dist[np.arange(pts.shape[0]), new_labels]
-        if history is not None:
-            history.append(float(point_cost.sum()))
-        empty = np.setdiff1d(np.arange(k), new_labels)
-        if empty.size:
-            # deterministic repair: relocate to the currently worst-fit points
-            farthest = np.argsort(point_cost)[::-1]
-            for slot, cluster in enumerate(empty):
-                centers[cluster] = pts[farthest[slot]]
-            continue
-        if np.array_equal(new_labels, labels):
-            break
-        labels = new_labels
-        for cluster in range(k):
-            centers[cluster] = pts[labels == cluster].mean(axis=0)
-    dist = cdist(pts, centers, metric="sqeuclidean")
-    labels = dist.argmin(axis=1)
-    inertia = float(dist[np.arange(pts.shape[0]), labels].sum())
-    return labels, inertia
+def _centre_means(pts: np.ndarray, labels: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """(m, k, c) cluster means of the (m, n) restart labels, all clusters
+    non-empty, each equal bit for bit to pts[labels[j] == cluster].mean(axis=0).
+    """
+    m, k = counts.shape
+    n = pts.shape[0]
+    if pts.shape[1] == 1:
+        # mean sums a one-column slice pairwise, not in row order
+        return np.array(
+            [[pts[row == cluster].mean(axis=0) for cluster in range(k)] for row in labels]
+        )
+    # the product with a one-hot (m*k, n) CSC matrix walks its columns in
+    # order, so it adds each cluster's points in row order, as mean does
+    bins = labels + (np.arange(m) * k)[:, None]
+    onehot = sp.csc_array(
+        (np.ones(m * n), bins.T.ravel(), np.arange(0, m * n + 1, m)), shape=(m * k, n)
+    )
+    return (onehot @ pts).reshape(m, k, -1) / counts[:, :, None]
 
 
 def _best_kmeans(
@@ -159,17 +150,51 @@ def _best_kmeans(
     pts = np.ascontiguousarray(representation.T, dtype=np.float64)
     if not np.all(np.isfinite(pts)):
         raise ValueError("representation contains non-finite values")
-    if not 1 <= k <= pts.shape[0]:
-        raise ValueError(f"k must satisfy 1 <= k <= n={pts.shape[0]}, got {k}")
+    n, c = pts.shape
+    if not 1 <= k <= n:
+        raise ValueError(f"k must satisfy 1 <= k <= n={n}, got {k}")
     if restarts < 1:
         raise ValueError("restarts must be at least 1")
-    children = np.random.SeedSequence(seed).spawn(restarts)
-    best_labels, best_inertia = None, np.inf
-    for child in children:
-        labels, inertia = _lloyd(pts, k, np.random.default_rng(child), max_iter)
-        if inertia < best_inertia:
-            best_labels, best_inertia = labels, inertia
-    return best_labels, best_inertia
+    centers = np.stack(
+        [
+            _kmeans_pp_init(pts, k, np.random.default_rng(child))
+            for child in np.random.SeedSequence(seed).spawn(restarts)
+        ]
+    )
+    labels = np.full((restarts, n), -1)
+    inertia = np.empty(restarts)
+    active = np.arange(restarts)  # restarts whose Lloyd iterations still run
+    rows = np.arange(n)
+    for step in range(max_iter + 1):
+        # one cdist over the stacked centres: each pair is computed on its own,
+        # so every restart's distances carry the bits of its own cdist
+        dist = cdist(pts, centers[active].reshape(-1, c), metric="sqeuclidean")
+        dist = dist.reshape(n, active.size, k)
+        new_labels = dist.argmin(axis=2).T
+        counts = np.bincount(
+            (new_labels + (np.arange(active.size) * k)[:, None]).ravel(),
+            minlength=active.size * k,
+        ).reshape(active.size, k)
+        empty = (counts == 0).any(axis=1)
+        # out of steps, or converged: this assignment is the restart's result
+        final = ((new_labels == labels[active]).all(axis=1) & ~empty) | (step == max_iter)
+        for j in np.flatnonzero(final):
+            labels[active[j]] = new_labels[j]
+            inertia[active[j]] = dist[rows, j, new_labels[j]].sum()
+        for j in np.flatnonzero(empty & ~final):
+            # deterministic repair: relocate to the currently worst-fit points
+            farthest = np.argsort(dist[rows, j, new_labels[j]])[::-1]
+            clusters = np.flatnonzero(counts[j] == 0)
+            centers[active[j], clusters] = pts[farthest[: clusters.size]]
+        moved = ~(empty | final)
+        if moved.any():
+            labels[active[moved]] = new_labels[moved]
+            centers[active[moved]] = _centre_means(pts, new_labels[moved], counts[moved])
+        active = active[~final]
+        if not active.size:
+            break
+    best = int(np.argmin(inertia))  # the first restart with the smallest inertia
+    return labels[best], float(inertia[best])
 
 
 def kmeans(
@@ -181,8 +206,10 @@ def kmeans(
 ) -> np.ndarray:
     """Cluster the columns of a (dim x n) representation into k groups.
 
-    Best of `restarts` seeded k-means++ runs by inertia; empty clusters are
-    re-seeded from the points farthest from their centroids.
+    Best of `restarts` seeded k-means++ runs by inertia (the first one on a
+    tie); empty clusters are re-seeded from the points farthest from their
+    centroids. The restarts run in lockstep and give the same labels and
+    inertia as running them one at a time.
     """
     labels, _ = _best_kmeans(representation, k, restarts, seed, max_iter)
     return labels

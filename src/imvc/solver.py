@@ -62,17 +62,17 @@ class SolverConfig:
 
     def __post_init__(self):
         if self.lam <= 0:
-            raise ValueError("lam must be positive")
+            raise ValueError(f"lam must be positive, got {self.lam}")
         if self.beta < 0:
-            raise ValueError("beta must be non-negative")
+            raise ValueError(f"beta must be non-negative, got {self.beta}")
         if self.r <= 1:
-            raise ValueError("r must be greater than 1")
+            raise ValueError(f"r must be greater than 1, got {self.r}")
         if self.n_components < 1:
-            raise ValueError("n_components must be at least 1")
+            raise ValueError(f"n_components must be at least 1, got {self.n_components}")
         if self.max_iter < 1:
-            raise ValueError("max_iter must be at least 1")
+            raise ValueError(f"max_iter must be at least 1, got {self.max_iter}")
         if self.tol < 0:
-            raise ValueError("tol must be non-negative")
+            raise ValueError(f"tol must be non-negative, got {self.tol}")
 
 
 @dataclass(frozen=True)

@@ -5,15 +5,18 @@ These are the straightforward O(n_v^2)-memory formulations: the all-pairs kNN
 graph, the distance-matrix graph cost, the residual-matrix reconstruction
 cost, and the n x n_v binary indicator matrices with the dense normal
 equations of the consensus and codes updates. They are meant for small
-problems only.
+problems only. best_kmeans runs the k-means restarts one at a time, with one
+boolean-mask mean per cluster.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 from scipy.spatial.distance import cdist, pdist
+
+from imvc.metrics import _kmeans_pp_init
 
 
 def build_indicator(availability: Sequence[int], n: int) -> np.ndarray:
@@ -108,3 +111,55 @@ def update_codes(x, u, consensus, ids, w, lam: float, beta: float) -> np.ndarray
     v = (x.T @ u + lam * (w @ gathered.T)).T / h
     thr = beta / (2.0 * h)
     return np.sign(v) * np.maximum(np.abs(v) - thr, 0.0)
+
+
+def lloyd(
+    pts: np.ndarray,
+    k: int,
+    rng: np.random.Generator,
+    max_iter: int,
+    history: Optional[list] = None,
+) -> tuple[np.ndarray, float]:
+    centers = _kmeans_pp_init(pts, k, rng)
+    labels = np.full(pts.shape[0], -1)
+    for _ in range(max_iter):
+        dist = cdist(pts, centers, metric="sqeuclidean")
+        new_labels = dist.argmin(axis=1)
+        point_cost = dist[np.arange(pts.shape[0]), new_labels]
+        if history is not None:
+            history.append(float(point_cost.sum()))
+        empty = np.setdiff1d(np.arange(k), new_labels)
+        if empty.size:
+            # deterministic repair: relocate to the currently worst-fit points
+            farthest = np.argsort(point_cost)[::-1]
+            for slot, cluster in enumerate(empty):
+                centers[cluster] = pts[farthest[slot]]
+            continue
+        if np.array_equal(new_labels, labels):
+            break
+        labels = new_labels
+        for cluster in range(k):
+            centers[cluster] = pts[labels == cluster].mean(axis=0)
+    dist = cdist(pts, centers, metric="sqeuclidean")
+    labels = dist.argmin(axis=1)
+    inertia = float(dist[np.arange(pts.shape[0]), labels].sum())
+    return labels, inertia
+
+
+def best_kmeans(
+    representation: np.ndarray, k: int, restarts: int, seed: int, max_iter: int
+) -> tuple[np.ndarray, float]:
+    pts = np.ascontiguousarray(representation.T, dtype=np.float64)
+    if not np.all(np.isfinite(pts)):
+        raise ValueError("representation contains non-finite values")
+    if not 1 <= k <= pts.shape[0]:
+        raise ValueError(f"k must satisfy 1 <= k <= n={pts.shape[0]}, got {k}")
+    if restarts < 1:
+        raise ValueError("restarts must be at least 1")
+    children = np.random.SeedSequence(seed).spawn(restarts)
+    best_labels, best_inertia = None, np.inf
+    for child in children:
+        labels, inertia = lloyd(pts, k, np.random.default_rng(child), max_iter)
+        if inertia < best_inertia:
+            best_labels, best_inertia = labels, inertia
+    return best_labels, best_inertia

@@ -126,6 +126,36 @@ def test_cli_validate_data_config_checks_k_against_masks(workspace, tmp_path, ca
     assert main(["validate-data", "--config", str(bad)]) == 0
 
 
+def test_cli_validate_data_rejects_bad_config_values(workspace, tmp_path, capsys):
+    root, cfg_path, _ = workspace
+    config = json.loads(cfg_path.read_text())
+    config["metrics"]["restarts"] = 0
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(config))
+    assert main(["validate-data", "--config", str(bad)]) == 1
+    assert capsys.readouterr().err == "INVALID: restarts must be at least 1, got 0\n"
+
+
+@pytest.mark.parametrize("command", [["run"], ["ablate", "--which", "weight"]])
+def test_cli_exit_status_is_1_when_no_trial_succeeds(workspace, tmp_path, capsys, command):
+    root, cfg_path, _ = workspace
+    config = json.loads(cfg_path.read_text())
+    # a 30% mask leaves fewer than 24 instances per view, so k=24 fails
+    config["solver"]["k"] = [5, 24]
+    partial = tmp_path / "partial.json"
+    partial.write_text(json.dumps(config))
+    argv = command + ["--config", str(partial), "--output", str(tmp_path / "partial")]
+    assert main(argv) == 0
+    assert "2/4 trials succeeded" in capsys.readouterr().out
+    config["solver"]["k"] = [24]
+    failing = tmp_path / "failing.json"
+    failing.write_text(json.dumps(config))
+    argv = command + ["--config", str(failing), "--output", str(tmp_path / "failing")]
+    assert main(argv) == 1
+    assert "0/2 trials succeeded" in capsys.readouterr().out
+    assert len((tmp_path / "failing" / "trials.csv").read_text().splitlines()) == 3
+
+
 @pytest.mark.parametrize("command", [["run"], ["ablate", "--which", "weight"]])
 def test_cli_rejects_fewer_than_one_worker(workspace, tmp_path, command):
     root, cfg_path, _ = workspace

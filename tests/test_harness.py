@@ -1,6 +1,7 @@
 import csv
 import json
 import multiprocessing
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -381,6 +382,26 @@ def test_config_validation_errors():
         ExperimentConfig(view_paths=("v.csv",), lam_grid=())
     with pytest.raises(ValueError, match="repeats"):
         ExperimentConfig(view_paths=("v.csv",), repeats=0)
+
+
+@pytest.mark.parametrize(
+    "section, key, value, message",
+    [
+        ("solver", "gamma", -1, "gamma must be non-negative, got -1"),
+        ("solver", "k", [5, 0], "k must be at least 1, got 0"),
+        ("solver", "lam", [1.0, 0.0], "lam must be positive, got 0.0"),
+        ("solver", "beta", [-0.5], "beta must be non-negative, got -0.5"),
+        ("solver", "r", [2.0, 1.0], "r must be greater than 1, got 1.0"),
+        ("solver", "max_iter", 0, "max_iter must be at least 1, got 0"),
+        ("solver", "tol", -1, "tol must be non-negative, got -1"),
+        ("metrics", "restarts", 0, "restarts must be at least 1, got 0"),
+    ],
+)
+def test_config_rejects_bad_values(section, key, value, message):
+    # each of these used to pass the config and then fail every trial
+    raw = {"dataset": {"views": ["v.csv"]}, section: {key: value}}
+    with pytest.raises(ValueError, match=re.escape(message)):
+        ExperimentConfig.from_dict(raw)
 
 
 def test_config_from_file(data_dir, tmp_path):

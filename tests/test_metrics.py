@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from imvc import accuracy, evaluate_clustering, kmeans, nmi, purity
-from imvc.metrics import _lloyd
+from imvc.metrics import _best_kmeans
 
 
 def exhaustive_accuracy(t, p):
@@ -195,8 +195,6 @@ def test_kmeans_separates_two_clouds():
 
 def test_kmeans_identical_points_zero_inertia():
     rep = np.zeros((3, 10))
-    from imvc.metrics import _best_kmeans
-
     labels, inertia = _best_kmeans(rep, k=1, restarts=3, seed=0, max_iter=50)
     assert inertia == 0.0
     assert np.all(labels == 0)
@@ -205,8 +203,6 @@ def test_kmeans_identical_points_zero_inertia():
 def test_kmeans_beats_random_assignments():
     rng = np.random.default_rng(7)
     rep = rng.normal(size=(4, 40))
-    from imvc.metrics import _best_kmeans
-
     _, inertia = _best_kmeans(rep, k=3, restarts=5, seed=1, max_iter=100)
     pts = rep.T
     for _ in range(100):
@@ -236,18 +232,18 @@ def test_kmeans_invalid_k():
 
 
 def test_lloyd_inertia_non_increasing():
+    # the inertia after t Lloyd steps of one restart, for growing t
     rng = np.random.default_rng(9)
-    pts = rng.normal(size=(60, 4))
-    history = []
-    _lloyd(pts, k=4, rng=np.random.default_rng(1), max_iter=100, history=history)
-    assert len(history) >= 2
-    assert all(b <= a + 1e-9 for a, b in zip(history, history[1:]))
+    rep = rng.normal(size=(4, 60))
+    inertias = [_best_kmeans(rep, k=4, restarts=1, seed=1, max_iter=t)[1] for t in range(12)]
+    assert inertias[-1] < inertias[0]
+    assert all(b <= a + 1e-9 for a, b in zip(inertias, inertias[1:]))
 
 
 def test_lloyd_handles_coincident_seeding():
     # identical points force coincident k-means++ centers and an empty cluster
-    pts = np.zeros((6, 2))
-    labels, inertia = _lloyd(pts, k=2, rng=np.random.default_rng(0), max_iter=20)
+    rep = np.zeros((2, 6))
+    labels, inertia = _best_kmeans(rep, k=2, restarts=3, seed=0, max_iter=20)
     assert inertia == 0.0
     assert set(labels) <= {0, 1}
 
