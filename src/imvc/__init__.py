@@ -47,7 +47,6 @@ from .harness import (
     RunRecord,
     run_ablation,
     run_experiment,
-    run_sweep,
     write_results,
     write_traces,
 )
@@ -88,7 +87,6 @@ __all__ = [
     "RunRecord",
     "run_ablation",
     "run_experiment",
-    "run_sweep",
     "write_results",
     "write_traces",
 ]

@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import replace
+from typing import Optional
 
 from .dataset import load_dataset, normalize_views
 from .harness import (
@@ -13,7 +14,6 @@ from .harness import (
     knn_problems,
     run_ablation,
     run_experiment,
-    run_sweep,
     write_results,
     write_traces,
 )
@@ -34,12 +34,27 @@ def _add_sweep(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _load_config(args) -> ExperimentConfig:
+def _load_config(args) -> Optional[ExperimentConfig]:
+    """The config the command runs: the --config file with the --output and
+    --seed overrides, narrowed for `trace` to its one trial. None when there
+    is no --config (validate-data only)."""
+    if args.config is None:
+        return None
     cfg = ExperimentConfig.from_file(args.config)
     if getattr(args, "output", None):
         cfg = replace(cfg, output_dir=args.output)
     if getattr(args, "seed", None) is not None:
         cfg = replace(cfg, master_seed=args.seed)
+    if args.command == "trace":  # each value not given is the first configured
+        cfg = replace(
+            cfg,
+            lam_grid=(args.lam if args.lam is not None else cfg.lam_grid[0],),
+            beta_grid=(args.beta if args.beta is not None else cfg.beta_grid[0],),
+            r_grid=(args.r if args.r is not None else cfg.r_grid[0],),
+            knn_grid=(args.k if args.k is not None else cfg.knn_grid[0],),
+            rates=(args.rate if args.rate is not None else cfg.rates[0],),
+            repeats=1,
+        )
     return cfg
 
 
@@ -58,10 +73,9 @@ def _report(records, paths) -> int:
     return total - len(failed)
 
 
-def _cmd_run(args) -> int:
+def _cmd_run(args, cfg: ExperimentConfig) -> int:
     """`run` (which=None) and `ablate --which`. Exit status 1 when no trial
     succeeded; the rows of failed trials are written either way."""
-    cfg = _load_config(args)
     if args.which is None:
         records = run_experiment(cfg, workers=args.workers, keep_states=args.traces)
     else:
@@ -72,19 +86,10 @@ def _cmd_run(args) -> int:
     return 0 if _report(records, paths) else 1
 
 
-def _cmd_trace(args) -> int:
-    cfg = _load_config(args)
-    single = replace(
-        cfg,
-        lam_grid=(args.lam if args.lam is not None else cfg.lam_grid[0],),
-        beta_grid=(args.beta if args.beta is not None else cfg.beta_grid[0],),
-        r_grid=(args.r if args.r is not None else cfg.r_grid[0],),
-        knn_grid=(args.k if args.k is not None else cfg.knn_grid[0],),
-        rates=(args.rate if args.rate is not None else cfg.rates[0],),
-        repeats=1,
-    )
-    records = run_sweep(single, variant="trace", keep_states=True)
-    paths = write_traces(records, single.output_dir)
+def _cmd_trace(args, cfg: ExperimentConfig) -> int:
+    """One trial of the full model, its trace written as trace_<runid>.csv."""
+    records = run_experiment(cfg, keep_states=True)
+    paths = write_traces(records, cfg.output_dir)
     for p in paths:
         print(f"wrote {p}")
     trial = records[0].trials[0]
@@ -98,12 +103,7 @@ def _cmd_trace(args) -> int:
     return 0
 
 
-def _cmd_validate_data(args) -> int:
-    try:
-        cfg = ExperimentConfig.from_file(args.config) if args.config else None
-    except ValueError as exc:
-        print(f"INVALID: {exc}", file=sys.stderr)
-        return 1
+def _cmd_validate_data(args, cfg: Optional[ExperimentConfig]) -> int:
     if cfg is not None:
         views, avail, labels = cfg.view_paths, cfg.availability_paths, cfg.label_path
         normalize = cfg.normalize
@@ -170,7 +170,13 @@ def main(argv=None) -> int:
     p_val.set_defaults(func=_cmd_validate_data)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    # a rejected config is one INVALID line and exit status 1, for every command
+    try:
+        cfg = _load_config(args)
+    except ValueError as exc:
+        print(f"INVALID: {exc}", file=sys.stderr)
+        return 1
+    return args.func(args, cfg)
 
 
 if __name__ == "__main__":

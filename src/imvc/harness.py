@@ -8,12 +8,11 @@ and the resolved config to manifest.json. Given one machine and
 one master seed, trials.csv is byte-identical across runs.
 
 The mask depends only on (rate, repeat) and the graphs only on the mask and
-k, so run_sweep runs the trials group by group, one (rate, repeat, k) group's
-(lam, beta, r) grid after another, and each process keeps the last group it
-built: a process builds a group once for all the trials of it that it runs.
-With workers > 1 the trials run on a pool of worker processes; rows, run
-ids and seeds keep the sweep order whichever process ran a trial. A group
-whose build fails gives each of its trials the build's error.
+k, so run_sweep runs the trials group by group, and each process that runs
+them keeps the last group it built on its _Sweep. The output columns are the
+fields of TrialOutcome (trials.csv) and RunRecord (aggregate.csv) in order,
+less the in-memory ones; each ablation is the one model switch in _VARIANTS
+that it turns off.
 """
 
 from __future__ import annotations
@@ -22,9 +21,10 @@ import hashlib
 import itertools
 import json
 import multiprocessing
+import numbers
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, asdict, replace
+from dataclasses import dataclass, asdict, fields, replace
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -42,7 +42,16 @@ from .graph import build_fused_graphs
 from .metrics import evaluate_clustering
 from .solver import SolverConfig, SolverState, fit, write_trace
 
-ABLATIONS = ("weight", "sparsity", "graph")
+# Each variant and the model switch it turns off, as the value it runs with:
+# the graph build reads gamma from here and SolverConfig beta and weight_on.
+# The rows keep the configured beta and gamma.
+_VARIANTS = {
+    "full": {},
+    "no-weight": {"weight_on": False},
+    "no-sparsity": {"beta": 0.0},
+    "no-graph": {"gamma": 0.0},
+}
+ABLATIONS = tuple(name.removeprefix("no-") for name in _VARIANTS if name != "full")
 
 DEFAULT_RATES = {"random-missing": (0.1, 0.3, 0.5), "paired-sample": (0.3, 0.5, 0.7)}
 # desk-scale slices of the full candidate sets
@@ -64,7 +73,7 @@ _CONFIG_SECTIONS = {
     "mask": {
         "protocol": ("protocol", None),
         "rates": ("rates", tuple),
-        "repeats": ("repeats", int),
+        "repeats": ("repeats", None),
     },
     "solver": {
         "lam": ("lam_grid", tuple),
@@ -72,16 +81,24 @@ _CONFIG_SECTIONS = {
         "r": ("r_grid", tuple),
         "k": ("knn_grid", tuple),
         "gamma": ("gamma", float),
-        "max_iter": ("max_iter", int),
+        "max_iter": ("max_iter", None),
         "tol": ("tol", float),
     },
-    "metrics": {"restarts": ("kmeans_restarts", int)},
+    "metrics": {"restarts": ("kmeans_restarts", None)},
 }
 _CONFIG_TOP_LEVEL = {
     "clusters": ("n_components", None),
     "output": ("output_dir", None),
-    "master_seed": ("master_seed", int),
+    "master_seed": ("master_seed", None),
 }
+
+
+def _integer(key: str, value) -> int:
+    """A config integer, named by its key: 3 and 3.0 are taken, 2.5 is an
+    error rather than truncated."""
+    if isinstance(value, numbers.Integral) or isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise ValueError(f"{key} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -109,6 +126,15 @@ class ExperimentConfig:
     master_seed: int = 0
 
     def __post_init__(self):
+        object.__setattr__(self, "repeats", _integer("repeats", self.repeats))
+        object.__setattr__(self, "max_iter", _integer("max_iter", self.max_iter))
+        object.__setattr__(self, "kmeans_restarts", _integer("restarts", self.kmeans_restarts))
+        object.__setattr__(self, "master_seed", _integer("master_seed", self.master_seed))
+        object.__setattr__(self, "knn_grid", tuple(_integer("k", k) for k in self.knn_grid))
+        if self.n_components is not None:
+            object.__setattr__(self, "n_components", _integer("clusters", self.n_components))
+            if self.n_components < 1:
+                raise ValueError(f"clusters must be at least 1, got {self.n_components}")
         if not self.view_paths:
             raise ValueError("config needs at least one view file")
         if self.protocol not in MASK_PROTOCOLS:
@@ -117,6 +143,9 @@ class ExperimentConfig:
             object.__setattr__(self, "rates", DEFAULT_RATES[self.protocol])
         if not self.rates:
             raise ValueError("config needs at least one mask rate")
+        # a rate names its trials' run ids and trace files
+        if len(set(self.rates)) < len(self.rates):
+            raise ValueError(f"rates must be distinct, got {list(self.rates)}")
         if self.repeats < 1:
             raise ValueError("repeats must be at least 1")
         for name, grid in (
@@ -150,15 +179,15 @@ class ExperimentConfig:
         parts += [
             (f" in section {s!r}", raw.get(s, {}), keys) for s, keys in _CONFIG_SECTIONS.items()
         ]
-        fields = {}
+        settings = {}
         for where, values, keys in parts:
             unknown = set(values) - set(keys)
             if unknown:
                 raise ValueError(f"unknown config keys{where}: {sorted(unknown)}")
             for key, value in values.items():
                 name, convert = keys[key]
-                fields[name] = value if convert is None else convert(value)
-        return cls(**fields)
+                settings[name] = value if convert is None else convert(value)
+        return cls(**settings)
 
     @classmethod
     def from_file(cls, path: str | Path) -> "ExperimentConfig":
@@ -167,9 +196,8 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class TrialOutcome:
-    """One trial's row. wall_seconds is its wall time, kept off the output
-    files; the first trial of a group that a process runs counts that
-    process's build of the group's mask and graphs."""
+    """One trial's row, less its wall time (wall_seconds, see _run_trial) and
+    solver state."""
 
     run_id: str
     variant: str
@@ -181,7 +209,7 @@ class TrialOutcome:
     lam: float
     beta: float
     r: float
-    knn: int
+    k: int
     gamma: float
     iterations: int = 0
     acc: Optional[float] = None
@@ -194,7 +222,8 @@ class TrialOutcome:
 
 @dataclass(frozen=True)
 class RunRecord:
-    """Aggregate over the repeats of one (grid point, rate) cell."""
+    """Aggregate over the repeats of one (grid point, rate) cell: the fields
+    up to iterations_mean are its aggregate.csv row."""
 
     variant: str
     protocol: str
@@ -202,9 +231,10 @@ class RunRecord:
     lam: float
     beta: float
     r: float
-    knn: int
+    k: int
     gamma: float
-    trials: tuple[TrialOutcome, ...]
+    n_trials: int
+    n_failed: int
     acc_mean: float
     acc_std: float
     nmi_mean: float
@@ -212,12 +242,18 @@ class RunRecord:
     purity_mean: float
     purity_std: float
     iterations_mean: float
+    trials: tuple[TrialOutcome, ...]
     wall_seconds: float
-    n_failed: int
 
-    @property
-    def n_trials(self) -> int:
-        return len(self.trials)
+
+# the fields kept in memory only: wall-clock time and solver states stay off
+# the files, so that every output file is byte-identical across reruns with
+# the same master seed
+_IN_MEMORY = ("wall_seconds", "state", "trials")
+_TRIAL_COLUMNS = tuple(f.name for f in fields(TrialOutcome) if f.name not in _IN_MEMORY)
+_AGGREGATE_COLUMNS = tuple(f.name for f in fields(RunRecord) if f.name not in _IN_MEMORY)
+# the columns that name a cell: the same for every trial of it
+_CELL_COLUMNS = tuple(name for name in _AGGREGATE_COLUMNS if name in _TRIAL_COLUMNS)
 
 
 def derive_seed(*parts) -> int:
@@ -231,98 +267,89 @@ def _mask_seed(cfg: ExperimentConfig, rate: float, repeat: int) -> int:
 
 
 def _aggregate(trials: Sequence[TrialOutcome]) -> RunRecord:
-    first = trials[0]
+    """The record of one cell; its scores average the trials that succeeded
+    and are NaN when none did."""
     ok = [t for t in trials if not t.error]
-
-    def stats(values):
-        if not ok:
-            return float("nan"), float("nan")
-        arr = np.array(values)
-        return float(arr.mean()), float(arr.std())
-
-    acc_mean, acc_std = stats([t.acc for t in ok])
-    nmi_mean, nmi_std = stats([t.nmi for t in ok])
-    purity_mean, purity_std = stats([t.purity for t in ok])
-    iters_mean = float(np.mean([t.iterations for t in ok])) if ok else float("nan")
+    scores = {}
+    for name in ("acc", "nmi", "purity"):
+        values = np.array([getattr(t, name) for t in ok])
+        scores[f"{name}_mean"], scores[f"{name}_std"] = (
+            (float(values.mean()), float(values.std())) if ok else (float("nan"), float("nan"))
+        )
     return RunRecord(
-        variant=first.variant,
-        protocol=first.protocol,
-        rate=first.rate,
-        lam=first.lam,
-        beta=first.beta,
-        r=first.r,
-        knn=first.knn,
-        gamma=first.gamma,
-        trials=tuple(trials),
-        acc_mean=acc_mean,
-        acc_std=acc_std,
-        nmi_mean=nmi_mean,
-        nmi_std=nmi_std,
-        purity_mean=purity_mean,
-        purity_std=purity_std,
-        iterations_mean=iters_mean,
-        wall_seconds=float(sum(t.wall_seconds for t in trials)),
+        **{name: getattr(trials[0], name) for name in _CELL_COLUMNS},
+        n_trials=len(trials),
         n_failed=len(trials) - len(ok),
+        **scores,
+        iterations_mean=float(np.mean([t.iterations for t in ok])) if ok else float("nan"),
+        trials=tuple(trials),
+        wall_seconds=float(sum(t.wall_seconds for t in trials)),
     )
 
 
-# The last problem this process built, as (base, cfg, group, built): group is
-# (rate, repeat, k, variant) and built is that group's masked dataset and
-# fused graphs, or the build's exception. Each process keeps its own;
-# run_sweep drops the parent's when it ends.
-_last_problem = None
+def _group(trial: TrialOutcome) -> tuple:
+    """The trial's (rate, repeat, k) group: the trials that share one mask
+    and one set of fused graphs."""
+    return trial.rate, trial.repeat, trial.k
 
 
-def _problem(base: MultiViewDataset, cfg: ExperimentConfig, outcome: TrialOutcome):
-    """The masked dataset and fused graphs of the outcome's group, rebuilt
-    only when the group differs from the last one this process built. A
-    failed build is kept and raised again to every trial of its group."""
-    global _last_problem
-    group = (outcome.rate, outcome.repeat, outcome.knn, outcome.variant)
-    last = _last_problem
-    if last is None or last[0] is not base or last[1] is not cfg or last[2] != group:
-        try:
-            masked = apply_mask(
-                base, MaskSpec(protocol=cfg.protocol, rate=outcome.rate, seed=outcome.mask_seed)
-            )
-            # the graph ablation switches the term off through gamma; the
-            # row keeps the configured gamma
-            gamma = 0.0 if outcome.variant == "no-graph" else outcome.gamma
-            built = masked, build_fused_graphs(masked, k=outcome.knn, gamma=gamma)
-        except Exception as exc:
-            built = exc
-        last = _last_problem = (base, cfg, group, built)
-    built = last[3]
-    if isinstance(built, Exception):
-        raise built.with_traceback(None)
-    return built
+@dataclass
+class _Sweep:
+    """One sweep (one variant) as the process that runs its trials holds it:
+    the base dataset, the config, whether trials keep their solver states,
+    and the last group this process built with its masked dataset and fused
+    graphs, or the build's exception. Built in the calling process for one
+    worker, and by the pool initializer in each worker process."""
+
+    base: MultiViewDataset
+    cfg: ExperimentConfig
+    keep_states: bool
+    group: Optional[tuple] = None
+    built: object = None
+
+    def problem(self, outcome: TrialOutcome):
+        """The masked dataset and fused graphs of the outcome's group, built
+        only when the group differs from the last one. A failed build is kept
+        and raised again to every trial of its group."""
+        if _group(outcome) != self.group:
+            try:
+                masked = apply_mask(
+                    self.base,
+                    MaskSpec(protocol=self.cfg.protocol, rate=outcome.rate, seed=outcome.mask_seed),
+                )
+                gamma = _VARIANTS[outcome.variant].get("gamma", outcome.gamma)
+                self.built = masked, build_fused_graphs(masked, k=outcome.k, gamma=gamma)
+            except Exception as exc:
+                self.built = exc
+            self.group = _group(outcome)
+        if isinstance(self.built, Exception):
+            raise self.built.with_traceback(None)
+        return self.built
 
 
-def _run_trial(
-    base: MultiViewDataset,
-    cfg: ExperimentConfig,
-    outcome: TrialOutcome,
-    keep_state: bool,
-) -> TrialOutcome:
+def _run_trial(sweep: _Sweep, outcome: TrialOutcome) -> TrialOutcome:
+    """Every trial of a sweep runs here, the group build included, so the
+    first trial of a group that a process runs counts the build in its wall
+    time. A failure becomes the trial's error."""
     start = time.perf_counter()
     try:
-        masked, graphs = _problem(base, cfg, outcome)
-        n_components = cfg.n_components or base.n_classes
+        masked, graphs = sweep.problem(outcome)
+        cfg, switch = sweep.cfg, _VARIANTS[outcome.variant]
+        n_components = sweep.base.n_classes if cfg.n_components is None else cfg.n_components
         solver_cfg = SolverConfig(
             lam=outcome.lam,
-            # the sparsity ablation runs at beta = 0; the row keeps the configured beta
-            beta=0.0 if outcome.variant == "no-sparsity" else outcome.beta,
+            beta=switch.get("beta", outcome.beta),
             r=outcome.r,
             n_components=n_components,
             max_iter=cfg.max_iter,
             tol=cfg.tol,
             seed=outcome.solver_seed,
-            weight_on=outcome.variant != "no-weight",
+            weight_on=switch.get("weight_on", True),
         )
         state = fit(masked, graphs, solver_cfg)
         scores = evaluate_clustering(
             state.consensus,
-            base.labels,
+            sweep.base.labels,
             k=n_components,
             restarts=cfg.kmeans_restarts,
             seed=derive_seed(outcome.solver_seed, "kmeans"),
@@ -334,7 +361,7 @@ def _run_trial(
             nmi=scores.nmi,
             purity=scores.purity,
             wall_seconds=time.perf_counter() - start,
-            state=state if keep_state else None,
+            state=state if sweep.keep_states else None,
         )
     except Exception as exc:  # per-trial failures must not kill the sweep
         message = f"{type(exc).__name__}: {exc}".replace("\n", "; ")
@@ -345,29 +372,17 @@ def _run_trial(
         )
 
 
-# (base, cfg, keep_states) of the sweep a worker process serves, set once per
-# process by the pool initializer
-_worker_sweep = None
+# the sweep a worker process serves, set by the pool initializer
+_worker_sweep: Optional[_Sweep] = None
 
 
 def _init_worker(base: MultiViewDataset, cfg: ExperimentConfig, keep_states: bool) -> None:
     global _worker_sweep
-    _worker_sweep = (base, cfg, keep_states)
+    _worker_sweep = _Sweep(base, cfg, keep_states)
 
 
 def _worker_trial(outcome: TrialOutcome) -> TrialOutcome:
-    base, cfg, keep_states = _worker_sweep
-    return _run_trial(base, cfg, outcome, keep_states)
-
-
-def _load_base_dataset(cfg: ExperimentConfig) -> MultiViewDataset:
-    ds = load_dataset(cfg.view_paths, cfg.availability_paths, cfg.label_path)
-    ds = normalize_views(ds, cfg.normalize)
-    if ds.labels is None:
-        raise ValueError("experiments need a label file for scoring")
-    if cfg.n_components is None and ds.n_classes is None:
-        raise ValueError("set 'clusters' in the config or provide labels")
-    return ds
+    return _run_trial(_worker_sweep, outcome)
 
 
 def knn_problems(cfg: ExperimentConfig, base: MultiViewDataset) -> list[str]:
@@ -393,12 +408,6 @@ def knn_problems(cfg: ExperimentConfig, base: MultiViewDataset) -> list[str]:
     return problems
 
 
-def _grid(cfg: ExperimentConfig):
-    return list(
-        itertools.product(cfg.lam_grid, cfg.beta_grid, cfg.r_grid, cfg.knn_grid)
-    )
-
-
 def _rate_tag(rate: float) -> str:
     return repr(float(rate)).replace(".", "p")
 
@@ -419,14 +428,16 @@ def run_sweep(
     build is deterministic and rows are collected in sweep order, so the
     output does not depend on workers.
     """
-    global _last_problem
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
-    base = _load_base_dataset(cfg)
-    grid = _grid(cfg)
+    base = load_dataset(cfg.view_paths, cfg.availability_paths, cfg.label_path)
+    base = normalize_views(base, cfg.normalize)
+    if base.labels is None:
+        raise ValueError("experiments need a label file for scoring")
+    grid = itertools.product(cfg.lam_grid, cfg.beta_grid, cfg.r_grid, cfg.knn_grid)
     pending: list[TrialOutcome] = []
-    for gi, (lam, beta, r, knn) in enumerate(grid):
-        grid_key = f"lam={lam!r},beta={beta!r},r={r!r},k={knn!r}"
+    for gi, (lam, beta, r, k) in enumerate(grid):
+        grid_key = f"lam={lam!r},beta={beta!r},r={r!r},k={k!r}"
         for rate in cfg.rates:
             for rep in range(cfg.repeats):
                 pending.append(
@@ -443,14 +454,14 @@ def run_sweep(
                         lam=float(lam),
                         beta=float(beta),
                         r=float(r),
-                        knn=int(knn),
+                        k=k,
                         gamma=float(cfg.gamma),
                     )
                 )
 
     groups: dict[tuple, list[int]] = {}  # (rate, repeat, k) -> trial indices
     for i, t in enumerate(pending):
-        groups.setdefault((t.rate, t.repeat, t.knn), []).append(i)
+        groups.setdefault(_group(t), []).append(i)
     order = [i for ids in groups.values() for i in ids]
     outcomes = [pending[i] for i in order]
 
@@ -468,10 +479,8 @@ def run_sweep(
         ) as pool:
             results = list(pool.map(_worker_trial, outcomes))
     else:
-        try:
-            results = [_run_trial(base, cfg, t, keep_states) for t in outcomes]
-        finally:
-            _last_problem = None
+        sweep = _Sweep(base, cfg, keep_states)
+        results = [_run_trial(sweep, t) for t in outcomes]
     done = [None] * len(pending)
     for i, outcome in zip(order, results):
         done[i] = outcome
@@ -503,50 +512,12 @@ def run_ablation(
     return run_sweep(cfg, variant=f"no-{which}", workers=workers, keep_states=keep_states)
 
 
-_TRIAL_COLUMNS = (
-    "run_id",
-    "variant",
-    "protocol",
-    "rate",
-    "repeat",
-    "mask_seed",
-    "solver_seed",
-    "lam",
-    "beta",
-    "r",
-    "k",
-    "gamma",
-    "iterations",
-    "acc",
-    "nmi",
-    "purity",
-    "error",
-)
-
-# wall-clock time lives on the in-memory records only, so that every output
-# file is byte-identical across reruns with the same master seed
-_AGGREGATE_COLUMNS = (
-    "variant",
-    "protocol",
-    "rate",
-    "lam",
-    "beta",
-    "r",
-    "k",
-    "gamma",
-    "n_trials",
-    "n_failed",
-    "acc_mean",
-    "acc_std",
-    "nmi_mean",
-    "nmi_std",
-    "purity_mean",
-    "purity_std",
-    "iterations_mean",
-)
-
-
-def _fmt(value) -> str:
+def _cell(row, name: str) -> str:
+    """One CSV cell: floats as repr, None empty, and the error text, the one
+    cell that can hold a comma, quoted with its own quotes made apostrophes."""
+    value = getattr(row, name)
+    if name == "error":
+        return '"%s"' % value.replace('"', "'") if value else ""
     if value is None:
         return ""
     if isinstance(value, float):
@@ -554,64 +525,20 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _write_csv(path: Path, columns: Sequence[str], rows) -> None:
+    lines = [",".join(columns)]
+    lines += [",".join(_cell(row, name) for name in columns) for row in rows]
+    path.write_text("\n".join(lines) + "\n")
+
+
 def write_results(records: Sequence[RunRecord], out_dir: str | Path, cfg: ExperimentConfig) -> dict:
     """Write trials.csv, aggregate.csv and manifest.json; returns the paths."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-
-    trial_lines = [",".join(_TRIAL_COLUMNS)]
-    for rec in records:
-        for t in rec.trials:
-            row = [
-                t.run_id,
-                t.variant,
-                t.protocol,
-                _fmt(t.rate),
-                str(t.repeat),
-                str(t.mask_seed),
-                str(t.solver_seed),
-                _fmt(t.lam),
-                _fmt(t.beta),
-                _fmt(t.r),
-                str(t.knn),
-                _fmt(t.gamma),
-                str(t.iterations),
-                _fmt(t.acc),
-                _fmt(t.nmi),
-                _fmt(t.purity),
-                '"%s"' % t.error.replace('"', "'") if t.error else "",
-            ]
-            trial_lines.append(",".join(row))
     trials_path = out / "trials.csv"
-    trials_path.write_text("\n".join(trial_lines) + "\n")
-
-    agg_lines = [",".join(_AGGREGATE_COLUMNS)]
-    for rec in records:
-        agg_lines.append(
-            ",".join(
-                [
-                    rec.variant,
-                    rec.protocol,
-                    _fmt(rec.rate),
-                    _fmt(rec.lam),
-                    _fmt(rec.beta),
-                    _fmt(rec.r),
-                    str(rec.knn),
-                    _fmt(rec.gamma),
-                    str(rec.n_trials),
-                    str(rec.n_failed),
-                    _fmt(rec.acc_mean),
-                    _fmt(rec.acc_std),
-                    _fmt(rec.nmi_mean),
-                    _fmt(rec.nmi_std),
-                    _fmt(rec.purity_mean),
-                    _fmt(rec.purity_std),
-                    _fmt(rec.iterations_mean),
-                ]
-            )
-        )
+    _write_csv(trials_path, _TRIAL_COLUMNS, [t for rec in records for t in rec.trials])
     aggregate_path = out / "aggregate.csv"
-    aggregate_path.write_text("\n".join(agg_lines) + "\n")
+    _write_csv(aggregate_path, _AGGREGATE_COLUMNS, records)
 
     import scipy
 

@@ -65,7 +65,7 @@ def test_cli_trace(workspace, tmp_path, capsys):
     out = capsys.readouterr().out
     assert "converged in" in out
     traces = list((tmp_path / "tr").glob("trace_*.csv"))
-    assert len(traces) == 1
+    assert [t.name for t in traces] == ["trace_full-g000-r0p3-t00.csv"]
     lines = traces[0].read_text().strip().splitlines()
     assert lines[0] == "iteration,objective,e_0,e_1,alpha_0,alpha_1"
     assert len(lines) > 2
@@ -154,6 +154,23 @@ def test_cli_exit_status_is_1_when_no_trial_succeeds(workspace, tmp_path, capsys
     assert main(argv) == 1
     assert "0/2 trials succeeded" in capsys.readouterr().out
     assert len((tmp_path / "failing" / "trials.csv").read_text().splitlines()) == 3
+
+
+@pytest.mark.parametrize("command", [["run"], ["ablate", "--which", "weight"], ["trace"]])
+def test_cli_reports_a_rejected_config_in_one_line(workspace, tmp_path, capsys, command):
+    root, cfg_path, _ = workspace
+    config = json.loads(cfg_path.read_text())
+    config["mask"]["repeats"] = 1.7
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(config))
+    argv = command + ["--config", str(bad), "--output", str(tmp_path / "x")]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == "INVALID: repeats must be an integer, got 1.7\n"
+    # the one-trial values trace takes from the command line are checked too
+    if command == ["trace"]:
+        assert main(["trace", "--config", str(cfg_path), "--k", "0"]) == 1
+        assert capsys.readouterr().err == "INVALID: k must be at least 1, got 0\n"
+    assert not (tmp_path / "x").exists()
 
 
 @pytest.mark.parametrize("command", [["run"], ["ablate", "--which", "weight"]])

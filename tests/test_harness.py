@@ -3,6 +3,7 @@ import json
 import multiprocessing
 import re
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from imvc import (
     write_results,
     write_traces,
 )
-from imvc.harness import derive_seed
+from imvc.harness import TrialOutcome, _aggregate, derive_seed
 from imvc.solver import SolverConfig, write_trace
 
 from synthetic import multiview_blobs
@@ -246,6 +247,56 @@ def test_sweep_rejects_fewer_than_one_worker(data_dir, tmp_path, workers):
         run_experiment(cfg, workers=workers)
 
 
+# --------------------------------------------------------------- output files
+
+
+def _hand_trial(run_id, k, repeat, **result):
+    return TrialOutcome(
+        run_id=run_id, variant="no-sparsity", protocol="random-missing", rate=0.3,
+        repeat=repeat, mask_seed=4611686018427387903, solver_seed=12, lam=0.1, beta=1e-05,
+        r=2.0, k=k, gamma=1.0, **result,
+    )
+
+
+def test_write_results_csv_bytes(tmp_path):
+    # the exact bytes of both files, from hand-built records: repr floats,
+    # plain ints, None as an empty cell, one quoted error cell (its quotes
+    # turned to apostrophes), and the NaN aggregates of a cell where every
+    # trial failed; wall_seconds stays off the files
+    records = [
+        _aggregate([
+            _hand_trial("a0", 5, 0, iterations=12, acc=0.75, nmi=0.1 + 0.2, purity=1.0,
+                        wall_seconds=0.5),
+            _hand_trial("a1", 5, 1, iterations=15, acc=0.5, nmi=0.2, purity=0.875),
+            _hand_trial("a2", 5, 2, error='ValueError: k must satisfy "1 <= k < 21", got 30'),
+        ]),
+        _aggregate([
+            _hand_trial("b0", 30, 0, error="ValueError: bad, worse"),
+            _hand_trial("b1", 30, 1, error="ValueError: bad, worse"),
+        ]),
+    ]
+    paths = write_results(records, tmp_path, ExperimentConfig(view_paths=("v.csv",)))
+    seeds = "4611686018427387903,12"
+    point = "0.1,1e-05,2.0"
+    assert Path(paths["trials"]).read_bytes() == (
+        "run_id,variant,protocol,rate,repeat,mask_seed,solver_seed,lam,beta,r,k,gamma,"
+        "iterations,acc,nmi,purity,error\n"
+        f"a0,no-sparsity,random-missing,0.3,0,{seeds},{point},5,1.0,12,0.75,0.30000000000000004,1.0,\n"
+        f"a1,no-sparsity,random-missing,0.3,1,{seeds},{point},5,1.0,15,0.5,0.2,0.875,\n"
+        f"a2,no-sparsity,random-missing,0.3,2,{seeds},{point},5,1.0,0,,,,"
+        "\"ValueError: k must satisfy '1 <= k < 21', got 30\"\n"
+        f"b0,no-sparsity,random-missing,0.3,0,{seeds},{point},30,1.0,0,,,,\"ValueError: bad, worse\"\n"
+        f"b1,no-sparsity,random-missing,0.3,1,{seeds},{point},30,1.0,0,,,,\"ValueError: bad, worse\"\n"
+    ).encode()
+    assert Path(paths["aggregate"]).read_bytes() == (
+        "variant,protocol,rate,lam,beta,r,k,gamma,n_trials,n_failed,acc_mean,acc_std,"
+        "nmi_mean,nmi_std,purity_mean,purity_std,iterations_mean\n"
+        f"no-sparsity,random-missing,0.3,{point},5,1.0,3,1,0.625,0.125,0.25,0.05000000000000002,"
+        "0.9375,0.0625,13.5\n"
+        f"no-sparsity,random-missing,0.3,{point},30,1.0,2,2,nan,nan,nan,nan,nan,nan,nan\n"
+    ).encode()
+
+
 # ------------------------------------------------------------------ ablations
 
 
@@ -316,7 +367,7 @@ def test_trace_file_shape_and_roundtrip(data_dir, tmp_path):
     records = run_experiment(cfg, keep_states=True)
     state = records[0].trials[0].state
     (path,) = write_traces(records, tmp_path / "traces")
-    lines = open(path).read().strip().splitlines()
+    lines = Path(path).read_text().strip().splitlines()
     assert lines[0] == "iteration,objective,e_0,e_1,alpha_0,alpha_1"
     assert len(lines) - 1 == state.n_iterations + 1
     values = [float(line.split(",")[1]) for line in lines[1:]]
@@ -395,13 +446,45 @@ def test_config_validation_errors():
         ("solver", "max_iter", 0, "max_iter must be at least 1, got 0"),
         ("solver", "tol", -1, "tol must be non-negative, got -1"),
         ("metrics", "restarts", 0, "restarts must be at least 1, got 0"),
+        (None, "clusters", 0, "clusters must be at least 1, got 0"),
+        (None, "clusters", -1, "clusters must be at least 1, got -1"),
+        # integers are not truncated
+        ("solver", "k", [5, 2.5], "k must be an integer, got 2.5"),
+        ("mask", "repeats", 1.7, "repeats must be an integer, got 1.7"),
+        ("solver", "max_iter", 10.5, "max_iter must be an integer, got 10.5"),
+        ("metrics", "restarts", 3.5, "restarts must be an integer, got 3.5"),
+        (None, "master_seed", 0.5, "master_seed must be an integer, got 0.5"),
+        (None, "clusters", 2.5, "clusters must be an integer, got 2.5"),
+        # two trials would share one run id and one trace file
+        ("mask", "rates", [0.3, 0.3], "rates must be distinct, got [0.3, 0.3]"),
     ],
 )
 def test_config_rejects_bad_values(section, key, value, message):
-    # each of these used to pass the config and then fail every trial
-    raw = {"dataset": {"views": ["v.csv"]}, section: {key: value}}
+    # each of these used to pass the config and then fail every trial, or run
+    # a truncated value, or run two trials under one run id
+    raw = {"dataset": {"views": ["v.csv"]}}
+    if section is None:
+        raw[key] = value
+    else:
+        raw[section] = {key: value}
     with pytest.raises(ValueError, match=re.escape(message)):
         ExperimentConfig.from_dict(raw)
+
+
+def test_config_takes_integral_floats():
+    raw = {
+        "dataset": {"views": ["v.csv"]},
+        "clusters": 3.0,
+        "mask": {"repeats": 2.0},
+        "solver": {"k": [5.0, 7], "max_iter": 40.0},
+        "metrics": {"restarts": 4.0},
+        "master_seed": 9.0,
+    }
+    cfg = ExperimentConfig.from_dict(raw)
+    got = (cfg.n_components, cfg.repeats, *cfg.knn_grid, cfg.max_iter, cfg.kmeans_restarts,
+           cfg.master_seed)
+    assert got == (3, 2, 5, 7, 40, 4, 9)
+    assert all(type(v) is int for v in got)
 
 
 def test_config_from_file(data_dir, tmp_path):

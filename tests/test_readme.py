@@ -1,5 +1,5 @@
-"""README guards: the quick start runs, and the public API list names
-exactly imvc.__all__."""
+"""README guards: the quick start runs, the public API list names exactly
+imvc.__all__, and the CSV headers are the ones write_results writes."""
 
 import os
 import re
@@ -30,3 +30,10 @@ def test_readme_public_api_is_all():
     paragraph = re.search(r"^Public API:.*?(?=\n\n)", README, flags=re.S | re.M).group()
     names = re.findall(r"`(\w+)`", paragraph)
     assert sorted(names) == sorted(imvc.__all__)
+
+
+def test_readme_csv_headers_are_written(tmp_path):
+    paths = imvc.write_results([], tmp_path, imvc.ExperimentConfig(view_paths=("v.csv",)))
+    for name in ("trials", "aggregate"):
+        (header,) = re.findall(rf"The header of `{name}.csv`:\n\n```\n(.*)\n```", README)
+        assert Path(paths[name]).read_text() == header + "\n"
