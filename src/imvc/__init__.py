@@ -8,8 +8,6 @@ from .dataset import (
     MultiViewDataset,
     ViewMatrix,
     apply_mask,
-    apply_paired_sample_mask,
-    apply_random_missing_mask,
     load_dataset,
     normalize_views,
     save_dataset,
@@ -24,9 +22,7 @@ from .solver import (
     SolverState,
     fit,
     initialize,
-    load_state,
     objective,
-    save_state,
     update_basis,
     update_codes,
     update_consensus,
@@ -56,8 +52,6 @@ __all__ = [
     "MultiViewDataset",
     "ViewMatrix",
     "apply_mask",
-    "apply_paired_sample_mask",
-    "apply_random_missing_mask",
     "load_dataset",
     "normalize_views",
     "save_dataset",
@@ -68,9 +62,7 @@ __all__ = [
     "SolverState",
     "fit",
     "initialize",
-    "load_state",
     "objective",
-    "save_state",
     "update_basis",
     "update_codes",
     "update_consensus",

@@ -7,11 +7,13 @@ import sys
 from dataclasses import replace
 from typing import Optional
 
-from .dataset import load_dataset, normalize_views
+from .dataset import load_dataset
 from .harness import (
     ABLATIONS,
+    DataError,
     ExperimentConfig,
     knn_problems,
+    load_base,
     run_ablation,
     run_experiment,
     write_results,
@@ -104,22 +106,20 @@ def _cmd_trace(args, cfg: ExperimentConfig) -> int:
 
 
 def _cmd_validate_data(args, cfg: Optional[ExperimentConfig]) -> int:
-    if cfg is not None:
-        views, avail, labels = cfg.view_paths, cfg.availability_paths, cfg.label_path
-        normalize = cfg.normalize
-    else:
-        views, avail, labels = args.view, args.availability or None, args.labels
-        normalize = "none"
-    if not views:
+    """Check and describe the data of a config, loaded and masked as `run`
+    does it, or of the --view files."""
+    if cfg is None and not args.view:
         print("no view files given (use --config or --view)", file=sys.stderr)
         return 2
     try:
-        ds = load_dataset(views, avail, labels)
-        ds = normalize_views(ds, normalize)
-        problems = knn_problems(cfg, ds) if cfg is not None else []
-    except ValueError as exc:
-        print(f"INVALID: {exc}", file=sys.stderr)
-        return 1
+        if cfg is not None:
+            ds = load_base(cfg)
+            problems = knn_problems(cfg, ds)
+        else:
+            ds = load_dataset(args.view, args.availability or None, args.labels)
+            problems = []
+    except (OSError, ValueError) as exc:
+        problems = [exc]
     for problem in problems:
         print(f"INVALID: {problem}", file=sys.stderr)
     if problems:
@@ -170,13 +170,18 @@ def main(argv=None) -> int:
     p_val.set_defaults(func=_cmd_validate_data)
 
     args = parser.parse_args(argv)
-    # a rejected config is one INVALID line and exit status 1, for every command
+    # a rejected config or data file is one INVALID line and exit status 1, for
+    # every command; a trial that fails is a row of trials.csv instead
     try:
         cfg = _load_config(args)
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         print(f"INVALID: {exc}", file=sys.stderr)
         return 1
-    return args.func(args, cfg)
+    try:
+        return args.func(args, cfg)
+    except DataError as exc:
+        print(f"INVALID: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

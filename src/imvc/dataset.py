@@ -3,7 +3,10 @@
 A dataset holds one feature matrix per view (features x available instances)
 together with an availability list per view that maps each instance column to
 its global sample id. Samples may be missing from any subset of views as long
-as every sample is observed in at least one view.
+as every sample is observed in at least one view. apply_mask simulates
+incompleteness on a complete dataset under a MaskSpec: "random-missing" drops
+instances from every view, "paired-sample" keeps both of two views for a
+fraction of the samples.
 
 On-disk interchange format (all plain text, no binary dependencies):
   * view file: CSV, no header, '.' decimal separator, m_v rows x n_v columns;
@@ -191,15 +194,13 @@ def _repair_coverage(n: int, kept: list[np.ndarray], rng: np.random.Generator) -
     return [np.array(sorted(s), dtype=np.int64) for s in sets]
 
 
-def apply_random_missing_mask(full: MultiViewDataset, spec: MaskSpec) -> MultiViewDataset:
+def _random_missing_mask(full: MultiViewDataset, spec: MaskSpec) -> MultiViewDataset:
     """Remove a random fraction of instances from every view independently.
 
     Each view drops round(rate * n) instances uniformly at random; a sample
     that would lose all of its views gets one instance re-inserted into a
     uniformly chosen view. Deterministic for a fixed seed.
     """
-    if spec.protocol != "random-missing":
-        raise ValueError(f"expected a random-missing spec, got {spec.protocol!r}")
     if not full.is_complete:
         raise ValueError("random-missing masks require a complete dataset")
     if spec.rate >= 1.0:
@@ -217,14 +218,12 @@ def apply_random_missing_mask(full: MultiViewDataset, spec: MaskSpec) -> MultiVi
     return _subset_dataset(full, kept)
 
 
-def apply_paired_sample_mask(full: MultiViewDataset, spec: MaskSpec) -> MultiViewDataset:
+def _paired_sample_mask(full: MultiViewDataset, spec: MaskSpec) -> MultiViewDataset:
     """Keep both views for a random fraction of samples, one view for the rest.
 
     Two-view datasets only. The single-view remainder is split so the two
     views end up with available-instance counts differing by at most one.
     """
-    if spec.protocol != "paired-sample":
-        raise ValueError(f"expected a paired-sample spec, got {spec.protocol!r}")
     if full.n_views != 2:
         raise ValueError(
             f"paired-sample masking supports exactly 2 views, got {full.n_views}"
@@ -247,11 +246,17 @@ def apply_paired_sample_mask(full: MultiViewDataset, spec: MaskSpec) -> MultiVie
 
 
 def apply_mask(full: MultiViewDataset, spec: MaskSpec) -> MultiViewDataset:
-    if spec.rate == 0.0 and spec.protocol == "random-missing":
+    """The dataset with spec's protocol applied.
+
+    A random-missing spec at rate 0 returns the dataset unchanged, complete
+    or not, so a config can run incomplete data from its availability
+    sidecars. Any other spec needs a complete dataset.
+    """
+    if spec.protocol == "paired-sample":
+        return _paired_sample_mask(full, spec)
+    if spec.rate == 0.0:
         return full
-    if spec.protocol == "random-missing":
-        return apply_random_missing_mask(full, spec)
-    return apply_paired_sample_mask(full, spec)
+    return _random_missing_mask(full, spec)
 
 
 def _load_matrix(path: Path) -> np.ndarray:
@@ -321,15 +326,16 @@ def load_dataset(
     return MultiViewDataset(views=views, n=n, availability=tuple(avail), labels=labels)
 
 
-def save_dataset(ds: MultiViewDataset, directory: str | Path, stem: str = "view") -> dict:
-    """Write a dataset in the interchange format; returns the written paths."""
+def save_dataset(ds: MultiViewDataset, directory: str | Path) -> dict:
+    """Write a dataset in the interchange format, as view_<v>.csv,
+    view_<v>.avail and labels.csv; returns the written paths."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     paths: dict = {"views": [], "availability": [], "labels": None}
     for view, ids in zip(ds.views, ds.availability):
-        vp = directory / f"{stem}_{view.view_id}.csv"
+        vp = directory / f"view_{view.view_id}.csv"
         np.savetxt(vp, view.data, delimiter=",", fmt="%.17e")
-        ap = directory / f"{stem}_{view.view_id}.avail"
+        ap = directory / f"view_{view.view_id}.avail"
         np.savetxt(ap, ids, fmt="%d")
         paths["views"].append(str(vp))
         paths["availability"].append(str(ap))

@@ -385,6 +385,23 @@ def _worker_trial(outcome: TrialOutcome) -> TrialOutcome:
     return _run_trial(_worker_sweep, outcome)
 
 
+class DataError(ValueError):
+    """A sweep's data files cannot be read or normalized, or give no labels
+    to score with."""
+
+
+def load_base(cfg: ExperimentConfig) -> MultiViewDataset:
+    """The configured dataset, loaded and normalized, that every trial of a
+    sweep masks."""
+    if cfg.label_path is None:
+        raise DataError("experiments need a label file for scoring")
+    try:
+        base = load_dataset(cfg.view_paths, cfg.availability_paths, cfg.label_path)
+        return normalize_views(base, cfg.normalize)
+    except (OSError, ValueError) as exc:
+        raise DataError(exc) from exc
+
+
 def knn_problems(cfg: ExperimentConfig, base: MultiViewDataset) -> list[str]:
     """Check every configured mask up front: one message per (rate, repeat,
     view) whose masked view has too few instances for the largest k.
@@ -430,10 +447,7 @@ def run_sweep(
     """
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
-    base = load_dataset(cfg.view_paths, cfg.availability_paths, cfg.label_path)
-    base = normalize_views(base, cfg.normalize)
-    if base.labels is None:
-        raise ValueError("experiments need a label file for scoring")
+    base = load_base(cfg)
     grid = itertools.product(cfg.lam_grid, cfg.beta_grid, cfg.r_grid, cfg.knn_grid)
     pending: list[TrialOutcome] = []
     for gi, (lam, beta, r, k) in enumerate(grid):

@@ -28,17 +28,6 @@ class ClusteringResult:
     nmi: float
     purity: float
     kmeans_inertia: float
-    restarts_used: int
-
-    def as_dict(self) -> dict:
-        """Flat JSON-ready score summary (labels excluded)."""
-        return {
-            "acc": self.acc,
-            "nmi": self.nmi,
-            "purity": self.purity,
-            "kmeans_inertia": self.kmeans_inertia,
-            "restarts_used": self.restarts_used,
-        }
 
 
 def _check_labels(true_labels, predicted) -> tuple[np.ndarray, np.ndarray]:
@@ -145,7 +134,7 @@ def _centre_means(pts: np.ndarray, labels: np.ndarray, counts: np.ndarray) -> np
 
 
 def _best_kmeans(
-    representation: np.ndarray, k: int, restarts: int, seed: int, max_iter: int
+    representation: np.ndarray, k: int, restarts: int, seed: int, max_iter: int = 300
 ) -> tuple[np.ndarray, float]:
     pts = np.ascontiguousarray(representation.T, dtype=np.float64)
     if not np.all(np.isfinite(pts)):
@@ -202,7 +191,6 @@ def kmeans(
     k: int,
     restarts: int = 20,
     seed: int = 0,
-    max_iter: int = 300,
 ) -> np.ndarray:
     """Cluster the columns of a (dim x n) representation into k groups.
 
@@ -211,7 +199,7 @@ def kmeans(
     centroids. The restarts run in lockstep and give the same labels and
     inertia as running them one at a time.
     """
-    labels, _ = _best_kmeans(representation, k, restarts, seed, max_iter)
+    labels, _ = _best_kmeans(representation, k, restarts, seed)
     return labels
 
 
@@ -221,18 +209,16 @@ def evaluate_clustering(
     k: Optional[int] = None,
     restarts: int = 20,
     seed: int = 0,
-    max_iter: int = 300,
 ) -> ClusteringResult:
     """k-means on the representation columns plus acc/nmi/purity scores."""
     t = np.asarray(true_labels, dtype=np.int64)
     if k is None:
         k = int(t.max()) + 1
-    labels, inertia = _best_kmeans(representation, k, restarts, seed, max_iter)
+    labels, inertia = _best_kmeans(representation, k, restarts, seed)
     return ClusteringResult(
         predicted=labels,
         acc=accuracy(t, labels),
         nmi=nmi(t, labels),
         purity=purity(t, labels),
         kmeans_inertia=inertia,
-        restarts_used=restarts,
     )

@@ -12,7 +12,9 @@ through that view's fused graph W. The total cost is
 
 with simplex view weights a (smoothed by the exponent r > 1). Each of the four
 blocks (consensus Q, bases U, codes P, weights a) has a closed-form minimizer,
-so one sweep per iteration never increases the cost.
+so one sweep per iteration never increases the cost. fit always starts from
+initialize; its result is the in-memory SolverState, whose per-iteration
+traces write_trace dumps as CSV.
 
 Samples are addressed through each view's availability ids (ds.availability):
 Q gathered to view v is Q[:, ids_v], and the consensus solve scatters back
@@ -28,7 +30,6 @@ no residual or distance matrix:
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Optional, Sequence
@@ -278,7 +279,6 @@ def fit(
     ds: MultiViewDataset,
     graphs: Sequence[FusedGraph],
     cfg: SolverConfig,
-    init_state: Optional[SolverState] = None,
     callback: Optional[Callable] = None,
 ) -> SolverState:
     """Run alternating sweeps (consensus, bases, codes, weights) to a local
@@ -293,7 +293,7 @@ def fit(
     for view, graph in zip(ds.views, graphs):
         if graph.n != view.n_available:
             raise ValueError(f"view {view.view_id}: graph shape does not match the data")
-    state = initialize(ds, cfg) if init_state is None else init_state
+    state = initialize(ds, cfg)
     xs = [view.data for view in ds.views]
 
     bases = list(state.bases)
@@ -365,57 +365,3 @@ def write_trace(state: SolverState, path: str | Path) -> None:
         row += [repr(float(a)) for a in state.weight_trace[t]]
         lines.append(",".join(row))
     Path(path).write_text("\n".join(lines) + "\n")
-
-
-def save_state(state: SolverState, directory: str | Path) -> None:
-    """Serialize a state as one CSV per matrix, write_trace's trace.csv and a
-    small manifest."""
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    manifest = {
-        "n_views": len(state.bases),
-        "n_components": state.consensus.shape[0],
-        "n_samples": state.consensus.shape[1],
-        "view_dims": [u.shape[0] for u in state.bases],
-        "view_counts": [p.shape[1] for p in state.codes],
-        "iterations": state.n_iterations,
-    }
-    (directory / "manifest.json").write_text(json.dumps(manifest, indent=2))
-    fmt = "%.17e"
-    for v, (u, p) in enumerate(zip(state.bases, state.codes)):
-        np.savetxt(directory / f"basis_{v}.csv", u, delimiter=",", fmt=fmt)
-        np.savetxt(directory / f"codes_{v}.csv", p, delimiter=",", fmt=fmt)
-    np.savetxt(directory / "consensus.csv", state.consensus, delimiter=",", fmt=fmt)
-    np.savetxt(directory / "weights.csv", state.weights, delimiter=",", fmt=fmt)
-    write_trace(state, directory / "trace.csv")
-
-
-def load_state(directory: str | Path) -> SolverState:
-    directory = Path(directory)
-    manifest = json.loads((directory / "manifest.json").read_text())
-    l = manifest["n_views"]
-    bases = tuple(
-        np.loadtxt(directory / f"basis_{v}.csv", delimiter=",", ndmin=2)
-        for v in range(l)
-    )
-    codes = tuple(
-        np.loadtxt(directory / f"codes_{v}.csv", delimiter=",", ndmin=2)
-        for v in range(l)
-    )
-    consensus = np.loadtxt(directory / "consensus.csv", delimiter=",", ndmin=2)
-    weights = np.loadtxt(directory / "weights.csv", delimiter=",", ndmin=1)
-    # write_trace's format: a header, then iteration, objective, e_v..., alpha_v...
-    header, *rows = (directory / "trace.csv").read_text().splitlines()
-    if not header.startswith("iteration,objective"):
-        raise ValueError(f"{directory / 'trace.csv'}: no write_trace header row")
-    traces = {}
-    if rows:  # a fresh state's file holds the header only
-        trace = np.loadtxt(rows, delimiter=",", ndmin=2)
-        traces = dict(
-            objective_trace=trace[:, 1],
-            cost_trace=trace[:, 2 : 2 + l],
-            weight_trace=trace[:, 2 + l :],
-        )
-    return SolverState(
-        bases=bases, codes=codes, consensus=consensus, weights=weights, **traces
-    )

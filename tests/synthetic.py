@@ -6,7 +6,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from imvc import MultiViewDataset, ViewMatrix
-from imvc.dataset import MaskSpec, apply_random_missing_mask
+from imvc.dataset import MaskSpec, apply_mask
 from imvc.graph import FusedGraph, build_fused_graphs
 
 
@@ -86,7 +86,7 @@ def multiview_moons(n=300, dims=(4, 5, 6), noise=0.06, seed=0):
 
 def masked_problem(full, rate=0.3, mask_seed=0, k=5, gamma=1.0):
     """Mask a complete dataset and build its fused graphs."""
-    masked = apply_random_missing_mask(
+    masked = apply_mask(
         full, MaskSpec("random-missing", rate, seed=mask_seed)
     )
     return masked, build_fused_graphs(masked, k=k, gamma=gamma)

@@ -28,7 +28,7 @@ from imvc import (
     update_weights,
 )
 from imvc.cli import main as cli_main
-from imvc.dataset import MaskSpec, apply_random_missing_mask
+from imvc.dataset import MaskSpec, apply_mask
 from imvc.graph import FusedGraph, build_fused_graphs, gaussian_knn_graph
 from imvc.metrics import evaluate_clustering
 from imvc.solver import _reconstruction_cost
@@ -349,7 +349,7 @@ def test_criterion_07_handwritten_reproduction():
     def mean_acc(lam, beta, r, k, n_masks):
         accs = []
         for mask_seed in range(n_masks):
-            masked = apply_random_missing_mask(
+            masked = apply_mask(
                 ds, MaskSpec("random-missing", 0.3, seed=900 + mask_seed)
             )
             graphs = build_fused_graphs(masked, k=k, gamma=1.0)

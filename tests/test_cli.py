@@ -191,3 +191,42 @@ def test_cli_trace_has_no_sweep_flags(workspace, tmp_path, capsys):
         assert exc.value.code == 2
         assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
     assert not (tmp_path / "t").exists()
+
+
+@pytest.mark.parametrize(
+    "command", [["run"], ["ablate", "--which", "weight"], ["trace"], ["validate-data"]]
+)
+def test_cli_reports_a_bad_data_file_in_one_line(workspace, tmp_path, capsys, command):
+    root, cfg_path, paths = workspace
+    garbled = tmp_path / "garbled.csv"
+    garbled.write_text("1,2,x\n")
+    config = json.loads(cfg_path.read_text())
+    configs = {
+        "nope.json": None,
+        "missing-view.json": {"views": [str(tmp_path / "missing.csv")]},
+        "garbled-view.json": {"views": [str(garbled)]},
+        "no-labels.json": {"labels": None},
+    }
+    expected = {
+        "nope.json": "No such file or directory",
+        "missing-view.json": "missing.csv not found",
+        "garbled-view.json": "could not parse",
+        "no-labels.json": "experiments need a label file for scoring",
+    }
+    for name, dataset in configs.items():
+        if dataset is not None:
+            (tmp_path / name).write_text(
+                json.dumps({**config, "dataset": {**config["dataset"], **dataset}})
+            )
+        argv = command + ["--config", str(tmp_path / name)]
+        if command != ["validate-data"]:
+            argv += ["--output", str(tmp_path / "x")]
+        assert main(argv) == 1, name
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("INVALID: ") and expected[name] in line, line
+    if command == ["validate-data"]:
+        for view in (tmp_path / "missing.csv", garbled):
+            assert main(["validate-data", "--view", str(view)]) == 1
+            (line,) = capsys.readouterr().err.splitlines()
+            assert line.startswith("INVALID: ") and view.name in line, line
+    assert not (tmp_path / "x").exists()

@@ -5,8 +5,7 @@ from imvc import (
     MaskSpec,
     MultiViewDataset,
     ViewMatrix,
-    apply_paired_sample_mask,
-    apply_random_missing_mask,
+    apply_mask,
     load_dataset,
     normalize_views,
     save_dataset,
@@ -70,7 +69,7 @@ def test_indicator_rejects_bad_ids():
 
 def test_random_missing_rate_zero_is_identity():
     full = complete_dataset(8, 2)
-    out = apply_random_missing_mask(full, MaskSpec("random-missing", 0.0, seed=3))
+    out = apply_mask(full, MaskSpec("random-missing", 0.0, seed=3))
     for ids, view, oview in zip(out.availability, full.views, out.views):
         assert np.array_equal(ids, np.arange(8))
         assert np.array_equal(view.data, oview.data)
@@ -79,7 +78,7 @@ def test_random_missing_rate_zero_is_identity():
 def test_random_missing_exact_counts_with_lucky_seed():
     # seed chosen so the coverage repair never fires: counts stay exact
     full = complete_dataset(10, 2)
-    out = apply_random_missing_mask(full, MaskSpec("random-missing", 0.5, seed=437))
+    out = apply_mask(full, MaskSpec("random-missing", 0.5, seed=437))
     assert [ids.size for ids in out.availability] == [5, 5]
     covered = np.zeros(10, dtype=bool)
     for ids in out.availability:
@@ -89,7 +88,7 @@ def test_random_missing_exact_counts_with_lucky_seed():
 
 def test_random_missing_paper_rate_keeps_round_complement():
     full = complete_dataset(20, 5)
-    out = apply_random_missing_mask(full, MaskSpec("random-missing", 0.3, seed=0))
+    out = apply_mask(full, MaskSpec("random-missing", 0.3, seed=0))
     assert [ids.size for ids in out.availability] == [_round_half_up(0.7 * 20)] * 5
 
 
@@ -111,15 +110,15 @@ def test_random_missing_coverage_and_repair_property():
 def test_random_missing_deterministic():
     full = complete_dataset(30, 3)
     spec = MaskSpec("random-missing", 0.4, seed=11)
-    a = apply_random_missing_mask(full, spec)
-    b = apply_random_missing_mask(full, spec)
+    a = apply_mask(full, spec)
+    b = apply_mask(full, spec)
     for x, y in zip(a.availability, b.availability):
         assert np.array_equal(x, y)
 
 
 def test_random_missing_columns_follow_availability():
     full = complete_dataset(12, 2, seed=5)
-    out = apply_random_missing_mask(full, MaskSpec("random-missing", 0.3, seed=5))
+    out = apply_mask(full, MaskSpec("random-missing", 0.3, seed=5))
     for view, out_view, ids in zip(full.views, out.views, out.availability):
         assert np.array_equal(out_view.data, view.data[:, ids])
 
@@ -127,14 +126,16 @@ def test_random_missing_columns_follow_availability():
 def test_random_missing_infeasible_rate():
     full = complete_dataset(10, 2)
     with pytest.raises(ValueError, match="infeasible mask"):
-        apply_random_missing_mask(full, MaskSpec("random-missing", 0.9, seed=0))
+        apply_mask(full, MaskSpec("random-missing", 0.9, seed=0))
 
 
 def test_random_missing_requires_complete_input():
     full = complete_dataset(10, 2)
-    once = apply_random_missing_mask(full, MaskSpec("random-missing", 0.3, seed=0))
+    once = apply_mask(full, MaskSpec("random-missing", 0.3, seed=0))
     with pytest.raises(ValueError, match="complete"):
-        apply_random_missing_mask(once, MaskSpec("random-missing", 0.3, seed=0))
+        apply_mask(once, MaskSpec("random-missing", 0.3, seed=0))
+    # rate 0 runs incomplete data as it is, e.g. from availability sidecars
+    assert apply_mask(once, MaskSpec("random-missing", 0.0, seed=0)) is once
 
 
 # ------------------------------------------------------------- paired sample
@@ -142,14 +143,14 @@ def test_random_missing_requires_complete_input():
 
 def test_paired_rate_one_keeps_everything():
     full = complete_dataset(9, 2)
-    out = apply_paired_sample_mask(full, MaskSpec("paired-sample", 1.0, seed=1))
+    out = apply_mask(full, MaskSpec("paired-sample", 1.0, seed=1))
     for ids in out.availability:
         assert np.array_equal(ids, np.arange(9))
 
 
 def test_paired_half_splits_singles_evenly():
     full = complete_dataset(100, 2)
-    out = apply_paired_sample_mask(full, MaskSpec("paired-sample", 0.5, seed=2))
+    out = apply_mask(full, MaskSpec("paired-sample", 0.5, seed=2))
     n1, n2 = (ids.size for ids in out.availability)
     paired = np.intersect1d(*out.availability).size
     assert paired == 50
@@ -161,7 +162,7 @@ def test_paired_counts_match_protocol_arithmetic():
     # n_v ~ rate*n + (1-rate)*n/2 for both views
     n = 200
     full = complete_dataset(n, 2)
-    out = apply_paired_sample_mask(full, MaskSpec("paired-sample", 0.3, seed=3))
+    out = apply_mask(full, MaskSpec("paired-sample", 0.3, seed=3))
     expect = 0.3 * n + 0.35 * n
     for ids in out.availability:
         assert abs(ids.size - expect) <= 1
@@ -174,14 +175,14 @@ def test_paired_counts_match_protocol_arithmetic():
 def test_paired_requires_two_views():
     full = complete_dataset(10, 3)
     with pytest.raises(ValueError, match="exactly 2 views"):
-        apply_paired_sample_mask(full, MaskSpec("paired-sample", 0.5, seed=0))
+        apply_mask(full, MaskSpec("paired-sample", 0.5, seed=0))
 
 
 def test_paired_deterministic():
     full = complete_dataset(40, 2)
     spec = MaskSpec("paired-sample", 0.4, seed=9)
-    a = apply_paired_sample_mask(full, spec)
-    b = apply_paired_sample_mask(full, spec)
+    a = apply_mask(full, spec)
+    b = apply_mask(full, spec)
     for x, y in zip(a.availability, b.availability):
         assert np.array_equal(x, y)
 
@@ -244,7 +245,7 @@ def test_save_load_roundtrip_incomplete(tmp_path):
         availability=full.availability,
         labels=np.arange(12) % 3,
     )
-    masked = apply_random_missing_mask(full, MaskSpec("random-missing", 0.25, seed=1))
+    masked = apply_mask(full, MaskSpec("random-missing", 0.25, seed=1))
     paths = save_dataset(masked, tmp_path)
     back = load_dataset(paths["views"], paths["availability"], paths["labels"])
     assert back.n == 12
@@ -321,6 +322,6 @@ def test_dataset_checks_label_length():
 
 def test_indicators_cover_every_sample():
     full = complete_dataset(15, 3, seed=2)
-    masked = apply_random_missing_mask(full, MaskSpec("random-missing", 0.4, seed=2))
+    masked = apply_mask(full, MaskSpec("random-missing", 0.4, seed=2))
     row_sums = sum(build_indicator(ids, masked.n).sum(axis=1) for ids in masked.availability)
     assert row_sums.min() >= 1

@@ -6,9 +6,7 @@ from imvc import (
     SolverState,
     fit,
     initialize,
-    load_state,
     objective,
-    save_state,
     update_basis,
     update_codes,
     update_consensus,
@@ -465,15 +463,6 @@ def test_fit_trace_starts_at_initial_objective():
     assert state.objective_trace[0] == objective(ds, graphs, initialize(ds, cfg), cfg)
 
 
-def test_fit_warm_start_continues_descending():
-    ds, graphs = random_problem(19, l=2, n=10, c=2, k=3)
-    cfg = SolverConfig(lam=1.0, beta=0.01, r=2.0, n_components=2, seed=0, max_iter=10)
-    first = fit(ds, graphs, cfg)
-    second = fit(ds, graphs, cfg, init_state=first)
-    assert second.objective_trace[0] <= first.objective_trace[-1] * (1 + 1e-12)
-    assert second.objective_trace[-1] <= second.objective_trace[0] * (1 + 1e-9)
-
-
 def test_doubling_lam_never_shrinks_graph_share():
     # e_v(lam) = rest_v + lam * g_v, so two evaluations isolate both parts
     for seed in range(5):
@@ -494,50 +483,7 @@ def test_doubling_lam_never_shrinks_graph_share():
         assert np.all(share2 >= share1 - 1e-15)
 
 
-# ------------------------------------------------------------- serialization
-
-
-def test_state_roundtrip_bit_exact(tmp_path):
-    ds, graphs = random_problem(21, l=2, n=9, c=2, k=3)
-    cfg = SolverConfig(lam=1.0, beta=0.02, r=2.0, n_components=2, seed=4, max_iter=15)
-    state = fit(ds, graphs, cfg)
-    save_state(state, tmp_path / "state")
-    back = load_state(tmp_path / "state")
-    for a, b in zip(state.bases, back.bases):
-        assert np.array_equal(a, b)
-    for a, b in zip(state.codes, back.codes):
-        assert np.array_equal(a, b)
-    assert np.array_equal(state.consensus, back.consensus)
-    assert np.array_equal(state.weights, back.weights)
-    assert np.array_equal(state.objective_trace, back.objective_trace)
-    assert np.array_equal(state.cost_trace, back.cost_trace)
-    assert np.array_equal(state.weight_trace, back.weight_trace)
-
-
-def test_state_roundtrip_fresh_state(tmp_path):
-    ds, _ = random_problem(25, l=2, n=9, c=2, k=3)
-    state = initialize(ds, SolverConfig(lam=1.0, beta=0.02, r=2.0, n_components=2))
-    save_state(state, tmp_path / "fresh")
-    back = load_state(tmp_path / "fresh")
-    for a, b in zip(state.bases + state.codes, back.bases + back.codes):
-        assert np.array_equal(a, b)
-    assert np.array_equal(state.consensus, back.consensus)
-    assert np.array_equal(state.weights, back.weights)
-    assert back.n_iterations == 0 and back.objective_trace.size == 0
-    # a headerless trace (the format before write_trace's) is refused, not
-    # read with its first row dropped
-    (tmp_path / "fresh" / "trace.csv").write_text("1.0,2.0,3.0,0.5,0.5\n")
-    with pytest.raises(ValueError, match="no write_trace header"):
-        load_state(tmp_path / "fresh")
-
-
-def test_warm_start_from_disk(tmp_path):
-    ds, graphs = random_problem(22, l=2, n=9, c=2, k=3)
-    cfg = SolverConfig(lam=1.0, beta=0.02, r=2.0, n_components=2, seed=4, max_iter=8)
-    state = fit(ds, graphs, cfg)
-    save_state(state, tmp_path / "warm")
-    resumed = fit(ds, graphs, cfg, init_state=load_state(tmp_path / "warm"))
-    assert resumed.objective_trace[0] <= state.objective_trace[-1] * (1 + 1e-12)
+# ------------------------------------------------------------- trace file
 
 
 def test_write_trace_roundtrip(tmp_path):
