@@ -1,0 +1,129 @@
+"""Two measurements that the workloads of perfbench/run.py do not make, on the
+seeded Handwritten-shaped data of perfbench/synth.py (30% of views missing):
+
+    python3 scripts/scale_runs.py trial --n 50000 --seed 1
+    python3 scripts/scale_runs.py group --n 2000 --seed 1
+
+`trial` runs the calls of one harness trial in this process: the mask, the
+fused graphs, one fit (5 sweeps at tol 0) and k-means with 20 restarts, at
+scale-n4000's settings. It skips the CSV round trip, as the view files would
+hold about 0.6 GB of text at n=50000. `group` writes the data and a config
+for one README grid group (27 (lam, beta, r) points, max_iter 300, tol 1e-6)
+and runs it as `imvc run --workers 2` does.
+
+Run from the repository root; the package is imported from ./src. Each
+prints one JSON line: the stage or sweep wall times in seconds, and the peak
+RSS of this process and of its largest worker process in MB.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import resource
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+
+import imvc  # noqa: E402
+from synth import handwritten_like  # noqa: E402
+
+README_GRID = {"lam": [0.001, 0.1, 10.0], "beta": [1e-05, 0.001, 0.1], "r": [2.0, 5.0, 9.0]}
+CLUSTERS = 10
+RATE = 0.3
+
+
+def _dataset(n: int, seed: int, noise: float):
+    views, labels = handwritten_like(n, CLUSTERS, seed, noise)
+    return imvc.MultiViewDataset(
+        views=tuple(imvc.ViewMatrix(view_id=v, data=x) for v, x in enumerate(views)),
+        n=n,
+        availability=tuple(np.arange(n) for _ in views),
+        labels=labels,
+    )
+
+
+def trial(n: int, seed: int) -> dict:
+    full = _dataset(n, seed, noise=0.6)
+    times = {}
+    start = time.perf_counter()
+    spec = imvc.MaskSpec(protocol="random-missing", rate=RATE, seed=seed)
+    masked = imvc.apply_mask(full, spec)
+    times["mask_s"] = time.perf_counter() - start
+    t = time.perf_counter()
+    graphs = imvc.build_fused_graphs(masked, k=5, gamma=1.0)
+    times["graphs_s"] = time.perf_counter() - t
+    cfg = imvc.SolverConfig(
+        lam=0.1, beta=0.001, r=5.0, n_components=CLUSTERS, max_iter=5, tol=0.0, seed=seed
+    )
+    t = time.perf_counter()
+    state = imvc.fit(masked, graphs, cfg)
+    times["fit_s"] = time.perf_counter() - t
+    times["iter_s"] = times["fit_s"] / state.n_iterations
+    t = time.perf_counter()
+    scores = imvc.evaluate_clustering(
+        state.consensus, full.labels, k=CLUSTERS, restarts=20, seed=seed
+    )
+    times["kmeans_score_s"] = time.perf_counter() - t
+    times["trial_s"] = time.perf_counter() - start
+    return {
+        **times,
+        "n_available": [v.n_available for v in masked.views],
+        "iterations": state.n_iterations,
+        "acc": scores.acc,
+        "nmi": scores.nmi,
+    }
+
+
+def group(n: int, seed: int) -> dict:
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = imvc.save_dataset(_dataset(n, seed, noise=1.0), Path(tmp) / "data")
+        config = {
+            "dataset": {key: paths[key] for key in ("views", "availability", "labels")},
+            "clusters": CLUSTERS,
+            "mask": {"protocol": "random-missing", "rates": [RATE], "repeats": 1},
+            "solver": {**README_GRID, "k": [5], "gamma": 1.0, "max_iter": 300, "tol": 1e-6},
+            "metrics": {"restarts": 20},
+            "output": str(Path(tmp) / "out"),
+            "master_seed": seed,
+        }
+        cfg = imvc.ExperimentConfig.from_dict(config)
+        start = time.perf_counter()
+        records = imvc.run_experiment(cfg, workers=2)
+        sweep_s = time.perf_counter() - start
+        written = imvc.write_results(records, cfg.output_dir, cfg)
+        digest = hashlib.sha256(Path(written["trials"]).read_bytes()).hexdigest()
+    trials = [t for r in records for t in r.trials]
+    return {
+        "sweep_s": sweep_s,
+        "trials": len(trials),
+        "failed": sum(bool(t.error) for t in trials),
+        "iterations": sum(t.iterations for t in trials),
+        "trials_sha256": digest,
+    }
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("what", choices=("trial", "group"))
+    parser.add_argument("--n", type=int, required=True)
+    parser.add_argument("--seed", type=int, default=1)
+    args = parser.parse_args(argv)
+    result = (trial if args.what == "trial" else group)(args.n, args.seed)
+    peak = {
+        "peak_rss_self_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
+        "peak_rss_children_mb": resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024.0,
+    }
+    print(json.dumps({"what": args.what, "n": args.n, "seed": args.seed, **result, **peak}))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

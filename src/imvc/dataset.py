@@ -17,6 +17,7 @@ On-disk interchange format (all plain text, no binary dependencies):
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
@@ -259,11 +260,19 @@ def apply_mask(full: MultiViewDataset, spec: MaskSpec) -> MultiViewDataset:
     return _random_missing_mask(full, spec)
 
 
-def _load_matrix(path: Path) -> np.ndarray:
+def _load_matrix(path: Path, dtype=np.float64, ndmin: int = 2) -> np.ndarray:
+    """The numbers of a CSV file: views and labels as float matrices,
+    availability sidecars as int64 vectors. Every fault in the file is one
+    ValueError that names it."""
     try:
-        data = np.loadtxt(path, delimiter=",", dtype=np.float64, ndmin=2)
+        with warnings.catch_warnings():
+            # an empty file is reported below, with its path
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            data = np.loadtxt(path, delimiter=",", dtype=dtype, ndmin=ndmin)
     except ValueError as exc:
         raise ValueError(f"{path}: could not parse as a numeric CSV matrix: {exc}") from exc
+    if data.size == 0:
+        raise ValueError(f"{path}: the file holds no values")
     bad = np.argwhere(~np.isfinite(data))
     if bad.size:
         i, j = bad[0]
@@ -311,9 +320,7 @@ def load_dataset(
     else:
         if len(availability_paths) != len(matrices):
             raise ValueError("one availability sidecar per view is required")
-        avail = [
-            np.loadtxt(Path(p), dtype=np.int64, ndmin=1) for p in availability_paths
-        ]
+        avail = [_load_matrix(Path(p), np.int64, ndmin=1) for p in availability_paths]
         n = int(max(ids.max() for ids in avail)) + 1
         if labels is not None:
             n = max(n, labels.size)

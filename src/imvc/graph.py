@@ -14,12 +14,15 @@ Both matrices are stored as read-only scipy.sparse CSR arrays, with at most
 
 The kNN search gives the same S and sigma, bit for bit, as exact cdist
 distances over all pairs would, without computing all of them exactly. It
-centres the points and screens one block of rows at a time (sized from a
-fixed byte budget) with a GEMM, ||c_i||^2 + ||c_j||^2 - 2 c_i . c_j, whose
-error against cdist's squared distance is proven below a slack of
-8 (m + 3) eps max_i ||c_i||^2 for m features. The kNN candidates of a row
-(screened within twice the slack of its k-th smallest value) and the sampled
-pairs in a band around sigma's middle ranks are then recomputed exactly,
+centres the points and screens one block of rows at a time (256 rows, fewer
+where that would pass 32 MiB) with a GEMM, ||c_j||^2 - 2 c_i . c_j; with the
+row's constant ||c_i||^2 added, its error against cdist's squared distance
+is proven below a slack of 8 (m + 3) eps max_i ||c_i||^2 for m features.
+The kNN candidates of a row are the columns screened within twice the slack
+of an upper bound on the row's k-th smallest value: the k-th smallest of its
+minima over strided groups of 16 columns, which is the k-th smallest value
+itself unless two of the k nearest share a group. They, and the sampled
+pairs in a band around sigma's middle ranks, are then recomputed exactly,
 feature by feature, in cdist's own order of summation. A row whose k-th and
 (k+1)-th exact candidates tie falls back to a full cdist row and
 argpartition, so ties are broken as the plain search breaks them. The kernel
@@ -37,8 +40,15 @@ from scipy.spatial.distance import cdist
 
 from .dataset import ViewMatrix, _readonly
 
-# bytes of one block of screened squared distances in the kNN search
-_BLOCK_BYTES = 1 << 20
+# rows of one block of screened squared distances in the kNN search: enough
+# for the GEMM to run near the BLAS rate ...
+_BLOCK_ROWS = 256
+# ... but no more than fit in this many bytes
+_BLOCK_BYTES = 32 << 20
+# kNN candidate pairs re-checked exactly in one batch
+_CHECK_PAIRS = 1 << 17
+# columns per group in the bound on a row's k-th screened value
+_GROUP_WIDTH = 16
 # instances whose pairwise distances set the automatic sigma
 _SIGMA_INSTANCES = 2000
 
@@ -114,27 +124,39 @@ def _sq_distances(data: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.nd
     return out
 
 
-def _screened_block(cen: np.ndarray, sqn: np.ndarray, lo: int, hi: int) -> np.ndarray:
-    """Squared distances from rows lo:hi to all rows of the centred points,
-    by one GEMM: ||c_i||^2 + ||c_j||^2 - 2 c_i . c_j."""
-    a = (-2.0 * cen[lo:hi]) @ cen.T  # scaling by -2 is exact
-    a += sqn
-    a += sqn[lo:hi, None]
-    return a
+def _kth_bound(a: np.ndarray, k: int) -> np.ndarray:
+    """An upper bound on the k-th smallest value of each row of a.
+
+    It is the k-th smallest of the row's minima over the strided column
+    groups {t, t + g, t + 2 g, ...} (g groups of _GROUP_WIDTH columns, plus
+    one group of the columns left over): k distinct entries lie at or below
+    it, and it is the k-th smallest itself whenever the row's k smallest fall
+    in distinct groups. Rows too short for 4k groups take the k-th smallest.
+    """
+    rows, n = a.shape
+    g = n // _GROUP_WIDTH
+    if g < 4 * k:
+        return np.partition(a, k - 1, axis=1)[:, k - 1]
+    mins = np.empty((rows, g + 1))
+    np.min(a[:, : g * _GROUP_WIDTH].reshape(rows, _GROUP_WIDTH, g), axis=1, out=mins[:, :g])
+    np.min(a[:, g * _GROUP_WIDTH :], axis=1, initial=np.inf, out=mins[:, g])
+    return np.partition(mins, k - 1, axis=1)[:, k - 1]
 
 
 def _candidates(a: np.ndarray, lo: int, k: int, slack: float):
     """(row, column) pairs that may hold the k nearest neighbors of rows
-    lo:lo+len(a), given screened squared distances a (own column +inf) within
-    slack of the exact ones.
+    lo:lo+len(a), given screened squared distances a (own column +inf) that,
+    up to a constant per row, are within slack of the exact ones.
 
     Every j whose exact distance is at most the k-th smallest exact one has
-    a[i, j] <= (k-th smallest of a[i]) + 2 slack.
+    a[i, j] <= (k-th smallest of a[i]) + 2 slack, and so a[i, j] <= b + 2 slack
+    for any bound b at or above that k-th smallest.
     """
-    kth = np.partition(a, k - 1, axis=1)[:, k - 1]
-    rows, cols = np.nonzero(a <= (kth + 2.0 * slack)[:, None])
+    bound = _kth_bound(a, k)
+    flat = np.flatnonzero(a <= (bound + 2.0 * slack)[:, None])
+    rows, cols = np.divmod(flat, a.shape[1])
     rows += lo
-    other = cols != rows  # own column: a candidate only if the k-th is +inf
+    other = cols != rows  # own column: a candidate only if the bound is +inf
     return rows[other], cols[other]
 
 
@@ -204,11 +226,12 @@ def gaussian_knn_graph(
 
     S and sigma equal, bit for bit, what exact cdist distances over all
     pairs give. A GEMM over the centred points screens each block of rows
-    within a proven slack of cdist; the kNN candidates and the pairs near
-    sigma's middle ranks are recomputed exactly; a row whose k-th place is
-    tied is redone with a full cdist row and argpartition. Data so large
-    that the screen's squares would overflow is screened with cdist itself,
-    at zero slack.
+    within a proven slack of cdist, up to a constant per row; the kNN
+    candidates (within twice the slack of a bound on each row's k-th value,
+    from the minima of its column groups) and the pairs near sigma's middle
+    ranks are recomputed exactly; a row whose k-th place is tied is redone
+    with a full cdist row and argpartition. Data so large that the screen's
+    squares would overflow is screened with cdist itself, at zero slack.
     """
     n = view.n_available
     if not 1 <= k < n:
@@ -221,14 +244,17 @@ def gaussian_knn_graph(
     cen = pts - pts.mean(axis=0)
     sqn = np.einsum("ij,ij->i", cen, cen)
     r2 = float(sqn.max())
-    # With u = eps / 2 and R^2 = max ||c_i||^2, the GEMM value is within
-    # (4 m + 7) u R^2 of the exact ||c_i - c_j||^2, rounding in the centring
-    # moves that by at most 8 u R^2, and cdist's sum is within (m + 2) u * 4 R^2
-    # of the exact ||x_i - x_j||^2: (8 m + 23) u R^2 in all, which the slack
-    # covers twice over (the tiny term covers underflow).
+    # With u = eps / 2 and R^2 = max ||c_i||^2, the screened value of a pair,
+    # with the row constant ||c_i||^2 added exactly, is within (4 m + 3) u R^2
+    # of the exact ||c_i - c_j||^2, rounding in the centring moves that by at
+    # most 8 u R^2, and cdist's sum is within (m + 2) u * 4 R^2 of the exact
+    # ||x_i - x_j||^2: (8 m + 19) u R^2 in all, which the slack covers twice
+    # over (the tiny term covers underflow).
     screened = np.isfinite(8.0 * r2)
     fin = np.finfo(np.float64)
     slack = 8.0 * (data.shape[0] + 3) * (fin.eps * r2 + fin.tiny) if screened else 0.0
+    # the constant per row that the screen leaves out
+    row_add = sqn if screened else np.zeros(n)
 
     if sigma is None:
         sample = _sigma_sample(n)
@@ -237,26 +263,29 @@ def gaussian_knn_graph(
     neighbors = np.empty((n, k), dtype=np.int64)
     sq_knn = np.empty((n, k))
     cand, done = [], 0  # candidate pairs of rows done:lo, not yet re-checked
-    step = max(1, _BLOCK_BYTES // (8 * n))
+    step = max(1, min(_BLOCK_ROWS, _BLOCK_BYTES // (8 * n)))
     for lo in range(0, n, step):
         hi = min(lo + step, n)
         if screened:
-            a = _screened_block(cen, sqn, lo, hi)
+            # ||c_j||^2 - 2 c_i . c_j: the row's constant ||c_i||^2 moves none
+            # of its candidates, so only sigma's sampled pairs add it
+            a = (-2.0 * cen[lo:hi]) @ cen.T  # scaling by -2 is exact
+            a += sqn
         else:
             a = cdist(pts[lo:hi], pts, metric="sqeuclidean")
         if sigma is None:
-            # this block's share of the sampled upper-triangle pairs
-            ta, tb = np.searchsorted(sample, (lo, hi))
-            upper = np.arange(ta, tb)[:, None] < np.arange(sample.size)
-            sub = a if sample.size == n else a[sample[ta:tb] - lo][:, sample]
-            share = sub[upper]
-            approx[filled : filled + share.size] = share
-            filled += share.size
+            # this block's sampled rows: their upper-triangle pairs, in order
+            for t in range(*np.searchsorted(sample, (lo, hi))):
+                i = sample[t]
+                cols = slice(i + 1, None) if sample.size == n else sample[t + 1 :]
+                end = filled + sample.size - 1 - t
+                np.add(a[i - lo, cols], row_add[i], out=approx[filled:end])
+                filled = end
         a[np.arange(hi - lo), np.arange(lo, hi)] = np.inf  # never pick yourself
         cand.append(_candidates(a, lo, k, slack))
         # re-check the candidates of several blocks at once: one pass over
         # the features per batch of pairs
-        if hi == n or sum(r.size for r, _ in cand) >= _BLOCK_BYTES // 8:
+        if hi == n or sum(r.size for r, _ in cand) >= _CHECK_PAIRS:
             rows, cols = (np.concatenate(c) for c in zip(*cand))
             neighbors[done:hi], sq_knn[done:hi] = _nearest(data, pts, rows, cols, done, hi, k)
             cand, done = [], hi

@@ -17,11 +17,13 @@ that it turns off.
 
 from __future__ import annotations
 
+import ctypes
 import hashlib
 import itertools
 import json
 import multiprocessing
 import numbers
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, asdict, fields, replace
@@ -376,9 +378,27 @@ def _run_trial(sweep: _Sweep, outcome: TrialOutcome) -> TrialOutcome:
 _worker_sweep: Optional[_Sweep] = None
 
 
-def _init_worker(base: MultiViewDataset, cfg: ExperimentConfig, keep_states: bool) -> None:
+def _cap_blas_threads(threads: int) -> None:
+    """Cap the threads of the OpenBLAS that numpy's wheels bundle (in
+    numpy.libs) at threads. Where numpy has no such library, under another
+    BLAS for one, this does nothing."""
+    for lib in sorted(Path(np.__file__).parent.parent.glob("numpy.libs/*scipy_openblas*")):
+        setter = getattr(ctypes.CDLL(str(lib)), "scipy_openblas_set_num_threads64_", None)
+        if setter is not None:
+            setter.argtypes, setter.restype = [ctypes.c_int], None
+            setter(threads)
+            return
+
+
+def _init_worker(
+    base: MultiViewDataset, cfg: ExperimentConfig, keep_states: bool, processes: int
+) -> None:
+    """Set up one of `processes` workers: its sweep, and its share of the
+    CPUs as BLAS threads, so the workers do not oversubscribe them."""
     global _worker_sweep
     _worker_sweep = _Sweep(base, cfg, keep_states)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    _cap_blas_threads(max(1, (cpus or 1) // processes))
 
 
 def _worker_trial(outcome: TrialOutcome) -> TrialOutcome:
@@ -489,7 +509,7 @@ def run_sweep(
             max_workers=processes,
             mp_context=multiprocessing.get_context(method),
             initializer=_init_worker,
-            initargs=(base, cfg, keep_states),
+            initargs=(base, cfg, keep_states, processes),
         ) as pool:
             results = list(pool.map(_worker_trial, outcomes))
     else:

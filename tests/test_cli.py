@@ -230,3 +230,22 @@ def test_cli_reports_a_bad_data_file_in_one_line(workspace, tmp_path, capsys, co
             (line,) = capsys.readouterr().err.splitlines()
             assert line.startswith("INVALID: ") and view.name in line, line
     assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("content", ["0\n1\nx\n", ""], ids=["garbled", "empty"])
+def test_cli_names_a_bad_availability_sidecar(workspace, tmp_path, capsys, content):
+    root, cfg_path, paths = workspace
+    sidecar = tmp_path / "bad.avail"
+    sidecar.write_text(content)
+    config = json.loads(cfg_path.read_text())
+    config["dataset"]["availability"] = [paths["availability"][0], str(sidecar)]
+    (tmp_path / "config.json").write_text(json.dumps(config))
+    for argv in (
+        ["run", "--config", str(tmp_path / "config.json"), "--output", str(tmp_path / "x")],
+        ["validate-data", "--config", str(tmp_path / "config.json")],
+        ["validate-data", "--view", paths["views"][1], "--availability", str(sidecar)],
+    ):
+        assert main(argv) == 1
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith(f"INVALID: {sidecar}: "), line
+    assert not (tmp_path / "x").exists()

@@ -4,7 +4,9 @@ The build must equal the dense reference (exact cdist over all pairs) bit
 for bit in S and sigma, and S must be a valid similarity graph, on views
 that stress the GEMM screen: integer features (exact ties at the k-th
 place), a large common offset, duplicate points, one far outlier (a wide
-slack), more than 2000 instances (the sampled sigma) and one-row blocks.
+slack), more than 2000 instances (the sampled sigma), one-row blocks and
+narrow column groups (the candidates then come from the group-minimum bound
+on a row's k-th value, which wider views take).
 """
 
 import numpy as np
@@ -83,7 +85,7 @@ def test_graph_matches_reference_on_random_views(problem):
 @given(problems(n_range=(2, 25)))
 def test_graph_matches_reference_with_one_row_blocks(problem):
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(imvc.graph, "_BLOCK_BYTES", 1)
+        mp.setattr(imvc.graph, "_BLOCK_ROWS", 1)
         check_graph(*problem)
 
 
@@ -91,3 +93,46 @@ def test_graph_matches_reference_with_one_row_blocks(problem):
 @given(problems(n_range=(2001, 2040), m_max=3))
 def test_graph_matches_reference_with_sampled_sigma(problem):
     check_graph(*problem)
+
+
+@st.composite
+def bound_problems(draw):
+    """A column-group width and a problem whose rows split into at least 4k
+    groups of that width, so that its candidates come from the bound."""
+    width = draw(st.integers(2, 3))
+    view, k, sigma = draw(problems(n_range=(8 * width, 60)))
+    return width, view, min(k, view.n_available // (4 * width)), sigma
+
+
+@examples(60)
+@given(bound_problems())
+def test_graph_matches_reference_through_the_group_bound(problem):
+    width, view, k, sigma = problem
+    assert view.n_available // width >= 4 * k
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(imvc.graph, "_GROUP_WIDTH", width)
+        check_graph(view, k, sigma)
+
+
+def test_group_bound_is_at_least_the_kth_smallest(monkeypatch):
+    monkeypatch.setattr(imvc.graph, "_GROUP_WIDTH", 3)
+    rng = np.random.default_rng(0)
+    for n in (12, 13, 14, 40, 41):
+        g = n // 3  # groups of 3 columns {t, t + g, t + 2g}, plus the rest
+        group = np.where(np.arange(n) < 3 * g, np.arange(n) % g, g)
+        for k in range(1, g // 4 + 2):
+            ties = rng.integers(0, 4, size=(50, n)).astype(np.float64)
+            spread = rng.normal(size=(50, n))
+            for a in (ties, spread):
+                bound = imvc.graph._kth_bound(a, k)
+                kth = np.partition(a, k - 1, axis=1)[:, k - 1]
+                assert np.all(bound >= kth)
+                if g < 4 * k:  # too few groups: the k-th smallest itself
+                    assert np.array_equal(bound, kth)
+            # with distinct values the bound is the k-th smallest exactly
+            # when the k smallest fall in distinct groups
+            smallest = np.argsort(spread, axis=1)[:, :k]
+            distinct = np.array([np.unique(group[c]).size == k for c in smallest])
+            if g >= 4 * k:
+                assert np.array_equal(bound == kth, distinct)
+                assert distinct.any() and (k == 1 or not distinct.all())

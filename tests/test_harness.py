@@ -1,7 +1,10 @@
 import csv
+import ctypes
 import json
 import multiprocessing
+import os
 import re
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
@@ -18,7 +21,7 @@ from imvc import (
     write_results,
     write_traces,
 )
-from imvc.harness import TrialOutcome, _aggregate, derive_seed
+from imvc.harness import TrialOutcome, _aggregate, derive_seed, load_base
 from imvc.solver import SolverConfig, write_trace
 
 from synthetic import multiview_blobs
@@ -237,6 +240,59 @@ def test_spawned_workers_match_serial(data_dir, tmp_path, monkeypatch):
         write_results(run_experiment(cfg, workers=workers), cfg.output_dir, cfg)
         outputs.append((tmp_path / f"workers{workers}" / "trials.csv").read_bytes())
     assert outputs[0] == outputs[1]
+
+
+def _blas_threads():
+    """Threads of numpy's bundled OpenBLAS in this process, or None where
+    numpy bundles none."""
+    libs = Path(np.__file__).parent.parent.glob("numpy.libs/*scipy_openblas*")
+    for lib in sorted(libs):
+        getter = getattr(ctypes.CDLL(str(lib)), "scipy_openblas_get_num_threads64_", None)
+        if getter is not None:
+            getter.argtypes, getter.restype = [], ctypes.c_int
+            return getter()
+    return None
+
+
+def test_workers_output_does_not_depend_on_their_blas_threads(tmp_path):
+    # big enough that OpenBLAS threads the graph screen and the solver's
+    # products (m n_v c above its 2^18 threshold); each worker runs on a
+    # share of the CPUs, the calling process on all of them
+    full = multiview_blobs(n=360, n_clusters=6, dims=(100, 240), noise=0.6, seed=5)
+    paths = save_dataset(full, tmp_path / "data")
+    outputs = []
+    for workers in (1, 2, 3):
+        out = tmp_path / f"workers{workers}"
+        cfg = make_config(
+            paths,
+            out,
+            clusters=6,
+            solver={"r": [2.0, 3.0, 5.0], "max_iter": 10},
+            metrics={"restarts": 2},
+        )
+        write_results(run_experiment(cfg, workers=workers), cfg.output_dir, cfg)
+        outputs.append((out / "trials.csv").read_bytes())
+    assert outputs[0] == outputs[1] == outputs[2]
+    assert all(not row["error"] for row in read_rows(tmp_path / "workers1" / "trials.csv"))
+
+
+@pytest.mark.parametrize(
+    "method", sorted({"fork", "spawn"} & set(multiprocessing.get_all_start_methods()))
+)
+def test_workers_take_their_share_of_blas_threads(data_dir, tmp_path, method):
+    if _blas_threads() is None:
+        pytest.skip("numpy bundles no OpenBLAS with scipy_openblas symbols")
+    root, paths = data_dir
+    cfg = make_config(paths, tmp_path / "out")
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    processes = max(2, cpus)  # one CPU each
+    with ProcessPoolExecutor(
+        max_workers=1,
+        mp_context=multiprocessing.get_context(method),
+        initializer=imvc.harness._init_worker,
+        initargs=(load_base(cfg), cfg, False, processes),
+    ) as pool:
+        assert pool.submit(_blas_threads).result(timeout=120) == 1
 
 
 @pytest.mark.parametrize("workers", [0, -2])

@@ -37,7 +37,8 @@ def assert_graph_matches_reference(view, k, sigma=None):
 
 def test_graph_within_one_block_matches_reference():
     view = random_view(60, 4, seed=0)
-    assert 60 <= imvc.graph._BLOCK_BYTES // (8 * 60)  # a single block
+    # a single block
+    assert 60 <= min(imvc.graph._BLOCK_ROWS, imvc.graph._BLOCK_BYTES // (8 * 60))
     for k in (1, 5, 59):
         assert_graph_matches_reference(view, k)
     assert_graph_matches_reference(view, 3, sigma=0.7)
@@ -45,12 +46,16 @@ def test_graph_within_one_block_matches_reference():
 
 def test_graph_over_uneven_blocks_matches_reference(monkeypatch):
     # 7 rows per block: 150 rows make 21 full blocks and one of 3
-    monkeypatch.setattr(imvc.graph, "_BLOCK_BYTES", 8 * 150 * 7)
+    monkeypatch.setattr(imvc.graph, "_BLOCK_ROWS", 7)
     view = random_view(150, 6, seed=1)
     for k in (1, 4, 10):
         assert_graph_matches_reference(view, k)
     # one row per block
-    monkeypatch.setattr(imvc.graph, "_BLOCK_BYTES", 1)
+    monkeypatch.setattr(imvc.graph, "_BLOCK_ROWS", 1)
+    assert_graph_matches_reference(view, 4)
+    # the byte cap below the row count: 150 rows of 150 values in blocks of 11
+    monkeypatch.setattr(imvc.graph, "_BLOCK_ROWS", 256)
+    monkeypatch.setattr(imvc.graph, "_BLOCK_BYTES", 8 * 150 * 11)
     assert_graph_matches_reference(view, 4)
 
 
