@@ -122,17 +122,17 @@ def test_group_bound_is_at_least_the_kth_smallest(monkeypatch):
         group = np.where(np.arange(n) < 3 * g, np.arange(n) % g, g)
         for k in range(1, g // 4 + 2):
             ties = rng.integers(0, 4, size=(50, n)).astype(np.float64)
-            spread = rng.normal(size=(50, n))
+            spread = rng.normal(size=(50, n))  # distinct values
             for a in (ties, spread):
                 bound = imvc.graph._kth_bound(a, k)
                 kth = np.partition(a, k - 1, axis=1)[:, k - 1]
                 assert np.all(bound >= kth)
                 if g < 4 * k:  # too few groups: the k-th smallest itself
                     assert np.array_equal(bound, kth)
-            # with distinct values the bound is the k-th smallest exactly
-            # when the k smallest fall in distinct groups
-            smallest = np.argsort(spread, axis=1)[:, :k]
-            distinct = np.array([np.unique(group[c]).size == k for c in smallest])
-            if g >= 4 * k:
-                assert np.array_equal(bound == kth, distinct)
-                assert distinct.any() and (k == 1 or not distinct.all())
+                elif a is spread:
+                    # the k-th smallest exactly when the k smallest fall in
+                    # distinct groups
+                    smallest = np.argsort(a, axis=1)[:, :k]
+                    distinct = np.array([np.unique(group[c]).size == k for c in smallest])
+                    assert np.array_equal(bound == kth, distinct)
+                    assert distinct.any() and (k == 1 or not distinct.all())
