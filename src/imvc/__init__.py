@@ -21,20 +21,12 @@ from .solver import (
     SolverConfig,
     SolverState,
     fit,
-    initialize,
-    objective,
-    update_basis,
-    update_codes,
-    update_consensus,
-    update_weights,
-    view_costs,
     write_trace,
 )
 from .metrics import (
     ClusteringResult,
     accuracy,
     evaluate_clustering,
-    kmeans,
     nmi,
     purity,
 )
@@ -61,18 +53,10 @@ __all__ = [
     "SolverConfig",
     "SolverState",
     "fit",
-    "initialize",
-    "objective",
-    "update_basis",
-    "update_codes",
-    "update_consensus",
-    "update_weights",
-    "view_costs",
     "write_trace",
     "ClusteringResult",
     "accuracy",
     "evaluate_clustering",
-    "kmeans",
     "nmi",
     "purity",
     "ExperimentConfig",

@@ -155,6 +155,8 @@ class MaskSpec:
             )
         if not 0.0 <= self.rate <= 1.0:
             raise ValueError(f"rate must lie in [0, 1], got {self.rate}")
+        if self.protocol == "random-missing" and self.rate == 1.0:
+            raise ValueError("random-missing rate must be below 1: some instances must survive")
 
 
 def _round_half_up(x: float) -> int:
@@ -204,8 +206,6 @@ def _random_missing_mask(full: MultiViewDataset, spec: MaskSpec) -> MultiViewDat
     """
     if not full.is_complete:
         raise ValueError("random-missing masks require a complete dataset")
-    if spec.rate >= 1.0:
-        raise ValueError("rate must be < 1 (some instances have to survive)")
     n, l = full.n, full.n_views
     n_remove = n - _round_half_up((1.0 - spec.rate) * n)
     if l * n_remove > n * (l - 1):

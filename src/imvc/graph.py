@@ -2,12 +2,12 @@
 
 A per-view graph is built in two steps: gaussian_knn_graph returns the
 Gaussian-kernel k-nearest-neighbor similarity matrix S (zero diagonal,
-symmetrized with an elementwise max) with its kernel width sigma, and
-build_fused_graphs fuses it into W = gamma * S + I. FusedGraph, the one graph
-type the solver takes, holds W and reads its degree vector d = W 1 and
-whether it is the identity off W itself. gamma = 0 turns the graph off: W
-collapses to the identity, and build_fused_graphs then skips the neighbor
-search.
+symmetrized with an elementwise max) with its kernel width sigma, the median
+pairwise distance of the view's instances, and build_fused_graphs fuses it
+into W = gamma * S + I. FusedGraph, the one graph type the solver takes,
+holds W and reads its degree vector d = W 1 and whether it is the identity
+off W itself. gamma = 0 turns the graph off: W collapses to the identity,
+and build_fused_graphs then skips the neighbor search.
 
 Both matrices are stored as read-only scipy.sparse CSR arrays, with at most
 2k (S) or 2k + 1 (W) nonzeros per row, so no n_v x n_v array is ever held.
@@ -32,7 +32,6 @@ is evaluated on the n_v * k kNN pairs only.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
@@ -49,7 +48,7 @@ _BLOCK_BYTES = 32 << 20
 _CHECK_PAIRS = 1 << 17
 # columns per group in the bound on a row's k-th screened value
 _GROUP_WIDTH = 16
-# instances whose pairwise distances set the automatic sigma
+# instances whose pairwise distances set sigma
 _SIGMA_INSTANCES = 2000
 
 
@@ -101,8 +100,8 @@ class FusedGraph:
 
 
 def _sigma_sample(n: int) -> np.ndarray:
-    """Ids of the instances whose pairwise distances set the automatic sigma:
-    all of them, or _SIGMA_INSTANCES evenly spaced ones."""
+    """Ids of the instances whose pairwise distances set sigma: all of them,
+    or _SIGMA_INSTANCES evenly spaced ones."""
     if n > _SIGMA_INSTANCES:
         return np.linspace(0, n - 1, _SIGMA_INSTANCES).astype(np.int64)
     return np.arange(n)
@@ -212,15 +211,13 @@ def _median_distance(data, sample, approx, slack) -> float:
     return float(np.mean(np.sqrt(exact[ranks - below])))
 
 
-def gaussian_knn_graph(
-    view: ViewMatrix, k: int = 5, sigma: Optional[float] = None
-) -> tuple[sp.csr_array, float]:
+def gaussian_knn_graph(view: ViewMatrix, k: int = 5) -> tuple[sp.csr_array, float]:
     """Gaussian-kernel similarity restricted to k-nearest-neighbor pairs, as
     (S, sigma): S is a read-only CSR array and sigma the kernel width used.
 
     s[i, j] = exp(-||x_i - x_j||^2 / (2 sigma^2)) whenever j is among the k
     nearest neighbors of i or vice versa, 0 elsewhere; the diagonal is 0.
-    sigma=None picks the median pairwise Euclidean distance; views above 2000
+    sigma is the median pairwise Euclidean distance; views above 2000
     instances take it over 2000 evenly spaced ones, which keeps it
     deterministic.
 
@@ -236,8 +233,6 @@ def gaussian_knn_graph(
     n = view.n_available
     if not 1 <= k < n:
         raise ValueError(f"k must satisfy 1 <= k < n_available={n}, got {k}")
-    if sigma is not None and sigma <= 0:
-        raise ValueError("sigma must be positive")
 
     data = view.data
     pts = np.ascontiguousarray(data.T)  # cdist would copy it per call
@@ -256,10 +251,9 @@ def gaussian_knn_graph(
     # the constant per row that the screen leaves out
     row_add = sqn if screened else np.zeros(n)
 
-    if sigma is None:
-        sample = _sigma_sample(n)
-        approx = np.empty(sample.size * (sample.size - 1) // 2)
-        filled = 0
+    sample = _sigma_sample(n)
+    approx = np.empty(sample.size * (sample.size - 1) // 2)
+    filled = 0
     neighbors = np.empty((n, k), dtype=np.int64)
     sq_knn = np.empty((n, k))
     cand, done = [], 0  # candidate pairs of rows done:lo, not yet re-checked
@@ -273,14 +267,13 @@ def gaussian_knn_graph(
             a += sqn
         else:
             a = cdist(pts[lo:hi], pts, metric="sqeuclidean")
-        if sigma is None:
-            # this block's sampled rows: their upper-triangle pairs, in order
-            for t in range(*np.searchsorted(sample, (lo, hi))):
-                i = sample[t]
-                cols = slice(i + 1, None) if sample.size == n else sample[t + 1 :]
-                end = filled + sample.size - 1 - t
-                np.add(a[i - lo, cols], row_add[i], out=approx[filled:end])
-                filled = end
+        # this block's sampled rows: their upper-triangle pairs, in order
+        for t in range(*np.searchsorted(sample, (lo, hi))):
+            i = sample[t]
+            cols = slice(i + 1, None) if sample.size == n else sample[t + 1 :]
+            end = filled + sample.size - 1 - t
+            np.add(a[i - lo, cols], row_add[i], out=approx[filled:end])
+            filled = end
         a[np.arange(hi - lo), np.arange(lo, hi)] = np.inf  # never pick yourself
         cand.append(_candidates(a, lo, k, slack))
         # re-check the candidates of several blocks at once: one pass over
@@ -289,18 +282,17 @@ def gaussian_knn_graph(
             rows, cols = (np.concatenate(c) for c in zip(*cand))
             neighbors[done:hi], sq_knn[done:hi] = _nearest(data, pts, rows, cols, done, hi, k)
             cand, done = [], hi
-    if sigma is None:
-        sigma = _median_distance(data, sample, approx, slack)
-        if sigma == 0.0:
-            raise ValueError(
-                f"view {view.view_id}: degenerate sigma (median pairwise distance "
-                "is zero; are the instances all identical?)"
-            )
+    sigma = _median_distance(data, sample, approx, slack)
+    if sigma == 0.0:
+        raise ValueError(
+            f"view {view.view_id}: degenerate sigma (median pairwise distance "
+            "is zero; are the instances all identical?)"
+        )
 
     kernel = np.exp(-sq_knn / (2.0 * sigma * sigma))
     indptr = np.arange(0, n * k + 1, k)  # row i holds its k neighbors
     knn = sp.csr_array((kernel.reshape(-1), neighbors.reshape(-1), indptr), shape=(n, n))
-    return _frozen_csr(knn.maximum(knn.T)), float(sigma)
+    return _frozen_csr(knn.maximum(knn.T)), sigma
 
 
 def build_fused_graphs(ds, k: int = 5, gamma: float = 1.0) -> tuple[FusedGraph, ...]:

@@ -21,6 +21,7 @@ import ctypes
 import hashlib
 import itertools
 import json
+import math
 import multiprocessing
 import numbers
 import os
@@ -64,43 +65,57 @@ DEFAULT_KNN_GRID = (5,)
 
 
 # The config file's keys: each section's keys, and the top-level ones that
-# are not sections, map to (ExperimentConfig field, conversion or None).
+# are not sections, map to the ExperimentConfig field they set.
 _CONFIG_SECTIONS = {
     "dataset": {
-        "views": ("view_paths", tuple),
-        "availability": ("availability_paths", lambda paths: tuple(paths) if paths else None),
-        "labels": ("label_path", None),
-        "normalize": ("normalize", None),
+        "views": "view_paths",
+        "availability": "availability_paths",
+        "labels": "label_path",
+        "normalize": "normalize",
     },
-    "mask": {
-        "protocol": ("protocol", None),
-        "rates": ("rates", tuple),
-        "repeats": ("repeats", None),
-    },
+    "mask": {"protocol": "protocol", "rates": "rates", "repeats": "repeats"},
     "solver": {
-        "lam": ("lam_grid", tuple),
-        "beta": ("beta_grid", tuple),
-        "r": ("r_grid", tuple),
-        "k": ("knn_grid", tuple),
-        "gamma": ("gamma", float),
-        "max_iter": ("max_iter", None),
-        "tol": ("tol", float),
+        "lam": "lam_grid",
+        "beta": "beta_grid",
+        "r": "r_grid",
+        "k": "knn_grid",
+        "gamma": "gamma",
+        "max_iter": "max_iter",
+        "tol": "tol",
     },
-    "metrics": {"restarts": ("kmeans_restarts", None)},
+    "metrics": {"restarts": "kmeans_restarts"},
 }
 _CONFIG_TOP_LEVEL = {
-    "clusters": ("n_components", None),
-    "output": ("output_dir", None),
-    "master_seed": ("master_seed", None),
+    "clusters": "n_components",
+    "output": "output_dir",
+    "master_seed": "master_seed",
 }
 
 
 def _integer(key: str, value) -> int:
-    """A config integer, named by its key: 3 and 3.0 are taken, 2.5 is an
-    error rather than truncated."""
-    if isinstance(value, numbers.Integral) or isinstance(value, float) and value.is_integer():
-        return int(value)
-    raise ValueError(f"{key} must be an integer, got {value!r}")
+    """A config integer, named by its key: 3 and 3.0 are taken, 2.5 and
+    true are errors rather than truncated or counted as 1."""
+    if isinstance(value, bool) or not (
+        isinstance(value, numbers.Integral) or isinstance(value, float) and value.is_integer()
+    ):
+        raise ValueError(f"{key} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _number(key: str, value):
+    """A config number, named by its key, as given: a grid value's repr
+    names its trials' seeds. Strings, null, booleans, NaN and infinities are
+    errors rather than compared or run."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+        raise ValueError(f"{key} must be a finite number, got {value!r}")
+    return value
+
+
+def _list(key: str, values, convert) -> tuple:
+    """A config list, each value passed through convert."""
+    if not isinstance(values, (list, tuple)):
+        raise ValueError(f"{key} must be a list, got {values!r}")
+    return tuple(convert(key, value) for value in values)
 
 
 @dataclass(frozen=True)
@@ -128,11 +143,20 @@ class ExperimentConfig:
     master_seed: int = 0
 
     def __post_init__(self):
+        object.__setattr__(self, "view_paths", tuple(self.view_paths))
+        # no sidecars, or an empty list of them, is None
+        paths = tuple(self.availability_paths or ()) or None
+        object.__setattr__(self, "availability_paths", paths)
         object.__setattr__(self, "repeats", _integer("repeats", self.repeats))
         object.__setattr__(self, "max_iter", _integer("max_iter", self.max_iter))
         object.__setattr__(self, "kmeans_restarts", _integer("restarts", self.kmeans_restarts))
         object.__setattr__(self, "master_seed", _integer("master_seed", self.master_seed))
-        object.__setattr__(self, "knn_grid", tuple(_integer("k", k) for k in self.knn_grid))
+        object.__setattr__(self, "knn_grid", _list("k", self.knn_grid, _integer))
+        object.__setattr__(self, "lam_grid", _list("lam", self.lam_grid, _number))
+        object.__setattr__(self, "beta_grid", _list("beta", self.beta_grid, _number))
+        object.__setattr__(self, "r_grid", _list("r", self.r_grid, _number))
+        object.__setattr__(self, "gamma", float(_number("gamma", self.gamma)))
+        object.__setattr__(self, "tol", float(_number("tol", self.tol)))
         if self.n_components is not None:
             object.__setattr__(self, "n_components", _integer("clusters", self.n_components))
             if self.n_components < 1:
@@ -143,11 +167,14 @@ class ExperimentConfig:
             raise ValueError(f"unknown protocol {self.protocol!r}")
         if self.rates is None:
             object.__setattr__(self, "rates", DEFAULT_RATES[self.protocol])
+        object.__setattr__(self, "rates", _list("rates", self.rates, _number))
         if not self.rates:
             raise ValueError("config needs at least one mask rate")
         # a rate names its trials' run ids and trace files
         if len(set(self.rates)) < len(self.rates):
             raise ValueError(f"rates must be distinct, got {list(self.rates)}")
+        for rate in self.rates:  # the mask's own checks of each rate
+            MaskSpec(protocol=self.protocol, rate=rate)
         if self.repeats < 1:
             raise ValueError("repeats must be at least 1")
         for name, grid in (
@@ -186,9 +213,7 @@ class ExperimentConfig:
             unknown = set(values) - set(keys)
             if unknown:
                 raise ValueError(f"unknown config keys{where}: {sorted(unknown)}")
-            for key, value in values.items():
-                name, convert = keys[key]
-                settings[name] = value if convert is None else convert(value)
+            settings.update((keys[key], value) for key, value in values.items())
         return cls(**settings)
 
     @classmethod

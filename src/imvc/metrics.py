@@ -1,19 +1,18 @@
 """Cluster the consensus representation and score the result.
 
-kmeans runs restarted Lloyd iterations with k-means++ seeding on the columns
-of the representation. The restarts run in lockstep, one stacked distance
-computation per Lloyd step, and give the same labels and inertia, bit for
-bit, as running them one at a time. accuracy uses the optimal one-to-one
-cluster-to-class assignment, nmi normalizes mutual information by the
-geometric mean of the two entropies, and purity is the majority-class
-fraction per predicted cluster.
+evaluate_clustering runs restarted Lloyd iterations with k-means++ seeding on
+the columns of the representation and scores the best restart's labels. The
+restarts run in lockstep, one stacked distance computation per Lloyd step,
+and give the same labels and inertia, bit for bit, as running them one at a
+time. accuracy uses the optimal one-to-one cluster-to-class assignment, nmi
+normalizes mutual information by the geometric mean of the two entropies,
+and purity is the majority-class fraction per predicted cluster.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
@@ -27,7 +26,6 @@ class ClusteringResult:
     acc: float
     nmi: float
     purity: float
-    kmeans_inertia: float
 
 
 def _check_labels(true_labels, predicted) -> tuple[np.ndarray, np.ndarray]:
@@ -186,39 +184,24 @@ def _best_kmeans(
     return labels[best], float(inertia[best])
 
 
-def kmeans(
-    representation: np.ndarray,
-    k: int,
-    restarts: int = 20,
-    seed: int = 0,
-) -> np.ndarray:
-    """Cluster the columns of a (dim x n) representation into k groups.
-
-    Best of `restarts` seeded k-means++ runs by inertia (the first one on a
-    tie); empty clusters are re-seeded from the points farthest from their
-    centroids. The restarts run in lockstep and give the same labels and
-    inertia as running them one at a time.
-    """
-    labels, _ = _best_kmeans(representation, k, restarts, seed)
-    return labels
-
-
 def evaluate_clustering(
     representation: np.ndarray,
     true_labels,
-    k: Optional[int] = None,
+    k: int,
     restarts: int = 20,
     seed: int = 0,
 ) -> ClusteringResult:
-    """k-means on the representation columns plus acc/nmi/purity scores."""
+    """k-means on the representation columns plus acc/nmi/purity scores.
+
+    The labels are the best of `restarts` seeded k-means++ runs by inertia
+    (the first one on a tie); empty clusters are re-seeded from the points
+    farthest from their centroids.
+    """
     t = np.asarray(true_labels, dtype=np.int64)
-    if k is None:
-        k = int(t.max()) + 1
-    labels, inertia = _best_kmeans(representation, k, restarts, seed)
+    labels, _ = _best_kmeans(representation, k, restarts, seed)
     return ClusteringResult(
         predicted=labels,
         acc=accuracy(t, labels),
         nmi=nmi(t, labels),
         purity=purity(t, labels),
-        kmeans_inertia=inertia,
     )

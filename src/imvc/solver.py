@@ -129,8 +129,6 @@ def update_codes(
     h = 1.0 + lam * graph.degree
     b = x.T @ basis + lam * (graph.w @ gathered.T)  # n_v x c
     v = b.T / h
-    if beta == 0.0:
-        return v
     thr = beta / (2.0 * h)
     return np.maximum(0.0, v - thr) + np.minimum(0.0, v + thr)
 
@@ -181,7 +179,10 @@ def update_weights(costs: np.ndarray, r: float) -> np.ndarray:
     zero = costs == 0.0
     if zero.any():
         return zero / zero.sum()
-    scaled = (costs / costs.min()) ** (1.0 / (1.0 - r))
+    # a cost ratio past the float range is inf, and inf ** (1 / (1 - r)) the
+    # zero weight that the closed form tends to
+    with np.errstate(over="ignore"):
+        scaled = (costs / costs.min()) ** (1.0 / (1.0 - r))
     return scaled / scaled.sum()
 
 

@@ -48,15 +48,14 @@ def auto_sigma(pts: np.ndarray, view_id: int = 0, max_instances: int = 2000) -> 
     return sigma
 
 
-def gaussian_knn_graph(data: np.ndarray, k: int, sigma=None, view_id: int = 0):
+def gaussian_knn_graph(data: np.ndarray, k: int, view_id: int = 0):
     """Dense (S, sigma) for a features x instances matrix, from the full
     distance matrix."""
     n = data.shape[1]
     if not 1 <= k < n:
         raise ValueError(f"k must satisfy 1 <= k < n_available={n}, got {k}")
     pts = data.T
-    if sigma is None:
-        sigma = auto_sigma(pts, view_id)
+    sigma = auto_sigma(pts, view_id)
     sq = cdist(pts, pts, metric="sqeuclidean")
     np.fill_diagonal(sq, np.inf)
     neighbors = np.argpartition(sq, k - 1, axis=1)[:, :k]
@@ -66,7 +65,7 @@ def gaussian_knn_graph(data: np.ndarray, k: int, sigma=None, view_id: int = 0):
     s = np.where(mask, kernel, 0.0)
     s = np.maximum(s, s.T)
     np.fill_diagonal(s, 0.0)
-    return s, float(sigma)
+    return s, sigma
 
 
 def graph_cost(p: np.ndarray, gathered: np.ndarray, w: np.ndarray) -> float:

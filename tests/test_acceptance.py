@@ -15,23 +15,19 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from imvc import (
-    SolverConfig,
-    fit,
-    load_dataset,
-    normalize_views,
+from imvc import SolverConfig, fit, load_dataset, normalize_views, save_dataset
+from imvc.cli import main as cli_main
+from imvc.dataset import MaskSpec, apply_mask
+from imvc.graph import FusedGraph, build_fused_graphs, gaussian_knn_graph
+from imvc.metrics import evaluate_clustering
+from imvc.solver import (
+    _reconstruction_cost,
     objective,
-    save_dataset,
     update_basis,
     update_codes,
     update_consensus,
     update_weights,
 )
-from imvc.cli import main as cli_main
-from imvc.dataset import MaskSpec, apply_mask
-from imvc.graph import FusedGraph, build_fused_graphs, gaussian_knn_graph
-from imvc.metrics import evaluate_clustering
-from imvc.solver import _reconstruction_cost
 
 from synthetic import (
     identity_graph,

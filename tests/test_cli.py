@@ -173,6 +173,36 @@ def test_cli_reports_a_rejected_config_in_one_line(workspace, tmp_path, capsys, 
     assert not (tmp_path / "x").exists()
 
 
+@pytest.mark.parametrize("command", ["run", "validate-data"])
+@pytest.mark.parametrize(
+    "section, key, value, message",
+    [
+        ("solver", "lam", ["x"], "lam must be a finite number, got 'x'"),
+        ("solver", "lam", [None], "lam must be a finite number, got None"),
+        ("solver", "tol", None, "tol must be a finite number, got None"),
+        ("mask", "rates", ["0.3"], "rates must be a finite number, got '0.3'"),
+        # rates that would fail every trial
+        ("mask", "rates", [1.5], "rate must lie in [0, 1], got 1.5"),
+        ("mask", "rates", [1.0], "random-missing rate must be below 1"),
+    ],
+)
+def test_cli_reports_a_bad_config_value_in_one_line(
+    workspace, tmp_path, capsys, command, section, key, value, message
+):
+    root, cfg_path, _ = workspace
+    config = json.loads(cfg_path.read_text())
+    config[section][key] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(config))
+    argv = [command, "--config", str(bad)]
+    if command == "run":
+        argv += ["--output", str(tmp_path / "x")]
+    assert main(argv) == 1
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith(f"INVALID: {message}")
+    assert not (tmp_path / "x").exists()
+
+
 @pytest.mark.parametrize("command", [["run"], ["ablate", "--which", "weight"]])
 def test_cli_rejects_fewer_than_one_worker(workspace, tmp_path, command):
     root, cfg_path, _ = workspace

@@ -32,21 +32,22 @@ def brute_force_knn_kernel(points, k, sigma):
 
 def test_identical_neighbors_have_unit_similarity():
     pts = [[0.0, 0.0], [0.0, 0.0], [5.0, 5.0]]
-    s = gaussian_knn_graph(view_from_points(pts), k=1, sigma=1.0)[0].toarray()
+    s = gaussian_knn_graph(view_from_points(pts), k=1)[0].toarray()
     assert s[0, 1] == 1.0 and s[1, 0] == 1.0
 
 
 def test_kernel_value_at_sigma_sqrt2():
-    d = np.sqrt(2.0)
-    pts = [[0.0], [d]]
-    s = gaussian_knn_graph(view_from_points(pts), k=1, sigma=1.0)[0].toarray()
-    assert s[0, 1] == pytest.approx(np.exp(-1.0), rel=1e-12)
+    # unit square: four sides of 1 and two diagonals of sqrt(2), so the
+    # median distance sigma is 1 and each diagonal pair lies at sigma sqrt(2)
+    pts = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]
+    s, sigma = gaussian_knn_graph(view_from_points(pts), k=3)
+    assert sigma == 1.0
+    assert s[0, 3] == pytest.approx(np.exp(-1.0), rel=1e-12)
 
 
 def test_collinear_points_match_brute_force():
     pts = [[0.0], [1.0], [2.2], [3.6], [5.2]]
-    sigma = 1.3
-    s, _ = gaussian_knn_graph(view_from_points(pts), k=1, sigma=sigma)
+    s, sigma = gaussian_knn_graph(view_from_points(pts), k=1)
     expect = brute_force_knn_kernel(pts, k=1, sigma=sigma)
     assert np.allclose(s.toarray(), expect, rtol=1e-14, atol=1e-15)
 
@@ -55,8 +56,7 @@ def test_random_cloud_matches_brute_force():
     rng = np.random.default_rng(4)
     for k in (1, 3, 6):
         pts = rng.normal(size=(14, 3))
-        sigma = 0.8
-        s, _ = gaussian_knn_graph(view_from_points(pts), k=k, sigma=sigma)
+        s, sigma = gaussian_knn_graph(view_from_points(pts), k=k)
         expect = brute_force_knn_kernel(pts, k=k, sigma=sigma)
         assert np.allclose(s.toarray(), expect, rtol=1e-13, atol=1e-15)
 
@@ -74,7 +74,7 @@ def test_collinear_rows_have_at_most_2k_nonzeros():
     rng = np.random.default_rng(2)
     pts = np.sort(rng.uniform(0, 10, size=24)).reshape(-1, 1)
     for k in (1, 2, 4):
-        s, _ = gaussian_knn_graph(view_from_points(pts), k=k, sigma=1.0)
+        s, _ = gaussian_knn_graph(view_from_points(pts), k=k)
         nonzeros = (s.toarray() > 0).sum(axis=1)
         assert nonzeros.max() <= 2 * k
 
@@ -82,7 +82,7 @@ def test_collinear_rows_have_at_most_2k_nonzeros():
 def test_kernel_monotone_in_distance():
     rng = np.random.default_rng(3)
     pts = rng.normal(size=(15, 2))
-    s = gaussian_knn_graph(view_from_points(pts), k=4, sigma=1.1)[0].toarray()
+    s = gaussian_knn_graph(view_from_points(pts), k=4)[0].toarray()
     ii, jj = np.nonzero(s)
     dist = np.linalg.norm(pts[ii] - pts[jj], axis=1)
     order = np.argsort(dist)

@@ -52,19 +52,18 @@ def problems(draw, n_range=(2, 60), m_max=6):
         draw(st.integers(0, 2**32 - 1)),
     )
     k = draw(st.integers(1, min(n - 1, 12)))
-    sigma = draw(st.one_of(st.none(), st.floats(0.1, 10.0)))
-    return ViewMatrix(view_id=0, data=data), k, sigma
+    return ViewMatrix(view_id=0, data=data), k
 
 
-def check_graph(view, k, sigma):
+def check_graph(view, k):
     try:
-        s, want_sigma = reference.gaussian_knn_graph(view.data, k, sigma=sigma)
+        s, want_sigma = reference.gaussian_knn_graph(view.data, k)
     except ValueError as want:  # all points identical: degenerate sigma
         with pytest.raises(ValueError) as got:
-            gaussian_knn_graph(view, k=k, sigma=sigma)
+            gaussian_knn_graph(view, k=k)
         assert str(got.value) == str(want)
         return
-    got, got_sigma = gaussian_knn_graph(view, k=k, sigma=sigma)
+    got, got_sigma = gaussian_knn_graph(view, k=k)
     assert got_sigma == want_sigma
     assert np.array_equal(got.toarray(), s)
     # a valid similarity graph: symmetric, zero diagonal, and every fused
@@ -100,18 +99,18 @@ def bound_problems(draw):
     """A column-group width and a problem whose rows split into at least 4k
     groups of that width, so that its candidates come from the bound."""
     width = draw(st.integers(2, 3))
-    view, k, sigma = draw(problems(n_range=(8 * width, 60)))
-    return width, view, min(k, view.n_available // (4 * width)), sigma
+    view, k = draw(problems(n_range=(8 * width, 60)))
+    return width, view, min(k, view.n_available // (4 * width))
 
 
 @examples(60)
 @given(bound_problems())
 def test_graph_matches_reference_through_the_group_bound(problem):
-    width, view, k, sigma = problem
+    width, view, k = problem
     assert view.n_available // width >= 4 * k
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(imvc.graph, "_GROUP_WIDTH", width)
-        check_graph(view, k, sigma)
+        check_graph(view, k)
 
 
 def test_group_bound_is_at_least_the_kth_smallest(monkeypatch):

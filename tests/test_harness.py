@@ -14,7 +14,6 @@ import pytest
 import imvc.harness
 from imvc import (
     ExperimentConfig,
-    initialize,
     run_ablation,
     run_experiment,
     save_dataset,
@@ -22,7 +21,7 @@ from imvc import (
     write_traces,
 )
 from imvc.harness import TrialOutcome, _aggregate, derive_seed, load_base
-from imvc.solver import SolverConfig, write_trace
+from imvc.solver import SolverConfig, initialize, write_trace
 
 from synthetic import multiview_blobs
 
@@ -513,6 +512,13 @@ def test_config_validation_errors():
         (None, "clusters", 2.5, "clusters must be an integer, got 2.5"),
         # two trials would share one run id and one trace file
         ("mask", "rates", [0.3, 0.3], "rates must be distinct, got [0.3, 0.3]"),
+        # a value of the wrong type, named by its key
+        ("mask", "repeats", True, "repeats must be an integer, got True"),
+        ("solver", "beta", [True], "beta must be a finite number, got True"),
+        ("solver", "r", [float("nan")], "r must be a finite number, got nan"),
+        ("solver", "gamma", "1", "gamma must be a finite number, got '1'"),
+        ("solver", "lam", 0.1, "lam must be a list, got 0.1"),
+        ("mask", "rates", [-0.1], "rate must lie in [0, 1], got -0.1"),
     ],
 )
 def test_config_rejects_bad_values(section, key, value, message):

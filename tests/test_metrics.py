@@ -5,7 +5,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from imvc import accuracy, evaluate_clustering, kmeans, nmi, purity
+from imvc import accuracy, evaluate_clustering, nmi, purity
 from imvc.metrics import _best_kmeans
 
 
@@ -189,7 +189,7 @@ def separable_clouds(seed=0):
 
 def test_kmeans_separates_two_clouds():
     rep, truth = separable_clouds()
-    labels = kmeans(rep, k=2, restarts=5, seed=0)
+    labels = evaluate_clustering(rep, truth, k=2, restarts=5, seed=0).predicted
     assert accuracy(truth, labels) == 1.0
 
 
@@ -218,17 +218,17 @@ def test_kmeans_beats_random_assignments():
 def test_kmeans_deterministic_given_seed():
     rng = np.random.default_rng(8)
     rep = rng.normal(size=(3, 30))
-    a = kmeans(rep, k=3, restarts=4, seed=11)
-    b = kmeans(rep, k=3, restarts=4, seed=11)
-    assert np.array_equal(a, b)
+    a, inertia_a = _best_kmeans(rep, k=3, restarts=4, seed=11)
+    b, inertia_b = _best_kmeans(rep, k=3, restarts=4, seed=11)
+    assert np.array_equal(a, b) and inertia_a == inertia_b
 
 
 def test_kmeans_invalid_k():
-    rep = np.zeros((2, 5))
+    rep, truth = np.zeros((2, 5)), np.zeros(5, dtype=np.int64)
     with pytest.raises(ValueError, match="k must satisfy"):
-        kmeans(rep, k=6)
+        evaluate_clustering(rep, truth, k=6)
     with pytest.raises(ValueError, match="k must satisfy"):
-        kmeans(rep, k=0)
+        evaluate_clustering(rep, truth, k=0)
 
 
 def test_lloyd_inertia_non_increasing():
@@ -250,9 +250,8 @@ def test_lloyd_handles_coincident_seeding():
 
 def test_evaluate_clustering_on_separable_data():
     rep, truth = separable_clouds(seed=10)
-    result = evaluate_clustering(rep, truth, restarts=6, seed=2)
+    result = evaluate_clustering(rep, truth, k=2, restarts=6, seed=2)
     assert result.acc == 1.0
     assert result.nmi == 1.0
     assert result.purity == 1.0
-    assert result.kmeans_inertia >= 0.0
     assert result.predicted.shape == truth.shape

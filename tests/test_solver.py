@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from imvc import (
+from imvc.solver import (
     SolverConfig,
     SolverState,
     fit,
