@@ -33,7 +33,6 @@ from .metrics import (
 from .harness import (
     ExperimentConfig,
     RunRecord,
-    run_ablation,
     run_experiment,
     write_results,
     write_traces,
@@ -61,7 +60,6 @@ __all__ = [
     "purity",
     "ExperimentConfig",
     "RunRecord",
-    "run_ablation",
     "run_experiment",
     "write_results",
     "write_traces",

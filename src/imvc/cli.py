@@ -14,7 +14,6 @@ from .harness import (
     ExperimentConfig,
     knn_problems,
     load_base,
-    run_ablation,
     run_experiment,
     write_results,
     write_traces,
@@ -27,10 +26,17 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, help="master seed (overrides the config)")
 
 
+def _workers(text: str) -> int:
+    """--workers: an integer of at least 1, else a usage error."""
+    if not text.strip().isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer of at least 1, got {text!r}")
+    return int(text)
+
+
 def _add_sweep(parser: argparse.ArgumentParser) -> None:
     """Options of the commands that run a whole sweep (run, ablate)."""
     _add_common(parser)
-    parser.add_argument("--workers", type=int, default=1, help="parallel trial processes")
+    parser.add_argument("--workers", type=_workers, default=1, help="parallel trial processes")
     parser.add_argument(
         "--traces", action="store_true", help="also write trace_<runid>.csv per trial"
     )
@@ -68,7 +74,7 @@ def _report(records, paths) -> int:
     print(f"wrote {paths['aggregate']}")
     print(f"wrote {paths['manifest']}")
     total = sum(r.n_trials for r in records)
-    wall = sum(r.wall_seconds for r in records)
+    wall = sum(t.wall_seconds for r in records for t in r.trials)
     print(f"{total - len(failed)}/{total} trials succeeded in {wall:.1f}s")
     for run_id in failed:
         print(f"  failed: {run_id}")
@@ -78,10 +84,7 @@ def _report(records, paths) -> int:
 def _cmd_run(args, cfg: ExperimentConfig) -> int:
     """`run` (which=None) and `ablate --which`. Exit status 1 when no trial
     succeeded; the rows of failed trials are written either way."""
-    if args.which is None:
-        records = run_experiment(cfg, workers=args.workers, keep_states=args.traces)
-    else:
-        records = run_ablation(cfg, args.which, workers=args.workers, keep_states=args.traces)
+    records = run_experiment(cfg, args.which, workers=args.workers, keep_states=args.traces)
     paths = write_results(records, cfg.output_dir, cfg)
     if args.traces:
         write_traces(records, cfg.output_dir)

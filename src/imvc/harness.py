@@ -8,11 +8,11 @@ and the resolved config to manifest.json. Given one machine and
 one master seed, trials.csv is byte-identical across runs.
 
 The mask depends only on (rate, repeat) and the graphs only on the mask and
-k, so run_sweep runs the trials group by group, and each process that runs
-them keeps the last group it built on its _Sweep. The output columns are the
-fields of TrialOutcome (trials.csv) and RunRecord (aggregate.csv) in order,
-less the in-memory ones; each ablation is the one model switch in _VARIANTS
-that it turns off.
+k, so run_experiment runs the trials group by group, and each process that
+runs them keeps the last group it built on its _Sweep. The output columns
+are the fields of TrialOutcome (trials.csv) and RunRecord (aggregate.csv) in
+order, less the in-memory ones; each ablation is the one model switch in
+_VARIANTS that it turns off.
 """
 
 from __future__ import annotations
@@ -111,6 +111,14 @@ def _number(key: str, value):
     return value
 
 
+def _path(key: str, value) -> str:
+    """A config file path, named by its key: a number, null or a list is an
+    error here rather than a TypeError when the file is opened."""
+    if not isinstance(value, (str, os.PathLike)):
+        raise ValueError(f"{key} must be a path, got {value!r}")
+    return os.fspath(value)
+
+
 def _list(key: str, values, convert) -> tuple:
     """A config list, each value passed through convert."""
     if not isinstance(values, (list, tuple)):
@@ -143,10 +151,13 @@ class ExperimentConfig:
     master_seed: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "view_paths", tuple(self.view_paths))
-        # no sidecars, or an empty list of them, is None
-        paths = tuple(self.availability_paths or ()) or None
-        object.__setattr__(self, "availability_paths", paths)
+        object.__setattr__(self, "view_paths", _list("views", self.view_paths, _path))
+        if self.availability_paths is not None:  # an empty list of sidecars is None
+            paths = _list("availability", self.availability_paths, _path) or None
+            object.__setattr__(self, "availability_paths", paths)
+        if self.label_path is not None:
+            object.__setattr__(self, "label_path", _path("labels", self.label_path))
+        object.__setattr__(self, "output_dir", _path("output", self.output_dir))
         object.__setattr__(self, "repeats", _integer("repeats", self.repeats))
         object.__setattr__(self, "max_iter", _integer("max_iter", self.max_iter))
         object.__setattr__(self, "kmeans_restarts", _integer("restarts", self.kmeans_restarts))
@@ -270,7 +281,6 @@ class RunRecord:
     purity_std: float
     iterations_mean: float
     trials: tuple[TrialOutcome, ...]
-    wall_seconds: float
 
 
 # the fields kept in memory only: wall-clock time and solver states stay off
@@ -310,7 +320,6 @@ def _aggregate(trials: Sequence[TrialOutcome]) -> RunRecord:
         **scores,
         iterations_mean=float(np.mean([t.iterations for t in ok])) if ok else float("nan"),
         trials=tuple(trials),
-        wall_seconds=float(sum(t.wall_seconds for t in trials)),
     )
 
 
@@ -451,8 +460,9 @@ def knn_problems(cfg: ExperimentConfig, base: MultiViewDataset) -> list[str]:
     """Check every configured mask up front: one message per (rate, repeat,
     view) whose masked view has too few instances for the largest k.
 
-    The masks are the ones run_sweep draws, from the same seeds. gamma = 0
-    builds identity graphs with no neighbor search, so any k is fine there.
+    The masks are the ones run_experiment draws, from the same seeds.
+    gamma = 0 builds identity graphs with no neighbor search, so any k is
+    fine there.
     """
     if cfg.gamma == 0.0:
         return []
@@ -474,24 +484,32 @@ def _rate_tag(rate: float) -> str:
     return repr(float(rate)).replace(".", "p")
 
 
-def run_sweep(
+def run_experiment(
     cfg: ExperimentConfig,
-    variant: str = "full",
+    ablation: Optional[str] = None,
     workers: int = 1,
     keep_states: bool = False,
 ) -> list[RunRecord]:
     """Run every (grid point x rate x repeat) trial and aggregate the repeats.
 
-    Trials run group by group, and a process builds each (rate, repeat, k)
-    group's mask and graphs once for the trials of that group it runs. With
-    workers > 1 the trials are handed out in group order, one at a time, to
-    min(workers, trials) worker processes (forked where the platform allows,
-    else spawned); one worker, or one trial, runs in this process. A group's
-    build is deterministic and rows are collected in sweep order, so the
-    output does not depend on workers.
+    ablation=None runs the full model; otherwise one model component is off:
+    'weight' (uniform view weights, never updated), 'sparsity' (beta = 0: no
+    l1 term) or 'graph' (gamma = 0: identity graphs, so no neighbor search
+    and no limit on k).
+
+    Trials run group by group, in sorted (rate, repeat, k) order, and a
+    process builds each group's mask and graphs once for the trials of that
+    group it runs. With workers > 1 the trials are handed out in that order,
+    one at a time, to min(workers, trials) worker processes (forked where the
+    platform allows, else spawned); one worker, or one trial, runs in this
+    process. A group's build is deterministic and rows are collected in sweep
+    order, so the output does not depend on workers.
     """
+    if ablation is not None and ablation not in ABLATIONS:
+        raise ValueError(f"unknown ablation {ablation!r}; expected one of {ABLATIONS}")
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
+    variant = "full" if ablation is None else f"no-{ablation}"
     base = load_base(cfg)
     grid = itertools.product(cfg.lam_grid, cfg.beta_grid, cfg.r_grid, cfg.knn_grid)
     pending: list[TrialOutcome] = []
@@ -518,12 +536,8 @@ def run_sweep(
                     )
                 )
 
-    groups: dict[tuple, list[int]] = {}  # (rate, repeat, k) -> trial indices
-    for i, t in enumerate(pending):
-        groups.setdefault(_group(t), []).append(i)
-    order = [i for ids in groups.values() for i in ids]
-    outcomes = [pending[i] for i in order]
-
+    # stable: each group's trials keep their sweep order
+    order = sorted(range(len(pending)), key=lambda i: _group(pending[i]))
     processes = min(workers, len(pending))
     if processes > 1:
         # fork where the platform has it: a forked worker starts at once with
@@ -536,39 +550,17 @@ def run_sweep(
             initializer=_init_worker,
             initargs=(base, cfg, keep_states, processes),
         ) as pool:
-            results = list(pool.map(_worker_trial, outcomes))
+            results = list(pool.map(_worker_trial, [pending[i] for i in order]))
     else:
         sweep = _Sweep(base, cfg, keep_states)
-        results = [_run_trial(sweep, t) for t in outcomes]
-    done = [None] * len(pending)
+        results = [_run_trial(sweep, pending[i]) for i in order]
     for i, outcome in zip(order, results):
-        done[i] = outcome
+        pending[i] = outcome
 
-    records = []
-    for start in range(0, len(done), cfg.repeats):
-        records.append(_aggregate(done[start : start + cfg.repeats]))
-    return records
-
-
-def run_experiment(
-    cfg: ExperimentConfig, workers: int = 1, keep_states: bool = False
-) -> list[RunRecord]:
-    """The full (un-ablated) sweep."""
-    return run_sweep(cfg, variant="full", workers=workers, keep_states=keep_states)
-
-
-def run_ablation(
-    cfg: ExperimentConfig, which: str, workers: int = 1, keep_states: bool = False
-) -> list[RunRecord]:
-    """The same sweep with one model component disabled.
-
-    which: 'weight' (uniform view weights, never updated), 'sparsity'
-    (beta = 0: no l1 term) or 'graph' (gamma = 0: identity graphs, so no
-    neighbor search and no limit on k).
-    """
-    if which not in ABLATIONS:
-        raise ValueError(f"unknown ablation {which!r}; expected one of {ABLATIONS}")
-    return run_sweep(cfg, variant=f"no-{which}", workers=workers, keep_states=keep_states)
+    return [
+        _aggregate(pending[start : start + cfg.repeats])
+        for start in range(0, len(pending), cfg.repeats)
+    ]
 
 
 def _cell(row, name: str) -> str:

@@ -30,7 +30,7 @@ no residual or distance matrix:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Optional, Sequence
 
@@ -295,56 +295,38 @@ def fit(
         if graph.n != view.n_available:
             raise ValueError(f"view {view.view_id}: graph shape does not match the data")
     state = initialize(ds, cfg)
-    xs = [view.data for view in ds.views]
-
-    bases = list(state.bases)
-    codes = list(state.codes)
-    consensus = state.consensus
-    weights = np.asarray(state.weights, dtype=np.float64)
-
-    def current() -> SolverState:
-        return SolverState(
-            bases=tuple(bases),
-            codes=tuple(codes),
-            consensus=consensus,
-            weights=weights,
-        )
-
-    costs = view_costs(ds, graphs, current(), cfg)
-    trace = [_weighted_total(weights, costs, cfg.r)]
+    costs = view_costs(ds, graphs, state, cfg)
+    trace = [_weighted_total(state.weights, costs, cfg.r)]
     cost_rows = [costs]
-    weight_rows = [weights]
+    weight_rows = [state.weights]
 
     for it in range(1, cfg.max_iter + 1):
         consensus = update_consensus(
-            codes, graphs, ds.availability, ds.n, weights, cfg.r
+            state.codes, graphs, ds.availability, ds.n, state.weights, cfg.r
         )
-        for v in range(ds.n_views):
-            bases[v] = update_basis(xs[v], codes[v])
-        for v in range(ds.n_views):
-            codes[v] = update_codes(
-                xs[v], bases[v], consensus, ds.availability[v], graphs[v], cfg.lam, cfg.beta
-            )
-        costs = view_costs(ds, graphs, current(), cfg)
+        bases = tuple(update_basis(view.data, p) for view, p in zip(ds.views, state.codes))
+        codes = tuple(
+            update_codes(view.data, u, consensus, ids, graph, cfg.lam, cfg.beta)
+            for view, u, ids, graph in zip(ds.views, bases, ds.availability, graphs)
+        )
+        state = SolverState(bases=bases, codes=codes, consensus=consensus, weights=state.weights)
+        costs = view_costs(ds, graphs, state, cfg)
         if cfg.weight_on:
-            weights = update_weights(costs, cfg.r)
-        value = _weighted_total(weights, costs, cfg.r)
+            state = replace(state, weights=update_weights(costs, cfg.r))
+        value = _weighted_total(state.weights, costs, cfg.r)
         if not np.isfinite(value):
             raise ArithmeticError(f"objective diverged to {value} at iteration {it}")
         trace.append(value)
         cost_rows.append(costs)
-        weight_rows.append(weights)
+        weight_rows.append(state.weights)
         if callback is not None:
-            callback(it, bases, codes, consensus, weights)
+            callback(it, state.bases, state.codes, state.consensus, state.weights)
         prev = trace[-2]
         if abs(prev - value) / max(prev, 1e-12) <= cfg.tol:
             break
 
-    return SolverState(
-        bases=tuple(bases),
-        codes=tuple(codes),
-        consensus=consensus,
-        weights=weights,
+    return replace(
+        state,
         objective_trace=np.asarray(trace),
         cost_trace=np.vstack(cost_rows),
         weight_trace=np.vstack(weight_rows),

@@ -184,6 +184,14 @@ def test_cli_reports_a_rejected_config_in_one_line(workspace, tmp_path, capsys, 
         # rates that would fail every trial
         ("mask", "rates", [1.5], "rate must lie in [0, 1], got 1.5"),
         ("mask", "rates", [1.0], "random-missing rate must be below 1"),
+        # paths: a number is not opened, and one string is not split into
+        # one path per character
+        (None, "output", 5, "output must be a path, got 5"),
+        ("dataset", "labels", 3, "labels must be a path, got 3"),
+        ("dataset", "views", "view_0.csv", "views must be a list, got 'view_0.csv'"),
+        ("dataset", "views", [7], "views must be a path, got 7"),
+        ("dataset", "availability", "a.csv", "availability must be a list, got 'a.csv'"),
+        ("dataset", "availability", [None], "availability must be a path, got None"),
     ],
 )
 def test_cli_reports_a_bad_config_value_in_one_line(
@@ -191,7 +199,7 @@ def test_cli_reports_a_bad_config_value_in_one_line(
 ):
     root, cfg_path, _ = workspace
     config = json.loads(cfg_path.read_text())
-    config[section][key] = value
+    (config[section] if section else config)[key] = value
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(config))
     argv = [command, "--config", str(bad)]
@@ -204,11 +212,16 @@ def test_cli_reports_a_bad_config_value_in_one_line(
 
 
 @pytest.mark.parametrize("command", [["run"], ["ablate", "--which", "weight"]])
-def test_cli_rejects_fewer_than_one_worker(workspace, tmp_path, command):
+@pytest.mark.parametrize("workers", ["0", "-2", "x"])
+def test_cli_rejects_fewer_than_one_worker(workspace, tmp_path, capsys, command, workers):
+    # a usage error, as argparse gives it: exit status 2 and no traceback
     root, cfg_path, _ = workspace
-    argv = command + ["--config", str(cfg_path), "--output", str(tmp_path / "x"), "--workers", "0"]
-    with pytest.raises(ValueError, match="workers must be at least 1, got 0"):
-        main(argv)
+    argv = command + ["--config", str(cfg_path), "--output", str(tmp_path / "x")]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--workers", workers])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument --workers: must be an integer of at least 1, got '{workers}'" in err
     assert not (tmp_path / "x").exists()
 
 

@@ -14,7 +14,6 @@ import pytest
 import imvc.harness
 from imvc import (
     ExperimentConfig,
-    run_ablation,
     run_experiment,
     save_dataset,
     write_results,
@@ -362,7 +361,7 @@ def test_weight_ablation_single_view_matches_full(tmp_path):
         paths, tmp_path / "out", mask={"protocol": "random-missing", "rates": [0.0], "repeats": 2}
     )
     full_records = run_experiment(cfg)
-    ablated = run_ablation(cfg, "weight")
+    ablated = run_experiment(cfg, ablation="weight")
     for fr, ar in zip(full_records, ablated):
         for ft, at in zip(fr.trials, ar.trials):
             assert ft.acc == at.acc and ft.nmi == at.nmi and ft.purity == at.purity
@@ -376,7 +375,7 @@ def test_sparsity_ablation_noop_when_beta_zero(data_dir, tmp_path):
         solver={"lam": [1.0], "beta": [0.0], "r": [3.0], "k": [5], "max_iter": 40},
     )
     full_records = run_experiment(cfg)
-    ablated = run_ablation(cfg, "sparsity")
+    ablated = run_experiment(cfg, ablation="sparsity")
     for fr, ar in zip(full_records, ablated):
         for ft, at in zip(fr.trials, ar.trials):
             assert ft.acc == at.acc and ft.nmi == at.nmi and ft.purity == at.purity
@@ -385,7 +384,7 @@ def test_sparsity_ablation_noop_when_beta_zero(data_dir, tmp_path):
 def test_ablation_rows_carry_variant_label(data_dir, tmp_path):
     root, paths = data_dir
     cfg = make_config(paths, tmp_path / "out", mask={"rates": [0.3], "repeats": 1})
-    records = run_ablation(cfg, "graph")
+    records = run_experiment(cfg, ablation="graph")
     write_results(records, cfg.output_dir, cfg)
     rows = read_rows(tmp_path / "out" / "trials.csv")
     assert all(row["variant"] == "no-graph" for row in rows)
@@ -396,7 +395,7 @@ def test_graph_ablation_is_gamma_zero_and_needs_no_knn(data_dir, tmp_path):
     # k = 29 leaves too few instances in the masked views for a kNN graph
     cfg = make_config(paths, tmp_path / "out", solver={"k": [29]})
     assert all(t.error for rec in run_experiment(cfg) for t in rec.trials)
-    ablated = run_ablation(cfg, "graph")
+    ablated = run_experiment(cfg, ablation="graph")
     plain = run_experiment(replace(cfg, gamma=0.0))
     for ar, pr in zip(ablated, plain, strict=True):
         for at, pt in zip(ar.trials, pr.trials, strict=True):
@@ -410,7 +409,7 @@ def test_unknown_ablation_rejected(data_dir, tmp_path):
     root, paths = data_dir
     cfg = make_config(paths, tmp_path / "out")
     with pytest.raises(ValueError, match="unknown ablation"):
-        run_ablation(cfg, "everything")
+        run_experiment(cfg, ablation="everything")
 
 
 # --------------------------------------------------------------------- traces
