@@ -7,9 +7,11 @@ seeded Handwritten-shaped data of perfbench/synth.py (30% of views missing):
 `trial` runs the calls of one harness trial in this process: the mask, the
 fused graphs, one fit (5 sweeps at tol 0) and k-means with 20 restarts, at
 scale-n4000's settings. It skips the CSV round trip, as the view files would
-hold about 0.6 GB of text at n=50000. `group` writes the data and a config
-for one README grid group (27 (lam, beta, r) points, max_iter 300, tol 1e-6)
-and runs it as `imvc run --workers 2` does.
+hold about 0.6 GB of text at n=50000. It then fits once more with the layer
+wrappers of perfbench/tracing.py installed, and reports each solver block's
+seconds per iteration from that fit (`iter_blocks_s`). `group` writes the
+data and a config for one README grid group (27 (lam, beta, r) points,
+max_iter 300, tol 1e-6) and runs it as `imvc run --workers 2` does.
 
 Run from the repository root; the package is imported from ./src. Each
 prints one JSON line: the stage or sweep wall times in seconds, and the peak
@@ -33,6 +35,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 import imvc  # noqa: E402
+import tracing  # noqa: E402
 from synth import handwritten_like  # noqa: E402
 
 README_GRID = {"lam": [0.001, 0.1, 10.0], "beta": [1e-05, 0.001, 0.1], "r": [2.0, 5.0, 9.0]}
@@ -64,7 +67,7 @@ def trial(n: int, seed: int) -> dict:
         lam=0.1, beta=0.001, r=5.0, n_components=CLUSTERS, max_iter=5, tol=0.0, seed=seed
     )
     t = time.perf_counter()
-    state = imvc.fit(masked, graphs, cfg)
+    (state,) = imvc.fit(masked, graphs, [cfg])
     times["fit_s"] = time.perf_counter() - t
     times["iter_s"] = times["fit_s"] / state.n_iterations
     t = time.perf_counter()
@@ -73,8 +76,17 @@ def trial(n: int, seed: int) -> dict:
     )
     times["kmeans_score_s"] = time.perf_counter() - t
     times["trial_s"] = time.perf_counter() - start
+    tracer = tracing.Tracer()
+    with tracing.installed(tracer):
+        # the wrappers time imvc.harness.fit; this span's self time is the
+        # fit's own loop (solver.loop_s)
+        with tracer.span("solver.fit"):
+            imvc.fit(masked, graphs, [cfg])
+    layers = tracing.layer_metrics(tracer, 1)
+    blocks = ("consensus", "basis", "codes", "costs", "graph_cost", "weights", "loop")
     return {
         **times,
+        "iter_blocks_s": {b: layers[f"solver.{b}_s"] / state.n_iterations for b in blocks},
         "n_available": [v.n_available for v in masked.views],
         "iterations": state.n_iterations,
         "acc": scores.acc,

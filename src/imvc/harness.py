@@ -9,10 +9,11 @@ one master seed, trials.csv is byte-identical across runs.
 
 The mask depends only on (rate, repeat) and the graphs only on the mask and
 k, so run_experiment runs the trials group by group, and each process that
-runs them keeps the last group it built on its _Sweep. The output columns
-are the fields of TrialOutcome (trials.csv) and RunRecord (aggregate.csv) in
-order, less the in-memory ones; each ablation is the one model switch in
-_VARIANTS that it turns off.
+runs them keeps the last group it built on its _Sweep. A group's trials run
+in chunks, each chunk's fits in lockstep as one solver.fit call. The output
+columns are the fields of TrialOutcome (trials.csv) and RunRecord
+(aggregate.csv) in order, less the in-memory ones; each ablation is the one
+model switch in _VARIANTS that it turns off.
 """
 
 from __future__ import annotations
@@ -363,49 +364,84 @@ class _Sweep:
         return self.built
 
 
-def _run_trial(sweep: _Sweep, outcome: TrialOutcome) -> TrialOutcome:
-    """Every trial of a sweep runs here, the group build included, so the
-    first trial of a group that a process runs counts the build in its wall
-    time. A failure becomes the trial's error."""
-    start = time.perf_counter()
+def _error(exc: Exception) -> str:
+    """A failure as its trial's error text."""
+    return f"{type(exc).__name__}: {exc}".replace("\n", "; ")
+
+
+def _scored(
+    sweep: _Sweep, outcome: TrialOutcome, state: SolverState, n_components: int
+) -> TrialOutcome:
+    """The outcome of one fitted trial: its k-means scores, or its error."""
+    if state.error is not None:
+        return replace(outcome, error=_error(state.error))
     try:
-        masked, graphs = sweep.problem(outcome)
-        cfg, switch = sweep.cfg, _VARIANTS[outcome.variant]
-        n_components = sweep.base.n_classes if cfg.n_components is None else cfg.n_components
-        solver_cfg = SolverConfig(
-            lam=outcome.lam,
-            beta=switch.get("beta", outcome.beta),
-            r=outcome.r,
-            n_components=n_components,
-            max_iter=cfg.max_iter,
-            tol=cfg.tol,
-            seed=outcome.solver_seed,
-            weight_on=switch.get("weight_on", True),
-        )
-        state = fit(masked, graphs, solver_cfg)
         scores = evaluate_clustering(
             state.consensus,
             sweep.base.labels,
             k=n_components,
-            restarts=cfg.kmeans_restarts,
+            restarts=sweep.cfg.kmeans_restarts,
             seed=derive_seed(outcome.solver_seed, "kmeans"),
         )
-        return replace(
-            outcome,
-            iterations=state.n_iterations,
-            acc=scores.acc,
-            nmi=scores.nmi,
-            purity=scores.purity,
-            wall_seconds=time.perf_counter() - start,
-            state=state if sweep.keep_states else None,
-        )
     except Exception as exc:  # per-trial failures must not kill the sweep
-        message = f"{type(exc).__name__}: {exc}".replace("\n", "; ")
-        return replace(
-            outcome,
-            error=message,
-            wall_seconds=time.perf_counter() - start,
-        )
+        return replace(outcome, error=_error(exc))
+    return replace(
+        outcome,
+        iterations=state.n_iterations,
+        acc=scores.acc,
+        nmi=scores.nmi,
+        purity=scores.purity,
+        state=state if sweep.keep_states else None,
+    )
+
+
+def _run_trial(sweep: _Sweep, chunk: Sequence[TrialOutcome]) -> list[TrialOutcome]:
+    """Run one chunk of a group's trials: their fits in lockstep, as one fit
+    call, then each trial's k-means and scores. (The name is the one
+    perfbench/tracing.py times as harness.trial.)
+
+    A failure becomes the error of the trials it ends: a failed group build
+    or batch set-up, of every trial in the chunk; a failed fit or scoring, of
+    its own trial. The trials' wall times add up to the chunk's: the first
+    trial counts the group build (when this chunk made it), and each trial
+    its fit's share of the lockstep sweeps (SolverState.seconds) and its own
+    k-means and scoring.
+    """
+    start = time.perf_counter()
+    cfg = sweep.cfg
+    n_components = sweep.base.n_classes if cfg.n_components is None else cfg.n_components
+    try:
+        masked, graphs = sweep.problem(chunk[0])
+        solver_cfgs = []
+        for outcome in chunk:
+            switch = _VARIANTS[outcome.variant]
+            solver_cfgs.append(
+                SolverConfig(
+                    lam=outcome.lam,
+                    beta=switch.get("beta", outcome.beta),
+                    r=outcome.r,
+                    n_components=n_components,
+                    max_iter=cfg.max_iter,
+                    tol=cfg.tol,
+                    seed=outcome.solver_seed,
+                    weight_on=switch.get("weight_on", True),
+                )
+            )
+        states = fit(masked, graphs, solver_cfgs)
+    except Exception as exc:  # per-trial failures must not kill the sweep
+        wall = time.perf_counter() - start
+        return [
+            replace(outcome, error=_error(exc), wall_seconds=wall if j == 0 else 0.0)
+            for j, outcome in enumerate(chunk)
+        ]
+    build = time.perf_counter() - start - sum(state.seconds for state in states)
+    done = []
+    for j, (outcome, state) in enumerate(zip(chunk, states)):
+        scoring = time.perf_counter()
+        outcome = _scored(sweep, outcome, state, n_components)
+        wall = (build if j == 0 else 0.0) + state.seconds + time.perf_counter() - scoring
+        done.append(replace(outcome, wall_seconds=wall))
+    return done
 
 
 # the sweep a worker process serves, set by the pool initializer
@@ -435,8 +471,8 @@ def _init_worker(
     _cap_blas_threads(max(1, (cpus or 1) // processes))
 
 
-def _worker_trial(outcome: TrialOutcome) -> TrialOutcome:
-    return _run_trial(_worker_sweep, outcome)
+def _worker_trial(chunk: list[TrialOutcome]) -> list[TrialOutcome]:
+    return _run_trial(_worker_sweep, chunk)
 
 
 class DataError(ValueError):
@@ -497,13 +533,16 @@ def run_experiment(
     l1 term) or 'graph' (gamma = 0: identity graphs, so no neighbor search
     and no limit on k).
 
-    Trials run group by group, in sorted (rate, repeat, k) order, and a
-    process builds each group's mask and graphs once for the trials of that
-    group it runs. With workers > 1 the trials are handed out in that order,
-    one at a time, to min(workers, trials) worker processes (forked where the
-    platform allows, else spawned); one worker, or one trial, runs in this
-    process. A group's build is deterministic and rows are collected in sweep
-    order, so the output does not depend on workers.
+    Trials run group by group, in sorted (rate, repeat, k) order. Each
+    group's trials are split into min(workers, trials) contiguous chunks (one
+    chunk for one worker), and a chunk's fits run in lockstep as one fit
+    call; a process builds each group's mask and graphs once for the chunks
+    of that group it runs. With workers > 1 the chunks are handed out in that
+    order, one at a time, to min(workers, trials) worker processes (forked
+    where the platform allows, else spawned); one worker, or one trial, runs
+    in this process. A group's build is deterministic, a fit in a batch gives
+    what it gives alone, and rows are collected in sweep order, so the output
+    does not depend on workers.
     """
     if ablation is not None and ablation not in ABLATIONS:
         raise ValueError(f"unknown ablation {ablation!r}; expected one of {ABLATIONS}")
@@ -539,6 +578,12 @@ def run_experiment(
     # stable: each group's trials keep their sweep order
     order = sorted(range(len(pending)), key=lambda i: _group(pending[i]))
     processes = min(workers, len(pending))
+    chunks = [
+        [pending[i] for i in chunk]
+        for _, members in itertools.groupby(order, key=lambda i: _group(pending[i]))
+        for chunk in np.array_split(list(members), processes)
+        if chunk.size
+    ]
     if processes > 1:
         # fork where the platform has it: a forked worker starts at once with
         # this process's imports and dataset, a spawned one first re-imports
@@ -550,11 +595,11 @@ def run_experiment(
             initializer=_init_worker,
             initargs=(base, cfg, keep_states, processes),
         ) as pool:
-            results = list(pool.map(_worker_trial, [pending[i] for i in order]))
+            results = list(pool.map(_worker_trial, chunks))
     else:
         sweep = _Sweep(base, cfg, keep_states)
-        results = [_run_trial(sweep, pending[i]) for i in order]
-    for i, outcome in zip(order, results):
+        results = [_run_trial(sweep, chunk) for chunk in chunks]
+    for i, outcome in zip(order, itertools.chain.from_iterable(results)):
         pending[i] = outcome
 
     return [

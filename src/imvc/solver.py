@@ -16,6 +16,27 @@ so one sweep per iteration never increases the cost. fit always starts from
 initialize; its result is the in-memory SolverState, whose per-iteration
 traces write_trace dumps as CSV.
 
+fit runs a batch of fits that share one masked dataset, its graphs and the
+latent dimension (in the harness, one (rate, repeat, k) group's (lam, beta,
+r) grid points) in lockstep: each sweep updates a block for all the fits
+still running at once, and each fit leaves the batch when it meets its own
+tol or max_iter, or fails. A single fit is a batch of one. Every fit's
+traces and variables are bit for bit those it gives alone, because the batch
+shares only work that is exact column by column or matrix by matrix:
+
+- one sparse product W [M_1^T ... M_B^T] per view, for the gathered
+  consensus and for the codes: CSR products go column by column;
+- batched matmul and SVD for the bases, and X^T U: one GEMM or SVD per fit;
+- the element-wise codes and consensus steps, over (B, c, n_v) stacks.
+
+The sums that make the costs (vdot, the column einsums, sum |P|) are taken
+fit by fit, on arrays in the layout a lone fit has: codes are C-ordered after
+initialize and F-ordered after a sweep, and the layout changes the bits of
+X P^T and of those sums. Each sweep computes X^T U once per fit, for the codes
+and (transposed, which is bitwise U^T X) for the cost; ||X||^2 is computed
+once per batch; and the cost's W P^T is carried into the next consensus
+update.
+
 Samples are addressed through each view's availability ids (ds.availability):
 Q gathered to view v is Q[:, ids_v], and the consensus solve scatters back
 through the same ids. W is a sparse CSR matrix with about k nonzeros per row,
@@ -30,6 +51,7 @@ no residual or distance matrix:
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Optional, Sequence
@@ -84,7 +106,10 @@ class SolverState:
     weights is the length-l simplex vector. objective_trace[0] is the cost of
     the initial state; entry t is the cost after sweep t. cost_trace and
     weight_trace hold the per-view costs e_v and the weights at the same
-    iterations.
+    iterations. error is the exception that ended a failed fit, whose
+    variables and traces are then those of its last completed sweep. seconds
+    is the fit's share of its fit call's wall time: the set-up split evenly
+    over the batch, and each sweep over the fits it ran.
     """
 
     bases: tuple[np.ndarray, ...]
@@ -94,77 +119,113 @@ class SolverState:
     objective_trace: np.ndarray = field(default_factory=lambda: np.empty(0))
     cost_trace: np.ndarray = field(default_factory=lambda: np.empty((0, 0)))
     weight_trace: np.ndarray = field(default_factory=lambda: np.empty((0, 0)))
+    error: Optional[Exception] = None
+    seconds: float = 0.0
 
     @property
     def n_iterations(self) -> int:
         return max(len(self.objective_trace) - 1, 0)
 
 
+class _FitFailed(Exception):
+    """A block update failed for one fit of a batch: row is the fit's place
+    in the stacks, error the exception a lone fit raises there."""
+
+    def __init__(self, row: int, error: Exception):
+        super().__init__(row, error)
+        self.row = row
+        self.error = error
+
+
+def _times_w(graph: FusedGraph, stack: np.ndarray) -> np.ndarray:
+    """W [M_1^T ... M_B^T] for a (B, c, n_v) stack: one sparse product for
+    the batch, whose columns are each fit's own W M^T. Returned as the
+    (B, n_v, c) stack of those products, each C-ordered as a lone fit's is."""
+    fits, c, n_v = stack.shape
+    wide = stack.transpose(2, 0, 1).reshape(n_v, fits * c)
+    return (graph.w @ wide).reshape(n_v, fits, c).transpose(1, 0, 2).copy()
+
+
+def _gather(consensus: np.ndarray, ids: np.ndarray) -> np.ndarray:
+    """consensus[:, :, ids], each fit's c x n_v matrix F-ordered, as a lone
+    fit's consensus[:, ids] is."""
+    return np.take(consensus.swapaxes(1, 2), ids, axis=1).swapaxes(1, 2)
+
+
 def update_basis(x: np.ndarray, codes: np.ndarray) -> np.ndarray:
-    """Orthonormal basis maximizing trace(U^T X P^T): U = M N^T from the thin
-    SVD X P^T = M diag(s) N^T."""
-    target = x @ codes.T
-    if not np.all(np.isfinite(target)):
-        raise ValueError("non-finite values in the basis update target")
+    """Orthonormal bases maximizing trace(U^T X P^T) for a (B, c, n_v) stack
+    of codes: U = M N^T from the thin SVD X P^T = M diag(s) N^T, per fit."""
+    target = x @ codes.swapaxes(1, 2)
+    finite = np.isfinite(target).all(axis=(1, 2))
+    if not finite.all():
+        error = ValueError("non-finite values in the basis update target")
+        raise _FitFailed(int(np.argmin(finite)), error)
     m, _, nt = np.linalg.svd(target, full_matrices=False)
     return m @ nt
 
 
 def update_codes(
     x: np.ndarray,
-    basis: np.ndarray,
-    consensus: np.ndarray,
-    ids: np.ndarray,
+    bases: np.ndarray,
+    gathered: np.ndarray,
     graph: FusedGraph,
-    lam: float,
-    beta: float,
-) -> np.ndarray:
-    """Closed-form sparse codes via per-column soft thresholding.
+    lam: np.ndarray,
+    beta: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Closed-form sparse codes of B fits via per-column soft thresholding.
 
-    ids are the view's availability ids. With h_i = 1 + lam * degree_i and
-    b_i the i-th row of B = X^T U + lam * W * (Q[:, ids])^T, column i of the
-    result is the soft threshold of b_i / h_i at beta / (2 h_i).
+    bases is the (B, m, c) stack, gathered the (B, c, n_v) stack of
+    Q[:, ids], and lam and beta hold one value per fit. With
+    h_i = 1 + lam * degree_i and b_i the i-th row of
+    B = X^T U + lam * W (Q[:, ids])^T, column i of a fit's codes is the soft
+    threshold of b_i / h_i at beta / (2 h_i). Returns the codes, computed as
+    the rows of P^T and so F-ordered, and X^T U, which the cost reuses.
     """
-    gathered = consensus[:, ids]  # c x n_v
-    h = 1.0 + lam * graph.degree
-    b = x.T @ basis + lam * (graph.w @ gathered.T)  # n_v x c
-    v = b.T / h
-    thr = beta / (2.0 * h)
-    return np.maximum(0.0, v - thr) + np.minimum(0.0, v + thr)
+    xtu = x.T @ bases
+    lam = lam[:, None, None]
+    h = 1.0 + lam * graph.degree[:, None]
+    v = (xtu + lam * _times_w(graph, gathered)) / h
+    thr = beta[:, None, None] / (2.0 * h)
+    codes = np.add(np.maximum(0.0, v - thr), np.minimum(0.0, v + thr), out=np.empty(xtu.shape))
+    return codes.swapaxes(1, 2), xtu
 
 
 def update_consensus(
-    codes: Sequence[np.ndarray],
+    wp: Sequence[np.ndarray],
     graphs: Sequence[FusedGraph],
     availability: Sequence[np.ndarray],
     n: int,
     weights: np.ndarray,
-    r: float,
+    r: Sequence[float],
 ) -> np.ndarray:
-    """Minimize the graph-coupling term over the consensus matrix.
+    """Minimize the graph-coupling term over the consensus matrices of B fits.
 
-    availability holds each view's sample ids and n is the sample count. The
-    normal matrix sum_v a_v^r G D G^T is diagonal (each sample collects its
-    own degree from the views it appears in), so the solve is a columnwise
-    division instead of a general inverse.
+    wp[v] is the (B, n_v, c) stack of W_v P^T, weights the (B, l) view
+    weights and r the B exponents; availability holds each view's sample ids
+    and n is the sample count. The normal matrix sum_v a_v^r G D G^T is
+    diagonal (each sample collects its own degree from the views it appears
+    in), so the solve is a columnwise division instead of a general inverse.
+    Returns the (B, c, n) stack.
     """
-    c = codes[0].shape[0]
-    numer = np.zeros((c, n))
-    denom = np.zeros(n)
-    for p, graph, ids, a in zip(codes, graphs, availability, weights):
-        ar = a**r
-        numer[:, ids] += ar * (graph.w @ p.T).T  # P W, as W is symmetric
-        denom[ids] += ar * graph.degree
-    if np.any(denom <= 0.0):
-        bad = int(np.flatnonzero(denom <= 0.0)[0])
+    fits, _, c = wp[0].shape
+    numer = np.zeros((fits, c, n))
+    denom = np.zeros((fits, n))
+    for v, (prod, graph, ids) in enumerate(zip(wp, graphs, availability)):
+        ar = np.array([a**s for a, s in zip(weights[:, v], r)])
+        numer[:, :, ids] += ar[:, None, None] * prod.swapaxes(1, 2)  # P W, as W = W^T
+        denom[:, ids] += ar[:, None] * graph.degree
+    infeasible = (denom <= 0.0).any(axis=1)
+    if infeasible.any():
+        row = int(np.argmax(infeasible))
+        bad = int(np.flatnonzero(denom[row] <= 0.0)[0])
         # a_v^r is 0 for a zero weight, or where a small weight underflows
-        zero = ", ".join(str(v) for v, a in enumerate(weights) if a**r == 0.0)
-        why = f" (a_v^r is 0 at r={r!r} for view(s) {zero})" if zero else ""
-        raise ValueError(
+        zero = ", ".join(str(v) for v, a in enumerate(weights[row]) if a ** r[row] == 0.0)
+        why = f" (a_v^r is 0 at r={r[row]!r} for view(s) {zero})" if zero else ""
+        raise _FitFailed(row, ValueError(
             f"sample {bad} carries no positive weight in any view{why}; the "
             "consensus update is infeasible"
-        )
-    return numer / denom
+        ))
+    return numer / denom[:, None, :]
 
 
 def update_weights(costs: np.ndarray, r: float) -> np.ndarray:
@@ -186,19 +247,19 @@ def update_weights(costs: np.ndarray, r: float) -> np.ndarray:
     return scaled / scaled.sum()
 
 
-def _reconstruction_cost(x: np.ndarray, u: np.ndarray, p: np.ndarray) -> float:
-    """||X - U P||_F^2 = ||X||^2 - 2 <U^T X, P> + <(U^T U) P, P>, for any U.
+def _reconstruction_cost(xx: float, xtu: np.ndarray, u: np.ndarray, p: np.ndarray) -> float:
+    """||X - U P||_F^2 = ||X||^2 - 2 <U^T X, P> + <(U^T U) P, P>, for any U,
+    from xx = ||X||^2 and xtu = X^T U.
 
     ||X||^2 is an einsum rather than a BLAS dot because the two sum in
     different orders and can differ in the last bit; the einsum's sums are
     the ones every recorded trials.csv rests on.
     """
-    xx = np.einsum("ij,ij->", x, x)
-    return float(xx - 2.0 * np.vdot(u.T @ x, p) + np.vdot((u.T @ u) @ p, p))
+    return float(xx - 2.0 * np.vdot(xtu.T, p) + np.vdot((u.T @ u) @ p, p))
 
 
-def _graph_cost(p: np.ndarray, gathered: np.ndarray, graph: FusedGraph) -> float:
-    """sum_ij W[i, j] * ||p[:, i] - gathered[:, j]||^2.
+def _graph_cost(p: np.ndarray, gathered: np.ndarray, wp: np.ndarray, graph: FusedGraph) -> float:
+    """sum_ij W[i, j] * ||p[:, i] - gathered[:, j]||^2, given wp = W p^T.
 
     For symmetric W with degrees d this is
     d . ||p||^2_col + d . ||gathered||^2_col - 2 <W p^T, gathered^T>. The
@@ -211,27 +272,57 @@ def _graph_cost(p: np.ndarray, gathered: np.ndarray, graph: FusedGraph) -> float
     return float(
         d @ np.einsum("ij,ij->j", p, p)
         + d @ np.einsum("ij,ij->j", gathered, gathered)
-        - 2.0 * np.vdot(graph.w @ p.T, gathered.T)
+        - 2.0 * np.vdot(wp, gathered.T)
     )
 
 
 def view_costs(
+    xx: Sequence[float],
+    xtu: Sequence[np.ndarray],
+    bases: Sequence[np.ndarray],
+    codes: Sequence[np.ndarray],
+    gathered: Sequence[np.ndarray],
+    wp: Sequence[np.ndarray],
+    graphs: Sequence[FusedGraph],
+    lam: np.ndarray,
+    beta: np.ndarray,
+) -> np.ndarray:
+    """Per-view costs e_v = reconstruction + beta * l1 + lam * graph term of
+    B fits, as a (B, l) array.
+
+    Per view v: xx[v] = ||X||^2; the (B, ...) stacks xtu[v] = X^T U,
+    bases[v], codes[v], gathered[v] = Q[:, ids] and wp[v] = W P^T. Each
+    fit's sums are taken on its own arrays, which have a lone fit's layout:
+    a strided vector, for one, goes through another BLAS kernel.
+    """
+    costs = np.empty((len(lam), len(graphs)))
+    for v, graph in enumerate(graphs):
+        for j in range(len(lam)):
+            p = codes[v][j]
+            costs[j, v] = (
+                _reconstruction_cost(xx[v], xtu[v][j], bases[v][j], p)
+                + beta[j] * np.abs(p).sum()
+                + lam[j] * _graph_cost(p, gathered[v][j], wp[v][j], graph)
+            )
+    return costs
+
+
+def _costs_of(
     ds: MultiViewDataset,
     graphs: Sequence[FusedGraph],
-    state: SolverState,
-    cfg: SolverConfig,
-) -> np.ndarray:
-    """Per-view cost e_v = reconstruction + beta * l1 + lam * graph term."""
-    costs = np.empty(ds.n_views)
-    for v, (view, graph, ids) in enumerate(zip(ds.views, graphs, ds.availability)):
-        u, p = state.bases[v], state.codes[v]
-        gathered = state.consensus[:, ids]
-        costs[v] = (
-            _reconstruction_cost(view.data, u, p)
-            + cfg.beta * np.abs(p).sum()
-            + cfg.lam * _graph_cost(p, gathered, graph)
-        )
-    return costs
+    xx: Sequence[float],
+    bases: Sequence[np.ndarray],
+    codes: Sequence[np.ndarray],
+    consensus: np.ndarray,
+    lam: np.ndarray,
+    beta: np.ndarray,
+) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+    """view_costs of stacked variables that no sweep made, with the products
+    it needs, and W P^T per view for the next consensus update."""
+    xtu = [view.data.T @ u for view, u in zip(ds.views, bases)]
+    gathered = [_gather(consensus, ids) for ids in ds.availability]
+    wp = tuple(_times_w(graph, p) for graph, p in zip(graphs, codes))
+    return view_costs(xx, xtu, bases, codes, gathered, wp, graphs, lam, beta), wp
 
 
 def _weighted_total(weights: np.ndarray, costs: np.ndarray, r: float) -> float:
@@ -243,14 +334,35 @@ def _weighted_total(weights: np.ndarray, costs: np.ndarray, r: float) -> float:
     return float(total)
 
 
+def state_costs(
+    ds: MultiViewDataset,
+    graphs: Sequence[FusedGraph],
+    state: SolverState,
+    cfg: SolverConfig,
+) -> np.ndarray:
+    """Per-view costs e_v of one fit's state."""
+    xx = [np.einsum("ij,ij->", view.data, view.data) for view in ds.views]
+    costs, _ = _costs_of(
+        ds,
+        graphs,
+        xx,
+        [u[None] for u in state.bases],
+        [p[None] for p in state.codes],
+        state.consensus[None],
+        np.array([cfg.lam]),
+        np.array([cfg.beta]),
+    )
+    return costs[0]
+
+
 def objective(
     ds: MultiViewDataset,
     graphs: Sequence[FusedGraph],
     state: SolverState,
     cfg: SolverConfig,
 ) -> float:
-    """Weighted total cost sum_v a_v^r e_v."""
-    return _weighted_total(state.weights, view_costs(ds, graphs, state, cfg), cfg.r)
+    """Weighted total cost sum_v a_v^r e_v of one fit's state."""
+    return _weighted_total(state.weights, state_costs(ds, graphs, state, cfg), cfg.r)
 
 
 def initialize(ds: MultiViewDataset, cfg: SolverConfig) -> SolverState:
@@ -276,61 +388,156 @@ def initialize(ds: MultiViewDataset, cfg: SolverConfig) -> SolverState:
     )
 
 
+@dataclass(frozen=True)
+class _Batch:
+    """The variables of the fits still running, stacked along a leading axis
+    (row j is fit fits[j]), and W P^T per view, carried from the cost to the
+    next consensus update."""
+
+    fits: np.ndarray
+    bases: tuple[np.ndarray, ...]
+    codes: tuple[np.ndarray, ...]
+    consensus: np.ndarray
+    weights: np.ndarray
+    wp: tuple[np.ndarray, ...]
+
+    def keep(self, rows: np.ndarray) -> "_Batch":
+        return _Batch(
+            fits=self.fits[rows],
+            bases=tuple(u[rows] for u in self.bases),
+            codes=tuple(p[rows] for p in self.codes),  # each keeps its layout
+            consensus=self.consensus[rows],
+            weights=self.weights[rows],
+            wp=tuple(m[rows] for m in self.wp),
+        )
+
+    def state(self, j: int, trace, cost_rows, weight_rows, error=None) -> SolverState:
+        """Row j as a lone fit's state, in copies of a lone fit's layout."""
+        return SolverState(
+            bases=tuple(u[j].copy(order="K") for u in self.bases),
+            codes=tuple(p[j].copy(order="K") for p in self.codes),
+            consensus=self.consensus[j].copy(order="K"),
+            weights=self.weights[j].copy(),
+            objective_trace=np.asarray(trace),
+            cost_trace=np.vstack(cost_rows),
+            weight_trace=np.vstack(weight_rows),
+            error=error,
+        )
+
+
 def fit(
     ds: MultiViewDataset,
     graphs: Sequence[FusedGraph],
-    cfg: SolverConfig,
+    cfgs: Sequence[SolverConfig],
     callback: Optional[Callable] = None,
-) -> SolverState:
-    """Run alternating sweeps (consensus, bases, codes, weights) to a local
-    minimum.
+) -> tuple[SolverState, ...]:
+    """Run one fit per config in lockstep, each by alternating sweeps
+    (consensus, bases, codes, weights) to a local minimum.
 
-    Stops when the relative objective change drops to cfg.tol or after
-    cfg.max_iter sweeps. callback, if given, is invoked after every sweep as
-    callback(iteration, bases, codes, consensus, weights).
+    The configs share ds, graphs and n_components. A fit stops when its
+    relative objective change drops to its tol or after its max_iter sweeps.
+    A fit whose update fails (an infeasible consensus, a non-finite basis
+    target or objective) leaves the batch with the exception a lone fit
+    raises as its state's error, and the others go on; fit itself raises
+    only for what the whole batch shares. Returns one SolverState per config,
+    in order. callback, if given, is invoked after every sweep for each fit
+    still running as callback(index, iteration, bases, codes, consensus,
+    weights), index being the fit's place in cfgs.
+
+    Overflow, invalid values and division by zero raise no RuntimeWarning
+    in here: in an update the batch shares, a warning could not name its fit.
+    Each fit's own checks end it instead.
     """
+    start = time.perf_counter()
+    cfgs = tuple(cfgs)
     if len(graphs) != ds.n_views:
         raise ValueError("need exactly one fused graph per view")
     for view, graph in zip(ds.views, graphs):
         if graph.n != view.n_available:
             raise ValueError(f"view {view.view_id}: graph shape does not match the data")
-    state = initialize(ds, cfg)
-    costs = view_costs(ds, graphs, state, cfg)
-    trace = [_weighted_total(state.weights, costs, cfg.r)]
-    cost_rows = [costs]
-    weight_rows = [state.weights]
+    if len({cfg.n_components for cfg in cfgs}) > 1:
+        raise ValueError("the fits of one batch must share n_components")
+    if not cfgs:
+        return ()
+    xs = [view.data for view in ds.views]
+    lam = np.array([cfg.lam for cfg in cfgs])
+    beta = np.array([cfg.beta for cfg in cfgs])
+    traces, cost_rows, weight_rows = ([[] for _ in cfgs] for _ in range(3))
+    results: list[Optional[SolverState]] = [None] * len(cfgs)
+    seconds = np.zeros(len(cfgs))
 
-    for it in range(1, cfg.max_iter + 1):
-        consensus = update_consensus(
-            state.codes, graphs, ds.availability, ds.n, state.weights, cfg.r
-        )
-        bases = tuple(update_basis(view.data, p) for view, p in zip(ds.views, state.codes))
-        codes = tuple(
-            update_codes(view.data, u, consensus, ids, graph, cfg.lam, cfg.beta)
-            for view, u, ids, graph in zip(ds.views, bases, ds.availability, graphs)
-        )
-        state = SolverState(bases=bases, codes=codes, consensus=consensus, weights=state.weights)
-        costs = view_costs(ds, graphs, state, cfg)
-        if cfg.weight_on:
-            state = replace(state, weights=update_weights(costs, cfg.r))
-        value = _weighted_total(state.weights, costs, cfg.r)
-        if not np.isfinite(value):
-            raise ArithmeticError(f"objective diverged to {value} at iteration {it}")
-        trace.append(value)
-        cost_rows.append(costs)
-        weight_rows.append(state.weights)
-        if callback is not None:
-            callback(it, state.bases, state.codes, state.consensus, state.weights)
-        prev = trace[-2]
-        if abs(prev - value) / max(prev, 1e-12) <= cfg.tol:
-            break
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        inits = [initialize(ds, cfg) for cfg in cfgs]
+        xx = [np.einsum("ij,ij->", x, x) for x in xs]
+        bases = tuple(np.stack(u) for u in zip(*(s.bases for s in inits)))
+        codes = tuple(np.stack(p) for p in zip(*(s.codes for s in inits)))
+        consensus = np.zeros((len(cfgs), cfgs[0].n_components, ds.n))
+        weights = np.stack([s.weights for s in inits])
+        costs, wp = _costs_of(ds, graphs, xx, bases, codes, consensus, lam, beta)
+        for i, cfg in enumerate(cfgs):
+            traces[i].append(_weighted_total(weights[i], costs[i], cfg.r))
+            cost_rows[i].append(costs[i])
+            weight_rows[i].append(weights[i])
+        batch = _Batch(np.arange(len(cfgs)), bases, codes, consensus, weights, wp)
+        seconds += (time.perf_counter() - start) / len(cfgs)
 
-    return replace(
-        state,
-        objective_trace=np.asarray(trace),
-        cost_trace=np.vstack(cost_rows),
-        weight_trace=np.vstack(weight_rows),
-    )
+        it = 1
+        while batch.fits.size:
+            sweep_start = time.perf_counter()
+            fits = batch.fits
+            try:
+                consensus = update_consensus(
+                    batch.wp, graphs, ds.availability, ds.n, batch.weights,
+                    [cfgs[i].r for i in fits],
+                )
+                bases = tuple(update_basis(x, p) for x, p in zip(xs, batch.codes))
+            except _FitFailed as failed:
+                # the failed fit leaves, and the others redo this sweep
+                i = fits[failed.row]
+                results[i] = batch.state(
+                    failed.row, traces[i], cost_rows[i], weight_rows[i], failed.error
+                )
+                seconds[fits] += (time.perf_counter() - sweep_start) / fits.size
+                batch = batch.keep(np.delete(np.arange(fits.size), failed.row))
+                continue
+            gathered = tuple(_gather(consensus, ids) for ids in ds.availability)
+            codes, xtu = zip(*(
+                update_codes(x, u, q, graph, lam[fits], beta[fits])
+                for x, u, q, graph in zip(xs, bases, gathered, graphs)
+            ))
+            wp = tuple(_times_w(graph, p) for graph, p in zip(graphs, codes))
+            costs = view_costs(xx, xtu, bases, codes, gathered, wp, graphs, lam[fits], beta[fits])
+            swept = _Batch(fits, bases, codes, consensus, batch.weights.copy(), wp)
+            running = []
+            for j, i in enumerate(fits):
+                cfg = cfgs[i]
+                try:
+                    if cfg.weight_on:
+                        swept.weights[j] = update_weights(costs[j], cfg.r)
+                    value = _weighted_total(swept.weights[j], costs[j], cfg.r)
+                    if not np.isfinite(value):
+                        raise ArithmeticError(f"objective diverged to {value} at iteration {it}")
+                except (ArithmeticError, ValueError) as exc:  # this fit's alone
+                    results[i] = batch.state(j, traces[i], cost_rows[i], weight_rows[i], exc)
+                    continue
+                traces[i].append(value)
+                cost_rows[i].append(costs[j])
+                weight_rows[i].append(swept.weights[j])
+                if callback is not None:
+                    callback(
+                        int(i), it, tuple(u[j] for u in bases), tuple(p[j] for p in codes),
+                        consensus[j], swept.weights[j],
+                    )
+                prev = traces[i][-2]
+                if abs(prev - value) / max(prev, 1e-12) <= cfg.tol or it == cfg.max_iter:
+                    results[i] = swept.state(j, traces[i], cost_rows[i], weight_rows[i])
+                else:
+                    running.append(j)
+            seconds[fits] += (time.perf_counter() - sweep_start) / fits.size
+            batch = swept if len(running) == fits.size else swept.keep(np.array(running, dtype=int))
+            it += 1
+
+    return tuple(replace(state, seconds=float(t)) for state, t in zip(results, seconds))
 
 
 def write_trace(state: SolverState, path: str | Path) -> None:

@@ -8,6 +8,7 @@ import scipy.sparse as sp
 from imvc import MultiViewDataset, ViewMatrix
 from imvc.dataset import MaskSpec, apply_mask
 from imvc.graph import FusedGraph, build_fused_graphs
+from imvc.solver import _FitFailed, _times_w, fit, update_basis, update_codes, update_consensus
 
 
 def identity_graph(n, view_id=0):
@@ -123,3 +124,37 @@ def random_state(ds, c, seed, zero=False):
         consensus=np.zeros((c, ds.n)) if zero else rng.normal(size=(c, ds.n)),
         weights=weights,
     )
+
+
+# One fit's calls: fit and the block updates take batches, and these run a
+# batch of one, raising the error a failed fit records.
+
+
+def _lone(update, *args):
+    try:
+        return update(*args)
+    except _FitFailed as failed:
+        raise failed.error from None
+
+
+def lone_fit(ds, graphs, cfg, callback=None):
+    (state,) = fit(ds, graphs, [cfg], callback)
+    if state.error is not None:
+        raise state.error
+    return state
+
+
+def lone_basis(x, codes):
+    return _lone(update_basis, x, codes[None])[0]
+
+
+def lone_codes(x, u, consensus, ids, graph, lam, beta):
+    codes, _ = update_codes(
+        x, u[None], consensus[:, ids][None], graph, np.array([lam]), np.array([beta])
+    )
+    return codes[0]
+
+
+def lone_consensus(codes, graphs, availability, n, weights, r):
+    wp = [_times_w(graph, p[None]) for graph, p in zip(graphs, codes)]
+    return _lone(update_consensus, wp, graphs, availability, n, np.asarray(weights)[None], [r])[0]

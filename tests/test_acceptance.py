@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from imvc import SolverConfig, fit, load_dataset, normalize_views, save_dataset
+from imvc import SolverConfig, load_dataset, normalize_views, save_dataset
 from imvc.cli import main as cli_main
 from imvc.dataset import MaskSpec, apply_mask
 from imvc.graph import FusedGraph, build_fused_graphs, gaussian_knn_graph
@@ -23,14 +23,15 @@ from imvc.metrics import evaluate_clustering
 from imvc.solver import (
     _reconstruction_cost,
     objective,
-    update_basis,
-    update_codes,
-    update_consensus,
     update_weights,
 )
 
 from synthetic import (
     identity_graph,
+    lone_basis,
+    lone_codes,
+    lone_consensus,
+    lone_fit,
     masked_problem,
     multiview_blobs,
     multiview_moons,
@@ -68,7 +69,7 @@ def monotone_runs():
         )
         diag = {"ortho": [], "simplex": [], "alpha_min": []}
 
-        def check(it, bases, codes, consensus, weights, diag=diag):
+        def check(index, it, bases, codes, consensus, weights, diag=diag):
             diag["ortho"].append(
                 max(
                     float(np.max(np.abs(u.T @ u - np.eye(u.shape[1]))))
@@ -81,7 +82,7 @@ def monotone_runs():
         cfg = SolverConfig(
             lam=1.0, beta=0.01, r=3.0, n_components=c, seed=seed, max_iter=80
         )
-        state = fit(ds, graphs, cfg, callback=check)
+        state = lone_fit(ds, graphs, cfg, callback=check)
         runs.append((state, diag))
     return runs, time.perf_counter() - start
 
@@ -129,7 +130,7 @@ def test_criterion_02_update_rule_oracles():
         x = rng.normal(size=(int(rng.integers(3, 9)), 12))
         codes = rng.normal(size=(3, 12))
         target = x @ codes.T
-        u = update_basis(x, codes)
+        u = lone_basis(x, codes)
         sigma_sum = np.linalg.svd(target, compute_uv=False).sum()
         basis_dev = max(basis_dev, abs(float(np.trace(u.T @ target)) - float(sigma_sum)))
     assert basis_dev <= 1e-8
@@ -142,7 +143,7 @@ def test_criterion_02_update_rule_oracles():
         h = float(rng.uniform(1.05, 4.0))
         b = float(rng.uniform(-5.0, 5.0))
         beta = float(rng.uniform(0.0, 4.0))
-        p = update_codes(
+        p = lone_codes(
             np.array([[b]]), np.array([[1.0]]), np.array([[0.0]]),
             ids1, eye1, lam=h - 1.0, beta=beta,
         )
@@ -155,7 +156,7 @@ def test_criterion_02_update_rule_oracles():
         ds, graphs = random_problem(seed + 300, l=2, n=5, c=2, k=2)
         codes = [rng.normal(size=(2, v.n_available)) for v in ds.views]
         weights = np.array([0.4, 0.6])
-        q = update_consensus(codes, graphs, ds.availability, ds.n, weights, r=2.5)
+        q = lone_consensus(codes, graphs, ds.availability, ds.n, weights, r=2.5)
         h = 1e-5
         for i in range(q.shape[0]):
             for j in range(q.shape[1]):
@@ -223,7 +224,7 @@ def model6_objective(ds, state, lam, beta, r):
         x = view.data
         gathered = state.consensus[:, ids]
         total += a**r * (
-            _reconstruction_cost(x, u, p)
+            _reconstruction_cost(np.einsum("ij,ij->", x, x), x.T @ u, u, p)
             + beta * np.abs(p).sum()
             + lam * float(np.sum((p - gathered) ** 2))
         )
@@ -269,7 +270,7 @@ def test_criterion_05_synthetic_recovery():
         cfg = SolverConfig(
             lam=1.0, beta=0.001, r=3.0, n_components=3, seed=mask_seed
         )
-        state = fit(masked, graphs, cfg)
+        state = lone_fit(masked, graphs, cfg)
         scores = evaluate_clustering(
             state.consensus, full.labels, k=3, restarts=20, seed=mask_seed
         )
@@ -301,7 +302,7 @@ def test_criterion_06_graph_ablation_direction():
                 lam=10.0, beta=0.001, r=3.0, n_components=2, seed=mask_seed,
                 max_iter=150,
             )
-            state = fit(masked, graphs, cfg)
+            state = lone_fit(masked, graphs, cfg)
             scores = evaluate_clustering(
                 state.consensus, full.labels, k=2, restarts=20, seed=mask_seed
             )
@@ -352,7 +353,7 @@ def test_criterion_07_handwritten_reproduction():
             cfg = SolverConfig(
                 lam=lam, beta=beta, r=r, n_components=10, seed=mask_seed, max_iter=60
             )
-            state = fit(masked, graphs, cfg)
+            state = lone_fit(masked, graphs, cfg)
             scores = evaluate_clustering(
                 state.consensus, ds.labels, k=10, restarts=10, seed=mask_seed
             )
@@ -397,12 +398,12 @@ def _per_iter_ratio(small, big):
         lam=1.0, beta=0.01, r=3.0, n_components=3, seed=0, max_iter=20, tol=0.0
     )
     for masked, graphs in problems:
-        fit(masked, graphs, cfg)
+        lone_fit(masked, graphs, cfg)
     best = [np.inf, np.inf]
     for _ in range(15):
         for i, (masked, graphs) in enumerate(problems):
             t0 = time.perf_counter()
-            state = fit(masked, graphs, cfg)
+            state = lone_fit(masked, graphs, cfg)
             best[i] = min(best[i], (time.perf_counter() - t0) / state.n_iterations)
     return best[1] / best[0]
 

@@ -4,6 +4,7 @@ import json
 import multiprocessing
 import os
 import re
+import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from pathlib import Path
@@ -154,6 +155,63 @@ def test_failed_trials_recorded_and_sweep_continues(data_dir, tmp_path):
     assert len(manifest["failed_runs"]) == 2
     rows = read_rows(tmp_path / "out" / "trials.csv")
     assert sum(1 for row in rows if row["error"]) == 2
+
+
+def test_a_diverging_fit_fails_alone_in_its_batch(data_dir, tmp_path):
+    # each group runs lam = 1.0 and lam = 1e308 as one batch; the second
+    # overflows in the codes step the batch shares (see test_lockstep.py for
+    # why that raises no RuntimeWarning), and the first must not notice
+    root, paths = data_dir
+    solver = {"lam": [1.0, 1e308], "beta": [0.001], "r": [3.0], "k": [5], "max_iter": 30}
+    cfg = make_config(paths, tmp_path / "both", solver=solver)
+    both = [t for rec in run_experiment(cfg, keep_states=True) for t in rec.trials]
+    cfg = make_config(paths, tmp_path / "alone", solver={**solver, "lam": [1.0]})
+    alone = [t for rec in run_experiment(cfg, keep_states=True) for t in rec.trials]
+    assert [t.error for t in both if t.lam == 1e308] == [
+        "ArithmeticError: objective diverged to nan at iteration 1"
+    ] * 2
+    kept = [t for t in both if t.lam == 1.0]
+    assert len(kept) == len(alone) == 2
+    for t, a in zip(kept, alone):
+        assert not t.error and (t.acc, t.nmi, t.iterations) == (a.acc, a.nmi, a.iterations)
+        assert t.state.objective_trace.tobytes() == a.state.objective_trace.tobytes()
+        assert t.state.consensus.tobytes() == a.state.consensus.tobytes()
+
+
+def test_each_group_is_one_fit_call(data_dir, tmp_path, monkeypatch):
+    root, paths = data_dir
+    batches = []
+    real = imvc.harness.fit
+
+    def recorded(ds, graphs, cfgs):
+        batches.append(sorted((cfg.lam, cfg.r) for cfg in cfgs))
+        return real(ds, graphs, cfgs)
+
+    monkeypatch.setattr(imvc.harness, "fit", recorded)
+    solver = {"lam": [0.5, 2.0], "beta": [0.001], "r": [2.0, 3.0], "k": [5], "max_iter": 20}
+    run_experiment(make_config(paths, tmp_path / "out", solver=solver))
+    grid = [(0.5, 2.0), (0.5, 3.0), (2.0, 2.0), (2.0, 3.0)]
+    assert batches == [grid, grid]  # one per (rate, repeat) group
+
+
+def test_trial_wall_times_add_up_to_their_chunk(data_dir, tmp_path, monkeypatch):
+    root, paths = data_dir
+    chunks = []
+    real = imvc.harness._run_trial
+
+    def timed(sweep, chunk):
+        start = time.perf_counter()
+        done = real(sweep, chunk)
+        chunks.append((time.perf_counter() - start, [t.wall_seconds for t in done]))
+        return done
+
+    monkeypatch.setattr(imvc.harness, "_run_trial", timed)
+    solver = {"lam": [0.5, 2.0], "beta": [0.001], "r": [2.0, 3.0], "k": [5], "max_iter": 20}
+    run_experiment(make_config(paths, tmp_path / "out", solver=solver))
+    assert len(chunks) == 2
+    for elapsed, walls in chunks:
+        assert len(walls) == 4 and min(walls) > 0.0
+        assert 0.9 * elapsed <= sum(walls) <= elapsed
 
 
 def test_sweep_builds_mask_and_graphs_once_per_group(data_dir, tmp_path, monkeypatch):

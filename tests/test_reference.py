@@ -8,10 +8,10 @@ import pytest
 
 import imvc.graph
 import reference
-from imvc import SolverConfig, ViewMatrix, fit, gaussian_knn_graph
-from imvc.solver import update_codes, update_consensus, view_costs
+from imvc import SolverConfig, ViewMatrix, gaussian_knn_graph
+from imvc.solver import state_costs
 
-from synthetic import random_problem, random_state
+from synthetic import lone_codes, lone_consensus, lone_fit, random_problem, random_state
 
 
 def random_view(n, m, seed):
@@ -118,7 +118,7 @@ def test_view_costs_match_reference():
                 weights=state.weights,
             )
         cfg = SolverConfig(lam=0.8, beta=0.2, r=2.0, n_components=3)
-        got = view_costs(ds, graphs, state, cfg)
+        got = state_costs(ds, graphs, state, cfg)
         want = reference.view_costs(ds, dense_ws(graphs), state, lam=0.8, beta=0.2)
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
 
@@ -129,7 +129,7 @@ def test_view_costs_graph_off_match_reference():
     cfg = SolverConfig(lam=1.1, beta=0.3, r=2.0, n_components=2)
     eyes = [np.eye(v.n_available) for v in ds.views]
     want = reference.view_costs(ds, eyes, state, lam=1.1, beta=0.3)
-    np.testing.assert_allclose(view_costs(ds, graphs, state, cfg), want, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(state_costs(ds, graphs, state, cfg), want, rtol=1e-12, atol=0)
 
 
 def test_updates_match_dense_normal_equations():
@@ -138,7 +138,7 @@ def test_updates_match_dense_normal_equations():
         rng = np.random.default_rng(seed)
         codes = [rng.normal(size=(3, v.n_available)) for v in ds.views]
         weights = np.array([0.2, 0.3, 0.5])
-        got = update_consensus(codes, graphs, ds.availability, ds.n, weights, r=2.5)
+        got = lone_consensus(codes, graphs, ds.availability, ds.n, weights, r=2.5)
         want = reference.update_consensus(
             codes, dense_ws(graphs), ds.availability, ds.n, weights, r=2.5
         )
@@ -147,7 +147,7 @@ def test_updates_match_dense_normal_equations():
         view, ids, graph = ds.views[1], ds.availability[1], graphs[1]
         u, _ = np.linalg.qr(rng.normal(size=(view.n_features, 3)))
         q = rng.normal(size=(3, ds.n))
-        got = update_codes(view.data, u, q, ids, graph, lam=0.7, beta=0.4)
+        got = lone_codes(view.data, u, q, ids, graph, lam=0.7, beta=0.4)
         want = reference.update_codes(view.data, u, q, ids, graph.w.toarray(), 0.7, 0.4)
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-14)
 
@@ -157,7 +157,7 @@ def test_fit_holds_no_samples_by_instances_array():
     cfg = SolverConfig(lam=1.0, beta=0.01, r=3.0, n_components=3, max_iter=3, tol=0.0)
     tracemalloc.start()
     try:
-        fit(ds, graphs, cfg)
+        lone_fit(ds, graphs, cfg)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -7,16 +7,17 @@ from imvc.solver import (
     fit,
     initialize,
     objective,
-    update_basis,
-    update_codes,
-    update_consensus,
+    state_costs,
     update_weights,
-    view_costs,
     write_trace,
 )
 
 from synthetic import (
     identity_graph,
+    lone_basis,
+    lone_codes,
+    lone_consensus,
+    lone_fit,
     masked_problem,
     multiview_blobs,
     random_problem,
@@ -106,7 +107,7 @@ def test_objective_single_view_reduces_to_two_terms():
     expect = np.sum((x - u @ p) ** 2) + 1.7 * np.sum((p - gathered) ** 2)
     assert objective(ds, graphs, state, cfg) == pytest.approx(expect, rel=1e-14)
     # with a single view and unit weight the objective is the view cost itself
-    assert view_costs(ds, graphs, state, cfg)[0] == objective(
+    assert state_costs(ds, graphs, state, cfg)[0] == objective(
         ds, graphs, state, cfg
     )
 
@@ -132,7 +133,7 @@ def test_view_costs_zero_state():
     )
     state = random_state(zero_ds, 2, seed=0, zero=True)
     cfg = SolverConfig(lam=1.0, beta=1.0, r=2.0, n_components=2)
-    assert np.array_equal(view_costs(zero_ds, graphs, state, cfg), np.zeros(3))
+    assert np.array_equal(state_costs(zero_ds, graphs, state, cfg), np.zeros(3))
 
 
 def test_objective_is_weighted_sum_of_view_costs():
@@ -140,7 +141,7 @@ def test_objective_is_weighted_sum_of_view_costs():
         ds, graphs = random_problem(seed + 20, l=3, n=7, c=2, k=2)
         state = random_state(ds, 2, seed=seed)
         cfg = SolverConfig(lam=1.3, beta=0.2, r=4.0, n_components=2)
-        costs = view_costs(ds, graphs, state, cfg)
+        costs = state_costs(ds, graphs, state, cfg)
         expect = sum(a**4.0 * e for a, e in zip(state.weights, costs))
         assert objective(ds, graphs, state, cfg) == pytest.approx(expect, rel=1e-10)
 
@@ -153,13 +154,13 @@ def test_basis_fixed_point_when_target_orthonormal():
     q, _ = np.linalg.qr(rng.normal(size=(5, 3)))
     x = q  # codes = identity makes the SVD target equal q itself
     codes = np.eye(3)
-    u = update_basis(x, codes)
+    u = lone_basis(x, codes)
     assert np.allclose(u, q, atol=1e-12)
 
 
 def test_basis_2x2_case_against_rotation_grid():
     target = np.array([[0.0, 2.0], [1.0, 0.0]])
-    u = update_basis(target, np.eye(2))
+    u = lone_basis(target, np.eye(2))
     assert np.allclose(u, np.array([[0.0, 1.0], [1.0, 0.0]]), atol=1e-12)
     got = np.trace(u.T @ target)
     best = -np.inf
@@ -178,7 +179,7 @@ def test_basis_trace_equals_singular_value_sum():
         x = rng.normal(size=(6, 9))
         codes = rng.normal(size=(3, 9))
         target = x @ codes.T
-        u = update_basis(x, codes)
+        u = lone_basis(x, codes)
         sigma_sum = np.linalg.svd(target, compute_uv=False).sum()
         assert np.trace(u.T @ target) == pytest.approx(sigma_sum, abs=1e-8)
         assert np.max(np.abs(u.T @ u - np.eye(3))) < 1e-10
@@ -186,7 +187,7 @@ def test_basis_trace_equals_singular_value_sum():
 
 def test_basis_rejects_non_finite():
     with pytest.raises(ValueError, match="non-finite"):
-        update_basis(np.array([[np.nan]]), np.array([[1.0]]))
+        lone_basis(np.array([[np.nan]]), np.array([[1.0]]))
 
 
 # -------------------------------------------------------------- codes update
@@ -208,7 +209,7 @@ def test_codes_beta_zero_is_plain_ridge():
     u, _ = np.linalg.qr(rng.normal(size=(5, 3)))
     q = rng.normal(size=(3, ds.n))
     ids = ds.availability[0]
-    p = update_codes(ds.views[0].data, u, q, ids, graphs[0], lam=1.4, beta=0.0)
+    p = lone_codes(ds.views[0].data, u, q, ids, graphs[0], lam=1.4, beta=0.0)
     h, b = build_hb(ds.views[0].data, u, q, ids, graphs[0], lam=1.4)
     assert np.allclose(p, b.T / h, rtol=1e-12, atol=1e-14)
 
@@ -221,7 +222,7 @@ def test_codes_scalar_cases_match_grid_prox():
         beta = float(rng.uniform(0.0, 3.0))
         lam = h - 1.0
         graph = identity_graph(1)
-        p = update_codes(
+        p = lone_codes(
             np.array([[b]]), np.array([[1.0]]), np.array([[0.0]]), np.array([0]), graph,
             lam, beta,
         )
@@ -232,7 +233,7 @@ def test_codes_scalar_cases_match_grid_prox():
 def test_codes_threshold_dead_zone_outputs_zero():
     # |b/h| below beta/(2h) lands at exactly zero
     graph = identity_graph(1)
-    p = update_codes(
+    p = lone_codes(
         np.array([[0.3]]), np.array([[1.0]]), np.array([[0.0]]), np.array([0]), graph,
         lam=0.0001, beta=1.0,
     )
@@ -246,7 +247,7 @@ def test_codes_local_optimality_probe():
     q = rng.normal(size=(3, ds.n))
     lam, beta = 0.8, 0.6
     x = ds.views[0].data
-    p_star = update_codes(x, u, q, ds.availability[0], graphs[0], lam, beta)
+    p_star = lone_codes(x, u, q, ds.availability[0], graphs[0], lam, beta)
     h, b = build_hb(x, u, q, ds.availability[0], graphs[0], lam)
 
     def cost(p):
@@ -266,7 +267,7 @@ def test_consensus_single_complete_view_returns_codes():
     ds, _ = random_problem(8, l=1, n=6, c=2, rate=0.0, k=2)
     graphs = (identity_graph(6),)
     p = np.random.default_rng(5).normal(size=(2, 6))
-    q = update_consensus([p], graphs, ds.availability, ds.n, np.array([1.0]), r=2.0)
+    q = lone_consensus([p], graphs, ds.availability, ds.n, np.array([1.0]), r=2.0)
     assert np.array_equal(q, p)
 
 
@@ -275,7 +276,7 @@ def test_consensus_two_views_equal_weights_average():
     graphs = (identity_graph(5), identity_graph(5))
     rng = np.random.default_rng(6)
     p1, p2 = rng.normal(size=(2, 5)), rng.normal(size=(2, 5))
-    q = update_consensus([p1, p2], graphs, ds.availability, ds.n, np.array([0.5, 0.5]), r=1.0)
+    q = lone_consensus([p1, p2], graphs, ds.availability, ds.n, np.array([0.5, 0.5]), r=1.0)
     assert np.allclose(q, (p1 + p2) / 2, rtol=1e-15, atol=0)
 
 
@@ -286,7 +287,7 @@ def test_consensus_infeasible_names_the_underflowed_views():
     codes = [np.ones((2, 2)), np.ones((2, 2))]
     weights = np.array([1.0 - 1e-40, 1e-40])
     with pytest.raises(ValueError) as err:
-        update_consensus(codes, graphs, availability, 3, weights, r=9.0)
+        lone_consensus(codes, graphs, availability, 3, weights, r=9.0)
     assert str(err.value) == (
         "sample 2 carries no positive weight in any view (a_v^r is 0 at r=9.0 "
         "for view(s) 1); the consensus update is infeasible"
@@ -299,7 +300,7 @@ def test_consensus_zeroes_gradient():
         rng = np.random.default_rng(seed)
         codes = [rng.normal(size=(2, v.n_available)) for v in ds.views]
         weights = np.array([0.3, 0.7])
-        q = update_consensus(codes, graphs, ds.availability, ds.n, weights, r=2.0)
+        q = lone_consensus(codes, graphs, ds.availability, ds.n, weights, r=2.0)
         h = 1e-5
         grad = np.zeros_like(q)
         for i in range(q.shape[0]):
@@ -321,7 +322,7 @@ def test_consensus_rejects_uncovered_sample():
     only_in_second = set(ds.availability[1]) - set(ds.availability[0])
     assert only_in_second  # the mask left at least one such sample
     with pytest.raises(ValueError, match="no positive weight"):
-        update_consensus(codes, graphs, ds.availability, ds.n, np.array([1.0, 0.0]), r=2.0)
+        lone_consensus(codes, graphs, ds.availability, ds.n, np.array([1.0, 0.0]), r=2.0)
 
 
 # ------------------------------------------------------------- weight update
@@ -406,7 +407,7 @@ def test_fit_blobs_monotone_and_converges():
     full = multiview_blobs(n=150, n_clusters=3, dims=(6, 8, 10), noise=0.5, seed=10)
     masked, graphs = masked_problem(full, rate=0.3, mask_seed=11)
     cfg = SolverConfig(lam=1.0, beta=0.001, r=3.0, n_components=3, seed=0)
-    state = fit(masked, graphs, cfg)
+    state = lone_fit(masked, graphs, cfg)
     trace = state.objective_trace
     assert state.n_iterations < 200
     assert np.all(trace[1:] <= trace[:-1] * (1 + 1e-9))
@@ -419,7 +420,7 @@ def test_fit_beats_random_states_on_plain_model():
     cfg = SolverConfig(
         lam=0.5, beta=0.0, r=2.0, n_components=2, seed=1, weight_on=False
     )
-    state = fit(ds, graphs, cfg)
+    state = lone_fit(ds, graphs, cfg)
     final = state.objective_trace[-1]
     for seed in range(50):
         rand = random_state(ds, 2, seed=seed)
@@ -435,7 +436,7 @@ def test_fit_weight_off_keeps_weights_uniform():
     cfg = SolverConfig(
         lam=1.0, beta=0.01, r=2.0, n_components=2, seed=0, max_iter=20, weight_on=False
     )
-    state = fit(ds, graphs, cfg)
+    state = lone_fit(ds, graphs, cfg)
     assert np.allclose(state.weights, np.full(3, 1 / 3), rtol=0, atol=0)
     assert np.all(state.weight_trace == 1 / 3)
 
@@ -445,21 +446,21 @@ def test_fit_constraints_hold_every_iteration():
     cfg = SolverConfig(lam=1.0, beta=0.02, r=3.0, n_components=3, seed=5, max_iter=30)
     seen = []
 
-    def check(it, bases, codes, consensus, weights):
+    def check(index, it, bases, codes, consensus, weights):
         for u in bases:
             assert np.max(np.abs(u.T @ u - np.eye(3))) <= 1e-8
         assert abs(weights.sum() - 1.0) <= 1e-12
         assert weights.min() >= 0.0
         seen.append(it)
 
-    fit(ds, graphs, cfg, callback=check)
+    lone_fit(ds, graphs, cfg, callback=check)
     assert seen and seen == list(range(1, len(seen) + 1))
 
 
 def test_fit_trace_starts_at_initial_objective():
     ds, graphs = random_problem(18, l=2, n=8, c=2, k=2)
     cfg = SolverConfig(lam=1.0, beta=0.01, r=2.0, n_components=2, seed=2, max_iter=5)
-    state = fit(ds, graphs, cfg)
+    state = lone_fit(ds, graphs, cfg)
     assert state.objective_trace[0] == objective(ds, graphs, initialize(ds, cfg), cfg)
 
 
@@ -469,10 +470,10 @@ def test_doubling_lam_never_shrinks_graph_share():
         ds, graphs = random_problem(seed + 40, l=2, n=8, c=2, k=2)
         state = random_state(ds, 2, seed=seed)
         lam1, lam2 = 0.7, 1.4
-        e1 = view_costs(
+        e1 = state_costs(
             ds, graphs, state, SolverConfig(lam=lam1, beta=0.1, r=2.0, n_components=2)
         )
-        e2 = view_costs(
+        e2 = state_costs(
             ds, graphs, state, SolverConfig(lam=lam2, beta=0.1, r=2.0, n_components=2)
         )
         g = (e2 - e1) / (lam2 - lam1)
@@ -489,7 +490,7 @@ def test_doubling_lam_never_shrinks_graph_share():
 def test_write_trace_roundtrip(tmp_path):
     ds, graphs = random_problem(23, l=2, n=8, c=2, k=2)
     cfg = SolverConfig(lam=1.0, beta=0.01, r=2.0, n_components=2, seed=1, max_iter=10)
-    state = fit(ds, graphs, cfg)
+    state = lone_fit(ds, graphs, cfg)
     path = tmp_path / "trace.csv"
     write_trace(state, path)
     lines = path.read_text().strip().splitlines()
@@ -509,10 +510,10 @@ def test_fit_rejects_mismatched_inputs():
     ds, graphs = random_problem(24, l=2, n=8, c=2, k=2)
     cfg = SolverConfig(lam=1.0, beta=0.01, r=2.0, n_components=2)
     with pytest.raises(ValueError, match="one fused graph"):
-        fit(ds, graphs[:1], cfg)
+        fit(ds, graphs[:1], [cfg])
     wrong = tuple(identity_graph(3, g.view_id) for g in graphs)
     with pytest.raises(ValueError, match="does not match"):
-        fit(ds, wrong, cfg)
+        fit(ds, wrong, [cfg])
 
 
 def test_config_validation():

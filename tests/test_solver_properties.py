@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 
 from test_graph_properties import examples
 
-from imvc import SolverConfig, fit
+from imvc import SolverConfig
 
-from synthetic import random_problem
+from synthetic import lone_fit, random_problem
 
 
 @examples(40)
@@ -36,6 +36,6 @@ def test_objective_never_increases(n, l, c, rate, k, lam, beta, r, weight_on, se
         lam=lam, beta=beta, r=r, n_components=c, max_iter=30, tol=0.0, seed=seed,
         weight_on=weight_on,
     )
-    trace = fit(ds, graphs, cfg).objective_trace
+    trace = lone_fit(ds, graphs, cfg).objective_trace
     assert len(trace) == 31
     assert np.all(trace[1:] <= trace[:-1] * (1 + 1e-9))
