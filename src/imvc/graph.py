@@ -14,35 +14,44 @@ Both matrices are stored as read-only scipy.sparse CSR arrays, with at most
 
 The kNN search gives the same S and sigma, bit for bit, as exact cdist
 distances over all pairs would, without computing all of them exactly. It
-centres the points and screens one block of rows at a time (256 rows, fewer
-where that would pass 32 MiB) with a GEMM, ||c_j||^2 - 2 c_i . c_j; with the
-row's constant ||c_i||^2 added, its error against cdist's squared distance
-is proven below a slack of 8 (m + 3) eps max_i ||c_i||^2 for m features.
-The kNN candidates of a row are the columns screened within twice the slack
-of an upper bound on the row's k-th smallest value: the k-th smallest of its
+centres the points, scales them by a power of two so that the largest
+coordinate lies in [1, 2), rounds them to float32, and screens one block of
+rows at a time (256 rows, fewer where that would pass 32 MiB of float32)
+with a float32 GEMM, (1 - kappa) ||y_j||^2 - 2 y_i . y_j. Up to the row's
+constant ||y_i||^2, its error against cdist's squared distance is proven
+below a slack that follows the norms of the two points, kappa (||y_i||^2 +
+||y_j||^2) with kappa = (m + 10) 2^-24 for m features, so neither one far
+point nor the units of the data widen the screen of the other rows. A row's
+kNN candidates are the columns screened at or below its own threshold: an
+upper bound on its k-th smallest screened value (the k-th smallest of its
 minima over strided groups of 16 columns, which is the k-th smallest value
-itself unless two of the k nearest share a group. They, and the sampled
-pairs in a band around sigma's middle ranks, are then recomputed exactly,
-feature by feature, in cdist's own order of summation. A row whose k-th and
-(k+1)-th exact candidates tie falls back to a full cdist row and
-argpartition, so ties are broken as the plain search breaks them. The kernel
-is evaluated on the n_v * k kNN pairs only.
+itself unless two of the k nearest share a group) plus a slack from its own
+norm and that bound. They, and the sampled pairs in a band around sigma's
+middle ranks, are then recomputed exactly, feature by feature, in cdist's
+own order of summation; sampled points whose norm is far above both the
+median norm and the sample's typical distance (they would widen sigma's
+uniform band) are paired exactly instead. A row whose k-th and (k+1)-th
+exact candidates tie falls back to a full cdist row and argpartition, so
+ties are broken as the plain search breaks them. The kernel is evaluated on
+the n_v * k kNN pairs only. A view whose squared distances could overflow
+float64 is rejected before any of this.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.spatial.distance import cdist
+from scipy.spatial.distance import cdist, pdist
 
 from .dataset import ViewMatrix, _readonly
 
 # rows of one block of screened squared distances in the kNN search: enough
 # for the GEMM to run near the BLAS rate ...
 _BLOCK_ROWS = 256
-# ... but no more than fit in this many bytes
+# ... but no more than fit in this many bytes of float32
 _BLOCK_BYTES = 32 << 20
 # kNN candidate pairs re-checked exactly in one batch
 _CHECK_PAIRS = 1 << 17
@@ -50,6 +59,14 @@ _CHECK_PAIRS = 1 << 17
 _GROUP_WIDTH = 16
 # instances whose pairwise distances set sigma
 _SIGMA_INSTANCES = 2000
+# sampled instances whose squared norm passes this many times both the
+# sample's median squared norm and the median squared distance of a few
+# evenly spaced ones (_SPREAD_INSTANCES) are paired exactly for sigma instead
+# of widening its band
+_HEAVY_NORM = 16.0
+_SPREAD_INSTANCES = 64
+# features the float32 screen's slack is proven for: (m + 10) 2^-24 < 1/16
+_MAX_FEATURES = 1 << 20
 
 
 def _frozen_csr(m) -> sp.csr_array:
@@ -123,6 +140,12 @@ def _sq_distances(data: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.nd
     return out
 
 
+def _round_up(x, dtype) -> np.ndarray:
+    """x rounded to dtype, at or above x: +inf above dtype's range."""
+    big = np.finfo(dtype).max
+    return np.nextafter(np.clip(x, -big, big).astype(dtype), dtype.type(np.inf))
+
+
 def _kth_bound(a: np.ndarray, k: int) -> np.ndarray:
     """An upper bound on the k-th smallest value of each row of a.
 
@@ -136,27 +159,25 @@ def _kth_bound(a: np.ndarray, k: int) -> np.ndarray:
     g = n // _GROUP_WIDTH
     if g < 4 * k:
         return np.partition(a, k - 1, axis=1)[:, k - 1]
-    mins = np.empty((rows, g + 1))
+    mins = np.empty((rows, g + 1), dtype=a.dtype)
     np.min(a[:, : g * _GROUP_WIDTH].reshape(rows, _GROUP_WIDTH, g), axis=1, out=mins[:, :g])
     np.min(a[:, g * _GROUP_WIDTH :], axis=1, initial=np.inf, out=mins[:, g])
     return np.partition(mins, k - 1, axis=1)[:, k - 1]
 
 
-def _candidates(a: np.ndarray, lo: int, k: int, slack: float):
-    """(row, column) pairs that may hold the k nearest neighbors of rows
-    lo:lo+len(a), given screened squared distances a (own column +inf) that,
-    up to a constant per row, are within slack of the exact ones.
-
-    Every j whose exact distance is at most the k-th smallest exact one has
-    a[i, j] <= (k-th smallest of a[i]) + 2 slack, and so a[i, j] <= b + 2 slack
-    for any bound b at or above that k-th smallest.
-    """
-    bound = _kth_bound(a, k)
-    flat = np.flatnonzero(a <= (bound + 2.0 * slack)[:, None])
-    rows, cols = np.divmod(flat, a.shape[1])
-    rows += lo
-    other = cols != rows  # own column: a candidate only if the bound is +inf
-    return rows[other], cols[other]
+def _candidates(a: np.ndarray, sqn: np.ndarray, k: int, kappa: float, tau: float):
+    """(row, column) positions in a screened block a (own column +inf) that
+    may hold the k nearest neighbors of its rows, whose squared norms are
+    sqn: those at or below each row's threshold b + 2 kappa (n^2 + N^2) +
+    2 tau, from a bound b on its k-th smallest value (see gaussian_knn_graph
+    for the proof)."""
+    bound = _kth_bound(a, k).astype(np.float64)
+    # N: the largest norm of the k columns at or below the bound
+    reach = np.sqrt(np.maximum(bound + (1.0 + kappa) * sqn + tau, 0.0))
+    far = (np.sqrt(sqn) + reach) / (1.0 - math.sqrt(2.0 * kappa))
+    limit = bound + 2.0 * kappa * (sqn + far * far) + 2.0 * tau
+    flat = np.flatnonzero(a <= _round_up(limit, a.dtype)[:, None])
+    return np.divmod(flat, a.shape[1])
 
 
 def _nearest(data, pts, rows, cols, lo, hi, k):
@@ -183,31 +204,36 @@ def _nearest(data, pts, rows, cols, lo, hi, k):
     return nb, sq
 
 
-def _median_distance(data, sample, approx, slack) -> float:
+def _median_distance(data, sample, approx, slack, rest, scale) -> float:
     """The exact median pairwise distance of the sampled instances, given the
-    screened squared distances of their upper-triangle pairs (row by row)
-    within slack of the exact ones.
+    screened squared distances of the upper-triangle pairs of `sample` (row
+    by row), in units of 2^-scale and within slack of the exact ones, and the
+    exact squared distances `rest` of the other sampled pairs.
 
     Pairs screened below the band around the middle ranks are below them
     exactly too, so only the band is re-checked; the result equals
     np.median over all exact distances.
     """
-    size = approx.size
+    screened = np.concatenate((approx, np.ldexp(rest, scale))) if rest.size else approx
+    size = screened.size
     upper = size // 2
     ranks = np.unique([(size - 1) // 2, upper])  # one rank if size is odd
-    part = np.partition(approx, upper)
+    part = np.partition(screened, upper)
     # with two middle ranks, the lower one is the largest value before the upper
     a_low = part[:upper].max() if ranks.size > 1 else part[upper]
-    low, high = a_low - 2.0 * slack, part[upper] + 2.0 * slack
+    low = -_round_up(2.0 * slack - float(a_low), screened.dtype)
+    high = _round_up(float(part[upper]) + 2.0 * slack, screened.dtype)
     del part
-    below = np.count_nonzero(approx < low)
-    band = np.flatnonzero((approx >= low) & (approx <= high))
+    below = np.count_nonzero(screened < low)
+    band = np.flatnonzero((screened >= low) & (screened <= high))
+    known = band[band >= approx.size] - approx.size
+    band = band[band < approx.size]
     # flat upper-triangle position -> sample positions t < u
     t = np.arange(sample.size)
     offsets = t * (sample.size - 1) - t * (t - 1) // 2
     ti = np.searchsorted(offsets, band, side="right") - 1
     ui = band - offsets[ti] + ti + 1
-    exact = np.sort(_sq_distances(data, sample[ti], sample[ui]))
+    exact = np.sort(np.concatenate((_sq_distances(data, sample[ti], sample[ui]), rest[known])))
     return float(np.mean(np.sqrt(exact[ranks - below])))
 
 
@@ -222,67 +248,144 @@ def gaussian_knn_graph(view: ViewMatrix, k: int = 5) -> tuple[sp.csr_array, floa
     deterministic.
 
     S and sigma equal, bit for bit, what exact cdist distances over all
-    pairs give. A GEMM over the centred points screens each block of rows
-    within a proven slack of cdist, up to a constant per row; the kNN
-    candidates (within twice the slack of a bound on each row's k-th value,
-    from the minima of its column groups) and the pairs near sigma's middle
-    ranks are recomputed exactly; a row whose k-th place is tied is redone
-    with a full cdist row and argpartition. Data so large that the screen's
-    squares would overflow is screened with cdist itself, at zero slack.
+    pairs give. A float32 GEMM over the centred points, scaled by a power of
+    two so that no float32 value over- or underflows at any scale of the
+    data, screens each block of rows within a proven slack of cdist, up to a
+    constant per row; the slack follows the norms of the two points of a
+    pair. Each row's kNN candidates are the columns at or below its own
+    threshold, from a bound on its k-th value (the minima of its column
+    groups) and its norm; they and the pairs near sigma's middle ranks are
+    recomputed exactly, and the few sampled points much farther from the
+    centre than both the median one and the sample's typical distance are
+    paired exactly for sigma. A row whose k-th place is tied is redone with
+    a full cdist row and argpartition.
+
+    Raises ValueError, before any numpy warning, when k is out of range,
+    when the view's squared distances could overflow float64 (the sum of its
+    features' squared ranges, which bounds them all, passes a quarter of the
+    largest float64, so 2 sigma^2 stays finite too), when the view has 2^20
+    features or more (beyond the screen's proof), and when sigma is zero.
     """
     n = view.n_available
     if not 1 <= k < n:
         raise ValueError(f"k must satisfy 1 <= k < n_available={n}, got {k}")
 
     data = view.data
+    m = data.shape[0]
+    low, high = data.min(axis=1), data.max(axis=1)
+    with np.errstate(over="ignore"):
+        spans = high - low
+        span_sq = float(np.sum(spans * spans))  # >= every squared distance
+    if not span_sq <= np.finfo(np.float64).max / 4:
+        raise ValueError(
+            f"view {view.view_id}: squared distances overflow float64 (the "
+            f"widest feature spans {spans.max():.3g}); rescale the view"
+        )
+    if m >= _MAX_FEATURES:
+        raise ValueError(
+            f"view {view.view_id}: {m} features, the kNN screen allows fewer "
+            f"than {_MAX_FEATURES}"
+        )
     pts = np.ascontiguousarray(data.T)  # cdist would copy it per call
-    cen = pts - pts.mean(axis=0)
-    sqn = np.einsum("ij,ij->i", cen, cen)
-    r2 = float(sqn.max())
-    # With u = eps / 2 and R^2 = max ||c_i||^2, the screened value of a pair,
-    # with the row constant ||c_i||^2 added exactly, is within (4 m + 3) u R^2
-    # of the exact ||c_i - c_j||^2, rounding in the centring moves that by at
-    # most 8 u R^2, and cdist's sum is within (m + 2) u * 4 R^2 of the exact
-    # ||x_i - x_j||^2: (8 m + 19) u R^2 in all, which the slack covers twice
-    # over (the tiny term covers underflow).
-    screened = np.isfinite(8.0 * r2)
-    fin = np.finfo(np.float64)
-    slack = 8.0 * (data.shape[0] + 3) * (fin.eps * r2 + fin.tiny) if screened else 0.0
-    # the constant per row that the screen leaves out
-    row_add = sqn if screened else np.zeros(n)
+    centre = low + (pts - low).mean(axis=0)  # no sum can overflow
+    # the largest |fl(x - centre)|, as rounding is monotone
+    peak = max(float(np.max(high - centre)), float(np.max(centre - low)))
+    shift = 1 - math.frexp(peak)[1]  # 2^shift peak lies in [1, 2)
+    cen = pts - centre
+    y = np.ldexp(cen, shift, out=cen).astype(np.float32)
+    del cen
+    sqn = np.einsum("ij,ij->i", y, y, dtype=np.float64)  # exact products
+    # The screen's slack. With u = 2^-24, y_i the scaled float32 points,
+    # n_i = ||y_i||, P_ij = ||y_i - y_j||^2 and E_ij cdist's squared distance
+    # scaled by 2^(2 shift), a block holds a_ij = fl(fl(-2 y_i . y_j) + v_j)
+    # with v_j = fl((1 - kappa) n_j^2). The dot product is within
+    # gamma_m 2 n_i n_j <= gamma_m (n_i^2 + n_j^2) whatever its order of
+    # summation (gamma_j = j u / (1 - j u)), and the roundings of v_j and of
+    # the sum add u n_j^2 and u (n_j^2 + 2 n_i n_j), so
+    #   (1) |a_ij + n_i^2 + kappa n_j^2 - P_ij| <= gamma_(m+4) (n_i^2 + n_j^2) + tau.
+    # Centring in float64 and rounding to float32 move each coordinate by at
+    # most (u + 2^-53) of itself, so ||y_i - y_j|| moves by (1 + 2^-28) u
+    # (n_i + n_j) and P_ij by 4.01 u (n_i^2 + n_j^2) from the scaled exact
+    # distance, which cdist's own rounding is within (m + 2) 2^-52
+    # (n_i^2 + n_j^2) of; gamma_a + gamma_b <= gamma_(a+b) then gives
+    #   (2) |a_ij + n_i^2 + kappa n_j^2 - E_ij| <= kappa (n_i^2 + n_j^2) + tau
+    # for kappa = gamma_(m+10): one u more than needed, which covers the
+    # float64 rounding of the norms and of the thresholds below. tau covers
+    # underflow: 2^-149 per float32 operation, 2^-1074 per float64 one scaled
+    # by 2^(2 shift) (capped where it already passes every screened value).
+    #
+    # kNN. Let b_i be at or above the k-th smallest a_i., and j among the k
+    # nearest of i. Of the k columns l with a_il <= b_i one has E_il >= E_ij,
+    # so by (2) twice a_ij <= a_il + 2 kappa (n_i^2 + n_l^2) + 2 tau. By (1),
+    # P_il <= B_i + 2 kappa n_l^2 with B_i = b_i + (1 + kappa) n_i^2 + tau, so
+    # n_l <= n_i + sqrt(P_il) gives n_l <= N_i = (n_i + sqrt(max(B_i, 0))) /
+    # (1 - sqrt(2 kappa)): every such j has a_ij <= b_i + 2 kappa (n_i^2 +
+    # N_i^2) + 2 tau, a threshold from row i alone.
+    #
+    # sigma. The sampled pair's screened value fl(a_ij + fl(n_i^2)) is, by
+    # (2), within (3 kappa + 6 u) H^2 + tau < slack of E_ij when both norms
+    # are at most H; the heavy points are paired exactly, so H is the largest
+    # norm of the rest. A heavy point's squared norm passes _HEAVY_NORM times
+    # both the median one (a far cluster moves the centre away from all the
+    # other points) and the median squared distance (a majority of identical
+    # points would make every other point heavy), so at least half the
+    # sample is light.
+    kappa = (m + 10) * 2.0**-24 / (1.0 - (m + 10) * 2.0**-24)
+    tau = math.ldexp(m + 2.0, max(-140, 2 * min(shift, 600) - 1070))
 
     sample = _sigma_sample(n)
-    approx = np.empty(sample.size * (sample.size - 1) // 2)
+    few = pts[sample[:: -(-sample.size // _SPREAD_INSTANCES)]]
+    spread = math.ldexp(float(np.median(pdist(few, "sqeuclidean"))), 2 * shift)
+    far = sqn[sample] > _HEAVY_NORM * max(spread, float(np.median(sqn[sample])))
+    light, heavy = sample[~far], sample[far]
+    # columns in the order light, heavy, the rest: a light row's pairs with
+    # the later light points are one slice
+    unsampled = np.ones(n, dtype=bool)
+    unsampled[sample] = False
+    order = np.concatenate((light, heavy, np.flatnonzero(unsampled)))
+    place = np.empty(n, dtype=np.int64)
+    place[order] = np.arange(n)
+    y_cols = y[order]
+    fold = (sqn[order] * (1.0 - kappa)).astype(np.float32)
+    sqn32 = sqn.astype(np.float32)
+
+    approx = np.empty(light.size * (light.size - 1) // 2, dtype=np.float32)
     filled = 0
     neighbors = np.empty((n, k), dtype=np.int64)
     sq_knn = np.empty((n, k))
     cand, done = [], 0  # candidate pairs of rows done:lo, not yet re-checked
-    step = max(1, min(_BLOCK_ROWS, _BLOCK_BYTES // (8 * n)))
+    step = max(1, min(_BLOCK_ROWS, _BLOCK_BYTES // (4 * n)))
     for lo in range(0, n, step):
         hi = min(lo + step, n)
-        if screened:
-            # ||c_j||^2 - 2 c_i . c_j: the row's constant ||c_i||^2 moves none
-            # of its candidates, so only sigma's sampled pairs add it
-            a = (-2.0 * cen[lo:hi]) @ cen.T  # scaling by -2 is exact
-            a += sqn
-        else:
-            a = cdist(pts[lo:hi], pts, metric="sqeuclidean")
-        # this block's sampled rows: their upper-triangle pairs, in order
-        for t in range(*np.searchsorted(sample, (lo, hi))):
-            i = sample[t]
-            cols = slice(i + 1, None) if sample.size == n else sample[t + 1 :]
-            end = filled + sample.size - 1 - t
-            np.add(a[i - lo, cols], row_add[i], out=approx[filled:end])
+        a = (-2.0 * y[lo:hi]) @ y_cols.T  # scaling by -2 is exact
+        a += fold
+        # this block's light rows: their pairs with later light points
+        for t in range(*np.searchsorted(light, (lo, hi))):
+            end = filled + light.size - 1 - t
+            np.add(a[light[t] - lo, t + 1 : light.size], sqn32[light[t]], out=approx[filled:end])
             filled = end
-        a[np.arange(hi - lo), np.arange(lo, hi)] = np.inf  # never pick yourself
-        cand.append(_candidates(a, lo, k, slack))
+        a[np.arange(hi - lo), place[lo:hi]] = np.inf  # never pick yourself
+        rows, cols = _candidates(a, sqn[lo:hi], k, kappa, tau)
+        rows += lo
+        cols = order[cols]
+        other = cols != rows  # own column: a candidate only if its bound is +inf
+        cand.append((rows[other], cols[other]))
         # re-check the candidates of several blocks at once: one pass over
         # the features per batch of pairs
         if hi == n or sum(r.size for r, _ in cand) >= _CHECK_PAIRS:
             rows, cols = (np.concatenate(c) for c in zip(*cand))
             neighbors[done:hi], sq_knn[done:hi] = _nearest(data, pts, rows, cols, done, hi, k)
             cand, done = [], hi
-    sigma = _median_distance(data, sample, approx, slack)
+    rest = np.empty(0)
+    if heavy.size:
+        pair = np.triu_indices(heavy.size, 1)
+        rest = _sq_distances(
+            data,
+            np.concatenate((np.repeat(light, heavy.size), heavy[pair[0]])),
+            np.concatenate((np.tile(heavy, light.size), heavy[pair[1]])),
+        )
+    slack = 4.0 * kappa * float(sqn[light].max()) + tau
+    sigma = _median_distance(data, light, approx, slack, rest, 2 * shift)
     if sigma == 0.0:
         raise ValueError(
             f"view {view.view_id}: degenerate sigma (median pairwise distance "

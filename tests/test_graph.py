@@ -3,6 +3,7 @@ import pytest
 
 import scipy.sparse as sp
 
+import imvc.graph
 from imvc import FusedGraph, MultiViewDataset, ViewMatrix, build_fused_graphs, gaussian_knn_graph
 from imvc.solver import _graph_cost
 
@@ -105,6 +106,56 @@ def test_symmetry_is_exact():
     pts = rng.normal(size=(30, 5))
     s = gaussian_knn_graph(view_from_points(pts), k=5)[0].toarray()
     assert np.array_equal(s, s.T)
+
+
+# -------------------------------------------------------------------- screen
+
+
+def test_overflowing_view_is_rejected_before_any_warning():
+    # squared distances near 1e321 overflow float64, where cdist gives inf,
+    # sigma inf and an all-NaN S; pytest turns any warning into an error
+    data = np.random.default_rng(9).normal(size=(3, 40)) * 1e160
+    view = ViewMatrix(view_id=2, data=data)
+    message = "^view 2: squared distances overflow float64"
+    with pytest.raises(ValueError, match=message):
+        gaussian_knn_graph(view, k=5)
+    ds = MultiViewDataset(views=(view,), n=40, availability=(np.arange(40),))
+    with pytest.raises(ValueError, match=message):
+        build_fused_graphs(ds, k=5)
+
+
+def test_view_with_too_many_features_is_rejected():
+    view = ViewMatrix(view_id=1, data=np.zeros((imvc.graph._MAX_FEATURES, 2)))
+    with pytest.raises(ValueError, match="^view 1: 1048576 features"):
+        gaussian_knn_graph(view, k=1)
+
+
+def exact_pairs(monkeypatch, data):
+    """Pairs the build recomputes exactly: kNN candidates and sigma's band."""
+    count = 0
+    exact = imvc.graph._sq_distances
+
+    def counting(matrix, rows, cols):
+        nonlocal count
+        count += rows.size
+        return exact(matrix, rows, cols)
+
+    monkeypatch.setattr(imvc.graph, "_sq_distances", counting)
+    gaussian_knn_graph(ViewMatrix(view_id=0, data=data), k=5)
+    return count
+
+
+def test_screen_stays_narrow_on_an_outlier_and_at_extreme_scales(monkeypatch):
+    # above 2000 points sigma comes from the band of the sampled pairs; one
+    # sampled point 100x from the centre, or the view's units, must not widen
+    # the screen of every other pair
+    x = np.random.default_rng(10).normal(size=(8, 2100))
+    outlier = x.copy()
+    outlier[:, 0] *= 100
+    assert 0 in imvc.graph._sigma_sample(2100)
+    plain = exact_pairs(monkeypatch, x)
+    for variant in (outlier, x * 1e-25, x * 1e25):
+        assert exact_pairs(monkeypatch, variant) <= 2 * plain
 
 
 # ---------------------------------------------------------------- auto sigma

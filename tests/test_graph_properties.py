@@ -6,7 +6,9 @@ that stress the GEMM screen: integer features (exact ties at the k-th
 place), a large common offset, duplicate points, one far outlier (a wide
 slack), more than 2000 instances (the sampled sigma), one-row blocks and
 narrow column groups (the candidates then come from the group-minimum bound
-on a row's k-th value, which wider views take).
+on a row's k-th value, which wider views take), and views scaled far below
+and far above unit size (the float32 screen scales its points by a power of
+two first).
 """
 
 import numpy as np
@@ -20,7 +22,7 @@ import scipy.sparse as sp
 
 from imvc import FusedGraph, ViewMatrix, gaussian_knn_graph
 
-KINDS = ("normal", "integer", "offset", "duplicates", "outlier")
+KINDS = ("normal", "integer", "offset", "duplicates", "outlier", "tiny", "huge")
 
 
 def examples(n: int) -> settings:
@@ -39,6 +41,10 @@ def make_data(kind: str, m: int, n: int, seed: int) -> np.ndarray:
         x[:, n // 2 :] = x[:, : n - n // 2]
     elif kind == "outlier":
         x[:, rng.integers(n)] += 1e7
+    elif kind == "tiny":
+        x *= 1e-150
+    elif kind == "huge":
+        x *= 1e150
     return x
 
 

@@ -31,7 +31,7 @@ def assert_graph_matches_reference(view, k):
 def test_graph_within_one_block_matches_reference():
     view = random_view(60, 4, seed=0)
     # a single block
-    assert 60 <= min(imvc.graph._BLOCK_ROWS, imvc.graph._BLOCK_BYTES // (8 * 60))
+    assert 60 <= min(imvc.graph._BLOCK_ROWS, imvc.graph._BLOCK_BYTES // (4 * 60))
     for k in (1, 3, 5, 59):
         assert_graph_matches_reference(view, k)
 
@@ -47,7 +47,7 @@ def test_graph_over_uneven_blocks_matches_reference(monkeypatch):
     assert_graph_matches_reference(view, 4)
     # the byte cap below the row count: 150 rows of 150 values in blocks of 11
     monkeypatch.setattr(imvc.graph, "_BLOCK_ROWS", 256)
-    monkeypatch.setattr(imvc.graph, "_BLOCK_BYTES", 8 * 150 * 11)
+    monkeypatch.setattr(imvc.graph, "_BLOCK_BYTES", 4 * 150 * 11)
     assert_graph_matches_reference(view, 4)
 
 
