@@ -8,12 +8,12 @@ and the resolved config to manifest.json. Given one machine and
 one master seed, trials.csv is byte-identical across runs.
 
 The mask depends only on (rate, repeat) and the graphs only on the mask and
-k, so run_experiment runs the trials group by group, and each process that
-runs them keeps the last group it built on its _Sweep. A group's trials run
-in chunks, each chunk's fits in lockstep as one solver.fit call. The output
-columns are the fields of TrialOutcome (trials.csv) and RunRecord
-(aggregate.csv) in order, less the in-memory ones; each ablation is the one
-model switch in _VARIANTS that it turns off.
+k, so run_experiment runs the trials group by group. A group's trials run in
+chunks, and each chunk builds the group's mask and graphs itself and runs its
+fits in lockstep as one solver.fit call. The output columns are the fields
+of TrialOutcome (trials.csv) and RunRecord (aggregate.csv) in order, less the
+in-memory ones; each ablation is the one model switch in _VARIANTS that it
+turns off.
 """
 
 from __future__ import annotations
@@ -330,38 +330,16 @@ def _group(trial: TrialOutcome) -> tuple:
     return trial.rate, trial.repeat, trial.k
 
 
-@dataclass
+@dataclass(frozen=True)
 class _Sweep:
     """One sweep (one variant) as the process that runs its trials holds it:
-    the base dataset, the config, whether trials keep their solver states,
-    and the last group this process built with its masked dataset and fused
-    graphs, or the build's exception. Built in the calling process for one
-    worker, and by the pool initializer in each worker process."""
+    the base dataset, the config, and whether trials keep their solver
+    states. Built in the calling process for one worker, and by the pool
+    initializer in each worker process."""
 
     base: MultiViewDataset
     cfg: ExperimentConfig
     keep_states: bool
-    group: Optional[tuple] = None
-    built: object = None
-
-    def problem(self, outcome: TrialOutcome):
-        """The masked dataset and fused graphs of the outcome's group, built
-        only when the group differs from the last one. A failed build is kept
-        and raised again to every trial of its group."""
-        if _group(outcome) != self.group:
-            try:
-                masked = apply_mask(
-                    self.base,
-                    MaskSpec(protocol=self.cfg.protocol, rate=outcome.rate, seed=outcome.mask_seed),
-                )
-                gamma = _VARIANTS[outcome.variant].get("gamma", outcome.gamma)
-                self.built = masked, build_fused_graphs(masked, k=outcome.k, gamma=gamma)
-            except Exception as exc:
-                self.built = exc
-            self.group = _group(outcome)
-        if isinstance(self.built, Exception):
-            raise self.built.with_traceback(None)
-        return self.built
 
 
 def _error(exc: Exception) -> str:
@@ -400,18 +378,22 @@ def _run_trial(sweep: _Sweep, chunk: Sequence[TrialOutcome]) -> list[TrialOutcom
     call, then each trial's k-means and scores. (The name is the one
     perfbench/tracing.py times as harness.trial.)
 
-    A failure becomes the error of the trials it ends: a failed group build
-    or batch set-up, of every trial in the chunk; a failed fit or scoring, of
+    The chunk builds its group's mask and graphs from its first trial. A
+    failure becomes the error of the trials it ends: a failed group build or
+    batch set-up, of every trial in the chunk; a failed fit or scoring, of
     its own trial. The trials' wall times add up to the chunk's: the first
-    trial counts the group build (when this chunk made it), and each trial
-    its fit's share of the lockstep sweeps (SolverState.seconds) and its own
-    k-means and scoring.
+    trial counts the group build, and each trial its fit's share of the
+    lockstep sweeps (SolverState.seconds) and its own k-means and scoring.
     """
     start = time.perf_counter()
     cfg = sweep.cfg
+    first = chunk[0]
     n_components = sweep.base.n_classes if cfg.n_components is None else cfg.n_components
     try:
-        masked, graphs = sweep.problem(chunk[0])
+        spec = MaskSpec(protocol=cfg.protocol, rate=first.rate, seed=first.mask_seed)
+        masked = apply_mask(sweep.base, spec)
+        gamma = _VARIANTS[first.variant].get("gamma", first.gamma)
+        graphs = build_fused_graphs(masked, k=first.k, gamma=gamma)
         solver_cfgs = []
         for outcome in chunk:
             switch = _VARIANTS[outcome.variant]
@@ -493,17 +475,24 @@ def load_base(cfg: ExperimentConfig) -> MultiViewDataset:
 
 
 def knn_problems(cfg: ExperimentConfig, base: MultiViewDataset) -> list[str]:
-    """Check every configured mask up front: one message per (rate, repeat,
-    view) whose masked view has too few instances for the largest k.
+    """Check up front what would fail every trial: one message per view with
+    fewer features than the cluster count (the configured clusters, else the
+    number of label classes), then one per (rate, repeat, view) whose masked
+    view has too few instances for the largest k.
 
     The masks are the ones run_experiment draws, from the same seeds.
     gamma = 0 builds identity graphs with no neighbor search, so any k is
     fine there.
     """
+    c = base.n_classes if cfg.n_components is None else cfg.n_components
+    problems = [
+        f"view {view.view_id}: {view.n_features} features, fewer than the {c} clusters"
+        for view in base.views
+        if view.n_features < c
+    ]
     if cfg.gamma == 0.0:
-        return []
+        return problems
     k = max(cfg.knn_grid)
-    problems = []
     for rate in cfg.rates:
         for rep in range(cfg.repeats):
             spec = MaskSpec(protocol=cfg.protocol, rate=rate, seed=_mask_seed(cfg, rate, rep))
@@ -535,14 +524,13 @@ def run_experiment(
 
     Trials run group by group, in sorted (rate, repeat, k) order. Each
     group's trials are split into min(workers, trials) contiguous chunks (one
-    chunk for one worker), and a chunk's fits run in lockstep as one fit
-    call; a process builds each group's mask and graphs once for the chunks
-    of that group it runs. With workers > 1 the chunks are handed out in that
-    order, one at a time, to min(workers, trials) worker processes (forked
-    where the platform allows, else spawned); one worker, or one trial, runs
-    in this process. A group's build is deterministic, a fit in a batch gives
-    what it gives alone, and rows are collected in sweep order, so the output
-    does not depend on workers.
+    chunk for one worker); each chunk builds the group's mask and graphs and
+    runs its fits in lockstep as one fit call. With workers > 1 the chunks
+    are handed out in that order, one at a time, to min(workers, trials)
+    worker processes (forked where the platform allows, else spawned); one
+    worker, or one trial, runs in this process. A group's build is
+    deterministic, a fit in a batch gives what it gives alone, and rows are
+    collected in sweep order, so the output does not depend on workers.
     """
     if ablation is not None and ablation not in ABLATIONS:
         raise ValueError(f"unknown ablation {ablation!r}; expected one of {ABLATIONS}")

@@ -54,7 +54,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -429,7 +429,6 @@ def fit(
     ds: MultiViewDataset,
     graphs: Sequence[FusedGraph],
     cfgs: Sequence[SolverConfig],
-    callback: Optional[Callable] = None,
 ) -> tuple[SolverState, ...]:
     """Run one fit per config in lockstep, each by alternating sweeps
     (consensus, bases, codes, weights) to a local minimum.
@@ -440,9 +439,7 @@ def fit(
     target or objective) leaves the batch with the exception a lone fit
     raises as its state's error, and the others go on; fit itself raises
     only for what the whole batch shares. Returns one SolverState per config,
-    in order. callback, if given, is invoked after every sweep for each fit
-    still running as callback(index, iteration, bases, codes, consensus,
-    weights), index being the fit's place in cfgs.
+    in order.
 
     Overflow, invalid values and division by zero raise no RuntimeWarning
     in here: in an update the batch shares, a warning could not name its fit.
@@ -523,11 +520,6 @@ def fit(
                 traces[i].append(value)
                 cost_rows[i].append(costs[j])
                 weight_rows[i].append(swept.weights[j])
-                if callback is not None:
-                    callback(
-                        int(i), it, tuple(u[j] for u in bases), tuple(p[j] for p in codes),
-                        consensus[j], swept.weights[j],
-                    )
                 prev = traces[i][-2]
                 if abs(prev - value) / max(prev, 1e-12) <= cfg.tol or it == cfg.max_iter:
                     results[i] = swept.state(j, traces[i], cost_rows[i], weight_rows[i])

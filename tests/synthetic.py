@@ -137,8 +137,8 @@ def _lone(update, *args):
         raise failed.error from None
 
 
-def lone_fit(ds, graphs, cfg, callback=None):
-    (state,) = fit(ds, graphs, [cfg], callback)
+def lone_fit(ds, graphs, cfg):
+    (state,) = fit(ds, graphs, [cfg])
     if state.error is not None:
         raise state.error
     return state

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+import imvc.solver
 from imvc import SolverConfig, load_dataset, normalize_views, save_dataset
 from imvc.cli import main as cli_main
 from imvc.dataset import MaskSpec, apply_mask
@@ -58,32 +59,40 @@ def report(num, name, ok, detail=""):
 
 @pytest.fixture(scope="module")
 def monotone_runs():
-    """20 seeded random problems shared by criteria 1 and 4."""
+    """20 seeded random problems shared by criteria 1 and 4. The bases of
+    every sweep are checked as update_basis returns them (the solver's loop
+    looks it up by module name), the weights from each state's weight trace."""
     start = time.perf_counter()
     combos = list(itertools.product((2, 3), (30, 100), (2, 5)))
+    update_basis = imvc.solver.update_basis
     runs = []
-    for seed in range(20):
-        l, n, c = combos[seed % len(combos)]
-        ds, graphs = random_problem(
-            seed, l=l, n=n, c=c, dims=tuple(c + 3 for _ in range(l)), rate=0.3, k=4
-        )
-        diag = {"ortho": [], "simplex": [], "alpha_min": []}
-
-        def check(index, it, bases, codes, consensus, weights, diag=diag):
-            diag["ortho"].append(
-                max(
-                    float(np.max(np.abs(u.T @ u - np.eye(u.shape[1]))))
-                    for u in bases
-                )
+    with pytest.MonkeyPatch.context() as patch:
+        for seed in range(20):
+            l, n, c = combos[seed % len(combos)]
+            ds, graphs = random_problem(
+                seed, l=l, n=n, c=c, dims=tuple(c + 3 for _ in range(l)), rate=0.3, k=4
             )
-            diag["simplex"].append(abs(float(weights.sum()) - 1.0))
-            diag["alpha_min"].append(float(weights.min()))
+            ortho = []
 
-        cfg = SolverConfig(
-            lam=1.0, beta=0.01, r=3.0, n_components=c, seed=seed, max_iter=80
-        )
-        state = lone_fit(ds, graphs, cfg, callback=check)
-        runs.append((state, diag))
+            def checked(x, codes, ortho=ortho):
+                bases = update_basis(x, codes)
+                ortho.extend(
+                    float(np.max(np.abs(u.T @ u - np.eye(u.shape[1])))) for u in bases
+                )
+                return bases
+
+            patch.setattr(imvc.solver, "update_basis", checked)
+            cfg = SolverConfig(
+                lam=1.0, beta=0.01, r=3.0, n_components=c, seed=seed, max_iter=80
+            )
+            state = lone_fit(ds, graphs, cfg)
+            weights = state.weight_trace[1:]  # after each sweep
+            diag = {
+                "ortho": ortho,
+                "simplex": [abs(float(a.sum()) - 1.0) for a in weights],
+                "alpha_min": [float(a.min()) for a in weights],
+            }
+            runs.append((state, diag))
     return runs, time.perf_counter() - start
 
 

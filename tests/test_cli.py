@@ -126,6 +126,31 @@ def test_cli_validate_data_config_checks_k_against_masks(workspace, tmp_path, ca
     assert main(["validate-data", "--config", str(bad)]) == 0
 
 
+def test_cli_validate_data_config_checks_clusters_against_features(workspace, tmp_path, capsys):
+    root, cfg_path, _ = workspace
+    config = json.loads(cfg_path.read_text())
+    bad = tmp_path / "bad.json"
+    # the 5- and 6-feature views cannot hold 6 or 7 clusters, with or
+    # without graphs: every trial of `run` would fail
+    for clusters, gamma in ((6, 1.0), (7, 1.0), (6, 0.0)):
+        config["clusters"], config["solver"]["gamma"] = clusters, gamma
+        bad.write_text(json.dumps(config))
+        assert main(["validate-data", "--config", str(bad)]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"INVALID: view {v}: {m} features, fewer than the {clusters} clusters"
+            for v, m in enumerate((5, 6))
+            if m < clusters
+        ]
+    # with no configured clusters, the labels' 3 classes count
+    full = multiview_blobs(n=24, n_clusters=3, dims=(2, 6), noise=0.4, seed=4)
+    paths = save_dataset(full, tmp_path / "narrow")
+    del config["clusters"]
+    config["dataset"] = {"views": paths["views"], "labels": paths["labels"]}
+    bad.write_text(json.dumps(config))
+    assert main(["validate-data", "--config", str(bad)]) == 1
+    assert capsys.readouterr().err == "INVALID: view 0: 2 features, fewer than the 3 clusters\n"
+
+
 def test_cli_validate_data_rejects_bad_config_values(workspace, tmp_path, capsys):
     root, cfg_path, _ = workspace
     config = json.loads(cfg_path.read_text())

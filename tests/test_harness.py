@@ -214,7 +214,7 @@ def test_trial_wall_times_add_up_to_their_chunk(data_dir, tmp_path, monkeypatch)
         assert 0.9 * elapsed <= sum(walls) <= elapsed
 
 
-def test_sweep_builds_mask_and_graphs_once_per_group(data_dir, tmp_path, monkeypatch):
+def test_sweep_builds_mask_and_graphs_once_per_chunk(data_dir, tmp_path, monkeypatch):
     root, paths = data_dir
     log = tmp_path / "builds.log"
     build = imvc.harness.build_fused_graphs
@@ -234,13 +234,10 @@ def test_sweep_builds_mask_and_graphs_once_per_group(data_dir, tmp_path, monkeyp
         cfg = make_config(paths, out, mask={"rates": [0.2, 0.4], "repeats": 2}, solver=solver)
         write_results(run_experiment(cfg, workers=workers), cfg.output_dir, cfg)
         builds = len(log.read_text().split())
-        # 8 (rate, repeat, k) groups for the sweep's 32 trials: one build each
-        # in-process, at most one per group and worker process otherwise
+        # 8 (rate, repeat, k) groups of 4 trials for the sweep's 32: each
+        # group splits into min(workers, 4) chunks, and each chunk builds once
         groups = len(cfg.rates) * cfg.repeats * len(cfg.knn_grid)
-        if workers == 1:
-            assert builds == groups
-        else:
-            assert groups <= builds <= groups * workers
+        assert builds == groups * min(workers, 4)
         outputs.append([(out / name).read_bytes() for name in ("trials.csv", "aggregate.csv")])
     assert outputs[0] == outputs[1] == outputs[2]
 

@@ -10,6 +10,8 @@ filterwarnings = error turns into an exception, would end every fit of the
 batch; with the warnings off, the fit's own objective check ends it alone.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import example, given
@@ -17,6 +19,8 @@ from hypothesis import strategies as st
 
 from test_graph_properties import examples
 
+import imvc.solver
+from imvc import ViewMatrix
 from imvc.solver import SolverConfig, _FitFailed, fit, update_basis
 
 from synthetic import masked_problem, multiview_blobs, random_problem
@@ -146,16 +150,39 @@ def test_a_failing_fit_leaves_the_batch_and_the_others_carry_on():
     assert batch[1].n_iterations == batch[3].n_iterations == 0
 
 
-def test_codes_keep_the_layout_of_a_lone_fit():
+def test_codes_keep_the_layout_of_a_lone_fit(monkeypatch):
     # C-ordered from initialize, F-ordered after a sweep, in a batch as alone:
     # the layout changes the bits of X P^T and of the sums over the codes
     ds, graphs = random_problem(3, l=2, n=40, c=3, k=3)
     cfgs = [SolverConfig(lam=1.0, beta=0.01, r=2.0, n_components=3, max_iter=1, seed=s)
             for s in range(3)]
     seen = []
-    fit(ds, graphs, cfgs, callback=lambda i, it, bases, codes, *rest: seen.extend(codes))
+    update_codes = imvc.solver.update_codes
+
+    def recorded(*args):  # the solver's loop looks it up by module name
+        codes, xtu = update_codes(*args)
+        seen.extend(codes)
+        return codes, xtu
+
+    monkeypatch.setattr(imvc.solver, "update_codes", recorded)
+    fit(ds, graphs, cfgs)
     assert len(seen) == 6 and all(p.flags.f_contiguous and not p.flags.c_contiguous for p in seen)
     assert all(p.flags.f_contiguous for state in fit(ds, graphs, cfgs) for p in state.codes)
+
+
+def test_a_basis_failure_empties_the_batch_one_fit_at_a_time():
+    # X P^T overflows in the scaled view for every fit: each try of the first
+    # sweep fails the basis update of the first fit left, which leaves with
+    # its start, and the others redo the sweep
+    ds, graphs = random_problem(5, l=2, n=12, c=2, rate=0.0, gamma=0.0)
+    big = ViewMatrix(view_id=1, data=ds.views[1].data * 1e160)
+    ds = dataclasses.replace(ds, views=(ds.views[0], big))
+    cfgs = [SolverConfig(lam=1.0, beta=0.001, r=2.0, n_components=2, seed=s) for s in range(3)]
+    states = fit(ds, graphs, cfgs)
+    assert [f"{type(s.error).__name__}: {s.error}" for s in states] == [
+        "ValueError: non-finite values in the basis update target"
+    ] * 3
+    assert [s.n_iterations for s in states] == [0, 0, 0]
 
 
 def test_a_block_update_names_the_fit_it_failed_for():

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import imvc.solver
 from imvc.solver import (
     SolverConfig,
     SolverState,
@@ -441,20 +442,28 @@ def test_fit_weight_off_keeps_weights_uniform():
     assert np.all(state.weight_trace == 1 / 3)
 
 
-def test_fit_constraints_hold_every_iteration():
+def test_fit_constraints_hold_every_iteration(monkeypatch):
     ds, graphs = random_problem(17, l=2, n=10, c=3, dims=(6, 7), k=3)
     cfg = SolverConfig(lam=1.0, beta=0.02, r=3.0, n_components=3, seed=5, max_iter=30)
     seen = []
+    update_basis = imvc.solver.update_basis
 
-    def check(index, it, bases, codes, consensus, weights):
+    def checked(x, codes):  # the solver's loop looks it up by module name
+        bases = update_basis(x, codes)
         for u in bases:
             assert np.max(np.abs(u.T @ u - np.eye(3))) <= 1e-8
+        seen.append(bases)
+        return bases
+
+    monkeypatch.setattr(imvc.solver, "update_basis", checked)
+    state = lone_fit(ds, graphs, cfg)
+    # one basis update per view in each sweep, and one trace row per sweep
+    # after the initial one
+    assert seen and len(seen) == ds.n_views * state.n_iterations
+    assert len(state.weight_trace) == len(state.cost_trace) == state.n_iterations + 1
+    for weights in state.weight_trace[1:]:
         assert abs(weights.sum() - 1.0) <= 1e-12
         assert weights.min() >= 0.0
-        seen.append(it)
-
-    lone_fit(ds, graphs, cfg, callback=check)
-    assert seen and seen == list(range(1, len(seen) + 1))
 
 
 def test_fit_trace_starts_at_initial_objective():
