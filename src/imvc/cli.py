@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import replace
+from pathlib import Path
 from typing import Optional
 
 from .dataset import load_dataset
@@ -173,16 +174,23 @@ def main(argv=None) -> int:
     p_val.set_defaults(func=_cmd_validate_data)
 
     args = parser.parse_args(argv)
-    # a rejected config or data file is one INVALID line and exit status 1, for
-    # every command; a trial that fails is a row of trials.csv instead
+    # a rejected config, data file or output directory is one INVALID line and
+    # exit status 1, for every command; a trial that fails is a row of trials.csv
     try:
         cfg = _load_config(args)
+        made = []
+        if args.command != "validate-data":  # the output directory, before any trial
+            out = Path(cfg.output_dir)
+            made = [path for path in (out, *out.parents) if not path.exists()]
+            out.mkdir(parents=True, exist_ok=True)
     except (OSError, ValueError) as exc:
         print(f"INVALID: {exc}", file=sys.stderr)
         return 1
     try:
         return args.func(args, cfg)
-    except DataError as exc:
+    except DataError as exc:  # raised before any trial: remove the directories made
+        for path in made:
+            path.rmdir()
         print(f"INVALID: {exc}", file=sys.stderr)
         return 1
 

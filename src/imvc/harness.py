@@ -214,16 +214,19 @@ class ExperimentConfig:
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
         """The config of a parsed JSON file. Keys left out take the field
         defaults; an unknown key, at the top level or in a section, is an
-        error."""
+        error, as is a config or a section that is not a JSON object."""
+        if not isinstance(raw, dict):
+            raise ValueError(f"config must be a JSON object, got {raw!r}")
         top = {key: value for key, value in raw.items() if key not in _CONFIG_SECTIONS}
-        parts = [("", top, _CONFIG_TOP_LEVEL)]
-        parts += [
-            (f" in section {s!r}", raw.get(s, {}), keys) for s, keys in _CONFIG_SECTIONS.items()
-        ]
+        parts = [(None, top, _CONFIG_TOP_LEVEL)]
+        parts += [(s, raw.get(s, {}), keys) for s, keys in _CONFIG_SECTIONS.items()]
         settings = {}
-        for where, values, keys in parts:
+        for section, values, keys in parts:
+            if not isinstance(values, dict):
+                raise ValueError(f"section {section!r} must be a JSON object, got {values!r}")
             unknown = set(values) - set(keys)
             if unknown:
+                where = f" in section {section!r}" if section else ""
                 raise ValueError(f"unknown config keys{where}: {sorted(unknown)}")
             settings.update((keys[key], value) for key, value in values.items())
         return cls(**settings)

@@ -20,9 +20,10 @@ fit runs a batch of fits that share one masked dataset, its graphs and the
 latent dimension (in the harness, one (rate, repeat, k) group's (lam, beta,
 r) grid points) in lockstep: each sweep updates a block for all the fits
 still running at once, and each fit leaves the batch when it meets its own
-tol or max_iter, or fails. A single fit is a batch of one. Every fit's
-traces and variables are bit for bit those it gives alone, because the batch
-shares only work that is exact column by column or matrix by matrix:
+tol or max_iter, or fails (the shared block updates return {row: error}
+for the fits they could not update). A single fit is a batch of one. Every
+fit's traces and variables are bit for bit those it gives alone, because the
+batch shares only work that is exact column by column or matrix by matrix:
 
 - one sparse product W [M_1^T ... M_B^T] per view, for the gathered
   consensus and for the codes: CSR products go column by column;
@@ -52,6 +53,7 @@ no residual or distance matrix:
 from __future__ import annotations
 
 import time
+from collections import ChainMap
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Optional, Sequence
@@ -127,16 +129,6 @@ class SolverState:
         return max(len(self.objective_trace) - 1, 0)
 
 
-class _FitFailed(Exception):
-    """A block update failed for one fit of a batch: row is the fit's place
-    in the stacks, error the exception a lone fit raises there."""
-
-    def __init__(self, row: int, error: Exception):
-        super().__init__(row, error)
-        self.row = row
-        self.error = error
-
-
 def _times_w(graph: FusedGraph, stack: np.ndarray) -> np.ndarray:
     """W [M_1^T ... M_B^T] for a (B, c, n_v) stack: one sparse product for
     the batch, whose columns are each fit's own W M^T. Returned as the
@@ -152,16 +144,17 @@ def _gather(consensus: np.ndarray, ids: np.ndarray) -> np.ndarray:
     return np.take(consensus.swapaxes(1, 2), ids, axis=1).swapaxes(1, 2)
 
 
-def update_basis(x: np.ndarray, codes: np.ndarray) -> np.ndarray:
+def update_basis(x: np.ndarray, codes: np.ndarray) -> tuple[np.ndarray, dict[int, Exception]]:
     """Orthonormal bases maximizing trace(U^T X P^T) for a (B, c, n_v) stack
-    of codes: U = M N^T from the thin SVD X P^T = M diag(s) N^T, per fit."""
+    of codes: U = M N^T from the thin SVD X P^T = M diag(s) N^T, per fit.
+    Returns them and {row: error} for the fits whose target is not finite,
+    zeroed first, as one non-finite matrix fails the SVD of the stack."""
     target = x @ codes.swapaxes(1, 2)
-    finite = np.isfinite(target).all(axis=(1, 2))
-    if not finite.all():
-        error = ValueError("non-finite values in the basis update target")
-        raise _FitFailed(int(np.argmin(finite)), error)
+    failed = np.flatnonzero(~np.isfinite(target).all(axis=(1, 2)))
+    target[failed] = 0.0
     m, _, nt = np.linalg.svd(target, full_matrices=False)
-    return m @ nt
+    message = "non-finite values in the basis update target"
+    return m @ nt, {int(j): ValueError(message) for j in failed}
 
 
 def update_codes(
@@ -197,7 +190,7 @@ def update_consensus(
     n: int,
     weights: np.ndarray,
     r: Sequence[float],
-) -> np.ndarray:
+) -> tuple[np.ndarray, dict[int, Exception]]:
     """Minimize the graph-coupling term over the consensus matrices of B fits.
 
     wp[v] is the (B, n_v, c) stack of W_v P^T, weights the (B, l) view
@@ -205,7 +198,8 @@ def update_consensus(
     and n is the sample count. The normal matrix sum_v a_v^r G D G^T is
     diagonal (each sample collects its own degree from the views it appears
     in), so the solve is a columnwise division instead of a general inverse.
-    Returns the (B, c, n) stack.
+    Returns the (B, c, n) stack and {row: error} for the fits where a sample
+    carries no positive weight, whose denominators are set to 1.
     """
     fits, _, c = wp[0].shape
     numer = np.zeros((fits, c, n))
@@ -214,18 +208,18 @@ def update_consensus(
         ar = np.array([a**s for a, s in zip(weights[:, v], r)])
         numer[:, :, ids] += ar[:, None, None] * prod.swapaxes(1, 2)  # P W, as W = W^T
         denom[:, ids] += ar[:, None] * graph.degree
-    infeasible = (denom <= 0.0).any(axis=1)
-    if infeasible.any():
-        row = int(np.argmax(infeasible))
+    failed = {}
+    for row in np.flatnonzero((denom <= 0.0).any(axis=1)):
         bad = int(np.flatnonzero(denom[row] <= 0.0)[0])
         # a_v^r is 0 for a zero weight, or where a small weight underflows
         zero = ", ".join(str(v) for v, a in enumerate(weights[row]) if a ** r[row] == 0.0)
         why = f" (a_v^r is 0 at r={r[row]!r} for view(s) {zero})" if zero else ""
-        raise _FitFailed(row, ValueError(
+        failed[int(row)] = ValueError(
             f"sample {bad} carries no positive weight in any view{why}; the "
             "consensus update is infeasible"
-        ))
-    return numer / denom[:, None, :]
+        )
+        denom[row] = 1.0
+    return numer / denom[:, None, :], failed
 
 
 def update_weights(costs: np.ndarray, r: float) -> np.ndarray:
@@ -436,10 +430,10 @@ def fit(
     The configs share ds, graphs and n_components. A fit stops when its
     relative objective change drops to its tol or after its max_iter sweeps.
     A fit whose update fails (an infeasible consensus, a non-finite basis
-    target or objective) leaves the batch with the exception a lone fit
-    raises as its state's error, and the others go on; fit itself raises
-    only for what the whole batch shares. Returns one SolverState per config,
-    in order.
+    target or objective) leaves the batch at the end of that sweep with its
+    state from before it and, as its error, the first one a lone fit raises;
+    the others go on. fit itself raises only for what the whole batch shares.
+    Returns one SolverState per config, in order.
 
     Overflow, invalid values and division by zero raise no RuntimeWarning
     in here: in an update the batch shares, a warning could not name its fit.
@@ -482,21 +476,12 @@ def fit(
         while batch.fits.size:
             sweep_start = time.perf_counter()
             fits = batch.fits
-            try:
-                consensus = update_consensus(
-                    batch.wp, graphs, ds.availability, ds.n, batch.weights,
-                    [cfgs[i].r for i in fits],
-                )
-                bases = tuple(update_basis(x, p) for x, p in zip(xs, batch.codes))
-            except _FitFailed as failed:
-                # the failed fit leaves, and the others redo this sweep
-                i = fits[failed.row]
-                results[i] = batch.state(
-                    failed.row, traces[i], cost_rows[i], weight_rows[i], failed.error
-                )
-                seconds[fits] += (time.perf_counter() - sweep_start) / fits.size
-                batch = batch.keep(np.delete(np.arange(fits.size), failed.row))
-                continue
+            consensus, failed = update_consensus(
+                batch.wp, graphs, ds.availability, ds.n, batch.weights,
+                [cfgs[i].r for i in fits],
+            )
+            bases, basis_failed = zip(*(update_basis(x, p) for x, p in zip(xs, batch.codes)))
+            failed = ChainMap(failed, *basis_failed)  # a fit's first error, in block order
             gathered = tuple(_gather(consensus, ids) for ids in ds.availability)
             codes, xtu = zip(*(
                 update_codes(x, u, q, graph, lam[fits], beta[fits])
@@ -509,12 +494,15 @@ def fit(
             for j, i in enumerate(fits):
                 cfg = cfgs[i]
                 try:
+                    if j in failed:
+                        raise failed[j]
                     if cfg.weight_on:
                         swept.weights[j] = update_weights(costs[j], cfg.r)
                     value = _weighted_total(swept.weights[j], costs[j], cfg.r)
                     if not np.isfinite(value):
                         raise ArithmeticError(f"objective diverged to {value} at iteration {it}")
-                except (ArithmeticError, ValueError) as exc:  # this fit's alone
+                except (ArithmeticError, ValueError) as exc:  # the fit leaves as it was
+                    exc.with_traceback(None)  # a traceback would hold this frame's stacks
                     results[i] = batch.state(j, traces[i], cost_rows[i], weight_rows[i], exc)
                     continue
                 traces[i].append(value)

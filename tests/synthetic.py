@@ -8,7 +8,7 @@ import scipy.sparse as sp
 from imvc import MultiViewDataset, ViewMatrix
 from imvc.dataset import MaskSpec, apply_mask
 from imvc.graph import FusedGraph, build_fused_graphs
-from imvc.solver import _FitFailed, _times_w, fit, update_basis, update_codes, update_consensus
+from imvc.solver import _times_w, fit, update_basis, update_codes, update_consensus
 
 
 def identity_graph(n, view_id=0):
@@ -131,10 +131,10 @@ def random_state(ds, c, seed, zero=False):
 
 
 def _lone(update, *args):
-    try:
-        return update(*args)
-    except _FitFailed as failed:
-        raise failed.error from None
+    (out,), failed = update(*args)
+    if failed:
+        raise failed[0]
+    return out
 
 
 def lone_fit(ds, graphs, cfg):
@@ -145,7 +145,7 @@ def lone_fit(ds, graphs, cfg):
 
 
 def lone_basis(x, codes):
-    return _lone(update_basis, x, codes[None])[0]
+    return _lone(update_basis, x, codes[None])
 
 
 def lone_codes(x, u, consensus, ids, graph, lam, beta):
@@ -157,4 +157,4 @@ def lone_codes(x, u, consensus, ids, graph, lam, beta):
 
 def lone_consensus(codes, graphs, availability, n, weights, r):
     wp = [_times_w(graph, p[None]) for graph, p in zip(graphs, codes)]
-    return _lone(update_consensus, wp, graphs, availability, n, np.asarray(weights)[None], [r])[0]
+    return _lone(update_consensus, wp, graphs, availability, n, np.asarray(weights)[None], [r])

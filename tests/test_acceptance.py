@@ -75,11 +75,11 @@ def monotone_runs():
             ortho = []
 
             def checked(x, codes, ortho=ortho):
-                bases = update_basis(x, codes)
+                bases, failed = update_basis(x, codes)
                 ortho.extend(
                     float(np.max(np.abs(u.T @ u - np.eye(u.shape[1])))) for u in bases
                 )
-                return bases
+                return bases, failed
 
             patch.setattr(imvc.solver, "update_basis", checked)
             cfg = SolverConfig(

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+import imvc.cli
 from imvc import save_dataset
 from imvc.cli import main
 
@@ -317,3 +318,54 @@ def test_cli_names_a_bad_availability_sidecar(workspace, tmp_path, capsys, conte
         (line,) = capsys.readouterr().err.splitlines()
         assert line.startswith(f"INVALID: {sidecar}: "), line
     assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("command", [["run"], ["trace"], ["validate-data"]])
+@pytest.mark.parametrize(
+    "config, message",
+    [
+        ([1, 2], "config must be a JSON object, got [1, 2]"),
+        ({"solver": 5}, "section 'solver' must be a JSON object, got 5"),
+        ({"mask": ["rates"]}, "section 'mask' must be a JSON object, got ['rates']"),
+    ],
+)
+def test_cli_reports_a_config_that_is_not_an_object_in_one_line(
+    tmp_path, capsys, command, config, message
+):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(config))
+    assert main(command + ["--config", str(bad)]) == 1
+    assert capsys.readouterr().err == f"INVALID: {message}\n"
+
+
+@pytest.mark.parametrize("command", [["run"], ["ablate", "--which", "weight"], ["trace"]])
+def test_cli_reports_an_output_that_cannot_be_a_directory_before_any_trial(
+    workspace, tmp_path, capsys, monkeypatch, command
+):
+    root, cfg_path, _ = workspace
+    taken = tmp_path / "taken"
+    taken.write_text("a file\n")
+
+    def no_trials(*args, **kwargs):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(imvc.cli, "run_experiment", no_trials)
+    for output in (taken, taken / "out"):
+        assert main(command + ["--config", str(cfg_path), "--output", str(output)]) == 1
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("INVALID: ") and str(taken) in line, line
+    assert taken.read_text() == "a file\n"
+
+
+def test_cli_leaves_no_new_output_directories_for_a_bad_data_file(workspace, tmp_path, capsys):
+    root, cfg_path, _ = workspace
+    config = json.loads(cfg_path.read_text())
+    config["dataset"]["views"] = [str(tmp_path / "missing.csv")]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(config))
+    (tmp_path / "kept").mkdir()
+    for output in (tmp_path / "a" / "b" / "c", tmp_path / "kept" / "d"):
+        assert main(["run", "--config", str(bad), "--output", str(output)]) == 1
+        assert "missing.csv not found" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.json", "kept"]
+    assert not any((tmp_path / "kept").iterdir())

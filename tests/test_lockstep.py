@@ -21,7 +21,7 @@ from test_graph_properties import examples
 
 import imvc.solver
 from imvc import ViewMatrix
-from imvc.solver import SolverConfig, _FitFailed, fit, update_basis
+from imvc.solver import SolverConfig, fit, update_basis
 
 from synthetic import masked_problem, multiview_blobs, random_problem
 
@@ -77,9 +77,11 @@ def test_transposed_xtu_is_utx_bit_for_bit(m, n_v, c):
     gamma=st.sampled_from((0.0, 1.0)),
     grid=st.lists(
         st.tuples(
-            st.sampled_from((0.001, 0.1, 10.0)),
+            # lam = 1e308 overflows in the codes step and r = 1e6 makes the
+            # consensus infeasible: several fits of a batch fail in one sweep
+            st.sampled_from((0.001, 0.1, 10.0, 1e308)),
             st.sampled_from((0.0, 1e-05, 0.001, 0.1)),
-            st.sampled_from((1.5, 2.0, 5.0, 9.0)),
+            st.sampled_from((1.5, 2.0, 5.0, 9.0, 1e6)),
             st.booleans(),
             st.sampled_from((0.0, 1e-06, 1e-03, 1e-02)),
             st.integers(1, 20),
@@ -170,13 +172,16 @@ def test_codes_keep_the_layout_of_a_lone_fit(monkeypatch):
     assert all(p.flags.f_contiguous for state in fit(ds, graphs, cfgs) for p in state.codes)
 
 
-def test_a_basis_failure_empties_the_batch_one_fit_at_a_time():
-    # X P^T overflows in the scaled view for every fit: each try of the first
-    # sweep fails the basis update of the first fit left, which leaves with
-    # its start, and the others redo the sweep
+def _scaled_problem():
+    """A problem whose view 1 is scaled by 1e160: X P^T overflows there in
+    the first sweep for every fit, so every basis update fails."""
     ds, graphs = random_problem(5, l=2, n=12, c=2, rate=0.0, gamma=0.0)
     big = ViewMatrix(view_id=1, data=ds.views[1].data * 1e160)
-    ds = dataclasses.replace(ds, views=(ds.views[0], big))
+    return dataclasses.replace(ds, views=(ds.views[0], big)), graphs
+
+
+def test_a_basis_failure_in_every_fit_empties_the_batch_in_one_sweep():
+    ds, graphs = _scaled_problem()
     cfgs = [SolverConfig(lam=1.0, beta=0.001, r=2.0, n_components=2, seed=s) for s in range(3)]
     states = fit(ds, graphs, cfgs)
     assert [f"{type(s.error).__name__}: {s.error}" for s in states] == [
@@ -185,14 +190,48 @@ def test_a_basis_failure_empties_the_batch_one_fit_at_a_time():
     assert [s.n_iterations for s in states] == [0, 0, 0]
 
 
+def test_fits_failing_in_one_sweep_leave_together_with_their_first_error(monkeypatch):
+    # at r = 1e6 the consensus update fails before the basis update would;
+    # at r = 2 only the basis update fails. Both leave after one try of the
+    # sweep, which no fit redoes
+    ds, graphs = _scaled_problem()
+    cfgs = [SolverConfig(lam=1.0, beta=0.001, r=r, n_components=2, seed=1) for r in (1e6, 2.0)]
+    calls = []
+    update_consensus = imvc.solver.update_consensus
+
+    def counted(*args):  # the solver's loop looks it up by module name
+        calls.append(args)
+        return update_consensus(*args)
+
+    monkeypatch.setattr(imvc.solver, "update_consensus", counted)
+    states = fit(ds, graphs, cfgs)
+    assert len(calls) == 1
+    assert [f"{type(s.error).__name__}: {s.error}" for s in states] == [
+        "ValueError: sample 0 carries no positive weight in any view (a_v^r is 0 "
+        "at r=1000000.0 for view(s) 0, 1); the consensus update is infeasible",
+        "ValueError: non-finite values in the basis update target",
+    ]
+    assert [s.n_iterations for s in states] == [0, 0]
+    # a recorded error keeps no traceback, and so none of the batch's stacks
+    assert all(s.error.__traceback__ is None for s in states)
+    for cfg, got in zip(cfgs, states):
+        (want,) = fit(ds, graphs, [cfg])
+        assert_same_fit(got, want)
+
+
 def test_a_block_update_names_the_fit_it_failed_for():
     rng = np.random.default_rng(0)
-    codes = rng.normal(size=(3, 2, 6))
+    x = rng.normal(size=(4, 6))
+    codes = rng.normal(size=(4, 2, 6))
     codes[1, 0, 4] = np.nan
-    with pytest.raises(_FitFailed) as failed:
-        update_basis(rng.normal(size=(4, 6)), codes)
-    assert failed.value.row == 1
-    assert str(failed.value.error) == "non-finite values in the basis update target"
+    codes[3, 1, 0] = np.inf
+    bases, failed = update_basis(x, codes)
+    assert sorted(failed) == [1, 3]
+    assert all(str(e) == "non-finite values in the basis update target" for e in failed.values())
+    # the rows that did not fail are those a lone fit gets
+    for j in (0, 2):
+        (want,), none = update_basis(x, codes[j : j + 1])
+        assert not none and same_bits(bases[j], want)
 
 
 def test_a_batch_shares_its_latent_dimension():

@@ -449,11 +449,12 @@ def test_fit_constraints_hold_every_iteration(monkeypatch):
     update_basis = imvc.solver.update_basis
 
     def checked(x, codes):  # the solver's loop looks it up by module name
-        bases = update_basis(x, codes)
+        bases, failed = update_basis(x, codes)
+        assert not failed
         for u in bases:
             assert np.max(np.abs(u.T @ u - np.eye(3))) <= 1e-8
         seen.append(bases)
-        return bases
+        return bases, failed
 
     monkeypatch.setattr(imvc.solver, "update_basis", checked)
     state = lone_fit(ds, graphs, cfg)
