@@ -21,7 +21,6 @@ from .solver import (
     SolverConfig,
     SolverState,
     fit,
-    write_trace,
 )
 from .metrics import (
     ClusteringResult,
@@ -35,6 +34,7 @@ from .harness import (
     RunRecord,
     run_experiment,
     write_results,
+    write_trace,
     write_traces,
 )
 
@@ -52,7 +52,6 @@ __all__ = [
     "SolverConfig",
     "SolverState",
     "fit",
-    "write_trace",
     "ClusteringResult",
     "accuracy",
     "evaluate_clustering",
@@ -62,5 +61,6 @@ __all__ = [
     "RunRecord",
     "run_experiment",
     "write_results",
+    "write_trace",
     "write_traces",
 ]

@@ -1,19 +1,20 @@
 """Experiment harness: crossed sweeps over masks and solver parameters.
 
-A declarative JSON config describes the dataset files, the masking protocol
-(rates x repeats), the solver parameter grid, and the scoring setup. Each
-trial runs the full pipeline (mask, graphs, solver, k-means, scores) and
-lands as one row in trials.csv; per-grid-point aggregates go to aggregate.csv
-and the resolved config to manifest.json. Given one machine and
-one master seed, trials.csv is byte-identical across runs.
+A declarative JSON config (its keys in the one table _CONFIG_KEYS) describes
+the dataset files, the masking protocol (rates x repeats), the solver grid and
+the scoring setup. Each trial runs the full pipeline (mask, graphs, solver,
+k-means, scores) and lands as one row in trials.csv; per-grid-point aggregates
+go to aggregate.csv, and kept traces to trace_<runid>.csv, all through one CSV
+writer; the resolved config goes to manifest.json. Given one machine and one
+master seed, every output file is byte-identical across runs.
 
 The mask depends only on (rate, repeat) and the graphs only on the mask and
 k, so run_experiment runs the trials group by group. A group's trials run in
-chunks, and each chunk builds the group's mask and graphs itself and runs its
-fits in lockstep as one solver.fit call. The output columns are the fields
-of TrialOutcome (trials.csv) and RunRecord (aggregate.csv) in order, less the
-in-memory ones; each ablation is the one model switch in _VARIANTS that it
-turns off.
+strided chunks, and each chunk builds the group's mask and graphs itself and
+runs its fits in lockstep as one solver.fit call. The output columns are the
+fields of TrialOutcome (trials.csv) and RunRecord (aggregate.csv) in order,
+less the in-memory ones; each ablation is the one model switch in _VARIANTS
+that it turns off.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from .dataset import (
 )
 from .graph import build_fused_graphs
 from .metrics import evaluate_clustering
-from .solver import SolverConfig, SolverState, fit, write_trace
+from .solver import SolverConfig, SolverState, fit
 
 # Each variant and the model switch it turns off, as the value it runs with:
 # the graph build reads gamma from here and SolverConfig beta and weight_on.
@@ -63,34 +64,6 @@ DEFAULT_LAM_GRID = (0.001, 0.1, 10.0)
 DEFAULT_BETA_GRID = (1e-05, 0.001, 0.1)
 DEFAULT_R_GRID = (2.0, 5.0, 9.0)
 DEFAULT_KNN_GRID = (5,)
-
-
-# The config file's keys: each section's keys, and the top-level ones that
-# are not sections, map to the ExperimentConfig field they set.
-_CONFIG_SECTIONS = {
-    "dataset": {
-        "views": "view_paths",
-        "availability": "availability_paths",
-        "labels": "label_path",
-        "normalize": "normalize",
-    },
-    "mask": {"protocol": "protocol", "rates": "rates", "repeats": "repeats"},
-    "solver": {
-        "lam": "lam_grid",
-        "beta": "beta_grid",
-        "r": "r_grid",
-        "k": "knn_grid",
-        "gamma": "gamma",
-        "max_iter": "max_iter",
-        "tol": "tol",
-    },
-    "metrics": {"restarts": "kmeans_restarts"},
-}
-_CONFIG_TOP_LEVEL = {
-    "clusters": "n_components",
-    "output": "output_dir",
-    "master_seed": "master_seed",
-}
 
 
 def _integer(key: str, value) -> int:
@@ -120,11 +93,54 @@ def _path(key: str, value) -> str:
     return os.fspath(value)
 
 
-def _list(key: str, values, convert) -> tuple:
-    """A config list, each value passed through convert."""
-    if not isinstance(values, (list, tuple)):
-        raise ValueError(f"{key} must be a list, got {values!r}")
-    return tuple(convert(key, value) for value in values)
+def _float(key: str, value) -> float:
+    """A config number, named by its key, as a float."""
+    return float(_number(key, value))
+
+
+def _list_of(convert):
+    """The check of a config list, each value passed through convert."""
+
+    def check(key: str, values) -> tuple:
+        if not isinstance(values, (list, tuple)):
+            raise ValueError(f"{key} must be a list, got {values!r}")
+        return tuple(convert(key, value) for value in values)
+
+    return check
+
+
+def _sidecars(key: str, values) -> Optional[tuple]:
+    """A list of availability paths; an empty one is None, no sidecars."""
+    return _list_of(_path)(key, values) or None
+
+
+def _as_is(key: str, value):
+    """A config value as given: the code that reads it checks it."""
+    return value
+
+
+# The config file's keys, each with its section (None: the top level), the
+# ExperimentConfig field it sets, and the check that converts its value.
+_CONFIG_KEYS = {
+    "views": ("dataset", "view_paths", _list_of(_path)),
+    "availability": ("dataset", "availability_paths", _sidecars),
+    "labels": ("dataset", "label_path", _path),
+    "normalize": ("dataset", "normalize", _as_is),
+    "protocol": ("mask", "protocol", _as_is),
+    "rates": ("mask", "rates", _list_of(_number)),
+    "repeats": ("mask", "repeats", _integer),
+    "lam": ("solver", "lam_grid", _list_of(_number)),
+    "beta": ("solver", "beta_grid", _list_of(_number)),
+    "r": ("solver", "r_grid", _list_of(_number)),
+    "k": ("solver", "knn_grid", _list_of(_integer)),
+    "gamma": ("solver", "gamma", _float),
+    "max_iter": ("solver", "max_iter", _integer),
+    "tol": ("solver", "tol", _float),
+    "restarts": ("metrics", "kmeans_restarts", _integer),
+    "clusters": (None, "n_components", _integer),
+    "output": (None, "output_dir", _path),
+    "master_seed": (None, "master_seed", _integer),
+}
 
 
 @dataclass(frozen=True)
@@ -152,34 +168,19 @@ class ExperimentConfig:
     master_seed: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "view_paths", _list("views", self.view_paths, _path))
-        if self.availability_paths is not None:  # an empty list of sidecars is None
-            paths = _list("availability", self.availability_paths, _path) or None
-            object.__setattr__(self, "availability_paths", paths)
-        if self.label_path is not None:
-            object.__setattr__(self, "label_path", _path("labels", self.label_path))
-        object.__setattr__(self, "output_dir", _path("output", self.output_dir))
-        object.__setattr__(self, "repeats", _integer("repeats", self.repeats))
-        object.__setattr__(self, "max_iter", _integer("max_iter", self.max_iter))
-        object.__setattr__(self, "kmeans_restarts", _integer("restarts", self.kmeans_restarts))
-        object.__setattr__(self, "master_seed", _integer("master_seed", self.master_seed))
-        object.__setattr__(self, "knn_grid", _list("k", self.knn_grid, _integer))
-        object.__setattr__(self, "lam_grid", _list("lam", self.lam_grid, _number))
-        object.__setattr__(self, "beta_grid", _list("beta", self.beta_grid, _number))
-        object.__setattr__(self, "r_grid", _list("r", self.r_grid, _number))
-        object.__setattr__(self, "gamma", float(_number("gamma", self.gamma)))
-        object.__setattr__(self, "tol", float(_number("tol", self.tol)))
-        if self.n_components is not None:
-            object.__setattr__(self, "n_components", _integer("clusters", self.n_components))
-            if self.n_components < 1:
-                raise ValueError(f"clusters must be at least 1, got {self.n_components}")
+        defaults = {f.name: f.default for f in fields(self)}
+        for key, (_, name, check) in _CONFIG_KEYS.items():
+            value = getattr(self, name)
+            if value is not None or defaults[name] is not None:  # None: not set
+                object.__setattr__(self, name, check(key, value))
+        if self.n_components is not None and self.n_components < 1:
+            raise ValueError(f"clusters must be at least 1, got {self.n_components}")
         if not self.view_paths:
             raise ValueError("config needs at least one view file")
         if self.protocol not in MASK_PROTOCOLS:
             raise ValueError(f"unknown protocol {self.protocol!r}")
         if self.rates is None:
             object.__setattr__(self, "rates", DEFAULT_RATES[self.protocol])
-        object.__setattr__(self, "rates", _list("rates", self.rates, _number))
         if not self.rates:
             raise ValueError("config needs at least one mask rate")
         # a rate names its trials' run ids and trace files
@@ -217,13 +218,14 @@ class ExperimentConfig:
         error, as is a config or a section that is not a JSON object."""
         if not isinstance(raw, dict):
             raise ValueError(f"config must be a JSON object, got {raw!r}")
-        top = {key: value for key, value in raw.items() if key not in _CONFIG_SECTIONS}
-        parts = [(None, top, _CONFIG_TOP_LEVEL)]
-        parts += [(s, raw.get(s, {}), keys) for s, keys in _CONFIG_SECTIONS.items()]
+        sections = dict.fromkeys(section for section, _, _ in _CONFIG_KEYS.values() if section)
+        top = {key: value for key, value in raw.items() if key not in sections}
         settings = {}
-        for section, values, keys in parts:
+        for section in (None, *sections):
+            values = raw.get(section, {}) if section else top
             if not isinstance(values, dict):
                 raise ValueError(f"section {section!r} must be a JSON object, got {values!r}")
+            keys = {key: name for key, (s, name, _) in _CONFIG_KEYS.items() if s == section}
             unknown = set(values) - set(keys)
             if unknown:
                 where = f" in section {section!r}" if section else ""
@@ -526,14 +528,14 @@ def run_experiment(
     and no limit on k).
 
     Trials run group by group, in sorted (rate, repeat, k) order. Each
-    group's trials are split into min(workers, trials) contiguous chunks (one
-    chunk for one worker); each chunk builds the group's mask and graphs and
-    runs its fits in lockstep as one fit call. With workers > 1 the chunks
-    are handed out in that order, one at a time, to min(workers, trials)
-    worker processes (forked where the platform allows, else spawned); one
-    worker, or one trial, runs in this process. A group's build is
-    deterministic, a fit in a batch gives what it gives alone, and rows are
-    collected in sweep order, so the output does not depend on workers.
+    group's trials are dealt into min(workers, trials) strided chunks (chunk
+    j holds rows j, j + workers, ...); each chunk builds the group's mask and
+    graphs and runs its fits in lockstep as one fit call. With workers > 1
+    the chunks are handed out in that order, one at a time, to min(workers,
+    trials) worker processes (forked where the platform allows, else
+    spawned); one worker, or one trial, runs in this process. A group's
+    build is deterministic, a fit in a batch gives what it gives alone, and
+    rows are put back by id, so the output does not depend on workers.
     """
     if ablation is not None and ablation not in ABLATIONS:
         raise ValueError(f"unknown ablation {ablation!r}; expected one of {ABLATIONS}")
@@ -569,12 +571,9 @@ def run_experiment(
     # stable: each group's trials keep their sweep order
     order = sorted(range(len(pending)), key=lambda i: _group(pending[i]))
     processes = min(workers, len(pending))
-    chunks = [
-        [pending[i] for i in chunk]
-        for _, members in itertools.groupby(order, key=lambda i: _group(pending[i]))
-        for chunk in np.array_split(list(members), processes)
-        if chunk.size
-    ]
+    groups = [list(rows) for _, rows in itertools.groupby(order, key=lambda i: _group(pending[i]))]
+    chunk_ids = [rows[j::processes] for rows in groups for j in range(min(processes, len(rows)))]
+    chunks = [[pending[i] for i in ids] for ids in chunk_ids]
     if processes > 1:
         # fork where the platform has it: a forked worker starts at once with
         # this process's imports and dataset, a spawned one first re-imports
@@ -590,8 +589,9 @@ def run_experiment(
     else:
         sweep = _Sweep(base, cfg, keep_states)
         results = [_run_trial(sweep, chunk) for chunk in chunks]
-    for i, outcome in zip(order, itertools.chain.from_iterable(results)):
-        pending[i] = outcome
+    for ids, done in zip(chunk_ids, results):
+        for i, outcome in zip(ids, done):
+            pending[i] = outcome
 
     return [
         _aggregate(pending[start : start + cfg.repeats])
@@ -599,12 +599,8 @@ def run_experiment(
     ]
 
 
-def _cell(row, name: str) -> str:
-    """One CSV cell: floats as repr, None empty, and the error text, the one
-    cell that can hold a comma, quoted with its own quotes made apostrophes."""
-    value = getattr(row, name)
-    if name == "error":
-        return '"%s"' % value.replace('"', "'") if value else ""
+def _cell(value) -> str:
+    """One CSV cell: floats as repr, None empty, anything else as str."""
     if value is None:
         return ""
     if isinstance(value, float):
@@ -612,10 +608,18 @@ def _cell(row, name: str) -> str:
     return str(value)
 
 
-def _write_csv(path: Path, columns: Sequence[str], rows) -> None:
-    lines = [",".join(columns)]
-    lines += [",".join(_cell(row, name) for name in columns) for row in rows]
+def _write_csv(path: Path, header: Sequence[str], rows) -> None:
+    lines = [",".join(header)]
+    lines += [",".join(_cell(value) for value in row) for row in rows]
     path.write_text("\n".join(lines) + "\n")
+
+
+def _row(record, columns: Sequence[str]) -> list:
+    """The record's values in columns. Its error text, the one cell that can
+    hold a comma, is quoted, with its own double quotes made apostrophes."""
+    error = getattr(record, "error", "")
+    quoted = '"%s"' % error.replace('"', "'") if error else ""
+    return [quoted if name == "error" else getattr(record, name) for name in columns]
 
 
 def write_results(records: Sequence[RunRecord], out_dir: str | Path, cfg: ExperimentConfig) -> dict:
@@ -623,9 +627,10 @@ def write_results(records: Sequence[RunRecord], out_dir: str | Path, cfg: Experi
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     trials_path = out / "trials.csv"
-    _write_csv(trials_path, _TRIAL_COLUMNS, [t for rec in records for t in rec.trials])
+    trials = (t for rec in records for t in rec.trials)
+    _write_csv(trials_path, _TRIAL_COLUMNS, (_row(t, _TRIAL_COLUMNS) for t in trials))
     aggregate_path = out / "aggregate.csv"
-    _write_csv(aggregate_path, _AGGREGATE_COLUMNS, records)
+    _write_csv(aggregate_path, _AGGREGATE_COLUMNS, (_row(r, _AGGREGATE_COLUMNS) for r in records))
 
     import scipy
 
@@ -652,9 +657,18 @@ def write_results(records: Sequence[RunRecord], out_dir: str | Path, cfg: Experi
     }
 
 
+def write_trace(state: SolverState, path: str | Path) -> None:
+    """Write one fit's traces as CSV: one row per iteration t of the state's
+    objective_trace, with t, the objective, e per view and weight per view."""
+    l = state.weights.size
+    header = ["iteration", "objective", *(f"e_{v}" for v in range(l))]
+    header += [f"alpha_{v}" for v in range(l)]
+    table = np.column_stack([state.objective_trace, state.cost_trace, state.weight_trace])
+    _write_csv(Path(path), header, ([t, *row] for t, row in enumerate(table.tolist())))
+
+
 def write_traces(records: Sequence[RunRecord], out_dir: str | Path) -> list[str]:
-    """One trace_<runid>.csv per kept solver state, as written by
-    solver.write_trace (iteration, objective, e_v..., alpha_v...)."""
+    """One trace_<runid>.csv per kept solver state, as write_trace writes it."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     paths = []

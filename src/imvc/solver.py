@@ -13,8 +13,9 @@ through that view's fused graph W. The total cost is
 with simplex view weights a (smoothed by the exponent r > 1). Each of the four
 blocks (consensus Q, bases U, codes P, weights a) has a closed-form minimizer,
 so one sweep per iteration never increases the cost. fit always starts from
-initialize; its result is the in-memory SolverState, whose per-iteration
-traces write_trace dumps as CSV.
+initialize; its result is the in-memory SolverState, with its per-iteration
+traces (the harness's write_trace writes them as CSV). This module does no
+file I/O.
 
 fit runs a batch of fits that share one masked dataset, its graphs and the
 latent dimension (in the harness, one (rate, repeat, k) group's (lam, beta,
@@ -55,7 +56,6 @@ from __future__ import annotations
 import time
 from collections import ChainMap
 from dataclasses import dataclass, field, replace
-from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
@@ -518,20 +518,3 @@ def fit(
             it += 1
 
     return tuple(replace(state, seconds=float(t)) for state, t in zip(results, seconds))
-
-
-def write_trace(state: SolverState, path: str | Path) -> None:
-    """Dump (iteration, objective, e per view, weight per view) as CSV."""
-    l = state.weights.size
-    header = (
-        ["iteration", "objective"]
-        + [f"e_{v}" for v in range(l)]
-        + [f"alpha_{v}" for v in range(l)]
-    )
-    lines = [",".join(header)]
-    for t, value in enumerate(state.objective_trace):
-        row = [str(t), repr(float(value))]
-        row += [repr(float(e)) for e in state.cost_trace[t]]
-        row += [repr(float(a)) for a in state.weight_trace[t]]
-        lines.append(",".join(row))
-    Path(path).write_text("\n".join(lines) + "\n")

@@ -6,7 +6,7 @@ import os
 import re
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -20,8 +20,8 @@ from imvc import (
     write_results,
     write_traces,
 )
-from imvc.harness import TrialOutcome, _aggregate, derive_seed, load_base
-from imvc.solver import SolverConfig, initialize, write_trace
+from imvc.harness import TrialOutcome, _aggregate, derive_seed, load_base, write_trace
+from imvc.solver import SolverConfig, SolverState, initialize
 
 from synthetic import multiview_blobs
 
@@ -240,6 +240,29 @@ def test_sweep_builds_mask_and_graphs_once_per_chunk(data_dir, tmp_path, monkeyp
         assert builds == groups * min(workers, 4)
         outputs.append([(out / name).read_bytes() for name in ("trials.csv", "aggregate.csv")])
     assert outputs[0] == outputs[1] == outputs[2]
+
+
+def test_sweep_deals_each_group_into_strided_chunks(data_dir, tmp_path, monkeypatch):
+    root, paths = data_dir
+    log = tmp_path / "chunks.log"
+    real = imvc.harness._run_trial
+
+    def logged(sweep, chunk):
+        # an O_APPEND file, as forked workers cannot append to the test's lists
+        with open(log, "a") as fh:
+            fh.write(" ".join(t.run_id for t in chunk) + "\n")
+        return real(sweep, chunk)
+
+    monkeypatch.setattr(imvc.harness, "_run_trial", logged)
+    lam = [0.1, 0.2, 0.5, 1.0, 2.0, 5.0, 10.0]  # one group of 7 trials, in rows g000-g006
+    solver = {"lam": lam, "beta": [0.001], "r": [3.0], "k": [5], "max_iter": 20}
+    cfg = make_config(paths, tmp_path / "out", mask={"repeats": 1}, solver=solver)
+    run_experiment(cfg, workers=3)
+    chunks = {
+        frozenset(int(run_id.split("-")[1][1:]) for run_id in line.split())
+        for line in log.read_text().splitlines()
+    }
+    assert chunks == {frozenset({0, 3, 6}), frozenset({1, 4}), frozenset({2, 5})}
 
 
 def test_failed_group_build_gives_each_trial_its_error(data_dir, tmp_path):
@@ -493,6 +516,24 @@ def test_trace_header_only_for_fresh_state(data_dir, tmp_path):
     assert path.read_text() == "iteration,objective,e_0,alpha_0\n"
 
 
+def test_trace_row_text(tmp_path):
+    # the text of one row: the iteration as an int, every value as its repr
+    state = SolverState(
+        bases=(),
+        codes=(),
+        consensus=np.zeros((1, 2)),
+        weights=np.array([0.1, 0.0]),
+        objective_trace=np.array([0.1]),
+        cost_trace=np.array([[1e-300, 0.0]]),
+        weight_trace=np.array([[0.1, 0.0]]),
+    )
+    path = tmp_path / "trace.csv"
+    write_trace(state, path)
+    assert path.read_text() == (
+        "iteration,objective,e_0,e_1,alpha_0,alpha_1\n0,0.1,1e-300,0.0,0.1,0.0\n"
+    )
+
+
 # --------------------------------------------------------------------- config
 
 
@@ -585,6 +626,11 @@ def test_config_rejects_bad_values(section, key, value, message):
         raw[section] = {key: value}
     with pytest.raises(ValueError, match=re.escape(message)):
         ExperimentConfig.from_dict(raw)
+
+
+def test_config_table_sets_each_field_once():
+    names = [name for _, name, _ in imvc.harness._CONFIG_KEYS.values()]
+    assert sorted(names) == sorted(f.name for f in fields(ExperimentConfig))
 
 
 def test_config_takes_integral_floats():

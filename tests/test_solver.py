@@ -1,7 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 import imvc.solver
+from imvc.dataset import MultiViewDataset, ViewMatrix
+from imvc.graph import build_fused_graphs
+from imvc.harness import write_trace
 from imvc.solver import (
     SolverConfig,
     SolverState,
@@ -10,7 +15,6 @@ from imvc.solver import (
     objective,
     state_costs,
     update_weights,
-    write_trace,
 )
 
 from synthetic import (
@@ -472,6 +476,31 @@ def test_fit_trace_starts_at_initial_objective():
     cfg = SolverConfig(lam=1.0, beta=0.01, r=2.0, n_components=2, seed=2, max_iter=5)
     state = lone_fit(ds, graphs, cfg)
     assert state.objective_trace[0] == objective(ds, graphs, initialize(ds, cfg), cfg)
+
+
+def test_fit_on_a_zero_cost_view_fails_as_infeasible():
+    # view 1 is all zeros, so its cost is 0 and update_weights gives it all
+    # the weight; samples 0-9, held by view 0 alone, then carry none, and the
+    # next consensus update fails the fit with its state from before that sweep
+    rng = np.random.default_rng(0)
+    views = (
+        ViewMatrix(view_id=0, data=rng.normal(size=(4, 10))),
+        ViewMatrix(view_id=1, data=np.zeros((4, 10))),
+    )
+    ds = MultiViewDataset(views=views, n=20, availability=(np.arange(10), np.arange(10, 20)))
+    graphs = build_fused_graphs(ds, gamma=0.0)
+    cfg = SolverConfig(lam=1.0, beta=0.0, r=2.0, n_components=2)
+    (state,) = fit(ds, graphs, [cfg])
+    assert state.n_iterations == 1
+    assert np.array_equal(state.weights, [0.0, 1.0])
+    assert isinstance(state.error, ValueError)
+    assert str(state.error) == (
+        "sample 0 carries no positive weight in any view (a_v^r is 0 at r=2.0 for "
+        "view(s) 0); the consensus update is infeasible"
+    )
+    (state,) = fit(ds, graphs, [replace(cfg, weight_on=False)])
+    assert state.error is None
+    assert np.array_equal(state.weights, [0.5, 0.5])
 
 
 def test_doubling_lam_never_shrinks_graph_share():
