@@ -25,6 +25,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 MASK_PROTOCOLS = ("random-missing", "paired-sample")
+NORMALIZE_MODES = ("none", "unit-l2-column", "zscore-row")
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -360,6 +361,8 @@ def normalize_views(ds: MultiViewDataset, mode: str = "none") -> MultiViewDatase
     unit norm; zero columns are left unchanged), 'zscore-row' (each feature row
     centered and scaled; constant rows become zero).
     """
+    if mode not in NORMALIZE_MODES:
+        raise ValueError(f"unknown normalization mode {mode!r}; expected one of {NORMALIZE_MODES}")
     if mode == "none":
         return ds
     views = []
@@ -368,15 +371,10 @@ def normalize_views(ds: MultiViewDataset, mode: str = "none") -> MultiViewDatase
         if mode == "unit-l2-column":
             norms = np.linalg.norm(data, axis=0)
             data = data / np.where(norms == 0.0, 1.0, norms)
-        elif mode == "zscore-row":
+        else:  # zscore-row
             mean = data.mean(axis=1, keepdims=True)
             std = data.std(axis=1, keepdims=True)
             data = (data - mean) / np.where(std == 0.0, 1.0, std)
-        else:
-            raise ValueError(
-                f"unknown normalization mode {mode!r}; expected 'none', "
-                "'unit-l2-column' or 'zscore-row'"
-            )
         views.append(ViewMatrix(view_id=view.view_id, data=data))
     return MultiViewDataset(
         views=tuple(views), n=ds.n, availability=ds.availability, labels=ds.labels

@@ -1,20 +1,20 @@
 """Experiment harness: crossed sweeps over masks and solver parameters.
 
-A declarative JSON config (its keys in the one table _CONFIG_KEYS) describes
-the dataset files, the masking protocol (rates x repeats), the solver grid and
-the scoring setup. Each trial runs the full pipeline (mask, graphs, solver,
-k-means, scores) and lands as one row in trials.csv; per-grid-point aggregates
-go to aggregate.csv, and kept traces to trace_<runid>.csv, all through one CSV
-writer; the resolved config goes to manifest.json. Given one machine and one
-master seed, every output file is byte-identical across runs.
+A declarative JSON config describes the dataset files, the masking protocol
+(rates x repeats), the solver grid and the scoring setup; each key's row in
+_CONFIG_KEYS is its whole rule. Each trial runs the full pipeline (mask,
+graphs, solver, k-means, scores) into one row of trials.csv; one CSV writer
+writes it, the per-grid-point aggregate.csv and the kept traces (failed
+fits' too) as trace_<runid>.csv. The resolved config goes to manifest.json.
+One machine and one master seed give byte-identical output files.
 
 The mask depends only on (rate, repeat) and the graphs only on the mask and
-k, so run_experiment runs the trials group by group. A group's trials run in
-strided chunks, and each chunk builds the group's mask and graphs itself and
-runs its fits in lockstep as one solver.fit call. The output columns are the
-fields of TrialOutcome (trials.csv) and RunRecord (aggregate.csv) in order,
-less the in-memory ones; each ablation is the one model switch in _VARIANTS
-that it turns off.
+k, so run_experiment groups the rows by (rate, repeat, k) as it makes them
+and runs the groups in sorted order, each in strided chunks; each chunk
+builds the group's mask and graphs and runs its fits as one solver.fit call.
+The output columns are the fields of TrialOutcome (trials.csv) and RunRecord
+(aggregate.csv) in order, less the in-memory ones; each ablation is the one
+model switch in _VARIANTS that it turns off.
 """
 
 from __future__ import annotations
@@ -37,6 +37,7 @@ import numpy as np
 
 from .dataset import (
     MASK_PROTOCOLS,
+    NORMALIZE_MODES,
     MaskSpec,
     MultiViewDataset,
     apply_mask,
@@ -98,12 +99,36 @@ def _float(key: str, value) -> float:
     return float(_number(key, value))
 
 
-def _list_of(convert):
-    """The check of a config list, each value passed through convert."""
+def _rule(convert, ok, bound: str):
+    """The check of a config value that convert converts and ok must accept;
+    bound is the rule as the error states it."""
+
+    def check(key: str, value):
+        value = convert(key, value)
+        if not ok(value):
+            raise ValueError(f"{key} must be {bound}, got {value!r}")
+        return value
+
+    return check
+
+
+def _one_of(choices: tuple):
+    """The check of a config value that must be one of choices."""
+    return _rule(lambda key, value: value, choices.__contains__, f"one of {choices}")
+
+
+_count = _rule(_integer, lambda n: n >= 1, "at least 1")
+
+
+def _list_of(convert, empty: Optional[str] = "empty {} grid"):
+    """The check of a config list, each value passed through convert. empty
+    is the error of an empty list, formatted with the key; None allows one."""
 
     def check(key: str, values) -> tuple:
         if not isinstance(values, (list, tuple)):
             raise ValueError(f"{key} must be a list, got {values!r}")
+        if empty is not None and not values:
+            raise ValueError(empty.format(key))
         return tuple(convert(key, value) for value in values)
 
     return check
@@ -111,33 +136,37 @@ def _list_of(convert):
 
 def _sidecars(key: str, values) -> Optional[tuple]:
     """A list of availability paths; an empty one is None, no sidecars."""
-    return _list_of(_path)(key, values) or None
+    return _list_of(_path, None)(key, values) or None
 
 
-def _as_is(key: str, value):
-    """A config value as given: the code that reads it checks it."""
-    return value
+def _rates(key: str, values) -> tuple:
+    """Mask rates, each given once: a rate names its trials' run ids."""
+    rates = _list_of(_number, "config needs at least one mask rate")(key, values)
+    if len(set(rates)) < len(rates):
+        raise ValueError(f"{key} must be distinct, got {list(rates)}")
+    return rates
 
 
 # The config file's keys, each with its section (None: the top level), the
-# ExperimentConfig field it sets, and the check that converts its value.
+# ExperimentConfig field it sets, and the check that converts its value and
+# enforces its bounds: the whole of the key's own rule.
 _CONFIG_KEYS = {
-    "views": ("dataset", "view_paths", _list_of(_path)),
+    "views": ("dataset", "view_paths", _list_of(_path, "config needs at least one view file")),
     "availability": ("dataset", "availability_paths", _sidecars),
     "labels": ("dataset", "label_path", _path),
-    "normalize": ("dataset", "normalize", _as_is),
-    "protocol": ("mask", "protocol", _as_is),
-    "rates": ("mask", "rates", _list_of(_number)),
-    "repeats": ("mask", "repeats", _integer),
+    "normalize": ("dataset", "normalize", _one_of(NORMALIZE_MODES)),
+    "protocol": ("mask", "protocol", _one_of(MASK_PROTOCOLS)),
+    "rates": ("mask", "rates", _rates),
+    "repeats": ("mask", "repeats", _count),
     "lam": ("solver", "lam_grid", _list_of(_number)),
     "beta": ("solver", "beta_grid", _list_of(_number)),
     "r": ("solver", "r_grid", _list_of(_number)),
-    "k": ("solver", "knn_grid", _list_of(_integer)),
-    "gamma": ("solver", "gamma", _float),
+    "k": ("solver", "knn_grid", _list_of(_count)),
+    "gamma": ("solver", "gamma", _rule(_float, lambda g: g >= 0, "non-negative")),
     "max_iter": ("solver", "max_iter", _integer),
     "tol": ("solver", "tol", _float),
-    "restarts": ("metrics", "kmeans_restarts", _integer),
-    "clusters": (None, "n_components", _integer),
+    "restarts": ("metrics", "kmeans_restarts", _count),
+    "clusters": (None, "n_components", _count),
     "output": (None, "output_dir", _path),
     "master_seed": (None, "master_seed", _integer),
 }
@@ -173,39 +202,13 @@ class ExperimentConfig:
             value = getattr(self, name)
             if value is not None or defaults[name] is not None:  # None: not set
                 object.__setattr__(self, name, check(key, value))
-        if self.n_components is not None and self.n_components < 1:
-            raise ValueError(f"clusters must be at least 1, got {self.n_components}")
-        if not self.view_paths:
-            raise ValueError("config needs at least one view file")
-        if self.protocol not in MASK_PROTOCOLS:
-            raise ValueError(f"unknown protocol {self.protocol!r}")
+        # the rules that join keys: the protocol's default rates, the mask's
+        # checks of each rate, and the solver's of each grid point (lam, beta,
+        # r, max_iter, tol; the cluster count may come from the labels later)
         if self.rates is None:
             object.__setattr__(self, "rates", DEFAULT_RATES[self.protocol])
-        if not self.rates:
-            raise ValueError("config needs at least one mask rate")
-        # a rate names its trials' run ids and trace files
-        if len(set(self.rates)) < len(self.rates):
-            raise ValueError(f"rates must be distinct, got {list(self.rates)}")
-        for rate in self.rates:  # the mask's own checks of each rate
+        for rate in self.rates:
             MaskSpec(protocol=self.protocol, rate=rate)
-        if self.repeats < 1:
-            raise ValueError("repeats must be at least 1")
-        for name, grid in (
-            ("lam", self.lam_grid),
-            ("beta", self.beta_grid),
-            ("r", self.r_grid),
-            ("k", self.knn_grid),
-        ):
-            if not grid:
-                raise ValueError(f"empty {name} grid")
-        if min(self.knn_grid) < 1:
-            raise ValueError(f"k must be at least 1, got {min(self.knn_grid)}")
-        if self.gamma < 0:
-            raise ValueError(f"gamma must be non-negative, got {self.gamma}")
-        if self.kmeans_restarts < 1:
-            raise ValueError(f"restarts must be at least 1, got {self.kmeans_restarts}")
-        # the solver's own checks of lam, beta, r, max_iter and tol, on every
-        # grid point; the cluster count may come from the labels later
         for lam, beta, r in itertools.product(self.lam_grid, self.beta_grid, self.r_grid):
             SolverConfig(
                 lam=lam, beta=beta, r=r, n_components=1, max_iter=self.max_iter, tol=self.tol
@@ -329,12 +332,6 @@ def _aggregate(trials: Sequence[TrialOutcome]) -> RunRecord:
     )
 
 
-def _group(trial: TrialOutcome) -> tuple:
-    """The trial's (rate, repeat, k) group: the trials that share one mask
-    and one set of fused graphs."""
-    return trial.rate, trial.repeat, trial.k
-
-
 @dataclass(frozen=True)
 class _Sweep:
     """One sweep (one variant) as the process that runs its trials holds it:
@@ -355,7 +352,8 @@ def _error(exc: Exception) -> str:
 def _scored(
     sweep: _Sweep, outcome: TrialOutcome, state: SolverState, n_components: int
 ) -> TrialOutcome:
-    """The outcome of one fitted trial: its k-means scores, or its error."""
+    """One fitted trial's k-means scores, or its error, and its state if the sweep keeps states."""
+    outcome = replace(outcome, state=state if sweep.keep_states else None)
     if state.error is not None:
         return replace(outcome, error=_error(state.error))
     try:
@@ -374,7 +372,6 @@ def _scored(
         acc=scores.acc,
         nmi=scores.nmi,
         purity=scores.purity,
-        state=state if sweep.keep_states else None,
     )
 
 
@@ -545,10 +542,13 @@ def run_experiment(
     base = load_base(cfg)
     grid = itertools.product(cfg.lam_grid, cfg.beta_grid, cfg.r_grid, cfg.knn_grid)
     pending: list[TrialOutcome] = []
+    # the row ids of each (rate, repeat, k) group: one mask, one set of graphs
+    groups: dict[tuple, list[int]] = {}
     for gi, (lam, beta, r, k) in enumerate(grid):
         grid_key = f"lam={lam!r},beta={beta!r},r={r!r},k={k!r}"
         for rate in cfg.rates:
             for rep in range(cfg.repeats):
+                groups.setdefault((float(rate), rep, k), []).append(len(pending))
                 pending.append(
                     TrialOutcome(
                         run_id=f"{variant}-g{gi:03d}-r{_rate_tag(rate)}-t{rep:02d}",
@@ -568,11 +568,12 @@ def run_experiment(
                     )
                 )
 
-    # stable: each group's trials keep their sweep order
-    order = sorted(range(len(pending)), key=lambda i: _group(pending[i]))
     processes = min(workers, len(pending))
-    groups = [list(rows) for _, rows in itertools.groupby(order, key=lambda i: _group(pending[i]))]
-    chunk_ids = [rows[j::processes] for rows in groups for j in range(min(processes, len(rows)))]
+    chunk_ids = [
+        ids[j::processes]
+        for _, ids in sorted(groups.items())
+        for j in range(min(processes, len(ids)))
+    ]
     chunks = [[pending[i] for i in ids] for ids in chunk_ids]
     if processes > 1:
         # fork where the platform has it: a forked worker starts at once with

@@ -218,6 +218,8 @@ def test_cli_reports_a_rejected_config_in_one_line(workspace, tmp_path, capsys, 
         ("dataset", "views", [7], "views must be a path, got 7"),
         ("dataset", "availability", "a.csv", "availability must be a list, got 'a.csv'"),
         ("dataset", "availability", [None], "availability must be a path, got None"),
+        # before run makes its output directory, not when the data is normalized
+        ("dataset", "normalize", "minmax", "normalize must be one of"),
     ],
 )
 def test_cli_reports_a_bad_config_value_in_one_line(

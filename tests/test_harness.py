@@ -265,6 +265,33 @@ def test_sweep_deals_each_group_into_strided_chunks(data_dir, tmp_path, monkeypa
     assert chunks == {frozenset({0, 3, 6}), frozenset({1, 4}), frozenset({2, 5})}
 
 
+def test_sweep_runs_groups_in_sorted_order(data_dir, tmp_path, monkeypatch):
+    # rates and k given out of order: the groups run in sorted (rate, repeat,
+    # k) order, not in the order their first rows are made, and the rows come
+    # back in row order
+    root, paths = data_dir
+    log = []
+    real = imvc.harness._run_trial
+
+    def logged(sweep, chunk):
+        log.append({(t.rate, t.repeat, t.k) for t in chunk})
+        return real(sweep, chunk)
+
+    monkeypatch.setattr(imvc.harness, "_run_trial", logged)
+    solver = {"lam": [0.5, 2.0], "beta": [0.001], "r": [3.0], "k": [5, 3], "max_iter": 20}
+    cfg = make_config(paths, tmp_path / "out", mask={"rates": [0.5, 0.1]}, solver=solver)
+    records = run_experiment(cfg)
+    assert log == [{(rate, rep, k)} for rate in (0.1, 0.5) for rep in (0, 1) for k in (3, 5)]
+    rows = [(t.k, t.lam, t.rate, t.repeat) for rec in records for t in rec.trials]
+    assert rows == [
+        (k, lam, rate, rep)
+        for lam in (0.5, 2.0)
+        for k in (5, 3)
+        for rate in (0.5, 0.1)
+        for rep in (0, 1)
+    ]
+
+
 def test_failed_group_build_gives_each_trial_its_error(data_dir, tmp_path):
     root, paths = data_dir
     solver = {"lam": [0.5, 2.0], "beta": [0.001], "r": [3.0], "k": [5, 40, 22], "max_iter": 30}
@@ -507,6 +534,29 @@ def test_trace_file_shape_and_roundtrip(data_dir, tmp_path):
     assert all(b <= a * (1 + 1e-9) for a, b in zip(values, values[1:]))
 
 
+def test_write_traces_writes_failed_fits_too(data_dir, tmp_path):
+    # at r=1e6 every a_v^r underflows to 0, so those fits fail in their first
+    # sweep; each keeps its state, whose traces hold the initial one, and
+    # writes its trace file, the same at 1 and 2 workers
+    root, paths = data_dir
+    cfg = make_config(paths, tmp_path / "out", solver={"r": [3.0, 1e6]})
+    outputs = []
+    for workers in (1, 2):
+        records = run_experiment(cfg, workers=workers, keep_states=True)
+        trials = [t for rec in records for t in rec.trials]
+        assert [t.r for t in trials if t.error] == [1e6, 1e6]
+        assert all("the consensus update is infeasible" in t.error for t in trials if t.error)
+        written = write_traces(records, tmp_path / f"traces{workers}")
+        assert [Path(p).name for p in written] == [f"trace_{t.run_id}.csv" for t in trials]
+        for t, path in zip(trials, written):
+            rows = Path(path).read_text().splitlines()[1:]  # iterations 0 .. n_iterations
+            assert len(rows) == t.state.n_iterations + 1
+            assert t.iterations == (0 if t.error else t.state.n_iterations)
+            assert t.state.n_iterations == 0 or not t.error  # the failed fits end in sweep 1
+        outputs.append([Path(p).read_bytes() for p in written])
+    assert outputs[0] == outputs[1]
+
+
 def test_trace_header_only_for_fresh_state(data_dir, tmp_path):
     full = multiview_blobs(n=20, n_clusters=2, dims=(4,), noise=0.3, seed=6)
     cfg = SolverConfig(lam=1.0, beta=0.01, r=2.0, n_components=2, seed=0)
@@ -614,6 +664,19 @@ def test_config_validation_errors():
         ("solver", "gamma", "1", "gamma must be a finite number, got '1'"),
         ("solver", "lam", 0.1, "lam must be a list, got 0.1"),
         ("mask", "rates", [-0.1], "rate must lie in [0, 1], got -0.1"),
+        # names checked at load, not when the data is normalized or masked
+        (
+            "dataset",
+            "normalize",
+            "minmax",
+            "normalize must be one of ('none', 'unit-l2-column', 'zscore-row'), got 'minmax'",
+        ),
+        (
+            "mask",
+            "protocol",
+            "random",
+            "protocol must be one of ('random-missing', 'paired-sample'), got 'random'",
+        ),
     ],
 )
 def test_config_rejects_bad_values(section, key, value, message):
@@ -623,9 +686,13 @@ def test_config_rejects_bad_values(section, key, value, message):
     if section is None:
         raw[key] = value
     else:
-        raw[section] = {key: value}
+        raw.setdefault(section, {})[key] = value
     with pytest.raises(ValueError, match=re.escape(message)):
         ExperimentConfig.from_dict(raw)
+    # the key's table row holds its rule, so direct construction says the same
+    field = imvc.harness._CONFIG_KEYS[key][1]
+    with pytest.raises(ValueError, match=re.escape(message)):
+        ExperimentConfig(view_paths=("v.csv",), **{field: value})
 
 
 def test_config_table_sets_each_field_once():
