@@ -30,11 +30,12 @@ norm and that bound. They, and the sampled pairs in a band around sigma's
 middle ranks, are then recomputed exactly, feature by feature, in cdist's
 own order of summation; sampled points whose norm is far above both the
 median norm and the sample's typical distance (they would widen sigma's
-uniform band) are paired exactly instead. A row whose k-th and (k+1)-th
-exact candidates tie falls back to a full cdist row and argpartition, so
-ties are broken as the plain search breaks them. The kernel is evaluated on
-the n_v * k kNN pairs only. A view whose squared distances could overflow
-float64 is rejected before any of this.
+uniform band) are paired exactly instead. Among equal exact distances the
+lower column index wins, so a tie at a row's k-th place has one answer on
+every host. The kernel is evaluated on the n_v * k kNN pairs only, with
+np.exp, whose last bit may still follow the SIMD code NumPy dispatches to.
+A view whose squared distances could overflow float64 is rejected before
+any of this.
 """
 
 from __future__ import annotations
@@ -44,7 +45,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.spatial.distance import cdist, pdist
 
 from .dataset import ViewMatrix, _readonly
 
@@ -180,28 +180,16 @@ def _candidates(a: np.ndarray, sqn: np.ndarray, k: int, kappa: float, tau: float
     return np.divmod(flat, a.shape[1])
 
 
-def _nearest(data, pts, rows, cols, lo, hi, k):
+def _nearest(data, rows, cols, lo, hi, k):
     """The k nearest neighbors of rows lo:hi and their exact squared
-    distances, from candidate pairs (rows, cols) that hold them.
-
-    A row whose k-th and (k+1)-th exact candidates tie redoes the full row
-    with cdist and argpartition, so the tie is broken as argpartition over
-    all exact distances breaks it.
-    """
+    distances, from candidate pairs (rows, cols) that hold them; among equal
+    distances the lower column comes first."""
     exact = _sq_distances(data, rows, cols)
-    order = np.lexsort((exact, rows))
+    order = np.lexsort((cols, exact, rows))
     cols, exact = cols[order], exact[order]
     counts = np.bincount(rows - lo, minlength=hi - lo)
-    first = np.cumsum(counts) - counts
-    take = first[:, None] + np.arange(k)
-    nb, sq = cols[take], exact[take]
-    after = exact[np.minimum(first + k, exact.size - 1)]
-    for i in np.flatnonzero((counts > k) & (after == sq[:, -1])):
-        row = cdist(pts[lo + i : lo + i + 1], pts, metric="sqeuclidean")
-        row[0, lo + i] = np.inf
-        nb[i] = np.argpartition(row, k - 1, axis=1)[0, :k]
-        sq[i] = row[0, nb[i]]
-    return nb, sq
+    take = (np.cumsum(counts) - counts)[:, None] + np.arange(k)
+    return cols[take], exact[take]
 
 
 def _median_distance(data, sample, approx, slack, rest, scale) -> float:
@@ -243,6 +231,7 @@ def gaussian_knn_graph(view: ViewMatrix, k: int = 5) -> tuple[sp.csr_array, floa
 
     s[i, j] = exp(-||x_i - x_j||^2 / (2 sigma^2)) whenever j is among the k
     nearest neighbors of i or vice versa, 0 elsewhere; the diagonal is 0.
+    Among neighbors at equal distance the lower column index comes first.
     sigma is the median pairwise Euclidean distance; views above 2000
     instances take it over 2000 evenly spaced ones, which keeps it
     deterministic.
@@ -257,8 +246,9 @@ def gaussian_knn_graph(view: ViewMatrix, k: int = 5) -> tuple[sp.csr_array, floa
     groups) and its norm; they and the pairs near sigma's middle ranks are
     recomputed exactly, and the few sampled points much farther from the
     centre than both the median one and the sample's typical distance are
-    paired exactly for sigma. A row whose k-th place is tied is redone with
-    a full cdist row and argpartition.
+    paired exactly for sigma. The neighbors and sigma do not depend on the
+    SIMD code NumPy dispatches to; S's values go through np.exp, whose last
+    bit may.
 
     Raises ValueError, before any numpy warning, when k is out of range,
     when the view's squared distances could overflow float64 (the sum of its
@@ -286,7 +276,7 @@ def gaussian_knn_graph(view: ViewMatrix, k: int = 5) -> tuple[sp.csr_array, floa
             f"view {view.view_id}: {m} features, the kNN screen allows fewer "
             f"than {_MAX_FEATURES}"
         )
-    pts = np.ascontiguousarray(data.T)  # cdist would copy it per call
+    pts = np.ascontiguousarray(data.T)  # instances x features, rows contiguous
     centre = low + (pts - low).mean(axis=0)  # no sum can overflow
     # the largest |fl(x - centre)|, as rounding is monotone
     peak = max(float(np.max(high - centre)), float(np.max(centre - low)))
@@ -314,13 +304,17 @@ def gaussian_knn_graph(view: ViewMatrix, k: int = 5) -> tuple[sp.csr_array, floa
     # underflow: 2^-149 per float32 operation, 2^-1074 per float64 one scaled
     # by 2^(2 shift) (capped where it already passes every screened value).
     #
-    # kNN. Let b_i be at or above the k-th smallest a_i., and j among the k
-    # nearest of i. Of the k columns l with a_il <= b_i one has E_il >= E_ij,
-    # so by (2) twice a_ij <= a_il + 2 kappa (n_i^2 + n_l^2) + 2 tau. By (1),
-    # P_il <= B_i + 2 kappa n_l^2 with B_i = b_i + (1 + kappa) n_i^2 + tau, so
-    # n_l <= n_i + sqrt(P_il) gives n_l <= N_i = (n_i + sqrt(max(B_i, 0))) /
-    # (1 - sqrt(2 kappa)): every such j has a_ij <= b_i + 2 kappa (n_i^2 +
-    # N_i^2) + 2 tau, a threshold from row i alone.
+    # kNN. Let b_i be at or above the k-th smallest a_i., and j a column with
+    # E_ij at most the row's k-th smallest E_i. (own column left out). Of the
+    # k columns l with a_il <= b_i one has E_il >= E_ij, as the largest of k
+    # values is at least the k-th smallest, so by (2) twice a_ij <= a_il +
+    # 2 kappa (n_i^2 + n_l^2) + 2 tau. By (1), P_il <= B_i + 2 kappa n_l^2
+    # with B_i = b_i + (1 + kappa) n_i^2 + tau, so n_l <= n_i + sqrt(P_il)
+    # gives n_l <= N_i = (n_i + sqrt(max(B_i, 0))) / (1 - sqrt(2 kappa)):
+    # every such j has a_ij <= b_i + 2 kappa (n_i^2 + N_i^2) + 2 tau, a
+    # threshold from row i alone. Every column tied with the row's k-th
+    # smallest E is therefore a candidate, and _nearest keeps the lowest
+    # indices among them.
     #
     # sigma. The sampled pair's screened value fl(a_ij + fl(n_i^2)) is, by
     # (2), within (3 kappa + 6 u) H^2 + tau < slack of E_ij when both norms
@@ -334,8 +328,10 @@ def gaussian_knn_graph(view: ViewMatrix, k: int = 5) -> tuple[sp.csr_array, floa
     tau = math.ldexp(m + 2.0, max(-140, 2 * min(shift, 600) - 1070))
 
     sample = _sigma_sample(n)
-    few = pts[sample[:: -(-sample.size // _SPREAD_INSTANCES)]]
-    spread = math.ldexp(float(np.median(pdist(few, "sqeuclidean"))), 2 * shift)
+    few = sample[:: -(-sample.size // _SPREAD_INSTANCES)]
+    pair = np.triu_indices(few.size, 1)
+    spread = _sq_distances(data, few[pair[0]], few[pair[1]])
+    spread = math.ldexp(float(np.median(spread)), 2 * shift)
     far = sqn[sample] > _HEAVY_NORM * max(spread, float(np.median(sqn[sample])))
     light, heavy = sample[~far], sample[far]
     # columns in the order light, heavy, the rest: a light row's pairs with
@@ -374,7 +370,7 @@ def gaussian_knn_graph(view: ViewMatrix, k: int = 5) -> tuple[sp.csr_array, floa
         # the features per batch of pairs
         if hi == n or sum(r.size for r, _ in cand) >= _CHECK_PAIRS:
             rows, cols = (np.concatenate(c) for c in zip(*cand))
-            neighbors[done:hi], sq_knn[done:hi] = _nearest(data, pts, rows, cols, done, hi, k)
+            neighbors[done:hi], sq_knn[done:hi] = _nearest(data, rows, cols, done, hi, k)
             cand, done = [], hi
     rest = np.empty(0)
     if heavy.size:

@@ -58,7 +58,7 @@ def gaussian_knn_graph(data: np.ndarray, k: int, view_id: int = 0):
     sigma = auto_sigma(pts, view_id)
     sq = cdist(pts, pts, metric="sqeuclidean")
     np.fill_diagonal(sq, np.inf)
-    neighbors = np.argpartition(sq, k - 1, axis=1)[:, :k]
+    neighbors = np.argsort(sq, axis=1, kind="stable")[:, :k]  # ties: lower column
     kernel = np.exp(-sq / (2.0 * sigma * sigma))
     mask = np.zeros((n, n), dtype=bool)
     mask[np.repeat(np.arange(n), k), neighbors.reshape(-1)] = True

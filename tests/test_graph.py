@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -156,6 +161,57 @@ def test_screen_stays_narrow_on_an_outlier_and_at_extreme_scales(monkeypatch):
     plain = exact_pairs(monkeypatch, x)
     for variant in (outlier, x * 1e-25, x * 1e25):
         assert exact_pairs(monkeypatch, variant) <= 2 * plain
+
+
+# ---------------------------------------------------------------------- ties
+
+
+def test_tied_neighbors_go_to_the_lower_column():
+    # instance 0 is at distance 1 from the five 1s (columns 2, 4, 5, 7, 9)
+    # and nearer to none; every other instance has 2 neighbors nearer or
+    # lower than it, so row 0 of S holds exactly its own 2 neighbors
+    data = np.array([[0, 3, 1, 2, 1, 1, 2, 1, 3, 1]], dtype=float)
+    s = gaussian_knn_graph(ViewMatrix(view_id=0, data=data), k=2)[0]
+    assert s[[0]].indices.tolist() == [2, 4]
+
+
+# builds graphs on views full of ties at the k-th place and prints each
+# one's pattern and sigma
+TIED_VIEWS = """
+import numpy as np
+from imvc import ViewMatrix, gaussian_knn_graph
+
+for seed in range(60):
+    rng = np.random.default_rng(seed)
+    m, n = int(rng.integers(1, 4)), int(rng.integers(10, 80))
+    if seed % 2:  # duplicate points
+        data = rng.normal(size=(m, n))
+        data[:, n // 2 :] = data[:, : n - n // 2]
+    else:  # integer features
+        data = rng.integers(0, 3, size=(m, n)).astype(float)
+    s, sigma = gaussian_knn_graph(ViewMatrix(view_id=0, data=data), k=int(rng.integers(1, 9)))
+    print(s.indptr.tolist(), s.indices.tolist(), sigma.hex())
+"""
+
+
+def test_tied_neighbors_do_not_depend_on_numpy_simd_dispatch():
+    dispatch = pytest.importorskip("numpy._core._multiarray_umath").__cpu_dispatch__
+    if not dispatch:
+        pytest.skip("this numpy dispatches no SIMD code")
+    env = {**os.environ, "PYTHONPATH": str(Path(imvc.graph.__file__).parents[1])}
+    env.pop("NPY_DISABLE_CPU_FEATURES", None)
+    outputs = []
+    for disabled in ({}, {"NPY_DISABLE_CPU_FEATURES": " ".join(dispatch)}):
+        done = subprocess.run(
+            [sys.executable, "-c", TIED_VIEWS],
+            env={**env, **disabled},
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert done.returncode == 0 and not done.stderr, done.stderr
+        outputs.append(done.stdout)
+    assert outputs[0] == outputs[1]
 
 
 # ---------------------------------------------------------------- auto sigma

@@ -1,7 +1,7 @@
 """Property tests of the screened kNN graph build on random views.
 
-The build must equal the dense reference (exact cdist over all pairs) bit
-for bit in S and sigma, and S must be a valid similarity graph, on views
+The build must equal the dense reference (exact cdist over all pairs, ties
+to the lower column) bit for bit in S and sigma, and S must be a valid similarity graph, on views
 that stress the GEMM screen: integer features (exact ties at the k-th
 place), a large common offset, duplicate points, one far outlier (a wide
 slack), more than 2000 instances (the sampled sigma), one-row blocks and
