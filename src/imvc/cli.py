@@ -102,10 +102,12 @@ def _cmd_trace(args, cfg: ExperimentConfig) -> int:
     if trial.error:
         print(f"trial failed: {trial.error}")
         return 1
-    print(
-        f"converged in {trial.iterations} iterations; "
-        f"acc={trial.acc:.4f} nmi={trial.nmi:.4f} purity={trial.purity:.4f}"
-    )
+    # fit stops before max_iter only on tol
+    if trial.iterations < cfg.max_iter:
+        stop = f"converged in {trial.iterations} iterations"
+    else:
+        stop = f"stopped at max_iter={cfg.max_iter}"
+    print(f"{stop}; acc={trial.acc:.4f} nmi={trial.nmi:.4f} purity={trial.purity:.4f}")
     return 0
 
 

@@ -14,8 +14,9 @@ with simplex view weights a (smoothed by the exponent r > 1). Each of the four
 blocks (consensus Q, bases U, codes P, weights a) has a closed-form minimizer,
 so one sweep per iteration never increases the cost. fit always starts from
 initialize; its result is the in-memory SolverState, with its per-iteration
-traces (the harness's write_trace writes them as CSV). This module does no
-file I/O.
+traces (the harness's write_trace writes them as CSV). A fitted state's
+costs are its traces' rows; the library has no separate evaluator. This
+module does no file I/O.
 
 fit runs a batch of fits that share one masked dataset, its graphs and the
 latent dimension (in the harness, one (rate, repeat, k) group's (lam, beta,
@@ -301,24 +302,6 @@ def view_costs(
     return costs
 
 
-def _costs_of(
-    ds: MultiViewDataset,
-    graphs: Sequence[FusedGraph],
-    xx: Sequence[float],
-    bases: Sequence[np.ndarray],
-    codes: Sequence[np.ndarray],
-    consensus: np.ndarray,
-    lam: np.ndarray,
-    beta: np.ndarray,
-) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
-    """view_costs of stacked variables that no sweep made, with the products
-    it needs, and W P^T per view for the next consensus update."""
-    xtu = [view.data.T @ u for view, u in zip(ds.views, bases)]
-    gathered = [_gather(consensus, ids) for ids in ds.availability]
-    wp = tuple(_times_w(graph, p) for graph, p in zip(graphs, codes))
-    return view_costs(xx, xtu, bases, codes, gathered, wp, graphs, lam, beta), wp
-
-
 def _weighted_total(weights: np.ndarray, costs: np.ndarray, r: float) -> float:
     """sum_v a_v^r e_v, added left to right from 0 (the objective trace
     compares these sums bitwise)."""
@@ -326,37 +309,6 @@ def _weighted_total(weights: np.ndarray, costs: np.ndarray, r: float) -> float:
     for a, e in zip(weights, costs):
         total += a**r * e
     return float(total)
-
-
-def state_costs(
-    ds: MultiViewDataset,
-    graphs: Sequence[FusedGraph],
-    state: SolverState,
-    cfg: SolverConfig,
-) -> np.ndarray:
-    """Per-view costs e_v of one fit's state."""
-    xx = [np.einsum("ij,ij->", view.data, view.data) for view in ds.views]
-    costs, _ = _costs_of(
-        ds,
-        graphs,
-        xx,
-        [u[None] for u in state.bases],
-        [p[None] for p in state.codes],
-        state.consensus[None],
-        np.array([cfg.lam]),
-        np.array([cfg.beta]),
-    )
-    return costs[0]
-
-
-def objective(
-    ds: MultiViewDataset,
-    graphs: Sequence[FusedGraph],
-    state: SolverState,
-    cfg: SolverConfig,
-) -> float:
-    """Weighted total cost sum_v a_v^r e_v of one fit's state."""
-    return _weighted_total(state.weights, state_costs(ds, graphs, state, cfg), cfg.r)
 
 
 def initialize(ds: MultiViewDataset, cfg: SolverConfig) -> SolverState:
@@ -464,7 +416,10 @@ def fit(
         codes = tuple(np.stack(p) for p in zip(*(s.codes for s in inits)))
         consensus = np.zeros((len(cfgs), cfgs[0].n_components, ds.n))
         weights = np.stack([s.weights for s in inits])
-        costs, wp = _costs_of(ds, graphs, xx, bases, codes, consensus, lam, beta)
+        xtu = [x.T @ u for x, u in zip(xs, bases)]
+        gathered = [_gather(consensus, ids) for ids in ds.availability]
+        wp = tuple(_times_w(graph, p) for graph, p in zip(graphs, codes))
+        costs = view_costs(xx, xtu, bases, codes, gathered, wp, graphs, lam, beta)
         for i, cfg in enumerate(cfgs):
             traces[i].append(_weighted_total(weights[i], costs[i], cfg.r))
             cost_rows[i].append(costs[i])

@@ -8,7 +8,16 @@ import scipy.sparse as sp
 from imvc import MultiViewDataset, ViewMatrix
 from imvc.dataset import MaskSpec, apply_mask
 from imvc.graph import FusedGraph, build_fused_graphs
-from imvc.solver import _times_w, fit, update_basis, update_codes, update_consensus
+from imvc.solver import (
+    _gather,
+    _times_w,
+    _weighted_total,
+    fit,
+    update_basis,
+    update_codes,
+    update_consensus,
+    view_costs,
+)
 
 
 def identity_graph(n, view_id=0):
@@ -126,8 +135,8 @@ def random_state(ds, c, seed, zero=False):
     )
 
 
-# One fit's calls: fit and the block updates take batches, and these run a
-# batch of one, raising the error a failed fit records.
+# One fit's calls: fit, the block updates and view_costs take batches, and
+# these run a batch of one, raising the error a failed fit records.
 
 
 def _lone(update, *args):
@@ -158,3 +167,30 @@ def lone_codes(x, u, consensus, ids, graph, lam, beta):
 def lone_consensus(codes, graphs, availability, n, weights, r):
     wp = [_times_w(graph, p[None]) for graph, p in zip(graphs, codes)]
     return _lone(update_consensus, wp, graphs, availability, n, np.asarray(weights)[None], [r])
+
+
+def lone_costs(ds, graphs, state, cfg):
+    """Per-view costs e_v of any one state, scored as fit scores its initial
+    state: each variable stacked as a batch of one, the consensus gathered
+    by _gather and W P^T from _times_w, whose layouts the cost sums' bits
+    follow (a plain consensus[:, ids] is C-ordered, the gather F-ordered)."""
+    xs = [view.data for view in ds.views]
+    bases = [u[None] for u in state.bases]
+    codes = [p[None] for p in state.codes]
+    costs = view_costs(
+        [np.einsum("ij,ij->", x, x) for x in xs],
+        [x.T @ u for x, u in zip(xs, bases)],
+        bases,
+        codes,
+        [_gather(state.consensus[None], ids) for ids in ds.availability],
+        [_times_w(graph, p) for graph, p in zip(graphs, codes)],
+        graphs,
+        np.array([cfg.lam]),
+        np.array([cfg.beta]),
+    )
+    return costs[0]
+
+
+def lone_objective(ds, graphs, state, cfg):
+    """Weighted total cost sum_v a_v^r e_v of any one state."""
+    return _weighted_total(state.weights, lone_costs(ds, graphs, state, cfg), cfg.r)

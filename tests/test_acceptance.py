@@ -21,11 +21,7 @@ from imvc.cli import main as cli_main
 from imvc.dataset import MaskSpec, apply_mask
 from imvc.graph import FusedGraph, build_fused_graphs, gaussian_knn_graph
 from imvc.metrics import evaluate_clustering
-from imvc.solver import (
-    _reconstruction_cost,
-    objective,
-    update_weights,
-)
+from imvc.solver import _reconstruction_cost, update_weights
 
 from synthetic import (
     identity_graph,
@@ -33,6 +29,7 @@ from synthetic import (
     lone_codes,
     lone_consensus,
     lone_fit,
+    lone_objective,
     masked_problem,
     multiview_blobs,
     multiview_moons,
@@ -253,7 +250,7 @@ def test_criterion_03_degradation_identity():
         )
         state = random_state(ds, 2, seed=seed)
         cfg = SolverConfig(lam=1.3, beta=0.4, r=2.0, n_components=2)
-        got = objective(ds, graphs, state, cfg)
+        got = lone_objective(ds, graphs, state, cfg)
         want = model6_objective(ds, state, lam=1.3, beta=0.4, r=2.0)
         if got != want:
             mismatches += 1

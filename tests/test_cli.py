@@ -56,11 +56,21 @@ def test_cli_ablate(workspace, tmp_path, capsys):
     assert all(row.split(",")[1] == "no-graph" for row in rows)
 
 
+def solver_copy(cfg_path, tmp_path, **solver):
+    """A copy of the workspace config with these solver keys replaced."""
+    config = json.loads(cfg_path.read_text())
+    config["solver"].update(solver)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    return path
+
+
 def test_cli_trace(workspace, tmp_path, capsys):
+    # this fit meets tol at its 137th sweep, so it stops before max_iter
     root, cfg_path, _ = workspace
     code = main(
-        ["trace", "--config", str(cfg_path), "--output", str(tmp_path / "tr"),
-         "--rate", "0.3", "--lam", "2.0"]
+        ["trace", "--config", str(solver_copy(cfg_path, tmp_path, max_iter=300)),
+         "--output", str(tmp_path / "tr"), "--rate", "0.3", "--lam", "2.0"]
     )
     assert code == 0
     out = capsys.readouterr().out
@@ -70,6 +80,17 @@ def test_cli_trace(workspace, tmp_path, capsys):
     lines = traces[0].read_text().strip().splitlines()
     assert lines[0] == "iteration,objective,e_0,e_1,alpha_0,alpha_1"
     assert len(lines) > 2
+    assert f"converged in {len(lines) - 2} iterations;" in out
+
+
+def test_cli_trace_says_when_it_stopped_at_max_iter(workspace, tmp_path, capsys):
+    # at tol 0 the fit runs all its sweeps: that is no convergence
+    _, cfg_path, _ = workspace
+    capped = solver_copy(cfg_path, tmp_path, max_iter=2, tol=0)
+    assert main(["trace", "--config", str(capped), "--output", str(tmp_path / "tr")]) == 0
+    out = capsys.readouterr().out
+    assert "stopped at max_iter=2; acc=" in out
+    assert "converged" not in out
 
 
 def test_cli_validate_data_good(workspace, capsys):

@@ -9,9 +9,15 @@ import pytest
 import imvc.graph
 import reference
 from imvc import SolverConfig, ViewMatrix, gaussian_knn_graph
-from imvc.solver import state_costs
 
-from synthetic import lone_codes, lone_consensus, lone_fit, random_problem, random_state
+from synthetic import (
+    lone_codes,
+    lone_consensus,
+    lone_costs,
+    lone_fit,
+    random_problem,
+    random_state,
+)
 
 
 def random_view(n, m, seed):
@@ -118,7 +124,7 @@ def test_view_costs_match_reference():
                 weights=state.weights,
             )
         cfg = SolverConfig(lam=0.8, beta=0.2, r=2.0, n_components=3)
-        got = state_costs(ds, graphs, state, cfg)
+        got = lone_costs(ds, graphs, state, cfg)
         want = reference.view_costs(ds, dense_ws(graphs), state, lam=0.8, beta=0.2)
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
 
@@ -129,7 +135,7 @@ def test_view_costs_graph_off_match_reference():
     cfg = SolverConfig(lam=1.1, beta=0.3, r=2.0, n_components=2)
     eyes = [np.eye(v.n_available) for v in ds.views]
     want = reference.view_costs(ds, eyes, state, lam=1.1, beta=0.3)
-    np.testing.assert_allclose(state_costs(ds, graphs, state, cfg), want, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(lone_costs(ds, graphs, state, cfg), want, rtol=1e-12, atol=0)
 
 
 def test_updates_match_dense_normal_equations():

@@ -12,8 +12,6 @@ from imvc.solver import (
     SolverState,
     fit,
     initialize,
-    objective,
-    state_costs,
     update_weights,
 )
 
@@ -22,7 +20,9 @@ from synthetic import (
     lone_basis,
     lone_codes,
     lone_consensus,
+    lone_costs,
     lone_fit,
+    lone_objective,
     masked_problem,
     multiview_blobs,
     random_problem,
@@ -93,7 +93,7 @@ def test_objective_zero_state_is_zero():
         n=ds.n,
         availability=ds.availability,
     )
-    assert objective(zero_ds, graphs, state, cfg) == 0.0
+    assert lone_objective(zero_ds, graphs, state, cfg) == 0.0
 
 
 def test_objective_single_view_reduces_to_two_terms():
@@ -110,9 +110,9 @@ def test_objective_single_view_reduces_to_two_terms():
     x, u, p = ds.views[0].data, state.bases[0], state.codes[0]
     gathered = state.consensus[:, ds.availability[0]]
     expect = np.sum((x - u @ p) ** 2) + 1.7 * np.sum((p - gathered) ** 2)
-    assert objective(ds, graphs, state, cfg) == pytest.approx(expect, rel=1e-14)
+    assert lone_objective(ds, graphs, state, cfg) == pytest.approx(expect, rel=1e-14)
     # with a single view and unit weight the objective is the view cost itself
-    assert state_costs(ds, graphs, state, cfg)[0] == objective(
+    assert lone_costs(ds, graphs, state, cfg)[0] == lone_objective(
         ds, graphs, state, cfg
     )
 
@@ -122,7 +122,7 @@ def test_objective_matches_triple_loop_oracle():
         ds, graphs = random_problem(seed, l=2, n=6, c=2, k=2)
         state = random_state(ds, 2, seed=seed + 10)
         cfg = SolverConfig(lam=0.9, beta=0.3, r=2.5, n_components=2)
-        got = objective(ds, graphs, state, cfg)
+        got = lone_objective(ds, graphs, state, cfg)
         want = naive_objective(ds, graphs, state, lam=0.9, beta=0.3, r=2.5)
         assert got == pytest.approx(want, rel=1e-12)
 
@@ -138,7 +138,7 @@ def test_view_costs_zero_state():
     )
     state = random_state(zero_ds, 2, seed=0, zero=True)
     cfg = SolverConfig(lam=1.0, beta=1.0, r=2.0, n_components=2)
-    assert np.array_equal(state_costs(zero_ds, graphs, state, cfg), np.zeros(3))
+    assert np.array_equal(lone_costs(zero_ds, graphs, state, cfg), np.zeros(3))
 
 
 def test_objective_is_weighted_sum_of_view_costs():
@@ -146,9 +146,9 @@ def test_objective_is_weighted_sum_of_view_costs():
         ds, graphs = random_problem(seed + 20, l=3, n=7, c=2, k=2)
         state = random_state(ds, 2, seed=seed)
         cfg = SolverConfig(lam=1.3, beta=0.2, r=4.0, n_components=2)
-        costs = state_costs(ds, graphs, state, cfg)
+        costs = lone_costs(ds, graphs, state, cfg)
         expect = sum(a**4.0 * e for a, e in zip(state.weights, costs))
-        assert objective(ds, graphs, state, cfg) == pytest.approx(expect, rel=1e-10)
+        assert lone_objective(ds, graphs, state, cfg) == pytest.approx(expect, rel=1e-10)
 
 
 # -------------------------------------------------------------- basis update
@@ -433,7 +433,7 @@ def test_fit_beats_random_states_on_plain_model():
             bases=rand.bases, codes=rand.codes, consensus=rand.consensus,
             weights=np.full(2, 0.5),
         )
-        assert final <= objective(ds, graphs, rand, cfg)
+        assert final <= lone_objective(ds, graphs, rand, cfg)
 
 
 def test_fit_weight_off_keeps_weights_uniform():
@@ -475,7 +475,7 @@ def test_fit_trace_starts_at_initial_objective():
     ds, graphs = random_problem(18, l=2, n=8, c=2, k=2)
     cfg = SolverConfig(lam=1.0, beta=0.01, r=2.0, n_components=2, seed=2, max_iter=5)
     state = lone_fit(ds, graphs, cfg)
-    assert state.objective_trace[0] == objective(ds, graphs, initialize(ds, cfg), cfg)
+    assert state.objective_trace[0] == lone_objective(ds, graphs, initialize(ds, cfg), cfg)
 
 
 def test_fit_on_a_zero_cost_view_fails_as_infeasible():
@@ -509,10 +509,10 @@ def test_doubling_lam_never_shrinks_graph_share():
         ds, graphs = random_problem(seed + 40, l=2, n=8, c=2, k=2)
         state = random_state(ds, 2, seed=seed)
         lam1, lam2 = 0.7, 1.4
-        e1 = state_costs(
+        e1 = lone_costs(
             ds, graphs, state, SolverConfig(lam=lam1, beta=0.1, r=2.0, n_components=2)
         )
-        e2 = state_costs(
+        e2 = lone_costs(
             ds, graphs, state, SolverConfig(lam=lam2, beta=0.1, r=2.0, n_components=2)
         )
         g = (e2 - e1) / (lam2 - lam1)
