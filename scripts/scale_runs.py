@@ -11,7 +11,10 @@ hold about 0.6 GB of text at n=50000. It then fits once more with the layer
 wrappers of perfbench/tracing.py installed, and reports each solver block's
 seconds per iteration from that fit (`iter_blocks_s`). `group` writes the
 data and a config for one README grid group (27 (lam, beta, r) points,
-max_iter 300, tol 1e-6) and runs it as `imvc run --workers 2` does.
+max_iter 300, tol 1e-6) and runs it as `imvc run --workers 2` does. It
+reports the data files' round trip on its own: `save_s` for
+`imvc.save_dataset` and `load_s` for one `imvc.load_dataset` of the written
+files, the call the sweep starts with.
 
 Run from the repository root; the package is imported from ./src. Each
 prints one JSON line: the stage or sweep wall times in seconds, and the peak
@@ -95,8 +98,14 @@ def trial(n: int, seed: int) -> dict:
 
 
 def group(n: int, seed: int) -> dict:
+    full = _dataset(n, seed, noise=1.0)
     with tempfile.TemporaryDirectory() as tmp:
-        paths = imvc.save_dataset(_dataset(n, seed, noise=1.0), Path(tmp) / "data")
+        start = time.perf_counter()
+        paths = imvc.save_dataset(full, Path(tmp) / "data")
+        save_s = time.perf_counter() - start
+        start = time.perf_counter()
+        imvc.load_dataset(paths["views"], paths["availability"], paths["labels"])
+        load_s = time.perf_counter() - start
         config = {
             "dataset": {key: paths[key] for key in ("views", "availability", "labels")},
             "clusters": CLUSTERS,
@@ -114,6 +123,8 @@ def group(n: int, seed: int) -> dict:
         digest = hashlib.sha256(Path(written["trials"]).read_bytes()).hexdigest()
     trials = [t for r in records for t in r.trials]
     return {
+        "save_s": save_s,
+        "load_s": load_s,
         "sweep_s": sweep_s,
         "trials": len(trials),
         "failed": sum(bool(t.error) for t in trials),

@@ -12,15 +12,24 @@ On-disk interchange format (all plain text, no binary dependencies):
   * view file: CSV, no header, '.' decimal separator, m_v rows x n_v columns;
   * availability sidecar: one integer sample id per line, strictly ascending;
   * label file: CSV, a single column of n integers.
+
+load_dataset and save_dataset read and write the files in parallel, each
+file whole in one of up to as many forked processes as this process may use
+CPUs. The arrays and the bytes are those of one process doing it all, which
+is what happens where the platform has no fork.
 """
 
 from __future__ import annotations
 
 import math
+import multiprocessing
+import multiprocessing.connection
+import os
 import warnings
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -261,6 +270,101 @@ def apply_mask(full: MultiViewDataset, spec: MaskSpec) -> MultiViewDataset:
     return _random_missing_mask(full, spec)
 
 
+def usable_cpus() -> int:
+    """The CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def start_method() -> str:
+    """How imvc starts worker processes: fork where the platform has it, as a
+    forked worker starts at once with this process's imports and data, else
+    spawn, whose workers first import numpy, scipy and imvc again."""
+    return "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
+
+
+def _serve(jobs: list[Callable], conn, parent_ends: list) -> None:
+    """A forked file worker: run each job index its parent sends, until None,
+    and send back the index with (True, result) or (False, error).
+
+    It first closes the parent's pipe ends that it inherited at fork, so that
+    each worker sees the end of its pipe once the parent closes its own end.
+    """
+    for end in parent_ends:
+        end.close()
+    for i in iter(conn.recv, None):
+        try:
+            outcome = (True, jobs[i]())
+        except Exception as exc:
+            outcome = (False, exc)
+        conn.send((i, outcome))
+
+
+def _per_file(jobs: list[Callable], sizes: list[int]) -> list:
+    """[job() for job in jobs], each job one file, in min(jobs, usable CPUs)
+    forked processes.
+
+    Each worker is sent one job at a time, biggest size first, and its next
+    one when it sends back the last. It inherits the jobs and their arrays at
+    fork, so only indices go to it and only results come back. This thread
+    reads them: memory that a helper thread allocated would stay in that
+    thread's malloc arena once freed and raise this process's peak RSS.
+    Results, and the first error, are taken in job order, as a serial loop
+    meets them. With one CPU or one job, without fork, or in a daemon
+    process, which may start none, the jobs run in this process: a spawned
+    worker would first import numpy, scipy and imvc again and be sent its
+    arrays.
+    """
+    processes = min(len(jobs), usable_cpus())
+    if processes < 2 or start_method() != "fork" or multiprocessing.current_process().daemon:
+        return [job() for job in jobs]
+    context = multiprocessing.get_context("fork")
+    order = iter(sorted(range(len(jobs)), key=lambda i: -sizes[i]))
+    workers, outcomes = [], {}
+    try:
+        for _ in range(processes):
+            ours, theirs = context.Pipe()
+            parent_ends = [ours] + [end for _, end in workers]
+            worker = context.Process(target=_serve, args=(jobs, theirs, parent_ends))
+            worker.start()
+            theirs.close()
+            workers.append((worker, ours))
+            ours.send(next(order))
+        running = [ours for _, ours in workers]
+        while running:
+            for conn in multiprocessing.connection.wait(running):
+                try:
+                    i, outcome = conn.recv()
+                except EOFError:  # the worker was sent None, or died
+                    running.remove(conn)
+                else:
+                    outcomes[i] = outcome
+                    conn.send(next(order, None))
+    finally:
+        for worker, ours in workers:
+            ours.close()
+            worker.join()
+    results = []
+    for i in range(len(jobs)):
+        if i not in outcomes:
+            raise RuntimeError(f"a worker process ended before file job {i} was done")
+        ok, value = outcomes[i]
+        if not ok:
+            raise value
+        results.append(value)
+    return results
+
+
+def _file_size(path: Path) -> int:
+    """The bytes of path; 0 for a file that cannot be read, whose job then
+    raises the error."""
+    try:
+        return path.stat().st_size
+    except OSError:
+        return 0
+
+
 def _load_matrix(path: Path, dtype=np.float64, ndmin: int = 2) -> np.ndarray:
     """The numbers of a CSV file: views and labels as float matrices,
     availability sidecars as int64 vectors. Every fault in the file is one
@@ -281,6 +385,18 @@ def _load_matrix(path: Path, dtype=np.float64, ndmin: int = 2) -> np.ndarray:
     return data
 
 
+def _load_labels(path: str | Path) -> np.ndarray:
+    """The labels of a label file as contiguous 0-based class ids."""
+    raw = _load_matrix(Path(path))
+    if min(raw.shape) != 1:
+        raise ValueError(f"{path}: label file must be a single column")
+    flat = raw.reshape(-1)
+    if np.any(flat != np.round(flat)):
+        raise ValueError(f"{path}: labels must be integers")
+    _, labels = np.unique(flat.astype(np.int64), return_inverse=True)
+    return labels
+
+
 def load_dataset(
     view_paths: Sequence[str | Path],
     availability_paths: Optional[Sequence[str | Path]] = None,
@@ -291,22 +407,22 @@ def load_dataset(
     Without availability sidecars all views must share one column count, which
     becomes the sample count n. With sidecars, n is taken from the label file
     when present and from the largest sample id otherwise. Labels are remapped
-    to contiguous 0-based integers.
+    to contiguous 0-based integers. The files are parsed in parallel (see
+    the module docstring); a fault is reported for the first faulty file in
+    the order views, labels, sidecars.
     """
     if not view_paths:
         raise ValueError("need at least one view file")
-    matrices = [_load_matrix(Path(p)) for p in view_paths]
-
-    labels = None
+    jobs = [partial(_load_matrix, Path(p)) for p in view_paths]
     if label_path is not None:
-        raw = _load_matrix(Path(label_path))
-        if min(raw.shape) != 1:
-            raise ValueError(f"{label_path}: label file must be a single column")
-        flat = raw.reshape(-1)
-        if np.any(flat != np.round(flat)):
-            raise ValueError(f"{label_path}: labels must be integers")
-        # remap to 0-based contiguous class ids
-        _, labels = np.unique(flat.astype(np.int64), return_inverse=True)
+        jobs.append(partial(_load_labels, label_path))
+    sidecars = availability_paths is not None and len(availability_paths) == len(view_paths)
+    if sidecars:
+        jobs += [partial(_load_matrix, Path(p), np.int64, ndmin=1) for p in availability_paths]
+    # each job's first argument is its file
+    loaded = iter(_per_file(jobs, [_file_size(Path(job.args[0])) for job in jobs]))
+    matrices = [next(loaded) for _ in view_paths]
+    labels = next(loaded) if label_path is not None else None
 
     if availability_paths is None:
         counts = {m.shape[1] for m in matrices}
@@ -319,9 +435,9 @@ def load_dataset(
         n = matrices[0].shape[1]
         avail = [np.arange(n, dtype=np.int64) for _ in matrices]
     else:
-        if len(availability_paths) != len(matrices):
+        if not sidecars:
             raise ValueError("one availability sidecar per view is required")
-        avail = [_load_matrix(Path(p), np.int64, ndmin=1) for p in availability_paths]
+        avail = list(loaded)
         n = int(max(ids.max() for ids in avail)) + 1
         if labels is not None:
             n = max(n, labels.size)
@@ -336,21 +452,28 @@ def load_dataset(
 
 def save_dataset(ds: MultiViewDataset, directory: str | Path) -> dict:
     """Write a dataset in the interchange format, as view_<v>.csv,
-    view_<v>.avail and labels.csv; returns the written paths."""
+    view_<v>.avail and labels.csv, in parallel (see the module docstring);
+    returns the written paths."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     paths: dict = {"views": [], "availability": [], "labels": None}
+    jobs, sizes = [], []
     for view, ids in zip(ds.views, ds.availability):
         vp = directory / f"view_{view.view_id}.csv"
-        np.savetxt(vp, view.data, delimiter=",", fmt="%.17e")
         ap = directory / f"view_{view.view_id}.avail"
-        np.savetxt(ap, ids, fmt="%d")
+        jobs += [
+            partial(np.savetxt, vp, view.data, delimiter=",", fmt="%.17e"),
+            partial(np.savetxt, ap, ids, fmt="%d"),
+        ]
+        sizes += [view.data.size, ids.size]
         paths["views"].append(str(vp))
         paths["availability"].append(str(ap))
     if ds.labels is not None:
         lp = directory / "labels.csv"
-        np.savetxt(lp, ds.labels, fmt="%d")
+        jobs.append(partial(np.savetxt, lp, ds.labels, fmt="%d"))
+        sizes.append(ds.labels.size)
         paths["labels"] = str(lp)
+    _per_file(jobs, sizes)
     return paths
 
 

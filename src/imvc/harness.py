@@ -43,6 +43,8 @@ from .dataset import (
     apply_mask,
     load_dataset,
     normalize_views,
+    start_method,
+    usable_cpus,
 )
 from .graph import build_fused_graphs
 from .metrics import evaluate_clustering
@@ -451,8 +453,7 @@ def _init_worker(
     CPUs as BLAS threads, so the workers do not oversubscribe them."""
     global _worker_sweep
     _worker_sweep = _Sweep(base, cfg, keep_states)
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    _cap_blas_threads(max(1, (cpus or 1) // processes))
+    _cap_blas_threads(max(1, usable_cpus() // processes))
 
 
 def _worker_trial(chunk: list[TrialOutcome]) -> list[TrialOutcome]:
@@ -576,13 +577,9 @@ def run_experiment(
     ]
     chunks = [[pending[i] for i in ids] for ids in chunk_ids]
     if processes > 1:
-        # fork where the platform has it: a forked worker starts at once with
-        # this process's imports and dataset, a spawned one first re-imports
-        # numpy, scipy and imvc
-        method = "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
         with ProcessPoolExecutor(
             max_workers=processes,
-            mp_context=multiprocessing.get_context(method),
+            mp_context=multiprocessing.get_context(start_method()),
             initializer=_init_worker,
             initargs=(base, cfg, keep_states, processes),
         ) as pool:

@@ -169,8 +169,9 @@ def _best_kmeans(
             labels[active[j]] = new_labels[j]
             inertia[active[j]] = dist[rows, j, new_labels[j]].sum()
         for j in np.flatnonzero(empty & ~final):
-            # deterministic repair: relocate to the currently worst-fit points
-            farthest = np.argsort(dist[rows, j, new_labels[j]])[::-1]
+            # deterministic repair: relocate to the currently worst-fit points,
+            # farthest first and, among equal distances, lowest index first
+            farthest = np.argsort(-dist[rows, j, new_labels[j]], kind="stable")
             clusters = np.flatnonzero(counts[j] == 0)
             centers[active[j], clusters] = pts[farthest[: clusters.size]]
         moved = ~(empty | final)

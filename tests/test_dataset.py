@@ -1,3 +1,8 @@
+import multiprocessing
+import os
+import signal
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -10,7 +15,13 @@ from imvc import (
     normalize_views,
     save_dataset,
 )
-from imvc.dataset import _draw_random_missing, _repair_coverage, _round_half_up
+from imvc.dataset import (
+    _draw_random_missing,
+    _load_matrix,
+    _per_file,
+    _repair_coverage,
+    _round_half_up,
+)
 
 from reference import build_indicator
 
@@ -254,6 +265,167 @@ def test_save_load_roundtrip_incomplete(tmp_path):
     for vx, vy in zip(back.views, masked.views):
         assert np.allclose(vx.data, vy.data, rtol=0, atol=0)
     assert np.array_equal(back.labels, masked.labels)
+
+
+# ------------------------------------------------- files read and written in parallel
+# load_dataset and save_dataset read and write each file whole in one of
+# several forked processes; these tests pin them to what one process doing it
+# all gives.
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The processes forked, with three usable CPUs, so that the files go to a
+    pool on any host that has fork."""
+    if "fork" not in multiprocessing.get_all_start_methods():
+        pytest.skip("the platform has no fork: files are read and written serially")
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    forked = []
+    real = os.fork
+
+    def fork():
+        forked.append(True)
+        return real()
+
+    monkeypatch.setattr(os, "fork", fork)
+    return forked
+
+
+def _labeled_incomplete(seed=3):
+    full = complete_dataset(40, 3, seed=seed, m=5)
+    full = MultiViewDataset(
+        views=full.views, n=40, availability=full.availability, labels=np.arange(40) % 4 + 7
+    )
+    return apply_mask(full, MaskSpec("random-missing", 0.3, seed=seed))
+
+
+def test_pooled_load_equals_a_serial_parse_of_each_file(tmp_path, forks):
+    paths = save_dataset(_labeled_incomplete(), tmp_path)
+    del forks[:]
+    ds = load_dataset(paths["views"], paths["availability"], paths["labels"])
+    assert forks  # the files were parsed in worker processes
+    for view, path in zip(ds.views, paths["views"]):
+        serial = _load_matrix(Path(path))
+        assert view.data.dtype == serial.dtype == np.float64
+        assert np.array_equal(view.data, serial)
+        assert not view.data.flags.writeable
+    for ids, path in zip(ds.availability, paths["availability"]):
+        serial = _load_matrix(Path(path), np.int64, ndmin=1)
+        assert ids.dtype == serial.dtype == np.int64
+        assert np.array_equal(ids, serial)
+        assert not ids.flags.writeable
+    raw = np.loadtxt(paths["labels"], delimiter=",")
+    assert ds.labels.dtype == np.int64
+    assert np.array_equal(ds.labels, raw - 7)
+    assert not ds.labels.flags.writeable
+
+
+def test_pooled_save_writes_the_bytes_of_a_serial_savetxt(tmp_path, forks):
+    ds = _labeled_incomplete()
+    paths = save_dataset(ds, tmp_path / "pooled")
+    assert forks
+    serial = tmp_path / "serial"
+    serial.mkdir()
+    for view, ids in zip(ds.views, ds.availability):
+        np.savetxt(serial / f"view_{view.view_id}.csv", view.data, delimiter=",", fmt="%.17e")
+        np.savetxt(serial / f"view_{view.view_id}.avail", ids, fmt="%d")
+    np.savetxt(serial / "labels.csv", ds.labels, fmt="%d")
+    written = paths["views"] + paths["availability"] + [paths["labels"]]
+    assert sorted(os.listdir(tmp_path / "pooled")) == sorted(os.listdir(serial))
+    for path in map(Path, written):
+        assert path.read_bytes() == (serial / path.name).read_bytes()
+
+
+def _garble_views_1_and_2(paths):
+    # view 2 is the bigger file, so it is parsed first
+    with open(paths["views"][1], "a") as f:
+        f.write("1.0,x\n")
+    with open(paths["views"][2], "w") as f:
+        f.write("y,2.0\n" * 5000)
+
+
+def test_the_first_garbled_view_in_view_order_is_named(tmp_path, forks, monkeypatch):
+    paths = save_dataset(_labeled_incomplete(), tmp_path)
+    _garble_views_1_and_2(paths)
+    messages = []
+    for cpus in ({0, 1, 2}, {0}):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+        with pytest.raises(ValueError) as info:
+            load_dataset(paths["views"], paths["availability"], paths["labels"])
+        messages.append(str(info.value))
+    assert messages[0] == messages[1]
+    assert messages[0].startswith(f"{paths['views'][1]}: could not parse")
+
+
+def test_one_usable_cpu_starts_no_process(tmp_path, monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+
+    def fork():
+        raise AssertionError("a process was started")
+
+    monkeypatch.setattr(os, "fork", fork)
+    paths = save_dataset(_labeled_incomplete(), tmp_path)
+    ds = load_dataset(paths["views"], paths["availability"], paths["labels"])
+    assert ds.n_views == 3
+
+
+def test_no_process_outlives_a_load_or_a_save(tmp_path, forks):
+    paths = save_dataset(_labeled_incomplete(), tmp_path)
+    assert forks and multiprocessing.active_children() == []
+    load_dataset(paths["views"], paths["availability"], paths["labels"])
+    assert multiprocessing.active_children() == []
+    _garble_views_1_and_2(paths)
+    with pytest.raises(ValueError, match="could not parse"):
+        load_dataset(paths["views"], paths["availability"], paths["labels"])
+    assert multiprocessing.active_children() == []
+
+
+def test_a_worker_that_dies_is_an_error_and_leaves_no_process(forks):
+    jobs = [lambda: "done", lambda: os._exit(3)]
+    with pytest.raises(RuntimeError, match="ended before file job 1 was done"):
+        _per_file(jobs, [1, 1])
+    assert len(forks) == 2 and multiprocessing.active_children() == []
+
+
+def _refuse():
+    raise ValueError("this result cannot be unpickled")
+
+
+class _Refused:
+    def __reduce__(self):
+        return _refuse, ()
+
+
+def test_an_error_while_collecting_stops_every_worker(forks):
+    # job 0's result fails to unpickle in the parent while the other workers
+    # wait for their next job; no worker may be left waiting, nor the parent
+    # on it: the test fails by alarm after 60 s rather than hang
+
+    def alarm(signum, frame):
+        # not an OSError, which the join's waitpid would swallow
+        pytest.fail("the workers were not stopped")
+
+    previous = signal.signal(signal.SIGALRM, alarm)
+    signal.alarm(60)
+    try:
+        with pytest.raises(ValueError, match="cannot be unpickled"):
+            _per_file([_Refused, lambda: 1, lambda: 2], [3, 2, 1])
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+        left = multiprocessing.active_children()
+        for child in left:
+            child.kill()
+            child.join()
+    assert left == []
+
+
+def test_a_daemon_process_reads_the_files_itself(tmp_path, forks):
+    # a daemon process may start no children: a pool worker loads serially
+    paths = save_dataset(_labeled_incomplete(), tmp_path)
+    args = (paths["views"], paths["availability"], paths["labels"])
+    with multiprocessing.get_context("fork").Pool(1) as pool:
+        assert pool.apply(load_dataset, args).n == 40
 
 
 # -------------------------------------------------------------- normalization

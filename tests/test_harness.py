@@ -2,7 +2,6 @@ import csv
 import ctypes
 import json
 import multiprocessing
-import os
 import re
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -20,6 +19,7 @@ from imvc import (
     write_results,
     write_traces,
 )
+from imvc.dataset import usable_cpus
 from imvc.harness import TrialOutcome, _aggregate, derive_seed, load_base, write_trace
 from imvc.solver import SolverConfig, SolverState, initialize
 
@@ -387,8 +387,7 @@ def test_workers_take_their_share_of_blas_threads(data_dir, tmp_path, method):
         pytest.skip("numpy bundles no OpenBLAS with scipy_openblas symbols")
     root, paths = data_dir
     cfg = make_config(paths, tmp_path / "out")
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    processes = max(2, cpus)  # one CPU each
+    processes = max(2, usable_cpus())  # one CPU each
     with ProcessPoolExecutor(
         max_workers=1,
         mp_context=multiprocessing.get_context(method),

@@ -5,6 +5,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+import imvc.metrics
 from imvc import accuracy, evaluate_clustering, nmi, purity
 from imvc.metrics import _best_kmeans
 
@@ -246,6 +247,28 @@ def test_lloyd_handles_coincident_seeding():
     labels, inertia = _best_kmeans(rep, k=2, restarts=3, seed=0, max_iter=20)
     assert inertia == 0.0
     assert set(labels) <= {0, 1}
+
+
+def test_kmeans_repair_takes_the_lowest_of_tied_farthest_points(monkeypatch):
+    # three centres seeded at the origin leave clusters 1 and 2 empty; points
+    # 1, 3, 4 and 6 tie as the farthest from it (squared distance 9), and the
+    # repair moves the empty clusters to the first two of them, whatever the
+    # sort code NumPy dispatches to
+    pts = np.array([[0, 0.5], [3, 0], [0.5, 0], [0, 3], [-3, 0], [0, -0.5], [0, -3]])
+    monkeypatch.setattr(
+        imvc.metrics, "_kmeans_pp_init", lambda pts, k, rng: np.zeros((k, pts.shape[1]))
+    )
+    centres = []
+    real = imvc.metrics.cdist
+
+    def cdist(a, b, metric):
+        centres.append(b.copy())
+        return real(a, b, metric=metric)
+
+    monkeypatch.setattr(imvc.metrics, "cdist", cdist)
+    _best_kmeans(pts.T, k=3, restarts=1, seed=0, max_iter=5)
+    assert np.array_equal(centres[0], np.zeros((3, 2)))
+    assert np.array_equal(centres[1], [[0, 0], [3, 0], [0, 3]])
 
 
 def test_evaluate_clustering_on_separable_data():
