@@ -13,10 +13,12 @@ On-disk interchange format (all plain text, no binary dependencies):
   * availability sidecar: one integer sample id per line, strictly ascending;
   * label file: CSV, a single column of n integers.
 
-load_dataset and save_dataset read and write the files in parallel, each
-file whole in one of up to as many forked processes as this process may use
-CPUs. The arrays and the bytes are those of one process doing it all, which
-is what happens where the platform has no fork.
+in_workers is imvc's one process pool; harness.run_experiment runs a
+sweep's chunks through it too. Its rule: fork, else the calling process.
+load_dataset and save_dataset read and write each file whole in one of up to
+as many forked processes as this process may use CPUs, largest file first;
+without fork, or in a daemon process, the calling process reads and writes
+them all, with the same arrays and bytes.
 """
 
 from __future__ import annotations
@@ -277,22 +279,18 @@ def usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def start_method() -> str:
-    """How imvc starts worker processes: fork where the platform has it, as a
-    forked worker starts at once with this process's imports and data, else
-    spawn, whose workers first import numpy, scipy and imvc again."""
-    return "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
-
-
-def _serve(jobs: list[Callable], conn, parent_ends: list) -> None:
-    """A forked file worker: run each job index its parent sends, until None,
-    and send back the index with (True, result) or (False, error).
+def _serve(jobs: list[Callable], conn, parent_ends: list, initializer) -> None:
+    """A forked worker: run the initializer, if any, then each job index its
+    parent sends, until None, and send back the index with (True, result) or
+    (False, error).
 
     It first closes the parent's pipe ends that it inherited at fork, so that
     each worker sees the end of its pipe once the parent closes its own end.
     """
     for end in parent_ends:
         end.close()
+    if initializer is not None:
+        initializer()
     for i in iter(conn.recv, None):
         try:
             outcome = (True, jobs[i]())
@@ -301,23 +299,27 @@ def _serve(jobs: list[Callable], conn, parent_ends: list) -> None:
         conn.send((i, outcome))
 
 
-def _per_file(jobs: list[Callable], sizes: list[int]) -> list:
-    """[job() for job in jobs], each job one file, in min(jobs, usable CPUs)
-    forked processes.
+def in_workers(jobs: list[Callable], sizes: list[int], processes: int, initializer=None) -> list:
+    """[job() for job in jobs], in min(processes, jobs) forked processes,
+    each of which first calls initializer, if given.
 
-    Each worker is sent one job at a time, biggest size first, and its next
-    one when it sends back the last. It inherits the jobs and their arrays at
-    fork, so only indices go to it and only results come back. This thread
-    reads them: memory that a helper thread allocated would stay in that
-    thread's malloc arena once freed and raise this process's peak RSS.
-    Results, and the first error, are taken in job order, as a serial loop
-    meets them. With one CPU or one job, without fork, or in a daemon
-    process, which may start none, the jobs run in this process: a spawned
-    worker would first import numpy, scipy and imvc again and be sent its
-    arrays.
+    Each worker is sent one job at a time, biggest size first (in job order
+    among equal sizes), and its next one when it sends back the last. It
+    inherits the jobs and their arrays at fork, so only indices go to it and
+    only results come back. This thread reads them: memory that a helper
+    thread allocated would stay in that thread's malloc arena once freed and
+    raise this process's peak RSS. Results, and the first error, are taken
+    in job order, as a serial loop meets them. With fewer than 2 processes,
+    without fork, or in a daemon process, which may start none, the jobs run
+    in this process, and initializer is not called: a spawned worker would
+    first import numpy, scipy and imvc again and be sent its arrays.
     """
-    processes = min(len(jobs), usable_cpus())
-    if processes < 2 or start_method() != "fork" or multiprocessing.current_process().daemon:
+    processes = min(processes, len(jobs))
+    if (
+        processes < 2
+        or "fork" not in multiprocessing.get_all_start_methods()
+        or multiprocessing.current_process().daemon
+    ):
         return [job() for job in jobs]
     context = multiprocessing.get_context("fork")
     order = iter(sorted(range(len(jobs)), key=lambda i: -sizes[i]))
@@ -326,7 +328,7 @@ def _per_file(jobs: list[Callable], sizes: list[int]) -> list:
         for _ in range(processes):
             ours, theirs = context.Pipe()
             parent_ends = [ours] + [end for _, end in workers]
-            worker = context.Process(target=_serve, args=(jobs, theirs, parent_ends))
+            worker = context.Process(target=_serve, args=(jobs, theirs, parent_ends, initializer))
             worker.start()
             theirs.close()
             workers.append((worker, ours))
@@ -348,7 +350,7 @@ def _per_file(jobs: list[Callable], sizes: list[int]) -> list:
     results = []
     for i in range(len(jobs)):
         if i not in outcomes:
-            raise RuntimeError(f"a worker process ended before file job {i} was done")
+            raise RuntimeError(f"a worker process ended before job {i} was done")
         ok, value = outcomes[i]
         if not ok:
             raise value
@@ -419,25 +421,27 @@ def load_dataset(
     sidecars = availability_paths is not None and len(availability_paths) == len(view_paths)
     if sidecars:
         jobs += [partial(_load_matrix, Path(p), np.int64, ndmin=1) for p in availability_paths]
-    # each job's first argument is its file
-    loaded = iter(_per_file(jobs, [_file_size(Path(job.args[0])) for job in jobs]))
-    matrices = [next(loaded) for _ in view_paths]
-    labels = next(loaded) if label_path is not None else None
+    # each job's first argument is its file; the results are popped in job
+    # order, so that each parsed view is dropped once its ViewMatrix holds a
+    # copy, and the load holds its data and one view more at most
+    loaded = in_workers(jobs, [_file_size(Path(job.args[0])) for job in jobs], usable_cpus())
+    loaded.reverse()
+    views = tuple(ViewMatrix(view_id=v, data=loaded.pop()) for v in range(len(view_paths)))
+    labels = loaded.pop() if label_path is not None else None
 
     if availability_paths is None:
-        counts = {m.shape[1] for m in matrices}
-        if len(counts) != 1:
+        counts = [view.n_available for view in views]
+        if len(set(counts)) != 1:
             raise ValueError(
-                "views have differing column counts "
-                f"{sorted(m.shape[1] for m in matrices)} and no availability "
-                "sidecar was given"
+                f"views have differing column counts {sorted(counts)} and no "
+                "availability sidecar was given"
             )
-        n = matrices[0].shape[1]
-        avail = [np.arange(n, dtype=np.int64) for _ in matrices]
+        n = counts[0]
+        avail = [np.arange(n, dtype=np.int64) for _ in views]
     else:
         if not sidecars:
             raise ValueError("one availability sidecar per view is required")
-        avail = list(loaded)
+        avail = loaded[::-1]
         n = int(max(ids.max() for ids in avail)) + 1
         if labels is not None:
             n = max(n, labels.size)
@@ -446,7 +450,6 @@ def load_dataset(
         raise ValueError(
             f"label file has {labels.size} entries but the dataset has {n} samples"
         )
-    views = tuple(ViewMatrix(view_id=v, data=m) for v, m in enumerate(matrices))
     return MultiViewDataset(views=views, n=n, availability=tuple(avail), labels=labels)
 
 
@@ -473,7 +476,7 @@ def save_dataset(ds: MultiViewDataset, directory: str | Path) -> dict:
         jobs.append(partial(np.savetxt, lp, ds.labels, fmt="%d"))
         sizes.append(ds.labels.size)
         paths["labels"] = str(lp)
-    _per_file(jobs, sizes)
+    in_workers(jobs, sizes, usable_cpus())
     return paths
 
 

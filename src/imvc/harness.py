@@ -24,12 +24,11 @@ import hashlib
 import itertools
 import json
 import math
-import multiprocessing
 import numbers
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, asdict, fields, replace
+from functools import partial
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -41,9 +40,9 @@ from .dataset import (
     MaskSpec,
     MultiViewDataset,
     apply_mask,
+    in_workers,
     load_dataset,
     normalize_views,
-    start_method,
     usable_cpus,
 )
 from .graph import build_fused_graphs
@@ -338,8 +337,7 @@ def _aggregate(trials: Sequence[TrialOutcome]) -> RunRecord:
 class _Sweep:
     """One sweep (one variant) as the process that runs its trials holds it:
     the base dataset, the config, and whether trials keep their solver
-    states. Built in the calling process for one worker, and by the pool
-    initializer in each worker process."""
+    states. Built in the calling process; forked workers inherit it."""
 
     base: MultiViewDataset
     cfg: ExperimentConfig
@@ -430,10 +428,6 @@ def _run_trial(sweep: _Sweep, chunk: Sequence[TrialOutcome]) -> list[TrialOutcom
     return done
 
 
-# the sweep a worker process serves, set by the pool initializer
-_worker_sweep: Optional[_Sweep] = None
-
-
 def _cap_blas_threads(threads: int) -> None:
     """Cap the threads of the OpenBLAS that numpy's wheels bundle (in
     numpy.libs) at threads. Where numpy has no such library, under another
@@ -444,20 +438,6 @@ def _cap_blas_threads(threads: int) -> None:
             setter.argtypes, setter.restype = [ctypes.c_int], None
             setter(threads)
             return
-
-
-def _init_worker(
-    base: MultiViewDataset, cfg: ExperimentConfig, keep_states: bool, processes: int
-) -> None:
-    """Set up one of `processes` workers: its sweep, and its share of the
-    CPUs as BLAS threads, so the workers do not oversubscribe them."""
-    global _worker_sweep
-    _worker_sweep = _Sweep(base, cfg, keep_states)
-    _cap_blas_threads(max(1, usable_cpus() // processes))
-
-
-def _worker_trial(chunk: list[TrialOutcome]) -> list[TrialOutcome]:
-    return _run_trial(_worker_sweep, chunk)
 
 
 class DataError(ValueError):
@@ -529,11 +509,12 @@ def run_experiment(
     group's trials are dealt into min(workers, trials) strided chunks (chunk
     j holds rows j, j + workers, ...); each chunk builds the group's mask and
     graphs and runs its fits in lockstep as one fit call. With workers > 1
-    the chunks are handed out in that order, one at a time, to min(workers,
-    trials) worker processes (forked where the platform allows, else
-    spawned); one worker, or one trial, runs in this process. A group's
-    build is deterministic, a fit in a batch gives what it gives alone, and
-    rows are put back by id, so the output does not depend on workers.
+    the chunks go, largest first and in group order among equals, one at a
+    time to min(workers, trials) forked worker processes (dataset.in_workers);
+    one worker, one trial, no fork or a daemon process runs them in this
+    process. A group's build is deterministic, a fit in a batch gives what it
+    gives alone, and rows are put back by id, so the output does not depend
+    on workers.
     """
     if ablation is not None and ablation not in ABLATIONS:
         raise ValueError(f"unknown ablation {ablation!r}; expected one of {ABLATIONS}")
@@ -575,18 +556,15 @@ def run_experiment(
         for _, ids in sorted(groups.items())
         for j in range(min(processes, len(ids)))
     ]
-    chunks = [[pending[i] for i in ids] for ids in chunk_ids]
-    if processes > 1:
-        with ProcessPoolExecutor(
-            max_workers=processes,
-            mp_context=multiprocessing.get_context(start_method()),
-            initializer=_init_worker,
-            initargs=(base, cfg, keep_states, processes),
-        ) as pool:
-            results = list(pool.map(_worker_trial, chunks))
-    else:
-        sweep = _Sweep(base, cfg, keep_states)
-        results = [_run_trial(sweep, chunk) for chunk in chunks]
+    sweep = _Sweep(base, cfg, keep_states)
+    # each worker takes its share of the CPUs as BLAS threads, so that the
+    # workers do not oversubscribe them
+    results = in_workers(
+        [partial(_run_trial, sweep, [pending[i] for i in ids]) for ids in chunk_ids],
+        [len(ids) for ids in chunk_ids],
+        processes,
+        partial(_cap_blas_threads, max(1, usable_cpus() // processes)),
+    )
     for ids, done in zip(chunk_ids, results):
         for i, outcome in zip(ids, done):
             pending[i] = outcome

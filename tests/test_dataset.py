@@ -1,6 +1,7 @@
 import multiprocessing
 import os
 import signal
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -18,9 +19,9 @@ from imvc import (
 from imvc.dataset import (
     _draw_random_missing,
     _load_matrix,
-    _per_file,
     _repair_coverage,
     _round_half_up,
+    in_workers,
 )
 
 from reference import build_indicator
@@ -382,8 +383,8 @@ def test_no_process_outlives_a_load_or_a_save(tmp_path, forks):
 
 def test_a_worker_that_dies_is_an_error_and_leaves_no_process(forks):
     jobs = [lambda: "done", lambda: os._exit(3)]
-    with pytest.raises(RuntimeError, match="ended before file job 1 was done"):
-        _per_file(jobs, [1, 1])
+    with pytest.raises(RuntimeError, match="ended before job 1 was done"):
+        in_workers(jobs, [1, 1], 2)
     assert len(forks) == 2 and multiprocessing.active_children() == []
 
 
@@ -409,7 +410,7 @@ def test_an_error_while_collecting_stops_every_worker(forks):
     signal.alarm(60)
     try:
         with pytest.raises(ValueError, match="cannot be unpickled"):
-            _per_file([_Refused, lambda: 1, lambda: 2], [3, 2, 1])
+            in_workers([_Refused, lambda: 1, lambda: 2], [3, 2, 1], 3)
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
@@ -418,6 +419,29 @@ def test_an_error_while_collecting_stops_every_worker(forks):
             child.kill()
             child.join()
     assert left == []
+
+
+@pytest.mark.parametrize("cpus", [{0}, {0, 1, 2}], ids=["serial", "pooled"])
+def test_a_load_holds_its_data_and_one_view_more_at_most(tmp_path, monkeypatch, cpus):
+    # each parsed view is dropped once its ViewMatrix holds a copy: holding
+    # every parsed view while the copies are made would peak at twice the data
+    full = complete_dataset(1000, 4, seed=4, m=40)
+    full = MultiViewDataset(
+        views=full.views, n=1000, availability=full.availability, labels=np.arange(1000) % 3
+    )
+    paths = save_dataset(full, tmp_path)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+    tracemalloc.start()
+    try:
+        ds = load_dataset(paths["views"], paths["availability"], paths["labels"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    for view, want in zip(ds.views, full.views):
+        assert np.array_equal(view.data, want.data)
+    data = sum(a.nbytes for a in (*(v.data for v in ds.views), *ds.availability, ds.labels))
+    largest = max(view.data.nbytes for view in ds.views)
+    assert peak < data + largest + largest // 2
 
 
 def test_a_daemon_process_reads_the_files_itself(tmp_path, forks):

@@ -2,9 +2,9 @@ import csv
 import ctypes
 import json
 import multiprocessing
+import os
 import re
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -19,8 +19,14 @@ from imvc import (
     write_results,
     write_traces,
 )
-from imvc.dataset import usable_cpus
-from imvc.harness import TrialOutcome, _aggregate, derive_seed, load_base, write_trace
+from imvc.harness import (
+    _TRIAL_COLUMNS,
+    TrialOutcome,
+    _aggregate,
+    derive_seed,
+    load_base,
+    write_trace,
+)
 from imvc.solver import SolverConfig, SolverState, initialize
 
 from synthetic import multiview_blobs
@@ -333,16 +339,52 @@ def test_worker_processes_return_the_serial_states(data_dir, tmp_path):
         assert np.array_equal(p.state.consensus, s.state.consensus)
 
 
-def test_spawned_workers_match_serial(data_dir, tmp_path, monkeypatch):
-    # where the platform has no fork, the workers are spawned
+def _forks_needed():
+    if "fork" not in multiprocessing.get_all_start_methods():
+        pytest.skip("the platform has no fork: every job runs in the calling process")
+
+
+def test_without_fork_the_chunks_run_in_this_process(data_dir, tmp_path, monkeypatch):
+    # where the platform has no fork, no worker is spawned instead: the
+    # calling process runs the chunks (and reads the files) itself
     root, paths = data_dir
     monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    started = []
+
+    def fork():
+        started.append("fork")
+        raise AssertionError("os.fork was called")
+
+    def start(process):
+        started.append(process)
+        raise AssertionError("a process was started")
+
+    monkeypatch.setattr(os, "fork", fork)
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", start)
     outputs = []
     for workers in (1, 2):
         cfg = make_config(paths, tmp_path / f"workers{workers}", metrics={"restarts": 1})
         write_results(run_experiment(cfg, workers=workers), cfg.output_dir, cfg)
         outputs.append((tmp_path / f"workers{workers}" / "trials.csv").read_bytes())
+    assert started == []
     assert outputs[0] == outputs[1]
+
+
+def _rows(records):
+    return [[getattr(t, name) for name in _TRIAL_COLUMNS] for rec in records for t in rec.trials]
+
+
+def test_a_daemon_process_runs_the_chunks_itself(data_dir, tmp_path):
+    # a daemon process may start no children: a pool worker runs a sweep of
+    # two workers in itself and returns the serial rows
+    _forks_needed()
+    root, paths = data_dir
+    solver = {"lam": [0.5, 2.0], "beta": [0.001], "r": [3.0], "k": [5], "max_iter": 30}
+    cfg = make_config(paths, tmp_path / "out", solver=solver)
+    with multiprocessing.get_context("fork").Pool(1) as pool:
+        pooled = pool.apply(run_experiment, (cfg,), {"workers": 2})
+    assert _rows(pooled) == _rows(run_experiment(cfg))
 
 
 def _blas_threads():
@@ -379,22 +421,54 @@ def test_workers_output_does_not_depend_on_their_blas_threads(tmp_path):
     assert all(not row["error"] for row in read_rows(tmp_path / "workers1" / "trials.csv"))
 
 
-@pytest.mark.parametrize(
-    "method", sorted({"fork", "spawn"} & set(multiprocessing.get_all_start_methods()))
-)
-def test_workers_take_their_share_of_blas_threads(data_dir, tmp_path, method):
+def _log_blas_threads(monkeypatch, module, name, log):
+    """Wrap module.name so that each call first appends its process's id and
+    BLAS threads to log: an O_APPEND file, as forked workers cannot append to
+    the test's lists."""
+    real = getattr(module, name)
+
+    def logged(*args, **kwargs):
+        with open(log, "a") as fh:
+            fh.write(f"{os.getpid()} {_blas_threads()}\n")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, logged)
+
+
+def test_workers_take_their_share_of_blas_threads(data_dir, tmp_path, monkeypatch):
     if _blas_threads() is None:
         pytest.skip("numpy bundles no OpenBLAS with scipy_openblas symbols")
+    _forks_needed()
     root, paths = data_dir
-    cfg = make_config(paths, tmp_path / "out")
-    processes = max(2, usable_cpus())  # one CPU each
-    with ProcessPoolExecutor(
-        max_workers=1,
-        mp_context=multiprocessing.get_context(method),
-        initializer=imvc.harness._init_worker,
-        initargs=(load_base(cfg), cfg, False, processes),
-    ) as pool:
-        assert pool.submit(_blas_threads).result(timeout=120) == 1
+    threads = _blas_threads()
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    log = tmp_path / "threads.log"
+    _log_blas_threads(monkeypatch, imvc.harness, "_run_trial", log)
+    # one group of 3 trials: 3 chunks for 3 workers on 3 CPUs, one CPU each
+    solver = {"lam": [0.5, 1.0, 2.0], "beta": [0.001], "r": [3.0], "k": [5], "max_iter": 20}
+    cfg = make_config(paths, tmp_path / "out", mask={"repeats": 1}, solver=solver)
+    run_experiment(cfg, workers=3)
+    chunks = [line.split() for line in log.read_text().splitlines()]
+    assert len(chunks) == 3 and len({pid for pid, _ in chunks} - {str(os.getpid())}) == 3
+    assert [blas for _, blas in chunks] == ["1", "1", "1"]
+    assert _blas_threads() == threads  # the calling process keeps its own
+    assert multiprocessing.active_children() == []
+
+
+def test_file_workers_keep_the_blas_threads(data_dir, tmp_path, monkeypatch):
+    # in a forked process, setting OpenBLAS's threads starts a thread that
+    # spins for about 140 ms, so the file workers take no cap
+    if _blas_threads() is None:
+        pytest.skip("numpy bundles no OpenBLAS with scipy_openblas symbols")
+    _forks_needed()
+    root, paths = data_dir
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    log = tmp_path / "threads.log"
+    _log_blas_threads(monkeypatch, imvc.dataset, "_load_matrix", log)
+    load_base(make_config(paths, tmp_path / "out"))
+    files = [line.split() for line in log.read_text().splitlines()]
+    assert len(files) == 3 and str(os.getpid()) not in {pid for pid, _ in files}
+    assert [blas for _, blas in files] == [str(_blas_threads())] * 3
 
 
 @pytest.mark.parametrize("workers", [0, -2])
