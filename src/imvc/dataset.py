@@ -14,7 +14,8 @@ On-disk interchange format (all plain text, no binary dependencies):
   * label file: CSV, a single column of n integers.
 
 in_workers is imvc's one process pool; harness.run_experiment runs a
-sweep's chunks through it too. Its rule: fork, else the calling process.
+sweep's chunks through it too. Its rule: fork, else the calling process,
+and each forked worker inherits its share of the CPUs as OpenBLAS threads.
 load_dataset and save_dataset read and write each file whole in one of up to
 as many forked processes as this process may use CPUs, largest file first;
 without fork, or in a daemon process, the calling process reads and writes
@@ -23,6 +24,7 @@ them all, with the same arrays and bytes.
 
 from __future__ import annotations
 
+import ctypes
 import math
 import multiprocessing
 import multiprocessing.connection
@@ -279,18 +281,28 @@ def usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _serve(jobs: list[Callable], conn, parent_ends: list, initializer) -> None:
-    """A forked worker: run the initializer, if any, then each job index its
-    parent sends, until None, and send back the index with (True, result) or
-    (False, error).
+def _blas_threads(threads: Optional[int] = None) -> Optional[int]:
+    """Set the threads of numpy's bundled OpenBLAS (numpy.libs) if given, and
+    return the count from before; under another BLAS, do nothing: None."""
+    for path in sorted(Path(np.__file__).parent.parent.glob("numpy.libs/*scipy_openblas*")):
+        lib = ctypes.CDLL(str(path))
+        if hasattr(lib, "scipy_openblas_get_num_threads64_"):
+            before = lib.scipy_openblas_get_num_threads64_()
+            if threads not in (None, before):
+                lib.scipy_openblas_set_num_threads64_(threads)
+            return before
+    return None
+
+
+def _serve(jobs: list[Callable], conn, parent_ends: list) -> None:
+    """A forked worker: run each job index its parent sends, until None, and
+    send back the index with (True, result) or (False, error).
 
     It first closes the parent's pipe ends that it inherited at fork, so that
     each worker sees the end of its pipe once the parent closes its own end.
     """
     for end in parent_ends:
         end.close()
-    if initializer is not None:
-        initializer()
     for i in iter(conn.recv, None):
         try:
             outcome = (True, jobs[i]())
@@ -299,20 +311,23 @@ def _serve(jobs: list[Callable], conn, parent_ends: list, initializer) -> None:
         conn.send((i, outcome))
 
 
-def in_workers(jobs: list[Callable], sizes: list[int], processes: int, initializer=None) -> list:
-    """[job() for job in jobs], in min(processes, jobs) forked processes,
-    each of which first calls initializer, if given.
+def in_workers(jobs: list[Callable], sizes: list[int], processes: int) -> list:
+    """[job() for job in jobs], in min(processes, jobs) forked processes.
 
     Each worker is sent one job at a time, biggest size first (in job order
     among equal sizes), and its next one when it sends back the last. It
     inherits the jobs and their arrays at fork, so only indices go to it and
-    only results come back. This thread reads them: memory that a helper
-    thread allocated would stay in that thread's malloc arena once freed and
-    raise this process's peak RSS. Results, and the first error, are taken
-    in job order, as a serial loop meets them. With fewer than 2 processes,
-    without fork, or in a daemon process, which may start none, the jobs run
-    in this process, and initializer is not called: a spawned worker would
-    first import numpy, scipy and imvc again and be sent its arrays.
+    only results come back, and its OpenBLAS threads: this process sets them
+    to each worker's share of its usable CPUs (at least 1) just before it
+    forks and puts its own back once they are joined, as a forked process
+    that set them would restart OpenBLAS's thread pool, which spins. This
+    thread reads the results: memory that a helper thread allocated would
+    stay in that thread's malloc arena once freed and raise this process's
+    peak RSS. Results, and the first error, are taken in job order, as a
+    serial loop meets them. With fewer than 2 processes, without fork, or in
+    a daemon process, which may start none, the jobs run in this process: a
+    spawned worker would first import numpy, scipy and imvc again and be
+    sent its arrays.
     """
     processes = min(processes, len(jobs))
     if (
@@ -324,11 +339,12 @@ def in_workers(jobs: list[Callable], sizes: list[int], processes: int, initializ
     context = multiprocessing.get_context("fork")
     order = iter(sorted(range(len(jobs)), key=lambda i: -sizes[i]))
     workers, outcomes = [], {}
+    threads = _blas_threads(max(1, usable_cpus() // processes))
     try:
         for _ in range(processes):
             ours, theirs = context.Pipe()
             parent_ends = [ours] + [end for _, end in workers]
-            worker = context.Process(target=_serve, args=(jobs, theirs, parent_ends, initializer))
+            worker = context.Process(target=_serve, args=(jobs, theirs, parent_ends))
             worker.start()
             theirs.close()
             workers.append((worker, ours))
@@ -347,6 +363,7 @@ def in_workers(jobs: list[Callable], sizes: list[int], processes: int, initializ
         for worker, ours in workers:
             ours.close()
             worker.join()
+        _blas_threads(threads)
     results = []
     for i in range(len(jobs)):
         if i not in outcomes:

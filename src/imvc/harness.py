@@ -19,7 +19,6 @@ model switch in _VARIANTS that it turns off.
 
 from __future__ import annotations
 
-import ctypes
 import hashlib
 import itertools
 import json
@@ -43,7 +42,6 @@ from .dataset import (
     in_workers,
     load_dataset,
     normalize_views,
-    usable_cpus,
 )
 from .graph import build_fused_graphs
 from .metrics import evaluate_clustering
@@ -428,18 +426,6 @@ def _run_trial(sweep: _Sweep, chunk: Sequence[TrialOutcome]) -> list[TrialOutcom
     return done
 
 
-def _cap_blas_threads(threads: int) -> None:
-    """Cap the threads of the OpenBLAS that numpy's wheels bundle (in
-    numpy.libs) at threads. Where numpy has no such library, under another
-    BLAS for one, this does nothing."""
-    for lib in sorted(Path(np.__file__).parent.parent.glob("numpy.libs/*scipy_openblas*")):
-        setter = getattr(ctypes.CDLL(str(lib)), "scipy_openblas_set_num_threads64_", None)
-        if setter is not None:
-            setter.argtypes, setter.restype = [ctypes.c_int], None
-            setter(threads)
-            return
-
-
 class DataError(ValueError):
     """A sweep's data files cannot be read or normalized, or give no labels
     to score with."""
@@ -510,11 +496,11 @@ def run_experiment(
     j holds rows j, j + workers, ...); each chunk builds the group's mask and
     graphs and runs its fits in lockstep as one fit call. With workers > 1
     the chunks go, largest first and in group order among equals, one at a
-    time to min(workers, trials) forked worker processes (dataset.in_workers);
-    one worker, one trial, no fork or a daemon process runs them in this
-    process. A group's build is deterministic, a fit in a batch gives what it
-    gives alone, and rows are put back by id, so the output does not depend
-    on workers.
+    time to min(workers, chunks) forked worker processes, each on its share
+    of the CPUs as BLAS threads (dataset.in_workers); one worker, one trial,
+    no fork or a daemon process runs them in this process. A group's build
+    is deterministic, a fit in a batch gives what it gives alone, and rows
+    are put back by id, so the output does not depend on workers.
     """
     if ablation is not None and ablation not in ABLATIONS:
         raise ValueError(f"unknown ablation {ablation!r}; expected one of {ABLATIONS}")
@@ -550,20 +536,16 @@ def run_experiment(
                     )
                 )
 
-    processes = min(workers, len(pending))
     chunk_ids = [
-        ids[j::processes]
+        ids[j::workers]
         for _, ids in sorted(groups.items())
-        for j in range(min(processes, len(ids)))
+        for j in range(min(workers, len(ids)))
     ]
     sweep = _Sweep(base, cfg, keep_states)
-    # each worker takes its share of the CPUs as BLAS threads, so that the
-    # workers do not oversubscribe them
     results = in_workers(
         [partial(_run_trial, sweep, [pending[i] for i in ids]) for ids in chunk_ids],
         [len(ids) for ids in chunk_ids],
-        processes,
-        partial(_cap_blas_threads, max(1, usable_cpus() // processes)),
+        workers,
     )
     for ids, done in zip(chunk_ids, results):
         for i, outcome in zip(ids, done):

@@ -1,5 +1,6 @@
-"""First-order optimality certificates of the solver's block updates, checked
-at a realistic size after every call that a README-grid batch makes.
+"""First-order optimality certificates of the solver's block updates (codes,
+consensus and weights), checked at a realistic size after every call that a
+README-grid batch makes.
 
 The descent property alone does not pin an update down: a codes step whose
 soft threshold is doubled still never raises the objective on the problems
@@ -8,6 +9,7 @@ first-order condition, which costs no more to check than a sweep.
 """
 
 import numpy as np
+import pytest
 
 import imvc.solver
 from imvc.solver import SolverConfig, fit
@@ -73,27 +75,146 @@ def codes_residuals(x, bases, gathered, graph, lam, beta, codes):
     return worst, slack
 
 
-def test_codes_meet_their_first_order_condition_on_a_readme_grid_batch(monkeypatch):
-    # one README-grid group at the roadmap's reference size: n = 2000,
-    # 10 clusters, 30% of the views missing, k = 5
+def consensus_residuals(codes, graphs, availability, weights, r, consensus):
+    """Each fit's worst scaled residual of the consensus' first-order
+    condition, and the float slack that bounds it.
+
+    The consensus Q minimizes sum_v a_v^r sum_(i,t) W_v[i, t]
+    ||p_vi - q_(ids_v[t])||^2. So for each sample j, with t its column in
+    each view v that holds it, sum_v a_v^r (d_vt q_j - (P_v W_v)_t) = 0,
+    the sum over those views. P_v W_v is formed here from the codes that
+    the update's W P^T was made from, not taken from it; a_v^r is the
+    update's own power of the same floats.
+
+    Slack. With K the most nonzeros in a row of any W_v (W >= 0) and l the
+    views, the update's W P^T and this check's P W are each within gamma_K
+    (|P_v| W_v)_t of the exact product (Higham 3.5). The update then sums l
+    terms a_v^r (W P^T)_t and l terms a_v^r d_vt, rounding each product,
+    and divides: q_j sum_v a_v^r d_vt is within gamma_(K+l+3) of the exact
+    numerator, relative to sum_v a_v^r (d_vt |q_j| + (|P_v| W_v)_t). This
+    check rounds d_vt q_j, its difference with P W, the product with a_v^r
+    and the sum over l views, within as much again. So every residual is at
+    most 4 gamma_(K+l+8) times scale = sum_v a_v^r (d_vt |q_j| +
+    (|P_v| W_v)_t), the factor 2 over the two sides' 2 gamma_(K+l+3)
+    covering the scale's own rounding. A sample where scale is 0 has
+    q_j = 0 and P W = 0, and must read a residual of exactly 0.
+    """
+    k = max(int(np.diff(graph.w.indptr).max()) for graph in graphs)
+    slack = 4 * gamma(k + len(graphs) + 8)
+    worst = np.empty(consensus.shape[0])
+    for b, q in enumerate(consensus):
+        residual = np.zeros_like(q)
+        scale = np.zeros_like(q)
+        for p, graph, ids, a in zip(codes, graphs, availability, weights[b]):
+            assert (graph.w.data >= 0).all()
+            ar = a ** r[b]
+            residual[:, ids] += ar * (graph.degree * q[:, ids] - (graph.w @ p[b].T).T)
+            scale[:, ids] += ar * (graph.degree * np.abs(q[:, ids]) + (graph.w @ np.abs(p[b]).T).T)
+        worst[b] = (np.abs(residual) / np.where(scale > 0.0, scale, 1.0)).max()
+    return worst, slack
+
+
+def weights_residuals(costs, r, weights):
+    """The relative spread of g_v = r a_v^(r-1) e_v over the views with
+    a_v > 0, |sum_v a_v - 1|, and the float slacks that bound them.
+
+    The weights minimize sum_v a_v^r e_v over the simplex, so with a
+    multiplier mu the views' g_v all equal mu, and the weights sum to 1.
+    The closed form a_v = t_v / sum t, t_v = (e_v / e_min)^s, s = 1/(1-r),
+    gives g_v = r e_min (sum t)^(1-r) for every view.
+
+    Slack, with u the unit roundoff and l the views, for normal a_v (which
+    this asserts). The update rounds x_v = e_v / e_min, s and the power:
+    t_v is off by |s| u + |s ln x_v| gamma_2 + gamma_2 relative, which the
+    power r - 1 multiplies by r - 1 = 1 / |s|. The common divisor sum t
+    cancels from the spread; its division adds (r - 1) u. This check rounds
+    r - 1 (|(r - 1) ln a_v| u through the power), the power (gamma_2) and
+    two products. So each g_v is within rho = gamma_N of the common value,
+    N = 8 + 3 (r - 1) + 2 max_v |ln x_v| + (r - 1) max_v |ln a_v|, and two
+    of them differ by at most 2 rho relative to the larger; the check
+    allows twice that, 4 gamma_N. The sum: the update's sum t is within
+    gamma_(l-1), each division within u and this check's sum within
+    gamma_(l-1), so |sum_v a_v - 1| <= gamma_(2l).
+    """
+    costs, weights = np.asarray(costs), np.asarray(weights)
+    live = weights > 0.0
+    assert (weights[live] >= np.finfo(np.float64).tiny).all()
+    g = r * weights[live] ** (r - 1.0) * costs[live]
+    x = costs[live] / costs.min()
+    n = 8 + 3 * (r - 1) + 2 * np.log(x).max() + (r - 1) * np.abs(np.log(weights[live])).max()
+    spread = (g.max() - g.min()) / g.max()
+    return spread, abs(weights.sum() - 1.0), 4 * gamma(n), gamma(2 * len(weights))
+
+
+@pytest.fixture(scope="module")
+def readme_batch():
+    """One README-grid group at the roadmap's reference size (n = 2000,
+    10 clusters, 30% of the views missing, k = 5), fitted 3 sweeps at tol 0,
+    with the residuals of every codes, consensus and weights update."""
     full = multiview_blobs(n=2000, n_clusters=10, dims=HANDWRITTEN_DIMS, seed=0)
     ds, graphs = masked_problem(full, rate=0.3, mask_seed=0, k=5)
     cfgs = [
         SolverConfig(lam=lam, beta=beta, r=r, n_components=10, max_iter=3, tol=0.0, seed=i)
         for i, (lam, beta, r) in enumerate(README_GRID)
     ]
-    seen = []
+    seen = {"codes": [], "consensus": [], "weights": []}
     update_codes = imvc.solver.update_codes
+    update_consensus = imvc.solver.update_consensus
+    update_weights = imvc.solver.update_weights
+    times_w = imvc.solver._times_w
+    made = {}  # per graph, the last W P^T the fit made and the codes P
 
-    def certified(x, bases, gathered, graph, lam, beta):
-        codes, xtu = update_codes(x, bases, gathered, graph, lam, beta)
-        seen.append(codes_residuals(x, bases, gathered, graph, lam, beta, codes))
-        return codes, xtu
+    def products(graph, stack):
+        made[id(graph)] = (times_w(graph, stack), stack)
+        return made[id(graph)][0]
 
-    monkeypatch.setattr(imvc.solver, "update_codes", certified)
-    states = fit(ds, graphs, cfgs)
+    def codes(x, bases, gathered, graph, lam, beta):
+        p, xtu = update_codes(x, bases, gathered, graph, lam, beta)
+        seen["codes"].append(codes_residuals(x, bases, gathered, graph, lam, beta, p))
+        return p, xtu
+
+    def consensus(wp, graphs, availability, n, weights, r):
+        q, failed = update_consensus(wp, graphs, availability, n, weights, r)
+        assert all(prod is made[id(graph)][0] for prod, graph in zip(wp, graphs))
+        stacks = [made[id(graph)][1] for graph in graphs]
+        seen["consensus"].append(consensus_residuals(stacks, graphs, availability, weights, r, q))
+        return q, failed
+
+    def weights(costs, r):
+        a = update_weights(costs, r)
+        seen["weights"].append(weights_residuals(costs, r, a))
+        return a
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(imvc.solver, "_times_w", products)
+        patch.setattr(imvc.solver, "update_codes", codes)
+        patch.setattr(imvc.solver, "update_consensus", consensus)
+        patch.setattr(imvc.solver, "update_weights", weights)
+        states = fit(ds, graphs, cfgs)
     assert [(s.error, s.n_iterations) for s in states] == [(None, 3)] * len(cfgs)
+    return ds, cfgs, seen
+
+
+def test_codes_meet_their_first_order_condition_on_a_readme_grid_batch(readme_batch):
+    ds, cfgs, seen = readme_batch
     # one call per view and sweep, each over all 27 fits
-    assert [len(worst) for worst, _ in seen] == [len(cfgs)] * (3 * ds.n_views)
-    for worst, slack in seen:
+    assert [len(worst) for worst, _ in seen["codes"]] == [len(cfgs)] * (3 * ds.n_views)
+    for worst, slack in seen["codes"]:
         assert worst.max() <= slack, (worst.max(), slack)
+
+
+def test_consensus_meets_its_first_order_condition_on_a_readme_grid_batch(readme_batch):
+    ds, cfgs, seen = readme_batch
+    # one call per sweep, over all 27 fits
+    assert [len(worst) for worst, _ in seen["consensus"]] == [len(cfgs)] * 3
+    for worst, slack in seen["consensus"]:
+        assert worst.max() <= slack, (worst.max(), slack)
+
+
+def test_weights_meet_their_first_order_condition_on_a_readme_grid_batch(readme_batch):
+    ds, cfgs, seen = readme_batch
+    # one call per fit and sweep
+    assert len(seen["weights"]) == 3 * len(cfgs)
+    for spread, off, spread_slack, sum_slack in seen["weights"]:
+        assert spread <= spread_slack, (spread, spread_slack)
+        assert off <= sum_slack, (off, sum_slack)

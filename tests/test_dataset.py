@@ -19,6 +19,7 @@ from imvc import (
 from imvc.dataset import (
     _draw_random_missing,
     _load_matrix,
+    _blas_threads,
     _repair_coverage,
     _round_half_up,
     in_workers,
@@ -348,6 +349,7 @@ def _garble_views_1_and_2(paths):
 def test_the_first_garbled_view_in_view_order_is_named(tmp_path, forks, monkeypatch):
     paths = save_dataset(_labeled_incomplete(), tmp_path)
     _garble_views_1_and_2(paths)
+    threads = _blas_threads()
     messages = []
     for cpus in ({0, 1, 2}, {0}):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
@@ -356,6 +358,7 @@ def test_the_first_garbled_view_in_view_order_is_named(tmp_path, forks, monkeypa
         messages.append(str(info.value))
     assert messages[0] == messages[1]
     assert messages[0].startswith(f"{paths['views'][1]}: could not parse")
+    assert _blas_threads() == threads  # the pool put the caller's count back
 
 
 def test_one_usable_cpu_starts_no_process(tmp_path, monkeypatch):
@@ -383,9 +386,11 @@ def test_no_process_outlives_a_load_or_a_save(tmp_path, forks):
 
 def test_a_worker_that_dies_is_an_error_and_leaves_no_process(forks):
     jobs = [lambda: "done", lambda: os._exit(3)]
+    threads = _blas_threads()
     with pytest.raises(RuntimeError, match="ended before job 1 was done"):
         in_workers(jobs, [1, 1], 2)
     assert len(forks) == 2 and multiprocessing.active_children() == []
+    assert _blas_threads() == threads
 
 
 def _refuse():

@@ -24,7 +24,6 @@ from imvc.harness import (
     TrialOutcome,
     _aggregate,
     derive_seed,
-    load_base,
     write_trace,
 )
 from imvc.solver import SolverConfig, SolverState, initialize
@@ -422,53 +421,45 @@ def test_workers_output_does_not_depend_on_their_blas_threads(tmp_path):
 
 
 def _log_blas_threads(monkeypatch, module, name, log):
-    """Wrap module.name so that each call first appends its process's id and
-    BLAS threads to log: an O_APPEND file, as forked workers cannot append to
-    the test's lists."""
+    """Wrap module.name so that each call, once it returns, appends its
+    process's id, BLAS threads and threads to log: an O_APPEND file, as
+    forked workers cannot append to the test's lists."""
     real = getattr(module, name)
 
     def logged(*args, **kwargs):
+        result = real(*args, **kwargs)
         with open(log, "a") as fh:
-            fh.write(f"{os.getpid()} {_blas_threads()}\n")
-        return real(*args, **kwargs)
+            fh.write(f"{os.getpid()} {_blas_threads()} {len(os.listdir('/proc/self/task'))}\n")
+        return result
 
     monkeypatch.setattr(module, name, logged)
 
 
 def test_workers_take_their_share_of_blas_threads(data_dir, tmp_path, monkeypatch):
+    # the 3 files of the load and the 3 chunks of one group of 3 trials, each
+    # in one of 3 forked workers on 3 usable CPUs: every worker inherits
+    # OpenBLAS at its share, 1 thread, and runs no thread but its own; one
+    # that set the count itself would restart OpenBLAS's thread pool
     if _blas_threads() is None:
         pytest.skip("numpy bundles no OpenBLAS with scipy_openblas symbols")
+    if not os.path.isdir("/proc/self/task"):
+        pytest.skip("no /proc/self/task to count a process's threads")
     _forks_needed()
     root, paths = data_dir
     threads = _blas_threads()
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
     log = tmp_path / "threads.log"
+    _log_blas_threads(monkeypatch, imvc.dataset, "_load_matrix", log)
     _log_blas_threads(monkeypatch, imvc.harness, "_run_trial", log)
-    # one group of 3 trials: 3 chunks for 3 workers on 3 CPUs, one CPU each
     solver = {"lam": [0.5, 1.0, 2.0], "beta": [0.001], "r": [3.0], "k": [5], "max_iter": 20}
     cfg = make_config(paths, tmp_path / "out", mask={"repeats": 1}, solver=solver)
     run_experiment(cfg, workers=3)
-    chunks = [line.split() for line in log.read_text().splitlines()]
-    assert len(chunks) == 3 and len({pid for pid, _ in chunks} - {str(os.getpid())}) == 3
-    assert [blas for _, blas in chunks] == ["1", "1", "1"]
+    workers = [line.split() for line in log.read_text().splitlines()]
+    assert len(workers) == 6 and str(os.getpid()) not in {pid for pid, _, _ in workers}
+    assert len({pid for pid, _, _ in workers[3:]}) == 3  # one chunk per sweep worker
+    assert [(blas, tasks) for _, blas, tasks in workers] == [("1", "1")] * 6
     assert _blas_threads() == threads  # the calling process keeps its own
     assert multiprocessing.active_children() == []
-
-
-def test_file_workers_keep_the_blas_threads(data_dir, tmp_path, monkeypatch):
-    # in a forked process, setting OpenBLAS's threads starts a thread that
-    # spins for about 140 ms, so the file workers take no cap
-    if _blas_threads() is None:
-        pytest.skip("numpy bundles no OpenBLAS with scipy_openblas symbols")
-    _forks_needed()
-    root, paths = data_dir
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
-    log = tmp_path / "threads.log"
-    _log_blas_threads(monkeypatch, imvc.dataset, "_load_matrix", log)
-    load_base(make_config(paths, tmp_path / "out"))
-    files = [line.split() for line in log.read_text().splitlines()]
-    assert len(files) == 3 and str(os.getpid()) not in {pid for pid, _ in files}
-    assert [blas for _, blas in files] == [str(_blas_threads())] * 3
 
 
 @pytest.mark.parametrize("workers", [0, -2])
