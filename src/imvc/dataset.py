@@ -10,16 +10,19 @@ fraction of the samples.
 
 On-disk interchange format (all plain text, no binary dependencies):
   * view file: CSV, no header, '.' decimal separator, m_v rows x n_v columns;
-  * availability sidecar: one integer sample id per line, strictly ascending;
+  * availability sidecar: one column of integer sample ids, non-negative and
+    strictly ascending;
   * label file: CSV, a single column of n integers.
 
 in_workers is imvc's one process pool; harness.run_experiment runs a
 sweep's chunks through it too. Its rule: fork, else the calling process,
 and each forked worker inherits its share of the CPUs as OpenBLAS threads.
-load_dataset and save_dataset read and write each file whole in one of up to
-as many forked processes as this process may use CPUs, largest file first;
-without fork, or in a daemon process, the calling process reads and writes
-them all, with the same arrays and bytes.
+load_dataset reads the label file and the sidecars (a small part of the
+data) in the calling process, then each view file whole in the pool,
+largest first, so faults come in the order labels, sidecars, views;
+save_dataset writes every file in the pool, as savetxt formats even the
+small ones row by row. Without fork, or in a daemon process, the calling
+process does it all, with the same arrays and bytes.
 """
 
 from __future__ import annotations
@@ -384,15 +387,15 @@ def _file_size(path: Path) -> int:
         return 0
 
 
-def _load_matrix(path: Path, dtype=np.float64, ndmin: int = 2) -> np.ndarray:
-    """The numbers of a CSV file: views and labels as float matrices,
-    availability sidecars as int64 vectors. Every fault in the file is one
+def _load_matrix(path: Path, dtype=np.float64) -> np.ndarray:
+    """The numbers of a CSV file as a matrix: float64 for views and labels,
+    int64 for availability sidecars. Every fault in the file is one
     ValueError that names it."""
     try:
         with warnings.catch_warnings():
             # an empty file is reported below, with its path
             warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-            data = np.loadtxt(path, delimiter=",", dtype=dtype, ndmin=ndmin)
+            data = np.loadtxt(path, delimiter=",", dtype=dtype, ndmin=2)
     except ValueError as exc:
         raise ValueError(f"{path}: could not parse as a numeric CSV matrix: {exc}") from exc
     if data.size == 0:
@@ -404,18 +407,6 @@ def _load_matrix(path: Path, dtype=np.float64, ndmin: int = 2) -> np.ndarray:
     return data
 
 
-def _load_labels(path: str | Path) -> np.ndarray:
-    """The labels of a label file as contiguous 0-based class ids."""
-    raw = _load_matrix(Path(path))
-    if min(raw.shape) != 1:
-        raise ValueError(f"{path}: label file must be a single column")
-    flat = raw.reshape(-1)
-    if np.any(flat != np.round(flat)):
-        raise ValueError(f"{path}: labels must be integers")
-    _, labels = np.unique(flat.astype(np.int64), return_inverse=True)
-    return labels
-
-
 def load_dataset(
     view_paths: Sequence[str | Path],
     availability_paths: Optional[Sequence[str | Path]] = None,
@@ -424,27 +415,42 @@ def load_dataset(
     """Load a dataset from per-view CSV files.
 
     Without availability sidecars all views must share one column count, which
-    becomes the sample count n. With sidecars, n is taken from the label file
-    when present and from the largest sample id otherwise. Labels are remapped
-    to contiguous 0-based integers. The files are parsed in parallel (see
-    the module docstring); a fault is reported for the first faulty file in
-    the order views, labels, sidecars.
+    becomes the sample count n; with them, n is the largest sample id + 1.
+    Labels are remapped to contiguous 0-based integers. The arguments are
+    checked first, then the label file and the sidecars are read and checked
+    here, and only then are the view files parsed in the pool (see the module
+    docstring): the first faulty file in the order labels, sidecars, views is
+    reported.
     """
     if not view_paths:
         raise ValueError("need at least one view file")
-    jobs = [partial(_load_matrix, Path(p)) for p in view_paths]
+    if availability_paths is not None and len(availability_paths) != len(view_paths):
+        raise ValueError("one availability sidecar per view is required")
+    labels = None
     if label_path is not None:
-        jobs.append(partial(_load_labels, label_path))
-    sidecars = availability_paths is not None and len(availability_paths) == len(view_paths)
-    if sidecars:
-        jobs += [partial(_load_matrix, Path(p), np.int64, ndmin=1) for p in availability_paths]
-    # each job's first argument is its file; the results are popped in job
-    # order, so that each parsed view is dropped once its ViewMatrix holds a
-    # copy, and the load holds its data and one view more at most
-    loaded = in_workers(jobs, [_file_size(Path(job.args[0])) for job in jobs], usable_cpus())
-    loaded.reverse()
-    views = tuple(ViewMatrix(view_id=v, data=loaded.pop()) for v in range(len(view_paths)))
-    labels = loaded.pop() if label_path is not None else None
+        raw = _load_matrix(Path(label_path))
+        if min(raw.shape) != 1:
+            raise ValueError(f"{label_path}: label file must be a single column")
+        if np.any(raw != np.round(raw)):
+            raise ValueError(f"{label_path}: labels must be integers")
+        labels = np.unique(raw.reshape(-1).astype(np.int64), return_inverse=True)[1]
+    avail = []
+    for path in availability_paths or ():
+        ids = _load_matrix(Path(path), np.int64)
+        if ids.shape[1] != 1 or ids[0, 0] < 0 or np.any(np.diff(ids, axis=0) <= 0):
+            raise ValueError(
+                f"{path}: an availability sidecar must be one column of strictly "
+                "ascending, non-negative sample ids"
+            )
+        avail.append(ids[:, 0])
+    parsed = in_workers(
+        [partial(_load_matrix, Path(p)) for p in view_paths],
+        [_file_size(Path(p)) for p in view_paths],
+        usable_cpus(),
+    )
+    # each parsed view is dropped once its ViewMatrix holds a copy, so that
+    # the load holds its data and one view more at most
+    views = tuple(ViewMatrix(view_id=v, data=parsed.pop(0)) for v in range(len(view_paths)))
 
     if availability_paths is None:
         counts = [view.n_available for view in views]
@@ -456,13 +462,7 @@ def load_dataset(
         n = counts[0]
         avail = [np.arange(n, dtype=np.int64) for _ in views]
     else:
-        if not sidecars:
-            raise ValueError("one availability sidecar per view is required")
-        avail = loaded[::-1]
-        n = int(max(ids.max() for ids in avail)) + 1
-        if labels is not None:
-            n = max(n, labels.size)
-
+        n = max(int(ids[-1]) for ids in avail) + 1
     if labels is not None and labels.size != n:
         raise ValueError(
             f"label file has {labels.size} entries but the dataset has {n} samples"

@@ -331,52 +331,21 @@ def _aggregate(trials: Sequence[TrialOutcome]) -> RunRecord:
     )
 
 
-@dataclass(frozen=True)
-class _Sweep:
-    """One sweep (one variant) as the process that runs its trials holds it:
-    the base dataset, the config, and whether trials keep their solver
-    states. Built in the calling process; forked workers inherit it."""
-
-    base: MultiViewDataset
-    cfg: ExperimentConfig
-    keep_states: bool
-
-
 def _error(exc: Exception) -> str:
     """A failure as its trial's error text."""
     return f"{type(exc).__name__}: {exc}".replace("\n", "; ")
 
 
-def _scored(
-    sweep: _Sweep, outcome: TrialOutcome, state: SolverState, n_components: int
-) -> TrialOutcome:
-    """One fitted trial's k-means scores, or its error, and its state if the sweep keeps states."""
-    outcome = replace(outcome, state=state if sweep.keep_states else None)
-    if state.error is not None:
-        return replace(outcome, error=_error(state.error))
-    try:
-        scores = evaluate_clustering(
-            state.consensus,
-            sweep.base.labels,
-            k=n_components,
-            restarts=sweep.cfg.kmeans_restarts,
-            seed=derive_seed(outcome.solver_seed, "kmeans"),
-        )
-    except Exception as exc:  # per-trial failures must not kill the sweep
-        return replace(outcome, error=_error(exc))
-    return replace(
-        outcome,
-        iterations=state.n_iterations,
-        acc=scores.acc,
-        nmi=scores.nmi,
-        purity=scores.purity,
-    )
-
-
-def _run_trial(sweep: _Sweep, chunk: Sequence[TrialOutcome]) -> list[TrialOutcome]:
-    """Run one chunk of a group's trials: their fits in lockstep, as one fit
-    call, then each trial's k-means and scores. (The name is the one
-    perfbench/tracing.py times as harness.trial.)
+def _run_trial(
+    base: MultiViewDataset,
+    cfg: ExperimentConfig,
+    keep_states: bool,
+    chunk: Sequence[TrialOutcome],
+) -> list[TrialOutcome]:
+    """Run one chunk of a group's trials on the sweep's base dataset and
+    config: their fits in lockstep, as one fit call, then each trial's
+    k-means and scores, keeping its solver state if keep_states. (The name
+    is the one perfbench/tracing.py times as harness.trial.)
 
     The chunk builds its group's mask and graphs from its first trial. A
     failure becomes the error of the trials it ends: a failed group build or
@@ -386,12 +355,11 @@ def _run_trial(sweep: _Sweep, chunk: Sequence[TrialOutcome]) -> list[TrialOutcom
     lockstep sweeps (SolverState.seconds) and its own k-means and scoring.
     """
     start = time.perf_counter()
-    cfg = sweep.cfg
     first = chunk[0]
-    n_components = sweep.base.n_classes if cfg.n_components is None else cfg.n_components
+    n_components = base.n_classes if cfg.n_components is None else cfg.n_components
     try:
         spec = MaskSpec(protocol=cfg.protocol, rate=first.rate, seed=first.mask_seed)
-        masked = apply_mask(sweep.base, spec)
+        masked = apply_mask(base, spec)
         gamma = _VARIANTS[first.variant].get("gamma", first.gamma)
         graphs = build_fused_graphs(masked, k=first.k, gamma=gamma)
         solver_cfgs = []
@@ -420,7 +388,28 @@ def _run_trial(sweep: _Sweep, chunk: Sequence[TrialOutcome]) -> list[TrialOutcom
     done = []
     for j, (outcome, state) in enumerate(zip(chunk, states)):
         scoring = time.perf_counter()
-        outcome = _scored(sweep, outcome, state, n_components)
+        outcome = replace(outcome, state=state if keep_states else None)
+        if state.error is not None:
+            outcome = replace(outcome, error=_error(state.error))
+        else:
+            try:
+                scores = evaluate_clustering(
+                    state.consensus,
+                    base.labels,
+                    k=n_components,
+                    restarts=cfg.kmeans_restarts,
+                    seed=derive_seed(outcome.solver_seed, "kmeans"),
+                )
+            except Exception as exc:  # per-trial failures must not kill the sweep
+                outcome = replace(outcome, error=_error(exc))
+            else:
+                outcome = replace(
+                    outcome,
+                    iterations=state.n_iterations,
+                    acc=scores.acc,
+                    nmi=scores.nmi,
+                    purity=scores.purity,
+                )
         wall = (build if j == 0 else 0.0) + state.seconds + time.perf_counter() - scoring
         done.append(replace(outcome, wall_seconds=wall))
     return done
@@ -493,8 +482,9 @@ def run_experiment(
 
     Trials run group by group, in sorted (rate, repeat, k) order. Each
     group's trials are dealt into min(workers, trials) strided chunks (chunk
-    j holds rows j, j + workers, ...); each chunk builds the group's mask and
-    graphs and runs its fits in lockstep as one fit call. With workers > 1
+    j holds rows j, j + workers, ...), and each chunk is one job,
+    _run_trial(base, cfg, keep_states, chunk), that builds the group's mask
+    and graphs and runs its fits in lockstep as one fit call. With workers > 1
     the chunks go, largest first and in group order among equals, one at a
     time to min(workers, chunks) forked worker processes, each on its share
     of the CPUs as BLAS threads (dataset.in_workers); one worker, one trial,
@@ -541,10 +531,10 @@ def run_experiment(
         for _, ids in sorted(groups.items())
         for j in range(min(workers, len(ids)))
     ]
-    sweep = _Sweep(base, cfg, keep_states)
+    chunks = [[pending[i] for i in ids] for ids in chunk_ids]
     results = in_workers(
-        [partial(_run_trial, sweep, [pending[i] for i in ids]) for ids in chunk_ids],
-        [len(ids) for ids in chunk_ids],
+        [partial(_run_trial, base, cfg, keep_states, chunk) for chunk in chunks],
+        [len(chunk) for chunk in chunks],
         workers,
     )
     for ids, done in zip(chunk_ids, results):

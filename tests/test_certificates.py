@@ -1,6 +1,6 @@
-"""First-order optimality certificates of the solver's block updates (codes,
-consensus and weights), checked at a realistic size after every call that a
-README-grid batch makes.
+"""First-order optimality certificates of the solver's block updates (bases,
+codes, consensus and weights), checked at a realistic size after every call
+that a README-grid batch makes.
 
 The descent property alone does not pin an update down: a codes step whose
 soft threshold is doubled still never raises the objective on the problems
@@ -31,6 +31,60 @@ def gamma(k):
     bound of k floating-point operations."""
     u = np.finfo(np.float64).eps / 2
     return k * u / (1 - k * u)
+
+
+def basis_residuals(x, codes, bases):
+    """Each fit's |U^T U - I|, the asymmetry of U^T T and the smallest
+    eigenvalue of its symmetric part, with T = X P^T, and the float slacks
+    that bound them.
+
+    The bases maximize trace(U^T T) over orthonormal U, so U is T's polar
+    factor: U^T U = I and U^T T is symmetric positive semidefinite. T is
+    formed here from the update's inputs, not taken from it.
+
+    Slack, with u the unit roundoff, m the view's features, c the clusters
+    and n its instances. The update forms T' = X P^T and this check T, each
+    within gamma_n A of the exact product, A = |X| |P|^T (Higham 3.5), so
+    ||T - T'||_2 <= 2 gamma_n a, a = ||A||_F >= ||T||_F. The SVD is backward
+    stable (LAPACK Users' Guide, 4.9): the computed M, s, N are within
+    p = m c u (the guide's p(m, n) eps, taking for p(m, n) the m n of
+    Higham's bound for Householder reductions, Theorem 19.4, with which
+    the SVD bidiagonalizes T') of orthonormal M~ and N~
+    whose M~ diag(s) N~^T is exactly T' + E, ||E||_2 <= p ||T'||_2. So
+    U* = M~ N~^T is the polar factor of T' + E, and H = U*^T (T' + E) =
+    N~ diag(s) N~^T is symmetric positive semidefinite. The product M N^T
+    adds at most gamma_c |M| |N|^T, whose 2-norm is at most c gamma_c
+    (1 + p)^2, so ||U - U*||_2 <= d = 2 p + p^2 + c gamma_c (1 + p)^2.
+    Then ||U^T U - I||_2 <= 2 d + d^2, and forming U^T U adds gamma_m
+    |U|^T |U|, whose entries are at most (1 + d)^2. T and T' have
+    Frobenius norms of at most t = (1 + gamma_n) a, and U^T T - H =
+    (U - U*)^T T + U*^T (T - T' - E), whose 2-norm is at most
+    (d + p) t + 2 gamma_n a; forming U^T T adds gamma_m |U|^T |T|, whose
+    2-norm is at most gamma_m sqrt(c) (1 + d) t. With g their sum, the
+    computed S = U^T T is H + G, ||G||_2 <= g: an entry of
+    S - S^T is at most 2 g, and the smallest eigenvalue of (S + S^T) / 2 is
+    at least -g. Its rounding (u relative, entry by entry) and the
+    eigensolver's error (LAPACK Users' Guide, 4.7: p(c) eps ||.||_2, with
+    p(c) = c^2) add at most (c^2 + 1) u ||(S + S^T) / 2||_F. The check
+    allows twice each bound.
+    """
+    u = np.finfo(np.float64).eps / 2
+    m, c = bases.shape[1:]
+    n = x.shape[1]
+    p = m * c * u
+    d = 2 * p + p * p + c * gamma(c) * (1 + p) ** 2
+    orth_slack = 2 * (2 * d + d * d + gamma(m) * (1 + d) ** 2)
+    target = x @ codes.swapaxes(1, 2)
+    a = np.linalg.norm(np.abs(x) @ np.abs(codes).swapaxes(1, 2), axis=(1, 2))
+    t = (1 + gamma(n)) * a
+    g = (d + p + gamma(m) * np.sqrt(c) * (1 + d)) * t + 2 * gamma(n) * a
+    s = bases.swapaxes(1, 2) @ target
+    sym = (s + s.swapaxes(1, 2)) / 2
+    orth = np.abs(bases.swapaxes(1, 2) @ bases - np.eye(c)).max(axis=(1, 2))
+    asym = np.abs(s - s.swapaxes(1, 2)).max(axis=(1, 2))
+    low = np.linalg.eigvalsh(sym)[:, 0]
+    low_slack = 2 * (g + (c * c + 1) * u * np.linalg.norm(sym, axis=(1, 2)))
+    return (orth, orth_slack), (asym, 4 * g), (low, low_slack)
 
 
 def codes_residuals(x, bases, gathered, graph, lam, beta, codes):
@@ -150,14 +204,15 @@ def weights_residuals(costs, r, weights):
 def readme_batch():
     """One README-grid group at the roadmap's reference size (n = 2000,
     10 clusters, 30% of the views missing, k = 5), fitted 3 sweeps at tol 0,
-    with the residuals of every codes, consensus and weights update."""
+    with the residuals of every basis, codes, consensus and weights update."""
     full = multiview_blobs(n=2000, n_clusters=10, dims=HANDWRITTEN_DIMS, seed=0)
     ds, graphs = masked_problem(full, rate=0.3, mask_seed=0, k=5)
     cfgs = [
         SolverConfig(lam=lam, beta=beta, r=r, n_components=10, max_iter=3, tol=0.0, seed=i)
         for i, (lam, beta, r) in enumerate(README_GRID)
     ]
-    seen = {"codes": [], "consensus": [], "weights": []}
+    seen = {"bases": [], "codes": [], "consensus": [], "weights": []}
+    update_basis = imvc.solver.update_basis
     update_codes = imvc.solver.update_codes
     update_consensus = imvc.solver.update_consensus
     update_weights = imvc.solver.update_weights
@@ -167,6 +222,12 @@ def readme_batch():
     def products(graph, stack):
         made[id(graph)] = (times_w(graph, stack), stack)
         return made[id(graph)][0]
+
+    def basis(x, codes):
+        u, failed = update_basis(x, codes)
+        assert failed == {}
+        seen["bases"].append(basis_residuals(x, codes, u))
+        return u, failed
 
     def codes(x, bases, gathered, graph, lam, beta):
         p, xtu = update_codes(x, bases, gathered, graph, lam, beta)
@@ -187,12 +248,23 @@ def readme_batch():
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(imvc.solver, "_times_w", products)
+        patch.setattr(imvc.solver, "update_basis", basis)
         patch.setattr(imvc.solver, "update_codes", codes)
         patch.setattr(imvc.solver, "update_consensus", consensus)
         patch.setattr(imvc.solver, "update_weights", weights)
         states = fit(ds, graphs, cfgs)
     assert [(s.error, s.n_iterations) for s in states] == [(None, 3)] * len(cfgs)
     return ds, cfgs, seen
+
+
+def test_bases_are_their_targets_polar_factors_on_a_readme_grid_batch(readme_batch):
+    ds, cfgs, seen = readme_batch
+    # one call per view and sweep, each over all 27 fits: 405 fit-calls
+    assert [len(orth) for (orth, _), _, _ in seen["bases"]] == [len(cfgs)] * (3 * ds.n_views)
+    for (orth, orth_slack), (asym, asym_slack), (low, low_slack) in seen["bases"]:
+        assert orth.max() <= orth_slack, (orth.max(), orth_slack)
+        assert (asym <= asym_slack).all(), (asym / asym_slack).max()
+        assert (low >= -low_slack).all(), (low / low_slack).min()
 
 
 def test_codes_meet_their_first_order_condition_on_a_readme_grid_batch(readme_batch):

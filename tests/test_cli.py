@@ -324,7 +324,11 @@ def test_cli_reports_a_bad_data_file_in_one_line(workspace, tmp_path, capsys, co
     assert not (tmp_path / "x").exists()
 
 
-@pytest.mark.parametrize("content", ["0\n1\nx\n", ""], ids=["garbled", "empty"])
+@pytest.mark.parametrize(
+    "content",
+    ["0\n1\nx\n", "", "2\n1\n0\n", "0\n1\n1\n", "-1\n0\n1\n", "0,1\n2,3\n", "0,1,2\n"],
+    ids=["garbled", "empty", "descending", "duplicate", "negative", "two-column", "one-row"],
+)
 def test_cli_names_a_bad_availability_sidecar(workspace, tmp_path, capsys, content):
     root, cfg_path, paths = workspace
     sidecar = tmp_path / "bad.avail"

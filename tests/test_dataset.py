@@ -1,5 +1,6 @@
 import multiprocessing
 import os
+import re
 import signal
 import tracemalloc
 from pathlib import Path
@@ -7,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import imvc.dataset
 from imvc import (
     MaskSpec,
     MultiViewDataset,
@@ -250,6 +252,15 @@ def test_load_dataset_label_length_mismatch(tmp_path):
         load_dataset([tmp_path / "a.csv"], label_path=tmp_path / "y.csv")
 
 
+def test_labels_longer_than_the_sidecars_samples_are_named(tmp_path):
+    # with sidecars, n is the largest sample id + 1, whatever the label file holds
+    paths = save_dataset(_labeled_incomplete(), tmp_path)
+    np.savetxt(paths["labels"], np.arange(42) % 4, fmt="%d")
+    message = "label file has 42 entries but the dataset has 40 samples"
+    with pytest.raises(ValueError, match=message):
+        load_dataset(paths["views"], paths["availability"], paths["labels"])
+
+
 def test_save_load_roundtrip_incomplete(tmp_path):
     full = complete_dataset(12, 2, seed=8)
     full = MultiViewDataset(
@@ -312,7 +323,7 @@ def test_pooled_load_equals_a_serial_parse_of_each_file(tmp_path, forks):
         assert np.array_equal(view.data, serial)
         assert not view.data.flags.writeable
     for ids, path in zip(ds.availability, paths["availability"]):
-        serial = _load_matrix(Path(path), np.int64, ndmin=1)
+        serial = _load_matrix(Path(path), np.int64)[:, 0]
         assert ids.dtype == serial.dtype == np.int64
         assert np.array_equal(ids, serial)
         assert not ids.flags.writeable
@@ -359,6 +370,32 @@ def test_the_first_garbled_view_in_view_order_is_named(tmp_path, forks, monkeypa
     assert messages[0] == messages[1]
     assert messages[0].startswith(f"{paths['views'][1]}: could not parse")
     assert _blas_threads() == threads  # the pool put the caller's count back
+
+
+@pytest.mark.parametrize("fault", ["sidecar count", "missing labels", "descending sidecar"])
+def test_labels_and_sidecars_fail_before_any_view_is_parsed(tmp_path, forks, monkeypatch, fault):
+    paths = save_dataset(_labeled_incomplete(), tmp_path)
+    views, sidecars, labels = paths["views"], paths["availability"], paths["labels"]
+    if fault == "sidecar count":
+        sidecars, message = sidecars[:2], "one availability sidecar per view is required"
+    elif fault == "missing labels":
+        labels = str(tmp_path / "missing.csv")
+        message = labels
+    else:
+        Path(sidecars[1]).write_text("2\n1\n0\n")
+        message = f"{sidecars[1]}: an availability sidecar must be one column"
+    read = []
+    real = imvc.dataset._load_matrix
+
+    def recorded(path, *args, **kwargs):
+        read.append(str(path))
+        return real(path, *args, **kwargs)
+
+    monkeypatch.setattr(imvc.dataset, "_load_matrix", recorded)
+    del forks[:]
+    with pytest.raises((OSError, ValueError), match=re.escape(message)):
+        load_dataset(views, sidecars, labels)
+    assert forks == [] and not set(read) & set(views)  # no view was sent to the pool
 
 
 def test_one_usable_cpu_starts_no_process(tmp_path, monkeypatch):

@@ -204,9 +204,9 @@ def test_trial_wall_times_add_up_to_their_chunk(data_dir, tmp_path, monkeypatch)
     chunks = []
     real = imvc.harness._run_trial
 
-    def timed(sweep, chunk):
+    def timed(*args):
         start = time.perf_counter()
-        done = real(sweep, chunk)
+        done = real(*args)
         chunks.append((time.perf_counter() - start, [t.wall_seconds for t in done]))
         return done
 
@@ -252,11 +252,11 @@ def test_sweep_deals_each_group_into_strided_chunks(data_dir, tmp_path, monkeypa
     log = tmp_path / "chunks.log"
     real = imvc.harness._run_trial
 
-    def logged(sweep, chunk):
+    def logged(*args):
         # an O_APPEND file, as forked workers cannot append to the test's lists
         with open(log, "a") as fh:
-            fh.write(" ".join(t.run_id for t in chunk) + "\n")
-        return real(sweep, chunk)
+            fh.write(" ".join(t.run_id for t in args[-1]) + "\n")  # the chunk
+        return real(*args)
 
     monkeypatch.setattr(imvc.harness, "_run_trial", logged)
     lam = [0.1, 0.2, 0.5, 1.0, 2.0, 5.0, 10.0]  # one group of 7 trials, in rows g000-g006
@@ -278,9 +278,9 @@ def test_sweep_runs_groups_in_sorted_order(data_dir, tmp_path, monkeypatch):
     log = []
     real = imvc.harness._run_trial
 
-    def logged(sweep, chunk):
-        log.append({(t.rate, t.repeat, t.k) for t in chunk})
-        return real(sweep, chunk)
+    def logged(*args):
+        log.append({(t.rate, t.repeat, t.k) for t in args[-1]})  # the chunk
+        return real(*args)
 
     monkeypatch.setattr(imvc.harness, "_run_trial", logged)
     solver = {"lam": [0.5, 2.0], "beta": [0.001], "r": [3.0], "k": [5, 3], "max_iter": 20}
@@ -436,10 +436,11 @@ def _log_blas_threads(monkeypatch, module, name, log):
 
 
 def test_workers_take_their_share_of_blas_threads(data_dir, tmp_path, monkeypatch):
-    # the 3 files of the load and the 3 chunks of one group of 3 trials, each
-    # in one of 3 forked workers on 3 usable CPUs: every worker inherits
-    # OpenBLAS at its share, 1 thread, and runs no thread but its own; one
-    # that set the count itself would restart OpenBLAS's thread pool
+    # the 2 view files of the load and the 3 chunks of one group of 3
+    # trials, each in one of 3 forked workers on 3 usable CPUs (the label
+    # file is read in the calling process): every worker inherits OpenBLAS
+    # at its share, 1 thread, and runs no thread but its own; one that set
+    # the count itself would restart OpenBLAS's thread pool
     if _blas_threads() is None:
         pytest.skip("numpy bundles no OpenBLAS with scipy_openblas symbols")
     if not os.path.isdir("/proc/self/task"):
@@ -454,10 +455,12 @@ def test_workers_take_their_share_of_blas_threads(data_dir, tmp_path, monkeypatc
     solver = {"lam": [0.5, 1.0, 2.0], "beta": [0.001], "r": [3.0], "k": [5], "max_iter": 20}
     cfg = make_config(paths, tmp_path / "out", mask={"repeats": 1}, solver=solver)
     run_experiment(cfg, workers=3)
-    workers = [line.split() for line in log.read_text().splitlines()]
-    assert len(workers) == 6 and str(os.getpid()) not in {pid for pid, _, _ in workers}
-    assert len({pid for pid, _, _ in workers[3:]}) == 3  # one chunk per sweep worker
-    assert [(blas, tasks) for _, blas, tasks in workers] == [("1", "1")] * 6
+    lines = [line.split() for line in log.read_text().splitlines()]
+    assert lines[0][0] == str(os.getpid())  # the label file
+    workers = lines[1:]
+    assert len(workers) == 5 and str(os.getpid()) not in {pid for pid, _, _ in workers}
+    assert len({pid for pid, _, _ in workers[2:]}) == 3  # one chunk per sweep worker
+    assert [(blas, tasks) for _, blas, tasks in workers] == [("1", "1")] * 5
     assert _blas_threads() == threads  # the calling process keeps its own
     assert multiprocessing.active_children() == []
 
