@@ -6,15 +6,16 @@ seeded Handwritten-shaped data of perfbench/synth.py (30% of views missing):
 
 `trial` runs the calls of one harness trial in this process: the mask, the
 fused graphs, one fit (5 sweeps at tol 0) and k-means with 20 restarts, at
-scale-n4000's settings. It skips the CSV round trip, as the view files would
-hold about 0.6 GB of text at n=50000. It then fits once more with the layer
-wrappers of perfbench/tracing.py installed, and reports each solver block's
-seconds per iteration from that fit (`iter_blocks_s`). `group` writes the
-data and a config for one README grid group (27 (lam, beta, r) points,
-max_iter 300, tol 1e-6) and runs it as `imvc run --workers 2` does. It
-reports the data files' round trip on its own: `save_s` for
-`imvc.save_dataset` and `load_s` for one `imvc.load_dataset` of the written
-files, the call the sweep starts with.
+scale-n4000's settings. It skips the data files' round trip, which `group`
+times. It then fits once more with the layer wrappers of perfbench/tracing.py
+installed, and reports each solver block's seconds per iteration from that
+fit (`iter_blocks_s`). `group` writes the data and a config for one README
+grid group (27 (lam, beta, r) points, max_iter 300, tol 1e-6) and runs it as
+`imvc run --workers 2` does. It reports the data files' round trip on its
+own: `save_s` for `imvc.save_dataset` and `load_s` for one
+`imvc.load_dataset` of the .npy files it writes, the call the sweep starts
+with, and `load_csv_s` for one `imvc.load_dataset` of the same arrays
+written as CSV (savetxt, %.17e).
 
 Run from the repository root; the package is imported from ./src. Each
 prints one JSON line: the stage or sweep wall times in seconds, and the peak
@@ -106,6 +107,16 @@ def group(n: int, seed: int) -> dict:
         start = time.perf_counter()
         imvc.load_dataset(paths["views"], paths["availability"], paths["labels"])
         load_s = time.perf_counter() - start
+        csv = {key: [] for key in ("views", "availability")}
+        for view, ids in zip(full.views, full.availability):
+            csv["views"].append(Path(tmp) / f"view_{view.view_id}.csv")
+            csv["availability"].append(Path(tmp) / f"view_{view.view_id}.avail")
+            np.savetxt(csv["views"][-1], view.data, delimiter=",", fmt="%.17e")
+            np.savetxt(csv["availability"][-1], ids, fmt="%d")
+        np.savetxt(Path(tmp) / "labels.csv", full.labels, fmt="%d")
+        start = time.perf_counter()
+        imvc.load_dataset(csv["views"], csv["availability"], Path(tmp) / "labels.csv")
+        load_csv_s = time.perf_counter() - start
         config = {
             "dataset": {key: paths[key] for key in ("views", "availability", "labels")},
             "clusters": CLUSTERS,
@@ -125,6 +136,7 @@ def group(n: int, seed: int) -> dict:
     return {
         "save_s": save_s,
         "load_s": load_s,
+        "load_csv_s": load_csv_s,
         "sweep_s": sweep_s,
         "trials": len(trials),
         "failed": sum(bool(t.error) for t in trials),

@@ -168,11 +168,11 @@ def main(argv=None) -> int:
 
     p_val = sub.add_parser("validate-data", help="check dataset files and report shapes")
     p_val.add_argument("--config", help="experiment config (JSON)")
-    p_val.add_argument("--view", action="append", default=[], help="view CSV (repeatable)")
+    p_val.add_argument("--view", action="append", default=[], help="view .npy or CSV (repeatable)")
     p_val.add_argument(
         "--availability", action="append", default=[], help="availability sidecar (repeatable)"
     )
-    p_val.add_argument("--labels", help="label CSV")
+    p_val.add_argument("--labels", help="label .npy or CSV")
     p_val.set_defaults(func=_cmd_validate_data)
 
     args = parser.parse_args(argv)

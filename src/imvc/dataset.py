@@ -8,21 +8,23 @@ incompleteness on a complete dataset under a MaskSpec: "random-missing" drops
 instances from every view, "paired-sample" keeps both of two views for a
 fraction of the samples.
 
-On-disk interchange format (all plain text, no binary dependencies):
-  * view file: CSV, no header, '.' decimal separator, m_v rows x n_v columns;
+On-disk interchange format; the suffix picks the reader. A .npy file is
+read as np.save writes it (no pickled objects), any other file as CSV (no
+header, '.' decimal separator); a 1-D .npy array is one column:
+  * view file: m_v rows x n_v columns of integers or floats;
   * availability sidecar: one column of integer sample ids, non-negative and
     strictly ascending;
-  * label file: CSV, a single column of n integers.
+  * label file: a single column of n integers.
 
 in_workers is imvc's one process pool; harness.run_experiment runs a
 sweep's chunks through it too. Its rule: fork, else the calling process,
 and each forked worker inherits its share of the CPUs as OpenBLAS threads.
-load_dataset reads the label file and the sidecars (a small part of the
-data) in the calling process, then each view file whole in the pool,
-largest first, so faults come in the order labels, sidecars, views;
-save_dataset writes every file in the pool, as savetxt formats even the
-small ones row by row. Without fork, or in a daemon process, the calling
-process does it all, with the same arrays and bytes.
+load_dataset reads the label file, the sidecars and the .npy views in the
+calling process, then parses each CSV view whole in the pool, largest
+first, so faults come in the order labels, sidecars, .npy views, CSV
+views, and a load with no CSV view starts no process. save_dataset writes
+.npy files, in the calling process. Without fork, or in a daemon process,
+the calling process parses the CSV views too, with the same arrays.
 """
 
 from __future__ import annotations
@@ -388,21 +390,31 @@ def _file_size(path: Path) -> int:
 
 
 def _load_matrix(path: Path, dtype=np.float64) -> np.ndarray:
-    """The numbers of a CSV file as a matrix: float64 for views and labels,
-    int64 for availability sidecars. Every fault in the file is one
-    ValueError that names it."""
+    """The numbers of a .npy or CSV file as a matrix: float64 for views and
+    labels, int64 for availability sidecars, whose .npy files hold integers.
+    Every fault in the file is one ValueError that names it."""
+    kinds = "iuf" if dtype == np.float64 else "iu"
     try:
-        with warnings.catch_warnings():
-            # an empty file is reported below, with its path
-            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-            data = np.loadtxt(path, delimiter=",", dtype=dtype, ndmin=2)
-    except ValueError as exc:
-        raise ValueError(f"{path}: could not parse as a numeric CSV matrix: {exc}") from exc
+        if path.suffix == ".npy":
+            with open(path, "rb") as f:
+                data = np.lib.format.read_array(f, allow_pickle=False)
+            if data.dtype.kind not in kinds or data.ndim not in (1, 2):
+                got = f"{data.ndim}-D {data.dtype}"
+                raise ValueError(f"need a 1-D or 2-D array of kind {kinds!r}, got {got}")
+            data = (data[:, None] if data.ndim == 1 else data).astype(dtype, copy=False)
+        else:
+            with warnings.catch_warnings():
+                # an empty file is reported below, with its path
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                data = np.loadtxt(path, delimiter=",", dtype=dtype, ndmin=2)
+    except (ValueError, MemoryError) as exc:  # a header may claim petabytes
+        what = "a .npy" if path.suffix == ".npy" else "a numeric CSV"
+        raise ValueError(f"{path}: could not parse as {what} matrix: {exc}") from exc
     if data.size == 0:
         raise ValueError(f"{path}: the file holds no values")
-    bad = np.argwhere(~np.isfinite(data))
-    if bad.size:
-        i, j = bad[0]
+    finite = np.isfinite(data)
+    if not finite.all():
+        i, j = np.argwhere(~finite)[0]
         raise ValueError(f"{path}: non-finite value at row {i}, column {j}")
     return data
 
@@ -412,14 +424,14 @@ def load_dataset(
     availability_paths: Optional[Sequence[str | Path]] = None,
     label_path: Optional[str | Path] = None,
 ) -> MultiViewDataset:
-    """Load a dataset from per-view CSV files.
+    """Load a dataset from per-view .npy or CSV files.
 
     Without availability sidecars all views must share one column count, which
     becomes the sample count n; with them, n is the largest sample id + 1.
     Labels are remapped to contiguous 0-based integers. The arguments are
-    checked first, then the label file and the sidecars are read and checked
-    here, and only then are the view files parsed in the pool (see the module
-    docstring): the first faulty file in the order labels, sidecars, views is
+    checked first, then the label file, the sidecars and the .npy views are
+    read and checked here, and only then are the CSV views parsed in the pool
+    (see the module docstring): the first faulty file in that order is
     reported.
     """
     if not view_paths:
@@ -443,14 +455,17 @@ def load_dataset(
                 "ascending, non-negative sample ids"
             )
         avail.append(ids[:, 0])
-    parsed = in_workers(
-        [partial(_load_matrix, Path(p)) for p in view_paths],
-        [_file_size(Path(p)) for p in view_paths],
+    paths = [Path(p) for p in view_paths]
+    read = {v: _load_matrix(p) for v, p in enumerate(paths) if p.suffix == ".npy"}
+    csv = [v for v in range(len(paths)) if v not in read]
+    read.update(zip(csv, in_workers(
+        [partial(_load_matrix, paths[v]) for v in csv],
+        [_file_size(paths[v]) for v in csv],
         usable_cpus(),
-    )
-    # each parsed view is dropped once its ViewMatrix holds a copy, so that
+    )))
+    # each view read is dropped once its ViewMatrix holds a copy, so that
     # the load holds its data and one view more at most
-    views = tuple(ViewMatrix(view_id=v, data=parsed.pop(0)) for v in range(len(view_paths)))
+    views = tuple(ViewMatrix(view_id=v, data=read.pop(v)) for v in range(len(paths)))
 
     if availability_paths is None:
         counts = [view.n_available for view in views]
@@ -471,29 +486,19 @@ def load_dataset(
 
 
 def save_dataset(ds: MultiViewDataset, directory: str | Path) -> dict:
-    """Write a dataset in the interchange format, as view_<v>.csv,
-    view_<v>.avail and labels.csv, in parallel (see the module docstring);
-    returns the written paths."""
+    """Write a dataset as view_<v>.npy, avail_<v>.npy and labels.npy, in
+    this process (see the module docstring); returns the written paths."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     paths: dict = {"views": [], "availability": [], "labels": None}
-    jobs, sizes = [], []
     for view, ids in zip(ds.views, ds.availability):
-        vp = directory / f"view_{view.view_id}.csv"
-        ap = directory / f"view_{view.view_id}.avail"
-        jobs += [
-            partial(np.savetxt, vp, view.data, delimiter=",", fmt="%.17e"),
-            partial(np.savetxt, ap, ids, fmt="%d"),
-        ]
-        sizes += [view.data.size, ids.size]
-        paths["views"].append(str(vp))
-        paths["availability"].append(str(ap))
+        for key, stem, array in (("views", "view", view.data), ("availability", "avail", ids)):
+            path = directory / f"{stem}_{view.view_id}.npy"
+            np.save(path, array, allow_pickle=False)
+            paths[key].append(str(path))
     if ds.labels is not None:
-        lp = directory / "labels.csv"
-        jobs.append(partial(np.savetxt, lp, ds.labels, fmt="%d"))
-        sizes.append(ds.labels.size)
-        paths["labels"] = str(lp)
-    in_workers(jobs, sizes, usable_cpus())
+        paths["labels"] = str(directory / "labels.npy")
+        np.save(paths["labels"], ds.labels, allow_pickle=False)
     return paths
 
 

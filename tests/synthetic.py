@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import numpy as np
 import scipy.sparse as sp
 
@@ -18,6 +20,26 @@ from imvc.solver import (
     update_consensus,
     view_costs,
 )
+
+
+def save_csv_dataset(ds, directory):
+    """Write ds in the CSV layout of the interchange format, as save_dataset
+    returns its paths: view_<v>.csv (savetxt, %.17e, which round-trips every
+    float64), view_<v>.avail and labels.csv (%d)."""
+    directory = Path(directory)
+    directory.mkdir(parents=True, exist_ok=True)
+    paths = {"views": [], "availability": [], "labels": None}
+    for view, ids in zip(ds.views, ds.availability):
+        vp = directory / f"view_{view.view_id}.csv"
+        ap = directory / f"view_{view.view_id}.avail"
+        np.savetxt(vp, view.data, delimiter=",", fmt="%.17e")
+        np.savetxt(ap, ids, fmt="%d")
+        paths["views"].append(str(vp))
+        paths["availability"].append(str(ap))
+    if ds.labels is not None:
+        paths["labels"] = str(directory / "labels.csv")
+        np.savetxt(paths["labels"], ds.labels, fmt="%d")
+    return paths
 
 
 def identity_graph(n, view_id=0):

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -292,17 +293,21 @@ def test_cli_reports_a_bad_data_file_in_one_line(workspace, tmp_path, capsys, co
     root, cfg_path, paths = workspace
     garbled = tmp_path / "garbled.csv"
     garbled.write_text("1,2,x\n")
+    truncated = tmp_path / "truncated.npy"
+    truncated.write_bytes(Path(paths["views"][1]).read_bytes()[:-8])
     config = json.loads(cfg_path.read_text())
     configs = {
         "nope.json": None,
         "missing-view.json": {"views": [str(tmp_path / "missing.csv")]},
         "garbled-view.json": {"views": [str(garbled)]},
+        "truncated-view.json": {"views": [paths["views"][0], str(truncated)]},
         "no-labels.json": {"labels": None},
     }
     expected = {
         "nope.json": "No such file or directory",
         "missing-view.json": "missing.csv not found",
         "garbled-view.json": "could not parse",
+        "truncated-view.json": f"{truncated}: could not parse as a .npy matrix",
         "no-labels.json": "experiments need a label file for scoring",
     }
     for name, dataset in configs.items():
@@ -317,7 +322,7 @@ def test_cli_reports_a_bad_data_file_in_one_line(workspace, tmp_path, capsys, co
         (line,) = capsys.readouterr().err.splitlines()
         assert line.startswith("INVALID: ") and expected[name] in line, line
     if command == ["validate-data"]:
-        for view in (tmp_path / "missing.csv", garbled):
+        for view in (tmp_path / "missing.csv", garbled, truncated):
             assert main(["validate-data", "--view", str(view)]) == 1
             (line,) = capsys.readouterr().err.splitlines()
             assert line.startswith("INVALID: ") and view.name in line, line

@@ -1,3 +1,4 @@
+import io
 import multiprocessing
 import os
 import re
@@ -28,6 +29,7 @@ from imvc.dataset import (
 )
 
 from reference import build_indicator
+from synthetic import save_csv_dataset
 
 
 def complete_dataset(n, l, seed=0, m=3):
@@ -254,7 +256,7 @@ def test_load_dataset_label_length_mismatch(tmp_path):
 
 def test_labels_longer_than_the_sidecars_samples_are_named(tmp_path):
     # with sidecars, n is the largest sample id + 1, whatever the label file holds
-    paths = save_dataset(_labeled_incomplete(), tmp_path)
+    paths = save_csv_dataset(_labeled_incomplete(), tmp_path)
     np.savetxt(paths["labels"], np.arange(42) % 4, fmt="%d")
     message = "label file has 42 entries but the dataset has 40 samples"
     with pytest.raises(ValueError, match=message):
@@ -280,10 +282,10 @@ def test_save_load_roundtrip_incomplete(tmp_path):
     assert np.array_equal(back.labels, masked.labels)
 
 
-# ------------------------------------------------- files read and written in parallel
-# load_dataset and save_dataset read and write each file whole in one of
-# several forked processes; these tests pin them to what one process doing it
-# all gives.
+# ------------------------------------------------- files read in parallel
+# load_dataset parses each CSV view whole in one of several forked processes;
+# these tests pin it to what one process doing it all gives. .npy files are
+# read, and save_dataset writes them, in the calling process.
 
 
 @pytest.fixture
@@ -313,7 +315,7 @@ def _labeled_incomplete(seed=3):
 
 
 def test_pooled_load_equals_a_serial_parse_of_each_file(tmp_path, forks):
-    paths = save_dataset(_labeled_incomplete(), tmp_path)
+    paths = save_csv_dataset(_labeled_incomplete(), tmp_path)
     del forks[:]
     ds = load_dataset(paths["views"], paths["availability"], paths["labels"])
     assert forks  # the files were parsed in worker processes
@@ -333,20 +335,29 @@ def test_pooled_load_equals_a_serial_parse_of_each_file(tmp_path, forks):
     assert not ds.labels.flags.writeable
 
 
-def test_pooled_save_writes_the_bytes_of_a_serial_savetxt(tmp_path, forks):
+def test_npy_files_round_trip_bit_for_bit_and_start_no_process(tmp_path, forks):
     ds = _labeled_incomplete()
-    paths = save_dataset(ds, tmp_path / "pooled")
-    assert forks
-    serial = tmp_path / "serial"
-    serial.mkdir()
-    for view, ids in zip(ds.views, ds.availability):
-        np.savetxt(serial / f"view_{view.view_id}.csv", view.data, delimiter=",", fmt="%.17e")
-        np.savetxt(serial / f"view_{view.view_id}.avail", ids, fmt="%d")
-    np.savetxt(serial / "labels.csv", ds.labels, fmt="%d")
-    written = paths["views"] + paths["availability"] + [paths["labels"]]
-    assert sorted(os.listdir(tmp_path / "pooled")) == sorted(os.listdir(serial))
-    for path in map(Path, written):
-        assert path.read_bytes() == (serial / path.name).read_bytes()
+    # the extremes of float64 too: -0.0, the least subnormal and the largest
+    data = ds.views[0].data.copy()
+    data[0, :3] = [-0.0, 5e-324, np.finfo(np.float64).max]
+    ds = MultiViewDataset(
+        views=(ViewMatrix(view_id=0, data=data),) + ds.views[1:],
+        n=ds.n, availability=ds.availability, labels=ds.labels,
+    )
+    paths = save_dataset(ds, tmp_path)
+    back = load_dataset(paths["views"], paths["availability"], paths["labels"])
+    assert forks == []  # neither the save nor the load started a process
+    names = [f"{stem}_{v}.npy" for v in range(3) for stem in ("view", "avail")]
+    assert sorted(os.listdir(tmp_path)) == sorted(names + ["labels.npy"])
+    for got, want in zip(back.views, ds.views):
+        assert got.data.dtype == np.float64 and got.data.shape == want.data.shape
+        assert got.data.tobytes() == want.data.tobytes()
+        assert not got.data.flags.writeable
+    for got, want in zip(back.availability, ds.availability):
+        assert got.dtype == np.int64 and got.tobytes() == want.tobytes()
+        assert not got.flags.writeable
+    assert back.labels.dtype == np.int64 and np.array_equal(back.labels, ds.labels - 7)
+    assert not back.labels.flags.writeable
 
 
 def _garble_views_1_and_2(paths):
@@ -358,7 +369,7 @@ def _garble_views_1_and_2(paths):
 
 
 def test_the_first_garbled_view_in_view_order_is_named(tmp_path, forks, monkeypatch):
-    paths = save_dataset(_labeled_incomplete(), tmp_path)
+    paths = save_csv_dataset(_labeled_incomplete(), tmp_path)
     _garble_views_1_and_2(paths)
     threads = _blas_threads()
     messages = []
@@ -374,7 +385,7 @@ def test_the_first_garbled_view_in_view_order_is_named(tmp_path, forks, monkeypa
 
 @pytest.mark.parametrize("fault", ["sidecar count", "missing labels", "descending sidecar"])
 def test_labels_and_sidecars_fail_before_any_view_is_parsed(tmp_path, forks, monkeypatch, fault):
-    paths = save_dataset(_labeled_incomplete(), tmp_path)
+    paths = save_csv_dataset(_labeled_incomplete(), tmp_path)
     views, sidecars, labels = paths["views"], paths["availability"], paths["labels"]
     if fault == "sidecar count":
         sidecars, message = sidecars[:2], "one availability sidecar per view is required"
@@ -411,10 +422,11 @@ def test_one_usable_cpu_starts_no_process(tmp_path, monkeypatch):
 
 
 def test_no_process_outlives_a_load_or_a_save(tmp_path, forks):
-    paths = save_dataset(_labeled_incomplete(), tmp_path)
-    assert forks and multiprocessing.active_children() == []
-    load_dataset(paths["views"], paths["availability"], paths["labels"])
+    save_dataset(_labeled_incomplete(), tmp_path / "npy")
     assert multiprocessing.active_children() == []
+    paths = save_csv_dataset(_labeled_incomplete(), tmp_path)
+    load_dataset(paths["views"], paths["availability"], paths["labels"])
+    assert forks and multiprocessing.active_children() == []
     _garble_views_1_and_2(paths)
     with pytest.raises(ValueError, match="could not parse"):
         load_dataset(paths["views"], paths["availability"], paths["labels"])
@@ -463,15 +475,19 @@ def test_an_error_while_collecting_stops_every_worker(forks):
     assert left == []
 
 
-@pytest.mark.parametrize("cpus", [{0}, {0, 1, 2}], ids=["serial", "pooled"])
-def test_a_load_holds_its_data_and_one_view_more_at_most(tmp_path, monkeypatch, cpus):
+@pytest.mark.parametrize(
+    "save, cpus",
+    [(save_csv_dataset, {0}), (save_csv_dataset, {0, 1, 2}), (save_dataset, {0, 1, 2})],
+    ids=["serial", "pooled", "npy"],
+)
+def test_a_load_holds_its_data_and_one_view_more_at_most(tmp_path, monkeypatch, save, cpus):
     # each parsed view is dropped once its ViewMatrix holds a copy: holding
     # every parsed view while the copies are made would peak at twice the data
     full = complete_dataset(1000, 4, seed=4, m=40)
     full = MultiViewDataset(
         views=full.views, n=1000, availability=full.availability, labels=np.arange(1000) % 3
     )
-    paths = save_dataset(full, tmp_path)
+    paths = save(full, tmp_path)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
     tracemalloc.start()
     try:
@@ -488,10 +504,109 @@ def test_a_load_holds_its_data_and_one_view_more_at_most(tmp_path, monkeypatch, 
 
 def test_a_daemon_process_reads_the_files_itself(tmp_path, forks):
     # a daemon process may start no children: a pool worker loads serially
-    paths = save_dataset(_labeled_incomplete(), tmp_path)
+    paths = save_csv_dataset(_labeled_incomplete(), tmp_path)
     args = (paths["views"], paths["availability"], paths["labels"])
     with multiprocessing.get_context("fork").Pool(1) as pool:
         assert pool.apply(load_dataset, args).n == 40
+
+
+# ------------------------------------------------------------------ .npy files
+
+
+def test_a_load_of_mixed_csv_and_npy_files_equals_an_all_csv_load(tmp_path, forks):
+    ds = _labeled_incomplete()
+    csv = save_csv_dataset(ds, tmp_path / "csv")
+    npy = save_dataset(ds, tmp_path / "npy")
+    want = load_dataset(csv["views"], csv["availability"], csv["labels"])
+    del forks[:]
+    got = load_dataset(
+        [csv["views"][0], npy["views"][1], csv["views"][2]],
+        [npy["availability"][0], csv["availability"][1], npy["availability"][2]],
+        npy["labels"],
+    )
+    assert forks  # the two CSV views were parsed in worker processes
+    for a, b in zip(got.views, want.views):
+        assert a.data.dtype == b.data.dtype and a.data.tobytes() == b.data.tobytes()
+    for a, b in zip(got.availability, want.availability):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+    assert np.array_equal(got.labels, want.labels)
+
+
+def test_npy_views_are_read_before_the_csv_views_are_parsed(tmp_path, forks):
+    ds = _labeled_incomplete()
+    csv = save_csv_dataset(ds, tmp_path / "csv")
+    npy = save_dataset(ds, tmp_path / "npy")
+    _garble_views_1_and_2(csv)
+    Path(npy["views"][2]).write_bytes(b"")
+    del forks[:]
+    with pytest.raises(ValueError, match=re.escape(f"{npy['views'][2]}: could not parse")):
+        load_dataset(csv["views"][:2] + npy["views"][2:], npy["availability"], npy["labels"])
+    assert forks == []
+
+
+def _put_nan_at_1_2(path):
+    data = np.load(path)
+    data[1, 2] = np.nan
+    np.save(path, data)
+
+
+def _claim_8_pib(path):
+    # a header whose shape the file's 64 bytes cannot hold: the read
+    # allocates its array from the header before it reads any data, and
+    # 2**50 float64 values either fail to allocate at once (MemoryError) or
+    # reserve address space that the short read never touches
+    with open(path, "wb") as f:
+        header = {"descr": "<f8", "fortran_order": False, "shape": (2**50,)}
+        np.lib.format.write_array_header_1_0(f, header)
+        f.write(bytes(64))
+
+
+def _npz_bytes():
+    buf = io.BytesIO()
+    np.savez(buf, a=np.ones((5, 28)))
+    return buf.getvalue()
+
+
+# each fault: (the file it is put in, how, a part of the error message)
+NPY_FAULTS = {
+    "pickled object array": (
+        "views", lambda p: np.save(p, np.array([[1.0, "a"]], dtype=object), allow_pickle=True),
+        "Object arrays cannot be loaded when allow_pickle=False",
+    ),
+    "3-D array": ("views", lambda p: np.save(p, np.ones((5, 28, 1))), "got 3-D float64"),
+    "complex dtype": ("views", lambda p: np.save(p, np.ones((5, 28), complex)), "complex128"),
+    "structured dtype": (
+        "views", lambda p: np.save(p, np.zeros(28, dtype=[("a", "f8"), ("b", "i4")])), "got 1-D",
+    ),
+    "float sidecar": (
+        "availability", lambda p: np.save(p, np.load(p).astype(np.float64)),
+        "kind 'iu', got 1-D float64",
+    ),
+    "NaN": ("views", _put_nan_at_1_2, "non-finite value at row 1, column 2"),
+    "truncated header": (
+        "views", lambda p: p.write_bytes(p.read_bytes()[:30]), "EOF: reading array header",
+    ),
+    "truncated body": (
+        "views", lambda p: p.write_bytes(p.read_bytes()[:-8]), "Failed to read all data",
+    ),
+    "header claiming 8 PiB": ("views", _claim_8_pib, "(1125899906842624,)"),
+    "empty file": ("labels", lambda p: p.write_bytes(b""), "EOF: reading magic string"),
+    "npz renamed to npy": (
+        "views", lambda p: p.write_bytes(_npz_bytes()), "the magic string is not correct",
+    ),
+}
+
+
+@pytest.mark.parametrize("fault", NPY_FAULTS)
+def test_a_malformed_npy_file_is_one_error_that_names_it(tmp_path, forks, fault):
+    paths = save_dataset(_labeled_incomplete(), tmp_path)
+    key, spoil, message = NPY_FAULTS[fault]
+    path = Path(paths[key] if key == "labels" else paths[key][1])
+    spoil(path)
+    with pytest.raises(ValueError) as info:
+        load_dataset(paths["views"], paths["availability"], paths["labels"])
+    assert str(info.value).startswith(f"{path}: ") and message in str(info.value)
+    assert forks == []
 
 
 # -------------------------------------------------------------- normalization

@@ -28,14 +28,17 @@ from imvc.harness import (
 )
 from imvc.solver import SolverConfig, SolverState, initialize
 
-from synthetic import multiview_blobs
+from synthetic import multiview_blobs, save_csv_dataset
+
+
+def _blobs():
+    return multiview_blobs(n=30, n_clusters=3, dims=(5, 6), noise=0.4, seed=3)
 
 
 @pytest.fixture(scope="module")
 def data_dir(tmp_path_factory):
     root = tmp_path_factory.mktemp("blobs")
-    full = multiview_blobs(n=30, n_clusters=3, dims=(5, 6), noise=0.4, seed=3)
-    paths = save_dataset(full, root)
+    paths = save_dataset(_blobs(), root)
     return root, paths
 
 
@@ -435,8 +438,8 @@ def _log_blas_threads(monkeypatch, module, name, log):
     monkeypatch.setattr(module, name, logged)
 
 
-def test_workers_take_their_share_of_blas_threads(data_dir, tmp_path, monkeypatch):
-    # the 2 view files of the load and the 3 chunks of one group of 3
+def test_workers_take_their_share_of_blas_threads(tmp_path, monkeypatch):
+    # the 2 CSV view files of the load and the 3 chunks of one group of 3
     # trials, each in one of 3 forked workers on 3 usable CPUs (the label
     # file is read in the calling process): every worker inherits OpenBLAS
     # at its share, 1 thread, and runs no thread but its own; one that set
@@ -446,7 +449,7 @@ def test_workers_take_their_share_of_blas_threads(data_dir, tmp_path, monkeypatc
     if not os.path.isdir("/proc/self/task"):
         pytest.skip("no /proc/self/task to count a process's threads")
     _forks_needed()
-    root, paths = data_dir
+    paths = save_csv_dataset(_blobs(), tmp_path / "csv")
     threads = _blas_threads()
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
     log = tmp_path / "threads.log"
@@ -463,6 +466,30 @@ def test_workers_take_their_share_of_blas_threads(data_dir, tmp_path, monkeypatc
     assert [(blas, tasks) for _, blas, tasks in workers] == [("1", "1")] * 5
     assert _blas_threads() == threads  # the calling process keeps its own
     assert multiprocessing.active_children() == []
+
+
+def test_an_npy_load_leaves_the_sweep_one_pool(data_dir, tmp_path, monkeypatch):
+    # save_dataset's .npy files are read in the calling process: a sweep
+    # forks only its chunks' workers, and sets the caller's OpenBLAS threads
+    # once for them and once back, where a pooled load would do both twice
+    _forks_needed()
+    root, paths = data_dir
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    forked, sets = [], []
+    real_fork, real_blas = os.fork, imvc.dataset._blas_threads
+
+    def fork():
+        forked.append(True)
+        return real_fork()
+
+    def blas(threads=None):
+        sets.append(threads)
+        return real_blas(threads)
+
+    monkeypatch.setattr(os, "fork", fork)
+    monkeypatch.setattr(imvc.dataset, "_blas_threads", blas)
+    run_experiment(make_config(paths, tmp_path / "out"), workers=2)
+    assert len(forked) == 2 and len(sets) == 2
 
 
 @pytest.mark.parametrize("workers", [0, -2])
