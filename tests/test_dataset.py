@@ -544,6 +544,10 @@ def test_npy_views_are_read_before_the_csv_views_are_parsed(tmp_path, forks):
     assert forks == []
 
 
+def _save_an_object_array(path):
+    np.save(path, np.array([[1.0, "a"]], dtype=object), allow_pickle=True)
+
+
 def _put_nan_at_1_2(path):
     data = np.load(path)
     data[1, 2] = np.nan
@@ -567,12 +571,12 @@ def _npz_bytes():
     return buf.getvalue()
 
 
-# each fault: (the file it is put in, how, a part of the error message)
+# each fault: (the file it is put in, how, a part of the error message);
+# a file that numpy's reader refuses gets numpy's reason, whose words vary
+# with its version, after this one
+UNREAD = "could not parse as a .npy matrix: "
 NPY_FAULTS = {
-    "pickled object array": (
-        "views", lambda p: np.save(p, np.array([[1.0, "a"]], dtype=object), allow_pickle=True),
-        "Object arrays cannot be loaded when allow_pickle=False",
-    ),
+    "pickled object array": ("views", _save_an_object_array, UNREAD),
     "3-D array": ("views", lambda p: np.save(p, np.ones((5, 28, 1))), "got 3-D float64"),
     "complex dtype": ("views", lambda p: np.save(p, np.ones((5, 28), complex)), "complex128"),
     "structured dtype": (
@@ -583,17 +587,11 @@ NPY_FAULTS = {
         "kind 'iu', got 1-D float64",
     ),
     "NaN": ("views", _put_nan_at_1_2, "non-finite value at row 1, column 2"),
-    "truncated header": (
-        "views", lambda p: p.write_bytes(p.read_bytes()[:30]), "EOF: reading array header",
-    ),
-    "truncated body": (
-        "views", lambda p: p.write_bytes(p.read_bytes()[:-8]), "Failed to read all data",
-    ),
-    "header claiming 8 PiB": ("views", _claim_8_pib, "(1125899906842624,)"),
-    "empty file": ("labels", lambda p: p.write_bytes(b""), "EOF: reading magic string"),
-    "npz renamed to npy": (
-        "views", lambda p: p.write_bytes(_npz_bytes()), "the magic string is not correct",
-    ),
+    "truncated header": ("views", lambda p: p.write_bytes(p.read_bytes()[:30]), UNREAD),
+    "truncated body": ("views", lambda p: p.write_bytes(p.read_bytes()[:-8]), UNREAD),
+    "header claiming 8 PiB": ("views", _claim_8_pib, UNREAD),
+    "empty file": ("labels", lambda p: p.write_bytes(b""), UNREAD),
+    "npz renamed to npy": ("views", lambda p: p.write_bytes(_npz_bytes()), UNREAD),
 }
 
 
