@@ -10,10 +10,10 @@ fraction of the samples.
 
 On-disk interchange format; the suffix picks the reader. A .npy file is
 read as np.save writes it (no pickled objects), any other file as CSV (no
-header, '.' decimal separator); a 1-D .npy array is one column:
-  * view file: m_v rows x n_v columns of integers or floats;
+header, '.' decimal separator):
+  * view file: m_v rows x n_v columns of integers or floats, 2-D in .npy;
   * availability sidecar: one column of integer sample ids, non-negative and
-    strictly ascending;
+    strictly ascending (a 1-D .npy array is one column, here and for labels);
   * label file: a single column of n integers.
 
 in_workers is imvc's one process pool; harness.run_experiment runs a
@@ -381,35 +381,36 @@ def in_workers(jobs: list[Callable], sizes: list[int], processes: int) -> list:
 
 
 def _file_size(path: Path) -> int:
-    """The bytes of path; 0 for a file that cannot be read, whose job then
-    raises the error."""
+    """The bytes of path, or 0 if it cannot be read: its job raises the error."""
     try:
         return path.stat().st_size
     except OSError:
         return 0
 
 
-def _load_matrix(path: Path, dtype=np.float64) -> np.ndarray:
-    """The numbers of a .npy or CSV file as a matrix: float64 for views and
-    labels, int64 for availability sidecars, whose .npy files hold integers.
-    Every fault in the file is one ValueError that names it."""
+def _load_matrix(path: Path, dtype=np.float64, vector=False) -> np.ndarray:
+    """The numbers of a .npy or CSV file as a matrix, float64 (int64 for
+    sidecars, whose .npy files hold integers); a 1-D .npy array is one column
+    if vector, else refused. Every fault is one ValueError naming the file."""
     kinds = "iuf" if dtype == np.float64 else "iu"
-    try:
-        if path.suffix == ".npy":
+    if path.suffix == ".npy":
+        try:
             with open(path, "rb") as f:
                 data = np.lib.format.read_array(f, allow_pickle=False)
-            if data.dtype.kind not in kinds or data.ndim not in (1, 2):
-                got = f"{data.ndim}-D {data.dtype}"
-                raise ValueError(f"need a 1-D or 2-D array of kind {kinds!r}, got {got}")
-            data = (data[:, None] if data.ndim == 1 else data).astype(dtype, copy=False)
-        else:
+        except (ValueError, MemoryError) as exc:  # a header may claim petabytes
+            raise ValueError(f"{path}: could not parse as a .npy matrix: {exc}") from exc
+        if data.dtype.kind not in kinds or data.ndim not in ((1, 2) if vector else (2,)):
+            need = f"a {'1-D or ' if vector else ''}2-D array of kind {kinds!r}"
+            raise ValueError(f"{path}: need {need}, got {data.ndim}-D {data.dtype}")
+        data = (data[:, None] if data.ndim == 1 else data).astype(dtype, copy=False)
+    else:
+        try:
             with warnings.catch_warnings():
                 # an empty file is reported below, with its path
                 warnings.filterwarnings("ignore", "loadtxt: input contained no data")
                 data = np.loadtxt(path, delimiter=",", dtype=dtype, ndmin=2)
-    except (ValueError, MemoryError) as exc:  # a header may claim petabytes
-        what = "a .npy" if path.suffix == ".npy" else "a numeric CSV"
-        raise ValueError(f"{path}: could not parse as {what} matrix: {exc}") from exc
+        except ValueError as exc:
+            raise ValueError(f"{path}: could not parse as a numeric CSV matrix: {exc}") from exc
     if data.size == 0:
         raise ValueError(f"{path}: the file holds no values")
     finite = np.isfinite(data)
@@ -440,7 +441,7 @@ def load_dataset(
         raise ValueError("one availability sidecar per view is required")
     labels = None
     if label_path is not None:
-        raw = _load_matrix(Path(label_path))
+        raw = _load_matrix(Path(label_path), vector=True)
         if min(raw.shape) != 1:
             raise ValueError(f"{label_path}: label file must be a single column")
         if np.any(raw != np.round(raw)):
@@ -448,7 +449,7 @@ def load_dataset(
         labels = np.unique(raw.reshape(-1).astype(np.int64), return_inverse=True)[1]
     avail = []
     for path in availability_paths or ():
-        ids = _load_matrix(Path(path), np.int64)
+        ids = _load_matrix(Path(path), np.int64, vector=True)
         if ids.shape[1] != 1 or ids[0, 0] < 0 or np.any(np.diff(ids, axis=0) <= 0):
             raise ValueError(
                 f"{path}: an availability sidecar must be one column of strictly "
@@ -458,11 +459,8 @@ def load_dataset(
     paths = [Path(p) for p in view_paths]
     read = {v: _load_matrix(p) for v, p in enumerate(paths) if p.suffix == ".npy"}
     csv = [v for v in range(len(paths)) if v not in read]
-    read.update(zip(csv, in_workers(
-        [partial(_load_matrix, paths[v]) for v in csv],
-        [_file_size(paths[v]) for v in csv],
-        usable_cpus(),
-    )))
+    jobs = [partial(_load_matrix, paths[v]) for v in csv]
+    read.update(zip(csv, in_workers(jobs, [_file_size(paths[v]) for v in csv], usable_cpus())))
     # each view read is dropped once its ViewMatrix holds a copy, so that
     # the load holds its data and one view more at most
     views = tuple(ViewMatrix(view_id=v, data=read.pop(v)) for v in range(len(paths)))

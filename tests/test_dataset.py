@@ -416,7 +416,8 @@ def test_one_usable_cpu_starts_no_process(tmp_path, monkeypatch):
         raise AssertionError("a process was started")
 
     monkeypatch.setattr(os, "fork", fork)
-    paths = save_dataset(_labeled_incomplete(), tmp_path)
+    # CSV views, which a pool would parse with two usable CPUs or more
+    paths = save_csv_dataset(_labeled_incomplete(), tmp_path)
     ds = load_dataset(paths["views"], paths["availability"], paths["labels"])
     assert ds.n_views == 3
 
@@ -578,13 +579,15 @@ UNREAD = "could not parse as a .npy matrix: "
 NPY_FAULTS = {
     "pickled object array": ("views", _save_an_object_array, UNREAD),
     "3-D array": ("views", lambda p: np.save(p, np.ones((5, 28, 1))), "got 3-D float64"),
+    # a label file or a sidecar may be 1-D, but a view's axes would be a guess
+    "1-D view": ("views", lambda p: np.save(p, np.load(p)[0]), "need a 2-D array of kind 'iuf'"),
     "complex dtype": ("views", lambda p: np.save(p, np.ones((5, 28), complex)), "complex128"),
     "structured dtype": (
         "views", lambda p: np.save(p, np.zeros(28, dtype=[("a", "f8"), ("b", "i4")])), "got 1-D",
     ),
     "float sidecar": (
         "availability", lambda p: np.save(p, np.load(p).astype(np.float64)),
-        "kind 'iu', got 1-D float64",
+        "need a 1-D or 2-D array of kind 'iu', got 1-D float64",
     ),
     "NaN": ("views", _put_nan_at_1_2, "non-finite value at row 1, column 2"),
     "truncated header": ("views", lambda p: p.write_bytes(p.read_bytes()[:30]), UNREAD),
@@ -605,6 +608,20 @@ def test_a_malformed_npy_file_is_one_error_that_names_it(tmp_path, forks, fault)
         load_dataset(paths["views"], paths["availability"], paths["labels"])
     assert str(info.value).startswith(f"{path}: ") and message in str(info.value)
     assert forks == []
+
+
+def test_running_out_of_memory_while_parsing_a_csv_view_is_not_a_bad_file(
+    tmp_path, monkeypatch
+):
+    paths = save_csv_dataset(_labeled_incomplete(), tmp_path)
+
+    def loadtxt(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(np, "loadtxt", loadtxt)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    with pytest.raises(MemoryError):
+        load_dataset(paths["views"])
 
 
 # -------------------------------------------------------------- normalization
