@@ -4,12 +4,14 @@ seeded Handwritten-shaped data of perfbench/synth.py (30% of views missing):
     python3 scripts/scale_runs.py trial --n 50000 --seed 1
     python3 scripts/scale_runs.py group --n 2000 --seed 1
 
-`trial` runs the calls of one harness trial in this process: the mask, the
-fused graphs, one fit (5 sweeps at tol 0) and k-means with 20 restarts, at
-scale-n4000's settings. It skips the data files' round trip, which `group`
-times. It then fits once more with the layer wrappers of perfbench/tracing.py
-installed, and reports each solver block's seconds per iteration from that
-fit (`iter_blocks_s`). `group` writes the data and a config for one README
+`trial` runs the calls of one harness trial in this process, as `imvc run
+--workers 1` runs them: the mask, the fused graphs, one fit (5 sweeps at tol
+0) and k-means with 20 restarts, at scale-n4000's settings, at one OpenBLAS
+thread and on this process's usable CPUs as the trial's threads (`threads`).
+It skips the data files' round trip, which `group` times. It then fits once
+more with the layer wrappers of perfbench/tracing.py installed, and reports
+each solver block's seconds per iteration from that fit (`iter_blocks_s`):
+the per-view blocks' seconds are summed over the threads that ran them. `group` writes the data and a config for one README
 grid group (27 (lam, beta, r) points, max_iter 300, tol 1e-6) and runs it as
 `imvc run --workers 2` does. It reports the data files' round trip on its
 own: `save_s` for `imvc.save_dataset` and `load_s` for one
@@ -39,6 +41,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 import imvc  # noqa: E402
+from imvc.dataset import cpu_share, one_blas_thread  # noqa: E402
 import tracing  # noqa: E402
 from synth import handwritten_like  # noqa: E402
 
@@ -59,37 +62,43 @@ def _dataset(n: int, seed: int, noise: float):
 
 def trial(n: int, seed: int) -> dict:
     full = _dataset(n, seed, noise=0.6)
+    # a lone harness trial: one OpenBLAS thread, and this process's CPUs as
+    # the trial's threads
+    threads = cpu_share(1, 1)
     times = {}
-    start = time.perf_counter()
-    spec = imvc.MaskSpec(protocol="random-missing", rate=RATE, seed=seed)
-    masked = imvc.apply_mask(full, spec)
-    times["mask_s"] = time.perf_counter() - start
-    t = time.perf_counter()
-    graphs = imvc.build_fused_graphs(masked, k=5, gamma=1.0)
-    times["graphs_s"] = time.perf_counter() - t
-    cfg = imvc.SolverConfig(
-        lam=0.1, beta=0.001, r=5.0, n_components=CLUSTERS, max_iter=5, tol=0.0, seed=seed
-    )
-    t = time.perf_counter()
-    (state,) = imvc.fit(masked, graphs, [cfg])
-    times["fit_s"] = time.perf_counter() - t
-    times["iter_s"] = times["fit_s"] / state.n_iterations
-    t = time.perf_counter()
-    scores = imvc.evaluate_clustering(
-        state.consensus, full.labels, k=CLUSTERS, restarts=20, seed=seed
-    )
-    times["kmeans_score_s"] = time.perf_counter() - t
-    times["trial_s"] = time.perf_counter() - start
-    tracer = tracing.Tracer()
-    with tracing.installed(tracer):
-        # the wrappers time imvc.harness.fit; this span's self time is the
-        # fit's own loop (solver.loop_s)
-        with tracer.span("solver.fit"):
-            imvc.fit(masked, graphs, [cfg])
+    with one_blas_thread():
+        start = time.perf_counter()
+        spec = imvc.MaskSpec(protocol="random-missing", rate=RATE, seed=seed)
+        masked = imvc.apply_mask(full, spec)
+        times["mask_s"] = time.perf_counter() - start
+        t = time.perf_counter()
+        graphs = imvc.build_fused_graphs(masked, k=5, gamma=1.0, threads=threads)
+        times["graphs_s"] = time.perf_counter() - t
+        cfg = imvc.SolverConfig(
+            lam=0.1, beta=0.001, r=5.0, n_components=CLUSTERS, max_iter=5, tol=0.0, seed=seed
+        )
+        t = time.perf_counter()
+        (state,) = imvc.fit(masked, graphs, [cfg], threads=threads)
+        times["fit_s"] = time.perf_counter() - t
+        times["iter_s"] = times["fit_s"] / state.n_iterations
+        t = time.perf_counter()
+        scores = imvc.evaluate_clustering(
+            state.consensus, full.labels, k=CLUSTERS, restarts=20, seed=seed, threads=threads
+        )
+        times["kmeans_score_s"] = time.perf_counter() - t
+        times["trial_s"] = time.perf_counter() - start
+        tracer = tracing.Tracer()
+        with tracing.installed(tracer):
+            # the wrappers time imvc.harness.fit; this span's self time is the
+            # fit's own loop (solver.loop_s), waits for the per-view tasks of
+            # the other threads included
+            with tracer.span("solver.fit"):
+                imvc.fit(masked, graphs, [cfg], threads=threads)
     layers = tracing.layer_metrics(tracer, 1)
     blocks = ("consensus", "basis", "codes", "costs", "graph_cost", "weights", "loop")
     return {
         **times,
+        "threads": threads,
         "iter_blocks_s": {b: layers[f"solver.{b}_s"] / state.n_iterations for b in blocks},
         "n_available": [v.n_available for v in masked.views],
         "iterations": state.n_iterations,

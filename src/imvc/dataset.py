@@ -17,8 +17,15 @@ header, '.' decimal separator):
   * label file: a single column of n integers.
 
 in_workers is imvc's one process pool; harness.run_experiment runs a
-sweep's chunks through it too. Its rule: fork, else the calling process,
-and each forked worker inherits its share of the CPUs as OpenBLAS threads.
+sweep's chunks through it too. Its rule: fork, else the calling process.
+cpu_share is each of its processes' share of the usable CPUs. A sweep runs
+at one OpenBLAS thread (one_blas_thread), in this process and in every
+worker, and each trial gets its process's share as threads (thread_map)
+over its views' graphs and block updates and its k-means restarts, each of
+which gives the bits it gives alone: the output depends neither on the
+workers nor on the number of usable CPUs. Called directly, the library
+runs on the calling thread, at the caller's OpenBLAS threads, unless it is
+given threads.
 load_dataset reads the label file, the sidecars and the .npy views in the
 calling process, then parses each CSV view whole in the pool, largest
 first, so faults come in the order labels, sidecars, .npy views, CSV
@@ -29,12 +36,16 @@ the calling process parses the CSV views too, with the same arrays.
 
 from __future__ import annotations
 
+import contextvars
 import ctypes
 import math
 import multiprocessing
 import multiprocessing.connection
 import os
+import threading
 import warnings
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
@@ -52,6 +63,16 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _matrix(view_id: int, data: np.ndarray) -> np.ndarray:
+    """data, if it is a 2-D matrix with at least one row and one column."""
+    if data.ndim != 2 or data.shape[0] < 1 or data.shape[1] < 1:
+        raise ValueError(
+            f"view {view_id}: data must be a 2-D matrix with at least "
+            f"one row and one column, got shape {data.shape}"
+        )
+    return data
+
+
 @dataclass(frozen=True)
 class ViewMatrix:
     """Feature matrix of one view, shape (n_features, n_available)."""
@@ -60,18 +81,26 @@ class ViewMatrix:
     data: np.ndarray
 
     def __post_init__(self):
-        data = np.asarray(self.data, dtype=np.float64)
-        if data.ndim != 2 or data.shape[0] < 1 or data.shape[1] < 1:
-            raise ValueError(
-                f"view {self.view_id}: data must be a 2-D matrix with at least "
-                f"one row and one column, got shape {data.shape}"
-            )
+        data = _matrix(self.view_id, np.asarray(self.data, dtype=np.float64))
         if not np.all(np.isfinite(data)):
             i, j = np.argwhere(~np.isfinite(data))[0]
             raise ValueError(
                 f"view {self.view_id}: non-finite entry at row {i}, column {j}"
             )
         object.__setattr__(self, "data", _readonly(data))
+
+    @classmethod
+    def _own(cls, view_id: int, data: np.ndarray) -> "ViewMatrix":
+        """The view of a float64 array of finite values that the library has
+        just made and hands over: it is made read-only in place (C-ordered
+        first if it is not), neither copied nor checked for finiteness again.
+        A caller's array goes through the constructor, which copies it."""
+        data = np.ascontiguousarray(_matrix(view_id, data), dtype=np.float64)
+        data.flags.writeable = False
+        view = object.__new__(cls)
+        object.__setattr__(view, "view_id", view_id)
+        object.__setattr__(view, "data", data)
+        return view
 
     @property
     def n_features(self) -> int:
@@ -184,7 +213,8 @@ def _round_half_up(x: float) -> int:
 
 def _subset_dataset(full: MultiViewDataset, kept: list[np.ndarray]) -> MultiViewDataset:
     views = tuple(
-        ViewMatrix(view_id=v.view_id, data=v.data[:, ids])
+        # np.take, unlike v.data[:, ids], gathers into a C-ordered array
+        ViewMatrix._own(v.view_id, np.take(v.data, ids, axis=1))
         for v, ids in zip(full.views, kept)
     )
     return MultiViewDataset(
@@ -299,6 +329,78 @@ def _blas_threads(threads: Optional[int] = None) -> Optional[int]:
     return None
 
 
+@contextmanager
+def one_blas_thread():
+    """Run the block, and every process forked in it, at one OpenBLAS
+    thread, and put this process's count back after it.
+
+    Past a few thousand elements OpenBLAS splits a product or a dot over its
+    threads, and the split changes the sums' bits; at one thread they do not
+    depend on the host's CPUs, nor on which thread makes the call. A forked
+    process inherits the count: one that set it itself would restart
+    OpenBLAS's thread pool, which spins.
+    """
+    before = _blas_threads(1)
+    try:
+        yield
+    finally:
+        _blas_threads(before)
+
+
+@contextmanager
+def thread_map(threads: int):
+    """A map over this thread and up to `threads` - 1 helper threads, as the
+    with block's target: the built-in map for fewer than 2 threads. The
+    helpers are joined when the block ends. Each call hands its items out in
+    turn to whichever thread is free, runs them all, and returns the list of
+    results in item order, or raises the first error in item order, as the
+    built-in map would meet it. Each item runs in a copy of the context the
+    map is called in, so np.errstate holds in the helpers too. The calling
+    thread takes items as well, rather than wait: each helper's malloc
+    arena and OpenBLAS buffer add to the peak RSS.
+
+    Its callers run numpy work that releases the GIL. Under one_blas_thread
+    each item gives the bits that it gives alone; at more OpenBLAS threads,
+    a product's bits could depend on the products run beside it.
+    """
+    if threads < 2:
+        yield map
+        return
+    with ThreadPoolExecutor(threads - 1) as helpers:
+        yield partial(_shared_map, helpers, threads - 1)
+
+
+def _shared_map(helpers: ThreadPoolExecutor, n_helpers: int, fn: Callable, *items) -> list:
+    tasks = enumerate(zip(*items))
+    lock = threading.Lock()
+    done = {}
+
+    def work():
+        while True:
+            with lock:
+                task = next(tasks, None)
+            if task is None:
+                return
+            i, args = task
+            try:
+                done[i] = (True, fn(*args))
+            except Exception as exc:
+                done[i] = (False, exc)
+
+    context = contextvars.copy_context()
+    futures = [helpers.submit(context.copy().run, work) for _ in range(n_helpers)]
+    work()
+    for future in futures:
+        future.result()
+    results = []
+    for i in range(len(done)):
+        ok, value = done[i]
+        if not ok:
+            raise value
+        results.append(value)
+    return results
+
+
 def _serve(jobs: list[Callable], conn, parent_ends: list) -> None:
     """A forked worker: run each job index its parent sends, until None, and
     send back the index with (True, result) or (False, error).
@@ -316,35 +418,47 @@ def _serve(jobs: list[Callable], conn, parent_ends: list) -> None:
         conn.send((i, outcome))
 
 
-def in_workers(jobs: list[Callable], sizes: list[int], processes: int) -> list:
-    """[job() for job in jobs], in min(processes, jobs) forked processes.
-
-    Each worker is sent one job at a time, biggest size first (in job order
-    among equal sizes), and its next one when it sends back the last. It
-    inherits the jobs and their arrays at fork, so only indices go to it and
-    only results come back, and its OpenBLAS threads: this process sets them
-    to each worker's share of its usable CPUs (at least 1) just before it
-    forks and puts its own back once they are joined, as a forked process
-    that set them would restart OpenBLAS's thread pool, which spins. This
-    thread reads the results: memory that a helper thread allocated would
-    stay in that thread's malloc arena once freed and raise this process's
-    peak RSS. Results, and the first error, are taken in job order, as a
-    serial loop meets them. With fewer than 2 processes, without fork, or in
-    a daemon process, which may start none, the jobs run in this process: a
-    spawned worker would first import numpy, scipy and imvc again and be
-    sent its arrays.
-    """
-    processes = min(processes, len(jobs))
+def _processes(processes: int, jobs: int) -> int:
+    """The processes that in_workers runs this many jobs in: min(processes,
+    jobs) forked workers, or 1, this process, where that is fewer than 2,
+    without fork, or in a daemon process, which may start none (a spawned
+    worker would first import numpy, scipy and imvc again and be sent its
+    arrays)."""
+    processes = min(processes, jobs)
     if (
         processes < 2
         or "fork" not in multiprocessing.get_all_start_methods()
         or multiprocessing.current_process().daemon
     ):
+        return 1
+    return processes
+
+
+def cpu_share(processes: int, jobs: int) -> int:
+    """The usable CPUs of each process that in_workers runs this many jobs
+    in: an even share, at least 1."""
+    return max(1, usable_cpus() // _processes(processes, jobs))
+
+
+def in_workers(jobs: list[Callable], sizes: list[int], processes: int) -> list:
+    """[job() for job in jobs], in the processes that _processes gives.
+
+    Each forked worker is sent one job at a time, biggest size first (in job
+    order among equal sizes), and its next one when it sends back the last.
+    It inherits the jobs and their arrays at fork, so only indices go to it
+    and only results come back; it also inherits this process's OpenBLAS
+    threads, which its jobs run at (see one_blas_thread). This thread reads
+    the results: memory that a helper thread allocated would stay in that
+    thread's malloc arena once freed and raise this process's peak RSS.
+    Results, and the first error, are taken in job order, as a serial loop
+    meets them.
+    """
+    processes = _processes(processes, len(jobs))
+    if processes == 1:
         return [job() for job in jobs]
     context = multiprocessing.get_context("fork")
     order = iter(sorted(range(len(jobs)), key=lambda i: -sizes[i]))
     workers, outcomes = [], {}
-    threads = _blas_threads(max(1, usable_cpus() // processes))
     try:
         for _ in range(processes):
             ours, theirs = context.Pipe()
@@ -368,7 +482,6 @@ def in_workers(jobs: list[Callable], sizes: list[int], processes: int) -> list:
         for worker, ours in workers:
             ours.close()
             worker.join()
-        _blas_threads(threads)
     results = []
     for i in range(len(jobs)):
         if i not in outcomes:
@@ -461,9 +574,8 @@ def load_dataset(
     csv = [v for v in range(len(paths)) if v not in read]
     jobs = [partial(_load_matrix, paths[v]) for v in csv]
     read.update(zip(csv, in_workers(jobs, [_file_size(paths[v]) for v in csv], usable_cpus())))
-    # each view read is dropped once its ViewMatrix holds a copy, so that
-    # the load holds its data and one view more at most
-    views = tuple(ViewMatrix(view_id=v, data=read.pop(v)) for v in range(len(paths)))
+    # _load_matrix has checked each view read, which its ViewMatrix takes
+    views = tuple(ViewMatrix._own(v, read[v]) for v in range(len(paths)))
 
     if availability_paths is None:
         counts = [view.n_available for view in views]

@@ -46,7 +46,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .dataset import ViewMatrix, _readonly
+from .dataset import ViewMatrix, _readonly, thread_map
 
 # rows of one block of screened squared distances in the kNN search: enough
 # for the GEMM to run near the BLAS rate ...
@@ -59,6 +59,9 @@ _CHECK_PAIRS = 1 << 17
 _GROUP_WIDTH = 16
 # instances whose pairwise distances set sigma
 _SIGMA_INSTANCES = 2000
+# one in this many of their screened squared distances is sampled to bracket
+# the middle ranks
+_BRACKET_STRIDE = 64
 # sampled instances whose squared norm passes this many times both the
 # sample's median squared norm and the median squared distance of a few
 # evenly spaced ones (_SPREAD_INSTANCES) are paired exactly for sigma instead
@@ -192,6 +195,19 @@ def _nearest(data, rows, cols, lo, hi, k):
     return cols[take], exact[take]
 
 
+def _bracket(values: np.ndarray, ranks: np.ndarray) -> tuple:
+    """Bounds on the values at these neighbouring ranks of sorted(values),
+    from a sorted strided sample of one in _BRACKET_STRIDE of them: the
+    sample's values 4 sqrt(sample size) + 1 ranks below and above its own
+    ranks for them, and -inf and inf past the sample's ends. They hold the
+    ranks unless the sample is far from typical of the values."""
+    sample = np.sort(values[::_BRACKET_STRIDE])
+    margin = 4 * math.isqrt(sample.size) + 1
+    lo = ranks[0] * sample.size // values.size - margin
+    hi = ranks[-1] * sample.size // values.size + margin
+    return (sample[lo] if lo >= 0 else -np.inf), (sample[hi] if hi < sample.size else np.inf)
+
+
 def _median_distance(data, sample, approx, slack, rest, scale) -> float:
     """The exact median pairwise distance of the sampled instances, given the
     screened squared distances of the upper-triangle pairs of `sample` (row
@@ -200,20 +216,29 @@ def _median_distance(data, sample, approx, slack, rest, scale) -> float:
 
     Pairs screened below the band around the middle ranks are below them
     exactly too, so only the band is re-checked; the result equals
-    np.median over all exact distances.
+    np.median over all exact distances. The middle ranks and the band are
+    looked for among the screened values in a bracket of those ranks
+    (_bracket), so that no copy of them all is made; where the bracket
+    misses the ranks or the band, among all of them.
     """
     screened = np.concatenate((approx, np.ldexp(rest, scale))) if rest.size else approx
     size = screened.size
-    upper = size // 2
-    ranks = np.unique([(size - 1) // 2, upper])  # one rank if size is odd
-    part = np.partition(screened, upper)
-    # with two middle ranks, the lower one is the largest value before the upper
-    a_low = part[:upper].max() if ranks.size > 1 else part[upper]
-    low = -_round_up(2.0 * slack - float(a_low), screened.dtype)
-    high = _round_up(float(part[upper]) + 2.0 * slack, screened.dtype)
-    del part
-    below = np.count_nonzero(screened < low)
-    band = np.flatnonzero((screened >= low) & (screened <= high))
+    ranks = np.unique([(size - 1) // 2, size // 2])  # one rank if size is odd
+    for bottom, top in (_bracket(screened, ranks), (-np.inf, np.inf)):
+        inside = screened >= bottom
+        before = size - np.count_nonzero(inside)  # screened below the bracket
+        inside &= screened <= top
+        at = np.flatnonzero(inside)
+        del inside
+        values = screened[at]
+        if before <= ranks[0] and ranks[-1] < before + at.size:
+            middle = np.partition(values, ranks - before)[ranks - before]
+            low = -_round_up(2.0 * slack - float(middle[0]), screened.dtype)
+            high = _round_up(float(middle[-1]) + 2.0 * slack, screened.dtype)
+            if bottom <= low and high <= top:
+                break
+    below = before + np.count_nonzero(values < low)
+    band = at[(values >= low) & (values <= high)]
     known = band[band >= approx.size] - approx.size
     band = band[band < approx.size]
     # flat upper-triangle position -> sample positions t < u
@@ -282,6 +307,7 @@ def gaussian_knn_graph(view: ViewMatrix, k: int = 5) -> tuple[sp.csr_array, floa
     peak = max(float(np.max(high - centre)), float(np.max(centre - low)))
     shift = 1 - math.frexp(peak)[1]  # 2^shift peak lies in [1, 2)
     cen = pts - centre
+    del pts
     y = np.ldexp(cen, shift, out=cen).astype(np.float32)
     del cen
     sqn = np.einsum("ij,ij->i", y, y, dtype=np.float64)  # exact products
@@ -341,7 +367,8 @@ def gaussian_knn_graph(view: ViewMatrix, k: int = 5) -> tuple[sp.csr_array, floa
     order = np.concatenate((light, heavy, np.flatnonzero(unsampled)))
     place = np.empty(n, dtype=np.int64)
     place[order] = np.arange(n)
-    y_cols = y[order]
+    y_cols = y[order]  # the rows too are read from here, so y can go
+    del y
     fold = (sqn[order] * (1.0 - kappa)).astype(np.float32)
     sqn32 = sqn.astype(np.float32)
 
@@ -353,7 +380,7 @@ def gaussian_knn_graph(view: ViewMatrix, k: int = 5) -> tuple[sp.csr_array, floa
     step = max(1, min(_BLOCK_ROWS, _BLOCK_BYTES // (4 * n)))
     for lo in range(0, n, step):
         hi = min(lo + step, n)
-        a = (-2.0 * y[lo:hi]) @ y_cols.T  # scaling by -2 is exact
+        a = (-2.0 * y_cols[place[lo:hi]]) @ y_cols.T  # scaling by -2 is exact
         a += fold
         # this block's light rows: their pairs with later light points
         for t in range(*np.searchsorted(light, (lo, hi))):
@@ -372,6 +399,10 @@ def gaussian_knn_graph(view: ViewMatrix, k: int = 5) -> tuple[sp.csr_array, floa
             rows, cols = (np.concatenate(c) for c in zip(*cand))
             neighbors[done:hi], sq_knn[done:hi] = _nearest(data, rows, cols, done, hi, k)
             cand, done = [], hi
+        del a  # before the next block is made
+    # a view's graph may be built beside another's: what the search alone
+    # needed goes before sigma's step
+    del y_cols, fold
     rest = np.empty(0)
     if heavy.size:
         pair = np.triu_indices(heavy.size, 1)
@@ -394,18 +425,23 @@ def gaussian_knn_graph(view: ViewMatrix, k: int = 5) -> tuple[sp.csr_array, floa
     return _frozen_csr(knn.maximum(knn.T)), sigma
 
 
-def build_fused_graphs(ds, k: int = 5, gamma: float = 1.0) -> tuple[FusedGraph, ...]:
+def build_fused_graphs(
+    ds, k: int = 5, gamma: float = 1.0, threads: int = 1
+) -> tuple[FusedGraph, ...]:
     """Per-view fused graphs W = gamma * S + I of a dataset, sigma chosen
-    per view.
+    per view, the views built on up to `threads` threads at once
+    (dataset.thread_map); each graph is the one its view gives alone.
 
     gamma = 0 gives identity graphs (0 * S + I = I) without a neighbor search,
     so k is not used.
     """
     if gamma < 0:
         raise ValueError(f"gamma must be non-negative, got {gamma}")
-    graphs = []
-    for view in ds.views:
+
+    def build(view: ViewMatrix) -> FusedGraph:
         eye = sp.eye_array(view.n_available, format="csr")
         w = eye if gamma == 0.0 else gamma * gaussian_knn_graph(view, k=k)[0] + eye
-        graphs.append(FusedGraph(view_id=view.view_id, w=w))
-    return tuple(graphs)
+        return FusedGraph(view_id=view.view_id, w=w)
+
+    with thread_map(threads) as each:
+        return tuple(each(build, ds.views))

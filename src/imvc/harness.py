@@ -6,7 +6,8 @@ _CONFIG_KEYS is its whole rule. Each trial runs the full pipeline (mask,
 graphs, solver, k-means, scores) into one row of trials.csv; one CSV writer
 writes it, the per-grid-point aggregate.csv and the kept traces (failed
 fits' too) as trace_<runid>.csv. The resolved config goes to manifest.json.
-One machine and one master seed give byte-identical output files.
+One machine and one master seed give byte-identical output files, whatever
+the number of workers or of usable CPUs.
 
 The mask depends only on (rate, repeat) and the graphs only on the mask and
 k, so run_experiment groups the rows by (rate, repeat, k) as it makes them
@@ -39,9 +40,11 @@ from .dataset import (
     MaskSpec,
     MultiViewDataset,
     apply_mask,
+    cpu_share,
     in_workers,
     load_dataset,
     normalize_views,
+    one_blas_thread,
 )
 from .graph import build_fused_graphs
 from .metrics import evaluate_clustering
@@ -340,12 +343,19 @@ def _run_trial(
     base: MultiViewDataset,
     cfg: ExperimentConfig,
     keep_states: bool,
+    threads: int,
     chunk: Sequence[TrialOutcome],
 ) -> list[TrialOutcome]:
     """Run one chunk of a group's trials on the sweep's base dataset and
     config: their fits in lockstep, as one fit call, then each trial's
     k-means and scores, keeping its solver state if keep_states. (The name
     is the one perfbench/tracing.py times as harness.trial.)
+
+    threads is the chunk's share of the CPUs (dataset.cpu_share): the graph
+    build, the fit and each k-means run their views or restarts on that many
+    threads, which each stage starts and joins itself, so no thread outlives
+    its stage. The sweep runs at one OpenBLAS thread (run_experiment), so
+    the rows and states do not depend on threads.
 
     The chunk builds its group's mask and graphs from its first trial. A
     failure becomes the error of the trials it ends: a failed group build or
@@ -361,7 +371,7 @@ def _run_trial(
         spec = MaskSpec(protocol=cfg.protocol, rate=first.rate, seed=first.mask_seed)
         masked = apply_mask(base, spec)
         gamma = _VARIANTS[first.variant].get("gamma", first.gamma)
-        graphs = build_fused_graphs(masked, k=first.k, gamma=gamma)
+        graphs = build_fused_graphs(masked, k=first.k, gamma=gamma, threads=threads)
         solver_cfgs = []
         for outcome in chunk:
             switch = _VARIANTS[outcome.variant]
@@ -377,7 +387,7 @@ def _run_trial(
                     weight_on=switch.get("weight_on", True),
                 )
             )
-        states = fit(masked, graphs, solver_cfgs)
+        states = fit(masked, graphs, solver_cfgs, threads=threads)
     except Exception as exc:  # per-trial failures must not kill the sweep
         wall = time.perf_counter() - start
         return [
@@ -399,6 +409,7 @@ def _run_trial(
                     k=n_components,
                     restarts=cfg.kmeans_restarts,
                     seed=derive_seed(outcome.solver_seed, "kmeans"),
+                    threads=threads,
                 )
             except Exception as exc:  # per-trial failures must not kill the sweep
                 outcome = replace(outcome, error=_error(exc))
@@ -486,18 +497,21 @@ def run_experiment(
     _run_trial(base, cfg, keep_states, chunk), that builds the group's mask
     and graphs and runs its fits in lockstep as one fit call. With workers > 1
     the chunks go, largest first and in group order among equals, one at a
-    time to min(workers, chunks) forked worker processes, each on its share
-    of the CPUs as BLAS threads (dataset.in_workers); one worker, one trial,
-    no fork or a daemon process runs them in this process. A group's build
-    is deterministic, a fit in a batch gives what it gives alone, and rows
-    are put back by id, so the output does not depend on workers.
+    time to min(workers, chunks) forked worker processes
+    (dataset.in_workers); one worker, one trial, no fork or a daemon process
+    runs them in this process. Each chunk runs on its process's share of the
+    CPUs as threads (dataset.cpu_share, _run_trial), and the load and every
+    chunk at one OpenBLAS thread, set here before any worker forks and put
+    back after. A group's build is deterministic, a fit in a batch gives
+    what it gives alone, no stage's bits depend on its threads, and rows are
+    put back by id, so the output depends neither on workers nor on the
+    number of usable CPUs.
     """
     if ablation is not None and ablation not in ABLATIONS:
         raise ValueError(f"unknown ablation {ablation!r}; expected one of {ABLATIONS}")
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
     variant = "full" if ablation is None else f"no-{ablation}"
-    base = load_base(cfg)
     grid = itertools.product(cfg.lam_grid, cfg.beta_grid, cfg.r_grid, cfg.knn_grid)
     pending: list[TrialOutcome] = []
     # the row ids of each (rate, repeat, k) group: one mask, one set of graphs
@@ -532,11 +546,14 @@ def run_experiment(
         for j in range(min(workers, len(ids)))
     ]
     chunks = [[pending[i] for i in ids] for ids in chunk_ids]
-    results = in_workers(
-        [partial(_run_trial, base, cfg, keep_states, chunk) for chunk in chunks],
-        [len(chunk) for chunk in chunks],
-        workers,
-    )
+    threads = cpu_share(workers, len(chunks))
+    with one_blas_thread():
+        base = load_base(cfg)
+        results = in_workers(
+            [partial(_run_trial, base, cfg, keep_states, threads, chunk) for chunk in chunks],
+            [len(chunk) for chunk in chunks],
+            workers,
+        )
     for ids, done in zip(chunk_ids, results):
         for i, outcome in zip(ids, done):
             pending[i] = outcome

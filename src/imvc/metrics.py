@@ -13,11 +13,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.optimize import linear_sum_assignment
 from scipy.spatial.distance import cdist
+
+from .dataset import thread_map
 
 
 @dataclass(frozen=True)
@@ -131,26 +134,16 @@ def _centre_means(pts: np.ndarray, labels: np.ndarray, counts: np.ndarray) -> np
     return (onehot @ pts).reshape(m, k, -1) / counts[:, :, None]
 
 
-def _best_kmeans(
-    representation: np.ndarray, k: int, restarts: int, seed: int, max_iter: int = 300
-) -> tuple[np.ndarray, float]:
-    pts = np.ascontiguousarray(representation.T, dtype=np.float64)
-    if not np.all(np.isfinite(pts)):
-        raise ValueError("representation contains non-finite values")
-    n, c = pts.shape
-    if not 1 <= k <= n:
-        raise ValueError(f"k must satisfy 1 <= k <= n={n}, got {k}")
-    if restarts < 1:
-        raise ValueError("restarts must be at least 1")
+def _lloyd(pts: np.ndarray, k: int, children, max_iter: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (m, n) labels and the m inertias of the restarts that the m seed
+    sequences `children` seed, run in lockstep."""
+    m, (n, c) = len(children), pts.shape
     centers = np.stack(
-        [
-            _kmeans_pp_init(pts, k, np.random.default_rng(child))
-            for child in np.random.SeedSequence(seed).spawn(restarts)
-        ]
+        [_kmeans_pp_init(pts, k, np.random.default_rng(child)) for child in children]
     )
-    labels = np.full((restarts, n), -1)
-    inertia = np.empty(restarts)
-    active = np.arange(restarts)  # restarts whose Lloyd iterations still run
+    labels = np.full((m, n), -1)
+    inertia = np.empty(m)
+    active = np.arange(m)  # restarts whose Lloyd iterations still run
     rows = np.arange(n)
     for step in range(max_iter + 1):
         # one cdist over the stacked centres: each pair is computed on its own,
@@ -181,6 +174,36 @@ def _best_kmeans(
         active = active[~final]
         if not active.size:
             break
+    return labels, inertia
+
+
+def _best_kmeans(
+    representation: np.ndarray,
+    k: int,
+    restarts: int,
+    seed: int,
+    max_iter: int = 300,
+    threads: int = 1,
+) -> tuple[np.ndarray, float]:
+    """The labels and inertia of the best of `restarts` seeded k-means runs
+    (the first one on a tie). The restarts are split into contiguous parts,
+    one per thread (dataset.thread_map), each run in lockstep; a restart's
+    result does not depend on the others in its part."""
+    pts = np.ascontiguousarray(representation.T, dtype=np.float64)
+    if not np.all(np.isfinite(pts)):
+        raise ValueError("representation contains non-finite values")
+    n = pts.shape[0]
+    if not 1 <= k <= n:
+        raise ValueError(f"k must satisfy 1 <= k <= n={n}, got {k}")
+    if restarts < 1:
+        raise ValueError("restarts must be at least 1")
+    children = np.random.SeedSequence(seed).spawn(restarts)
+    parts = np.array_split(np.arange(restarts), min(threads, restarts))
+    lloyd = partial(_lloyd, pts, k, max_iter=max_iter)
+    with thread_map(len(parts)) as each:
+        runs = list(each(lloyd, [children[p[0] : p[-1] + 1] for p in parts]))
+    labels = np.concatenate([part for part, _ in runs])
+    inertia = np.concatenate([part for _, part in runs])
     best = int(np.argmin(inertia))  # the first restart with the smallest inertia
     return labels[best], float(inertia[best])
 
@@ -191,15 +214,17 @@ def evaluate_clustering(
     k: int,
     restarts: int = 20,
     seed: int = 0,
+    threads: int = 1,
 ) -> ClusteringResult:
     """k-means on the representation columns plus acc/nmi/purity scores.
 
     The labels are the best of `restarts` seeded k-means++ runs by inertia
     (the first one on a tie); empty clusters are re-seeded from the points
-    farthest from their centroids.
+    farthest from their centroids. The restarts run on up to `threads`
+    threads, with the labels they give on one.
     """
     t = np.asarray(true_labels, dtype=np.int64)
-    labels, _ = _best_kmeans(representation, k, restarts, seed)
+    labels, _ = _best_kmeans(representation, k, restarts, seed, threads=threads)
     return ClusteringResult(
         predicted=labels,
         acc=accuracy(t, labels),

@@ -57,11 +57,12 @@ from __future__ import annotations
 import time
 from collections import ChainMap
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .dataset import MultiViewDataset
+from .dataset import MultiViewDataset, thread_map
 from .graph import FusedGraph
 
 
@@ -302,6 +303,18 @@ def view_costs(
     return costs
 
 
+def _sweep_view(x, xx, codes, ids, graph, consensus, lam, beta) -> tuple:
+    """One view's part of a sweep once the consensus is updated, which needs
+    no other view: its bases and their {row: error}, its codes, W P^T and its
+    column of the (B, l) costs."""
+    bases, failed = update_basis(x, codes)
+    gathered = _gather(consensus, ids)
+    codes, xtu = update_codes(x, bases, gathered, graph, lam, beta)
+    wp = _times_w(graph, codes)
+    costs = view_costs([xx], [xtu], [bases], [codes], [gathered], [wp], [graph], lam, beta)
+    return bases, failed, codes, wp, costs[:, 0]
+
+
 def _weighted_total(weights: np.ndarray, costs: np.ndarray, r: float) -> float:
     """sum_v a_v^r e_v, added left to right from 0 (the objective trace
     compares these sums bitwise)."""
@@ -375,6 +388,7 @@ def fit(
     ds: MultiViewDataset,
     graphs: Sequence[FusedGraph],
     cfgs: Sequence[SolverConfig],
+    threads: int = 1,
 ) -> tuple[SolverState, ...]:
     """Run one fit per config in lockstep, each by alternating sweeps
     (consensus, bases, codes, weights) to a local minimum.
@@ -386,6 +400,11 @@ def fit(
     state from before it and, as its error, the first one a lone fit raises;
     the others go on. fit itself raises only for what the whole batch shares.
     Returns one SolverState per config, in order.
+
+    Once a sweep has updated the consensus, each view's bases, codes, W P^T
+    and cost column depend on that view alone: they are one task per view,
+    run on up to `threads` threads (dataset.thread_map), each with the bits
+    it has serially, and the views' failures merge in view order.
 
     Overflow, invalid values and division by zero raise no RuntimeWarning
     in here: in an update the batch shares, a warning could not name its fit.
@@ -409,7 +428,8 @@ def fit(
     results: list[Optional[SolverState]] = [None] * len(cfgs)
     seconds = np.zeros(len(cfgs))
 
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+    errstate = np.errstate(over="ignore", invalid="ignore", divide="ignore")
+    with errstate, thread_map(threads) as each:
         inits = [initialize(ds, cfg) for cfg in cfgs]
         xx = [np.einsum("ij,ij->", x, x) for x in xs]
         bases = tuple(np.stack(u) for u in zip(*(s.bases for s in inits)))
@@ -435,15 +455,13 @@ def fit(
                 batch.wp, graphs, ds.availability, ds.n, batch.weights,
                 [cfgs[i].r for i in fits],
             )
-            bases, basis_failed = zip(*(update_basis(x, p) for x, p in zip(xs, batch.codes)))
-            failed = ChainMap(failed, *basis_failed)  # a fit's first error, in block order
-            gathered = tuple(_gather(consensus, ids) for ids in ds.availability)
-            codes, xtu = zip(*(
-                update_codes(x, u, q, graph, lam[fits], beta[fits])
-                for x, u, q, graph in zip(xs, bases, gathered, graphs)
-            ))
-            wp = tuple(_times_w(graph, p) for graph, p in zip(graphs, codes))
-            costs = view_costs(xx, xtu, bases, codes, gathered, wp, graphs, lam[fits], beta[fits])
+            view_sweep = partial(_sweep_view, consensus=consensus, lam=lam[fits], beta=beta[fits])
+            bases, basis_failed, codes, wp, costs = zip(
+                *each(view_sweep, xs, xx, batch.codes, ds.availability, graphs)
+            )
+            # a fit's first error, in block order and then view order
+            failed = ChainMap(failed, *basis_failed)
+            costs = np.column_stack(costs)
             swept = _Batch(fits, bases, codes, consensus, batch.weights.copy(), wp)
             running = []
             for j, i in enumerate(fits):

@@ -482,8 +482,8 @@ def test_an_error_while_collecting_stops_every_worker(forks):
     ids=["serial", "pooled", "npy"],
 )
 def test_a_load_holds_its_data_and_one_view_more_at_most(tmp_path, monkeypatch, save, cpus):
-    # each parsed view is dropped once its ViewMatrix holds a copy: holding
-    # every parsed view while the copies are made would peak at twice the data
+    # each parsed view goes to its ViewMatrix as it is: holding every parsed
+    # view while copies of them are made would peak at twice the data
     full = complete_dataset(1000, 4, seed=4, m=40)
     full = MultiViewDataset(
         views=full.views, n=1000, availability=full.availability, labels=np.arange(1000) % 3
@@ -501,6 +501,46 @@ def test_a_load_holds_its_data_and_one_view_more_at_most(tmp_path, monkeypatch, 
     data = sum(a.nbytes for a in (*(v.data for v in ds.views), *ds.availability, ds.labels))
     largest = max(view.data.nbytes for view in ds.views)
     assert peak < data + largest + largest // 2
+
+
+@pytest.mark.parametrize(
+    "save, cpus", [(save_csv_dataset, {0}), (save_dataset, {0, 1, 2})], ids=["serial", "npy"]
+)
+def test_a_load_and_a_mask_hold_each_view_once(tmp_path, monkeypatch, save, cpus):
+    # an array that the library has just read or gathered is handed to its
+    # ViewMatrix, which makes it read-only rather than copy it: neither call
+    # holds a view twice (a copy would peak at a whole view more)
+    full = complete_dataset(1000, 4, seed=4, m=40)
+    full = MultiViewDataset(
+        views=full.views, n=1000, availability=full.availability, labels=np.arange(1000) % 3
+    )
+    paths = save(full, tmp_path)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+    tracemalloc.start()
+    try:
+        ds = load_dataset(paths["views"], paths["availability"], paths["labels"])
+        load_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        held = tracemalloc.get_traced_memory()[0]
+        masked = apply_mask(ds, MaskSpec("random-missing", 0.3, seed=1))
+        mask_peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    data = sum(a.nbytes for a in (*(v.data for v in ds.views), *ds.availability, ds.labels))
+    assert load_peak < data + max(view.data.nbytes for view in ds.views)
+    masked_data = sum(a.nbytes for a in (*(v.data for v in masked.views), *masked.availability))
+    assert mask_peak < masked_data + max(view.data.nbytes for view in masked.views) // 2
+    for loaded, view, ids, want in zip(ds.views, masked.views, masked.availability, full.views):
+        for got, expect in ((loaded.data, want.data), (view.data, want.data[:, ids])):
+            assert np.array_equal(got, expect)
+            assert got.flags.c_contiguous and not got.flags.writeable
+
+
+def test_a_view_made_from_a_callers_array_is_a_read_only_copy():
+    data = np.arange(6.0).reshape(2, 3)
+    view = ViewMatrix(view_id=0, data=data)
+    data[0, 0] = 7.0
+    assert view.data[0, 0] == 0.0 and data.flags.writeable and not view.data.flags.writeable
 
 
 def test_a_daemon_process_reads_the_files_itself(tmp_path, forks):

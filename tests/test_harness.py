@@ -4,6 +4,7 @@ import json
 import multiprocessing
 import os
 import re
+import threading
 import time
 from dataclasses import fields, replace
 from pathlib import Path
@@ -191,9 +192,9 @@ def test_each_group_is_one_fit_call(data_dir, tmp_path, monkeypatch):
     batches = []
     real = imvc.harness.fit
 
-    def recorded(ds, graphs, cfgs):
+    def recorded(ds, graphs, cfgs, **kwargs):
         batches.append(sorted((cfg.lam, cfg.r) for cfg in cfgs))
-        return real(ds, graphs, cfgs)
+        return real(ds, graphs, cfgs, **kwargs)
 
     monkeypatch.setattr(imvc.harness, "fit", recorded)
     solver = {"lam": [0.5, 2.0], "beta": [0.001], "r": [2.0, 3.0], "k": [5], "max_iter": 20}
@@ -401,25 +402,38 @@ def _blas_threads():
     return None
 
 
-def test_workers_output_does_not_depend_on_their_blas_threads(tmp_path):
-    # big enough that OpenBLAS threads the graph screen and the solver's
-    # products (m n_v c above its 2^18 threshold); each worker runs on a
-    # share of the CPUs, the calling process on all of them
-    full = multiview_blobs(n=360, n_clusters=6, dims=(100, 240), noise=0.6, seed=5)
+@pytest.mark.parametrize(
+    "full, clusters, solver",
+    [
+        # big enough that OpenBLAS would thread the graph screen and the
+        # solver's products (m n_v c above its 2^18 threshold) ...
+        (
+            multiview_blobs(n=360, n_clusters=6, dims=(100, 240), noise=0.6, seed=5),
+            6,
+            {"r": [2.0, 3.0, 5.0], "max_iter": 10},
+        ),
+        # ... and the cost's dot products (n_v c above 10^4)
+        (multiview_blobs(n=1600, n_clusters=10, dims=(20, 30), seed=5), 10, {"max_iter": 5}),
+    ],
+    ids=["products", "dots"],
+)
+def test_workers_output_does_not_depend_on_their_blas_threads(tmp_path, full, clusters, solver):
+    # every trial runs at one OpenBLAS thread, on the calling process's CPUs
+    # or on a worker's share of them: the trials and every fit's traces are
+    # the same at any number of workers
     paths = save_dataset(full, tmp_path / "data")
-    outputs = []
+    outputs, traces = [], []
     for workers in (1, 2, 3):
         out = tmp_path / f"workers{workers}"
-        cfg = make_config(
-            paths,
-            out,
-            clusters=6,
-            solver={"r": [2.0, 3.0, 5.0], "max_iter": 10},
-            metrics={"restarts": 2},
-        )
-        write_results(run_experiment(cfg, workers=workers), cfg.output_dir, cfg)
+        cfg = make_config(paths, out, clusters=clusters, solver=solver, metrics={"restarts": 2})
+        records = run_experiment(cfg, workers=workers, keep_states=True)
+        write_results(records, cfg.output_dir, cfg)
         outputs.append((out / "trials.csv").read_bytes())
+        names = ("objective_trace", "cost_trace", "weight_trace")
+        trials = [t for rec in records for t in rec.trials]
+        traces.append([[getattr(t.state, name).tobytes() for name in names] for t in trials])
     assert outputs[0] == outputs[1] == outputs[2]
+    assert traces[0] == traces[1] == traces[2]
     assert all(not row["error"] for row in read_rows(tmp_path / "workers1" / "trials.csv"))
 
 
@@ -441,9 +455,10 @@ def _log_blas_threads(monkeypatch, module, name, log):
 def test_workers_take_their_share_of_blas_threads(tmp_path, monkeypatch):
     # the 2 CSV view files of the load and the 3 chunks of one group of 3
     # trials, each in one of 3 forked workers on 3 usable CPUs (the label
-    # file is read in the calling process): every worker inherits OpenBLAS
-    # at its share, 1 thread, and runs no thread but its own; one that set
-    # the count itself would restart OpenBLAS's thread pool
+    # file is read in the calling process): every worker inherits the
+    # sweep's one OpenBLAS thread and, on a share of 1 CPU, runs no thread
+    # but its own; one that set the count itself would restart OpenBLAS's
+    # thread pool
     if _blas_threads() is None:
         pytest.skip("numpy bundles no OpenBLAS with scipy_openblas symbols")
     if not os.path.isdir("/proc/self/task"):
@@ -468,10 +483,41 @@ def test_workers_take_their_share_of_blas_threads(tmp_path, monkeypatch):
     assert multiprocessing.active_children() == []
 
 
+def test_a_lone_trial_runs_on_its_cpus_at_one_blas_thread(data_dir, tmp_path, monkeypatch):
+    # one worker on 3 usable CPUs: each trial's graph build, fit and k-means
+    # run on 3 threads, the calling one and 2 helpers, at one OpenBLAS
+    # thread; no helper outlives its trial, and the caller keeps its count
+    if _blas_threads() is None:
+        pytest.skip("numpy bundles no OpenBLAS with scipy_openblas symbols")
+    root, paths = data_dir
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    threads, helpers, seen = _blas_threads(), [], []
+
+    class Helpers(imvc.dataset.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            helpers.append(max_workers)
+            super().__init__(max_workers)
+
+    real = imvc.harness._run_trial
+
+    def trial(*args):
+        before = threading.active_count()
+        done = real(*args)
+        seen.append((_blas_threads(), threading.active_count() - before))
+        return done
+
+    monkeypatch.setattr(imvc.dataset, "ThreadPoolExecutor", Helpers)
+    monkeypatch.setattr(imvc.harness, "_run_trial", trial)
+    run_experiment(make_config(paths, tmp_path / "out", mask={"repeats": 1}))
+    assert seen == [(1, 0)]
+    assert helpers == [2, 2, 2]  # graphs, fit, k-means
+    assert _blas_threads() == threads
+
+
 def test_an_npy_load_leaves_the_sweep_one_pool(data_dir, tmp_path, monkeypatch):
     # save_dataset's .npy files are read in the calling process: a sweep
     # forks only its chunks' workers, and sets the caller's OpenBLAS threads
-    # once for them and once back, where a pooled load would do both twice
+    # once, to the sweep's one, and once back
     _forks_needed()
     root, paths = data_dir
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)

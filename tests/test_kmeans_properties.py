@@ -71,3 +71,16 @@ def test_kmeans_matches_reference_on_random_points(problem):
 def test_kmeans_matches_reference_on_larger_inputs(problem):
     # past 128 points a one-feature mean and the inertia sum in pairwise blocks
     check_kmeans(problem)
+
+
+@examples(100)
+@given(problems(), st.sampled_from((1, 2, 3, 20)), st.integers(2, 4))
+def test_kmeans_gives_its_one_thread_result_on_any_thread_count(problem, restarts, threads):
+    # the restarts split into contiguous parts, one per thread, and are
+    # joined in restart order before the first smallest inertia is taken;
+    # fewer restarts than threads included
+    problem = {**problem, "restarts": restarts}
+    want_labels, want_inertia = _best_kmeans(**problem)
+    labels, inertia = _best_kmeans(**problem, threads=threads)
+    assert np.array_equal(labels, want_labels)
+    assert inertia == want_inertia
