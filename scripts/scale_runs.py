@@ -11,9 +11,10 @@ thread and on this process's usable CPUs as the trial's threads (`threads`).
 It skips the data files' round trip, which `group` times. It then fits once
 more with the layer wrappers of perfbench/tracing.py installed, and reports
 each solver block's seconds per iteration from that fit (`iter_blocks_s`):
-the per-view blocks' seconds are summed over the threads that ran them. `group` writes the data and a config for one README
-grid group (27 (lam, beta, r) points, max_iter 300, tol 1e-6) and runs it as
-`imvc run --workers 2` does. It reports the data files' round trip on its
+the per-view blocks' seconds are summed over the threads that ran them.
+`group` writes the data and a config for one README grid group (27 (lam,
+beta, r) points, max_iter 300, tol 1e-6) and runs it as `imvc run
+--workers 2` does. It reports the data files' round trip on its
 own: `save_s` for `imvc.save_dataset` and `load_s` for one
 `imvc.load_dataset` of the .npy files it writes, the call the sweep starts
 with, and `load_csv_s` for one `imvc.load_dataset` of the same arrays

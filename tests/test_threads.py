@@ -4,6 +4,7 @@ one OpenBLAS thread. Each threaded stage must give bit for bit what it gives
 on one thread, its errors included, whatever the thread count.
 """
 
+import sys
 import threading
 
 import numpy as np
@@ -42,6 +43,27 @@ def test_a_thread_map_keeps_the_callers_errstate_and_joins_its_threads():
         # a RuntimeWarning would be an error here (filterwarnings = error)
         assert all(np.isinf(each(np.multiply, [1e308] * 6, [10.0] * 6)))
     assert threading.active_count() == before
+
+
+def test_a_thread_map_runs_each_item_once_under_stress():
+    # more threads than CPUs, switching every microsecond: every item runs
+    # exactly once and its result lands in its place
+    calls = []
+
+    def square(i):
+        calls.append(i)
+        return i * i
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with thread_map(8) as each:
+            for _ in range(20):
+                calls.clear()
+                assert each(square, range(200)) == [i * i for i in range(200)]
+                assert sorted(calls) == list(range(200))
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def _views():
