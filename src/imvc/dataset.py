@@ -350,7 +350,8 @@ def one_blas_thread():
 @contextmanager
 def thread_map(threads: int):
     """A map over this thread and up to `threads` - 1 helper threads, as the
-    with block's target: the built-in map for fewer than 2 threads. The
+    with block's target: the built-in map for fewer than 2 threads. A call
+    starts no more helpers than it has items beyond the first, and the
     helpers are joined when the block ends. Each call hands its items out in
     turn to whichever thread is free, runs them all, and returns the list of
     results in item order, or raises the first error in item order, as the
@@ -371,7 +372,9 @@ def thread_map(threads: int):
 
 
 def _shared_map(helpers: ThreadPoolExecutor, n_helpers: int, fn: Callable, *items) -> list:
-    tasks = enumerate(zip(*items))
+    tasks = list(enumerate(zip(*items)))
+    n_helpers = min(n_helpers, len(tasks) - 1)  # no helper without an item
+    tasks = iter(tasks)
     lock = threading.Lock()
     done = {}
 

@@ -43,6 +43,11 @@ def test_a_thread_map_keeps_the_callers_errstate_and_joins_its_threads():
         # a RuntimeWarning would be an error here (filterwarnings = error)
         assert all(np.isinf(each(np.multiply, [1e308] * 6, [10.0] * 6)))
     assert threading.active_count() == before
+    # threads beyond the items start no helper: 3 items, 2 helpers
+    with thread_map(64) as each:
+        assert each(abs, range(-1, 2)) == [1, 0, 1]
+        assert threading.active_count() <= before + 2
+    assert threading.active_count() == before
 
 
 def test_a_thread_map_runs_each_item_once_under_stress():
