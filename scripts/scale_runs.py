@@ -42,7 +42,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 import imvc  # noqa: E402
-from imvc.dataset import cpu_share, one_blas_thread  # noqa: E402
+from imvc.harness import cpu_share, one_blas_thread  # noqa: E402
 import tracing  # noqa: E402
 from synth import handwritten_like  # noqa: E402
 

@@ -16,32 +16,20 @@ header, '.' decimal separator):
     strictly ascending (a 1-D .npy array is one column, here and for labels);
   * label file: a single column of n integers.
 
-in_workers is imvc's one process pool; harness.run_experiment runs a
-sweep's chunks through it too. Its rule: fork, else the calling process.
-cpu_share is each of its processes' share of the usable CPUs. A sweep runs
-at one OpenBLAS thread (one_blas_thread), in this process and in every
-worker, and each trial gets its process's share as threads (thread_map)
-over its views' graphs and block updates and its k-means restarts, each of
-which gives the bits it gives alone: the output depends neither on the
-workers nor on the number of usable CPUs. Called directly, the library
-runs on the calling thread, at the caller's OpenBLAS threads, unless it is
-given threads.
-load_dataset reads the label file, the sidecars and the .npy views in the
-calling process, then parses each CSV view whole in the pool, largest
-first, so faults come in the order labels, sidecars, .npy views, CSV
-views, and a load with no CSV view starts no process. save_dataset writes
-.npy files, in the calling process. Without fork, or in a daemon process,
-the calling process parses the CSV views too, with the same arrays.
+load_dataset reads every file in the calling process, in the order labels,
+sidecars, views (in view order, .npy and CSV alike), and reports the first
+faulty file in that order; save_dataset writes .npy files. This module
+starts no process: a sweep's process pool, CPU share and OpenBLAS rule are
+the harness's. thread_map is a trial's threads, over which the graph build,
+the fit and k-means run their views or restarts; called directly, the
+library runs on the calling thread, at the caller's OpenBLAS threads, unless
+it is given threads.
 """
 
 from __future__ import annotations
 
 import contextvars
-import ctypes
 import math
-import multiprocessing
-import multiprocessing.connection
-import os
 import threading
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -309,44 +297,6 @@ def apply_mask(full: MultiViewDataset, spec: MaskSpec) -> MultiViewDataset:
     return _random_missing_mask(full, spec)
 
 
-def usable_cpus() -> int:
-    """The CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _blas_threads(threads: Optional[int] = None) -> Optional[int]:
-    """Set the threads of numpy's bundled OpenBLAS (numpy.libs) if given, and
-    return the count from before; under another BLAS, do nothing: None."""
-    for path in sorted(Path(np.__file__).parent.parent.glob("numpy.libs/*scipy_openblas*")):
-        lib = ctypes.CDLL(str(path))
-        if hasattr(lib, "scipy_openblas_get_num_threads64_"):
-            before = lib.scipy_openblas_get_num_threads64_()
-            if threads not in (None, before):
-                lib.scipy_openblas_set_num_threads64_(threads)
-            return before
-    return None
-
-
-@contextmanager
-def one_blas_thread():
-    """Run the block, and every process forked in it, at one OpenBLAS
-    thread, and put this process's count back after it.
-
-    Past a few thousand elements OpenBLAS splits a product or a dot over its
-    threads, and the split changes the sums' bits; at one thread they do not
-    depend on the host's CPUs, nor on which thread makes the call. A forked
-    process inherits the count: one that set it itself would restart
-    OpenBLAS's thread pool, which spins.
-    """
-    before = _blas_threads(1)
-    try:
-        yield
-    finally:
-        _blas_threads(before)
-
-
 @contextmanager
 def thread_map(threads: int):
     """A map over this thread and up to `threads` - 1 helper threads, as the
@@ -360,9 +310,9 @@ def thread_map(threads: int):
     thread takes items as well, rather than wait: each helper's malloc
     arena and OpenBLAS buffer add to the peak RSS.
 
-    Its callers run numpy work that releases the GIL. Under one_blas_thread
-    each item gives the bits that it gives alone; at more OpenBLAS threads,
-    a product's bits could depend on the products run beside it.
+    Its callers run numpy work that releases the GIL. At one OpenBLAS thread
+    (harness.one_blas_thread) each item gives the bits that it gives alone;
+    at more, a product's bits could depend on the products run beside it.
     """
     if threads < 2:
         yield map
@@ -402,106 +352,6 @@ def _shared_map(helpers: ThreadPoolExecutor, n_helpers: int, fn: Callable, *item
             raise value
         results.append(value)
     return results
-
-
-def _serve(jobs: list[Callable], conn, parent_ends: list) -> None:
-    """A forked worker: run each job index its parent sends, until None, and
-    send back the index with (True, result) or (False, error).
-
-    It first closes the parent's pipe ends that it inherited at fork, so that
-    each worker sees the end of its pipe once the parent closes its own end.
-    """
-    for end in parent_ends:
-        end.close()
-    for i in iter(conn.recv, None):
-        try:
-            outcome = (True, jobs[i]())
-        except Exception as exc:
-            outcome = (False, exc)
-        conn.send((i, outcome))
-
-
-def _processes(processes: int, jobs: int) -> int:
-    """The processes that in_workers runs this many jobs in: min(processes,
-    jobs) forked workers, or 1, this process, where that is fewer than 2,
-    without fork, or in a daemon process, which may start none (a spawned
-    worker would first import numpy, scipy and imvc again and be sent its
-    arrays)."""
-    processes = min(processes, jobs)
-    if (
-        processes < 2
-        or "fork" not in multiprocessing.get_all_start_methods()
-        or multiprocessing.current_process().daemon
-    ):
-        return 1
-    return processes
-
-
-def cpu_share(processes: int, jobs: int) -> int:
-    """The usable CPUs of each process that in_workers runs this many jobs
-    in: an even share, at least 1."""
-    return max(1, usable_cpus() // _processes(processes, jobs))
-
-
-def in_workers(jobs: list[Callable], sizes: list[int], processes: int) -> list:
-    """[job() for job in jobs], in the processes that _processes gives.
-
-    Each forked worker is sent one job at a time, biggest size first (in job
-    order among equal sizes), and its next one when it sends back the last.
-    It inherits the jobs and their arrays at fork, so only indices go to it
-    and only results come back; it also inherits this process's OpenBLAS
-    threads, which its jobs run at (see one_blas_thread). This thread reads
-    the results: memory that a helper thread allocated would stay in that
-    thread's malloc arena once freed and raise this process's peak RSS.
-    Results, and the first error, are taken in job order, as a serial loop
-    meets them.
-    """
-    processes = _processes(processes, len(jobs))
-    if processes == 1:
-        return [job() for job in jobs]
-    context = multiprocessing.get_context("fork")
-    order = iter(sorted(range(len(jobs)), key=lambda i: -sizes[i]))
-    workers, outcomes = [], {}
-    try:
-        for _ in range(processes):
-            ours, theirs = context.Pipe()
-            parent_ends = [ours] + [end for _, end in workers]
-            worker = context.Process(target=_serve, args=(jobs, theirs, parent_ends))
-            worker.start()
-            theirs.close()
-            workers.append((worker, ours))
-            ours.send(next(order))
-        running = [ours for _, ours in workers]
-        while running:
-            for conn in multiprocessing.connection.wait(running):
-                try:
-                    i, outcome = conn.recv()
-                except EOFError:  # the worker was sent None, or died
-                    running.remove(conn)
-                else:
-                    outcomes[i] = outcome
-                    conn.send(next(order, None))
-    finally:
-        for worker, ours in workers:
-            ours.close()
-            worker.join()
-    results = []
-    for i in range(len(jobs)):
-        if i not in outcomes:
-            raise RuntimeError(f"a worker process ended before job {i} was done")
-        ok, value = outcomes[i]
-        if not ok:
-            raise value
-        results.append(value)
-    return results
-
-
-def _file_size(path: Path) -> int:
-    """The bytes of path, or 0 if it cannot be read: its job raises the error."""
-    try:
-        return path.stat().st_size
-    except OSError:
-        return 0
 
 
 def _load_matrix(path: Path, dtype=np.float64, vector=False) -> np.ndarray:
@@ -546,10 +396,9 @@ def load_dataset(
     Without availability sidecars all views must share one column count, which
     becomes the sample count n; with them, n is the largest sample id + 1.
     Labels are remapped to contiguous 0-based integers. The arguments are
-    checked first, then the label file, the sidecars and the .npy views are
-    read and checked here, and only then are the CSV views parsed in the pool
-    (see the module docstring): the first faulty file in that order is
-    reported.
+    checked first, then the label file, the sidecars and each view are read
+    and checked in that order, in this process: the first faulty file in
+    that order is reported.
     """
     if not view_paths:
         raise ValueError("need at least one view file")
@@ -572,13 +421,8 @@ def load_dataset(
                 "ascending, non-negative sample ids"
             )
         avail.append(ids[:, 0])
-    paths = [Path(p) for p in view_paths]
-    read = {v: _load_matrix(p) for v, p in enumerate(paths) if p.suffix == ".npy"}
-    csv = [v for v in range(len(paths)) if v not in read]
-    jobs = [partial(_load_matrix, paths[v]) for v in csv]
-    read.update(zip(csv, in_workers(jobs, [_file_size(paths[v]) for v in csv], usable_cpus())))
-    # _load_matrix has checked each view read, which its ViewMatrix takes
-    views = tuple(ViewMatrix._own(v, read[v]) for v in range(len(paths)))
+    # _load_matrix has checked each view it reads, which its ViewMatrix takes
+    views = tuple(ViewMatrix._own(v, _load_matrix(Path(p))) for v, p in enumerate(view_paths))
 
     if availability_paths is None:
         counts = [view.n_available for view in views]
@@ -599,8 +443,8 @@ def load_dataset(
 
 
 def save_dataset(ds: MultiViewDataset, directory: str | Path) -> dict:
-    """Write a dataset as view_<v>.npy, avail_<v>.npy and labels.npy, in
-    this process (see the module docstring); returns the written paths."""
+    """Write a dataset as view_<v>.npy, avail_<v>.npy and labels.npy;
+    returns the written paths."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     paths: dict = {"views": [], "availability": [], "labels": None}

@@ -16,21 +16,32 @@ builds the group's mask and graphs and runs its fits as one solver.fit call.
 The output columns are the fields of TrialOutcome (trials.csv) and RunRecord
 (aggregate.csv) in order, less the in-memory ones; each ablation is the one
 model switch in _VARIANTS that it turns off.
+
+in_workers is imvc's one process pool, and a sweep's chunks its only jobs:
+the data files are read in the calling process (dataset.load_dataset), so a
+run forks once, whatever its input format. Its rule: fork, else the calling
+process. cpu_share is each of its processes' share of the usable CPUs, which
+a trial runs on as threads (dataset.thread_map). A sweep runs at one
+OpenBLAS thread (one_blas_thread), in this process and in every worker.
 """
 
 from __future__ import annotations
 
+import ctypes
 import hashlib
 import itertools
 import json
 import math
+import multiprocessing
+import multiprocessing.connection
 import numbers
 import os
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, asdict, fields, replace
 from functools import partial
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -40,11 +51,8 @@ from .dataset import (
     MaskSpec,
     MultiViewDataset,
     apply_mask,
-    cpu_share,
-    in_workers,
     load_dataset,
     normalize_views,
-    one_blas_thread,
 )
 from .graph import build_fused_graphs
 from .metrics import evaluate_clustering
@@ -351,7 +359,7 @@ def _run_trial(
     k-means and scores, keeping its solver state if keep_states. (The name
     is the one perfbench/tracing.py times as harness.trial.)
 
-    threads is the chunk's share of the CPUs (dataset.cpu_share): the graph
+    threads is the chunk's share of the CPUs (cpu_share): the graph
     build, the fit and each k-means run their views or restarts on that many
     threads, which each stage starts and joins itself, so no thread outlives
     its stage. The sweep runs at one OpenBLAS thread (run_experiment), so
@@ -478,6 +486,135 @@ def _rate_tag(rate: float) -> str:
     return repr(float(rate)).replace(".", "p")
 
 
+def usable_cpus() -> int:
+    """The CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _blas_threads(threads: Optional[int] = None) -> Optional[int]:
+    """Set the threads of numpy's bundled OpenBLAS (numpy.libs) if given, and
+    return the count from before; under another BLAS, do nothing: None."""
+    for path in sorted(Path(np.__file__).parent.parent.glob("numpy.libs/*scipy_openblas*")):
+        lib = ctypes.CDLL(str(path))
+        if hasattr(lib, "scipy_openblas_get_num_threads64_"):
+            before = lib.scipy_openblas_get_num_threads64_()
+            if threads not in (None, before):
+                lib.scipy_openblas_set_num_threads64_(threads)
+            return before
+    return None
+
+
+@contextmanager
+def one_blas_thread():
+    """Run the block, and every process forked in it, at one OpenBLAS
+    thread, and put this process's count back after it.
+
+    Past a few thousand elements OpenBLAS splits a product or a dot over its
+    threads, and the split changes the sums' bits; at one thread they do not
+    depend on the host's CPUs, nor on which thread makes the call. A forked
+    process inherits the count: one that set it itself would restart
+    OpenBLAS's thread pool, which spins.
+    """
+    before = _blas_threads(1)
+    try:
+        yield
+    finally:
+        _blas_threads(before)
+
+
+def _serve(jobs: list[Callable], conn, parent_ends: list) -> None:
+    """A forked worker: run each job index its parent sends, until None, and
+    send back the index with (True, result) or (False, error).
+
+    It first closes the parent's pipe ends that it inherited at fork, so that
+    each worker sees the end of its pipe once the parent closes its own end.
+    """
+    for end in parent_ends:
+        end.close()
+    for i in iter(conn.recv, None):
+        try:
+            outcome = (True, jobs[i]())
+        except Exception as exc:
+            outcome = (False, exc)
+        conn.send((i, outcome))
+
+
+def _processes(processes: int, jobs: int) -> int:
+    """The processes that in_workers runs this many jobs in: min(processes,
+    jobs) forked workers, or 1, this process, where that is fewer than 2,
+    without fork, or in a daemon process, which may start none (a spawned
+    worker would first import numpy, scipy and imvc again and be sent its
+    arrays)."""
+    processes = min(processes, jobs)
+    if (
+        processes < 2
+        or "fork" not in multiprocessing.get_all_start_methods()
+        or multiprocessing.current_process().daemon
+    ):
+        return 1
+    return processes
+
+
+def cpu_share(processes: int, jobs: int) -> int:
+    """The usable CPUs of each process that in_workers runs this many jobs
+    in: an even share, at least 1."""
+    return max(1, usable_cpus() // _processes(processes, jobs))
+
+
+def in_workers(jobs: list[Callable], processes: int) -> list:
+    """[job() for job in jobs], in the processes that _processes gives.
+
+    Each forked worker is sent one job at a time, in job order, and its next
+    one when it sends back the last. It inherits the jobs and their arrays
+    at fork, so only indices go to it and only results come back; it also
+    inherits this process's OpenBLAS threads, which its jobs run at (see
+    one_blas_thread). This thread reads the results: memory that a helper
+    thread allocated would stay in that thread's malloc arena once freed and
+    raise this process's peak RSS. Results, and the first error, are taken
+    in job order, as a serial loop meets them.
+    """
+    processes = _processes(processes, len(jobs))
+    if processes == 1:
+        return [job() for job in jobs]
+    context = multiprocessing.get_context("fork")
+    order = iter(range(len(jobs)))
+    workers, outcomes = [], {}
+    try:
+        for _ in range(processes):
+            ours, theirs = context.Pipe()
+            parent_ends = [ours] + [end for _, end in workers]
+            worker = context.Process(target=_serve, args=(jobs, theirs, parent_ends))
+            worker.start()
+            theirs.close()
+            workers.append((worker, ours))
+            ours.send(next(order))
+        running = [ours for _, ours in workers]
+        while running:
+            for conn in multiprocessing.connection.wait(running):
+                try:
+                    i, outcome = conn.recv()
+                except EOFError:  # the worker was sent None, or died
+                    running.remove(conn)
+                else:
+                    outcomes[i] = outcome
+                    conn.send(next(order, None))
+    finally:
+        for worker, ours in workers:
+            ours.close()
+            worker.join()
+    results = []
+    for i in range(len(jobs)):
+        if i not in outcomes:
+            raise RuntimeError(f"a worker process ended before job {i} was done")
+        ok, value = outcomes[i]
+        if not ok:
+            raise value
+        results.append(value)
+    return results
+
+
 def run_experiment(
     cfg: ExperimentConfig,
     ablation: Optional[str] = None,
@@ -495,17 +632,17 @@ def run_experiment(
     group's trials are dealt into min(workers, trials) strided chunks (chunk
     j holds rows j, j + workers, ...), and each chunk is one job,
     _run_trial(base, cfg, keep_states, chunk), that builds the group's mask
-    and graphs and runs its fits in lockstep as one fit call. With workers > 1
-    the chunks go, largest first and in group order among equals, one at a
-    time to min(workers, chunks) forked worker processes
-    (dataset.in_workers); one worker, one trial, no fork or a daemon process
-    runs them in this process. Each chunk runs on its process's share of the
-    CPUs as threads (dataset.cpu_share, _run_trial), and the load and every
-    chunk at one OpenBLAS thread, set here before any worker forks and put
-    back after. A group's build is deterministic, a fit in a batch gives
-    what it gives alone, no stage's bits depend on its threads, and rows are
-    put back by id, so the output depends neither on workers nor on the
-    number of usable CPUs.
+    and graphs and runs its fits in lockstep as one fit call. The data files
+    are read in this process first (load_base). With workers > 1 the chunks
+    go, in group order, one at a time to min(workers, chunks) forked worker
+    processes (in_workers): a run forks once, whatever its input format.
+    One worker, one trial, no fork or a daemon process runs them in this
+    process. Each chunk runs on its process's share of the CPUs as threads
+    (cpu_share, _run_trial), and the load and every chunk at one OpenBLAS
+    thread, set here before any worker forks and put back after. A group's
+    build is deterministic, a fit in a batch gives what it gives alone, no
+    stage's bits depend on its threads, and rows are put back by id, so the
+    output depends neither on workers nor on the number of usable CPUs.
     """
     if ablation is not None and ablation not in ABLATIONS:
         raise ValueError(f"unknown ablation {ablation!r}; expected one of {ABLATIONS}")
@@ -551,7 +688,6 @@ def run_experiment(
         base = load_base(cfg)
         results = in_workers(
             [partial(_run_trial, base, cfg, keep_states, threads, chunk) for chunk in chunks],
-            [len(chunk) for chunk in chunks],
             workers,
         )
     for ids, done in zip(chunk_ids, results):

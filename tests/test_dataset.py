@@ -2,7 +2,6 @@ import io
 import multiprocessing
 import os
 import re
-import signal
 import tracemalloc
 from pathlib import Path
 
@@ -21,12 +20,10 @@ from imvc import (
 )
 from imvc.dataset import (
     _draw_random_missing,
-    _load_matrix,
-    _blas_threads,
     _repair_coverage,
     _round_half_up,
-    in_workers,
 )
+from imvc.harness import _blas_threads
 
 from reference import build_indicator
 from synthetic import save_csv_dataset
@@ -282,28 +279,20 @@ def test_save_load_roundtrip_incomplete(tmp_path):
     assert np.array_equal(back.labels, masked.labels)
 
 
-# ------------------------------------------------- files read in parallel
-# load_dataset parses each CSV view whole in one of several forked processes;
-# these tests pin it to what one process doing it all gives. .npy files are
-# read, and save_dataset writes them, in the calling process.
+# ------------------------------------------------------- files read serially
+# load_dataset reads every file in the calling process, in the order labels,
+# sidecars, views, .npy and CSV alike; save_dataset writes .npy files there
+# too. Neither starts a process.
 
 
 @pytest.fixture
-def forks(monkeypatch):
-    """The processes forked, with three usable CPUs, so that the files go to a
-    pool on any host that has fork."""
-    if "fork" not in multiprocessing.get_all_start_methods():
-        pytest.skip("the platform has no fork: files are read and written serially")
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
-    forked = []
-    real = os.fork
+def no_fork(monkeypatch):
+    """Make starting a process an error, so that a test fails if it does."""
 
     def fork():
-        forked.append(True)
-        return real()
+        raise AssertionError("a process was started")
 
-    monkeypatch.setattr(os, "fork", fork)
-    return forked
+    monkeypatch.setattr(os, "fork", fork, raising=False)
 
 
 def _labeled_incomplete(seed=3):
@@ -314,28 +303,21 @@ def _labeled_incomplete(seed=3):
     return apply_mask(full, MaskSpec("random-missing", 0.3, seed=seed))
 
 
-def test_pooled_load_equals_a_serial_parse_of_each_file(tmp_path, forks):
-    paths = save_csv_dataset(_labeled_incomplete(), tmp_path)
-    del forks[:]
-    ds = load_dataset(paths["views"], paths["availability"], paths["labels"])
-    assert forks  # the files were parsed in worker processes
-    for view, path in zip(ds.views, paths["views"]):
-        serial = _load_matrix(Path(path))
-        assert view.data.dtype == serial.dtype == np.float64
-        assert np.array_equal(view.data, serial)
-        assert not view.data.flags.writeable
-    for ids, path in zip(ds.availability, paths["availability"]):
-        serial = _load_matrix(Path(path), np.int64)[:, 0]
-        assert ids.dtype == serial.dtype == np.int64
-        assert np.array_equal(ids, serial)
-        assert not ids.flags.writeable
-    raw = np.loadtxt(paths["labels"], delimiter=",")
-    assert ds.labels.dtype == np.int64
-    assert np.array_equal(ds.labels, raw - 7)
-    assert not ds.labels.flags.writeable
+def test_a_csv_load_returns_its_input_arrays_in_this_process(tmp_path, no_fork):
+    ds = _labeled_incomplete()
+    paths = save_csv_dataset(ds, tmp_path)
+    back = load_dataset(paths["views"], paths["availability"], paths["labels"])
+    for got, want in zip(back.views, ds.views):
+        assert got.data.dtype == np.float64 and np.array_equal(got.data, want.data)
+        assert not got.data.flags.writeable
+    for got, want in zip(back.availability, ds.availability):
+        assert got.dtype == np.int64 and np.array_equal(got, want)
+        assert not got.flags.writeable
+    assert back.labels.dtype == np.int64 and np.array_equal(back.labels, ds.labels - 7)
+    assert not back.labels.flags.writeable
 
 
-def test_npy_files_round_trip_bit_for_bit_and_start_no_process(tmp_path, forks):
+def test_npy_files_round_trip_bit_for_bit_and_start_no_process(tmp_path, no_fork):
     ds = _labeled_incomplete()
     # the extremes of float64 too: -0.0, the least subnormal and the largest
     data = ds.views[0].data.copy()
@@ -346,7 +328,6 @@ def test_npy_files_round_trip_bit_for_bit_and_start_no_process(tmp_path, forks):
     )
     paths = save_dataset(ds, tmp_path)
     back = load_dataset(paths["views"], paths["availability"], paths["labels"])
-    assert forks == []  # neither the save nor the load started a process
     names = [f"{stem}_{v}.npy" for v in range(3) for stem in ("view", "avail")]
     assert sorted(os.listdir(tmp_path)) == sorted(names + ["labels.npy"])
     for got, want in zip(back.views, ds.views):
@@ -361,30 +342,59 @@ def test_npy_files_round_trip_bit_for_bit_and_start_no_process(tmp_path, forks):
 
 
 def _garble_views_1_and_2(paths):
-    # view 2 is the bigger file, so it is parsed first
+    # view 2 is the bigger file, so a parse by size would meet it first
     with open(paths["views"][1], "a") as f:
         f.write("1.0,x\n")
     with open(paths["views"][2], "w") as f:
         f.write("y,2.0\n" * 5000)
 
 
-def test_the_first_garbled_view_in_view_order_is_named(tmp_path, forks, monkeypatch):
+def test_the_first_garbled_view_in_view_order_is_named(tmp_path, no_fork, monkeypatch):
+    # the same error on one usable CPU and on three, and the caller's
+    # OpenBLAS threads untouched: a load does not depend on the CPUs
     paths = save_csv_dataset(_labeled_incomplete(), tmp_path)
     _garble_views_1_and_2(paths)
     threads = _blas_threads()
     messages = []
     for cpus in ({0, 1, 2}, {0}):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
         with pytest.raises(ValueError) as info:
             load_dataset(paths["views"], paths["availability"], paths["labels"])
         messages.append(str(info.value))
     assert messages[0] == messages[1]
     assert messages[0].startswith(f"{paths['views'][1]}: could not parse")
-    assert _blas_threads() == threads  # the pool put the caller's count back
+    assert _blas_threads() == threads
+
+
+def test_the_first_faulty_view_in_view_order_is_named_whatever_its_format(tmp_path, no_fork):
+    # a garbled CSV view 0, a cut-short .npy view 1 and a garbled CSV view 2:
+    # the views are read in view order, so view 0 is the one named
+    ds = _labeled_incomplete()
+    csv = save_csv_dataset(ds, tmp_path / "csv")
+    npy = save_dataset(ds, tmp_path / "npy")
+    with open(csv["views"][0], "a") as f:
+        f.write("1.0,x\n")
+    Path(csv["views"][2]).write_text("y,2.0\n" * 5000)
+    view_1 = Path(npy["views"][1])
+    view_1.write_bytes(view_1.read_bytes()[:-8])
+    with pytest.raises(ValueError) as info:
+        load_dataset([csv["views"][0], npy["views"][1], csv["views"][2]], npy["availability"])
+    assert str(info.value).startswith(f"{csv['views'][0]}: could not parse as a numeric CSV")
+
+
+def test_no_process_outlives_a_load_or_a_save(tmp_path, no_fork):
+    save_dataset(_labeled_incomplete(), tmp_path / "npy")
+    paths = save_csv_dataset(_labeled_incomplete(), tmp_path / "csv")
+    load_dataset(paths["views"], paths["availability"], paths["labels"])
+    assert multiprocessing.active_children() == []
+    _garble_views_1_and_2(paths)
+    with pytest.raises(ValueError, match="could not parse"):
+        load_dataset(paths["views"], paths["availability"], paths["labels"])
+    assert multiprocessing.active_children() == []
 
 
 @pytest.mark.parametrize("fault", ["sidecar count", "missing labels", "descending sidecar"])
-def test_labels_and_sidecars_fail_before_any_view_is_parsed(tmp_path, forks, monkeypatch, fault):
+def test_labels_and_sidecars_fail_before_any_view_is_parsed(tmp_path, no_fork, monkeypatch, fault):
     paths = save_csv_dataset(_labeled_incomplete(), tmp_path)
     views, sidecars, labels = paths["views"], paths["availability"], paths["labels"]
     if fault == "sidecar count":
@@ -403,85 +413,13 @@ def test_labels_and_sidecars_fail_before_any_view_is_parsed(tmp_path, forks, mon
         return real(path, *args, **kwargs)
 
     monkeypatch.setattr(imvc.dataset, "_load_matrix", recorded)
-    del forks[:]
     with pytest.raises((OSError, ValueError), match=re.escape(message)):
         load_dataset(views, sidecars, labels)
-    assert forks == [] and not set(read) & set(views)  # no view was sent to the pool
+    assert not set(read) & set(views)  # no view was read
 
 
-def test_one_usable_cpu_starts_no_process(tmp_path, monkeypatch):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-
-    def fork():
-        raise AssertionError("a process was started")
-
-    monkeypatch.setattr(os, "fork", fork)
-    # CSV views, which a pool would parse with two usable CPUs or more
-    paths = save_csv_dataset(_labeled_incomplete(), tmp_path)
-    ds = load_dataset(paths["views"], paths["availability"], paths["labels"])
-    assert ds.n_views == 3
-
-
-def test_no_process_outlives_a_load_or_a_save(tmp_path, forks):
-    save_dataset(_labeled_incomplete(), tmp_path / "npy")
-    assert multiprocessing.active_children() == []
-    paths = save_csv_dataset(_labeled_incomplete(), tmp_path)
-    load_dataset(paths["views"], paths["availability"], paths["labels"])
-    assert forks and multiprocessing.active_children() == []
-    _garble_views_1_and_2(paths)
-    with pytest.raises(ValueError, match="could not parse"):
-        load_dataset(paths["views"], paths["availability"], paths["labels"])
-    assert multiprocessing.active_children() == []
-
-
-def test_a_worker_that_dies_is_an_error_and_leaves_no_process(forks):
-    jobs = [lambda: "done", lambda: os._exit(3)]
-    threads = _blas_threads()
-    with pytest.raises(RuntimeError, match="ended before job 1 was done"):
-        in_workers(jobs, [1, 1], 2)
-    assert len(forks) == 2 and multiprocessing.active_children() == []
-    assert _blas_threads() == threads
-
-
-def _refuse():
-    raise ValueError("this result cannot be unpickled")
-
-
-class _Refused:
-    def __reduce__(self):
-        return _refuse, ()
-
-
-def test_an_error_while_collecting_stops_every_worker(forks):
-    # job 0's result fails to unpickle in the parent while the other workers
-    # wait for their next job; no worker may be left waiting, nor the parent
-    # on it: the test fails by alarm after 60 s rather than hang
-
-    def alarm(signum, frame):
-        # not an OSError, which the join's waitpid would swallow
-        pytest.fail("the workers were not stopped")
-
-    previous = signal.signal(signal.SIGALRM, alarm)
-    signal.alarm(60)
-    try:
-        with pytest.raises(ValueError, match="cannot be unpickled"):
-            in_workers([_Refused, lambda: 1, lambda: 2], [3, 2, 1], 3)
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
-        left = multiprocessing.active_children()
-        for child in left:
-            child.kill()
-            child.join()
-    assert left == []
-
-
-@pytest.mark.parametrize(
-    "save, cpus",
-    [(save_csv_dataset, {0}), (save_csv_dataset, {0, 1, 2}), (save_dataset, {0, 1, 2})],
-    ids=["serial", "pooled", "npy"],
-)
-def test_a_load_holds_its_data_and_one_view_more_at_most(tmp_path, monkeypatch, save, cpus):
+@pytest.mark.parametrize("save", [save_csv_dataset, save_dataset], ids=["serial", "npy"])
+def test_a_load_holds_its_data_and_one_view_more_at_most(tmp_path, save):
     # each parsed view goes to its ViewMatrix as it is: holding every parsed
     # view while copies of them are made would peak at twice the data
     full = complete_dataset(1000, 4, seed=4, m=40)
@@ -489,7 +427,6 @@ def test_a_load_holds_its_data_and_one_view_more_at_most(tmp_path, monkeypatch, 
         views=full.views, n=1000, availability=full.availability, labels=np.arange(1000) % 3
     )
     paths = save(full, tmp_path)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
     tracemalloc.start()
     try:
         ds = load_dataset(paths["views"], paths["availability"], paths["labels"])
@@ -503,10 +440,8 @@ def test_a_load_holds_its_data_and_one_view_more_at_most(tmp_path, monkeypatch, 
     assert peak < data + largest + largest // 2
 
 
-@pytest.mark.parametrize(
-    "save, cpus", [(save_csv_dataset, {0}), (save_dataset, {0, 1, 2})], ids=["serial", "npy"]
-)
-def test_a_load_and_a_mask_hold_each_view_once(tmp_path, monkeypatch, save, cpus):
+@pytest.mark.parametrize("save", [save_csv_dataset, save_dataset], ids=["serial", "npy"])
+def test_a_load_and_a_mask_hold_each_view_once(tmp_path, save):
     # an array that the library has just read or gathered is handed to its
     # ViewMatrix, which makes it read-only rather than copy it: neither call
     # holds a view twice (a copy would peak at a whole view more)
@@ -515,7 +450,6 @@ def test_a_load_and_a_mask_hold_each_view_once(tmp_path, monkeypatch, save, cpus
         views=full.views, n=1000, availability=full.availability, labels=np.arange(1000) % 3
     )
     paths = save(full, tmp_path)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
     tracemalloc.start()
     try:
         ds = load_dataset(paths["views"], paths["availability"], paths["labels"])
@@ -543,46 +477,48 @@ def test_a_view_made_from_a_callers_array_is_a_read_only_copy():
     assert view.data[0, 0] == 0.0 and data.flags.writeable and not view.data.flags.writeable
 
 
-def test_a_daemon_process_reads_the_files_itself(tmp_path, forks):
-    # a daemon process may start no children: a pool worker loads serially
+def _load_without_fork(*args):
+    def fork():
+        raise AssertionError("a process was started")
+
+    os.fork = fork  # in the pool's worker only
+    return load_dataset(*args)
+
+
+def test_a_daemon_process_reads_the_files_itself(tmp_path):
+    # a daemon process may start no children: a pool worker loads the files
+    # itself and gets what this process gets
+    if "fork" not in multiprocessing.get_all_start_methods():
+        pytest.skip("the platform has no fork: there is no daemon to load in")
     paths = save_csv_dataset(_labeled_incomplete(), tmp_path)
     args = (paths["views"], paths["availability"], paths["labels"])
     with multiprocessing.get_context("fork").Pool(1) as pool:
-        assert pool.apply(load_dataset, args).n == 40
+        pooled = pool.apply(_load_without_fork, args)
+    here = load_dataset(*args)
+    assert pooled.n == here.n == 40
+    for got, want in zip(pooled.views, here.views):
+        assert np.array_equal(got.data, want.data)
+    assert np.array_equal(pooled.labels, here.labels)
 
 
 # ------------------------------------------------------------------ .npy files
 
 
-def test_a_load_of_mixed_csv_and_npy_files_equals_an_all_csv_load(tmp_path, forks):
+def test_a_load_of_mixed_csv_and_npy_files_equals_an_all_csv_load(tmp_path, no_fork):
     ds = _labeled_incomplete()
     csv = save_csv_dataset(ds, tmp_path / "csv")
     npy = save_dataset(ds, tmp_path / "npy")
     want = load_dataset(csv["views"], csv["availability"], csv["labels"])
-    del forks[:]
     got = load_dataset(
         [csv["views"][0], npy["views"][1], csv["views"][2]],
         [npy["availability"][0], csv["availability"][1], npy["availability"][2]],
         npy["labels"],
     )
-    assert forks  # the two CSV views were parsed in worker processes
     for a, b in zip(got.views, want.views):
         assert a.data.dtype == b.data.dtype and a.data.tobytes() == b.data.tobytes()
     for a, b in zip(got.availability, want.availability):
         assert a.dtype == b.dtype and np.array_equal(a, b)
     assert np.array_equal(got.labels, want.labels)
-
-
-def test_npy_views_are_read_before_the_csv_views_are_parsed(tmp_path, forks):
-    ds = _labeled_incomplete()
-    csv = save_csv_dataset(ds, tmp_path / "csv")
-    npy = save_dataset(ds, tmp_path / "npy")
-    _garble_views_1_and_2(csv)
-    Path(npy["views"][2]).write_bytes(b"")
-    del forks[:]
-    with pytest.raises(ValueError, match=re.escape(f"{npy['views'][2]}: could not parse")):
-        load_dataset(csv["views"][:2] + npy["views"][2:], npy["availability"], npy["labels"])
-    assert forks == []
 
 
 def _save_an_object_array(path):
@@ -639,7 +575,7 @@ NPY_FAULTS = {
 
 
 @pytest.mark.parametrize("fault", NPY_FAULTS)
-def test_a_malformed_npy_file_is_one_error_that_names_it(tmp_path, forks, fault):
+def test_a_malformed_npy_file_is_one_error_that_names_it(tmp_path, no_fork, fault):
     paths = save_dataset(_labeled_incomplete(), tmp_path)
     key, spoil, message = NPY_FAULTS[fault]
     path = Path(paths[key] if key == "labels" else paths[key][1])
@@ -647,7 +583,6 @@ def test_a_malformed_npy_file_is_one_error_that_names_it(tmp_path, forks, fault)
     with pytest.raises(ValueError) as info:
         load_dataset(paths["views"], paths["availability"], paths["labels"])
     assert str(info.value).startswith(f"{path}: ") and message in str(info.value)
-    assert forks == []
 
 
 def test_running_out_of_memory_while_parsing_a_csv_view_is_not_a_bad_file(
@@ -659,7 +594,6 @@ def test_running_out_of_memory_while_parsing_a_csv_view_is_not_a_bad_file(
         raise MemoryError
 
     monkeypatch.setattr(np, "loadtxt", loadtxt)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     with pytest.raises(MemoryError):
         load_dataset(paths["views"])
 

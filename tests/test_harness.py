@@ -4,6 +4,7 @@ import json
 import multiprocessing
 import os
 import re
+import signal
 import threading
 import time
 from dataclasses import fields, replace
@@ -24,7 +25,10 @@ from imvc.harness import (
     _TRIAL_COLUMNS,
     TrialOutcome,
     _aggregate,
+    cpu_share,
     derive_seed,
+    in_workers,
+    one_blas_thread,
     write_trace,
 )
 from imvc.solver import SolverConfig, SolverState, initialize
@@ -453,12 +457,11 @@ def _log_blas_threads(monkeypatch, module, name, log):
 
 
 def test_workers_take_their_share_of_blas_threads(tmp_path, monkeypatch):
-    # the 2 CSV view files of the load and the 3 chunks of one group of 3
-    # trials, each in one of 3 forked workers on 3 usable CPUs (the label
-    # file is read in the calling process): every worker inherits the
-    # sweep's one OpenBLAS thread and, on a share of 1 CPU, runs no thread
-    # but its own; one that set the count itself would restart OpenBLAS's
-    # thread pool
+    # the 3 chunks of one group of 3 trials, each in one of 3 forked workers
+    # on 3 usable CPUs (the CSV files are read in the calling process): every
+    # worker inherits the sweep's one OpenBLAS thread and, on a share of 1
+    # CPU, runs no thread but its own; one that set the count itself would
+    # restart OpenBLAS's thread pool
     if _blas_threads() is None:
         pytest.skip("numpy bundles no OpenBLAS with scipy_openblas symbols")
     if not os.path.isdir("/proc/self/task"):
@@ -468,17 +471,14 @@ def test_workers_take_their_share_of_blas_threads(tmp_path, monkeypatch):
     threads = _blas_threads()
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
     log = tmp_path / "threads.log"
-    _log_blas_threads(monkeypatch, imvc.dataset, "_load_matrix", log)
     _log_blas_threads(monkeypatch, imvc.harness, "_run_trial", log)
     solver = {"lam": [0.5, 1.0, 2.0], "beta": [0.001], "r": [3.0], "k": [5], "max_iter": 20}
     cfg = make_config(paths, tmp_path / "out", mask={"repeats": 1}, solver=solver)
     run_experiment(cfg, workers=3)
-    lines = [line.split() for line in log.read_text().splitlines()]
-    assert lines[0][0] == str(os.getpid())  # the label file
-    workers = lines[1:]
-    assert len(workers) == 5 and str(os.getpid()) not in {pid for pid, _, _ in workers}
-    assert len({pid for pid, _, _ in workers[2:]}) == 3  # one chunk per sweep worker
-    assert [(blas, tasks) for _, blas, tasks in workers] == [("1", "1")] * 5
+    workers = [line.split() for line in log.read_text().splitlines()]
+    assert len({pid for pid, _, _ in workers}) == 3  # one chunk per sweep worker
+    assert str(os.getpid()) not in {pid for pid, _, _ in workers}
+    assert [(blas, tasks) for _, blas, tasks in workers] == [("1", "1")] * 3
     assert _blas_threads() == threads  # the calling process keeps its own
     assert multiprocessing.active_children() == []
 
@@ -514,28 +514,131 @@ def test_a_lone_trial_runs_on_its_cpus_at_one_blas_thread(data_dir, tmp_path, mo
     assert _blas_threads() == threads
 
 
-def test_an_npy_load_leaves_the_sweep_one_pool(data_dir, tmp_path, monkeypatch):
-    # save_dataset's .npy files are read in the calling process: a sweep
-    # forks only its chunks' workers, and sets the caller's OpenBLAS threads
-    # once, to the sweep's one, and once back
+@pytest.fixture
+def forks(monkeypatch):
+    """The processes forked."""
     _forks_needed()
-    root, paths = data_dir
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
-    forked, sets = [], []
-    real_fork, real_blas = os.fork, imvc.dataset._blas_threads
+    forked = []
+    real = os.fork
 
     def fork():
         forked.append(True)
-        return real_fork()
+        return real()
+
+    monkeypatch.setattr(os, "fork", fork)
+    return forked
+
+
+def test_an_npy_load_leaves_the_sweep_one_pool(data_dir, tmp_path, monkeypatch, forks):
+    # the data files, .npy or CSV, are read in the calling process: a sweep
+    # forks only its chunks' workers, and sets the caller's OpenBLAS threads
+    # once, to the sweep's one, and once back
+    root, paths = data_dir
+    csv = save_csv_dataset(_blobs(), tmp_path / "csv")
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    sets = []
+    real_blas = imvc.harness._blas_threads
 
     def blas(threads=None):
         sets.append(threads)
         return real_blas(threads)
 
-    monkeypatch.setattr(os, "fork", fork)
-    monkeypatch.setattr(imvc.dataset, "_blas_threads", blas)
-    run_experiment(make_config(paths, tmp_path / "out"), workers=2)
-    assert len(forked) == 2 and len(sets) == 2
+    monkeypatch.setattr(imvc.harness, "_blas_threads", blas)
+    for data in (paths, csv):
+        del forks[:]
+        del sets[:]
+        run_experiment(make_config(data, tmp_path / "out"), workers=2)
+        assert len(forks) == 2 and len(sets) == 2
+
+
+def _square_late(i, jobs):
+    # the later a job, the sooner it ends: results come back out of job order
+    time.sleep(0.02 * (jobs - i))
+    return i * i
+
+
+def _fail_late(i, jobs):
+    _square_late(i, jobs)
+    raise ValueError(f"job {i} failed")
+
+
+@pytest.mark.parametrize("processes", [1, 3])
+def test_in_workers_gives_results_and_the_first_error_in_job_order(forks, processes):
+    squares = [lambda i=i: _square_late(i, 5) for i in range(5)]
+    assert in_workers(squares, processes) == [i * i for i in range(5)]
+    assert len(forks) == (processes if processes > 1 else 0)
+    faulty = [lambda i=i: (_fail_late if i in (1, 3) else _square_late)(i, 5) for i in range(5)]
+    with pytest.raises(ValueError, match="job 1 failed"):
+        in_workers(faulty, processes)
+    assert multiprocessing.active_children() == []
+
+
+def test_each_process_gets_an_even_share_of_the_usable_cpus(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(6)), raising=False)
+    # (processes asked for, jobs): no more processes than jobs, at least 1 CPU
+    shares = {(1, 1): 6, (2, 10): 3, (4, 2): 3, (4, 10): 1, (8, 10): 1, (3, 1): 6}
+    assert {key: cpu_share(*key) for key in shares} == shares
+    # without fork the jobs run in this process, on every usable CPU
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    assert cpu_share(2, 10) == 6
+
+
+def test_one_blas_thread_puts_the_callers_count_back_after_an_error():
+    if _blas_threads() is None:
+        pytest.skip("numpy bundles no OpenBLAS with scipy_openblas symbols")
+    threads = _blas_threads()
+    imvc.harness._blas_threads(2)
+    try:
+        with pytest.raises(ValueError, match="inside"):
+            with one_blas_thread():
+                assert _blas_threads() == 1
+                raise ValueError("inside")
+        assert _blas_threads() == 2
+    finally:
+        imvc.harness._blas_threads(threads)
+    assert _blas_threads() == threads
+
+
+def test_a_worker_that_dies_is_an_error_and_leaves_no_process(forks):
+    jobs = [lambda: "done", lambda: os._exit(3)]
+    threads = _blas_threads()
+    with pytest.raises(RuntimeError, match="ended before job 1 was done"):
+        in_workers(jobs, 2)
+    assert len(forks) == 2 and multiprocessing.active_children() == []
+    assert _blas_threads() == threads
+
+
+def _refuse():
+    raise ValueError("this result cannot be unpickled")
+
+
+class _Refused:
+    def __reduce__(self):
+        return _refuse, ()
+
+
+def test_an_error_while_collecting_stops_every_worker(forks):
+    # job 0's result fails to unpickle in the parent while the other workers
+    # wait for their next job; no worker may be left waiting, nor the parent
+    # on it: the test fails by alarm after 60 s rather than hang
+
+    def alarm(signum, frame):
+        # not an OSError, which the join's waitpid would swallow
+        pytest.fail("the workers were not stopped")
+
+    previous = signal.signal(signal.SIGALRM, alarm)
+    signal.alarm(60)
+    try:
+        with pytest.raises(ValueError, match="cannot be unpickled"):
+            in_workers([_Refused, lambda: 1, lambda: 2], 3)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+        left = multiprocessing.active_children()
+        for child in left:
+            child.kill()
+            child.join()
+    assert left == []
 
 
 @pytest.mark.parametrize("workers", [0, -2])

@@ -13,7 +13,8 @@ import pytest
 import imvc.graph
 import imvc.solver
 from imvc import build_fused_graphs, fit
-from imvc.dataset import one_blas_thread, thread_map
+from imvc.dataset import thread_map
+from imvc.harness import one_blas_thread
 from imvc.solver import SolverConfig
 
 from synthetic import masked_problem, multiview_blobs
