@@ -25,20 +25,30 @@ still running at once, and each fit leaves the batch when it meets its own
 tol or max_iter, or fails (the shared block updates return {row: error}
 for the fits they could not update). A single fit is a batch of one. Every
 fit's traces and variables are bit for bit those it gives alone, because the
-batch shares only work that is exact column by column or matrix by matrix:
+batch shares only work that is exact column by column, matrix by matrix or
+fit by fit:
 
 - one sparse product W [M_1^T ... M_B^T] per view, for the gathered
   consensus and for the codes: CSR products go column by column;
-- batched matmul and SVD for the bases, and X^T U: one GEMM or SVD per fit;
-- the element-wise codes and consensus steps, over (B, c, n_v) stacks.
+- batched matmul and SVD for the bases, X^T U and U^T U: one GEMM or SVD
+  per fit;
+- the element-wise codes and consensus steps, over (B, n_v, c) and
+  (B, n, c) stacks, written in place in the lone fit's operation and
+  operand order;
+- the cost's sums, each one call per view over the stacks (view_costs): a
+  dot is a (1, N) @ (N, 1) matmul per fit, which calls the BLAS ddot that
+  np.vdot calls alone, on the same C-ordered vectors, and the column
+  einsums and sum |P| reduce each fit's block in its own memory order.
 
-The sums that make the costs (vdot, the column einsums, sum |P|) are taken
-fit by fit, on arrays in the layout a lone fit has: codes are C-ordered after
-initialize and F-ordered after a sweep, and the layout changes the bits of
-X P^T and of those sums. Each sweep computes X^T U once per fit, for the codes
-and (transposed, which is bitwise U^T X) for the cost; ||X||^2 is computed
-once per batch; and the cost's W P^T is carried into the next consensus
-update.
+A fit in a batch keeps the layouts whose bits a sum follows: codes are
+C-ordered after initialize and F-ordered after a sweep, which changes the
+bits of X P^T and of the einsums' inner loops. Each sweep computes X^T U
+once per fit, for the codes and for the cost, which copies its transpose to
+C order: U^T X as its own GEMM sums in another order on some BLAS kernels.
+||X||^2 is computed once per batch, and the cost's W P^T is carried into
+the next consensus update. (OpenBLAS's generic kernel is the known
+exception to the contract: its ddot sums in an order that depends on a
+vector's 16-byte alignment, which a fit's slice of a stack need not have.)
 
 Samples are addressed through each view's availability ids (ds.availability):
 Q gathered to view v is Q[:, ids_v], and the consensus solve scatters back
@@ -134,10 +144,12 @@ class SolverState:
 def _times_w(graph: FusedGraph, stack: np.ndarray) -> np.ndarray:
     """W [M_1^T ... M_B^T] for a (B, c, n_v) stack: one sparse product for
     the batch, whose columns are each fit's own W M^T. Returned as the
-    (B, n_v, c) stack of those products, each C-ordered as a lone fit's is."""
+    (B, n_v, c) stack of those products, a view of the (n_v, B c) product:
+    its consumers go element by element (the codes, the consensus) or copy
+    it to C order first (the cost's _dots), so no layout reaches a sum."""
     fits, c, n_v = stack.shape
     wide = stack.transpose(2, 0, 1).reshape(n_v, fits * c)
-    return (graph.w @ wide).reshape(n_v, fits, c).transpose(1, 0, 2).copy()
+    return (graph.w @ wide).reshape(n_v, fits, c).transpose(1, 0, 2)
 
 
 def _gather(consensus: np.ndarray, ids: np.ndarray) -> np.ndarray:
@@ -179,9 +191,19 @@ def update_codes(
     xtu = x.T @ bases
     lam = lam[:, None, None]
     h = 1.0 + lam * graph.degree[:, None]
-    v = (xtu + lam * _times_w(graph, gathered)) / h
-    thr = beta[:, None, None] / (2.0 * h)
-    codes = np.add(np.maximum(0.0, v - thr), np.minimum(0.0, v + thr), out=np.empty(xtu.shape))
+    # (xtu + lam * W Q^T) / h, then max(0, v - thr) + min(0, v + thr): the
+    # same operations in the same operand order (signed zeros follow it),
+    # each written into a buffer the chain made itself
+    v = _times_w(graph, gathered)
+    np.multiply(lam, v, out=v)
+    np.add(xtu, v, out=v)
+    np.divide(v, h, out=v)
+    thr = np.divide(beta[:, None, None], np.multiply(2.0, h, out=h), out=h)
+    codes = np.subtract(v, thr, out=np.empty(xtu.shape))
+    np.maximum(0.0, codes, out=codes)
+    np.add(v, thr, out=v)
+    np.minimum(0.0, v, out=v)
+    np.add(codes, v, out=codes)
     return codes.swapaxes(1, 2), xtu
 
 
@@ -200,15 +222,19 @@ def update_consensus(
     and n is the sample count. The normal matrix sum_v a_v^r G D G^T is
     diagonal (each sample collects its own degree from the views it appears
     in), so the solve is a columnwise division instead of a general inverse.
-    Returns the (B, c, n) stack and {row: error} for the fits where a sample
-    carries no positive weight, whose denominators are set to 1.
+    The numerator is accumulated as (B, n, c), the layout of wp, so each view
+    adds whole rows of c; every entry is still its views' terms added in view
+    order, and no entry is a sum over other entries, so the layout changes no
+    bit. Returns the (B, c, n) stack, each fit's matrix F-ordered, and
+    {row: error} for the fits where a sample carries no positive weight,
+    whose denominators are set to 1.
     """
     fits, _, c = wp[0].shape
-    numer = np.zeros((fits, c, n))
+    numer = np.zeros((fits, n, c))
     denom = np.zeros((fits, n))
     for v, (prod, graph, ids) in enumerate(zip(wp, graphs, availability)):
         ar = np.array([a**s for a, s in zip(weights[:, v], r)])
-        numer[:, :, ids] += ar[:, None, None] * prod.swapaxes(1, 2)  # P W, as W = W^T
+        numer[:, ids] += ar[:, None, None] * prod  # (P W)^T, as W = W^T
         denom[:, ids] += ar[:, None] * graph.degree
     failed = {}
     for row in np.flatnonzero((denom <= 0.0).any(axis=1)):
@@ -221,7 +247,7 @@ def update_consensus(
             "consensus update is infeasible"
         )
         denom[row] = 1.0
-    return numer / denom[:, None, :], failed
+    return np.divide(numer, denom[:, :, None], out=numer).swapaxes(1, 2), failed
 
 
 def update_weights(costs: np.ndarray, r: float) -> np.ndarray:
@@ -243,33 +269,39 @@ def update_weights(costs: np.ndarray, r: float) -> np.ndarray:
     return scaled / scaled.sum()
 
 
-def _reconstruction_cost(xx: float, xtu: np.ndarray, u: np.ndarray, p: np.ndarray) -> float:
-    """||X - U P||_F^2 = ||X||^2 - 2 <U^T X, P> + <(U^T U) P, P>, for any U,
-    from xx = ||X||^2 and xtu = X^T U.
+def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """<a_j, b_j> for each fit j of two (B, ...) stacks, bit for bit the
+    np.vdot of C-ordered copies of a[j] and b[j]: vdot calls BLAS ddot on
+    the C-order ravel of each argument, and the stacked (1, N) @ (N, 1)
+    matmul calls the same ddot on the same contiguous vectors, once per fit.
+    (vdot would pass a strided vector to ddot's strided kernel, which sums
+    in another order, so the copies are what a lone fit's sums rest on.)"""
+    fits = len(a)
+    rows = np.ascontiguousarray(a).reshape(fits, 1, -1)
+    return (rows @ np.ascontiguousarray(b).reshape(fits, -1, 1))[:, 0, 0]
 
-    ||X||^2 is an einsum rather than a BLAS dot because the two sum in
-    different orders and can differ in the last bit; the einsum's sums are
-    the ones every recorded trials.csv rests on.
-    """
-    return float(xx - 2.0 * np.vdot(xtu.T, p) + np.vdot((u.T @ u) @ p, p))
 
-
-def _graph_cost(p: np.ndarray, gathered: np.ndarray, wp: np.ndarray, graph: FusedGraph) -> float:
-    """sum_ij W[i, j] * ||p[:, i] - gathered[:, j]||^2, given wp = W p^T.
+def _graph_cost(
+    p: np.ndarray, gathered: np.ndarray, wp: np.ndarray, graph: FusedGraph
+) -> np.ndarray:
+    """One view's sum_ij W[i, j] * ||p[:, i] - gathered[:, j]||^2 for each
+    fit, given the (B, c, n_v) stacks p and gathered and the (B, n_v, c)
+    stack wp = W p^T.
 
     For symmetric W with degrees d this is
     d . ||p||^2_col + d . ||gathered||^2_col - 2 <W p^T, gathered^T>. The
     identity-graph case reduces algebraically to the plain squared Frobenius
-    difference, which is also the cheap way to evaluate it.
+    difference, which is also the cheap way to evaluate it. Each column sum
+    is one einsum over the stack, and each d . colsums one (1, n_v) @ (n_v, 1)
+    matmul per fit: the ddot that d @ colsums calls alone.
     """
     if graph.is_identity:
-        return float(np.sum((p - gathered) ** 2))
-    d = graph.degree
-    return float(
-        d @ np.einsum("ij,ij->j", p, p)
-        + d @ np.einsum("ij,ij->j", gathered, gathered)
-        - 2.0 * np.vdot(wp, gathered.T)
-    )
+        return ((p - gathered) ** 2).sum(axis=(1, 2))
+    d = graph.degree[:, None]
+    return (
+        np.einsum("bij,bij->bj", p, p)[:, None, :] @ d
+        + np.einsum("bij,bij->bj", gathered, gathered)[:, None, :] @ d
+    )[:, 0, 0] - 2.0 * _dots(wp, gathered.swapaxes(1, 2))
 
 
 def view_costs(
@@ -287,19 +319,28 @@ def view_costs(
     B fits, as a (B, l) array.
 
     Per view v: xx[v] = ||X||^2; the (B, ...) stacks xtu[v] = X^T U,
-    bases[v], codes[v], gathered[v] = Q[:, ids] and wp[v] = W P^T. Each
-    fit's sums are taken on its own arrays, which have a lone fit's layout:
-    a strided vector, for one, goes through another BLAS kernel.
+    bases[v], codes[v], gathered[v] = Q[:, ids] and wp[v] = W P^T. The
+    reconstruction is ||X||^2 - 2 <U^T X, P> + <(U^T U) P, P>, for any U.
+    Each sum is one call per view over the stacks, and each fit's share of
+    it has the bits of the same sum over that fit alone: the dots go through
+    _dots, U^T U and (U^T U) P are batched matmuls (one GEMM per fit), and
+    sum |P|, the identity graph's sum of squares and the column einsums
+    reduce each fit's block in its own memory order, the one it has alone
+    (codes are C-ordered after initialize and F-ordered after a sweep).
+
+    ||X||^2 is an einsum rather than a BLAS dot because the two sum in
+    different orders and can differ in the last bit; the einsum's sums are
+    the ones every recorded trials.csv rests on.
     """
     costs = np.empty((len(lam), len(graphs)))
-    for v, graph in enumerate(graphs):
-        for j in range(len(lam)):
-            p = codes[v][j]
-            costs[j, v] = (
-                _reconstruction_cost(xx[v], xtu[v][j], bases[v][j], p)
-                + beta[j] * np.abs(p).sum()
-                + lam[j] * _graph_cost(p, gathered[v][j], wp[v][j], graph)
-            )
+    for v, (u, p, graph) in enumerate(zip(bases, codes, graphs)):
+        costs[:, v] = (
+            xx[v]
+            - 2.0 * _dots(xtu[v].swapaxes(1, 2), p)
+            + _dots((u.swapaxes(1, 2) @ u) @ p, p)
+            + beta * np.abs(p).sum(axis=(1, 2))
+            + lam * _graph_cost(p, gathered[v], wp[v], graph)
+        )
     return costs
 
 
@@ -350,8 +391,9 @@ def initialize(ds: MultiViewDataset, cfg: SolverConfig) -> SolverState:
 @dataclass(frozen=True)
 class _Batch:
     """The variables of the fits still running, stacked along a leading axis
-    (row j is fit fits[j]), and W P^T per view, carried from the cost to the
-    next consensus update."""
+    (row j is fit fits[j]), W P^T per view, carried from the cost to the
+    next consensus update, and the fits' lam and beta. The weights are
+    updated in place, row by row, as each fit's sweep succeeds."""
 
     fits: np.ndarray
     bases: tuple[np.ndarray, ...]
@@ -359,6 +401,8 @@ class _Batch:
     consensus: np.ndarray
     weights: np.ndarray
     wp: tuple[np.ndarray, ...]
+    lam: np.ndarray
+    beta: np.ndarray
 
     def keep(self, rows: np.ndarray) -> "_Batch":
         return _Batch(
@@ -368,10 +412,17 @@ class _Batch:
             consensus=self.consensus[rows],
             weights=self.weights[rows],
             wp=tuple(m[rows] for m in self.wp),
+            lam=self.lam[rows],
+            beta=self.beta[rows],
         )
 
     def state(self, j: int, trace, cost_rows, weight_rows, error=None) -> SolverState:
-        """Row j as a lone fit's state, in copies of a lone fit's layout."""
+        """Row j as a lone fit's state, in copies that keep its layout (a
+        fit's slices of the stacks have a lone fit's layouts, which the bits
+        of X P^T and of the cost's sums follow): codes C-ordered from
+        initialize and F-ordered after a sweep, and the consensus F-ordered,
+        as the (B, n, c) accumulation leaves it. k-means reads the consensus
+        transposed, as C-ordered points, which is then no copy."""
         return SolverState(
             bases=tuple(u[j].copy(order="K") for u in self.bases),
             codes=tuple(p[j].copy(order="K") for p in self.codes),
@@ -434,17 +485,17 @@ def fit(
         xx = [np.einsum("ij,ij->", x, x) for x in xs]
         bases = tuple(np.stack(u) for u in zip(*(s.bases for s in inits)))
         codes = tuple(np.stack(p) for p in zip(*(s.codes for s in inits)))
-        consensus = np.zeros((len(cfgs), cfgs[0].n_components, ds.n))
+        consensus = np.zeros((len(cfgs), ds.n, cfgs[0].n_components)).swapaxes(1, 2)
         weights = np.stack([s.weights for s in inits])
         xtu = [x.T @ u for x, u in zip(xs, bases)]
         gathered = [_gather(consensus, ids) for ids in ds.availability]
         wp = tuple(_times_w(graph, p) for graph, p in zip(graphs, codes))
         costs = view_costs(xx, xtu, bases, codes, gathered, wp, graphs, lam, beta)
-        for i, cfg in enumerate(cfgs):
-            traces[i].append(_weighted_total(weights[i], costs[i], cfg.r))
+        for i, (cfg, init) in enumerate(zip(cfgs, inits)):
+            traces[i].append(_weighted_total(init.weights, costs[i], cfg.r))
             cost_rows[i].append(costs[i])
-            weight_rows[i].append(weights[i])
-        batch = _Batch(np.arange(len(cfgs)), bases, codes, consensus, weights, wp)
+            weight_rows[i].append(init.weights)
+        batch = _Batch(np.arange(len(cfgs)), bases, codes, consensus, weights, wp, lam, beta)
         seconds += (time.perf_counter() - start) / len(cfgs)
 
         it = 1
@@ -455,32 +506,34 @@ def fit(
                 batch.wp, graphs, ds.availability, ds.n, batch.weights,
                 [cfgs[i].r for i in fits],
             )
-            view_sweep = partial(_sweep_view, consensus=consensus, lam=lam[fits], beta=beta[fits])
+            view_sweep = partial(_sweep_view, consensus=consensus, lam=batch.lam, beta=batch.beta)
             bases, basis_failed, codes, wp, costs = zip(
                 *each(view_sweep, xs, xx, batch.codes, ds.availability, graphs)
             )
             # a fit's first error, in block order and then view order
             failed = ChainMap(failed, *basis_failed)
             costs = np.column_stack(costs)
-            swept = _Batch(fits, bases, codes, consensus, batch.weights.copy(), wp)
+            # the weights array is shared: a fit's row is written only once
+            # its sweep has succeeded, so a failed fit keeps the old one
+            swept = replace(batch, bases=bases, codes=codes, consensus=consensus, wp=wp)
             running = []
             for j, i in enumerate(fits):
                 cfg = cfgs[i]
                 try:
                     if j in failed:
                         raise failed[j]
-                    if cfg.weight_on:
-                        swept.weights[j] = update_weights(costs[j], cfg.r)
-                    value = _weighted_total(swept.weights[j], costs[j], cfg.r)
+                    a = update_weights(costs[j], cfg.r) if cfg.weight_on else weight_rows[i][-1]
+                    value = _weighted_total(a, costs[j], cfg.r)
                     if not np.isfinite(value):
                         raise ArithmeticError(f"objective diverged to {value} at iteration {it}")
                 except (ArithmeticError, ValueError) as exc:  # the fit leaves as it was
                     exc.with_traceback(None)  # a traceback would hold this frame's stacks
                     results[i] = batch.state(j, traces[i], cost_rows[i], weight_rows[i], exc)
                     continue
+                swept.weights[j] = a
                 traces[i].append(value)
                 cost_rows[i].append(costs[j])
-                weight_rows[i].append(swept.weights[j])
+                weight_rows[i].append(a)
                 prev = traces[i][-2]
                 if abs(prev - value) / max(prev, 1e-12) <= cfg.tol or it == cfg.max_iter:
                     results[i] = swept.state(j, traces[i], cost_rows[i], weight_rows[i])

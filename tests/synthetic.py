@@ -157,6 +157,43 @@ def random_state(ds, c, seed, zero=False):
     )
 
 
+# The cost as fit took it before its sums were stacked: one fit at a time,
+# each sum on that fit's own arrays. The stacked view_costs must give these
+# bytes for every fit of any batch.
+
+
+def per_fit_reconstruction_cost(xx, xtu, u, p):
+    """||X - U P||_F^2 = ||X||^2 - 2 <U^T X, P> + <(U^T U) P, P>, for any U,
+    from xx = ||X||^2 and xtu = X^T U."""
+    return float(xx - 2.0 * np.vdot(xtu.T, p) + np.vdot((u.T @ u) @ p, p))
+
+
+def per_fit_graph_cost(p, gathered, wp, graph):
+    """sum_ij W[i, j] * ||p[:, i] - gathered[:, j]||^2, given wp = W p^T."""
+    if graph.is_identity:
+        return float(np.sum((p - gathered) ** 2))
+    d = graph.degree
+    return float(
+        d @ np.einsum("ij,ij->j", p, p)
+        + d @ np.einsum("ij,ij->j", gathered, gathered)
+        - 2.0 * np.vdot(wp, gathered.T)
+    )
+
+
+def per_fit_view_costs(xx, xtu, bases, codes, gathered, wp, graphs, lam, beta):
+    """view_costs' (B, l) costs, taken fit by fit and view by view."""
+    costs = np.empty((len(lam), len(graphs)))
+    for v, graph in enumerate(graphs):
+        for j in range(len(lam)):
+            p = codes[v][j]
+            costs[j, v] = (
+                per_fit_reconstruction_cost(xx[v], xtu[v][j], bases[v][j], p)
+                + beta[j] * np.abs(p).sum()
+                + lam[j] * per_fit_graph_cost(p, gathered[v][j], wp[v][j], graph)
+            )
+    return costs
+
+
 # One fit's calls: fit, the block updates and view_costs take batches, and
 # these run a batch of one, raising the error a failed fit records.
 

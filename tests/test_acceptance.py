@@ -21,7 +21,7 @@ from imvc.cli import main as cli_main
 from imvc.dataset import MaskSpec, apply_mask
 from imvc.graph import FusedGraph, build_fused_graphs, gaussian_knn_graph
 from imvc.metrics import evaluate_clustering
-from imvc.solver import _reconstruction_cost, update_weights
+from imvc.solver import update_weights
 
 from synthetic import (
     identity_graph,
@@ -33,6 +33,7 @@ from synthetic import (
     masked_problem,
     multiview_blobs,
     multiview_moons,
+    per_fit_reconstruction_cost,
     random_problem,
     random_state,
 )
@@ -219,9 +220,10 @@ def test_criterion_02_update_rule_oracles():
 def model6_objective(ds, state, lam, beta, r):
     """The no-graph model's cost: reconstruction + l1 + consensus tie.
 
-    The reconstruction term is the library's own expansion (checked against
-    the residual form in test_reference.py), so the bitwise comparison
-    isolates what this criterion is about: the gamma=0 graph term.
+    The reconstruction term is the library's own expansion, taken fit by fit
+    (checked against the residual form in test_reference.py, and the library's
+    stacked sums against it in test_stacked_costs.py), so the bitwise
+    comparison isolates what this criterion is about: the gamma=0 graph term.
     """
     total = 0.0
     for view, ids, u, p, a in zip(
@@ -230,7 +232,7 @@ def model6_objective(ds, state, lam, beta, r):
         x = view.data
         gathered = state.consensus[:, ids]
         total += a**r * (
-            _reconstruction_cost(np.einsum("ij,ij->", x, x), x.T @ u, u, p)
+            per_fit_reconstruction_cost(np.einsum("ij,ij->", x, x), x.T @ u, u, p)
             + beta * np.abs(p).sum()
             + lam * float(np.sum((p - gathered) ** 2))
         )

@@ -342,7 +342,9 @@ def test_fused_graph_reads_degree_and_identity_off_w():
     g = FusedGraph(view_id=4, w=w)
     # degree and identity follow W, so no caller can hand in ones that disagree
     assert np.array_equal(g.degree, [1.5, 1.5]) and not g.is_identity
-    assert _graph_cost(p, q, g.w @ p.T, g) == 7.5 == np.vdot(w, (p.T - q) ** 2)
-    assert _graph_cost(p, q, None, FusedGraph(view_id=4, w=np.eye(2))) == 5.0
+    # _graph_cost takes (B, ...) stacks: here a batch of one
+    assert _graph_cost(p[None], q[None], (g.w @ p.T)[None], g).tolist() == [7.5]
+    assert 7.5 == np.vdot(w, (p.T - q) ** 2)
+    assert _graph_cost(p[None], q[None], None, FusedGraph(view_id=4, w=np.eye(2))).tolist() == [5.0]
     with pytest.raises(TypeError):
         FusedGraph(view_id=4, w=w, degree=np.ones(2))

@@ -25,17 +25,6 @@ from imvc.solver import SolverConfig, fit, update_basis
 
 from synthetic import masked_problem, multiview_blobs, random_problem
 
-# the (m, n_v, c) shapes of a README grid group at n = 400 and n = 2000 and of
-# scale-n4000, plus odd n_v
-SHAPES = [
-    (76, 280, 5),
-    (240, 280, 5),
-    (216, 1400, 10),
-    (240, 2800, 10),
-    (76, 281, 5),
-    (216, 1401, 10),
-]
-
 
 def same_bits(a, b):
     a, b = np.asarray(a), np.asarray(b)
@@ -54,17 +43,6 @@ def assert_same_fit(got, want):
     for name in ("bases", "codes"):
         for g, w in zip(getattr(got, name), getattr(want, name)):
             assert same_bits(g, w), name
-
-
-@pytest.mark.parametrize("m, n_v, c", SHAPES)
-def test_transposed_xtu_is_utx_bit_for_bit(m, n_v, c):
-    # a sweep computes X^T U for the codes and takes its transpose as the
-    # cost's U^T X; a BLAS whose two GEMMs sum in different orders breaks that
-    rng = np.random.default_rng(m * n_v + c)
-    x = rng.normal(size=(m, n_v))
-    for _ in range(3):
-        u, _ = np.linalg.qr(rng.normal(size=(m, c)))
-        assert same_bits(np.ascontiguousarray((x.T @ u).T), u.T @ x)
 
 
 @examples(50)
