@@ -33,8 +33,8 @@ fit by fit:
 - batched matmul and SVD for the bases, X^T U and U^T U: one GEMM or SVD
   per fit;
 - the element-wise codes and consensus steps, over (B, n_v, c) and
-  (B, n, c) stacks, written in place in the lone fit's operation and
-  operand order;
+  (n, B, c) stacks, in the lone fit's operation and operand order, each
+  step written into a buffer the chain made;
 - the cost's sums, each one call per view over the stacks (view_costs): a
   dot is a (1, N) @ (N, 1) matmul per fit, which calls the BLAS ddot that
   np.vdot calls alone, on the same C-ordered vectors, and the column
@@ -193,9 +193,9 @@ def update_codes(
     h = 1.0 + lam * graph.degree[:, None]
     # (xtu + lam * W Q^T) / h, then max(0, v - thr) + min(0, v + thr): the
     # same operations in the same operand order (signed zeros follow it),
-    # each written into a buffer the chain made itself
-    v = _times_w(graph, gathered)
-    np.multiply(lam, v, out=v)
+    # each written into a buffer the chain made itself. The first writes
+    # the product, a transposed view, into C order, which the rest keep
+    v = np.multiply(lam, _times_w(graph, gathered), out=np.empty(xtu.shape))
     np.add(xtu, v, out=v)
     np.divide(v, h, out=v)
     thr = np.divide(beta[:, None, None], np.multiply(2.0, h, out=h), out=h)
@@ -222,23 +222,24 @@ def update_consensus(
     and n is the sample count. The normal matrix sum_v a_v^r G D G^T is
     diagonal (each sample collects its own degree from the views it appears
     in), so the solve is a columnwise division instead of a general inverse.
-    The numerator is accumulated as (B, n, c), the layout of wp, so each view
-    adds whole rows of c; every entry is still its views' terms added in view
-    order, and no entry is a sum over other entries, so the layout changes no
-    bit. Returns the (B, c, n) stack, each fit's matrix F-ordered, and
-    {row: error} for the fits where a sample carries no positive weight,
-    whose denominators are set to 1.
+    The numerator is accumulated as (n, B, c), the layout of the sparse
+    product that wp[v] views (_times_w), so each view adds whole rows of
+    B c, one per sample it holds. Every entry is still its views' terms
+    added in view order, and no entry is a sum over others, so the layout
+    changes no bit. Returns the (B, c, n) stack, a view of that (n, B, c)
+    array, and {row: error} for the fits where a sample carries no positive
+    weight, whose denominators are set to 1.
     """
     fits, _, c = wp[0].shape
-    numer = np.zeros((fits, n, c))
-    denom = np.zeros((fits, n))
+    numer = np.zeros((n, fits, c))
+    denom = np.zeros((n, fits))
     for v, (prod, graph, ids) in enumerate(zip(wp, graphs, availability)):
         ar = np.array([a**s for a, s in zip(weights[:, v], r)])
-        numer[:, ids] += ar[:, None, None] * prod  # (P W)^T, as W = W^T
-        denom[:, ids] += ar[:, None] * graph.degree
+        numer[ids] += ar[:, None] * prod.swapaxes(0, 1)  # (P W)^T, as W = W^T
+        denom[ids] += ar * graph.degree[:, None]
     failed = {}
-    for row in np.flatnonzero((denom <= 0.0).any(axis=1)):
-        bad = int(np.flatnonzero(denom[row] <= 0.0)[0])
+    for row in np.flatnonzero((denom <= 0.0).any(axis=0)):
+        bad = int(np.flatnonzero(denom[:, row] <= 0.0)[0])
         # a_v^r is 0 for a zero weight, or where a small weight underflows
         zero = ", ".join(str(v) for v, a in enumerate(weights[row]) if a ** r[row] == 0.0)
         why = f" (a_v^r is 0 at r={r[row]!r} for view(s) {zero})" if zero else ""
@@ -246,8 +247,8 @@ def update_consensus(
             f"sample {bad} carries no positive weight in any view{why}; the "
             "consensus update is infeasible"
         )
-        denom[row] = 1.0
-    return np.divide(numer, denom[:, :, None], out=numer).swapaxes(1, 2), failed
+        denom[:, row] = 1.0
+    return np.divide(numer, denom[:, :, None], out=numer).transpose(1, 2, 0), failed
 
 
 def update_weights(costs: np.ndarray, r: float) -> np.ndarray:
@@ -274,8 +275,8 @@ def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     np.vdot of C-ordered copies of a[j] and b[j]: vdot calls BLAS ddot on
     the C-order ravel of each argument, and the stacked (1, N) @ (N, 1)
     matmul calls the same ddot on the same contiguous vectors, once per fit.
-    (vdot would pass a strided vector to ddot's strided kernel, which sums
-    in another order, so the copies are what a lone fit's sums rest on.)"""
+    The copies keep the sums' bits: vdot on a strided vector would call
+    ddot's strided kernel, which sums in another order."""
     fits = len(a)
     rows = np.ascontiguousarray(a).reshape(fits, 1, -1)
     return (rows @ np.ascontiguousarray(b).reshape(fits, -1, 1))[:, 0, 0]
@@ -334,10 +335,11 @@ def view_costs(
     """
     costs = np.empty((len(lam), len(graphs)))
     for v, (u, p, graph) in enumerate(zip(bases, codes, graphs)):
+        flat = np.ascontiguousarray(p)  # the ravel both dots take
         costs[:, v] = (
             xx[v]
-            - 2.0 * _dots(xtu[v].swapaxes(1, 2), p)
-            + _dots((u.swapaxes(1, 2) @ u) @ p, p)
+            - 2.0 * _dots(xtu[v].swapaxes(1, 2), flat)
+            + _dots((u.swapaxes(1, 2) @ u) @ p, flat)
             + beta * np.abs(p).sum(axis=(1, 2))
             + lam * _graph_cost(p, gathered[v], wp[v], graph)
         )
@@ -421,7 +423,7 @@ class _Batch:
         fit's slices of the stacks have a lone fit's layouts, which the bits
         of X P^T and of the cost's sums follow): codes C-ordered from
         initialize and F-ordered after a sweep, and the consensus F-ordered,
-        as the (B, n, c) accumulation leaves it. k-means reads the consensus
+        as the (n, B, c) accumulation leaves it. k-means reads the consensus
         transposed, as C-ordered points, which is then no copy."""
         return SolverState(
             bases=tuple(u[j].copy(order="K") for u in self.bases),
@@ -485,7 +487,8 @@ def fit(
         xx = [np.einsum("ij,ij->", x, x) for x in xs]
         bases = tuple(np.stack(u) for u in zip(*(s.bases for s in inits)))
         codes = tuple(np.stack(p) for p in zip(*(s.codes for s in inits)))
-        consensus = np.zeros((len(cfgs), ds.n, cfgs[0].n_components)).swapaxes(1, 2)
+        # in the layout update_consensus returns
+        consensus = np.zeros((ds.n, len(cfgs), cfgs[0].n_components)).transpose(1, 2, 0)
         weights = np.stack([s.weights for s in inits])
         xtu = [x.T @ u for x, u in zip(xs, bases)]
         gathered = [_gather(consensus, ids) for ids in ds.availability]
