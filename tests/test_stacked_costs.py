@@ -19,8 +19,7 @@ import imvc.solver
 from imvc.solver import SolverConfig, _dots, fit
 
 from synthetic import per_fit_view_costs, random_problem
-
-README_GRID = list(itertools.product((0.1, 1.0, 10.0), (1e-4, 1e-3, 1e-2), (1.5, 2.0, 5.0)))
+from test_certificates import README_GRID
 
 
 def fit_comparing_costs(monkeypatch, ds, graphs, cfgs):
