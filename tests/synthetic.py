@@ -157,8 +157,8 @@ def random_state(ds, c, seed, zero=False):
     )
 
 
-# The cost as fit took it before its sums were stacked: one fit at a time,
-# each sum on that fit's own arrays. The stacked view_costs must give these
+# The per-fit cost: one fit at a time, each sum on that fit's own arrays.
+# It is the reference for view_costs, whose stacked sums must give these
 # bytes for every fit of any batch.
 
 

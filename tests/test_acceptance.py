@@ -220,10 +220,11 @@ def test_criterion_02_update_rule_oracles():
 def model6_objective(ds, state, lam, beta, r):
     """The no-graph model's cost: reconstruction + l1 + consensus tie.
 
-    The reconstruction term is the library's own expansion, taken fit by fit
-    (checked against the residual form in test_reference.py, and the library's
-    stacked sums against it in test_stacked_costs.py), so the bitwise
-    comparison isolates what this criterion is about: the gamma=0 graph term.
+    The reconstruction term is the library's expansion, taken fit by fit
+    (checked against the residual form in test_reference.py, and the
+    library's stacked sums against it in test_stacked_costs.py), so the
+    bitwise comparison isolates what this criterion is about: the gamma=0
+    graph term.
     """
     total = 0.0
     for view, ids, u, p, a in zip(

@@ -343,8 +343,9 @@ def test_fused_graph_reads_degree_and_identity_off_w():
     # degree and identity follow W, so no caller can hand in ones that disagree
     assert np.array_equal(g.degree, [1.5, 1.5]) and not g.is_identity
     # _graph_cost takes (B, ...) stacks: here a batch of one
-    assert _graph_cost(p[None], q[None], (g.w @ p.T)[None], g).tolist() == [7.5]
-    assert 7.5 == np.vdot(w, (p.T - q) ** 2)
-    assert _graph_cost(p[None], q[None], None, FusedGraph(view_id=4, w=np.eye(2))).tolist() == [5.0]
+    wp = (g.w @ p.T)[None]
+    assert _graph_cost(p[None], q[None], wp, g).tolist() == [7.5] == [np.vdot(w, (p.T - q) ** 2)]
+    eye = FusedGraph(view_id=4, w=np.eye(2))
+    assert _graph_cost(p[None], q[None], None, eye).tolist() == [5.0]
     with pytest.raises(TypeError):
         FusedGraph(view_id=4, w=w, degree=np.ones(2))
