@@ -11,8 +11,10 @@ the number of workers or of usable CPUs.
 
 The mask depends only on (rate, repeat) and the graphs only on the mask and
 k, so run_experiment groups the rows by (rate, repeat, k) as it makes them
-and runs the groups in sorted order, each in strided chunks; each chunk
-builds the group's mask and graphs and runs its fits as one solver.fit call.
+and runs the groups in sorted order, each in strided chunks of at most 16
+trials; each chunk builds the group's mask and graphs and runs its fits as
+one solver.fit call. The group alone fixes its chunks, so a trial's batch is
+the same whatever the number of workers.
 The output columns are the fields of TrialOutcome (trials.csv) and RunRecord
 (aggregate.csv) in order, less the in-memory ones; each ablation is the one
 model switch in _VARIANTS that it turns off.
@@ -75,6 +77,8 @@ DEFAULT_LAM_GRID = (0.001, 0.1, 10.0)
 DEFAULT_BETA_GRID = (1e-05, 0.001, 0.1)
 DEFAULT_R_GRID = (2.0, 5.0, 9.0)
 DEFAULT_KNN_GRID = (5,)
+# the most trials in one chunk, and so in one lockstep batch (run_experiment)
+_CHUNK_TRIALS = 16
 
 
 def _integer(key: str, value) -> int:
@@ -629,20 +633,21 @@ def run_experiment(
     and no limit on k).
 
     Trials run group by group, in sorted (rate, repeat, k) order. Each
-    group's trials are dealt into min(workers, trials) strided chunks (chunk
-    j holds rows j, j + workers, ...), and each chunk is one job,
-    _run_trial(base, cfg, keep_states, chunk), that builds the group's mask
-    and graphs and runs its fits in lockstep as one fit call. The data files
-    are read in this process first (load_base). With workers > 1 the chunks
-    go, in group order, one at a time to min(workers, chunks) forked worker
-    processes (in_workers): a run forks once, whatever its input format.
-    One worker, one trial, no fork or a daemon process runs them in this
-    process. Each chunk runs on its process's share of the CPUs as threads
-    (cpu_share, _run_trial), and the load and every chunk at one OpenBLAS
-    thread, set here before any worker forks and put back after. A group's
-    build is deterministic, a fit in a batch gives what it gives alone, no
-    stage's bits depend on its threads, and rows are put back by id, so the
-    output depends neither on workers nor on the number of usable CPUs.
+    group's trials are dealt into C = ceil(trials / _CHUNK_TRIALS) strided
+    chunks (chunk j holds rows j, j + C, ...), whatever workers is, and each
+    chunk is one job, _run_trial(base, cfg, keep_states, chunk), that builds
+    the group's mask and graphs and runs its fits in lockstep as one fit
+    call. The data files are read in this process first (load_base). With
+    workers > 1 the chunks go, in group order, one at a time to
+    min(workers, chunks) forked worker processes (in_workers): a run forks
+    once, whatever its input format. One worker, one chunk, no fork or a
+    daemon process runs them in this process. Each chunk runs on its
+    process's share of the CPUs as threads (cpu_share, _run_trial), and the
+    load and every chunk at one OpenBLAS thread, set here before any worker
+    forks and put back after. A group's build is deterministic, its chunks
+    do not depend on workers, no stage's bits depend on its threads, and
+    rows are put back by id, so the output depends neither on workers nor
+    on the number of usable CPUs, on any BLAS kernel.
     """
     if ablation is not None and ablation not in ABLATIONS:
         raise ValueError(f"unknown ablation {ablation!r}; expected one of {ABLATIONS}")
@@ -677,11 +682,10 @@ def run_experiment(
                     )
                 )
 
-    chunk_ids = [
-        ids[j::workers]
-        for _, ids in sorted(groups.items())
-        for j in range(min(workers, len(ids)))
-    ]
+    chunk_ids = []
+    for _, ids in sorted(groups.items()):
+        parts = math.ceil(len(ids) / _CHUNK_TRIALS)
+        chunk_ids += [ids[j::parts] for j in range(parts)]
     chunks = [[pending[i] for i in ids] for ids in chunk_ids]
     threads = cpu_share(workers, len(chunks))
     with one_blas_thread():

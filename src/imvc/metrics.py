@@ -4,9 +4,11 @@ evaluate_clustering runs restarted Lloyd iterations with k-means++ seeding on
 the columns of the representation and scores the best restart's labels. The
 restarts run in lockstep, one stacked distance computation per Lloyd step,
 and give the same labels and inertia, bit for bit, as running them one at a
-time. accuracy uses the optimal one-to-one cluster-to-class assignment, nmi
-normalizes mutual information by the geometric mean of the two entropies,
-and purity is the majority-class fraction per predicted cluster.
+time. accuracy uses the optimal one-to-one cluster-to-class assignment (the
+Kuhn-Munkres map), which it takes from scipy.sparse.csgraph's bipartite
+matching rather than from scipy.optimize, a large import for one small
+table. nmi normalizes mutual information by the geometric mean of the two
+entropies, and purity is the majority-class fraction per predicted cluster.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from functools import partial
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.optimize import linear_sum_assignment
+from scipy.sparse.csgraph import min_weight_full_bipartite_matching
 from scipy.spatial.distance import cdist
 
 from .dataset import thread_map
@@ -50,10 +52,18 @@ def _contingency(t: np.ndarray, p: np.ndarray) -> np.ndarray:
 
 
 def accuracy(true_labels, predicted) -> float:
-    """Fraction correct under the best one-to-one cluster-to-class map."""
+    """Fraction correct under the best one-to-one cluster-to-class map.
+
+    The map is the heaviest full matching of the class-cluster graph whose
+    edge weights are the contingency counts plus 1: every pair is an edge of
+    positive weight, so every full matching has min(classes, clusters)
+    edges and weighs that many more than its pairs' counts. The heaviest
+    one is therefore an optimal assignment of the table, and the count it
+    gives is the assignment's value.
+    """
     t, p = _check_labels(true_labels, predicted)
     table = _contingency(t, p)
-    rows, cols = linear_sum_assignment(table, maximize=True)
+    rows, cols = min_weight_full_bipartite_matching(sp.csr_array(table + 1), maximize=True)
     return int(table[rows, cols].sum()) / t.size
 
 

@@ -48,7 +48,10 @@ C order: U^T X as its own GEMM sums in another order on some BLAS kernels.
 ||X||^2 is computed once per batch, and the cost's W P^T is carried into
 the next consensus update. (OpenBLAS's generic kernel is the known
 exception to the contract: its ddot sums in an order that depends on a
-vector's 16-byte alignment, which a fit's slice of a stack need not have.)
+vector's 16-byte alignment, which a fit's slice of a stack need not have,
+so there a fit's bits depend on the batch it runs in. A batch's bits may
+depend on the kernel; its membership does not: the harness deals each
+group into chunks that the group alone fixes.)
 
 Samples are addressed through each view's availability ids (ds.availability):
 Q gathered to view v is Q[:, ids_v], and the consensus solve scatters back

@@ -239,18 +239,20 @@ def test_sweep_builds_mask_and_graphs_once_per_chunk(data_dir, tmp_path, monkeyp
         return build(*args, **kwargs)
 
     monkeypatch.setattr(imvc.harness, "build_fused_graphs", counted)
-    solver = {"lam": [0.5, 2.0], "beta": [0.001], "r": [2.0, 3.0], "k": [3, 5], "max_iter": 20}
+    lam = [0.1, 0.2, 0.5, 1.0, 2.0, 5.0, 10.0, 20.0, 50.0]
+    solver = {"lam": lam, "beta": [0.001], "r": [2.0, 3.0], "k": [3, 5], "max_iter": 20}
     outputs = []
     for workers in (1, 2, 3):
         log.write_text("")
         out = tmp_path / f"workers{workers}"
-        cfg = make_config(paths, out, mask={"rates": [0.2, 0.4], "repeats": 2}, solver=solver)
+        cfg = make_config(paths, out, mask={"rates": [0.2, 0.4], "repeats": 1}, solver=solver)
         write_results(run_experiment(cfg, workers=workers), cfg.output_dir, cfg)
         builds = len(log.read_text().split())
-        # 8 (rate, repeat, k) groups of 4 trials for the sweep's 32: each
-        # group splits into min(workers, 4) chunks, and each chunk builds once
+        # 4 (rate, repeat, k) groups of 18 trials for the sweep's 72: each
+        # group splits into ceil(18 / 16) = 2 chunks at any workers, and
+        # each chunk builds once
         groups = len(cfg.rates) * cfg.repeats * len(cfg.knn_grid)
-        assert builds == groups * min(workers, 4)
+        assert builds == groups * 2
         outputs.append([(out / name).read_bytes() for name in ("trials.csv", "aggregate.csv")])
     assert outputs[0] == outputs[1] == outputs[2]
 
@@ -267,15 +269,23 @@ def test_sweep_deals_each_group_into_strided_chunks(data_dir, tmp_path, monkeypa
         return real(*args)
 
     monkeypatch.setattr(imvc.harness, "_run_trial", logged)
-    lam = [0.1, 0.2, 0.5, 1.0, 2.0, 5.0, 10.0]  # one group of 7 trials, in rows g000-g006
+    # one group of 33 trials, in rows g000-g032, and one of 16, in g000-g015
+    lam = [0.1 * 1.5**i for i in range(33)]
     solver = {"lam": lam, "beta": [0.001], "r": [3.0], "k": [5], "max_iter": 20}
-    cfg = make_config(paths, tmp_path / "out", mask={"repeats": 1}, solver=solver)
-    run_experiment(cfg, workers=3)
-    chunks = {
-        frozenset(int(run_id.split("-")[1][1:]) for run_id in line.split())
-        for line in log.read_text().splitlines()
-    }
-    assert chunks == {frozenset({0, 3, 6}), frozenset({1, 4}), frozenset({2, 5})}
+    for trials, want in (
+        (33, {frozenset(range(j, 33, 3)) for j in range(3)}),  # ceil(33 / 16) = 3
+        (16, {frozenset(range(16))}),
+    ):
+        solver["lam"] = lam[:trials]
+        cfg = make_config(paths, tmp_path / "out", mask={"repeats": 1}, solver=solver)
+        for workers in (1, 2, 3):
+            log.write_text("")
+            run_experiment(cfg, workers=workers)
+            chunks = {
+                frozenset(int(run_id.split("-")[1][1:]) for run_id in line.split())
+                for line in log.read_text().splitlines()
+            }
+            assert chunks == want
 
 
 def test_sweep_runs_groups_in_sorted_order(data_dir, tmp_path, monkeypatch):
@@ -457,7 +467,7 @@ def _log_blas_threads(monkeypatch, module, name, log):
 
 
 def test_workers_take_their_share_of_blas_threads(tmp_path, monkeypatch):
-    # the 3 chunks of one group of 3 trials, each in one of 3 forked workers
+    # the 3 chunks of 3 one-trial groups, each in one of 3 forked workers
     # on 3 usable CPUs (the CSV files are read in the calling process): every
     # worker inherits the sweep's one OpenBLAS thread and, on a share of 1
     # CPU, runs no thread but its own; one that set the count itself would
@@ -472,8 +482,8 @@ def test_workers_take_their_share_of_blas_threads(tmp_path, monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
     log = tmp_path / "threads.log"
     _log_blas_threads(monkeypatch, imvc.harness, "_run_trial", log)
-    solver = {"lam": [0.5, 1.0, 2.0], "beta": [0.001], "r": [3.0], "k": [5], "max_iter": 20}
-    cfg = make_config(paths, tmp_path / "out", mask={"repeats": 1}, solver=solver)
+    solver = {"lam": [1.0], "beta": [0.001], "r": [3.0], "k": [5], "max_iter": 20}
+    cfg = make_config(paths, tmp_path / "out", mask={"repeats": 3}, solver=solver)
     run_experiment(cfg, workers=3)
     workers = [line.split() for line in log.read_text().splitlines()]
     assert len({pid for pid, _, _ in workers}) == 3  # one chunk per sweep worker

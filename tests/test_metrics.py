@@ -1,13 +1,22 @@
 import itertools
 import math
+import os
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from scipy.optimize import linear_sum_assignment
 
 import imvc.metrics
 from imvc import accuracy, evaluate_clustering, nmi, purity
 from imvc.metrics import _best_kmeans
+
+from test_graph_properties import examples
 
 
 def exhaustive_accuracy(t, p):
@@ -85,6 +94,41 @@ def test_accuracy_handles_unequal_cluster_counts():
     t = [0, 0, 1, 1, 2, 2]
     p = [0, 0, 0, 1, 1, 1]  # fewer predicted clusters than classes
     assert accuracy(t, p) == exhaustive_accuracy(t, p) == 4 / 6
+
+
+@st.composite
+def label_pairs(draw):
+    """Class and cluster labels with up to 12 values each, square or
+    rectangular tables, and label values below the largest left unused."""
+    n = draw(st.integers(1, 60))
+    classes, clusters = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    t = draw(st.lists(st.integers(0, classes - 1), min_size=n, max_size=n))
+    p = draw(st.lists(st.integers(0, clusters - 1), min_size=n, max_size=n))
+    return np.array(t), np.array(p)
+
+
+@examples(300)
+@given(label_pairs())
+def test_accuracy_is_the_optimal_assignments_value(labels):
+    t, p = labels
+    table = np.zeros((t.max() + 1, p.max() + 1), dtype=np.int64)
+    np.add.at(table, (t, p), 1)
+    rows, cols = linear_sum_assignment(table, maximize=True)
+    assert accuracy(t, p) == int(table[rows, cols].sum()) / t.size
+
+
+def test_importing_imvc_leaves_scipy_optimize_out():
+    # accuracy's map comes from scipy.sparse.csgraph: no imvc module pulls in
+    # scipy.optimize, which only this test file imports
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys, imvc, imvc.cli; print('scipy.optimize' in sys.modules)"],
+        env={**os.environ, "PYTHONPATH": str(Path(imvc.metrics.__file__).parents[1])},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "False\n"
 
 
 def test_accuracy_rejects_mismatched_lengths():
