@@ -2,7 +2,7 @@
 seeded Handwritten-shaped data of perfbench/synth.py (30% of views missing):
 
     python3 scripts/scale_runs.py trial --n 50000 --seed 1
-    python3 scripts/scale_runs.py group --n 2000 --seed 1
+    python3 scripts/scale_runs.py group --n 2000 --seed 1 [--workers 2]
 
 `trial` runs the calls of one harness trial in this process, as `imvc run
 --workers 1` runs them: the mask, the fused graphs, one fit (5 sweeps at tol
@@ -14,10 +14,10 @@ each solver block's seconds per iteration from that fit (`iter_blocks_s`):
 the per-view blocks' seconds are summed over the threads that ran them.
 `group` writes the data and a config for one README grid group (27 (lam,
 beta, r) points, max_iter 300, tol 1e-6) and runs it as `imvc run
---workers 2` does. It reports the data files' round trip on its
-own: `save_s` for `imvc.save_dataset` and `load_s` for one
-`imvc.load_dataset` of the .npy files it writes, the call the sweep starts
-with, and `load_csv_s` for one `imvc.load_dataset` of the same arrays
+--workers W` does, W being its `--workers` (default 2). It reports the data
+files' round trip on its own: `save_s` for `imvc.save_dataset` and `load_s`
+for one `imvc.load_dataset` of the .npy files it writes, the call the sweep
+starts with, and `load_csv_s` for one `imvc.load_dataset` of the same arrays
 written as CSV (savetxt, %.17e).
 
 Run from the repository root; the package is imported from ./src. Each
@@ -108,7 +108,7 @@ def trial(n: int, seed: int) -> dict:
     }
 
 
-def group(n: int, seed: int) -> dict:
+def group(n: int, seed: int, workers: int = 2) -> dict:
     full = _dataset(n, seed, noise=1.0)
     with tempfile.TemporaryDirectory() as tmp:
         start = time.perf_counter()
@@ -138,12 +138,13 @@ def group(n: int, seed: int) -> dict:
         }
         cfg = imvc.ExperimentConfig.from_dict(config)
         start = time.perf_counter()
-        records = imvc.run_experiment(cfg, workers=2)
+        records = imvc.run_experiment(cfg, workers=workers)
         sweep_s = time.perf_counter() - start
         written = imvc.write_results(records, cfg.output_dir, cfg)
         digest = hashlib.sha256(Path(written["trials"]).read_bytes()).hexdigest()
     trials = [t for r in records for t in r.trials]
     return {
+        "workers": workers,
         "save_s": save_s,
         "load_s": load_s,
         "load_csv_s": load_csv_s,
@@ -160,8 +161,12 @@ def main(argv=None) -> int:
     parser.add_argument("what", choices=("trial", "group"))
     parser.add_argument("--n", type=int, required=True)
     parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--workers", type=int, default=2, help="group: sweep worker processes")
     args = parser.parse_args(argv)
-    result = (trial if args.what == "trial" else group)(args.n, args.seed)
+    if args.what == "trial":
+        result = trial(args.n, args.seed)
+    else:
+        result = group(args.n, args.seed, args.workers)
     peak = {
         "peak_rss_self_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
         "peak_rss_children_mb": resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024.0,

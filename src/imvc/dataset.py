@@ -51,6 +51,13 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _frozen(a: np.ndarray) -> np.ndarray:
+    """a, made read-only in place (C-ordered first if it is not)."""
+    a = np.ascontiguousarray(a)
+    a.flags.writeable = False
+    return a
+
+
 def _matrix(view_id: int, data: np.ndarray) -> np.ndarray:
     """data, if it is a 2-D matrix with at least one row and one column."""
     if data.ndim != 2 or data.shape[0] < 1 or data.shape[1] < 1:
@@ -83,8 +90,7 @@ class ViewMatrix:
         just made and hands over: it is made read-only in place (C-ordered
         first if it is not), neither copied nor checked for finiteness again.
         A caller's array goes through the constructor, which copies it."""
-        data = np.ascontiguousarray(_matrix(view_id, data), dtype=np.float64)
-        data.flags.writeable = False
+        data = _frozen(np.asarray(_matrix(view_id, data), dtype=np.float64))
         view = object.__new__(cls)
         object.__setattr__(view, "view_id", view_id)
         object.__setattr__(view, "data", data)
@@ -117,6 +123,23 @@ class MultiViewDataset:
     labels: Optional[np.ndarray] = None
 
     def __post_init__(self):
+        self._settle(_readonly)
+
+    @classmethod
+    def _own(cls, views, n, availability, labels=None) -> "MultiViewDataset":
+        """The dataset of id and label arrays that the library has just made
+        and hands over: every check runs, and the arrays are made read-only
+        in place rather than copied. A caller's arrays go through the
+        constructor, which copies them."""
+        ds = object.__new__(cls)
+        fields = {"views": views, "n": n, "availability": availability, "labels": labels}
+        for name, value in fields.items():
+            object.__setattr__(ds, name, value)
+        ds._settle(_frozen)
+        return ds
+
+    def _settle(self, keep: Callable[[np.ndarray], np.ndarray]) -> None:
+        """Check the fields and store each id and label array as keep makes it."""
         views = tuple(self.views)
         if not views:
             raise ValueError("dataset needs at least one view")
@@ -142,7 +165,7 @@ class MultiViewDataset:
                     f"view {view.view_id}: availability ids must be strictly increasing"
                 )
             covered[ids] = True
-            avail.append(_readonly(ids))
+            avail.append(keep(ids))
         if not covered.all():
             missing = int(np.flatnonzero(~covered)[0])
             raise ValueError(
@@ -156,7 +179,7 @@ class MultiViewDataset:
                 raise ValueError(f"labels must have length n={self.n}")
             if labels.min() < 0:
                 raise ValueError("labels must be non-negative")
-            labels = _readonly(labels)
+            labels = keep(labels)
         object.__setattr__(self, "views", views)
         object.__setattr__(self, "availability", tuple(avail))
         object.__setattr__(self, "labels", labels)
@@ -205,9 +228,7 @@ def _subset_dataset(full: MultiViewDataset, kept: list[np.ndarray]) -> MultiView
         ViewMatrix._own(v.view_id, np.take(v.data, ids, axis=1))
         for v, ids in zip(full.views, kept)
     )
-    return MultiViewDataset(
-        views=views, n=full.n, availability=tuple(kept), labels=full.labels
-    )
+    return MultiViewDataset._own(views, full.n, tuple(kept), full.labels)
 
 
 def _draw_random_missing(n: int, n_views: int, rate: float, rng: np.random.Generator) -> list[np.ndarray]:
@@ -439,7 +460,7 @@ def load_dataset(
         raise ValueError(
             f"label file has {labels.size} entries but the dataset has {n} samples"
         )
-    return MultiViewDataset(views=views, n=n, availability=tuple(avail), labels=labels)
+    return MultiViewDataset._own(views, n, tuple(avail), labels)
 
 
 def save_dataset(ds: MultiViewDataset, directory: str | Path) -> dict:

@@ -5,10 +5,11 @@ the columns of the representation and scores the best restart's labels. The
 restarts run in lockstep, one stacked distance computation per Lloyd step,
 and give the same labels and inertia, bit for bit, as running them one at a
 time. accuracy uses the optimal one-to-one cluster-to-class assignment (the
-Kuhn-Munkres map), which it takes from scipy.sparse.csgraph's bipartite
-matching rather than from scipy.optimize, a large import for one small
-table. nmi normalizes mutual information by the geometric mean of the two
-entropies, and purity is the majority-class fraction per predicted cluster.
+Kuhn-Munkres map): this module's own Hungarian method finds its value on the
+class-by-cluster contingency table in integer arithmetic, so scoring needs
+none of scipy's graph or optimization code. nmi normalizes mutual information
+by the geometric mean of the two entropies, and purity is the majority-class
+fraction per predicted cluster.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from functools import partial
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.csgraph import min_weight_full_bipartite_matching
 from scipy.spatial.distance import cdist
 
 from .dataset import thread_map
@@ -51,20 +51,65 @@ def _contingency(t: np.ndarray, p: np.ndarray) -> np.ndarray:
     return table
 
 
+def _assignment_value(table: np.ndarray) -> int:
+    """The largest sum of counts over a one-to-one pairing of the rows and
+    columns of a non-negative integer table.
+
+    The Hungarian method (Kuhn 1955) in its shortest augmenting path form
+    minimizes the negated counts on the table padded with zeros to a square:
+    a padded row or column pairs with zero weight, so the square's optimum is
+    the table's. Row i joins the matching along the shortest path of reduced
+    costs from it to a free column; the row and column potentials keep every
+    reduced cost non-negative and every matched pair's at zero, so each
+    partial matching is a cheapest one of its rows, and the full one is
+    optimal. All arithmetic is on int64 counts and potentials, hence exact.
+    """
+    size = max(table.shape)
+    # index 0 is a virtual column, where each new row's path starts
+    cost = np.zeros((size + 1, size + 1), dtype=np.int64)
+    cost[1 : table.shape[0] + 1, 1 : table.shape[1] + 1] = -table
+    u = np.zeros(size + 1, dtype=np.int64)  # row potentials
+    v = np.zeros(size + 1, dtype=np.int64)  # column potentials
+    row_of = np.zeros(size + 1, dtype=np.int64)  # the row matched to each column, 0 for none
+    way = np.zeros(size + 1, dtype=np.int64)  # each column's predecessor on its path
+    for i in range(1, size + 1):
+        row_of[0] = i
+        col = 0
+        slack = np.full(size + 1, np.iinfo(np.int64).max)
+        seen = np.zeros(size + 1, dtype=bool)
+        while row_of[col]:
+            seen[col] = True
+            row = row_of[col]
+            free = ~seen
+            reduced = cost[row] - u[row] - v
+            closer = free & (reduced < slack)
+            slack[closer] = reduced[closer]
+            way[closer] = col
+            nxt = np.flatnonzero(free)[np.argmin(slack[free])]
+            delta = slack[nxt]
+            u[row_of[seen]] += delta
+            v[seen] -= delta
+            slack[free] -= delta
+            col = nxt
+        while col:  # flip the matching along the path back to the virtual column
+            prev = way[col]
+            row_of[col] = row_of[prev]
+            col = prev
+    return int(-cost[row_of[1:], np.arange(1, size + 1)].sum())
+
+
 def accuracy(true_labels, predicted) -> float:
     """Fraction correct under the best one-to-one cluster-to-class map.
 
-    The map is the heaviest full matching of the class-cluster graph whose
-    edge weights are the contingency counts plus 1: every pair is an edge of
-    positive weight, so every full matching has min(classes, clusters)
-    edges and weighs that many more than its pairs' counts. The heaviest
-    one is therefore an optimal assignment of the table, and the count it
-    gives is the assignment's value.
+    A one-to-one map of clusters to classes labels a sample correctly when
+    its cluster maps to its class, so the count it gets right is the sum of
+    the contingency counts of its (class, cluster) pairs. The best map's
+    count is therefore the optimal assignment's value of the table, which
+    _assignment_value computes exactly; accuracy divides it by the sample
+    count.
     """
     t, p = _check_labels(true_labels, predicted)
-    table = _contingency(t, p)
-    rows, cols = min_weight_full_bipartite_matching(sp.csr_array(table + 1), maximize=True)
-    return int(table[rows, cols].sum()) / t.size
+    return _assignment_value(_contingency(t, p)) / t.size
 
 
 def nmi(true_labels, predicted) -> float:
