@@ -321,24 +321,21 @@ def apply_mask(full: MultiViewDataset, spec: MaskSpec) -> MultiViewDataset:
 @contextmanager
 def thread_map(threads: int):
     """A map over this thread and up to `threads` - 1 helper threads, as the
-    with block's target: the built-in map for fewer than 2 threads. A call
-    starts no more helpers than it has items beyond the first, and the
-    helpers are joined when the block ends. Each call hands its items out in
-    turn to whichever thread is free, runs them all, and returns the list of
-    results in item order, or raises the first error in item order, as the
-    built-in map would meet it. Each item runs in a copy of the context the
-    map is called in, so np.errstate holds in the helpers too. The calling
-    thread takes items as well, rather than wait: each helper's malloc
-    arena and OpenBLAS buffer add to the peak RSS.
+    with block's target; at one thread the calling thread runs every item
+    and no helper starts. A call starts no more helpers than it has items
+    beyond the first, and the helpers are joined when the block ends. Each
+    call hands its items out in turn to whichever thread is free, runs them
+    all, and returns the list of results in item order, or raises the first
+    error in item order once every item has run. Each item runs in a copy
+    of the context the map is called in, so np.errstate holds in the
+    helpers too. The calling thread takes items as well, rather than wait:
+    each helper's malloc arena and OpenBLAS buffer add to the peak RSS.
 
     Its callers run numpy work that releases the GIL. At one OpenBLAS thread
     (harness.one_blas_thread) each item gives the bits that it gives alone;
     at more, a product's bits could depend on the products run beside it.
     """
-    if threads < 2:
-        yield map
-        return
-    with ThreadPoolExecutor(threads - 1) as helpers:
+    with ThreadPoolExecutor(max(threads - 1, 1)) as helpers:
         yield partial(_shared_map, helpers, threads - 1)
 
 

@@ -256,7 +256,7 @@ def _best_kmeans(
     parts = np.array_split(np.arange(restarts), min(threads, restarts))
     lloyd = partial(_lloyd, pts, k, max_iter=max_iter)
     with thread_map(len(parts)) as each:
-        runs = list(each(lloyd, [children[p[0] : p[-1] + 1] for p in parts]))
+        runs = each(lloyd, [children[p[0] : p[-1] + 1] for p in parts])
     labels = np.concatenate([part for part, _ in runs])
     inertia = np.concatenate([part for _, part in runs])
     best = int(np.argmin(inertia))  # the first restart with the smallest inertia

@@ -309,56 +309,52 @@ def _graph_cost(
 
 
 def view_costs(
-    xx: Sequence[float],
-    xtu: Sequence[np.ndarray],
-    bases: Sequence[np.ndarray],
-    codes: Sequence[np.ndarray],
-    gathered: Sequence[np.ndarray],
-    wp: Sequence[np.ndarray],
-    graphs: Sequence[FusedGraph],
+    xx: float,
+    xtu: np.ndarray,
+    u: np.ndarray,
+    p: np.ndarray,
+    gathered: np.ndarray,
+    wp: np.ndarray,
+    graph: FusedGraph,
     lam: np.ndarray,
     beta: np.ndarray,
 ) -> np.ndarray:
-    """Per-view costs e_v = reconstruction + beta * l1 + lam * graph term of
-    B fits, as a (B, l) array.
+    """One view's cost e_v = reconstruction + beta * l1 + lam * graph term
+    for each of B fits, as a (B,) array.
 
-    Per view v: xx[v] = ||X||^2; the (B, ...) stacks xtu[v] = X^T U,
-    bases[v], codes[v], gathered[v] = Q[:, ids] and wp[v] = W P^T. The
-    reconstruction is ||X||^2 - 2 <U^T X, P> + <(U^T U) P, P>, for any U.
-    Each sum is one call per view over the stacks, and each fit's share of
-    it has the bits of the same sum over that fit alone: the dots go through
-    _dots, U^T U and (U^T U) P are batched matmuls (one GEMM per fit), and
-    sum |P|, the identity graph's sum of squares and the column einsums
-    reduce each fit's block in its own memory order, the one it has alone
-    (codes are C-ordered after initialize and F-ordered after a sweep).
+    xx = ||X||^2, and xtu = X^T U, u, p, gathered = Q[:, ids] and wp = W P^T
+    are the (B, ...) stacks of the fits' arrays. The reconstruction is
+    ||X||^2 - 2 <U^T X, P> + <(U^T U) P, P>, for any U. Each sum is one call
+    over the stacks, and each fit's share of it has the bits of the same sum
+    over that fit alone: the dots go through _dots, U^T U and (U^T U) P are
+    batched matmuls (one GEMM per fit), and sum |P|, the identity graph's sum
+    of squares and the column einsums reduce each fit's block in its own
+    memory order, the one it has alone (codes are C-ordered after initialize
+    and F-ordered after a sweep).
 
     ||X||^2 is an einsum rather than a BLAS dot because the two sum in
     different orders and can differ in the last bit; the einsum's sums are
     the ones every recorded trials.csv rests on.
     """
-    costs = np.empty((len(lam), len(graphs)))
-    for v, (u, p, graph) in enumerate(zip(bases, codes, graphs)):
-        flat = np.ascontiguousarray(p)  # the ravel both dots take
-        costs[:, v] = (
-            xx[v]
-            - 2.0 * _dots(xtu[v].swapaxes(1, 2), flat)
-            + _dots((u.swapaxes(1, 2) @ u) @ p, flat)
-            + beta * np.abs(p).sum(axis=(1, 2))
-            + lam * _graph_cost(p, gathered[v], wp[v], graph)
-        )
-    return costs
+    flat = np.ascontiguousarray(p)  # the ravel both dots take
+    return (
+        xx
+        - 2.0 * _dots(xtu.swapaxes(1, 2), flat)
+        + _dots((u.swapaxes(1, 2) @ u) @ p, flat)
+        + beta * np.abs(p).sum(axis=(1, 2))
+        + lam * _graph_cost(p, gathered, wp, graph)
+    )
 
 
 def _sweep_view(x, xx, codes, ids, graph, consensus, lam, beta) -> tuple:
     """One view's part of a sweep once the consensus is updated, which needs
-    no other view: its bases and their {row: error}, its codes, W P^T and its
-    column of the (B, l) costs."""
+    no other view: its bases, their {row: error}, codes, W P^T and costs."""
     bases, failed = update_basis(x, codes)
     gathered = _gather(consensus, ids)
     codes, xtu = update_codes(x, bases, gathered, graph, lam, beta)
     wp = _times_w(graph, codes)
-    costs = view_costs([xx], [xtu], [bases], [codes], [gathered], [wp], [graph], lam, beta)
-    return bases, failed, codes, wp, costs[:, 0]
+    costs = view_costs(xx, xtu, bases, codes, gathered, wp, graph, lam, beta)
+    return bases, failed, codes, wp, costs
 
 
 def _weighted_total(weights: np.ndarray, costs: np.ndarray, r: float) -> float:
@@ -496,7 +492,8 @@ def fit(
         xtu = [x.T @ u for x, u in zip(xs, bases)]
         gathered = [_gather(consensus, ids) for ids in ds.availability]
         wp = tuple(_times_w(graph, p) for graph, p in zip(graphs, codes))
-        costs = view_costs(xx, xtu, bases, codes, gathered, wp, graphs, lam, beta)
+        views = zip(xx, xtu, bases, codes, gathered, wp, graphs)
+        costs = np.column_stack([view_costs(*view, lam, beta) for view in views])
         for i, (cfg, init) in enumerate(zip(cfgs, inits)):
             traces[i].append(_weighted_total(init.weights, costs[i], cfg.r))
             cost_rows[i].append(costs[i])

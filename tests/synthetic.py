@@ -181,7 +181,8 @@ def per_fit_graph_cost(p, gathered, wp, graph):
 
 
 def per_fit_view_costs(xx, xtu, bases, codes, gathered, wp, graphs, lam, beta):
-    """view_costs' (B, l) costs, taken fit by fit and view by view."""
+    """The (B, l) costs that view_costs gives one view at a time, each
+    taken fit by fit."""
     costs = np.empty((len(lam), len(graphs)))
     for v, graph in enumerate(graphs):
         for j in range(len(lam)):
@@ -233,21 +234,14 @@ def lone_costs(ds, graphs, state, cfg):
     state: each variable stacked as a batch of one, the consensus gathered
     by _gather and W P^T from _times_w, whose layouts the cost sums' bits
     follow (a plain consensus[:, ids] is C-ordered, the gather F-ordered)."""
-    xs = [view.data for view in ds.views]
-    bases = [u[None] for u in state.bases]
-    codes = [p[None] for p in state.codes]
-    costs = view_costs(
-        [np.einsum("ij,ij->", x, x) for x in xs],
-        [x.T @ u for x, u in zip(xs, bases)],
-        bases,
-        codes,
-        [_gather(state.consensus[None], ids) for ids in ds.availability],
-        [_times_w(graph, p) for graph, p in zip(graphs, codes)],
-        graphs,
-        np.array([cfg.lam]),
-        np.array([cfg.beta]),
-    )
-    return costs[0]
+    lam, beta, costs = np.array([cfg.lam]), np.array([cfg.beta]), []
+    for view, u, p, ids, graph in zip(ds.views, state.bases, state.codes, ds.availability, graphs):
+        x, u, p = view.data, u[None], p[None]
+        gathered = _gather(state.consensus[None], ids)
+        xx = np.einsum("ij,ij->", x, x)
+        wp = _times_w(graph, p)
+        costs.append(view_costs(xx, x.T @ u, u, p, gathered, wp, graph, lam, beta)[0])
+    return np.array(costs)
 
 
 def lone_objective(ds, graphs, state, cfg):

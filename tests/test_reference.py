@@ -158,6 +158,29 @@ def test_updates_match_dense_normal_equations():
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-14)
 
 
+def test_dense_oracles_hold_at_n_2000():
+    # the oracles above run at n <= 25; here once at the reference trial's
+    # size, where each view keeps about 1500 instances and a dense W is
+    # about 17 MB
+    ds, graphs = random_problem(100, l=2, n=2000, c=3, dims=(20, 40), rate=0.3, k=5)
+    for view in ds.views:
+        assert_graph_matches_reference(view, 5)
+    ws = dense_ws(graphs)
+    state = random_state(ds, 3, seed=1)
+    cfg = SolverConfig(lam=0.8, beta=0.2, r=2.0, n_components=3)
+    want = reference.view_costs(ds, ws, state, lam=0.8, beta=0.2)
+    np.testing.assert_allclose(lone_costs(ds, graphs, state, cfg), want, rtol=1e-12, atol=0)
+
+    weights = np.array([0.4, 0.6])
+    got = lone_consensus(state.codes, graphs, ds.availability, ds.n, weights, r=2.5)
+    want = reference.update_consensus(state.codes, ws, ds.availability, ds.n, weights, r=2.5)
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-14)
+    for view, u, ids, w, graph in zip(ds.views, state.bases, ds.availability, ws, graphs):
+        got = lone_codes(view.data, u, state.consensus, ids, graph, lam=0.7, beta=0.4)
+        want = reference.update_codes(view.data, u, state.consensus, ids, w, 0.7, 0.4)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-14)
+
+
 def test_fit_holds_no_samples_by_instances_array():
     ds, graphs = random_problem(90, l=2, n=6000, c=3, dims=(5, 5), k=5)
     cfg = SolverConfig(lam=1.0, beta=0.01, r=3.0, n_components=3, max_iter=3, tol=0.0)

@@ -28,12 +28,13 @@ def fit_comparing_costs(monkeypatch, ds, graphs, cfgs):
     view_costs = imvc.solver.view_costs
     sizes = []
 
-    def checked(xx, xtu, bases, codes, gathered, wp, *rest):  # looked up by module name
-        got = view_costs(xx, xtu, bases, codes, gathered, wp, *rest)
+    def checked(xx, xtu, u, p, gathered, wp, graph, lam, beta):  # looked up by module name
+        got = view_costs(xx, xtu, u, p, gathered, wp, graph, lam, beta)
         # the per-fit loop had each fit's W P^T C-ordered (np.vdot passes a
         # strided c = 1 column to ddot as it is, and ddot's strided kernel
         # sums in another order); the other stacks have its layouts already
-        want = per_fit_view_costs(xx, xtu, bases, codes, gathered, [m.copy() for m in wp], *rest)
+        views = ([xx], [xtu], [u], [p], [gathered], [wp.copy()], [graph])
+        want = per_fit_view_costs(*views, lam, beta)[:, 0]
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
         sizes.append(len(got))
         return got
@@ -69,8 +70,8 @@ def test_stacked_costs_equal_the_per_fit_loop_after_fits_leave(monkeypatch):
         for m in (3, 1, 6, 2, 6, 4)
     ]
     sizes = fit_comparing_costs(monkeypatch, ds, graphs, cfgs)
-    # the initial scoring of all 6, then 2 views per sweep
-    assert sizes == [6] + [6] * 2 + [5] * 2 + [4] * 2 + [3] * 2 + [2] * 4
+    # the initial scoring of all 6, then each sweep, one call per view
+    assert sizes == [6] * 2 + [6] * 2 + [5] * 2 + [4] * 2 + [3] * 2 + [2] * 4
 
 
 @pytest.mark.parametrize("gamma", [1.0, 0.0])

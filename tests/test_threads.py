@@ -38,6 +38,24 @@ def test_a_thread_map_gives_the_results_and_first_error_in_item_order():
                 list(each(fails, range(7)))
 
 
+def test_a_thread_map_runs_every_item_before_it_raises_the_first_error():
+    # one path at any thread count: at one thread too, the items after a
+    # failing one run before the first error in item order is raised
+    for threads in (1, 2, 3):
+        calls = []
+
+        def fails(i):
+            calls.append(i)
+            if i in (2, 5):
+                raise ValueError(f"item {i}")
+            return i
+
+        with thread_map(threads) as each:
+            with pytest.raises(ValueError, match="item 2"):
+                each(fails, range(7))
+        assert sorted(calls) == list(range(7)), threads
+
+
 def test_a_thread_map_keeps_the_callers_errstate_and_joins_its_threads():
     before = threading.active_count()
     with np.errstate(over="ignore"), thread_map(3) as each:
