@@ -2,14 +2,18 @@
 
 evaluate_clustering runs restarted Lloyd iterations with k-means++ seeding on
 the columns of the representation and scores the best restart's labels. The
-restarts run in lockstep, one stacked distance computation per Lloyd step,
-and give the same labels and inertia, bit for bit, as running them one at a
-time. accuracy uses the optimal one-to-one cluster-to-class assignment (the
-Kuhn-Munkres map): this module's own Hungarian method finds its value on the
-class-by-cluster contingency table in integer arithmetic, so scoring needs
-none of scipy's graph or optimization code. nmi normalizes mutual information
-by the geometric mean of the two entropies, and purity is the majority-class
-fraction per predicted cluster.
+restarts run in lockstep and give the same labels and inertia, bit for bit,
+as running them one at a time with scipy's cdist and argmin. Each Lloyd step
+assigns the points of every running restart with one GEMM over the centred
+points, proven within a slack of cdist's squared distances, and recomputes
+exactly, in cdist's own order of summation (graph._sq_distances), only the
+pairs the screen leaves undecided and the distances that the inertia and the
+empty-cluster repair read. accuracy uses the optimal one-to-one
+cluster-to-class assignment (the Kuhn-Munkres map): this module's own
+Hungarian method finds its value on the class-by-cluster contingency table
+in integer arithmetic. Scoring thus needs nothing of scipy but scipy.sparse.
+nmi normalizes mutual information by the geometric mean of the two
+entropies, and purity is the majority-class fraction per predicted cluster.
 """
 
 from __future__ import annotations
@@ -17,12 +21,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.spatial.distance import cdist
 
 from .dataset import thread_map
+from .graph import _sq_distances
 
 
 @dataclass(frozen=True)
@@ -189,23 +194,154 @@ def _centre_means(pts: np.ndarray, labels: np.ndarray, counts: np.ndarray) -> np
     return (onehot @ pts).reshape(m, k, -1) / counts[:, :, None]
 
 
+class _Points(NamedTuple):
+    """The (n, c) points of one k-means run and what every assignment step
+    reads of them (_centre_points)."""
+
+    raw: np.ndarray
+    origin: np.ndarray  # a point inside their bounding box
+    factor: np.ndarray  # (c + 1, n): -2 (raw - origin), transposed, over a row of ones
+    slack: np.ndarray  # each point's own part of the screen's slack
+    kappa: float  # the slack per unit of a centre's squared norm
+
+
+def _centre_points(pts: np.ndarray) -> _Points:
+    """The points centred on a point inside their bounding box, as the
+    assignment screen of _assign reads them, with the slack that the screen
+    is proven within.
+
+    With u = 2^-53 and gamma_j = j u / (1 - j u) (Higham, Accuracy and
+    Stability of Numerical Algorithms, ch. 3), let y_i and e_l be a point
+    and a centre minus the origin, rounded, n_i = ||y_i||, N_l = ||e_l||,
+    and E_il cdist's squared distance of the two. The screen holds s_il, a
+    dot product of c + 1 terms, -2 e_lf y_if and e_l's computed squared norm
+    times 1:
+    - the norm is within gamma_c N_l^2 of N_l^2, and the dot product within
+      gamma_(c+1) (2 n_i N_l + (1 + gamma_c) N_l^2) of its exact value in
+      any order of summation, so s_il is within gamma_(3c+2) (n_i^2 +
+      N_l^2) of ||y_i - e_l||^2 - n_i^2;
+    - centring moves each coordinate by u of itself, so ||y_i - e_l|| is
+      within (u / (1 - u)) (n_i + N_l) of the exact distance, and its square
+      within gamma_4 (n_i^2 + N_l^2) of the exact squared distance;
+    - cdist's rounding puts E_il within gamma_(c+2) of the exact squared
+      distance, itself at most 2 (1 + gamma_1)^2 (n_i^2 + N_l^2).
+    Summed (gamma_a + gamma_b + gamma_a gamma_b <= gamma_(a+b)), |s_il +
+    n_i^2 - E_il| <= kappa0 (n_i^2 + N_l^2) + 3c 2^-1074, with kappa0 =
+    gamma_(5c+12) and 2^-1074 for each product or square that underflows (a
+    sum or difference that does is exact). If l0 holds the point's least
+    screened value and l* its least E, then s_il* <= E_il* - n_i^2 + err <=
+    E_il0 - n_i^2 + err <= s_il0 + 2 kappa0 (n_i^2 + M) + 6c 2^-1074, where
+    M is the restart's largest N_l^2: l* is within that slack of the least.
+    The slack takes kappa = gamma_(5c+14) for kappa0 and tau = (3c + 1)
+    2^-1074: the two u and the one 2^-1074 to spare cover the rounding and
+    the underflow of the norms, of the slack and of its sum with the least,
+    which is at most 2 (n_i^2 + M) in size. The overflow check of
+    _best_kmeans keeps every value finite.
+    """
+    n, c = pts.shape
+    low = pts.min(axis=0)
+    origin = low + (pts - low).mean(axis=0)  # no sum can overflow
+    centred = pts - origin
+    kappa = (5 * c + 14) * 2.0**-53 / (1 - (5 * c + 14) * 2.0**-53)
+    tau = math.ldexp(3 * c + 1, -1074)
+    slack = 2.0 * kappa * np.einsum("ij,ij->i", centred, centred) + 2.0 * tau
+    factor = np.ones((c + 1, n))
+    np.multiply(centred.T, -2.0, out=factor[:c])
+    return _Points(pts, origin, factor, slack, kappa)
+
+
+def _centre_distances(pts, centres, restart, point, cluster) -> np.ndarray:
+    """The squared distances between pts[point] and centres[restart, cluster],
+    centres being (restarts, k, c): cdist's own arithmetic, bit for bit
+    (graph._sq_distances)."""
+    _, k, c = centres.shape
+    data = np.concatenate((pts.T, centres.reshape(-1, c).T), axis=1)
+    return _sq_distances(data, point, pts.shape[0] + restart * k + cluster)
+
+
+def _repeats(centres: np.ndarray) -> np.ndarray:
+    """(restarts, k) mask of the centres equal to a lower-index centre of
+    their own restart: their distances equal that one's, so an argmin over
+    the restart's centres never picks them."""
+    m, k, c = centres.shape
+    flat = centres.reshape(m * k, c)
+    restart = np.repeat(np.arange(m), k)
+    # by restart, then coordinates, then index: equal centres are adjacent,
+    # the lowest index first
+    order = np.lexsort((np.arange(m * k), *flat.T[::-1], restart))
+    flat, restart = flat[order], restart[order]
+    repeat = np.zeros(m * k, dtype=bool)
+    repeat[order[1:]] = (restart[1:] == restart[:-1]) & (flat[1:] == flat[:-1]).all(axis=1)
+    return repeat.reshape(m, k)
+
+
+def _least(screen: np.ndarray, slack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For each (restart, point) column of a (k, restarts, n) screen: the
+    index of the one value within slack of the column's least, and whether
+    the column has other than one such value."""
+    k = screen.shape[0]
+    near = screen <= screen.min(axis=0) + slack
+    count = np.add.reduce(near, axis=0, dtype=np.min_scalar_type(k))
+    # where count is 1 this sum is that one value's index
+    index = np.arange(k, dtype=np.min_scalar_type(k - 1))[:, None, None]
+    label = np.add.reduce(near * index, axis=0, dtype=index.dtype)
+    return label.astype(np.int64), count != 1
+
+
+def _assign(points: _Points, centres: np.ndarray) -> np.ndarray:
+    """(restarts, n) labels: each point's nearest of its restart's k centres
+    in centres (restarts, k, c), the first among equal distances, as argmin
+    over cdist's squared distances gives.
+
+    One GEMM screens all pairs: with y_i a point and e_l a centre, both
+    centred, s_il = ||e_l||^2 - 2 e_l . y_i is ||y_i - e_l||^2 up to the
+    point's own constant ||y_i||^2. It is laid out (k, restarts, n), so
+    each reduction over a restart's centres runs down the leading axis. A
+    pair's label is its one centre within the slack of _centre_points of
+    its least screened value; a pair with more than one (a near-tie or a
+    duplicate centre) or none (a non-finite value) is recomputed exactly,
+    once the centres that repeat a lower-index one of their restart are
+    left out.
+    """
+    m, k, c = centres.shape
+    # each centre minus the origin, then its squared norm, laid out (k, m)
+    rows = np.empty((k, m, c + 1))
+    np.subtract(centres.transpose(1, 0, 2), points.origin, out=rows[..., :c])
+    np.einsum("...f,...f->...", rows[..., :c], rows[..., :c], out=rows[..., c])
+    screen = (rows.reshape(k * m, c + 1) @ points.factor).reshape(k, m, -1)
+    slack = points.slack + 2.0 * points.kappa * rows[..., c].max(axis=0)[:, None]
+    labels, unsure = _least(screen, slack)
+    if unsure.any():
+        restarts = np.flatnonzero(unsure.any(axis=1))
+        repeats = _repeats(centres[restarts])
+        if repeats.any():
+            part = screen[:, restarts]
+            part[repeats.T] = np.inf
+            labels[restarts], unsure[restarts] = _least(part, slack[restarts])
+        restart, point = np.nonzero(unsure)
+        cluster = np.tile(np.arange(k), point.size)
+        exact = _centre_distances(points.raw, centres, restart.repeat(k), point.repeat(k), cluster)
+        labels[restart, point] = exact.reshape(-1, k).argmin(axis=1)  # the first least
+    return labels
+
+
 def _lloyd(pts: np.ndarray, k: int, children, max_iter: int) -> tuple[np.ndarray, np.ndarray]:
     """The (m, n) labels and the m inertias of the restarts that the m seed
-    sequences `children` seed, run in lockstep."""
-    m, (n, c) = len(children), pts.shape
+    sequences `children` seed, run in lockstep. The points are centred once;
+    each Lloyd step then assigns the points of every running restart at once
+    (_assign), and the distances that the inertia and the empty-cluster
+    repair read are cdist's, bit for bit (_centre_distances)."""
+    m, n = len(children), pts.shape[0]
     centers = np.stack(
         [_kmeans_pp_init(pts, k, np.random.default_rng(child)) for child in children]
     )
+    points = _centre_points(pts)
     labels = np.full((m, n), -1)
     inertia = np.empty(m)
     active = np.arange(m)  # restarts whose Lloyd iterations still run
     rows = np.arange(n)
     for step in range(max_iter + 1):
-        # one cdist over the stacked centres: each pair is computed on its own,
-        # so every restart's distances carry the bits of its own cdist
-        dist = cdist(pts, centers[active].reshape(-1, c), metric="sqeuclidean")
-        dist = dist.reshape(n, active.size, k)
-        new_labels = dist.argmin(axis=2).T
+        new_labels = _assign(points, centers[active])
         counts = np.bincount(
             (new_labels + (np.arange(active.size) * k)[:, None]).ravel(),
             minlength=active.size * k,
@@ -213,15 +349,25 @@ def _lloyd(pts: np.ndarray, k: int, children, max_iter: int) -> tuple[np.ndarray
         empty = (counts == 0).any(axis=1)
         # out of steps, or converged: this assignment is the restart's result
         final = ((new_labels == labels[active]).all(axis=1) & ~empty) | (step == max_iter)
-        for j in np.flatnonzero(final):
-            labels[active[j]] = new_labels[j]
-            inertia[active[j]] = dist[rows, j, new_labels[j]].sum()
-        for j in np.flatnonzero(empty & ~final):
-            # deterministic repair: relocate to the currently worst-fit points,
-            # farthest first and, among equal distances, lowest index first
-            farthest = np.argsort(-dist[rows, j, new_labels[j]], kind="stable")
-            clusters = np.flatnonzero(counts[j] == 0)
-            centers[active[j], clusters] = pts[farthest[: clusters.size]]
+        # each point's distance to its own centre, where a restart ends or
+        # repairs an empty cluster
+        scored = np.flatnonzero(final | empty)
+        if scored.size:
+            cost = _centre_distances(
+                pts, centers[active], np.repeat(scored, n), np.tile(rows, scored.size),
+                new_labels[scored].ravel(),
+            ).reshape(scored.size, n)
+            for j, own in zip(scored, cost):
+                if final[j]:
+                    labels[active[j]] = new_labels[j]
+                    inertia[active[j]] = own.sum()
+                else:
+                    # deterministic repair: relocate to the currently
+                    # worst-fit points, farthest first and, among equal
+                    # distances, lowest index first
+                    farthest = np.argsort(-own, kind="stable")
+                    clusters = np.flatnonzero(counts[j] == 0)
+                    centers[active[j], clusters] = pts[farthest[: clusters.size]]
         moved = ~(empty | final)
         if moved.any():
             labels[active[moved]] = new_labels[moved]
@@ -243,11 +389,26 @@ def _best_kmeans(
     """The labels and inertia of the best of `restarts` seeded k-means runs
     (the first one on a tie). The restarts are split into contiguous parts,
     one per thread (dataset.thread_map), each run in lockstep; a restart's
-    result does not depend on the others in its part."""
+    result does not depend on the others in its part.
+
+    Raises ValueError, before any numpy warning, on a non-finite
+    representation, and on one whose squared distances could overflow:
+    where n times the sum of its features' squared spans, which bounds any
+    sum of n squared distances, passes a quarter of the largest float64."""
     pts = np.ascontiguousarray(representation.T, dtype=np.float64)
     if not np.all(np.isfinite(pts)):
         raise ValueError("representation contains non-finite values")
     n = pts.shape[0]
+    with np.errstate(over="ignore"):
+        spans = pts.max(axis=0) - pts.min(axis=0)
+        span_sq = float(np.sum(spans * spans))  # >= every squared distance
+    # n of them, as k-means++ and the inertia sum, stay finite, with room for
+    # the assignment screen's own terms (_centre_points)
+    if not n * span_sq <= np.finfo(np.float64).max / 4:
+        raise ValueError(
+            f"representation's squared distances overflow float64 (the widest "
+            f"feature spans {spans.max():.3g} over {n} points); rescale it"
+        )
     if not 1 <= k <= n:
         raise ValueError(f"k must satisfy 1 <= k <= n={n}, got {k}")
     if restarts < 1:

@@ -5,7 +5,11 @@ reference bit for bit, on inputs that stress each step: integer features
 (exact distance ties), a large common offset, duplicated points and
 all-identical points (coincident k-means++ seeds and empty clusters), one
 feature (where a cluster mean sums pairwise), and a max_iter small enough
-that some restarts stop on it while others have converged.
+that some restarts stop on it while others have converged. A second set
+of inputs stresses the assignment screen: up to 12 features and 500
+points, scales near 1e-150 and 1e150, points exactly halfway between two
+others, and more clusters than distinct points, which forces duplicate
+centres.
 """
 
 import numpy as np
@@ -84,3 +88,34 @@ def test_kmeans_gives_its_one_thread_result_on_any_thread_count(problem, restart
     labels, inertia = _best_kmeans(**problem, threads=threads)
     assert np.array_equal(labels, want_labels)
     assert inertia == want_inertia
+
+
+@st.composite
+def screen_problems(draw):
+    """Points on a lattice of even coordinates, each repeated, plus points
+    exactly halfway between two of them, so that k-means++ seeds on the
+    lattice leave the midpoints tied between two centres; k may exceed the
+    distinct points, which forces duplicate centres. The lattice is scaled
+    by 2^-498, 1 or 2^498 (about 1e-150 and 1e150), which keeps the
+    midpoints exact, or by 1e-150 or 1e150."""
+    c = draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    corners = 2 * rng.integers(-2, 3, size=(draw(st.integers(1, 8)), c))
+    n = draw(st.integers(2, 500))
+    ends = rng.integers(0, len(corners), size=(n, 2))
+    midpoints = (corners[ends[:, 0]] + corners[ends[:, 1]]) // 2
+    pts = np.where(rng.random((n, 1)) < 0.5, corners[ends[:, 0]], midpoints)
+    scale = draw(st.sampled_from((2.0**-498, 1.0, 2.0**498, 1e-150, 1e150)))
+    return dict(
+        representation=pts.T * scale,
+        k=draw(st.integers(1, min(n, 12))),
+        restarts=draw(st.sampled_from((1, 3, 20))),
+        seed=draw(st.integers(0, 2**32 - 1)),
+        max_iter=draw(st.integers(0, 30)),
+    )
+
+
+@examples(60)
+@given(screen_problems())
+def test_kmeans_matches_reference_on_ties_duplicates_and_extreme_scales(problem):
+    check_kmeans(problem)

@@ -13,10 +13,14 @@ from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
 import imvc.metrics
-from imvc import accuracy, evaluate_clustering, nmi, purity
+from imvc import SolverConfig, accuracy, evaluate_clustering, fit, nmi, purity
 from imvc.metrics import _best_kmeans
 
+from synthetic import masked_problem, multiview_blobs
 from test_graph_properties import examples
+
+# the Handwritten digits set's view dimensions, as perfbench/synth.py draws them
+HANDWRITTEN_DIMS = (76, 216, 64, 240, 47)
 
 
 def exhaustive_accuracy(t, p):
@@ -149,11 +153,20 @@ def test_accuracy_is_linear_sum_assignments_optimum_on_tables_up_to_40_by_40():
         assert accuracy(t, p) == best / t.size, (kind, table.shape)
 
 
-def test_importing_imvc_leaves_scipy_graph_and_optimization_code_out():
-    # accuracy's map comes from metrics' own Hungarian method: no imvc module
-    # pulls in scipy.sparse.csgraph, the scipy.sparse.linalg that it loads, or
-    # scipy.optimize, which only this test file imports
-    unwanted = ("scipy.sparse.csgraph", "scipy.sparse.linalg", "scipy.optimize")
+def test_importing_imvc_leaves_scipy_graph_optimization_and_spatial_code_out():
+    # accuracy's map comes from metrics' own Hungarian method and k-means'
+    # assignment from its own screen: no imvc module pulls in
+    # scipy.sparse.csgraph, the scipy.sparse.linalg that it loads,
+    # scipy.optimize, which only this test file imports, or scipy.spatial,
+    # with the scipy.linalg and scipy.special that it loads
+    unwanted = (
+        "scipy.sparse.csgraph",
+        "scipy.sparse.linalg",
+        "scipy.optimize",
+        "scipy.spatial",
+        "scipy.linalg",
+        "scipy.special",
+    )
     done = subprocess.run(
         [
             sys.executable,
@@ -314,6 +327,49 @@ def test_kmeans_invalid_k():
         evaluate_clustering(rep, truth, k=0)
 
 
+def test_kmeans_rejects_a_representation_whose_distances_overflow():
+    # at 1e155 the squared distances pass the largest float64; the check
+    # fires before any numpy warning (which pytest turns into an error),
+    # while 1e150 still runs
+    rep = np.random.default_rng(12).normal(size=(12, 500))
+    with pytest.raises(ValueError, match="^representation's squared distances overflow float64"):
+        _best_kmeans(rep * 1e155, k=3, restarts=2, seed=0)
+    labels, inertia = _best_kmeans(rep * 1e150, k=3, restarts=2, seed=0)
+    assert labels.shape == (500,) and np.isfinite(inertia)
+
+
+@pytest.mark.parametrize(
+    "n, clusters, sweeps", [(2000, 10, 30), (400, 5, 40)], ids=["n2000", "n400"]
+)
+def test_assignment_screen_decides_every_pair_of_a_fitted_consensus(
+    monkeypatch, n, clusters, sweeps
+):
+    # the benchmark's k-means input, the consensus of a fit on
+    # Handwritten-shaped data with 30% of the views missing: the screen
+    # alone labels every (restart, point) pair of every Lloyd step, so none
+    # is recomputed exactly
+    full = multiview_blobs(
+        n=n, n_clusters=clusters, dims=HANDWRITTEN_DIMS, noise=2.4, separation=1.0, seed=3
+    )
+    ds, graphs = masked_problem(full)
+    cfg = SolverConfig(lam=0.1, beta=1e-3, r=5.0, n_components=clusters, max_iter=sweeps, tol=0.0)
+    (state,) = fit(ds, graphs, [cfg])
+    steps, unsure = 0, 0
+    real = imvc.metrics._least
+
+    def least(screen, slack):
+        nonlocal steps, unsure
+        labels, undecided = real(screen, slack)
+        steps += 1
+        unsure += int(undecided.sum())
+        return labels, undecided
+
+    monkeypatch.setattr(imvc.metrics, "_least", least)
+    _best_kmeans(state.consensus, k=clusters, restarts=20, seed=0)
+    assert steps > 1
+    assert unsure == 0
+
+
 def test_lloyd_inertia_non_increasing():
     # the inertia after t Lloyd steps of one restart, for growing t
     rng = np.random.default_rng(9)
@@ -341,16 +397,16 @@ def test_kmeans_repair_takes_the_lowest_of_tied_farthest_points(monkeypatch):
         imvc.metrics, "_kmeans_pp_init", lambda pts, k, rng: np.zeros((k, pts.shape[1]))
     )
     centres = []
-    real = imvc.metrics.cdist
+    real = imvc.metrics._assign
 
-    def cdist(a, b, metric):
-        centres.append(b.copy())
-        return real(a, b, metric=metric)
+    def assign(points, centers):
+        centres.append(centers.copy())
+        return real(points, centers)
 
-    monkeypatch.setattr(imvc.metrics, "cdist", cdist)
+    monkeypatch.setattr(imvc.metrics, "_assign", assign)
     _best_kmeans(pts.T, k=3, restarts=1, seed=0, max_iter=5)
-    assert np.array_equal(centres[0], np.zeros((3, 2)))
-    assert np.array_equal(centres[1], [[0, 0], [3, 0], [0, 3]])
+    assert np.array_equal(centres[0], np.zeros((1, 3, 2)))
+    assert np.array_equal(centres[1], [[[0, 0], [3, 0], [0, 3]]])
 
 
 def test_evaluate_clustering_on_separable_data():
