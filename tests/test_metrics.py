@@ -17,10 +17,8 @@ from imvc import SolverConfig, accuracy, evaluate_clustering, fit, nmi, purity
 from imvc.metrics import _best_kmeans
 
 from synthetic import masked_problem, multiview_blobs
+from test_certificates import HANDWRITTEN_DIMS
 from test_graph_properties import examples
-
-# the Handwritten digits set's view dimensions, as perfbench/synth.py draws them
-HANDWRITTEN_DIMS = (76, 216, 64, 240, 47)
 
 
 def exhaustive_accuracy(t, p):
