@@ -435,7 +435,7 @@ def build_fused_graphs(
     gamma = 0 gives identity graphs (0 * S + I = I) without a neighbor search,
     so k is not used.
     """
-    if gamma < 0:
+    if not gamma >= 0:
         raise ValueError(f"gamma must be non-negative, got {gamma}")
 
     def build(view: ViewMatrix) -> FusedGraph:

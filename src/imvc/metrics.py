@@ -8,7 +8,9 @@ assigns the points of every running restart with one GEMM over the centred
 points, proven within a slack of cdist's squared distances, and recomputes
 exactly, in cdist's own order of summation (graph._sq_distances), only the
 pairs the screen leaves undecided and the distances that the inertia and the
-empty-cluster repair read. accuracy uses the optimal one-to-one
+empty-cluster repair read. A restart ends when its labels stop changing, at
+max_iter, or when its repair leaves its centres as they are, since every
+later step would repeat that one. accuracy uses the optimal one-to-one
 cluster-to-class assignment (the Kuhn-Munkres map): this module's own
 Hungarian method finds its value on the class-by-cluster contingency table
 in integer arithmetic. Scoring thus needs nothing of scipy but scipy.sparse.
@@ -259,22 +261,6 @@ def _centre_distances(pts, centres, restart, point, cluster) -> np.ndarray:
     return _sq_distances(data, point, pts.shape[0] + restart * k + cluster)
 
 
-def _repeats(centres: np.ndarray) -> np.ndarray:
-    """(restarts, k) mask of the centres equal to a lower-index centre of
-    their own restart: their distances equal that one's, so an argmin over
-    the restart's centres never picks them."""
-    m, k, c = centres.shape
-    flat = centres.reshape(m * k, c)
-    restart = np.repeat(np.arange(m), k)
-    # by restart, then coordinates, then index: equal centres are adjacent,
-    # the lowest index first
-    order = np.lexsort((np.arange(m * k), *flat.T[::-1], restart))
-    flat, restart = flat[order], restart[order]
-    repeat = np.zeros(m * k, dtype=bool)
-    repeat[order[1:]] = (restart[1:] == restart[:-1]) & (flat[1:] == flat[:-1]).all(axis=1)
-    return repeat.reshape(m, k)
-
-
 def _least(screen: np.ndarray, slack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """For each (restart, point) column of a (k, restarts, n) screen: the
     index of the one value within slack of the column's least, and whether
@@ -299,9 +285,8 @@ def _assign(points: _Points, centres: np.ndarray) -> np.ndarray:
     each reduction over a restart's centres runs down the leading axis. A
     pair's label is its one centre within the slack of _centre_points of
     its least screened value; a pair with more than one (a near-tie or a
-    duplicate centre) or none (a non-finite value) is recomputed exactly,
-    once the centres that repeat a lower-index one of their restart are
-    left out.
+    duplicate centre) or none (a non-finite value) is recomputed exactly
+    against all k centres of its restart and takes the first least.
     """
     m, k, c = centres.shape
     # each centre minus the origin, then its squared norm, laid out (k, m)
@@ -312,12 +297,6 @@ def _assign(points: _Points, centres: np.ndarray) -> np.ndarray:
     slack = points.slack + 2.0 * points.kappa * rows[..., c].max(axis=0)[:, None]
     labels, unsure = _least(screen, slack)
     if unsure.any():
-        restarts = np.flatnonzero(unsure.any(axis=1))
-        repeats = _repeats(centres[restarts])
-        if repeats.any():
-            part = screen[:, restarts]
-            part[repeats.T] = np.inf
-            labels[restarts], unsure[restarts] = _least(part, slack[restarts])
         restart, point = np.nonzero(unsure)
         cluster = np.tile(np.arange(k), point.size)
         exact = _centre_distances(points.raw, centres, restart.repeat(k), point.repeat(k), cluster)
@@ -330,7 +309,9 @@ def _lloyd(pts: np.ndarray, k: int, children, max_iter: int) -> tuple[np.ndarray
     sequences `children` seed, run in lockstep. The points are centred once;
     each Lloyd step then assigns the points of every running restart at once
     (_assign), and the distances that the inertia and the empty-cluster
-    repair read are cdist's, bit for bit (_centre_distances)."""
+    repair read are cdist's, bit for bit (_centre_distances). A restart whose
+    repair leaves its centres as they are ends at once, with the labels and
+    inertia that step max_iter would give it."""
     m, n = len(children), pts.shape[0]
     centers = np.stack(
         [_kmeans_pp_init(pts, k, np.random.default_rng(child)) for child in children]
@@ -358,16 +339,21 @@ def _lloyd(pts: np.ndarray, k: int, children, max_iter: int) -> tuple[np.ndarray
                 new_labels[scored].ravel(),
             ).reshape(scored.size, n)
             for j, own in zip(scored, cost):
-                if final[j]:
-                    labels[active[j]] = new_labels[j]
-                    inertia[active[j]] = own.sum()
-                else:
+                if not final[j]:
                     # deterministic repair: relocate to the currently
                     # worst-fit points, farthest first and, among equal
                     # distances, lowest index first
                     farthest = np.argsort(-own, kind="stable")
                     clusters = np.flatnonzero(counts[j] == 0)
-                    centers[active[j], clusters] = pts[farthest[: clusters.size]]
+                    seeds = pts[farthest[: clusters.size]]
+                    # a repair that leaves the centres as they are is a fixed
+                    # point: every later step would repeat this assignment and
+                    # this repair up to max_iter, so this is the result
+                    final[j] = np.array_equal(centers[active[j], clusters], seeds)
+                    centers[active[j], clusters] = seeds
+                if final[j]:
+                    labels[active[j]] = new_labels[j]
+                    inertia[active[j]] = own.sum()
         moved = ~(empty | final)
         if moved.any():
             labels[active[moved]] = new_labels[moved]
@@ -391,11 +377,16 @@ def _best_kmeans(
     one per thread (dataset.thread_map), each run in lockstep; a restart's
     result does not depend on the others in its part.
 
-    Raises ValueError, before any numpy warning, on a non-finite
-    representation, and on one whose squared distances could overflow:
-    where n times the sum of its features' squared spans, which bounds any
-    sum of n squared distances, passes a quarter of the largest float64."""
+    Raises ValueError, before any numpy warning, on a representation with
+    no features or no samples, on a non-finite one, and on one whose squared
+    distances could overflow: where n times the sum of its features' squared
+    spans, which bounds any sum of n squared distances, passes a quarter of
+    the largest float64."""
     pts = np.ascontiguousarray(representation.T, dtype=np.float64)
+    if pts.size == 0:
+        raise ValueError(
+            f"representation must have features and samples, got shape {representation.shape}"
+        )
     if not np.all(np.isfinite(pts)):
         raise ValueError("representation contains non-finite values")
     n = pts.shape[0]
@@ -440,6 +431,11 @@ def evaluate_clustering(
     threads, with the labels they give on one.
     """
     t = np.asarray(true_labels, dtype=np.int64)
+    if t.shape != representation.shape[1:]:
+        raise ValueError(
+            f"true_labels must hold one label per representation column, got shape "
+            f"{t.shape} for a representation of shape {representation.shape}"
+        )
     labels, _ = _best_kmeans(representation, k, restarts, seed, threads=threads)
     return ClusteringResult(
         predicted=labels,

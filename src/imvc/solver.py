@@ -101,17 +101,17 @@ class SolverConfig:
     weight_on: bool = True
 
     def __post_init__(self):
-        if self.lam <= 0:
+        if not 0 < self.lam < np.inf:
             raise ValueError(f"lam must be positive, got {self.lam}")
-        if self.beta < 0:
+        if not self.beta >= 0:
             raise ValueError(f"beta must be non-negative, got {self.beta}")
-        if self.r <= 1:
+        if not self.r > 1:
             raise ValueError(f"r must be greater than 1, got {self.r}")
         if self.n_components < 1:
             raise ValueError(f"n_components must be at least 1, got {self.n_components}")
         if self.max_iter < 1:
             raise ValueError(f"max_iter must be at least 1, got {self.max_iter}")
-        if self.tol < 0:
+        if not self.tol >= 0:
             raise ValueError(f"tol must be non-negative, got {self.tol}")
 
 

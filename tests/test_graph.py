@@ -304,6 +304,13 @@ def test_fuse_rejects_negative_gamma():
         build_fused_graphs(ds, k=2, gamma=-0.1)
 
 
+def test_fuse_rejects_nan_gamma():
+    # NaN is not below 0 either: the check asks for the valid range
+    ds, _ = random_problem(9, l=2, n=6, c=2, k=2, gamma=0.0)
+    with pytest.raises(ValueError, match="^gamma must be non-negative, got nan$"):
+        build_fused_graphs(ds, k=2, gamma=float("nan"))
+
+
 def test_build_fused_graphs_gamma_zero_is_identity_for_any_k():
     # k = n is too large for a neighbor search, but gamma = 0 needs none
     ds, graphs = random_problem(11, l=2, n=6, c=2, k=6, gamma=0.0)

@@ -1,6 +1,7 @@
 import itertools
 import math
 import os
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -16,6 +17,7 @@ import imvc.metrics
 from imvc import SolverConfig, accuracy, evaluate_clustering, fit, nmi, purity
 from imvc.metrics import _best_kmeans
 
+import reference
 from synthetic import masked_problem, multiview_blobs
 from test_certificates import HANDWRITTEN_DIMS
 from test_graph_properties import examples
@@ -366,6 +368,53 @@ def test_assignment_screen_decides_every_pair_of_a_fitted_consensus(
     _best_kmeans(state.consensus, k=clusters, restarts=20, seed=0)
     assert steps > 1
     assert unsure == 0
+
+
+def test_kmeans_rejects_a_representation_without_samples_or_features():
+    for shape in [(3, 0), (0, 5)]:
+        with pytest.raises(ValueError, match=re.escape(f"features and samples, got shape {shape}")):
+            _best_kmeans(np.zeros(shape), k=1, restarts=2, seed=0)
+
+
+def test_evaluate_clustering_checks_the_label_count_before_kmeans(monkeypatch):
+    def best_kmeans(*args, **kwargs):
+        raise AssertionError("k-means ran on a label vector of the wrong length")
+
+    monkeypatch.setattr(imvc.metrics, "_best_kmeans", best_kmeans)
+    with pytest.raises(ValueError, match="one label per representation column"):
+        evaluate_clustering(np.zeros((2, 5)), np.zeros(4, dtype=np.int64), k=2)
+
+
+@pytest.mark.parametrize("distinct", [1, 3], ids=["identical", "three-distinct"])
+def test_kmeans_stops_where_its_repair_leaves_the_centres_as_they_are(monkeypatch, distinct):
+    # with fewer distinct points than k, some cluster stays empty: the repair
+    # moves it onto the farthest point, which is already some centre, and the
+    # next step repeats that one, so the restarts end at that fixed point
+    # instead of running all of max_iter
+    pts = np.random.default_rng(13).normal(size=(distinct, 10))[np.arange(2000) % distinct]
+    steps = 0
+    real = imvc.metrics._assign
+
+    def assign(points, centers):
+        nonlocal steps
+        steps += 1
+        return real(points, centers)
+
+    monkeypatch.setattr(imvc.metrics, "_assign", assign)
+    _best_kmeans(pts.T, k=10, restarts=20, seed=0, max_iter=300)
+    assert steps <= 2
+
+
+@pytest.mark.parametrize("distinct", [1, 2, 4])
+def test_kmeans_fixed_point_gives_the_result_of_all_max_iter_steps(distinct):
+    # the reference runs every one of the 300 steps
+    rng = np.random.default_rng(distinct)
+    pts = rng.integers(-2, 3, size=(distinct, 3))[rng.integers(0, distinct, size=200)]
+    problem = dict(representation=pts.T.astype(float), k=6, restarts=5, seed=distinct, max_iter=300)
+    want_labels, want_inertia = reference.best_kmeans(**problem)
+    labels, inertia = _best_kmeans(**problem)
+    assert np.array_equal(labels, want_labels)
+    assert inertia == want_inertia
 
 
 def test_lloyd_inertia_non_increasing():

@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -564,3 +565,21 @@ def test_config_validation():
         SolverConfig(lam=1.0, beta=0.1, r=1.0, n_components=2)
     with pytest.raises(ValueError, match="n_components"):
         SolverConfig(lam=1.0, beta=0.1, r=2.0, n_components=0)
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("lam", math.nan, "lam must be positive, got nan"),
+        ("lam", math.inf, "lam must be positive, got inf"),
+        ("beta", math.nan, "beta must be non-negative, got nan"),
+        ("r", math.nan, "r must be greater than 1, got nan"),
+        ("tol", math.nan, "tol must be non-negative, got nan"),
+    ],
+    ids=["lam-nan", "lam-inf", "beta-nan", "r-nan", "tol-nan"],
+)
+def test_config_rejects_non_finite_parameters(key, value, message):
+    # a NaN passes every comparison-based check unless the check asks for
+    # the valid range; a NaN tol would leave every fit running to max_iter
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        SolverConfig(**{"lam": 1.0, "beta": 0.1, "r": 2.0, "n_components": 2, key: value})
