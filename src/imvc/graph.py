@@ -127,17 +127,19 @@ def _sigma_sample(n: int) -> np.ndarray:
     return np.arange(n)
 
 
-def _sq_distances(data: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """Exact squared distances between instance columns rows[p] and cols[p]
-    of a features x instances matrix.
+def _sq_distances(a: np.ndarray, rows: np.ndarray, b: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Exact squared distances between column rows[p] of a and column cols[p]
+    of b, two features x points matrices with the same features.
 
     The squared differences are summed in feature order, one feature at a
     time, which is cdist's own arithmetic bit for bit; memory stays at a few
-    arrays of one value per pair.
+    arrays of one value per pair. Both screens recompute with it what they
+    leave in doubt: the kNN search here (a view's data as a and b), and
+    k-means' assignment in metrics (points against centres).
     """
     out = np.zeros(rows.size)
-    for x in data:
-        d = x[rows] - x[cols]
+    for x, y in zip(a, b):
+        d = x[rows] - y[cols]
         d *= d
         out += d
     return out
@@ -187,7 +189,7 @@ def _nearest(data, rows, cols, lo, hi, k):
     """The k nearest neighbors of rows lo:hi and their exact squared
     distances, from candidate pairs (rows, cols) that hold them; among equal
     distances the lower column comes first."""
-    exact = _sq_distances(data, rows, cols)
+    exact = _sq_distances(data, rows, data, cols)
     order = np.lexsort((cols, exact, rows))
     cols, exact = cols[order], exact[order]
     counts = np.bincount(rows - lo, minlength=hi - lo)
@@ -246,7 +248,8 @@ def _median_distance(data, sample, approx, slack, rest, scale) -> float:
     offsets = t * (sample.size - 1) - t * (t - 1) // 2
     ti = np.searchsorted(offsets, band, side="right") - 1
     ui = band - offsets[ti] + ti + 1
-    exact = np.sort(np.concatenate((_sq_distances(data, sample[ti], sample[ui]), rest[known])))
+    exact = _sq_distances(data, sample[ti], data, sample[ui])
+    exact = np.sort(np.concatenate((exact, rest[known])))
     return float(np.mean(np.sqrt(exact[ranks - below])))
 
 
@@ -356,7 +359,7 @@ def gaussian_knn_graph(view: ViewMatrix, k: int = 5) -> tuple[sp.csr_array, floa
     sample = _sigma_sample(n)
     few = sample[:: -(-sample.size // _SPREAD_INSTANCES)]
     pair = np.triu_indices(few.size, 1)
-    spread = _sq_distances(data, few[pair[0]], few[pair[1]])
+    spread = _sq_distances(data, few[pair[0]], data, few[pair[1]])
     spread = math.ldexp(float(np.median(spread)), 2 * shift)
     far = sqn[sample] > _HEAVY_NORM * max(spread, float(np.median(sqn[sample])))
     light, heavy = sample[~far], sample[far]
@@ -409,6 +412,7 @@ def gaussian_knn_graph(view: ViewMatrix, k: int = 5) -> tuple[sp.csr_array, floa
         rest = _sq_distances(
             data,
             np.concatenate((np.repeat(light, heavy.size), heavy[pair[0]])),
+            data,
             np.concatenate((np.tile(heavy, light.size), heavy[pair[1]])),
         )
     slack = 4.0 * kappa * float(sqn[light].max()) + tau
@@ -435,7 +439,7 @@ def build_fused_graphs(
     gamma = 0 gives identity graphs (0 * S + I = I) without a neighbor search,
     so k is not used.
     """
-    if not gamma >= 0:
+    if not 0 <= gamma < np.inf:
         raise ValueError(f"gamma must be non-negative, got {gamma}")
 
     def build(view: ViewMatrix) -> FusedGraph:

@@ -252,15 +252,6 @@ def _centre_points(pts: np.ndarray) -> _Points:
     return _Points(pts, origin, factor, slack, kappa)
 
 
-def _centre_distances(pts, centres, restart, point, cluster) -> np.ndarray:
-    """The squared distances between pts[point] and centres[restart, cluster],
-    centres being (restarts, k, c): cdist's own arithmetic, bit for bit
-    (graph._sq_distances)."""
-    _, k, c = centres.shape
-    data = np.concatenate((pts.T, centres.reshape(-1, c).T), axis=1)
-    return _sq_distances(data, point, pts.shape[0] + restart * k + cluster)
-
-
 def _least(screen: np.ndarray, slack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """For each (restart, point) column of a (k, restarts, n) screen: the
     index of the one value within slack of the column's least, and whether
@@ -286,7 +277,8 @@ def _assign(points: _Points, centres: np.ndarray) -> np.ndarray:
     pair's label is its one centre within the slack of _centre_points of
     its least screened value; a pair with more than one (a near-tie or a
     duplicate centre) or none (a non-finite value) is recomputed exactly
-    against all k centres of its restart and takes the first least.
+    against all k centres of its restart (graph._sq_distances, the points
+    against the centres laid out c x (restarts k)) and takes the first least.
     """
     m, k, c = centres.shape
     # each centre minus the origin, then its squared norm, laid out (k, m)
@@ -298,8 +290,8 @@ def _assign(points: _Points, centres: np.ndarray) -> np.ndarray:
     labels, unsure = _least(screen, slack)
     if unsure.any():
         restart, point = np.nonzero(unsure)
-        cluster = np.tile(np.arange(k), point.size)
-        exact = _centre_distances(points.raw, centres, restart.repeat(k), point.repeat(k), cluster)
+        cluster = (restart[:, None] * k + np.arange(k)).ravel()
+        exact = _sq_distances(points.raw.T, point.repeat(k), centres.reshape(-1, c).T, cluster)
         labels[restart, point] = exact.reshape(-1, k).argmin(axis=1)  # the first least
     return labels
 
@@ -309,10 +301,10 @@ def _lloyd(pts: np.ndarray, k: int, children, max_iter: int) -> tuple[np.ndarray
     sequences `children` seed, run in lockstep. The points are centred once;
     each Lloyd step then assigns the points of every running restart at once
     (_assign), and the distances that the inertia and the empty-cluster
-    repair read are cdist's, bit for bit (_centre_distances). A restart whose
+    repair read are cdist's, bit for bit (graph._sq_distances). A restart whose
     repair leaves its centres as they are ends at once, with the labels and
     inertia that step max_iter would give it."""
-    m, n = len(children), pts.shape[0]
+    m, (n, c) = len(children), pts.shape
     centers = np.stack(
         [_kmeans_pp_init(pts, k, np.random.default_rng(child)) for child in children]
     )
@@ -323,10 +315,10 @@ def _lloyd(pts: np.ndarray, k: int, children, max_iter: int) -> tuple[np.ndarray
     rows = np.arange(n)
     for step in range(max_iter + 1):
         new_labels = _assign(points, centers[active])
-        counts = np.bincount(
-            (new_labels + (np.arange(active.size) * k)[:, None]).ravel(),
-            minlength=active.size * k,
-        ).reshape(active.size, k)
+        # each label's column in the running restarts' centres laid out
+        # c x (restarts k), as _sq_distances reads them below
+        bins = new_labels + (np.arange(active.size) * k)[:, None]
+        counts = np.bincount(bins.ravel(), minlength=active.size * k).reshape(active.size, k)
         empty = (counts == 0).any(axis=1)
         # out of steps, or converged: this assignment is the restart's result
         final = ((new_labels == labels[active]).all(axis=1) & ~empty) | (step == max_iter)
@@ -334,9 +326,9 @@ def _lloyd(pts: np.ndarray, k: int, children, max_iter: int) -> tuple[np.ndarray
         # repairs an empty cluster
         scored = np.flatnonzero(final | empty)
         if scored.size:
-            cost = _centre_distances(
-                pts, centers[active], np.repeat(scored, n), np.tile(rows, scored.size),
-                new_labels[scored].ravel(),
+            cost = _sq_distances(
+                pts.T, np.tile(rows, scored.size), centers[active].reshape(-1, c).T,
+                bins[scored].ravel(),
             ).reshape(scored.size, n)
             for j, own in zip(scored, cost):
                 if not final[j]:

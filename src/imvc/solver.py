@@ -103,9 +103,9 @@ class SolverConfig:
     def __post_init__(self):
         if not 0 < self.lam < np.inf:
             raise ValueError(f"lam must be positive, got {self.lam}")
-        if not self.beta >= 0:
+        if not 0 <= self.beta < np.inf:
             raise ValueError(f"beta must be non-negative, got {self.beta}")
-        if not self.r > 1:
+        if not 1 < self.r < np.inf:
             raise ValueError(f"r must be greater than 1, got {self.r}")
         if self.n_components < 1:
             raise ValueError(f"n_components must be at least 1, got {self.n_components}")

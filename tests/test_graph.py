@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import scipy.sparse as sp
+from scipy.spatial.distance import cdist
 
 import imvc.graph
 from imvc import FusedGraph, MultiViewDataset, ViewMatrix, build_fused_graphs, gaussian_knn_graph
@@ -140,10 +141,10 @@ def exact_pairs(monkeypatch, data):
     count = 0
     exact = imvc.graph._sq_distances
 
-    def counting(matrix, rows, cols):
+    def counting(a, rows, b, cols):
         nonlocal count
         count += rows.size
-        return exact(matrix, rows, cols)
+        return exact(a, rows, b, cols)
 
     monkeypatch.setattr(imvc.graph, "_sq_distances", counting)
     gaussian_knn_graph(ViewMatrix(view_id=0, data=data), k=5)
@@ -161,6 +162,19 @@ def test_screen_stays_narrow_on_an_outlier_and_at_extreme_scales(monkeypatch):
     plain = exact_pairs(monkeypatch, x)
     for variant in (outlier, x * 1e-25, x * 1e25):
         assert exact_pairs(monkeypatch, variant) <= 2 * plain
+
+
+@pytest.mark.parametrize("features", [1, 240])
+@pytest.mark.parametrize("scale", [1e-100, 1.0, 1e100])
+def test_sq_distances_between_two_matrices_are_cdists(features, scale):
+    # k-means recomputes its points, a transposed C-ordered array, against
+    # its centres, another matrix: the pairs must be cdist's, bit for bit
+    rng = np.random.default_rng(features)
+    points = rng.normal(size=(50, features)) * scale
+    centres = rng.normal(size=(features, 7)) * scale
+    rows, cols = rng.integers(50, size=300), rng.integers(7, size=300)
+    want = cdist(points, centres.T, "sqeuclidean")[rows, cols]
+    assert np.array_equal(imvc.graph._sq_distances(points.T, rows, centres, cols), want)
 
 
 # ---------------------------------------------------------------------- ties
@@ -304,11 +318,13 @@ def test_fuse_rejects_negative_gamma():
         build_fused_graphs(ds, k=2, gamma=-0.1)
 
 
-def test_fuse_rejects_nan_gamma():
-    # NaN is not below 0 either: the check asks for the valid range
+@pytest.mark.parametrize("gamma", [float("nan"), float("inf")])
+def test_fuse_rejects_nan_gamma(gamma):
+    # NaN is not below 0 either: the check asks for the valid range, which
+    # also ends below inf, where a fit would fail in its first sweep
     ds, _ = random_problem(9, l=2, n=6, c=2, k=2, gamma=0.0)
-    with pytest.raises(ValueError, match="^gamma must be non-negative, got nan$"):
-        build_fused_graphs(ds, k=2, gamma=float("nan"))
+    with pytest.raises(ValueError, match=f"^gamma must be non-negative, got {gamma}$"):
+        build_fused_graphs(ds, k=2, gamma=gamma)
 
 
 def test_build_fused_graphs_gamma_zero_is_identity_for_any_k():

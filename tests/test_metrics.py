@@ -153,12 +153,42 @@ def test_accuracy_is_linear_sum_assignments_optimum_on_tables_up_to_40_by_40():
         assert accuracy(t, p) == best / t.size, (kind, table.shape)
 
 
-def test_importing_imvc_leaves_scipy_graph_optimization_and_spatial_code_out():
+# a run and a trace of a tiny 2-view dataset, each main's output discarded
+RUN_AND_TRACE = """
+import contextlib, io, json
+from pathlib import Path
+import numpy as np
+work = Path(sys.argv[1])
+labels = np.arange(30) % 3
+rng = np.random.default_rng(0)
+views = tuple(
+    imvc.ViewMatrix(view_id=v, data=labels + 0.3 * rng.normal(size=(4, 30))) for v in range(2)
+)
+full = imvc.MultiViewDataset(views=views, n=30, availability=(np.arange(30),) * 2, labels=labels)
+paths = imvc.save_dataset(full, work / "data")
+config = {
+    "dataset": {"views": paths["views"], "labels": paths["labels"]},
+    "clusters": 3,
+    "mask": {"protocol": "random-missing", "rates": [0.3], "repeats": 1},
+    "solver": {"lam": [1.0], "beta": [0.001], "r": [3.0], "k": [5], "max_iter": 20},
+    "metrics": {"restarts": 4},
+    "output": str(work / "out"),
+}
+(work / "config.json").write_text(json.dumps(config))
+for command in ("run", "trace"):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert imvc.cli.main([command, "--config", str(work / "config.json")]) == 0
+"""
+
+
+@pytest.mark.parametrize("then", ["", RUN_AND_TRACE], ids=["import", "run-and-trace"])
+def test_importing_imvc_leaves_scipy_graph_optimization_and_spatial_code_out(then, tmp_path):
     # accuracy's map comes from metrics' own Hungarian method and k-means'
     # assignment from its own screen: no imvc module pulls in
     # scipy.sparse.csgraph, the scipy.sparse.linalg that it loads,
     # scipy.optimize, which only this test file imports, or scipy.spatial,
-    # with the scipy.linalg and scipy.special that it loads
+    # with the scipy.linalg and scipy.special that it loads; nor does a run
+    # or a trace, so that no lazy import brings them back
     unwanted = (
         "scipy.sparse.csgraph",
         "scipy.sparse.linalg",
@@ -171,7 +201,9 @@ def test_importing_imvc_leaves_scipy_graph_optimization_and_spatial_code_out():
         [
             sys.executable,
             "-c",
-            f"import sys, imvc, imvc.cli; print([m for m in {unwanted} if m in sys.modules])",
+            f"import sys, imvc, imvc.cli\n{then}\n"
+            f"print([m for m in {unwanted} if m in sys.modules])",
+            str(tmp_path),
         ],
         env={**os.environ, "PYTHONPATH": str(Path(imvc.metrics.__file__).parents[1])},
         capture_output=True,

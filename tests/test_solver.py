@@ -573,13 +573,16 @@ def test_config_validation():
         ("lam", math.nan, "lam must be positive, got nan"),
         ("lam", math.inf, "lam must be positive, got inf"),
         ("beta", math.nan, "beta must be non-negative, got nan"),
+        ("beta", math.inf, "beta must be non-negative, got inf"),
         ("r", math.nan, "r must be greater than 1, got nan"),
+        ("r", math.inf, "r must be greater than 1, got inf"),
         ("tol", math.nan, "tol must be non-negative, got nan"),
     ],
-    ids=["lam-nan", "lam-inf", "beta-nan", "r-nan", "tol-nan"],
+    ids=["lam-nan", "lam-inf", "beta-nan", "beta-inf", "r-nan", "r-inf", "tol-nan"],
 )
 def test_config_rejects_non_finite_parameters(key, value, message):
     # a NaN passes every comparison-based check unless the check asks for
-    # the valid range; a NaN tol would leave every fit running to max_iter
+    # the valid range; a NaN tol would leave every fit running to max_iter,
+    # and an infinite lam, beta or r would fail it in its first sweep
     with pytest.raises(ValueError, match=f"^{message}$"):
         SolverConfig(**{"lam": 1.0, "beta": 0.1, "r": 2.0, "n_components": 2, key: value})
