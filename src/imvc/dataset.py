@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import contextvars
 import math
+import numbers
 import threading
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -43,6 +44,24 @@ import numpy as np
 
 MASK_PROTOCOLS = ("random-missing", "paired-sample")
 NORMALIZE_MODES = ("none", "unit-l2-column", "zscore-row")
+
+
+def _integer(key: str, value) -> int:
+    """An integer parameter, named by its key: 3 and 3.0 are taken; 2.5,
+    True, NaN and the infinities are errors, not truncated or ignored."""
+    if isinstance(value, bool) or not (
+        isinstance(value, numbers.Integral) or isinstance(value, float) and value.is_integer()
+    ):
+        raise ValueError(f"{key} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _count(key: str, value) -> int:
+    """An integer parameter of at least 1 (a count), named by its key."""
+    value = _integer(key, value)
+    if value < 1:
+        raise ValueError(f"{key} must be at least 1, got {value!r}")
+    return value
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -334,7 +353,11 @@ def thread_map(threads: int):
     Its callers run numpy work that releases the GIL. At one OpenBLAS thread
     (harness.one_blas_thread) each item gives the bits that it gives alone;
     at more, a product's bits could depend on the products run beside it.
+
+    threads must be an integer of at least 1: the one check of the thread
+    counts of the graph build, the fit and k-means.
     """
+    threads = _count("threads", threads)
     with ThreadPoolExecutor(max(threads - 1, 1)) as helpers:
         yield partial(_shared_map, helpers, threads - 1)
 

@@ -46,7 +46,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .dataset import ViewMatrix, _readonly, thread_map
+from .dataset import ViewMatrix, _integer, _readonly, thread_map
 
 # rows of one block of screened squared distances in the kNN search: enough
 # for the GEMM to run near the BLAS rate ...
@@ -285,6 +285,7 @@ def gaussian_knn_graph(view: ViewMatrix, k: int = 5) -> tuple[sp.csr_array, floa
     features or more (beyond the screen's proof), and when sigma is zero.
     """
     n = view.n_available
+    k = _integer("k", k)
     if not 1 <= k < n:
         raise ValueError(f"k must satisfy 1 <= k < n_available={n}, got {k}")
 

@@ -52,6 +52,8 @@ from .dataset import (
     NORMALIZE_MODES,
     MaskSpec,
     MultiViewDataset,
+    _count,
+    _integer,
     apply_mask,
     load_dataset,
     normalize_views,
@@ -79,16 +81,6 @@ DEFAULT_R_GRID = (2.0, 5.0, 9.0)
 DEFAULT_KNN_GRID = (5,)
 # the most trials in one chunk, and so in one lockstep batch (run_experiment)
 _CHUNK_TRIALS = 16
-
-
-def _integer(key: str, value) -> int:
-    """A config integer, named by its key: 3 and 3.0 are taken, 2.5 and
-    true are errors rather than truncated or counted as 1."""
-    if isinstance(value, bool) or not (
-        isinstance(value, numbers.Integral) or isinstance(value, float) and value.is_integer()
-    ):
-        raise ValueError(f"{key} must be an integer, got {value!r}")
-    return int(value)
 
 
 def _number(key: str, value):
@@ -129,9 +121,6 @@ def _rule(convert, ok, bound: str):
 def _one_of(choices: tuple):
     """The check of a config value that must be one of choices."""
     return _rule(lambda key, value: value, choices.__contains__, f"one of {choices}")
-
-
-_count = _rule(_integer, lambda n: n >= 1, "at least 1")
 
 
 def _list_of(convert, empty: Optional[str] = "empty {} grid"):

@@ -28,7 +28,7 @@ from typing import NamedTuple
 import numpy as np
 import scipy.sparse as sp
 
-from .dataset import thread_map
+from .dataset import _count, _integer, thread_map
 from .graph import _sq_distances
 
 
@@ -392,14 +392,14 @@ def _best_kmeans(
             f"representation's squared distances overflow float64 (the widest "
             f"feature spans {spans.max():.3g} over {n} points); rescale it"
         )
+    k = _integer("k", k)
     if not 1 <= k <= n:
         raise ValueError(f"k must satisfy 1 <= k <= n={n}, got {k}")
-    if restarts < 1:
-        raise ValueError("restarts must be at least 1")
+    restarts = _count("restarts", restarts)
     children = np.random.SeedSequence(seed).spawn(restarts)
-    parts = np.array_split(np.arange(restarts), min(threads, restarts))
     lloyd = partial(_lloyd, pts, k, max_iter=max_iter)
-    with thread_map(len(parts)) as each:
+    with thread_map(threads) as each:  # which checks threads before the split
+        parts = np.array_split(np.arange(restarts), min(threads, restarts))
         runs = each(lloyd, [children[p[0] : p[-1] + 1] for p in parts])
     labels = np.concatenate([part for part, _ in runs])
     inertia = np.concatenate([part for _, part in runs])

@@ -75,7 +75,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .dataset import MultiViewDataset, thread_map
+from .dataset import MultiViewDataset, _count, thread_map
 from .graph import FusedGraph
 
 
@@ -85,8 +85,9 @@ class SolverConfig:
 
     lam weights the graph-coupling term, beta the l1 sparsity penalty, r > 1
     smooths the view weights, and n_components is the latent dimension (the
-    number of clusters). weight_on is the one switch: off keeps the view
-    weights uniform and never updates them. The other terms are turned off
+    number of clusters); it and max_iter are integers of at least 1 (3.0 is
+    taken as 3). weight_on is the one switch: off keeps the view weights
+    uniform and never updates them. The other terms are turned off
     through the model's own weights: beta = 0 drops the l1 term, and fused
     graphs built with gamma = 0 are identities.
     """
@@ -107,10 +108,8 @@ class SolverConfig:
             raise ValueError(f"beta must be non-negative, got {self.beta}")
         if not 1 < self.r < np.inf:
             raise ValueError(f"r must be greater than 1, got {self.r}")
-        if self.n_components < 1:
-            raise ValueError(f"n_components must be at least 1, got {self.n_components}")
-        if self.max_iter < 1:
-            raise ValueError(f"max_iter must be at least 1, got {self.max_iter}")
+        for name in ("n_components", "max_iter"):
+            object.__setattr__(self, name, _count(name, getattr(self, name)))
         if not self.tol >= 0:
             raise ValueError(f"tol must be non-negative, got {self.tol}")
 
@@ -392,18 +391,15 @@ def initialize(ds: MultiViewDataset, cfg: SolverConfig) -> SolverState:
 @dataclass(frozen=True)
 class _Batch:
     """The variables of the fits still running, stacked along a leading axis
-    (row j is fit fits[j]), W P^T per view, carried from the cost to the
-    next consensus update, and the fits' lam and beta. The weights are
-    updated in place, row by row, as each fit's sweep succeeds."""
+    (row j is fit fits[j]), and W P^T per view, carried from the cost to the
+    next consensus update. A fit's objective, costs and weights are the rows
+    of its record (fit)."""
 
     fits: np.ndarray
     bases: tuple[np.ndarray, ...]
     codes: tuple[np.ndarray, ...]
     consensus: np.ndarray
-    weights: np.ndarray
     wp: tuple[np.ndarray, ...]
-    lam: np.ndarray
-    beta: np.ndarray
 
     def keep(self, rows: np.ndarray) -> "_Batch":
         return _Batch(
@@ -411,27 +407,26 @@ class _Batch:
             bases=tuple(u[rows] for u in self.bases),
             codes=tuple(p[rows] for p in self.codes),  # each keeps its layout
             consensus=self.consensus[rows],
-            weights=self.weights[rows],
             wp=tuple(m[rows] for m in self.wp),
-            lam=self.lam[rows],
-            beta=self.beta[rows],
         )
 
-    def state(self, j: int, trace, cost_rows, weight_rows, error=None) -> SolverState:
-        """Row j as a lone fit's state, in copies that keep its layout (a
-        fit's slices of the stacks have a lone fit's layouts, which the bits
-        of X P^T and of the cost's sums follow): codes C-ordered from
-        initialize and F-ordered after a sweep, and the consensus F-ordered,
-        as the (n, B, c) accumulation leaves it. k-means reads the consensus
-        transposed, as C-ordered points, which is then no copy."""
+    def state(self, j: int, record: list, error=None) -> SolverState:
+        """Row j as a lone fit's state, with its record (fit) as the traces
+        and weights, in copies that keep its layout (a fit's slices of the
+        stacks have a lone fit's layouts, which the bits of X P^T and of the
+        cost's sums follow): codes C-ordered from initialize and F-ordered
+        after a sweep, and the consensus F-ordered, as the (n, B, c)
+        accumulation leaves it. k-means reads the consensus transposed, as
+        C-ordered points, which is then no copy."""
+        objective, costs, weights = zip(*record)
         return SolverState(
             bases=tuple(u[j].copy(order="K") for u in self.bases),
             codes=tuple(p[j].copy(order="K") for p in self.codes),
             consensus=self.consensus[j].copy(order="K"),
-            weights=self.weights[j].copy(),
-            objective_trace=np.asarray(trace),
-            cost_trace=np.vstack(cost_rows),
-            weight_trace=np.vstack(weight_rows),
+            weights=weights[-1],
+            objective_trace=np.array(objective),
+            cost_trace=np.vstack(costs),
+            weight_trace=np.vstack(weights),
             error=error,
         )
 
@@ -452,6 +447,10 @@ def fit(
     state from before it and, as its error, the first one a lone fit raises;
     the others go on. fit itself raises only for what the whole batch shares.
     Returns one SolverState per config, in order.
+
+    Each fit keeps one record, a list of (objective, costs, weights) rows,
+    one per state it scored: a sweep takes the fit's weights from its last
+    row, and the fit's state its traces and weights from the whole record.
 
     Once a sweep has updated the consensus, each view's bases, codes, W P^T
     and cost column depend on that view alone: they are one task per view,
@@ -476,7 +475,6 @@ def fit(
     xs = [view.data for view in ds.views]
     lam = np.array([cfg.lam for cfg in cfgs])
     beta = np.array([cfg.beta for cfg in cfgs])
-    traces, cost_rows, weight_rows = ([[] for _ in cfgs] for _ in range(3))
     results: list[Optional[SolverState]] = [None] * len(cfgs)
     seconds = np.zeros(len(cfgs))
 
@@ -488,17 +486,16 @@ def fit(
         codes = tuple(np.stack(p) for p in zip(*(s.codes for s in inits)))
         # in the layout update_consensus returns
         consensus = np.zeros((ds.n, len(cfgs), cfgs[0].n_components)).transpose(1, 2, 0)
-        weights = np.stack([s.weights for s in inits])
         xtu = [x.T @ u for x, u in zip(xs, bases)]
         gathered = [_gather(consensus, ids) for ids in ds.availability]
         wp = tuple(_times_w(graph, p) for graph, p in zip(graphs, codes))
         views = zip(xx, xtu, bases, codes, gathered, wp, graphs)
         costs = np.column_stack([view_costs(*view, lam, beta) for view in views])
-        for i, (cfg, init) in enumerate(zip(cfgs, inits)):
-            traces[i].append(_weighted_total(init.weights, costs[i], cfg.r))
-            cost_rows[i].append(costs[i])
-            weight_rows[i].append(init.weights)
-        batch = _Batch(np.arange(len(cfgs)), bases, codes, consensus, weights, wp, lam, beta)
+        records = [
+            [(_weighted_total(s.weights, e, cfg.r), e, s.weights)]
+            for cfg, s, e in zip(cfgs, inits, costs)
+        ]
+        batch = _Batch(np.arange(len(cfgs)), bases, codes, consensus, wp)
         seconds += (time.perf_counter() - start) / len(cfgs)
 
         it = 1
@@ -506,40 +503,35 @@ def fit(
             sweep_start = time.perf_counter()
             fits = batch.fits
             consensus, failed = update_consensus(
-                batch.wp, graphs, ds.availability, ds.n, batch.weights,
-                [cfgs[i].r for i in fits],
+                batch.wp, graphs, ds.availability, ds.n,
+                np.array([records[i][-1][2] for i in fits]), [cfgs[i].r for i in fits],
             )
-            view_sweep = partial(_sweep_view, consensus=consensus, lam=batch.lam, beta=batch.beta)
+            view_sweep = partial(_sweep_view, consensus=consensus, lam=lam[fits], beta=beta[fits])
             bases, basis_failed, codes, wp, costs = zip(
                 *each(view_sweep, xs, xx, batch.codes, ds.availability, graphs)
             )
             # a fit's first error, in block order and then view order
             failed = ChainMap(failed, *basis_failed)
             costs = np.column_stack(costs)
-            # the weights array is shared: a fit's row is written only once
-            # its sweep has succeeded, so a failed fit keeps the old one
-            swept = replace(batch, bases=bases, codes=codes, consensus=consensus, wp=wp)
+            swept = _Batch(fits, bases, codes, consensus, wp)
             running = []
             for j, i in enumerate(fits):
                 cfg = cfgs[i]
                 try:
                     if j in failed:
                         raise failed[j]
-                    a = update_weights(costs[j], cfg.r) if cfg.weight_on else weight_rows[i][-1]
+                    a = update_weights(costs[j], cfg.r) if cfg.weight_on else records[i][-1][2]
                     value = _weighted_total(a, costs[j], cfg.r)
                     if not np.isfinite(value):
                         raise ArithmeticError(f"objective diverged to {value} at iteration {it}")
                 except (ArithmeticError, ValueError) as exc:  # the fit leaves as it was
                     exc.with_traceback(None)  # a traceback would hold this frame's stacks
-                    results[i] = batch.state(j, traces[i], cost_rows[i], weight_rows[i], exc)
+                    results[i] = batch.state(j, records[i], exc)
                     continue
-                swept.weights[j] = a
-                traces[i].append(value)
-                cost_rows[i].append(costs[j])
-                weight_rows[i].append(a)
-                prev = traces[i][-2]
+                prev = records[i][-1][0]
+                records[i].append((value, costs[j], a))
                 if abs(prev - value) / max(prev, 1e-12) <= cfg.tol or it == cfg.max_iter:
-                    results[i] = swept.state(j, traces[i], cost_rows[i], weight_rows[i])
+                    results[i] = swept.state(j, records[i])
                 else:
                     running.append(j)
             seconds[fits] += (time.perf_counter() - sweep_start) / fits.size

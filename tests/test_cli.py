@@ -9,6 +9,7 @@ from imvc import save_dataset
 from imvc.cli import main
 
 from synthetic import multiview_blobs
+from test_harness import read_rows
 
 
 @pytest.fixture(scope="module")
@@ -92,6 +93,53 @@ def test_cli_trace_says_when_it_stopped_at_max_iter(workspace, tmp_path, capsys)
     out = capsys.readouterr().out
     assert "stopped at max_iter=2; acc=" in out
     assert "converged" not in out
+
+
+def test_cli_trace_of_a_failing_fit_says_so_and_exits_1(workspace, tmp_path, capsys):
+    # at r=1e6 every view weight's a_v^r underflows to 0 in the first sweep
+    _, cfg_path, _ = workspace
+    out = tmp_path / "tr"
+    assert main(["trace", "--config", str(cfg_path), "--output", str(out), "--r", "1e6"]) == 1
+    printed = capsys.readouterr().out
+    assert "trial failed: ValueError: sample " in printed
+    assert "the consensus update is infeasible" in printed
+    assert [t.name for t in out.glob("trace_*.csv")] == ["trace_full-g000-r0p3-t00.csv"]
+
+
+def test_cli_run_seed_overrides_the_master_seed(workspace, tmp_path):
+    _, cfg_path, _ = workspace
+    assert main(["run", "--config", str(cfg_path), "--output", str(tmp_path / "cfg")]) == 0
+    argv = ["run", "--config", str(cfg_path), "--output", str(tmp_path / "s5"), "--seed", "5"]
+    assert main(argv) == 0
+    manifest = json.loads((tmp_path / "s5" / "manifest.json").read_text())
+    assert manifest["config"]["master_seed"] == 5
+    assert json.loads((tmp_path / "cfg" / "manifest.json").read_text())["config"]["master_seed"] == 3
+    seeded, configured = (read_rows(tmp_path / d / "trials.csv") for d in ("s5", "cfg"))
+    assert [r["run_id"] for r in seeded] == [r["run_id"] for r in configured]
+    for a, b in zip(seeded, configured):
+        assert a["mask_seed"] != b["mask_seed"] and a["solver_seed"] != b["solver_seed"]
+
+
+def test_cli_run_traces_writes_one_trace_file_per_trial(workspace, tmp_path):
+    _, cfg_path, _ = workspace
+    out = tmp_path / "tr"
+    assert main(["run", "--config", str(cfg_path), "--output", str(out), "--traces"]) == 0
+    run_ids = [row["run_id"] for row in read_rows(out / "trials.csv")]
+    assert len(run_ids) == 2
+    assert sorted(t.name for t in out.glob("trace_*.csv")) == [f"trace_{r}.csv" for r in run_ids]
+
+
+def test_cli_run_workers_write_the_same_files(workspace, tmp_path):
+    # two (rate, repeat) groups, so two chunks that two workers can share
+    _, cfg_path, _ = workspace
+    grid = solver_copy(cfg_path, tmp_path, lam=[0.5, 2.0])
+    outputs = []
+    for workers in ("1", "2"):
+        out = tmp_path / f"workers{workers}"
+        assert main(["run", "--config", str(grid), "--output", str(out), "--workers", workers]) == 0
+        outputs.append([(out / name).read_bytes() for name in ("trials.csv", "aggregate.csv")])
+    assert outputs[0] == outputs[1]
+    assert outputs[0][0].count(b"\n") == 5  # the header and 4 trials
 
 
 def test_cli_validate_data_good(workspace, capsys):

@@ -201,6 +201,12 @@ def test_paired_deterministic():
         assert np.array_equal(x, y)
 
 
+def test_paired_requires_a_complete_dataset():
+    once = apply_mask(complete_dataset(10, 2), MaskSpec("random-missing", 0.3, seed=0))
+    with pytest.raises(ValueError, match="^paired-sample masks require a complete dataset$"):
+        apply_mask(once, MaskSpec("paired-sample", 0.5, seed=0))
+
+
 def test_mask_spec_validation():
     with pytest.raises(ValueError, match="protocol"):
         MaskSpec("drop-everything", 0.5)
@@ -242,6 +248,26 @@ def test_load_dataset_dimension_mismatch(tmp_path):
     np.savetxt(tmp_path / "b.csv", np.ones((3, 9)), delimiter=",")
     with pytest.raises(ValueError, match="differing column counts"):
         load_dataset([tmp_path / "a.csv", tmp_path / "b.csv"])
+
+
+@pytest.mark.parametrize(
+    "labels, message",
+    [
+        (None, "need at least one view file"),
+        ("0,1\n1,0\n0,1\n", "label file must be a single column"),
+        ("0\n1.5\n0\n", "labels must be integers"),
+    ],
+    ids=["no-views", "two-column-labels", "non-integer-labels"],
+)
+def test_load_dataset_rejects_no_views_and_bad_label_files(tmp_path, labels, message):
+    np.savetxt(tmp_path / "a.csv", np.ones((2, 3)), delimiter=",")
+    if labels is None:
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            load_dataset([])
+        return
+    (tmp_path / "y.csv").write_text(labels)
+    with pytest.raises(ValueError, match=f"{re.escape(str(tmp_path / 'y.csv'))}: {message}$"):
+        load_dataset([tmp_path / "a.csv"], label_path=tmp_path / "y.csv")
 
 
 def test_load_dataset_label_length_mismatch(tmp_path):
@@ -672,6 +698,43 @@ def test_normalize_unknown_mode():
 def test_view_matrix_rejects_non_finite():
     with pytest.raises(ValueError, match="non-finite"):
         ViewMatrix(view_id=0, data=np.array([[1.0, np.inf]]))
+
+
+@pytest.mark.parametrize("shape", [(3,), (0, 3), (3, 0), (2, 2, 2)])
+def test_view_matrix_rejects_data_that_is_not_a_non_empty_matrix(shape):
+    message = (
+        "view 4: data must be a 2-D matrix with at least one row and one column, "
+        f"got shape {shape}"
+    )
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        ViewMatrix(view_id=4, data=np.ones(shape))
+
+
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ({"views": ()}, "dataset needs at least one view"),
+        ({"availability": (np.arange(3),) * 2}, "1 views but 2 availability lists"),
+        (
+            {"availability": (np.arange(2),)},
+            "view 0: availability length 2 does not match 3 data columns",
+        ),
+        ({"availability": (np.array([[0, 1, 2]]),)}, "view 0: availability length 3 does not match"),
+        ({"availability": (np.array([-1, 0, 1]),)}, "view 0: sample ids must lie in 0..2"),
+        ({"availability": (np.array([0, 1, 3]),)}, "view 0: sample ids must lie in 0..2"),
+        ({"labels": np.array([0, -1, 1])}, "labels must be non-negative"),
+    ],
+    ids=["no-views", "count", "length", "not-1-d", "below-0", "above-n", "negative-labels"],
+)
+def test_dataset_rejects_inconsistent_fields(fields, message):
+    values = {
+        "views": (ViewMatrix(view_id=0, data=np.ones((2, 3))),),
+        "n": 3,
+        "availability": (np.arange(3),),
+        **fields,
+    }
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+        MultiViewDataset(**values)
 
 
 def test_dataset_requires_full_coverage():

@@ -107,6 +107,20 @@ def test_invalid_k_rejected():
         gaussian_knn_graph(view_from_points(pts), k=0)
 
 
+@pytest.mark.parametrize("k", [2.5, True, float("nan"), float("inf")])
+def test_a_k_that_is_not_an_integer_is_named(k):
+    # 2.5 failed inside numpy ("'float' object cannot be interpreted as an
+    # integer"), and True as "an integer is required"
+    pts = np.random.default_rng(4).normal(size=(8, 2))
+    message = f"^k must be an integer, got {k!r}$"
+    with pytest.raises(ValueError, match=message):
+        gaussian_knn_graph(view_from_points(pts), k=k)
+    ds, _ = random_problem(9, l=2, n=8, c=2, k=2, gamma=0.0)
+    with pytest.raises(ValueError, match=message):
+        build_fused_graphs(ds, k=k)
+    assert gaussian_knn_graph(view_from_points(pts), k=3.0)[0].nnz > 0
+
+
 def test_symmetry_is_exact():
     rng = np.random.default_rng(5)
     pts = rng.normal(size=(30, 5))

@@ -191,6 +191,35 @@ def test_a_diverging_fit_fails_alone_in_its_batch(data_dir, tmp_path):
         assert t.state.consensus.tobytes() == a.state.consensus.tobytes()
 
 
+def test_a_trial_whose_kmeans_fails_carries_the_error_alone(data_dir, tmp_path, monkeypatch):
+    # each (rate, repeat) group is one chunk of two trials; the second
+    # trial's k-means raises, and the first keeps the scores it has alone
+    root, paths = data_dir
+    solver = {"lam": [0.5, 2.0], "beta": [0.001], "r": [3.0], "k": [5], "max_iter": 30}
+    cfg = make_config(paths, tmp_path / "out", solver=solver)
+    clean = [t for rec in run_experiment(cfg) for t in rec.trials]
+    real = imvc.harness.evaluate_clustering
+    calls = []
+
+    def evaluate(representation, true_labels, **kwargs):
+        calls.append(kwargs["seed"])
+        if len(calls) % 2 == 0:
+            raise ValueError("k-means could not run")
+        return real(representation, true_labels, **kwargs)
+
+    monkeypatch.setattr(imvc.harness, "evaluate_clustering", evaluate)
+    trials = [t for rec in run_experiment(cfg) for t in rec.trials]
+    assert len(calls) == len(trials) == len(clean) == 4
+    for t, c in zip(trials, clean):
+        assert t.run_id == c.run_id
+        if t.lam == 2.0:
+            assert t.error == "ValueError: k-means could not run"
+            assert (t.acc, t.nmi, t.purity, t.iterations) == (None, None, None, 0)
+        else:
+            assert not t.error and (t.acc, t.nmi, t.purity) == (c.acc, c.nmi, c.purity)
+            assert t.iterations == c.iterations > 0
+
+
 def test_each_group_is_one_fit_call(data_dir, tmp_path, monkeypatch):
     root, paths = data_dir
     batches = []

@@ -219,6 +219,21 @@ def test_accuracy_rejects_mismatched_lengths():
         accuracy([0, 1], [0, 1, 1])
 
 
+@pytest.mark.parametrize("score", [accuracy, nmi, purity])
+@pytest.mark.parametrize(
+    "true, predicted, message",
+    [
+        ([], [], "label vectors must be non-empty"),
+        ([0, -1], [0, 1], "labels must be non-negative integers"),
+        ([0, 1], [0, -1], "labels must be non-negative integers"),
+    ],
+    ids=["empty", "negative-true", "negative-predicted"],
+)
+def test_scores_reject_empty_and_negative_labels(score, true, predicted, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        score(true, predicted)
+
+
 # ----------------------------------------------------------------------- nmi
 
 
@@ -406,6 +421,42 @@ def test_kmeans_rejects_a_representation_without_samples_or_features():
     for shape in [(3, 0), (0, 5)]:
         with pytest.raises(ValueError, match=re.escape(f"features and samples, got shape {shape}")):
             _best_kmeans(np.zeros(shape), k=1, restarts=2, seed=0)
+
+
+@pytest.mark.parametrize(
+    "cell, restarts, message",
+    [
+        (np.nan, 2, "representation contains non-finite values"),
+        (np.inf, 2, "representation contains non-finite values"),
+        (0.0, 0, "restarts must be at least 1"),
+        (0.0, -3, "restarts must be at least 1"),
+    ],
+    ids=["nan", "inf", "no-restarts", "negative-restarts"],
+)
+def test_kmeans_rejects_a_non_finite_representation_and_no_restarts(cell, restarts, message):
+    rep = np.random.default_rng(13).normal(size=(2, 12))
+    rep[1, 5] = rep[1, 5] + cell
+    with pytest.raises(ValueError, match=f"^{message}"):
+        _best_kmeans(rep, k=2, restarts=restarts, seed=0)
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("k", 2.5), ("k", True), ("k", np.nan), ("restarts", 2.5), ("restarts", True),
+     ("restarts", np.inf)],
+    ids=["k-2.5", "k-True", "k-nan", "restarts-2.5", "restarts-True", "restarts-inf"],
+)
+def test_evaluate_clustering_names_a_count_that_is_not_an_integer(key, value):
+    # 2.5 failed inside numpy ("'float' object cannot be interpreted as an
+    # integer"), k=True as "an integer is required", and restarts=True ran
+    # one restart
+    rep = np.random.default_rng(14).normal(size=(2, 12))
+    truth = np.arange(12) % 2
+    with pytest.raises(ValueError, match=f"^{key} must be an integer, got {value!r}$"):
+        evaluate_clustering(rep, truth, **{"k": 2, "restarts": 3, key: value})
+    # integral floats are the integers they equal
+    whole = evaluate_clustering(rep, truth, k=2.0, restarts=3.0)
+    assert np.array_equal(whole.predicted, evaluate_clustering(rep, truth, k=2, restarts=3).predicted)
 
 
 def test_evaluate_clustering_checks_the_label_count_before_kmeans(monkeypatch):

@@ -586,3 +586,32 @@ def test_config_rejects_non_finite_parameters(key, value, message):
     # and an infinite lam, beta or r would fail it in its first sweep
     with pytest.raises(ValueError, match=f"^{message}$"):
         SolverConfig(**{"lam": 1.0, "beta": 0.1, "r": 2.0, "n_components": 2, key: value})
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("n_components", 2.5),
+        ("n_components", True),
+        ("max_iter", 2.5),
+        ("max_iter", math.inf),
+        ("max_iter", math.nan),
+        ("max_iter", True),
+    ],
+    ids=["n_components-2.5", "n_components-True", "max_iter-2.5", "max_iter-inf", "max_iter-nan",
+         "max_iter-True"],
+)
+def test_config_rejects_non_integer_counts(key, value):
+    # a max_iter of 2.5 or inf was taken and then ignored (a fit ran to its
+    # tol), and an n_components of 2.5 failed later inside numpy
+    with pytest.raises(ValueError, match=f"^{key} must be an integer, got {value!r}$"):
+        SolverConfig(**{"lam": 1.0, "beta": 0.0, "r": 2.0, "n_components": 2, key: value})
+
+
+def test_config_takes_integral_floats_as_integers():
+    cfg = SolverConfig(lam=1.0, beta=0.0, r=2.0, n_components=2.0, max_iter=np.float64(3.0))
+    assert (cfg.n_components, cfg.max_iter) == (2, 3)
+    assert type(cfg.n_components) is int and type(cfg.max_iter) is int
+    ds, graphs = masked_problem(multiview_blobs(), rate=0.3)
+    (state,) = fit(ds, graphs, [replace(cfg, tol=0.0)])
+    assert state.n_iterations == 3 and state.consensus.shape == (2, ds.n)

@@ -12,7 +12,7 @@ import pytest
 
 import imvc.graph
 import imvc.solver
-from imvc import build_fused_graphs, fit
+from imvc import build_fused_graphs, evaluate_clustering, fit
 from imvc.dataset import thread_map
 from imvc.harness import one_blas_thread
 from imvc.solver import SolverConfig
@@ -168,3 +168,30 @@ def test_a_pooled_fit_equals_the_serial_fit(monkeypatch):
     for threads in THREADS:
         for got, want in zip(states[threads], states[1]):
             assert_same_fit(got, want)
+
+
+@pytest.mark.parametrize(
+    "threads, message",
+    [
+        (0, "threads must be at least 1, got 0"),
+        (-1, "threads must be at least 1, got -1"),
+        (2.5, "threads must be an integer, got 2.5"),
+        (True, "threads must be an integer, got True"),
+    ],
+    ids=["0", "-1", "2.5", "True"],
+)
+@pytest.mark.parametrize("stage", ["graphs", "fit", "kmeans"])
+def test_every_threaded_stage_names_a_thread_count_that_is_not_a_count(stage, threads, message):
+    # one rule, in thread_map: at 0 the graph build and the fit ran serially
+    # and k-means failed inside numpy ("number sections must be larger than 0")
+    ds, graphs = masked_problem(multiview_blobs(), rate=0.3)
+    cfg = SolverConfig(lam=1.0, beta=0.0, r=2.0, n_components=2, max_iter=2)
+    run = {
+        "graphs": lambda: build_fused_graphs(ds, threads=threads),
+        "fit": lambda: fit(ds, graphs, [cfg], threads=threads),
+        "kmeans": lambda: evaluate_clustering(
+            np.ones((2, ds.n)), ds.labels, k=2, restarts=3, threads=threads
+        ),
+    }[stage]
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        run()
