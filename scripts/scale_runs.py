@@ -42,7 +42,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 import imvc  # noqa: E402
-from imvc.harness import cpu_share, one_blas_thread  # noqa: E402
+from imvc.harness import one_blas_thread, usable_cpus  # noqa: E402
 import tracing  # noqa: E402
 from synth import handwritten_like  # noqa: E402
 
@@ -65,7 +65,7 @@ def trial(n: int, seed: int) -> dict:
     full = _dataset(n, seed, noise=0.6)
     # a lone harness trial: one OpenBLAS thread, and this process's CPUs as
     # the trial's threads
-    threads = cpu_share(1, 1)
+    threads = usable_cpus()
     times = {}
     with one_blas_thread():
         start = time.perf_counter()

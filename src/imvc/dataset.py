@@ -64,6 +64,14 @@ def _count(key: str, value) -> int:
     return value
 
 
+def _seed(key: str, value) -> int:
+    """A random seed, named by its key: a non-negative integer."""
+    value = _integer(key, value)
+    if value < 0:
+        raise ValueError(f"{key} must be non-negative, got {value!r}")
+    return value
+
+
 def _readonly(a: np.ndarray) -> np.ndarray:
     a = np.array(a, order="C", copy=True)
     a.flags.writeable = False
@@ -159,6 +167,7 @@ class MultiViewDataset:
 
     def _settle(self, keep: Callable[[np.ndarray], np.ndarray]) -> None:
         """Check the fields and store each id and label array as keep makes it."""
+        n = _count("n", self.n)
         views = tuple(self.views)
         if not views:
             raise ValueError("dataset needs at least one view")
@@ -167,7 +176,7 @@ class MultiViewDataset:
                 f"{len(views)} views but {len(self.availability)} availability lists"
             )
         avail = []
-        covered = np.zeros(self.n, dtype=bool)
+        covered = np.zeros(n, dtype=bool)
         for view, ids in zip(views, self.availability):
             ids = np.asarray(ids, dtype=np.int64)
             if ids.ndim != 1 or ids.size != view.n_available:
@@ -175,10 +184,8 @@ class MultiViewDataset:
                     f"view {view.view_id}: availability length {ids.size} does not "
                     f"match {view.n_available} data columns"
                 )
-            if ids.size and (ids[0] < 0 or ids[-1] >= self.n):
-                raise ValueError(
-                    f"view {view.view_id}: sample ids must lie in 0..{self.n - 1}"
-                )
+            if ids.size and (ids[0] < 0 or ids[-1] >= n):
+                raise ValueError(f"view {view.view_id}: sample ids must lie in 0..{n - 1}")
             if np.any(np.diff(ids) <= 0):
                 raise ValueError(
                     f"view {view.view_id}: availability ids must be strictly increasing"
@@ -194,12 +201,13 @@ class MultiViewDataset:
         labels = self.labels
         if labels is not None:
             labels = np.asarray(labels, dtype=np.int64)
-            if labels.shape != (self.n,):
-                raise ValueError(f"labels must have length n={self.n}")
+            if labels.shape != (n,):
+                raise ValueError(f"labels must have length n={n}")
             if labels.min() < 0:
                 raise ValueError("labels must be non-negative")
             labels = keep(labels)
         object.__setattr__(self, "views", views)
+        object.__setattr__(self, "n", n)
         object.__setattr__(self, "availability", tuple(avail))
         object.__setattr__(self, "labels", labels)
 
@@ -235,6 +243,7 @@ class MaskSpec:
             raise ValueError(f"rate must lie in [0, 1], got {self.rate}")
         if self.protocol == "random-missing" and self.rate == 1.0:
             raise ValueError("random-missing rate must be below 1: some instances must survive")
+        object.__setattr__(self, "seed", _seed("seed", self.seed))
 
 
 def _round_half_up(x: float) -> int:

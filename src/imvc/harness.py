@@ -19,12 +19,12 @@ The output columns are the fields of TrialOutcome (trials.csv) and RunRecord
 (aggregate.csv) in order, less the in-memory ones; each ablation is the one
 model switch in _VARIANTS that it turns off.
 
-in_workers is imvc's one process pool, and a sweep's chunks its only jobs:
+in_workers is imvc's one process pool, and a sweep's chunks its only items:
 the data files are read in the calling process (dataset.load_dataset), so a
-run forks once, whatever its input format. Its rule: fork, else the calling
-process. cpu_share is each of its processes' share of the usable CPUs, which
-a trial runs on as threads (dataset.thread_map). A sweep runs at one
-OpenBLAS thread (one_blas_thread), in this process and in every worker.
+run forks once, whatever its input format. It makes a run's whole CPU
+decision: the processes (fork, else the calling process), each one's share
+of the usable CPUs, which a chunk runs on as threads (dataset.thread_map),
+and one OpenBLAS thread (one_blas_thread) in this process and every worker.
 """
 
 from __future__ import annotations
@@ -352,11 +352,11 @@ def _run_trial(
     k-means and scores, keeping its solver state if keep_states. (The name
     is the one perfbench/tracing.py times as harness.trial.)
 
-    threads is the chunk's share of the CPUs (cpu_share): the graph
-    build, the fit and each k-means run their views or restarts on that many
-    threads, which each stage starts and joins itself, so no thread outlives
-    its stage. The sweep runs at one OpenBLAS thread (run_experiment), so
-    the rows and states do not depend on threads.
+    threads is the chunk's process's share of the CPUs (in_workers): the
+    graph build, the fit and each k-means run their views or restarts on
+    that many threads, which each stage starts and joins itself, so no
+    thread outlives its stage. The chunk runs at one OpenBLAS thread
+    (in_workers), so the rows and states do not depend on threads.
 
     The chunk builds its group's mask and graphs from its first trial. A
     failure becomes the error of the trials it ends: a failed group build or
@@ -517,9 +517,9 @@ def one_blas_thread():
         _blas_threads(before)
 
 
-def _serve(jobs: list[Callable], conn, parent_ends: list) -> None:
-    """A forked worker: run each job index its parent sends, until None, and
-    send back the index with (True, result) or (False, error).
+def _serve(run: Callable, items: Sequence, threads: int, conn, parent_ends: list) -> None:
+    """A forked worker: run each item index its parent sends, until None, and
+    send back the index with (True, run(threads, item)) or (False, error).
 
     It first closes the parent's pipe ends that it inherited at fork, so that
     each worker sees the end of its pipe once the parent closes its own end.
@@ -528,77 +528,73 @@ def _serve(jobs: list[Callable], conn, parent_ends: list) -> None:
         end.close()
     for i in iter(conn.recv, None):
         try:
-            outcome = (True, jobs[i]())
+            outcome = (True, run(threads, items[i]))
         except Exception as exc:
             outcome = (False, exc)
         conn.send((i, outcome))
 
 
-def _processes(processes: int, jobs: int) -> int:
-    """The processes that in_workers runs this many jobs in: min(processes,
-    jobs) forked workers, or 1, this process, where that is fewer than 2,
-    without fork, or in a daemon process, which may start none (a spawned
-    worker would first import numpy, scipy and imvc again and be sent its
-    arrays)."""
-    processes = min(processes, jobs)
+def in_workers(run: Callable, items: Sequence, processes: int) -> list:
+    """[run(threads, item) for item in items]: the whole CPU decision of a run.
+
+    The processes: min(processes, len(items)) forked workers, or this process
+    alone where that is fewer than 2, without fork, or in a daemon process,
+    which may start none (a spawned worker would first import numpy, scipy
+    and imvc again and be sent its arrays). threads is each process's even
+    share of the usable CPUs, max(1, usable_cpus() // processes), which run
+    spreads its item over (dataset.thread_map). Every item runs at one
+    OpenBLAS thread (one_blas_thread), set here before any worker forks and
+    put back once they are joined; the workers inherit it.
+
+    Each forked worker is sent one item index at a time, in item order, and
+    its next one when it sends back the last. It inherits run, the items and
+    their arrays at fork, so only indices go to it and only results come
+    back. This thread reads the results: memory that a helper thread
+    allocated would stay in that thread's malloc arena once freed and raise
+    this process's peak RSS. Results, and the first error, are taken in item
+    order, as a serial loop meets them.
+    """
+    processes = min(processes, len(items))
     if (
         processes < 2
         or "fork" not in multiprocessing.get_all_start_methods()
         or multiprocessing.current_process().daemon
     ):
-        return 1
-    return processes
-
-
-def cpu_share(processes: int, jobs: int) -> int:
-    """The usable CPUs of each process that in_workers runs this many jobs
-    in: an even share, at least 1."""
-    return max(1, usable_cpus() // _processes(processes, jobs))
-
-
-def in_workers(jobs: list[Callable], processes: int) -> list:
-    """[job() for job in jobs], in the processes that _processes gives.
-
-    Each forked worker is sent one job at a time, in job order, and its next
-    one when it sends back the last. It inherits the jobs and their arrays
-    at fork, so only indices go to it and only results come back; it also
-    inherits this process's OpenBLAS threads, which its jobs run at (see
-    one_blas_thread). This thread reads the results: memory that a helper
-    thread allocated would stay in that thread's malloc arena once freed and
-    raise this process's peak RSS. Results, and the first error, are taken
-    in job order, as a serial loop meets them.
-    """
-    processes = _processes(processes, len(jobs))
-    if processes == 1:
-        return [job() for job in jobs]
-    context = multiprocessing.get_context("fork")
-    order = iter(range(len(jobs)))
-    workers, outcomes = [], {}
-    try:
-        for _ in range(processes):
-            ours, theirs = context.Pipe()
-            parent_ends = [ours] + [end for _, end in workers]
-            worker = context.Process(target=_serve, args=(jobs, theirs, parent_ends))
-            worker.start()
-            theirs.close()
-            workers.append((worker, ours))
-            ours.send(next(order))
-        running = [ours for _, ours in workers]
-        while running:
-            for conn in multiprocessing.connection.wait(running):
-                try:
-                    i, outcome = conn.recv()
-                except EOFError:  # the worker was sent None, or died
-                    running.remove(conn)
-                else:
-                    outcomes[i] = outcome
-                    conn.send(next(order, None))
-    finally:
-        for worker, ours in workers:
-            ours.close()
-            worker.join()
+        processes = 1
+    threads = max(1, usable_cpus() // processes)
+    with one_blas_thread():
+        if processes == 1:
+            return [run(threads, item) for item in items]
+        context = multiprocessing.get_context("fork")
+        order = iter(range(len(items)))
+        workers, outcomes = [], {}
+        try:
+            for _ in range(processes):
+                ours, theirs = context.Pipe()
+                parent_ends = [ours] + [end for _, end in workers]
+                worker = context.Process(
+                    target=_serve, args=(run, items, threads, theirs, parent_ends)
+                )
+                worker.start()
+                theirs.close()
+                workers.append((worker, ours))
+                ours.send(next(order))
+            running = [ours for _, ours in workers]
+            while running:
+                for conn in multiprocessing.connection.wait(running):
+                    try:
+                        i, outcome = conn.recv()
+                    except EOFError:  # the worker was sent None, or died
+                        running.remove(conn)
+                    else:
+                        outcomes[i] = outcome
+                        conn.send(next(order, None))
+        finally:
+            for worker, ours in workers:
+                ours.close()
+                worker.join()
     results = []
-    for i in range(len(jobs)):
+    for i in range(len(items)):
         if i not in outcomes:
             raise RuntimeError(f"a worker process ended before job {i} was done")
         ok, value = outcomes[i]
@@ -624,24 +620,21 @@ def run_experiment(
     Trials run group by group, in sorted (rate, repeat, k) order. Each
     group's trials are dealt into C = ceil(trials / _CHUNK_TRIALS) strided
     chunks (chunk j holds rows j, j + C, ...), whatever workers is, and each
-    chunk is one job, _run_trial(base, cfg, keep_states, chunk), that builds
-    the group's mask and graphs and runs its fits in lockstep as one fit
-    call. The data files are read in this process first (load_base). With
-    workers > 1 the chunks go, in group order, one at a time to
-    min(workers, chunks) forked worker processes (in_workers): a run forks
-    once, whatever its input format. One worker, one chunk, no fork or a
-    daemon process runs them in this process. Each chunk runs on its
-    process's share of the CPUs as threads (cpu_share, _run_trial), and the
-    load and every chunk at one OpenBLAS thread, set here before any worker
-    forks and put back after. A group's build is deterministic, its chunks
-    do not depend on workers, no stage's bits depend on its threads, and
-    rows are put back by id, so the output depends neither on workers nor
-    on the number of usable CPUs, on any BLAS kernel.
+    chunk is one item, _run_trial(base, cfg, keep_states, threads, chunk),
+    that builds the group's mask and graphs and runs its fits in lockstep as
+    one fit call. workers, an integer of at least 1, is checked first; the
+    data files are then read in this process (load_base), so a run forks
+    once, whatever its input format. in_workers runs the chunks, in group
+    order, on up to workers processes, and picks those processes, their
+    share of the CPUs as threads and the one OpenBLAS thread. A group's
+    build is deterministic, its chunks do not depend on workers, no stage's
+    bits depend on its threads, and rows are put back by id, so the output
+    depends neither on workers nor on the number of usable CPUs, on any
+    BLAS kernel.
     """
     if ablation is not None and ablation not in ABLATIONS:
         raise ValueError(f"unknown ablation {ablation!r}; expected one of {ABLATIONS}")
-    if workers < 1:
-        raise ValueError(f"workers must be at least 1, got {workers}")
+    workers = _count("workers", workers)
     variant = "full" if ablation is None else f"no-{ablation}"
     grid = itertools.product(cfg.lam_grid, cfg.beta_grid, cfg.r_grid, cfg.knn_grid)
     pending: list[TrialOutcome] = []
@@ -676,13 +669,8 @@ def run_experiment(
         parts = math.ceil(len(ids) / _CHUNK_TRIALS)
         chunk_ids += [ids[j::parts] for j in range(parts)]
     chunks = [[pending[i] for i in ids] for ids in chunk_ids]
-    threads = cpu_share(workers, len(chunks))
-    with one_blas_thread():
-        base = load_base(cfg)
-        results = in_workers(
-            [partial(_run_trial, base, cfg, keep_states, threads, chunk) for chunk in chunks],
-            workers,
-        )
+    base = load_base(cfg)
+    results = in_workers(partial(_run_trial, base, cfg, keep_states), chunks, workers)
     for ids, done in zip(chunk_ids, results):
         for i, outcome in zip(ids, done):
             pending[i] = outcome

@@ -28,7 +28,7 @@ from typing import NamedTuple
 import numpy as np
 import scipy.sparse as sp
 
-from .dataset import _count, _integer, thread_map
+from .dataset import _count, _integer, _seed, thread_map
 from .graph import _sq_distances
 
 
@@ -119,6 +119,16 @@ def accuracy(true_labels, predicted) -> float:
     return _assignment_value(_contingency(t, p)) / t.size
 
 
+def _entropy(counts, n: int) -> float:
+    """The entropy of n labels in clusters of these sizes, summed serially,
+    one cluster at a time, so the arithmetic is reproducible term by term."""
+    h = 0.0
+    for a in counts:
+        if a > 0:
+            h -= (a / n) * math.log(a / n)
+    return h
+
+
 def nmi(true_labels, predicted) -> float:
     """Mutual information over the geometric mean of the two entropies.
 
@@ -130,15 +140,8 @@ def nmi(true_labels, predicted) -> float:
     n = t.size
     row = table.sum(axis=1)
     col = table.sum(axis=0)
-    # serial accumulation keeps the arithmetic reproducible term by term
-    h_t = 0.0
-    for a in row:
-        if a > 0:
-            h_t -= (a / n) * math.log(a / n)
-    h_p = 0.0
-    for b in col:
-        if b > 0:
-            h_p -= (b / n) * math.log(b / n)
+    h_t = _entropy(row, n)
+    h_p = _entropy(col, n)
     if h_t == 0.0 and h_p == 0.0:
         return 1.0
     if h_t == 0.0 or h_p == 0.0:
@@ -396,6 +399,7 @@ def _best_kmeans(
     if not 1 <= k <= n:
         raise ValueError(f"k must satisfy 1 <= k <= n={n}, got {k}")
     restarts = _count("restarts", restarts)
+    seed = _seed("seed", seed)
     children = np.random.SeedSequence(seed).spawn(restarts)
     lloyd = partial(_lloyd, pts, k, max_iter=max_iter)
     with thread_map(threads) as each:  # which checks threads before the split

@@ -75,7 +75,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .dataset import MultiViewDataset, _count, thread_map
+from .dataset import MultiViewDataset, _count, _seed, thread_map
 from .graph import FusedGraph
 
 
@@ -110,6 +110,7 @@ class SolverConfig:
             raise ValueError(f"r must be greater than 1, got {self.r}")
         for name in ("n_components", "max_iter"):
             object.__setattr__(self, name, _count(name, getattr(self, name)))
+        object.__setattr__(self, "seed", _seed("seed", self.seed))
         if not self.tol >= 0:
             raise ValueError(f"tol must be non-negative, got {self.tol}")
 

@@ -214,6 +214,20 @@ def test_mask_spec_validation():
         MaskSpec("random-missing", 1.5)
 
 
+@pytest.mark.parametrize(
+    "seed, message",
+    [(2.5, "an integer"), (True, "an integer"), (-1, "non-negative")],
+    ids=["2.5", "True", "-1"],
+)
+def test_mask_spec_seed_is_a_non_negative_integer(seed, message):
+    # 2.5 was taken and failed in apply_mask inside numpy's SeedSequence, -1
+    # failed there without naming the seed, and True was taken as 1
+    with pytest.raises(ValueError, match=f"^seed must be {message}, got {seed!r}$"):
+        MaskSpec("random-missing", 0.3, seed=seed)
+    whole = MaskSpec("random-missing", 0.3, seed=4.0)
+    assert whole.seed == 4 and type(whole.seed) is int
+
+
 # -------------------------------------------------------------------- loading
 
 
@@ -735,6 +749,21 @@ def test_dataset_rejects_inconsistent_fields(fields, message):
     }
     with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
         MultiViewDataset(**values)
+
+
+@pytest.mark.parametrize(
+    "n, message",
+    [(2.5, "an integer"), (True, "an integer"), (-1, "at least 1"), (0, "at least 1")],
+    ids=["2.5", "True", "-1", "0"],
+)
+def test_dataset_n_is_a_count(n, message):
+    # each failed inside numpy (2.5 and True in np.zeros, -1 as "negative
+    # dimensions"), or as a sample-id range of 0..-1 for n=0, naming no n
+    views = (ViewMatrix(view_id=0, data=np.ones((2, 3))),)
+    with pytest.raises(ValueError, match=f"^n must be {message}, got {n!r}$"):
+        MultiViewDataset(views=views, n=n, availability=(np.arange(3),))
+    whole = MultiViewDataset(views=views, n=3.0, availability=(np.arange(3),))
+    assert whole.n == 3 and type(whole.n) is int
 
 
 def test_dataset_requires_full_coverage():

@@ -25,7 +25,6 @@ from imvc.harness import (
     _TRIAL_COLUMNS,
     TrialOutcome,
     _aggregate,
-    cpu_share,
     derive_seed,
     in_workers,
     one_blas_thread,
@@ -590,36 +589,53 @@ def test_an_npy_load_leaves_the_sweep_one_pool(data_dir, tmp_path, monkeypatch, 
         assert len(forks) == 2 and len(sets) == 2
 
 
-def _square_late(i, jobs):
-    # the later a job, the sooner it ends: results come back out of job order
-    time.sleep(0.02 * (jobs - i))
+def _square_late(threads, i):
+    # the later an item of 5, the sooner it ends: results come back out of
+    # item order
+    time.sleep(0.02 * (5 - i))
     return i * i
 
 
-def _fail_late(i, jobs):
-    _square_late(i, jobs)
-    raise ValueError(f"job {i} failed")
+def _fail_1_and_3(threads, i):
+    square = _square_late(threads, i)
+    if i in (1, 3):
+        raise ValueError(f"item {i} failed")
+    return square
 
 
 @pytest.mark.parametrize("processes", [1, 3])
 def test_in_workers_gives_results_and_the_first_error_in_job_order(forks, processes):
-    squares = [lambda i=i: _square_late(i, 5) for i in range(5)]
-    assert in_workers(squares, processes) == [i * i for i in range(5)]
+    assert in_workers(_square_late, range(5), processes) == [i * i for i in range(5)]
     assert len(forks) == (processes if processes > 1 else 0)
-    faulty = [lambda i=i: (_fail_late if i in (1, 3) else _square_late)(i, 5) for i in range(5)]
-    with pytest.raises(ValueError, match="job 1 failed"):
-        in_workers(faulty, processes)
+    with pytest.raises(ValueError, match="item 1 failed"):
+        in_workers(_fail_1_and_3, range(5), processes)
     assert multiprocessing.active_children() == []
 
 
-def test_each_process_gets_an_even_share_of_the_usable_cpus(monkeypatch):
+def _threads(threads, item):
+    return threads
+
+
+def test_each_process_gets_an_even_share_of_the_usable_cpus(monkeypatch, forks):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(6)), raising=False)
-    # (processes asked for, jobs): no more processes than jobs, at least 1 CPU
+    # (processes asked for, items): no more processes than items, at least 1 CPU
     shares = {(1, 1): 6, (2, 10): 3, (4, 2): 3, (4, 10): 1, (8, 10): 1, (3, 1): 6}
-    assert {key: cpu_share(*key) for key in shares} == shares
-    # without fork the jobs run in this process, on every usable CPU
+    for (processes, items), share in shares.items():
+        assert in_workers(_threads, range(items), processes) == [share] * items
+    # without fork the items run in this process, on every usable CPU
     monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
-    assert cpu_share(2, 10) == 6
+    del forks[:]
+    assert in_workers(_threads, range(10), 2) == [6] * 10
+    assert forks == [] and multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("processes", [1, 2])
+def test_in_workers_runs_every_item_at_one_blas_thread(forks, processes):
+    if _blas_threads() is None:
+        pytest.skip("numpy bundles no OpenBLAS with scipy_openblas symbols")
+    threads = _blas_threads()
+    assert in_workers(lambda threads, item: _blas_threads(), range(3), processes) == [1] * 3
+    assert _blas_threads() == threads
 
 
 def test_one_blas_thread_puts_the_callers_count_back_after_an_error():
@@ -639,10 +655,9 @@ def test_one_blas_thread_puts_the_callers_count_back_after_an_error():
 
 
 def test_a_worker_that_dies_is_an_error_and_leaves_no_process(forks):
-    jobs = [lambda: "done", lambda: os._exit(3)]
     threads = _blas_threads()
     with pytest.raises(RuntimeError, match="ended before job 1 was done"):
-        in_workers(jobs, 2)
+        in_workers(lambda threads, item: os._exit(3) if item else "done", [0, 1], 2)
     assert len(forks) == 2 and multiprocessing.active_children() == []
     assert _blas_threads() == threads
 
@@ -669,7 +684,7 @@ def test_an_error_while_collecting_stops_every_worker(forks):
     signal.alarm(60)
     try:
         with pytest.raises(ValueError, match="cannot be unpickled"):
-            in_workers([_Refused, lambda: 1, lambda: 2], 3)
+            in_workers(lambda threads, make: make(), [_Refused, lambda: 1, lambda: 2], 3)
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
@@ -685,6 +700,17 @@ def test_sweep_rejects_fewer_than_one_worker(data_dir, tmp_path, workers):
     root, paths = data_dir
     cfg = make_config(paths, tmp_path / "out")
     with pytest.raises(ValueError, match=f"workers must be at least 1, got {workers}"):
+        run_experiment(cfg, workers=workers)
+
+
+@pytest.mark.parametrize("workers", [2.5, "2", True], ids=["2.5", "str", "True"])
+def test_sweep_names_workers_that_are_not_an_integer_before_any_load(tmp_path, workers):
+    # 2.5 ran on 2 chunks and failed inside the pool on 4, "2" failed as
+    # "'<' not supported", and True ran serially; the check comes before the
+    # load, so a config whose files are missing fails on workers alone
+    paths = {"views": [str(tmp_path / "view_0.npy")], "labels": str(tmp_path / "labels.npy")}
+    cfg = make_config(paths, tmp_path / "out")
+    with pytest.raises(ValueError, match=f"^workers must be an integer, got {workers!r}$"):
         run_experiment(cfg, workers=workers)
 
 

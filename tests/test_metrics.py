@@ -459,6 +459,23 @@ def test_evaluate_clustering_names_a_count_that_is_not_an_integer(key, value):
     assert np.array_equal(whole.predicted, evaluate_clustering(rep, truth, k=2, restarts=3).predicted)
 
 
+@pytest.mark.parametrize(
+    "seed, message",
+    [(2.5, "an integer"), (True, "an integer"), (-1, "non-negative")],
+    ids=["2.5", "True", "-1"],
+)
+def test_evaluate_clustering_seed_is_a_non_negative_integer(seed, message):
+    # 2.5 failed inside numpy's SeedSequence, -1 failed there without naming
+    # the seed, and True ran as seed 1
+    rep = np.random.default_rng(14).normal(size=(2, 12))
+    truth = np.arange(12) % 2
+    with pytest.raises(ValueError, match=f"^seed must be {message}, got {seed!r}$"):
+        evaluate_clustering(rep, truth, k=2, restarts=3, seed=seed)
+    whole = evaluate_clustering(rep, truth, k=2, restarts=3, seed=5.0)
+    same = evaluate_clustering(rep, truth, k=2, restarts=3, seed=5)
+    assert np.array_equal(whole.predicted, same.predicted)
+
+
 def test_evaluate_clustering_checks_the_label_count_before_kmeans(monkeypatch):
     def best_kmeans(*args, **kwargs):
         raise AssertionError("k-means ran on a label vector of the wrong length")

@@ -608,6 +608,20 @@ def test_config_rejects_non_integer_counts(key, value):
         SolverConfig(**{"lam": 1.0, "beta": 0.0, "r": 2.0, "n_components": 2, key: value})
 
 
+@pytest.mark.parametrize(
+    "seed, message",
+    [(2.5, "an integer"), (True, "an integer"), (-1, "non-negative")],
+    ids=["2.5", "True", "-1"],
+)
+def test_config_seed_is_a_non_negative_integer(seed, message):
+    # 2.5 was taken and failed in initialize inside numpy's SeedSequence, -1
+    # failed there without naming the seed, and True was taken as 1
+    with pytest.raises(ValueError, match=f"^seed must be {message}, got {seed!r}$"):
+        SolverConfig(lam=1.0, beta=0.0, r=2.0, n_components=2, seed=seed)
+    whole = SolverConfig(lam=1.0, beta=0.0, r=2.0, n_components=2, seed=np.float64(7.0))
+    assert whole.seed == 7 and type(whole.seed) is int
+
+
 def test_config_takes_integral_floats_as_integers():
     cfg = SolverConfig(lam=1.0, beta=0.0, r=2.0, n_components=2.0, max_iter=np.float64(3.0))
     assert (cfg.n_components, cfg.max_iter) == (2, 3)
