@@ -24,6 +24,11 @@ the harness's. thread_map is a trial's threads, over which the graph build,
 the fit and k-means run their views or restarts; called directly, the
 library runs on the calling thread, at the caller's OpenBLAS threads, unless
 it is given threads.
+
+A scalar parameter is checked where it is used, by one rule of one family
+that names it in its ValueError: _integer (3 and 3.0, not 2.5 or True),
+_count (an integer of at least 1), _seed (a non-negative integer) and _real
+(a number, not a bool, a string or None, in the range its user states).
 """
 
 from __future__ import annotations
@@ -69,6 +74,17 @@ def _seed(key: str, value) -> int:
     value = _integer(key, value)
     if value < 0:
         raise ValueError(f"{key} must be non-negative, got {value!r}")
+    return value
+
+
+def _real(key: str, value, ok: Callable = math.isfinite, bound: str = "be a finite number"):
+    """A real-valued parameter, named by its key, as given (a grid value's
+    repr names its trials' seeds): a number, not a bool, that ok accepts;
+    bound is ok's rule as the error states it ("lie in [0, 1]")."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{key} must be a finite number, got {value!r}")
+    if not ok(value):
+        raise ValueError(f"{key} must {bound}, got {value!r}")
     return value
 
 
@@ -171,6 +187,9 @@ class MultiViewDataset:
         views = tuple(self.views)
         if not views:
             raise ValueError("dataset needs at least one view")
+        view_ids = [view.view_id for view in views]
+        if len(set(view_ids)) < len(view_ids):  # save_dataset names files by id
+            raise ValueError(f"view ids must be distinct, got {view_ids}")
         if len(self.availability) != len(views):
             raise ValueError(
                 f"{len(views)} views but {len(self.availability)} availability lists"
@@ -239,8 +258,7 @@ class MaskSpec:
             raise ValueError(
                 f"unknown protocol {self.protocol!r}; expected one of {MASK_PROTOCOLS}"
             )
-        if not 0.0 <= self.rate <= 1.0:
-            raise ValueError(f"rate must lie in [0, 1], got {self.rate}")
+        _real("rate", self.rate, lambda rate: 0 <= rate <= 1, "lie in [0, 1]")
         if self.protocol == "random-missing" and self.rate == 1.0:
             raise ValueError("random-missing rate must be below 1: some instances must survive")
         object.__setattr__(self, "seed", _seed("seed", self.seed))

@@ -46,7 +46,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .dataset import ViewMatrix, _integer, _readonly, thread_map
+from .dataset import ViewMatrix, _integer, _readonly, _real, thread_map
 
 # rows of one block of screened squared distances in the kNN search: enough
 # for the GEMM to run near the BLAS rate ...
@@ -430,6 +430,11 @@ def gaussian_knn_graph(view: ViewMatrix, k: int = 5) -> tuple[sp.csr_array, floa
     return _frozen_csr(knn.maximum(knn.T)), sigma
 
 
+def _gamma(key: str, value) -> float:
+    """The graph weight gamma, as a float: a finite number of at least 0."""
+    return float(_real(key, value, lambda gamma: 0 <= gamma < math.inf, "be non-negative"))
+
+
 def build_fused_graphs(
     ds, k: int = 5, gamma: float = 1.0, threads: int = 1
 ) -> tuple[FusedGraph, ...]:
@@ -440,8 +445,7 @@ def build_fused_graphs(
     gamma = 0 gives identity graphs (0 * S + I = I) without a neighbor search,
     so k is not used.
     """
-    if not 0 <= gamma < np.inf:
-        raise ValueError(f"gamma must be non-negative, got {gamma}")
+    gamma = _gamma("gamma", gamma)
 
     def build(view: ViewMatrix) -> FusedGraph:
         eye = sp.eye_array(view.n_available, format="csr")

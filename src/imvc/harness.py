@@ -2,10 +2,12 @@
 
 A declarative JSON config describes the dataset files, the masking protocol
 (rates x repeats), the solver grid and the scoring setup; each key's row in
-_CONFIG_KEYS is its whole rule. Each trial runs the full pipeline (mask,
-graphs, solver, k-means, scores) into one row of trials.csv; one CSV writer
-writes it, the per-grid-point aggregate.csv and the kept traces (failed
-fits' too) as trace_<runid>.csv. The resolved config goes to manifest.json.
+_CONFIG_KEYS is its check, and a real value's range is the one that the
+object using it states (MaskSpec, SolverConfig, the graph build's gamma).
+Each trial runs the full pipeline (mask, graphs, solver, k-means, scores)
+into one row of trials.csv; one CSV writer writes it, the per-grid-point
+aggregate.csv and the kept traces (failed fits' too) as trace_<runid>.csv.
+The resolved config goes to manifest.json.
 One machine and one master seed give byte-identical output files, whatever
 the number of workers or of usable CPUs.
 
@@ -36,7 +38,6 @@ import json
 import math
 import multiprocessing
 import multiprocessing.connection
-import numbers
 import os
 import time
 from contextlib import contextmanager
@@ -54,11 +55,12 @@ from .dataset import (
     MultiViewDataset,
     _count,
     _integer,
+    _real,
     apply_mask,
     load_dataset,
     normalize_views,
 )
-from .graph import build_fused_graphs
+from .graph import _gamma, build_fused_graphs
 from .metrics import evaluate_clustering
 from .solver import SolverConfig, SolverState, fit
 
@@ -83,15 +85,6 @@ DEFAULT_KNN_GRID = (5,)
 _CHUNK_TRIALS = 16
 
 
-def _number(key: str, value):
-    """A config number, named by its key, as given: a grid value's repr
-    names its trials' seeds. Strings, null, booleans, NaN and infinities are
-    errors rather than compared or run."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
-        raise ValueError(f"{key} must be a finite number, got {value!r}")
-    return value
-
-
 def _path(key: str, value) -> str:
     """A config file path, named by its key: a number, null or a list is an
     error here rather than a TypeError when the file is opened."""
@@ -100,74 +93,65 @@ def _path(key: str, value) -> str:
     return os.fspath(value)
 
 
-def _float(key: str, value) -> float:
-    """A config number, named by its key, as a float."""
-    return float(_number(key, value))
-
-
-def _rule(convert, ok, bound: str):
-    """The check of a config value that convert converts and ok must accept;
-    bound is the rule as the error states it."""
+def _one_of(choices: tuple):
+    """The check of a config value that must be one of choices."""
 
     def check(key: str, value):
-        value = convert(key, value)
-        if not ok(value):
-            raise ValueError(f"{key} must be {bound}, got {value!r}")
+        if value not in choices:
+            raise ValueError(f"{key} must be one of {choices}, got {value!r}")
         return value
 
     return check
 
 
-def _one_of(choices: tuple):
-    """The check of a config value that must be one of choices."""
-    return _rule(lambda key, value: value, choices.__contains__, f"one of {choices}")
-
-
-def _list_of(convert, empty: Optional[str] = "empty {} grid"):
+def _list_of(convert, empty: Optional[str] = "empty {} grid", distinct: bool = True):
     """The check of a config list, each value passed through convert. empty
-    is the error of an empty list, formatted with the key; None allows one."""
+    is the error of an empty list, formatted with the key; None allows one.
+    If distinct, a value given twice is an error: in a grid it would run its
+    cells twice."""
 
     def check(key: str, values) -> tuple:
         if not isinstance(values, (list, tuple)):
             raise ValueError(f"{key} must be a list, got {values!r}")
         if empty is not None and not values:
             raise ValueError(empty.format(key))
-        return tuple(convert(key, value) for value in values)
+        values = tuple(convert(key, value) for value in values)
+        if distinct and len(set(values)) < len(values):
+            raise ValueError(f"{key} must be distinct, got {list(values)}")
+        return values
 
     return check
 
 
 def _sidecars(key: str, values) -> Optional[tuple]:
     """A list of availability paths; an empty one is None, no sidecars."""
-    return _list_of(_path, None)(key, values) or None
-
-
-def _rates(key: str, values) -> tuple:
-    """Mask rates, each given once: a rate names its trials' run ids."""
-    rates = _list_of(_number, "config needs at least one mask rate")(key, values)
-    if len(set(rates)) < len(rates):
-        raise ValueError(f"{key} must be distinct, got {list(rates)}")
-    return rates
+    return _list_of(_path, None, distinct=False)(key, values) or None
 
 
 # The config file's keys, each with its section (None: the top level), the
-# ExperimentConfig field it sets, and the check that converts its value and
-# enforces its bounds: the whole of the key's own rule.
+# ExperimentConfig field it sets, and the check that converts its value; a
+# rate's, lam's, beta's, r's and tol's range is checked by the MaskSpec and
+# SolverConfig that ExperimentConfig builds. gamma and tol are stored as
+# floats, as manifest.json states them.
 _CONFIG_KEYS = {
-    "views": ("dataset", "view_paths", _list_of(_path, "config needs at least one view file")),
+    "views": (
+        "dataset",
+        "view_paths",
+        _list_of(_path, "config needs at least one view file", distinct=False),
+    ),
     "availability": ("dataset", "availability_paths", _sidecars),
     "labels": ("dataset", "label_path", _path),
     "normalize": ("dataset", "normalize", _one_of(NORMALIZE_MODES)),
     "protocol": ("mask", "protocol", _one_of(MASK_PROTOCOLS)),
-    "rates": ("mask", "rates", _rates),
+    "rates": ("mask", "rates", _list_of(_real, "config needs at least one mask rate")),
     "repeats": ("mask", "repeats", _count),
-    "lam": ("solver", "lam_grid", _list_of(_number)),
-    "beta": ("solver", "beta_grid", _list_of(_number)),
-    "r": ("solver", "r_grid", _list_of(_number)),
+    "lam": ("solver", "lam_grid", _list_of(_real)),
+    "beta": ("solver", "beta_grid", _list_of(_real)),
+    "r": ("solver", "r_grid", _list_of(_real)),
     "k": ("solver", "knn_grid", _list_of(_count)),
-    "gamma": ("solver", "gamma", _rule(_float, lambda g: g >= 0, "non-negative")),
+    "gamma": ("solver", "gamma", _gamma),
     "max_iter": ("solver", "max_iter", _integer),
-    "tol": ("solver", "tol", _float),
+    "tol": ("solver", "tol", lambda key, value: float(_real(key, value))),
     "restarts": ("metrics", "kmeans_restarts", _count),
     "clusters": (None, "n_components", _count),
     "output": (None, "output_dir", _path),

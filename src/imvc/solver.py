@@ -75,7 +75,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .dataset import MultiViewDataset, _count, _seed, thread_map
+from .dataset import MultiViewDataset, _count, _real, _seed, thread_map
 from .graph import FusedGraph
 
 
@@ -102,17 +102,13 @@ class SolverConfig:
     weight_on: bool = True
 
     def __post_init__(self):
-        if not 0 < self.lam < np.inf:
-            raise ValueError(f"lam must be positive, got {self.lam}")
-        if not 0 <= self.beta < np.inf:
-            raise ValueError(f"beta must be non-negative, got {self.beta}")
-        if not 1 < self.r < np.inf:
-            raise ValueError(f"r must be greater than 1, got {self.r}")
+        _real("lam", self.lam, lambda lam: 0 < lam < np.inf, "be positive")
+        _real("beta", self.beta, lambda beta: 0 <= beta < np.inf, "be non-negative")
+        _real("r", self.r, lambda r: 1 < r < np.inf, "be greater than 1")
         for name in ("n_components", "max_iter"):
             object.__setattr__(self, name, _count(name, getattr(self, name)))
         object.__setattr__(self, "seed", _seed("seed", self.seed))
-        if not self.tol >= 0:
-            raise ValueError(f"tol must be non-negative, got {self.tol}")
+        _real("tol", self.tol, lambda tol: 0 <= tol < np.inf, "be non-negative")
 
 
 @dataclass(frozen=True)

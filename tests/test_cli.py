@@ -280,6 +280,8 @@ def test_cli_reports_a_rejected_config_in_one_line(workspace, tmp_path, capsys, 
         # rates that would fail every trial
         ("mask", "rates", [1.5], "rate must lie in [0, 1], got 1.5"),
         ("mask", "rates", [1.0], "random-missing rate must be below 1"),
+        # a grid value given twice would run its cells twice
+        ("solver", "k", [5, 5], "k must be distinct, got [5, 5]"),
         # paths: a number is not opened, and one string is not split into
         # one path per character
         (None, "output", 5, "output must be a path, got 5"),

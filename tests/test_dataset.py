@@ -228,6 +228,15 @@ def test_mask_spec_seed_is_a_non_negative_integer(seed, message):
     assert whole.seed == 4 and type(whole.seed) is int
 
 
+@pytest.mark.parametrize("rate", [True, "0.1", None], ids=["True", "str", "None"])
+def test_mask_spec_rate_is_a_number(rate):
+    # True was taken as rate 1, and "0.1" and None failed in a comparison
+    # with a TypeError that did not name the rate
+    message = f"rate must be a finite number, got {rate!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        MaskSpec("paired-sample", rate)
+
+
 # -------------------------------------------------------------------- loading
 
 
@@ -317,6 +326,18 @@ def test_save_load_roundtrip_incomplete(tmp_path):
     for vx, vy in zip(back.views, masked.views):
         assert np.allclose(vx.data, vy.data, rtol=0, atol=0)
     assert np.array_equal(back.labels, masked.labels)
+
+
+def test_save_load_roundtrip_names_each_view_by_its_distinct_id(tmp_path):
+    # save_dataset names a view's files by its id, so ids (0, 0) would write
+    # one file twice; MultiViewDataset refuses them
+    views = (ViewMatrix(view_id=3, data=np.ones((2, 4))), ViewMatrix(view_id=1, data=np.eye(3, 4)))
+    ds = MultiViewDataset(views=views, n=4, availability=(np.arange(4),) * 2)
+    paths = save_dataset(ds, tmp_path)
+    assert [Path(path).name for path in paths["views"]] == ["view_3.npy", "view_1.npy"]
+    back = load_dataset(paths["views"], paths["availability"])
+    for vx, vy in zip(back.views, ds.views):
+        assert np.array_equal(vx.data, vy.data)
 
 
 # ------------------------------------------------------- files read serially
@@ -737,8 +758,18 @@ def test_view_matrix_rejects_data_that_is_not_a_non_empty_matrix(shape):
         ({"availability": (np.array([-1, 0, 1]),)}, "view 0: sample ids must lie in 0..2"),
         ({"availability": (np.array([0, 1, 3]),)}, "view 0: sample ids must lie in 0..2"),
         ({"labels": np.array([0, -1, 1])}, "labels must be non-negative"),
+        (
+            {
+                "views": (ViewMatrix(view_id=0, data=np.ones((2, 3))),) * 2,
+                "availability": (np.arange(3),) * 2,
+            },
+            "view ids must be distinct, got [0, 0]",
+        ),
     ],
-    ids=["no-views", "count", "length", "not-1-d", "below-0", "above-n", "negative-labels"],
+    ids=[
+        "no-views", "count", "length", "not-1-d", "below-0", "above-n", "negative-labels",
+        "repeated-view-id",
+    ],
 )
 def test_dataset_rejects_inconsistent_fields(fields, message):
     values = {

@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -338,6 +339,16 @@ def test_fuse_rejects_nan_gamma(gamma):
     # also ends below inf, where a fit would fail in its first sweep
     ds, _ = random_problem(9, l=2, n=6, c=2, k=2, gamma=0.0)
     with pytest.raises(ValueError, match=f"^gamma must be non-negative, got {gamma}$"):
+        build_fused_graphs(ds, k=2, gamma=gamma)
+
+
+@pytest.mark.parametrize("gamma", [True, "0.1", None], ids=["True", "str", "None"])
+def test_fuse_gamma_is_a_number(gamma):
+    # True was taken as gamma 1, and "0.1" and None failed in a comparison
+    # with a TypeError that did not name gamma
+    ds, _ = random_problem(9, l=2, n=6, c=2, k=2, gamma=0.0)
+    message = f"gamma must be a finite number, got {gamma!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         build_fused_graphs(ds, k=2, gamma=gamma)
 
 

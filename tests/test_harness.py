@@ -965,6 +965,8 @@ def test_config_validation_errors():
         (None, "clusters", 2.5, "clusters must be an integer, got 2.5"),
         # two trials would share one run id and one trace file
         ("mask", "rates", [0.3, 0.3], "rates must be distinct, got [0.3, 0.3]"),
+        # one cell run twice, under two run ids with one solver seed
+        ("solver", "lam", [1.0, 1.0], "lam must be distinct, got [1.0, 1.0]"),
         # a value of the wrong type, named by its key
         ("mask", "repeats", True, "repeats must be an integer, got True"),
         ("solver", "beta", [True], "beta must be a finite number, got True"),

@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -585,6 +586,27 @@ def test_config_rejects_non_finite_parameters(key, value, message):
     # the valid range; a NaN tol would leave every fit running to max_iter,
     # and an infinite lam, beta or r would fail it in its first sweep
     with pytest.raises(ValueError, match=f"^{message}$"):
+        SolverConfig(**{"lam": 1.0, "beta": 0.1, "r": 2.0, "n_components": 2, key: value})
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        *(
+            pytest.param(
+                key, value, f"{key} must be a finite number, got {value!r}", id=f"{key}-{name}"
+            )
+            for key in ("lam", "beta", "r", "tol")
+            for value, name in ((True, "True"), ("0.1", "str"), (None, "None"))
+        ),
+        pytest.param("tol", math.inf, "tol must be non-negative, got inf", id="tol-inf"),
+    ],
+)
+def test_config_real_parameters_are_numbers(key, value, message):
+    # True was taken as 1 (r then failed as "not greater than 1"), "0.1" and
+    # None failed in a comparison with a TypeError that named no parameter,
+    # and an infinite tol was taken although the sweep config refused it
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         SolverConfig(**{"lam": 1.0, "beta": 0.1, "r": 2.0, "n_components": 2, key: value})
 
 
