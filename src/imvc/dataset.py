@@ -301,8 +301,9 @@ def _repair_coverage(n: int, kept: list[np.ndarray], rng: np.random.Generator) -
     return [np.array(sorted(s), dtype=np.int64) for s in sets]
 
 
-def _random_missing_mask(full: MultiViewDataset, spec: MaskSpec) -> MultiViewDataset:
-    """Remove a random fraction of instances from every view independently.
+def _random_missing_ids(full: MultiViewDataset, spec: MaskSpec) -> list[np.ndarray]:
+    """Each view's kept sample ids when a random fraction of instances is
+    removed from every view independently.
 
     Each view drops round(rate * n) instances uniformly at random; a sample
     that would lose all of its views gets one instance re-inserted into a
@@ -319,12 +320,12 @@ def _random_missing_mask(full: MultiViewDataset, spec: MaskSpec) -> MultiViewDat
         )
     rng = np.random.default_rng(spec.seed)
     kept = _draw_random_missing(n, l, spec.rate, rng)
-    kept = _repair_coverage(n, kept, rng)
-    return _subset_dataset(full, kept)
+    return _repair_coverage(n, kept, rng)
 
 
-def _paired_sample_mask(full: MultiViewDataset, spec: MaskSpec) -> MultiViewDataset:
-    """Keep both views for a random fraction of samples, one view for the rest.
+def _paired_sample_ids(full: MultiViewDataset, spec: MaskSpec) -> list[np.ndarray]:
+    """Each view's kept sample ids when both views are kept for a random
+    fraction of samples and one view for the rest.
 
     Two-view datasets only. The single-view remainder is split so the two
     views end up with available-instance counts differing by at most one.
@@ -343,25 +344,32 @@ def _paired_sample_mask(full: MultiViewDataset, spec: MaskSpec) -> MultiViewData
     half = singles.size // 2
     if singles.size % 2 and rng.integers(2):
         half += 1
-    kept = [
+    return [
         np.sort(np.concatenate([paired, singles[:half]])).astype(np.int64),
         np.sort(np.concatenate([paired, singles[half:]])).astype(np.int64),
     ]
-    return _subset_dataset(full, kept)
+
+
+def _kept_ids(full: MultiViewDataset, spec: MaskSpec) -> Sequence[np.ndarray]:
+    """Each view's sample ids that spec's protocol keeps, drawn without
+    copying a view: full.availability itself for a random-missing spec at
+    rate 0. Any other spec needs a complete dataset."""
+    if spec.protocol == "paired-sample":
+        return _paired_sample_ids(full, spec)
+    if spec.rate == 0.0:
+        return full.availability
+    return _random_missing_ids(full, spec)
 
 
 def apply_mask(full: MultiViewDataset, spec: MaskSpec) -> MultiViewDataset:
-    """The dataset with spec's protocol applied.
+    """The dataset with spec's protocol applied (_kept_ids).
 
     A random-missing spec at rate 0 returns the dataset unchanged, complete
     or not, so a config can run incomplete data from its availability
     sidecars. Any other spec needs a complete dataset.
     """
-    if spec.protocol == "paired-sample":
-        return _paired_sample_mask(full, spec)
-    if spec.rate == 0.0:
-        return full
-    return _random_missing_mask(full, spec)
+    kept = _kept_ids(full, spec)
+    return full if kept is full.availability else _subset_dataset(full, kept)
 
 
 @contextmanager
@@ -461,7 +469,9 @@ def load_dataset(
 ) -> MultiViewDataset:
     """Load a dataset from per-view .npy or CSV files.
 
-    Without availability sidecars all views must share one column count, which
+    The views are numbered by their position in view_paths, 0, 1, ...,
+    whatever id their files were saved under (save_dataset). Without
+    availability sidecars all views must share one column count, which
     becomes the sample count n; with them, n is the largest sample id + 1.
     Labels are remapped to contiguous 0-based integers. The arguments are
     checked first, then the label file, the sidecars and each view are read
@@ -511,8 +521,10 @@ def load_dataset(
 
 
 def save_dataset(ds: MultiViewDataset, directory: str | Path) -> dict:
-    """Write a dataset as view_<v>.npy, avail_<v>.npy and labels.npy;
-    returns the written paths."""
+    """Write a dataset as view_<v>.npy, avail_<v>.npy and labels.npy, where
+    <v> is each view's id; returns the written paths, views in dataset order.
+    load_dataset numbers the views it reads by their position in its list,
+    not by these ids."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     paths: dict = {"views": [], "availability": [], "labels": None}

@@ -55,6 +55,7 @@ from .dataset import (
     MultiViewDataset,
     _count,
     _integer,
+    _kept_ids,
     _real,
     apply_mask,
     load_dataset,
@@ -324,17 +325,37 @@ def _error(exc: Exception) -> str:
     return f"{type(exc).__name__}: {exc}".replace("\n", "; ")
 
 
+class _Base:
+    """A sweep's loaded dataset (load_base), held for its chunks, which mask
+    it: it lets go of the dataset once all chunks have drawn their masks in
+    this process, so a serial run's last chunk keeps only the masked copies.
+    A forked worker runs only some chunks (in_workers sends each one a chunk
+    first), and the parent none, so both keep it."""
+
+    def __init__(self, dataset: MultiViewDataset, chunks: int):
+        self._dataset = dataset
+        self._left = chunks
+
+    def mask(self, spec: MaskSpec) -> MultiViewDataset:
+        dataset = self._dataset
+        self._left -= 1
+        if self._left == 0:
+            self._dataset = None
+        return apply_mask(dataset, spec)
+
+
 def _run_trial(
-    base: MultiViewDataset,
+    base: _Base,
     cfg: ExperimentConfig,
     keep_states: bool,
     threads: int,
     chunk: Sequence[TrialOutcome],
 ) -> list[TrialOutcome]:
-    """Run one chunk of a group's trials on the sweep's base dataset and
-    config: their fits in lockstep, as one fit call, then each trial's
-    k-means and scores, keeping its solver state if keep_states. (The name
-    is the one perfbench/tracing.py times as harness.trial.)
+    """Run one chunk of a group's trials on the sweep's loaded dataset (held
+    by base, which the chunk masks through) and config: their fits in
+    lockstep, as one fit call, then each trial's k-means and scores, keeping
+    its solver state if keep_states. (The name is the one
+    perfbench/tracing.py times as harness.trial.)
 
     threads is the chunk's process's share of the CPUs (in_workers): the
     graph build, the fit and each k-means run their views or restarts on
@@ -351,10 +372,10 @@ def _run_trial(
     """
     start = time.perf_counter()
     first = chunk[0]
-    n_components = base.n_classes if cfg.n_components is None else cfg.n_components
     try:
         spec = MaskSpec(protocol=cfg.protocol, rate=first.rate, seed=first.mask_seed)
-        masked = apply_mask(base, spec)
+        masked = base.mask(spec)  # it holds the loaded dataset's labels
+        n_components = masked.n_classes if cfg.n_components is None else cfg.n_components
         gamma = _VARIANTS[first.variant].get("gamma", first.gamma)
         graphs = build_fused_graphs(masked, k=first.k, gamma=gamma, threads=threads)
         solver_cfgs = []
@@ -390,7 +411,7 @@ def _run_trial(
             try:
                 scores = evaluate_clustering(
                     state.consensus,
-                    base.labels,
+                    masked.labels,
                     k=n_components,
                     restarts=cfg.kmeans_restarts,
                     seed=derive_seed(outcome.solver_seed, "kmeans"),
@@ -450,11 +471,11 @@ def knn_problems(cfg: ExperimentConfig, base: MultiViewDataset) -> list[str]:
     for rate in cfg.rates:
         for rep in range(cfg.repeats):
             spec = MaskSpec(protocol=cfg.protocol, rate=rate, seed=_mask_seed(cfg, rate, rep))
-            for view in apply_mask(base, spec).views:
-                if k >= view.n_available:
+            for view, ids in zip(base.views, _kept_ids(base, spec)):
+                if k >= ids.size:
                     problems.append(
                         f"rate {rate!r}, repeat {rep}, view {view.view_id}: k={k} needs at "
-                        f"least {k + 1} available instances, the mask leaves {view.n_available}"
+                        f"least {k + 1} available instances, the mask leaves {ids.size}"
                     )
     return problems
 
@@ -608,9 +629,11 @@ def run_experiment(
     that builds the group's mask and graphs and runs its fits in lockstep as
     one fit call. workers, an integer of at least 1, is checked first; the
     data files are then read in this process (load_base), so a run forks
-    once, whatever its input format. in_workers runs the chunks, in group
-    order, on up to workers processes, and picks those processes, their
-    share of the CPUs as threads and the one OpenBLAS thread. A group's
+    once, whatever its input format, and held for the chunks by a _Base,
+    so a serial run's last chunk keeps one copy of the data. in_workers
+    runs the chunks, in group order, on up to workers processes, and picks
+    those processes, their share of the CPUs as threads and the one
+    OpenBLAS thread. A group's
     build is deterministic, its chunks do not depend on workers, no stage's
     bits depend on its threads, and rows are put back by id, so the output
     depends neither on workers nor on the number of usable CPUs, on any
@@ -653,7 +676,7 @@ def run_experiment(
         parts = math.ceil(len(ids) / _CHUNK_TRIALS)
         chunk_ids += [ids[j::parts] for j in range(parts)]
     chunks = [[pending[i] for i in ids] for ids in chunk_ids]
-    base = load_base(cfg)
+    base = _Base(load_base(cfg), len(chunks))
     results = in_workers(partial(_run_trial, base, cfg, keep_states), chunks, workers)
     for ids, done in zip(chunk_ids, results):
         for i, outcome in zip(ids, done):

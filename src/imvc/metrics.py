@@ -278,10 +278,12 @@ def _assign(points: _Points, centres: np.ndarray) -> np.ndarray:
     point's own constant ||y_i||^2. It is laid out (k, restarts, n), so
     each reduction over a restart's centres runs down the leading axis. A
     pair's label is its one centre within the slack of _centre_points of
-    its least screened value; a pair with more than one (a near-tie or a
-    duplicate centre) or none (a non-finite value) is recomputed exactly
-    against all k centres of its restart (graph._sq_distances, the points
-    against the centres laid out c x (restarts k)) and takes the first least.
+    its least screened value. A pair with more than one (a near-tie or a
+    duplicate centre) is recomputed exactly against those centres, which
+    hold every exact least by _centre_points' bound, and one with none (a
+    non-finite value) against all k centres of its restart
+    (graph._sq_distances, the points against the centres laid out
+    c x (restarts k)); it takes the first least.
     """
     m, k, c = centres.shape
     # each centre minus the origin, then its squared norm, laid out (k, m)
@@ -293,9 +295,17 @@ def _assign(points: _Points, centres: np.ndarray) -> np.ndarray:
     labels, unsure = _least(screen, slack)
     if unsure.any():
         restart, point = np.nonzero(unsure)
-        cluster = (restart[:, None] * k + np.arange(k)).ravel()
-        exact = _sq_distances(points.raw.T, point.repeat(k), centres.reshape(-1, c).T, cluster)
-        labels[restart, point] = exact.reshape(-1, k).argmin(axis=1)  # the first least
+        # the (pairs, k) centres within the slack of each unsure pair's least,
+        # as _least finds them, or all k where there is none
+        values = screen.transpose(1, 2, 0)[unsure]
+        near = values <= values.min(axis=1, keepdims=True) + slack[unsure, None]
+        near[~near.any(axis=1)] = True
+        pair, cluster = np.nonzero(near)
+        exact = np.full(near.shape, np.inf)  # inf at the centres left out
+        exact[near] = _sq_distances(
+            points.raw.T, point[pair], centres.reshape(-1, c).T, restart[pair] * k + cluster
+        )
+        labels[unsure] = exact.argmin(axis=1)  # the first least
     return labels
 
 

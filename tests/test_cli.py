@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import imvc.cli
+import imvc.dataset
 from imvc import save_dataset
 from imvc.cli import main
 
@@ -195,6 +196,31 @@ def test_cli_validate_data_config_checks_k_against_masks(workspace, tmp_path, ca
     config["solver"]["gamma"] = 0.0  # identity graphs: no neighbor search
     bad.write_text(json.dumps(config))
     assert main(["validate-data", "--config", str(bad)]) == 0
+
+
+def test_cli_validate_data_config_counts_masks_without_copying(
+    workspace, tmp_path, monkeypatch, capsys
+):
+    # each mask's kept ids are counted, under either protocol: no view is
+    # copied, and the messages are those of the masked views
+    root, cfg_path, _ = workspace
+
+    def copied(*args):
+        raise AssertionError("validate-data copied a view")
+
+    monkeypatch.setattr(imvc.dataset, "_subset_dataset", copied)
+    config = json.loads(cfg_path.read_text())
+    config["solver"]["k"] = [5, 24]
+    bad = tmp_path / "bad.json"
+    for protocol in ("random-missing", "paired-sample"):
+        config["mask"]["protocol"] = protocol
+        bad.write_text(json.dumps(config))
+        assert main(["validate-data", "--config", str(bad)]) == 1
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert [line.split(":")[1] for line in lines] == [
+            f" rate 0.3, repeat {rep}, view {v}" for rep in (0, 1) for v in (0, 1)
+        ]
+        assert all("k=24 needs at least 25 available instances" in line for line in lines)
 
 
 def test_cli_validate_data_config_checks_clusters_against_features(workspace, tmp_path, capsys):

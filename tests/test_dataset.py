@@ -340,6 +340,20 @@ def test_save_load_roundtrip_names_each_view_by_its_distinct_id(tmp_path):
         assert np.array_equal(vx.data, vy.data)
 
 
+def test_load_numbers_views_by_their_file_position_not_their_saved_id(tmp_path):
+    # save_dataset names files by id, load_dataset numbers views by position:
+    # ids (3, 1) load back as (0, 1), each with its file's data, in file order
+    views = (ViewMatrix(view_id=3, data=np.ones((2, 4))), ViewMatrix(view_id=1, data=np.eye(3, 4)))
+    ds = MultiViewDataset(views=views, n=4, availability=(np.arange(4),) * 2)
+    paths = save_dataset(ds, tmp_path)
+    back = load_dataset(paths["views"], paths["availability"])
+    assert [view.view_id for view in back.views] == [0, 1]
+    assert [view.data.tolist() for view in back.views] == [v.data.tolist() for v in views]
+    flipped = load_dataset(paths["views"][::-1], paths["availability"][::-1])
+    assert [view.view_id for view in flipped.views] == [0, 1]
+    assert [view.data.tolist() for view in flipped.views] == [v.data.tolist() for v in views[::-1]]
+
+
 # ------------------------------------------------------- files read serially
 # load_dataset reads every file in the calling process, in the order labels,
 # sidecars, views, .npy and CSV alike; save_dataset writes .npy files there

@@ -7,6 +7,7 @@ import re
 import signal
 import threading
 import time
+import weakref
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -283,6 +284,66 @@ def test_sweep_builds_mask_and_graphs_once_per_chunk(data_dir, tmp_path, monkeyp
         assert builds == groups * 2
         outputs.append([(out / name).read_bytes() for name in ("trials.csv", "aggregate.csv")])
     assert outputs[0] == outputs[1] == outputs[2]
+
+
+def _log_loaded_view_at_builds(monkeypatch, log):
+    """Make load_base keep a weakref to the loaded dataset's first view array,
+    and each graph build append to log whether that array is still alive,
+    with its process id (a forked worker cannot append to the test's lists)."""
+    load, build = imvc.harness.load_base, imvc.harness.build_fused_graphs
+    loaded = []
+
+    def watched_load(cfg):
+        base = load(cfg)
+        loaded.append(weakref.ref(base.views[0].data))
+        return base
+
+    def watched_build(*args, **kwargs):
+        with open(log, "a") as fh:
+            fh.write(f"{os.getpid()} {loaded[-1]() is not None}\n")
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(imvc.harness, "load_base", watched_load)
+    monkeypatch.setattr(imvc.harness, "build_fused_graphs", watched_build)
+
+
+def _alive_at_builds(log) -> list[bool]:
+    return [line.split()[1] == "True" for line in log.read_text().splitlines()]
+
+
+def test_a_lone_chunk_builds_from_the_masked_copies_alone(data_dir, tmp_path, monkeypatch):
+    # a serial run lets go of the loaded views once its last chunk has drawn
+    # its mask, so a one-chunk run builds its graphs with them gone
+    root, paths = data_dir
+    log = tmp_path / "alive.log"
+    _log_loaded_view_at_builds(monkeypatch, log)
+    cfg = make_config(paths, tmp_path / "out", mask={"repeats": 1})
+    (record,) = run_experiment(cfg)
+    assert [t.error for t in record.trials] == [""]
+    assert _alive_at_builds(log) == [False]
+
+
+def test_only_the_last_serial_chunk_lets_go_of_the_loaded_views(data_dir, tmp_path, monkeypatch):
+    # 17 grid points make one group of two chunks: in a serial run the first
+    # builds with the loaded views still held and the second without them;
+    # forked workers keep them, and the output does not depend on which
+    _forks_needed()
+    root, paths = data_dir
+    log = tmp_path / "alive.log"
+    _log_loaded_view_at_builds(monkeypatch, log)
+    lam = [0.1 * 1.5**i for i in range(17)]
+    solver = {"lam": lam, "beta": [0.001], "r": [3.0], "k": [5], "max_iter": 20}
+    outputs = []
+    for workers, alive in ((1, [True, False]), (2, [True, True])):
+        log.write_text("")
+        out = tmp_path / f"workers{workers}"
+        cfg = make_config(paths, out, mask={"repeats": 1}, solver=solver)
+        write_results(run_experiment(cfg, workers=workers), cfg.output_dir, cfg)
+        assert _alive_at_builds(log) == alive
+        pids = {line.split()[0] for line in log.read_text().splitlines()}
+        assert (str(os.getpid()) in pids) == (workers == 1)
+        outputs.append([(out / name).read_bytes() for name in ("trials.csv", "aggregate.csv")])
+    assert outputs[0] == outputs[1]
 
 
 def test_sweep_deals_each_group_into_strided_chunks(data_dir, tmp_path, monkeypatch):

@@ -417,6 +417,50 @@ def test_assignment_screen_decides_every_pair_of_a_fitted_consensus(
     assert unsure == 0
 
 
+def test_kmeans_rechecks_an_unsure_point_against_its_near_centres_alone(monkeypatch):
+    # two narrow clouds 1e9 apart: the screen's slack grows with a point's
+    # squared distance from the origin between them, far beyond the gaps
+    # between the centres of one cloud, so it leaves points in doubt among
+    # those; only they reach the exact recheck, not all k, and the labels
+    # and inertia are the reference's
+    pts = np.random.default_rng(0).normal(size=(10, 2000))
+    pts[:, 1000:] += 1e9
+    k, unsure, pairs, assigning = 10, 0, 0, False
+    least, assign, sq_distances = (
+        imvc.metrics._least, imvc.metrics._assign, imvc.metrics._sq_distances
+    )
+
+    def counted_least(screen, slack):
+        nonlocal unsure
+        labels, undecided = least(screen, slack)
+        unsure += int(undecided.sum())
+        return labels, undecided
+
+    def flagged_assign(points, centres):
+        nonlocal assigning
+        assigning = True
+        try:
+            return assign(points, centres)
+        finally:
+            assigning = False
+
+    def counted_sq_distances(a, rows, b, cols):
+        nonlocal pairs
+        pairs += rows.size if assigning else 0
+        return sq_distances(a, rows, b, cols)
+
+    monkeypatch.setattr(imvc.metrics, "_least", counted_least)
+    monkeypatch.setattr(imvc.metrics, "_assign", flagged_assign)
+    monkeypatch.setattr(imvc.metrics, "_sq_distances", counted_sq_distances)
+    problem = dict(representation=pts, k=k, restarts=20, seed=0, max_iter=300)
+    labels, inertia = _best_kmeans(**problem)
+    want_labels, want_inertia = reference.best_kmeans(**problem)
+    assert np.array_equal(labels, want_labels)
+    assert inertia == want_inertia
+    assert unsure > 0
+    assert pairs < 0.6 * k * unsure  # half of them here: the other cloud's centres go
+
+
 def test_kmeans_rejects_a_representation_without_samples_or_features():
     for shape in [(3, 0), (0, 5)]:
         with pytest.raises(ValueError, match=re.escape(f"features and samples, got shape {shape}")):
