@@ -1,8 +1,9 @@
-"""Two measurements that the workloads of perfbench/run.py do not make, on the
-seeded Handwritten-shaped data of perfbench/synth.py (30% of views missing):
+"""Three measurements that the workloads of perfbench/run.py do not make, on
+the seeded Handwritten-shaped data of perfbench/synth.py:
 
     python3 scripts/scale_runs.py trial --n 50000 --seed 1
     python3 scripts/scale_runs.py group --n 2000 --seed 1 [--workers 2]
+    python3 scripts/scale_runs.py sweep [--n 2000] [--seed 1] [--workers 2]
 
 `trial` runs the calls of one harness trial in this process, as `imvc run
 --workers 1` runs them: the mask, the fused graphs, one fit (5 sweeps at tol
@@ -20,11 +21,17 @@ beta, r) points, max_iter 300, tol 1e-6) and runs it as `imvc run
 files' round trip on its own: `save_s` for `imvc.save_dataset` and `load_s`
 for one `imvc.load_dataset` of the .npy files it writes, the call the sweep
 starts with, and `load_csv_s` for one `imvc.load_dataset` of the same arrays
-written as CSV (savetxt, %.17e).
+written as CSV (savetxt, %.17e). `trial` and `group` mask 30% of the views.
+`sweep` writes the data and runs README.md's example config on it (27 grid
+points x rates 0.1, 0.3 and 0.5 x 5 repeats, max_iter 300, tol 1e-6, 20
+restarts), read by `imvc.ExperimentConfig.from_file`, through
+`imvc.run_experiment` at `--workers` (default 2). It reports the sweep's wall
+time, the `trials.csv` sha256 and how many fits stopped at max_iter.
 
 Run from the repository root; the package is imported from ./src. Each
 prints one JSON line: the stage or sweep wall times in seconds, and the peak
-RSS of this process and of its largest worker process in MB.
+RSS of this process and of its largest worker process (RUSAGE_CHILDREN) in
+MB. `--n` defaults to 2000.
 """
 
 from __future__ import annotations
@@ -32,6 +39,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import re
 import resource
 import sys
 import tempfile
@@ -161,17 +169,45 @@ def group(n: int, seed: int, workers: int = 2) -> dict:
     }
 
 
+def sweep(n: int, seed: int, workers: int = 2) -> dict:
+    (block,) = re.findall(r"```json\n(.*?)```", (ROOT / "README.md").read_text(), flags=re.S)
+    config = json.loads(block)
+    full = _dataset(n, seed, noise=1.0)
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = imvc.save_dataset(full, Path(tmp) / "data")
+        config["dataset"].update({key: paths[key] for key in ("views", "availability", "labels")})
+        config.update(clusters=CLUSTERS, output=str(Path(tmp) / "out"))
+        (Path(tmp) / "config.json").write_text(json.dumps(config))
+        cfg = imvc.ExperimentConfig.from_file(Path(tmp) / "config.json")
+        start = time.perf_counter()
+        records = imvc.run_experiment(cfg, workers=workers)
+        sweep_s = time.perf_counter() - start
+        written = imvc.write_results(records, cfg.output_dir, cfg)
+        digest = hashlib.sha256(Path(written["trials"]).read_bytes()).hexdigest()
+    trials = [t for r in records for t in r.trials]
+    return {
+        "workers": workers,
+        "sweep_s": sweep_s,
+        "trials": len(trials),
+        "failed": sum(bool(t.error) for t in trials),
+        "at_max_iter": sum(not t.error and t.iterations == cfg.max_iter for t in trials),
+        "trials_sha256": digest,
+    }
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("what", choices=("trial", "group"))
-    parser.add_argument("--n", type=int, required=True)
+    parser.add_argument("what", choices=("trial", "group", "sweep"))
+    parser.add_argument("--n", type=int, default=2000)
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--workers", type=int, default=2, help="group: sweep worker processes")
+    parser.add_argument(
+        "--workers", type=int, default=2, help="group and sweep: sweep worker processes"
+    )
     args = parser.parse_args(argv)
     if args.what == "trial":
         result = trial(args.n, args.seed)
     else:
-        result = group(args.n, args.seed, args.workers)
+        result = {"group": group, "sweep": sweep}[args.what](args.n, args.seed, args.workers)
     peak = {
         "peak_rss_self_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
         "peak_rss_children_mb": resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024.0,

@@ -23,35 +23,19 @@ latent dimension (in the harness, one (rate, repeat, k) group's (lam, beta,
 r) grid points) in lockstep: each sweep updates a block for all the fits
 still running at once, and each fit leaves the batch when it meets its own
 tol or max_iter, or fails (the shared block updates return {row: error}
-for the fits they could not update). A single fit is a batch of one. Every
-fit's traces and variables are bit for bit those it gives alone, because the
-batch shares only work that is exact column by column, matrix by matrix or
-fit by fit:
+for the fits they could not update). A single fit is a batch of one. Each
+view's products are one call for the whole batch: one GEMM [U_1 ... U_B]^T X
+for the codes and the cost, one GEMM X [P_1^T ... P_B^T] for the bases'
+targets, and one sparse product W [M_1^T ... M_B^T] for the gathered
+consensus and for the codes. ||X||^2 is computed once per batch, and the
+cost's W P^T is carried into the next consensus update.
 
-- one sparse product W [M_1^T ... M_B^T] per view, for the gathered
-  consensus and for the codes: CSR products go column by column;
-- batched matmul and SVD for the bases, X^T U and U^T U: one GEMM or SVD
-  per fit;
-- the element-wise codes and consensus steps, over (B, n_v, c) and
-  (n, B, c) stacks, in the lone fit's operation and operand order, each
-  step written into a buffer the chain made;
-- the cost's sums, each one call per view over the stacks (view_costs): a
-  dot is a (1, N) @ (N, 1) matmul per fit, which calls the BLAS ddot that
-  np.vdot calls alone, on the same C-ordered vectors, and the column
-  einsums and sum |P| reduce each fit's block in its own memory order.
-
-A fit in a batch keeps the layouts whose bits a sum follows: codes are
-C-ordered after initialize and F-ordered after a sweep, which changes the
-bits of X P^T and of the einsums' inner loops. Each sweep computes X^T U
-once per fit, for the codes and for the cost, which copies its transpose to
-C order: U^T X as its own GEMM sums in another order on some BLAS kernels.
-||X||^2 is computed once per batch, and the cost's W P^T is carried into
-the next consensus update. (OpenBLAS's generic kernel is the known
-exception to the contract: its ddot sums in an order that depends on a
-vector's 16-byte alignment, which a fit's slice of a stack need not have,
-so there a fit's bits depend on the batch it runs in. A batch's bits may
-depend on the kernel; its membership does not: the harness deals each
-group into chunks that the group alone fixes.)
+The contract: a fit's bits depend on its config, the batch it runs in (the
+harness's chunk, which its group alone fixes), the BLAS kernel and NumPy's
+SIMD level. They do not depend on the thread count, and so not on the
+harness's worker count, the CPU count or the order its chunks run in. A
+batched fit stays within rounding of the same fit run alone, as a GEMM's
+sums follow the shape of the batch.
 
 Samples are addressed through each view's availability ids (ds.availability):
 Q gathered to view v is Q[:, ids_v], and the consensus solve scatters back
@@ -140,29 +124,41 @@ class SolverState:
         return max(len(self.objective_trace) - 1, 0)
 
 
+def _wide(stack: np.ndarray) -> np.ndarray:
+    """[M_1^T ... M_B^T] for a (B, c, n_v) stack: the (n_v, B c) matrix
+    whose j-th block of c columns is M_j^T."""
+    fits, c, n_v = stack.shape
+    return stack.transpose(2, 0, 1).reshape(n_v, fits * c)
+
+
 def _times_w(graph: FusedGraph, stack: np.ndarray) -> np.ndarray:
     """W [M_1^T ... M_B^T] for a (B, c, n_v) stack: one sparse product for
-    the batch, whose columns are each fit's own W M^T. Returned as the
-    (B, n_v, c) stack of those products, a view of the (n_v, B c) product:
-    its consumers go element by element (the codes, the consensus) or copy
-    it to C order first (the cost's _dots), so no layout reaches a sum."""
+    the batch. Returned as the (B, n_v, c) stack of each fit's W M^T, a view
+    of the (n_v, B c) product."""
     fits, c, n_v = stack.shape
-    wide = stack.transpose(2, 0, 1).reshape(n_v, fits * c)
-    return (graph.w @ wide).reshape(n_v, fits, c).transpose(1, 0, 2)
+    return (graph.w @ _wide(stack)).reshape(n_v, fits, c).transpose(1, 0, 2)
+
+
+def _xtu(x: np.ndarray, bases: np.ndarray) -> np.ndarray:
+    """X^T U for a (B, m, c) stack of bases, as the (B, n_v, c) view of one
+    GEMM [U_1 ... U_B]^T X."""
+    fits, m, c = bases.shape
+    return (bases.swapaxes(1, 2).reshape(fits * c, m) @ x).reshape(fits, c, -1).swapaxes(1, 2)
 
 
 def _gather(consensus: np.ndarray, ids: np.ndarray) -> np.ndarray:
-    """consensus[:, :, ids], each fit's c x n_v matrix F-ordered, as a lone
-    fit's consensus[:, ids] is."""
+    """consensus[:, :, ids] for a (B, c, n) stack."""
     return np.take(consensus.swapaxes(1, 2), ids, axis=1).swapaxes(1, 2)
 
 
 def update_basis(x: np.ndarray, codes: np.ndarray) -> tuple[np.ndarray, dict[int, Exception]]:
     """Orthonormal bases maximizing trace(U^T X P^T) for a (B, c, n_v) stack
-    of codes: U = M N^T from the thin SVD X P^T = M diag(s) N^T, per fit.
-    Returns them and {row: error} for the fits whose target is not finite,
-    zeroed first, as one non-finite matrix fails the SVD of the stack."""
-    target = x @ codes.swapaxes(1, 2)
+    of codes: U = M N^T from the thin SVD X P^T = M diag(s) N^T, per fit,
+    with the targets X P^T from one GEMM X [P_1^T ... P_B^T]. Returns them
+    and {row: error} for the fits whose target is not finite, zeroed first,
+    as one non-finite matrix fails the SVD of the stack."""
+    fits, c, _ = codes.shape
+    target = (x @ _wide(codes)).reshape(-1, fits, c).swapaxes(0, 1)
     failed = np.flatnonzero(~np.isfinite(target).all(axis=(1, 2)))
     target[failed] = 0.0
     m, _, nt = np.linalg.svd(target, full_matrices=False)
@@ -185,15 +181,13 @@ def update_codes(
     h_i = 1 + lam * degree_i and b_i the i-th row of
     B = X^T U + lam * W (Q[:, ids])^T, column i of a fit's codes is the soft
     threshold of b_i / h_i at beta / (2 h_i). Returns the codes, computed as
-    the rows of P^T and so F-ordered, and X^T U, which the cost reuses.
+    the rows of P^T, and X^T U (_xtu), which the cost reuses.
     """
-    xtu = x.T @ bases
+    xtu = _xtu(x, bases)
     lam = lam[:, None, None]
     h = 1.0 + lam * graph.degree[:, None]
-    # (xtu + lam * W Q^T) / h, then max(0, v - thr) + min(0, v + thr): the
-    # same operations in the same operand order (signed zeros follow it),
-    # each written into a buffer the chain made itself. The first writes
-    # the product, a transposed view, into C order, which the rest keep
+    # (xtu + lam * W Q^T) / h, then max(0, v - thr) + min(0, v + thr), each
+    # step written into a buffer the chain made itself
     v = np.multiply(lam, _times_w(graph, gathered), out=np.empty(xtu.shape))
     np.add(xtu, v, out=v)
     np.divide(v, h, out=v)
@@ -223,11 +217,9 @@ def update_consensus(
     in), so the solve is a columnwise division instead of a general inverse.
     The numerator is accumulated as (n, B, c), the layout of the sparse
     product that wp[v] views (_times_w), so each view adds whole rows of
-    B c, one per sample it holds. Every entry is still its views' terms
-    added in view order, and no entry is a sum over others, so the layout
-    changes no bit. Returns the (B, c, n) stack, a view of that (n, B, c)
-    array, and {row: error} for the fits where a sample carries no positive
-    weight, whose denominators are set to 1.
+    B c, one per sample it holds. Returns the (B, c, n) stack, a view of
+    that (n, B, c) array, and {row: error} for the fits where a sample
+    carries no positive weight, whose denominators are set to 1.
     """
     fits, _, c = wp[0].shape
     numer = np.zeros((n, fits, c))
@@ -270,15 +262,10 @@ def update_weights(costs: np.ndarray, r: float) -> np.ndarray:
 
 
 def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """<a_j, b_j> for each fit j of two (B, ...) stacks, bit for bit the
-    np.vdot of C-ordered copies of a[j] and b[j]: vdot calls BLAS ddot on
-    the C-order ravel of each argument, and the stacked (1, N) @ (N, 1)
-    matmul calls the same ddot on the same contiguous vectors, once per fit.
-    The copies keep the sums' bits: vdot on a strided vector would call
-    ddot's strided kernel, which sums in another order."""
+    """<a_j, b_j> for each fit j of two (B, ...) stacks, as one stacked
+    (1, N) @ (N, 1) matmul over the C-order ravels of a[j] and b[j]."""
     fits = len(a)
-    rows = np.ascontiguousarray(a).reshape(fits, 1, -1)
-    return (rows @ np.ascontiguousarray(b).reshape(fits, -1, 1))[:, 0, 0]
+    return (a.reshape(fits, 1, -1) @ b.reshape(fits, -1, 1))[:, 0, 0]
 
 
 def _graph_cost(
@@ -292,16 +279,17 @@ def _graph_cost(
     d . ||p||^2_col + d . ||gathered||^2_col - 2 <W p^T, gathered^T>. The
     identity-graph case reduces algebraically to the plain squared Frobenius
     difference, which is also the cheap way to evaluate it. Each column sum
-    is one einsum over the stack, and each d . colsums one (1, n_v) @ (n_v, 1)
-    matmul per fit: the ddot that d @ colsums calls alone.
+    is one einsum over the stack, and each d . colsums one matrix-vector
+    product for the batch.
     """
     if graph.is_identity:
         return ((p - gathered) ** 2).sum(axis=(1, 2))
-    d = graph.degree[:, None]
+    d = graph.degree
     return (
-        np.einsum("bij,bij->bj", p, p)[:, None, :] @ d
-        + np.einsum("bij,bij->bj", gathered, gathered)[:, None, :] @ d
-    )[:, 0, 0] - 2.0 * _dots(wp, gathered.swapaxes(1, 2))
+        np.einsum("bij,bij->bj", p, p) @ d
+        + np.einsum("bij,bij->bj", gathered, gathered) @ d
+        - 2.0 * _dots(wp, gathered.swapaxes(1, 2))
+    )
 
 
 def view_costs(
@@ -321,22 +309,16 @@ def view_costs(
     xx = ||X||^2, and xtu = X^T U, u, p, gathered = Q[:, ids] and wp = W P^T
     are the (B, ...) stacks of the fits' arrays. The reconstruction is
     ||X||^2 - 2 <U^T X, P> + <(U^T U) P, P>, for any U. Each sum is one call
-    over the stacks, and each fit's share of it has the bits of the same sum
-    over that fit alone: the dots go through _dots, U^T U and (U^T U) P are
-    batched matmuls (one GEMM per fit), and sum |P|, the identity graph's sum
-    of squares and the column einsums reduce each fit's block in its own
-    memory order, the one it has alone (codes are C-ordered after initialize
-    and F-ordered after a sweep).
+    over the stacks.
 
     ||X||^2 is an einsum rather than a BLAS dot because the two sum in
     different orders and can differ in the last bit; the einsum's sums are
     the ones every recorded trials.csv rests on.
     """
-    flat = np.ascontiguousarray(p)  # the ravel both dots take
     return (
         xx
-        - 2.0 * _dots(xtu.swapaxes(1, 2), flat)
-        + _dots((u.swapaxes(1, 2) @ u) @ p, flat)
+        - 2.0 * _dots(xtu.swapaxes(1, 2), p)
+        + _dots((u.swapaxes(1, 2) @ u) @ p, p)
         + beta * np.abs(p).sum(axis=(1, 2))
         + lam * _graph_cost(p, gathered, wp, graph)
     )
@@ -402,24 +384,20 @@ class _Batch:
         return _Batch(
             fits=self.fits[rows],
             bases=tuple(u[rows] for u in self.bases),
-            codes=tuple(p[rows] for p in self.codes),  # each keeps its layout
+            codes=tuple(p[rows] for p in self.codes),
             consensus=self.consensus[rows],
             wp=tuple(m[rows] for m in self.wp),
         )
 
     def state(self, j: int, record: list, error=None) -> SolverState:
-        """Row j as a lone fit's state, with its record (fit) as the traces
-        and weights, in copies that keep its layout (a fit's slices of the
-        stacks have a lone fit's layouts, which the bits of X P^T and of the
-        cost's sums follow): codes C-ordered from initialize and F-ordered
-        after a sweep, and the consensus F-ordered, as the (n, B, c)
-        accumulation leaves it. k-means reads the consensus transposed, as
-        C-ordered points, which is then no copy."""
+        """Row j as a fit's state, with its record (fit) as the traces and
+        weights, in copies, so that a finished fit holds none of the
+        batch's stacks."""
         objective, costs, weights = zip(*record)
         return SolverState(
-            bases=tuple(u[j].copy(order="K") for u in self.bases),
-            codes=tuple(p[j].copy(order="K") for p in self.codes),
-            consensus=self.consensus[j].copy(order="K"),
+            bases=tuple(u[j].copy() for u in self.bases),
+            codes=tuple(p[j].copy() for p in self.codes),
+            consensus=self.consensus[j].copy(),
             weights=weights[-1],
             objective_trace=np.array(objective),
             cost_trace=np.vstack(costs),
@@ -441,9 +419,9 @@ def fit(
     relative objective change drops to its tol or after its max_iter sweeps.
     A fit whose update fails (an infeasible consensus, a non-finite basis
     target or objective) leaves the batch at the end of that sweep with its
-    state from before it and, as its error, the first one a lone fit raises;
-    the others go on. fit itself raises only for what the whole batch shares.
-    Returns one SolverState per config, in order.
+    state from before it and, as its error, its first one in block order and
+    then view order; the others go on. fit itself raises only for what the
+    whole batch shares. Returns one SolverState per config, in order.
 
     Each fit keeps one record, a list of (objective, costs, weights) rows,
     one per state it scored: a sweep takes the fit's weights from its last
@@ -481,9 +459,8 @@ def fit(
         xx = [np.einsum("ij,ij->", x, x) for x in xs]
         bases = tuple(np.stack(u) for u in zip(*(s.bases for s in inits)))
         codes = tuple(np.stack(p) for p in zip(*(s.codes for s in inits)))
-        # in the layout update_consensus returns
-        consensus = np.zeros((ds.n, len(cfgs), cfgs[0].n_components)).transpose(1, 2, 0)
-        xtu = [x.T @ u for x, u in zip(xs, bases)]
+        consensus = np.zeros((len(cfgs), cfgs[0].n_components, ds.n))
+        xtu = [_xtu(x, u) for x, u in zip(xs, bases)]
         gathered = [_gather(consensus, ids) for ids in ds.availability]
         wp = tuple(_times_w(graph, p) for graph, p in zip(graphs, codes))
         views = zip(xx, xtu, bases, codes, gathered, wp, graphs)

@@ -14,6 +14,7 @@ from imvc.solver import (
     _gather,
     _times_w,
     _weighted_total,
+    _xtu,
     fit,
     update_basis,
     update_codes,
@@ -158,8 +159,8 @@ def random_state(ds, c, seed, zero=False):
 
 
 # The per-fit cost: one fit at a time, each sum on that fit's own arrays.
-# It is the reference for view_costs, whose stacked sums must give these
-# bytes for every fit of any batch.
+# It is the reference for view_costs, whose stacked sums must stay within
+# rounding of these for every fit of any batch.
 
 
 def per_fit_reconstruction_cost(xx, xtu, u, p):
@@ -231,16 +232,15 @@ def lone_consensus(codes, graphs, availability, n, weights, r):
 
 def lone_costs(ds, graphs, state, cfg):
     """Per-view costs e_v of any one state, scored as fit scores its initial
-    state: each variable stacked as a batch of one, the consensus gathered
-    by _gather and W P^T from _times_w, whose layouts the cost sums' bits
-    follow (a plain consensus[:, ids] is C-ordered, the gather F-ordered)."""
+    state: each variable stacked as a batch of one, X^T U from _xtu, the
+    consensus gathered by _gather and W P^T from _times_w."""
     lam, beta, costs = np.array([cfg.lam]), np.array([cfg.beta]), []
     for view, u, p, ids, graph in zip(ds.views, state.bases, state.codes, ds.availability, graphs):
         x, u, p = view.data, u[None], p[None]
         gathered = _gather(state.consensus[None], ids)
         xx = np.einsum("ij,ij->", x, x)
         wp = _times_w(graph, p)
-        costs.append(view_costs(xx, x.T @ u, u, p, gathered, wp, graph, lam, beta)[0])
+        costs.append(view_costs(xx, _xtu(x, u), u, p, gathered, wp, graph, lam, beta)[0])
     return np.array(costs)
 
 

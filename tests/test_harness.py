@@ -34,6 +34,7 @@ from imvc.harness import (
 from imvc.solver import SolverConfig, SolverState, initialize
 
 from synthetic import multiview_blobs, save_csv_dataset
+from test_lockstep import assert_close_fit
 
 
 def _blobs():
@@ -173,7 +174,8 @@ def test_failed_trials_recorded_and_sweep_continues(data_dir, tmp_path):
 def test_a_diverging_fit_fails_alone_in_its_batch(data_dir, tmp_path):
     # each group runs lam = 1.0 and lam = 1e308 as one batch; the second
     # overflows in the codes step the batch shares (see test_lockstep.py for
-    # why that raises no RuntimeWarning), and the first must not notice
+    # why that raises no RuntimeWarning), and the first stays within
+    # rounding of the fit alone
     root, paths = data_dir
     solver = {"lam": [1.0, 1e308], "beta": [0.001], "r": [3.0], "k": [5], "max_iter": 30}
     cfg = make_config(paths, tmp_path / "both", solver=solver)
@@ -187,8 +189,7 @@ def test_a_diverging_fit_fails_alone_in_its_batch(data_dir, tmp_path):
     assert len(kept) == len(alone) == 2
     for t, a in zip(kept, alone):
         assert not t.error and (t.acc, t.nmi, t.iterations) == (a.acc, a.nmi, a.iterations)
-        assert t.state.objective_trace.tobytes() == a.state.objective_trace.tobytes()
-        assert t.state.consensus.tobytes() == a.state.consensus.tobytes()
+        assert_close_fit(t.state, a.state)
 
 
 def test_a_trial_whose_kmeans_fails_carries_the_error_alone(data_dir, tmp_path, monkeypatch):
@@ -375,6 +376,37 @@ def test_sweep_deals_each_group_into_strided_chunks(data_dir, tmp_path, monkeypa
                 for line in log.read_text().splitlines()
             }
             assert chunks == want
+
+
+def test_chunks_run_in_reverse_order_write_the_same_bytes(data_dir, tmp_path, monkeypatch):
+    # 17 grid points at two rates make two groups of two chunks each; a
+    # chunk's fits do not depend on the order the chunks run in, so neither
+    # do the files, traces included
+    root, paths = data_dir
+    lam = [0.1 * 1.5**i for i in range(17)]
+    solver = {"lam": lam, "beta": [0.001], "r": [3.0], "k": [5], "max_iter": 20}
+    real = imvc.harness.in_workers
+    first = []
+
+    def reversed_order(run, items, processes):
+        first.append(items[-1][0].run_id)  # the chunk that now runs first
+        return real(run, items[::-1], processes)[::-1]
+
+    outputs = []
+    for name in ("forward", "reverse"):
+        if name == "reverse":
+            monkeypatch.setattr(imvc.harness, "in_workers", reversed_order)
+        cfg = make_config(
+            paths, tmp_path / name, mask={"rates": [0.1, 0.3], "repeats": 1}, solver=solver
+        )
+        records = run_experiment(cfg, keep_states=True)
+        write_results(records, cfg.output_dir, cfg)
+        write_traces(records, cfg.output_dir)
+        files = sorted((tmp_path / name).glob("*.csv"))
+        outputs.append({f.name: f.read_bytes() for f in files})
+    assert first == ["full-g001-r0p3-t00"]  # the second chunk of the last group
+    assert len(outputs[0]) == 2 + 34
+    assert outputs[0] == outputs[1]
 
 
 def test_sweep_runs_groups_in_sorted_order(data_dir, tmp_path, monkeypatch):

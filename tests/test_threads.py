@@ -170,6 +170,26 @@ def test_a_pooled_fit_equals_the_serial_fit(monkeypatch):
             assert_same_fit(got, want)
 
 
+def test_a_14_fit_batch_gives_the_same_bytes_at_every_thread_count():
+    # a chunk's size: 14 of the README grid's points in one batch, whose
+    # per-view tasks run on 1, 2 or 3 threads
+    full = multiview_blobs(n=300, n_clusters=4, dims=(6, 9, 12), noise=0.6, seed=5)
+    ds, graphs = masked_problem(full, rate=0.3, mask_seed=3, k=5)
+    grid = [(lam, beta, r) for lam in (0.001, 0.1, 10.0) for beta in (1e-5, 0.001, 0.1)
+            for r in (2.0, 5.0, 9.0)][::2]
+    cfgs = [
+        SolverConfig(lam=lam, beta=beta, r=r, n_components=4, max_iter=40, seed=i)
+        for i, (lam, beta, r) in enumerate(grid)
+    ]
+    assert len(cfgs) == 14
+    with one_blas_thread():
+        states = {threads: fit(ds, graphs, cfgs, threads=threads) for threads in (1, 2, 3)}
+    assert all(s.error is None for s in states[1])
+    for threads in (2, 3):
+        for got, want in zip(states[threads], states[1]):
+            assert_same_fit(got, want)
+
+
 @pytest.mark.parametrize(
     "threads, message",
     [
