@@ -6,13 +6,16 @@ arrays alone.
 The stacks checked here are the ones fit hands view_costs, captured by
 wrapping it: codes from initialize and from a sweep, a gathered consensus, a
 W P^T that is a view of the sparse product, and rows that _Batch.keep has
-taken."""
+taken. _dots, which view_costs sums its inner products with, is checked
+against np.vdot fit by fit on C-ordered, F-ordered and sliced stacks."""
+
+import itertools
 
 import numpy as np
 import pytest
 
 import imvc.solver
-from imvc.solver import SolverConfig, fit
+from imvc.solver import SolverConfig, _dots, fit
 
 from synthetic import per_fit_view_costs, random_problem
 from test_certificates import README_GRID
@@ -86,3 +89,28 @@ def test_stacked_costs_stay_within_rounding_of_the_per_fit_loop_with_an_overflow
     grid = [(1.0, 1e-3, 2.0), (1e308, 1e-3, 2.0), (0.1, 0.0, 5.0)]
     fit_comparing_costs(monkeypatch, ds, graphs, configs(grid, 3, 4))
 
+
+def _stacks(rng, fits, rows, cols):
+    """Pairs of (fits, rows, cols) stacks in the layouts view_costs meets:
+    C-ordered items, F-ordered items, and slices of larger stacks."""
+    c = rng.normal(size=(fits, rows, cols))
+    f = rng.normal(size=(fits, cols, rows)).swapaxes(1, 2)
+    wide = rng.normal(size=(2 * fits, rows + 1, cols + 2))
+    sliced = wide[::2, 1:, 2:]
+    assert rows == 1 or not f[0].flags.c_contiguous and f[0].flags.f_contiguous
+    assert not sliced.flags.c_contiguous
+    return {"C": c, "F": f, "sliced": sliced}
+
+
+@pytest.mark.parametrize("rows, cols", [(1, 7), (5, 280), (10, 1401), (3, 13334)])
+def test_dots_stay_within_rounding_of_vdot_fit_by_fit(rows, cols):
+    # a dot product's rounding error is bounded by a multiple of the product
+    # of its arguments' norms, so that is the scale of the tolerance
+    rng = np.random.default_rng(rows * cols)
+    stacks = _stacks(rng, 3, rows, cols)
+    for (name_a, a), (name_b, b) in itertools.product(stacks.items(), repeat=2):
+        got = _dots(a, b)
+        want = np.array([np.vdot(x, y) for x, y in zip(a, b)])
+        scale = np.array([np.linalg.norm(x) * np.linalg.norm(y) for x, y in zip(a, b)])
+        assert got.shape == want.shape
+        assert np.all(np.abs(got - want) <= 1e-12 * scale), (name_a, name_b)
