@@ -23,12 +23,22 @@ latent dimension (in the harness, one (rate, repeat, k) group's (lam, beta,
 r) grid points) in lockstep: each sweep updates a block for all the fits
 still running at once, and each fit leaves the batch when it meets its own
 tol or max_iter, or fails (the shared block updates return {row: error}
-for the fits they could not update). A single fit is a batch of one. Each
-view's products are one call for the whole batch: one GEMM [U_1 ... U_B]^T X
-for the codes and the cost, one GEMM X [P_1^T ... P_B^T] for the bases'
-targets, and one sparse product W [M_1^T ... M_B^T] for the gathered
-consensus and for the codes. ||X||^2 is computed once per batch, and the
-cost's W P^T is carried into the next consensus update.
+for the fits they could not update). A single fit is a batch of one.
+
+A batch holds every per-sample variable with one row per sample and one
+column per (fit, component): the consensus is an (n, B, c) array, and each
+view's codes P^T, gathered consensus Q[ids], W P^T and X^T U are (n_v, B, c)
+stacks, C-ordered but for X^T U. Each view's products are one call for the
+whole batch on the (n_v, B c) matrix such a stack is, a view and no copy: one
+GEMM [U_1 ... U_B]^T X for the codes and the cost (X^T U is its transpose),
+one GEMM X [P_1^T ... P_B^T] for the bases' targets, read as (B, m, c) for
+the batched SVD, and one sparse product W [M_1^T ... M_B^T] for the gathered
+consensus and for the codes. The bases are a (B, m, c) stack. Each view's
+codes take two constants of the batch, h = 1 + lam d and thr = beta / (2 h)
+as (n_v, B, c) stacks (_code_constants), which fit makes once for each
+membership of the batch: at set-up and when fits leave. ||X||^2 is computed
+once per batch, and the cost's W P^T is carried into the next consensus
+update.
 
 The contract: a fit's bits depend on its config, the batch it runs in (the
 harness's chunk, which its group alone fixes), the BLAS kernel and NumPy's
@@ -38,13 +48,13 @@ batched fit stays within rounding of the same fit run alone, as a GEMM's
 sums follow the shape of the batch.
 
 Samples are addressed through each view's availability ids (ds.availability):
-Q gathered to view v is Q[:, ids_v], and the consensus solve scatters back
-through the same ids. W is a sparse CSR matrix with about k nonzeros per row,
-used only through products W @ M, so one sweep costs O(nnz(W) c) in the graph
-and no n_v x n_v array is formed. The two cost terms use expansions that need
-no residual or distance matrix:
+Q gathered to view v is the rows Q[ids_v], and the consensus solve scatters
+back through the same ids. W is a sparse CSR matrix with about k nonzeros per
+row, used only through products W @ M, so one sweep costs O(nnz(W) c) in the
+graph and no n_v x n_v array is formed. The two cost terms use expansions
+that need no residual or distance matrix:
 
-    ||X - U P||_F^2 = ||X||^2 - 2 <U^T X, P> + <(U^T U) P, P>    (any U)
+    ||X - U P||_F^2 = ||X||^2 - 2 <U^T X, P> + <U^T U, P P^T>    (any U)
     sum_ij W_ij ||p_i - q_j||^2 = d . ||P||^2_col + d . ||Q_v||^2_col
                                   - 2 <W P^T, Q_v^T>           (W = W^T, d = W 1)
 """
@@ -124,42 +134,41 @@ class SolverState:
         return max(len(self.objective_trace) - 1, 0)
 
 
-def _wide(stack: np.ndarray) -> np.ndarray:
-    """[M_1^T ... M_B^T] for a (B, c, n_v) stack: the (n_v, B c) matrix
-    whose j-th block of c columns is M_j^T."""
-    fits, c, n_v = stack.shape
-    return stack.transpose(2, 0, 1).reshape(n_v, fits * c)
-
-
 def _times_w(graph: FusedGraph, stack: np.ndarray) -> np.ndarray:
-    """W [M_1^T ... M_B^T] for a (B, c, n_v) stack: one sparse product for
-    the batch. Returned as the (B, n_v, c) stack of each fit's W M^T, a view
-    of the (n_v, B c) product."""
-    fits, c, n_v = stack.shape
-    return (graph.w @ _wide(stack)).reshape(n_v, fits, c).transpose(1, 0, 2)
+    """W [M_1^T ... M_B^T] for an (n_v, B, c) stack of each fit's M^T: one
+    sparse product of the (n_v, B c) matrix the stack views, returned as
+    the (n_v, B, c) stack of each fit's W M^T."""
+    return (graph.w @ stack.reshape(len(stack), -1)).reshape(stack.shape)
 
 
 def _xtu(x: np.ndarray, bases: np.ndarray) -> np.ndarray:
-    """X^T U for a (B, m, c) stack of bases, as the (B, n_v, c) view of one
-    GEMM [U_1 ... U_B]^T X."""
+    """X^T U for a (B, m, c) stack of bases, as the (n_v, B, c) view of the
+    transpose of one GEMM [U_1 ... U_B]^T X."""
     fits, m, c = bases.shape
-    return (bases.swapaxes(1, 2).reshape(fits * c, m) @ x).reshape(fits, c, -1).swapaxes(1, 2)
+    return (bases.swapaxes(1, 2).reshape(fits * c, m) @ x).T.reshape(-1, fits, c)
 
 
-def _gather(consensus: np.ndarray, ids: np.ndarray) -> np.ndarray:
-    """consensus[:, :, ids] for a (B, c, n) stack."""
-    return np.take(consensus.swapaxes(1, 2), ids, axis=1).swapaxes(1, 2)
+def _code_constants(graph: FusedGraph, lam: np.ndarray, beta: np.ndarray, c: int) -> tuple:
+    """The codes' constants of the fits whose lam and beta are given, one
+    value per fit: lam repeated over each fit's c columns as a (B, c) row,
+    and h = 1 + lam * degree and thr = beta / (2 h) as C-ordered (n_v, B, c)
+    stacks, so that update_codes makes only full, contiguous passes."""
+    lam = np.repeat(lam, c).reshape(-1, c)
+    h = 1.0 + lam * graph.degree[:, None, None]
+    return lam, h, np.repeat(beta, c).reshape(-1, c) / (2.0 * h)
 
 
 def update_basis(x: np.ndarray, codes: np.ndarray) -> tuple[np.ndarray, dict[int, Exception]]:
-    """Orthonormal bases maximizing trace(U^T X P^T) for a (B, c, n_v) stack
-    of codes: U = M N^T from the thin SVD X P^T = M diag(s) N^T, per fit,
-    with the targets X P^T from one GEMM X [P_1^T ... P_B^T]. Returns them
-    and {row: error} for the fits whose target is not finite, zeroed first,
-    as one non-finite matrix fails the SVD of the stack."""
-    fits, c, _ = codes.shape
-    target = (x @ _wide(codes)).reshape(-1, fits, c).swapaxes(0, 1)
-    failed = np.flatnonzero(~np.isfinite(target).all(axis=(1, 2)))
+    """Orthonormal bases maximizing trace(U^T X P^T) for an (n_v, B, c)
+    stack of codes P^T: U = M N^T from the thin SVD X P^T = M diag(s) N^T,
+    per fit, with the targets X P^T from one GEMM X [P_1^T ... P_B^T], read
+    as (B, m, c). Returns the (B, m, c) stack of bases and {row: error} for
+    the fits whose target is not finite, zeroed first, as one non-finite
+    matrix fails the SVD of the stack."""
+    n_v, fits, c = codes.shape
+    target = x @ codes.reshape(n_v, -1)
+    failed = np.flatnonzero(~np.isfinite(target).all(axis=0).reshape(fits, c).all(axis=1))
+    target = target.reshape(-1, fits, c).swapaxes(0, 1)
     target[failed] = 0.0
     m, _, nt = np.linalg.svd(target, full_matrices=False)
     message = "non-finite values in the basis update target"
@@ -172,32 +181,35 @@ def update_codes(
     gathered: np.ndarray,
     graph: FusedGraph,
     lam: np.ndarray,
-    beta: np.ndarray,
+    h: np.ndarray,
+    thr: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Closed-form sparse codes of B fits via per-column soft thresholding.
 
-    bases is the (B, m, c) stack, gathered the (B, c, n_v) stack of
-    Q[:, ids], and lam and beta hold one value per fit. With
-    h_i = 1 + lam * degree_i and b_i the i-th row of
-    B = X^T U + lam * W (Q[:, ids])^T, column i of a fit's codes is the soft
-    threshold of b_i / h_i at beta / (2 h_i). Returns the codes, computed as
-    the rows of P^T, and X^T U (_xtu), which the cost reuses.
+    bases is the (B, m, c) stack, gathered the (n_v, B, c) stack of
+    Q[ids], and lam, h and thr the batch's constants (_code_constants).
+    With h_i = 1 + lam * degree_i and b_i the i-th row of
+    B = X^T U + lam * W Q[ids], column i of a fit's codes is the soft
+    threshold of b_i / h_i at thr_i = beta / (2 h_i). Returns the codes as
+    the (n_v, B, c) stack of P^T, and X^T U (_xtu), which the cost reuses.
     """
     xtu = _xtu(x, bases)
-    lam = lam[:, None, None]
-    h = 1.0 + lam * graph.degree[:, None]
-    # (xtu + lam * W Q^T) / h, then max(0, v - thr) + min(0, v + thr), each
-    # step written into a buffer the chain made itself
-    v = np.multiply(lam, _times_w(graph, gathered), out=np.empty(xtu.shape))
-    np.add(xtu, v, out=v)
+    # (lam * W Q[ids] + xtu) / h, in the sparse product's own buffer
+    v = _times_w(graph, gathered)
+    np.multiply(v, lam, out=v)
+    np.add(v, xtu, out=v)
     np.divide(v, h, out=v)
-    thr = np.divide(beta[:, None, None], np.multiply(2.0, h, out=h), out=h)
-    codes = np.subtract(v, thr, out=np.empty(xtu.shape))
-    np.maximum(0.0, codes, out=codes)
-    np.add(v, thr, out=v)
-    np.minimum(0.0, v, out=v)
-    np.add(codes, v, out=codes)
-    return codes.swapaxes(1, 2), xtu
+    return _soft_threshold(v, thr), xtu
+
+
+def _soft_threshold(v: np.ndarray, thr: np.ndarray) -> np.ndarray:
+    """v - copysign(min(|v|, thr), v), written into v: the bits of
+    max(0, v - thr) + min(0, v + thr), NaN and signed zeros included, in
+    one pass fewer."""
+    shrink = np.abs(v)
+    np.minimum(shrink, thr, out=shrink)
+    np.copysign(shrink, v, out=shrink)
+    return np.subtract(v, shrink, out=v)
 
 
 def update_consensus(
@@ -210,23 +222,21 @@ def update_consensus(
 ) -> tuple[np.ndarray, dict[int, Exception]]:
     """Minimize the graph-coupling term over the consensus matrices of B fits.
 
-    wp[v] is the (B, n_v, c) stack of W_v P^T, weights the (B, l) view
+    wp[v] is the (n_v, B, c) stack of W_v P^T, weights the (B, l) view
     weights and r the B exponents; availability holds each view's sample ids
     and n is the sample count. The normal matrix sum_v a_v^r G D G^T is
     diagonal (each sample collects its own degree from the views it appears
-    in), so the solve is a columnwise division instead of a general inverse.
-    The numerator is accumulated as (n, B, c), the layout of the sparse
-    product that wp[v] views (_times_w), so each view adds whole rows of
-    B c, one per sample it holds. Returns the (B, c, n) stack, a view of
-    that (n, B, c) array, and {row: error} for the fits where a sample
+    in), so the solve is a columnwise division instead of a general inverse:
+    each view adds whole rows of B c, one per sample it holds. Returns the
+    (n, B, c) consensus and {row: error} for the fits where a sample
     carries no positive weight, whose denominators are set to 1.
     """
-    fits, _, c = wp[0].shape
+    _, fits, c = wp[0].shape
     numer = np.zeros((n, fits, c))
     denom = np.zeros((n, fits))
     for v, (prod, graph, ids) in enumerate(zip(wp, graphs, availability)):
         ar = np.array([a**s for a, s in zip(weights[:, v], r)])
-        numer[ids] += ar[:, None] * prod.swapaxes(0, 1)  # (P W)^T, as W = W^T
+        numer[ids] += prod * np.repeat(ar, c).reshape(fits, c)  # (P W)^T, as W = W^T
         denom[ids] += ar * graph.degree[:, None]
     failed = {}
     for row in np.flatnonzero((denom <= 0.0).any(axis=0)):
@@ -239,7 +249,7 @@ def update_consensus(
             "consensus update is infeasible"
         )
         denom[:, row] = 1.0
-    return np.divide(numer, denom[:, :, None], out=numer).transpose(1, 2, 0), failed
+    return np.divide(numer, denom[:, :, None], out=numer), failed
 
 
 def update_weights(costs: np.ndarray, r: float) -> np.ndarray:
@@ -261,34 +271,34 @@ def update_weights(costs: np.ndarray, r: float) -> np.ndarray:
     return scaled / scaled.sum()
 
 
-def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """<a_j, b_j> for each fit j of two (B, ...) stacks, as one stacked
-    (1, N) @ (N, 1) matmul over the C-order ravels of a[j] and b[j]."""
-    fits = len(a)
-    return (a.reshape(fits, 1, -1) @ b.reshape(fits, -1, 1))[:, 0, 0]
+def _fit_sums(weights: np.ndarray, stack: np.ndarray) -> np.ndarray:
+    """sum_i weights[i] * stack[i, j].sum() for each fit j of an (n_v, B, c)
+    stack: one GEMV of the (n_v, B c) matrix, then a sum over each fit's c
+    columns."""
+    n_v, fits, c = stack.shape
+    return (weights @ stack.reshape(n_v, -1)).reshape(fits, c).sum(axis=1)
 
 
 def _graph_cost(
     p: np.ndarray, gathered: np.ndarray, wp: np.ndarray, graph: FusedGraph
 ) -> np.ndarray:
-    """One view's sum_ij W[i, j] * ||p[:, i] - gathered[:, j]||^2 for each
-    fit, given the (B, c, n_v) stacks p and gathered and the (B, n_v, c)
-    stack wp = W p^T.
+    """One view's sum_ij W[i, j] * ||p_i - gathered_j||^2 for each fit,
+    given the (n_v, B, c) stacks p and gathered of its rows and
+    wp = W p.
 
     For symmetric W with degrees d this is
-    d . ||p||^2_col + d . ||gathered||^2_col - 2 <W p^T, gathered^T>. The
+    d . ||p||^2_row + d . ||gathered||^2_row - 2 <W p, gathered>. The
     identity-graph case reduces algebraically to the plain squared Frobenius
-    difference, which is also the cheap way to evaluate it. Each column sum
-    is one einsum over the stack, and each d . colsums one matrix-vector
-    product for the batch.
+    difference, which is also the cheap way to evaluate it.
     """
+    ones = np.ones(len(p))
     if graph.is_identity:
-        return ((p - gathered) ** 2).sum(axis=(1, 2))
+        return _fit_sums(ones, (p - gathered) ** 2)
     d = graph.degree
     return (
-        np.einsum("bij,bij->bj", p, p) @ d
-        + np.einsum("bij,bij->bj", gathered, gathered) @ d
-        - 2.0 * _dots(wp, gathered.swapaxes(1, 2))
+        _fit_sums(d, p * p)
+        + _fit_sums(d, gathered * gathered)
+        - 2.0 * _fit_sums(ones, wp * gathered)
     )
 
 
@@ -306,30 +316,32 @@ def view_costs(
     """One view's cost e_v = reconstruction + beta * l1 + lam * graph term
     for each of B fits, as a (B,) array.
 
-    xx = ||X||^2, and xtu = X^T U, u, p, gathered = Q[:, ids] and wp = W P^T
-    are the (B, ...) stacks of the fits' arrays. The reconstruction is
-    ||X||^2 - 2 <U^T X, P> + <(U^T U) P, P>, for any U. Each sum is one call
-    over the stacks.
+    xx = ||X||^2, u is the (B, m, c) stack of bases, and xtu = X^T U,
+    p = P^T, gathered = Q[ids] and wp = W P^T are (n_v, B, c) stacks. The
+    reconstruction is ||X||^2 - 2 <X^T U, P^T> + <U^T U, P P^T>, for any U.
+    Each sum over samples is one GEMV for the batch (_fit_sums).
 
     ||X||^2 is an einsum rather than a BLAS dot because the two sum in
     different orders and can differ in the last bit; the einsum's sums are
     the ones every recorded trials.csv rests on.
     """
+    ones = np.ones(len(p))
+    pt = p.transpose(1, 2, 0)
     return (
         xx
-        - 2.0 * _dots(xtu.swapaxes(1, 2), p)
-        + _dots((u.swapaxes(1, 2) @ u) @ p, p)
-        + beta * np.abs(p).sum(axis=(1, 2))
+        - 2.0 * _fit_sums(ones, p * xtu)
+        + ((u.swapaxes(1, 2) @ u) * (pt @ pt.swapaxes(1, 2))).sum(axis=(1, 2))
+        + beta * _fit_sums(ones, np.abs(p))
         + lam * _graph_cost(p, gathered, wp, graph)
     )
 
 
-def _sweep_view(x, xx, codes, ids, graph, consensus, lam, beta) -> tuple:
+def _sweep_view(x, xx, codes, ids, graph, consts, consensus, lam, beta) -> tuple:
     """One view's part of a sweep once the consensus is updated, which needs
     no other view: its bases, their {row: error}, codes, W P^T and costs."""
     bases, failed = update_basis(x, codes)
-    gathered = _gather(consensus, ids)
-    codes, xtu = update_codes(x, bases, gathered, graph, lam, beta)
+    gathered = consensus[ids]
+    codes, xtu = update_codes(x, bases, gathered, graph, *consts)
     wp = _times_w(graph, codes)
     costs = view_costs(xx, xtu, bases, codes, gathered, wp, graph, lam, beta)
     return bases, failed, codes, wp, costs
@@ -369,10 +381,11 @@ def initialize(ds: MultiViewDataset, cfg: SolverConfig) -> SolverState:
 
 @dataclass(frozen=True)
 class _Batch:
-    """The variables of the fits still running, stacked along a leading axis
-    (row j is fit fits[j]), and W P^T per view, carried from the cost to the
-    next consensus update. A fit's objective, costs and weights are the rows
-    of its record (fit)."""
+    """The variables of the fits still running, and W P^T per view, carried
+    from the cost to the next consensus update: the bases stacked along a
+    leading axis and the per-sample stacks along their second (index j is
+    fit fits[j]), in the layouts of the module docstring. A fit's objective,
+    costs and weights are the rows of its record (fit)."""
 
     fits: np.ndarray
     bases: tuple[np.ndarray, ...]
@@ -384,20 +397,20 @@ class _Batch:
         return _Batch(
             fits=self.fits[rows],
             bases=tuple(u[rows] for u in self.bases),
-            codes=tuple(p[rows] for p in self.codes),
-            consensus=self.consensus[rows],
-            wp=tuple(m[rows] for m in self.wp),
+            codes=tuple(p.take(rows, axis=1) for p in self.codes),
+            consensus=self.consensus.take(rows, axis=1),
+            wp=tuple(m.take(rows, axis=1) for m in self.wp),
         )
 
     def state(self, j: int, record: list, error=None) -> SolverState:
-        """Row j as a fit's state, with its record (fit) as the traces and
-        weights, in copies, so that a finished fit holds none of the
-        batch's stacks."""
+        """Fit j as a fit's state, with its record (fit) as the traces and
+        weights, in copies (its codes and consensus transposed back to c
+        rows), so that a finished fit holds none of the batch's stacks."""
         objective, costs, weights = zip(*record)
         return SolverState(
             bases=tuple(u[j].copy() for u in self.bases),
-            codes=tuple(p[j].copy() for p in self.codes),
-            consensus=self.consensus[j].copy(),
+            codes=tuple(p[:, j].T.copy() for p in self.codes),
+            consensus=self.consensus[:, j].T.copy(),
             weights=weights[-1],
             objective_trace=np.array(objective),
             cost_trace=np.vstack(costs),
@@ -448,6 +461,7 @@ def fit(
     if not cfgs:
         return ()
     xs = [view.data for view in ds.views]
+    c = cfgs[0].n_components
     lam = np.array([cfg.lam for cfg in cfgs])
     beta = np.array([cfg.beta for cfg in cfgs])
     results: list[Optional[SolverState]] = [None] * len(cfgs)
@@ -458,10 +472,10 @@ def fit(
         inits = [initialize(ds, cfg) for cfg in cfgs]
         xx = [np.einsum("ij,ij->", x, x) for x in xs]
         bases = tuple(np.stack(u) for u in zip(*(s.bases for s in inits)))
-        codes = tuple(np.stack(p) for p in zip(*(s.codes for s in inits)))
-        consensus = np.zeros((len(cfgs), cfgs[0].n_components, ds.n))
+        codes = tuple(np.stack(p).transpose(2, 0, 1).copy() for p in zip(*(s.codes for s in inits)))
+        consensus = np.zeros((ds.n, len(cfgs), c))
         xtu = [_xtu(x, u) for x, u in zip(xs, bases)]
-        gathered = [_gather(consensus, ids) for ids in ds.availability]
+        gathered = [consensus[ids] for ids in ds.availability]
         wp = tuple(_times_w(graph, p) for graph, p in zip(graphs, codes))
         views = zip(xx, xtu, bases, codes, gathered, wp, graphs)
         costs = np.column_stack([view_costs(*view, lam, beta) for view in views])
@@ -470,6 +484,7 @@ def fit(
             for cfg, s, e in zip(cfgs, inits, costs)
         ]
         batch = _Batch(np.arange(len(cfgs)), bases, codes, consensus, wp)
+        consts = [_code_constants(graph, lam, beta, c) for graph in graphs]
         seconds += (time.perf_counter() - start) / len(cfgs)
 
         it = 1
@@ -482,7 +497,7 @@ def fit(
             )
             view_sweep = partial(_sweep_view, consensus=consensus, lam=lam[fits], beta=beta[fits])
             bases, basis_failed, codes, wp, costs = zip(
-                *each(view_sweep, xs, xx, batch.codes, ds.availability, graphs)
+                *each(view_sweep, xs, xx, batch.codes, ds.availability, graphs, consts)
             )
             # a fit's first error, in block order and then view order
             failed = ChainMap(failed, *basis_failed)
@@ -508,8 +523,11 @@ def fit(
                     results[i] = swept.state(j, records[i])
                 else:
                     running.append(j)
+            batch = swept
+            if len(running) < fits.size:  # fits left: so do their columns and constants
+                batch = swept.keep(np.array(running, dtype=int))
+                consts = [_code_constants(g, lam[batch.fits], beta[batch.fits], c) for g in graphs]
             seconds[fits] += (time.perf_counter() - sweep_start) / fits.size
-            batch = swept if len(running) == fits.size else swept.keep(np.array(running, dtype=int))
             it += 1
 
     return tuple(replace(state, seconds=float(t)) for state, t in zip(results, seconds))

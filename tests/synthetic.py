@@ -11,7 +11,7 @@ from imvc import MultiViewDataset, ViewMatrix
 from imvc.dataset import MaskSpec, apply_mask
 from imvc.graph import FusedGraph, build_fused_graphs
 from imvc.solver import (
-    _gather,
+    _code_constants,
     _times_w,
     _weighted_total,
     _xtu,
@@ -160,38 +160,51 @@ def random_state(ds, c, seed, zero=False):
 
 # The per-fit cost: one fit at a time, each sum on that fit's own arrays.
 # It is the reference for view_costs, whose stacked sums must stay within
-# rounding of these for every fit of any batch.
+# rounding of these for every fit of any batch. Each sum over samples is
+# taken in the order the library takes a fit's (sample_sum), so that a batch
+# of one gives these bits.
+
+
+def sample_sum(weights, m):
+    """sum_i weights[i] * m[i].sum() for an n_v x c matrix m: one
+    matrix-vector product with its C-ordered copy, then a sum over the c
+    columns."""
+    return float((weights @ np.ascontiguousarray(m)).sum())
 
 
 def per_fit_reconstruction_cost(xx, xtu, u, p):
-    """||X - U P||_F^2 = ||X||^2 - 2 <U^T X, P> + <(U^T U) P, P>, for any U,
-    from xx = ||X||^2 and xtu = X^T U."""
-    return float(xx - 2.0 * np.vdot(xtu.T, p) + np.vdot((u.T @ u) @ p, p))
+    """||X - U P||_F^2 = ||X||^2 - 2 <X^T U, P^T> + <U^T U, P P^T>, for any
+    U, from xx = ||X||^2 and xtu = X^T U."""
+    pt = np.ascontiguousarray(p.T)
+    ones = np.ones(len(pt))
+    return float(xx - 2.0 * sample_sum(ones, pt * xtu) + ((u.T @ u) * (pt.T @ pt)).sum())
 
 
 def per_fit_graph_cost(p, gathered, wp, graph):
     """sum_ij W[i, j] * ||p[:, i] - gathered[:, j]||^2, given wp = W p^T."""
+    ones = np.ones(p.shape[1])
     if graph.is_identity:
-        return float(np.sum((p - gathered) ** 2))
+        return sample_sum(ones, (p - gathered).T ** 2)
     d = graph.degree
-    return float(
-        d @ np.einsum("ij,ij->j", p, p)
-        + d @ np.einsum("ij,ij->j", gathered, gathered)
-        - 2.0 * np.vdot(wp, gathered.T)
+    return (
+        sample_sum(d, (p * p).T)
+        + sample_sum(d, (gathered * gathered).T)
+        - 2.0 * sample_sum(ones, wp * gathered.T)
     )
 
 
 def per_fit_view_costs(xx, xtu, bases, codes, gathered, wp, graphs, lam, beta):
     """The (B, l) costs that view_costs gives one view at a time, each
-    taken fit by fit."""
+    taken fit by fit from the (n_v, B, c) stacks fit holds."""
     costs = np.empty((len(lam), len(graphs)))
+    ones = [np.ones(len(p)) for p in codes]
     for v, graph in enumerate(graphs):
         for j in range(len(lam)):
-            p = codes[v][j]
+            p = codes[v][:, j].T
             costs[j, v] = (
-                per_fit_reconstruction_cost(xx[v], xtu[v][j], bases[v][j], p)
-                + beta[j] * np.abs(p).sum()
-                + lam[j] * per_fit_graph_cost(p, gathered[v][j], wp[v][j], graph)
+                per_fit_reconstruction_cost(xx[v], xtu[v][:, j], bases[v][j], p)
+                + beta[j] * sample_sum(ones[v], np.abs(p).T)
+                + lam[j] * per_fit_graph_cost(p, gathered[v][:, j].T, wp[v][:, j], graph)
             )
     return costs
 
@@ -200,8 +213,13 @@ def per_fit_view_costs(xx, xtu, bases, codes, gathered, wp, graphs, lam, beta):
 # these run a batch of one, raising the error a failed fit records.
 
 
-def _lone(update, *args):
-    (out,), failed = update(*args)
+def stack(m):
+    """A fit's c x n_v matrix as the (n_v, 1, c) batch of one that fit
+    holds: C-ordered, one row per sample."""
+    return np.ascontiguousarray(m.T)[:, None]
+
+
+def _lone(out, failed):
     if failed:
         raise failed[0]
     return out
@@ -215,29 +233,29 @@ def lone_fit(ds, graphs, cfg):
 
 
 def lone_basis(x, codes):
-    return _lone(update_basis, x, codes[None])
+    return _lone(*update_basis(x, stack(codes)))[0]
 
 
 def lone_codes(x, u, consensus, ids, graph, lam, beta):
-    codes, _ = update_codes(
-        x, u[None], consensus[:, ids][None], graph, np.array([lam]), np.array([beta])
-    )
-    return codes[0]
+    consts = _code_constants(graph, np.array([lam]), np.array([beta]), u.shape[1])
+    codes, _ = update_codes(x, u[None], stack(consensus)[ids], graph, *consts)
+    return codes[:, 0].T
 
 
 def lone_consensus(codes, graphs, availability, n, weights, r):
-    wp = [_times_w(graph, p[None]) for graph, p in zip(graphs, codes)]
-    return _lone(update_consensus, wp, graphs, availability, n, np.asarray(weights)[None], [r])
+    wp = [_times_w(graph, stack(p)) for graph, p in zip(graphs, codes)]
+    weights = np.asarray(weights)[None]
+    return _lone(*update_consensus(wp, graphs, availability, n, weights, [r]))[:, 0].T
 
 
 def lone_costs(ds, graphs, state, cfg):
     """Per-view costs e_v of any one state, scored as fit scores its initial
-    state: each variable stacked as a batch of one, X^T U from _xtu, the
-    consensus gathered by _gather and W P^T from _times_w."""
+    state: each variable stacked as a batch of one (stack), X^T U from
+    _xtu, the consensus gathered by its rows and W P^T from _times_w."""
     lam, beta, costs = np.array([cfg.lam]), np.array([cfg.beta]), []
     for view, u, p, ids, graph in zip(ds.views, state.bases, state.codes, ds.availability, graphs):
-        x, u, p = view.data, u[None], p[None]
-        gathered = _gather(state.consensus[None], ids)
+        x, u, p = view.data, u[None], stack(p)
+        gathered = stack(state.consensus)[ids]
         xx = np.einsum("ij,ij->", x, x)
         wp = _times_w(graph, p)
         costs.append(view_costs(xx, _xtu(x, u), u, p, gathered, wp, graph, lam, beta)[0])

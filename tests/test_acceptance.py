@@ -36,6 +36,7 @@ from synthetic import (
     per_fit_reconstruction_cost,
     random_problem,
     random_state,
+    sample_sum,
 )
 from test_metrics import counter_nmi, counter_purity, exhaustive_accuracy
 from test_solver import consensus_term, grid_prox
@@ -224,7 +225,8 @@ def model6_objective(ds, state, lam, beta, r):
     (checked against the residual form in test_reference.py, and the
     library's stacked sums against it in test_stacked_costs.py), so the
     bitwise comparison isolates what this criterion is about: the gamma=0
-    graph term.
+    graph term. Each sum over samples is added up in the library's order
+    (synthetic.sample_sum).
     """
     total = 0.0
     for view, ids, u, p, a in zip(
@@ -232,10 +234,11 @@ def model6_objective(ds, state, lam, beta, r):
     ):
         x = view.data
         gathered = state.consensus[:, ids]
+        ones = np.ones(len(ids))
         total += a**r * (
             per_fit_reconstruction_cost(np.einsum("ij,ij->", x, x), x.T @ u, u, p)
-            + beta * np.abs(p).sum()
-            + lam * float(np.sum((p - gathered) ** 2))
+            + beta * sample_sum(ones, np.abs(p).T)
+            + lam * sample_sum(ones, ((p - gathered) ** 2).T)
         )
     return total
 

@@ -204,13 +204,19 @@ def weights_residuals(costs, r, weights):
 def readme_batch():
     """One README-grid group at the roadmap's reference size (n = 2000,
     10 clusters, 30% of the views missing, k = 5), fitted 3 sweeps at tol 0,
-    with the residuals of every basis, codes, consensus and weights update."""
+    with the residuals of every basis, codes, consensus and weights update.
+
+    The wrappers hand the residual functions each (n_v, B, c) or (n, B, c)
+    stack the solver holds as the (B, c, n_v) view of each fit's c x n_v
+    matrix, and the codes' residuals the configs' own lam and beta."""
     full = multiview_blobs(n=2000, n_clusters=10, dims=HANDWRITTEN_DIMS, seed=0)
     ds, graphs = masked_problem(full, rate=0.3, mask_seed=0, k=5)
     cfgs = [
         SolverConfig(lam=lam, beta=beta, r=r, n_components=10, max_iter=3, tol=0.0, seed=i)
         for i, (lam, beta, r) in enumerate(README_GRID)
     ]
+    lam = np.array([cfg.lam for cfg in cfgs])
+    beta = np.array([cfg.beta for cfg in cfgs])
     seen = {"bases": [], "codes": [], "consensus": [], "weights": []}
     update_basis = imvc.solver.update_basis
     update_codes = imvc.solver.update_codes
@@ -226,19 +232,24 @@ def readme_batch():
     def basis(x, codes):
         u, failed = update_basis(x, codes)
         assert failed == {}
-        seen["bases"].append(basis_residuals(x, codes, u))
+        seen["bases"].append(basis_residuals(x, codes.transpose(1, 2, 0), u))
         return u, failed
 
-    def codes(x, bases, gathered, graph, lam, beta):
-        p, xtu = update_codes(x, bases, gathered, graph, lam, beta)
-        seen["codes"].append(codes_residuals(x, bases, gathered, graph, lam, beta, p))
+    def codes(x, bases, gathered, graph, lam_row, h, thr):
+        p, xtu = update_codes(x, bases, gathered, graph, lam_row, h, thr)
+        assert np.array_equal(lam_row[:, 0], lam)  # every fit runs all 3 sweeps
+        fits_q, fits_p = gathered.transpose(1, 2, 0), p.transpose(1, 2, 0)
+        seen["codes"].append(codes_residuals(x, bases, fits_q, graph, lam, beta, fits_p))
         return p, xtu
 
     def consensus(wp, graphs, availability, n, weights, r):
         q, failed = update_consensus(wp, graphs, availability, n, weights, r)
         assert all(prod is made[id(graph)][0] for prod, graph in zip(wp, graphs))
-        stacks = [made[id(graph)][1] for graph in graphs]
-        seen["consensus"].append(consensus_residuals(stacks, graphs, availability, weights, r, q))
+        stacks = [made[id(graph)][1].transpose(1, 2, 0) for graph in graphs]
+        q_views = q.transpose(1, 2, 0)
+        seen["consensus"].append(
+            consensus_residuals(stacks, graphs, availability, weights, r, q_views)
+        )
         return q, failed
 
     def weights(costs, r):

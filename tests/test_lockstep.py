@@ -193,17 +193,49 @@ def test_fits_failing_in_one_sweep_leave_together_with_their_first_error(monkeyp
 def test_a_block_update_names_the_fit_it_failed_for():
     rng = np.random.default_rng(0)
     x = rng.normal(size=(4, 6))
-    codes = rng.normal(size=(4, 2, 6))
-    codes[1, 0, 4] = np.nan
-    codes[3, 1, 0] = np.inf
+    codes = rng.normal(size=(6, 4, 2))  # (n_v, B, c): 4 fits
+    codes[4, 1, 0] = np.nan
+    codes[0, 3, 1] = np.inf
     bases, failed = update_basis(x, codes)
     assert sorted(failed) == [1, 3]
     assert all(str(e) == "non-finite values in the basis update target" for e in failed.values())
-    # the rows that did not fail are within rounding of a lone fit's
+    # the fits that did not fail are within rounding of a lone fit's
     for j in (0, 2):
-        (want,), none = update_basis(x, codes[j : j + 1])
+        (want,), none = update_basis(x, np.ascontiguousarray(codes[:, j : j + 1]))
         assert not none
         np.testing.assert_allclose(bases[j], want, rtol=0, atol=1e-12)
+
+
+def test_a_batch_rebuilds_its_code_constants_for_the_fits_that_remain(monkeypatch):
+    # fits 0 and 2 leave after sweeps 1 and 2: each codes update then takes
+    # the constants of the fits still running, and the two that run on stay
+    # within rounding of the same two fits run as their own batch
+    ds, graphs = random_problem(23, l=2, n=60, c=3, rate=0.3, k=4)
+    grid = [(0.1, 1e-3, 1), (10.0, 0.1, 4), (1.0, 0.0, 2), (0.001, 1e-5, 4)]
+    cfgs = [
+        SolverConfig(lam=lam, beta=beta, r=2.0, n_components=3, max_iter=m, tol=0.0, seed=i)
+        for i, (lam, beta, m) in enumerate(grid)
+    ]
+    beta_of = {lam: beta for lam, beta, _ in grid}
+    seen = []
+    update_codes = imvc.solver.update_codes
+
+    def checked(x, bases, gathered, graph, lam, h, thr):  # looked up by module name
+        fits_lam = lam[:, 0]
+        fits_beta = np.array([beta_of[value] for value in fits_lam])
+        want = imvc.solver._code_constants(graph, fits_lam, fits_beta, 3)
+        assert all(same_bits(g, w) for g, w in zip((lam, h, thr), want))
+        seen.append(fits_lam.tolist())
+        return update_codes(x, bases, gathered, graph, lam, h, thr)
+
+    monkeypatch.setattr(imvc.solver, "update_codes", checked)
+    batch = fit(ds, graphs, cfgs)
+    # one call per view and sweep
+    assert seen == [[0.1, 10.0, 1.0, 0.001]] * 2 + [[10.0, 1.0, 0.001]] * 2 + [[10.0, 0.001]] * 4
+    monkeypatch.undo()
+    for got, want in zip((batch[1], batch[3]), fit(ds, graphs, [cfgs[1], cfgs[3]])):
+        assert got.n_iterations == 4
+        assert_close_fit(got, want)
 
 
 def test_a_batch_shares_its_latent_dimension():

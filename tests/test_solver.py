@@ -247,6 +247,25 @@ def test_codes_threshold_dead_zone_outputs_zero():
     assert p[0, 0] == 0.0
 
 
+def test_codes_threshold_has_the_bits_of_max_plus_min():
+    # the codes' soft threshold v - copysign(min(|v|, thr), v) against its
+    # textbook form, on the values where the two could part: signed zeros,
+    # the threshold itself and its neighbours, infinities and NaNs
+    cases = []
+    for thr in (0.0, 5e-324, 1e-300, 0.25, 1.5, 1e300):
+        near = (thr, np.nextafter(thr, np.inf), np.nextafter(thr, -np.inf))
+        values = (0.0, -0.0, *near, *(-v for v in near), np.inf, -np.inf, np.nan, -np.nan)
+        cases += [(v, thr) for v in values]
+    v, thr = np.array(cases).T
+    rng = np.random.default_rng(12)
+    v = np.concatenate([v, rng.normal(scale=2.0, size=2000)]).reshape(-1, 4, 2)
+    thr = np.concatenate([thr, np.abs(rng.normal(size=2000))]).reshape(v.shape)
+    with np.errstate(invalid="ignore"):
+        want = np.maximum(0.0, v - thr) + np.minimum(0.0, v + thr)
+        got = imvc.solver._soft_threshold(v.copy(), thr)
+    assert got.tobytes() == want.tobytes()
+
+
 def test_codes_local_optimality_probe():
     ds, graphs = random_problem(7, l=1, n=4, c=3, dims=(6,), rate=0.0, k=2)
     rng = np.random.default_rng(4)

@@ -1,21 +1,22 @@
-"""view_costs takes each of its sums once per view over the (B, ...) stacks of
-a batch. A fit's costs must stay within rounding (1e-12 relative) of the
-per-fit loop in synthetic.per_fit_view_costs, which sums each fit's own
+"""view_costs takes each of its sums once per view over the (n_v, B, c)
+stacks of a batch. A fit's costs must stay within rounding (1e-12 relative) of
+the per-fit loop in synthetic.per_fit_view_costs, which sums each fit's own
 arrays alone.
 
 The stacks checked here are the ones fit hands view_costs, captured by
 wrapping it: codes from initialize and from a sweep, a gathered consensus, a
-W P^T that is a view of the sparse product, and rows that _Batch.keep has
-taken. _dots, which view_costs sums its inner products with, is checked
-against np.vdot fit by fit on C-ordered, F-ordered and sliced stacks."""
-
-import itertools
+W P^T that is a view of the sparse product, and the columns that _Batch.keep
+has kept. _fit_sums, which view_costs takes its sums over samples with, is
+checked against np.vdot fit by fit on the same stacks, and the stacks' layout
+(one C-ordered row per sample, which the products read without a copy)
+where fit hands them to the products.
+"""
 
 import numpy as np
 import pytest
 
 import imvc.solver
-from imvc.solver import SolverConfig, _dots, fit
+from imvc.solver import SolverConfig, _fit_sums, fit
 
 from synthetic import per_fit_view_costs, random_problem
 from test_certificates import README_GRID
@@ -90,27 +91,71 @@ def test_stacked_costs_stay_within_rounding_of_the_per_fit_loop_with_an_overflow
     fit_comparing_costs(monkeypatch, ds, graphs, configs(grid, 3, 4))
 
 
-def _stacks(rng, fits, rows, cols):
-    """Pairs of (fits, rows, cols) stacks in the layouts view_costs meets:
-    C-ordered items, F-ordered items, and slices of larger stacks."""
-    c = rng.normal(size=(fits, rows, cols))
-    f = rng.normal(size=(fits, cols, rows)).swapaxes(1, 2)
-    wide = rng.normal(size=(2 * fits, rows + 1, cols + 2))
-    sliced = wide[::2, 1:, 2:]
-    assert rows == 1 or not f[0].flags.c_contiguous and f[0].flags.f_contiguous
-    assert not sliced.flags.c_contiguous
-    return {"C": c, "F": f, "sliced": sliced}
+def fit_capturing(monkeypatch, ds, graphs, cfgs, names):
+    """Run fit with the library functions named wrapped to record their
+    arguments; returns {name: [args, ...]}."""
+    seen = {name: [] for name in names}
+    for name in names:
+        original = getattr(imvc.solver, name)
+
+        def recorded(*args, name=name, original=original):  # looked up by module name
+            seen[name].append(args)
+            return original(*args)
+
+        monkeypatch.setattr(imvc.solver, name, recorded)
+    fit(ds, graphs, cfgs)
+    return seen
 
 
-@pytest.mark.parametrize("rows, cols", [(1, 7), (5, 280), (10, 1401), (3, 13334)])
-def test_dots_stay_within_rounding_of_vdot_fit_by_fit(rows, cols):
-    # a dot product's rounding error is bounded by a multiple of the product
-    # of its arguments' norms, so that is the scale of the tolerance
-    rng = np.random.default_rng(rows * cols)
-    stacks = _stacks(rng, 3, rows, cols)
-    for (name_a, a), (name_b, b) in itertools.product(stacks.items(), repeat=2):
-        got = _dots(a, b)
-        want = np.array([np.vdot(x, y) for x, y in zip(a, b)])
-        scale = np.array([np.linalg.norm(x) * np.linalg.norm(y) for x, y in zip(a, b)])
-        assert got.shape == want.shape
-        assert np.all(np.abs(got - want) <= 1e-12 * scale), (name_a, name_b)
+def leaving_configs(c, max_iters=(4, 1, 3, 2)):
+    """Fits that stop after 1 to 4 sweeps, so that later stacks are the
+    columns _Batch.keep kept."""
+    return [
+        SolverConfig(lam=1.0, beta=1e-3, r=2.0, n_components=c, max_iter=m, tol=0.0, seed=m)
+        for m in max_iters
+    ]
+
+
+@pytest.mark.parametrize("c, n, gamma", [(1, 41, 1.0), (3, 70, 1.0), (4, 90, 0.0), (10, 400, 1.0)])
+def test_fit_sums_stay_within_rounding_of_vdot_fit_by_fit(monkeypatch, c, n, gamma):
+    # a sum's rounding error is bounded by a multiple of the sum of its terms'
+    # absolute values, so that is the scale of the tolerance
+    ds, graphs = random_problem(c * n, l=2, n=n, c=c, dims=(c + 2, c + 5), rate=0.3, gamma=gamma)
+    seen = fit_capturing(monkeypatch, ds, graphs, leaving_configs(c), ["view_costs"])
+    # the set-up and each sweep, one call per view
+    widths = [args[3].shape[1] for args in seen["view_costs"]]
+    assert widths == [4] * 4 + [3] * 2 + [2] * 2 + [1] * 2
+    for _, xtu, _, p, gathered, wp, graph, _, _ in seen["view_costs"]:
+        ones = np.ones(len(p))
+        terms = [(ones, p, xtu), (ones, np.abs(p), np.ones_like(p)), (ones, wp, gathered),
+                 (graph.degree, p, p), (graph.degree, gathered, gathered)]
+        for weights, a, b in terms:
+            got = _fit_sums(weights, a * b)
+            wa = weights[:, None, None] * a
+            want = np.array([np.vdot(wa[:, j], b[:, j]) for j in range(a.shape[1])])
+            scale = np.array([np.vdot(np.abs(wa[:, j]), np.abs(b[:, j])) for j in range(a.shape[1])])
+            assert got.shape == want.shape
+            assert np.all(np.abs(got - want) <= 1e-12 * scale)
+
+
+def test_fit_hands_the_products_c_ordered_rows_of_samples(monkeypatch):
+    ds, graphs = random_problem(19, l=3, n=60, c=3, rate=0.3, k=4)
+    names = ["_times_w", "update_basis", "view_costs"]
+    seen = fit_capturing(monkeypatch, ds, graphs, leaving_configs(3), names)
+    widths = [4] * 3 + [3] * 3 + [2] * 3 + [1] * 3
+    # update_basis once per view and sweep; _times_w once per view at set-up,
+    # and in each sweep for a view's gathered consensus and then its codes
+    assert [args[1].shape[1] for args in seen["_times_w"]] == [4] * 3 + [
+        w for w in widths for _ in range(2)
+    ]
+    assert [args[1].shape[1] for args in seen["update_basis"]] == widths
+    stacks = [args[1] for args in seen["_times_w"] + seen["update_basis"]]
+    stacks += [args[k] for args in seen["view_costs"] for k in (3, 4, 5)]  # p, gathered, wp
+    for stack in stacks:
+        n_v, fits, c = stack.shape
+        assert c == 3 and n_v in [view.n_available for view in ds.views]
+        assert stack.flags.c_contiguous
+        assert np.shares_memory(stack.reshape(n_v, fits * c), stack)
+    # X^T U is the transpose of the GEMM [U_1 ... U_B]^T X
+    for args in seen["view_costs"]:
+        assert args[1].transpose(1, 2, 0).flags.c_contiguous
